@@ -177,7 +177,7 @@ func BenchmarkNormalExec(b *testing.B) {
 }
 
 // TestNormalExecAllocBudget is the in-tree allocation gate for the
-// select fast path: a cached indexed read must stay a small-constant
+// normal-operation path: a cached indexed read must stay a small-constant
 // allocation operation (no per-execution parse, clone, stringify, or
 // per-row evaluation contexts). The bound is deliberately loose — it
 // catches order-of-magnitude regressions, while CI's benchgate compares
@@ -223,11 +223,29 @@ func TestNormalExecAllocBudget(t *testing.T) {
 			t.Fatalf("%s: cached indexed update costs %.1f allocs/op, budget %d", label, avg, updateBudget)
 		}
 		t.Logf("%s: cached indexed update: %.1f allocs/op (budget %d)", label, avg, updateBudget)
+
+		// INSERT rides the same road: one cached parameterized
+		// augmentation (row ID, time, and generation as trailing
+		// parameters), no per-execution clone or literal baking.
+		insert := func() {
+			i++
+			if _, _, err := db.Exec("INSERT INTO posts (id, owner, body) VALUES (?, ?, ?)",
+				sqldb.Int(1000+i), sqldb.Text("u0"), sqldb.Text("inserted")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		insert()
+		avg = testing.AllocsPerRun(200, insert)
+		const insertBudget = 80
+		if avg > insertBudget {
+			t.Fatalf("%s: cached insert costs %.1f allocs/op, budget %d", label, avg, insertBudget)
+		}
+		t.Logf("%s: cached insert: %.1f allocs/op (budget %d)", label, avg, insertBudget)
 	}
 	measure(t, "plain")
-	// The instrumented fast path (docs/observability.md) must fit the
-	// SAME budgets: histogram observation is three atomic adds and shape
-	// classification is a field store, so enabling obs adds clock reads
+	// The instrumented path (docs/observability.md) must fit the SAME
+	// budgets: histogram observation is three atomic adds and shape
+	// classification is a return value, so enabling obs adds clock reads
 	// but zero allocations.
 	prev := obs.Enabled()
 	obs.SetEnabled(true)
@@ -402,21 +420,20 @@ func BenchmarkParallelRepair(b *testing.B) {
 // BenchmarkPartitionRepair measures the partition-granular repair
 // pipeline on a single-hot-table workload (16 clients, one shared
 // `posts` table, per-client visit-replay chains) at 1, 2, 4, and 8
-// workers, plus the table-granular (globally exclusive replay,
-// whole-table DB locks) baseline at 4 workers. The acceptance bar —
-// enforced by TestPartitionRepairSpeedup — is ≥2x over that baseline at
-// 4 workers; the re-execution accounting and final table contents are
-// identical in every configuration.
+// workers. The acceptance bar — enforced by TestPartitionRepairSpeedup —
+// is ≥2x at 4 workers over the serial engine (workers=1); the
+// re-execution accounting and final table contents are identical at
+// every worker count.
 func BenchmarkPartitionRepair(b *testing.B) {
 	const (
 		clients = 16
 		pages   = 2
 		latency = 1500 * time.Microsecond
 	)
-	run := func(b *testing.B, workers int, tableGranular bool) {
+	run := func(b *testing.B, workers int) {
 		var total time.Duration
 		for i := 0; i < b.N; i++ {
-			res, err := bench.PartitionRepair(clients, pages, workers, latency, tableGranular)
+			res, err := bench.PartitionRepair(clients, pages, workers, latency)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -428,11 +445,8 @@ func BenchmarkPartitionRepair(b *testing.B) {
 		b.ReportMetric(float64(total.Milliseconds())/float64(b.N), "repair-ms")
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) { run(b, workers, false) })
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) { run(b, workers) })
 	}
-	// No trailing "-N" in the name: benchgate strips a numeric suffix to
-	// drop the GOMAXPROCS decoration, which would also eat a "-4" here.
-	b.Run("table-locked", func(b *testing.B) { run(b, 4, true) })
 }
 
 // BenchmarkOnlineRepair is the headline number for online repair
@@ -441,7 +455,7 @@ func BenchmarkPartitionRepair(b *testing.B) {
 // benchmark reports that client's p99 and worst stall mid-repair next
 // to its idle p99. The "online" run coexists with the repair
 // (admission gate + SLO throttle, suspension only for the final commit
-// window); the "stop-the-world" run restores Config.ExclusiveRepair,
+// window); the "stop-the-world" run is core's baseline deployment,
 // so its max-stall-ms approaches repair-ms — the suspension online
 // repair removes. TestOnlineRepairMatchesExclusive holds the two
 // configurations to identical final database contents.

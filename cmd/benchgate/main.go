@@ -3,8 +3,8 @@
 // It is the tooling behind CI's bench job (.github/workflows/ci.yml):
 //
 //	go test -run '^$' -bench ... -benchmem ./... | tee bench.txt
-//	benchgate -parse bench.txt > BENCH_PR3.json
-//	benchgate -baseline BENCH_BASELINE.json -current BENCH_PR3.json -threshold 0.30
+//	benchgate -parse bench.txt > BENCH_CURRENT.json
+//	benchgate -baseline BENCH_BASELINE.json -current BENCH_CURRENT.json -threshold 0.30
 //
 // The gate fails (exit 1) when any benchmark present in both files got
 // more than threshold slower in ns/op — or, when both files carry

@@ -25,7 +25,6 @@
 // Repairs run online by default (docs/repair.md "Online repair"): live
 // requests keep executing on partitions the repair has not claimed, and
 // -repair-slo paces repair workers against a live p99 target.
-// -exclusive-repair restores the paper's stop-the-world suspension.
 //
 // With -debug-addr a second listener serves expvar (/debug/vars) and
 // pprof (/debug/pprof/); with -slow-query every statement and repair
@@ -86,8 +85,6 @@ func main() {
 		"log statements and repair actions slower than this threshold (0 disables)")
 	repairSLO := flag.Duration("repair-slo", 0,
 		"live-request p99 target an online repair throttles its workers against (0 disables the governor)")
-	exclusiveRepair := flag.Bool("exclusive-repair", false,
-		"suspend normal execution for the whole repair (the paper's stop-the-world behavior) instead of repairing online")
 	flag.Parse()
 
 	// A server deployment always runs instrumented: the histograms are
@@ -102,10 +99,7 @@ func main() {
 		})
 	}
 
-	cfg := warp.Config{
-		Seed: 2026, RepairWorkers: *repairWorkers,
-		RepairSLO: *repairSLO, ExclusiveRepair: *exclusiveRepair,
-	}
+	cfg := warp.Config{Seed: 2026, RepairWorkers: *repairWorkers, RepairSLO: *repairSLO}
 	cfg.Durability.Shards = *walShards
 	cfg.Durability.CompactEvery = *compactEvery
 	cfg.Durability.SyncEveryAppend = *syncEvery

@@ -8,8 +8,7 @@
 //     conflicting actions keep the paper's time order;
 //   - partition-granular concurrency on a single hot table: row-range
 //     (lock-column) scopes in the database plus per-client page-visit
-//     replay, compared against the table-granular baseline
-//     (Config.TableGranularLocks).
+//     replay, compared against the serial engine (RepairWorkers: 1).
 package main
 
 import (
@@ -77,18 +76,15 @@ func main() {
 
 	// Part 3 — partition granularity on one hot table: every client's
 	// visits hit the same `posts` table (disjoint partitions), and the
-	// repair cascades into per-client visit-replay chains. The old
-	// table-granular mode serializes the replays globally; the
-	// partition-granular pipeline overlaps them across workers.
+	// repair cascades into per-client visit-replay chains. One worker
+	// runs them back to back; the partition-granular pipeline overlaps
+	// them across workers.
 	fmt.Println()
 	fmt.Println("partition-granular repair on a single hot table (12 clients × 3 visits):")
-	base, err := bench.PartitionRepair(12, 2, 4, time.Millisecond, true)
-	must(err)
-	fmt.Printf("  table-granular baseline, 4 workers: repair %8v\n", base.RepairTime.Round(time.Microsecond))
 	for _, workers := range []int{1, 4} {
-		r, err := bench.PartitionRepair(12, 2, workers, time.Millisecond, false)
+		r, err := bench.PartitionRepair(12, 2, workers, time.Millisecond)
 		must(err)
-		fmt.Printf("  partition-granular, %d worker(s):   repair %8v  (%d visits replayed)\n",
+		fmt.Printf("  %d worker(s): repair %8v  (%d visits replayed)\n",
 			workers, r.RepairTime.Round(time.Microsecond), r.Report.PageVisitsReplayed)
 	}
 	fmt.Println("same repaired state in every configuration; only the wall time changes")

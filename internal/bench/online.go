@@ -18,8 +18,8 @@ import (
 // exclusive=false the deployment keeps serving while the repair drains
 // (partition-scoped coexistence, admission gate, SLO throttle when
 // slo > 0), suspending only for the final generation-switch commit
-// window; with exclusive=true the paper's stop-the-world behavior is
-// restored and every mid-repair request stalls for the whole repair.
+// window; with exclusive=true the deployment is core's stop-the-world
+// baseline and every mid-repair request stalls for the whole repair.
 //
 // The workload is PartitionRepair's: a hot `posts` table partitioned by
 // owner, a retroactive patch of the login page cascading into a
@@ -33,10 +33,7 @@ func OnlineRepair(clients, pages, workers int, appLatency time.Duration, exclusi
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(wasEnabled)
 
-	w := core.New(core.Config{
-		Seed: 99, RepairWorkers: workers,
-		ExclusiveRepair: exclusive, RepairSLO: slo,
-	})
+	w := newOnlineWarp(core.Config{Seed: 99, RepairWorkers: workers, RepairSLO: slo}, exclusive)
 	if err := w.DB.Annotate("posts", ttdb.TableSpec{RowIDColumn: "id", PartitionColumns: []string{"owner"}}); err != nil {
 		return nil, err
 	}
@@ -145,6 +142,15 @@ func OnlineRepair(clients, pages, workers int, appLatency time.Duration, exclusi
 		out.Rows = append(out.Rows, r[0].AsText()+"|"+r[1].AsText())
 	}
 	return out, nil
+}
+
+// newOnlineWarp builds the deployment under test, or — for exclusive —
+// the stop-the-world reference it is compared against.
+func newOnlineWarp(cfg core.Config, exclusive bool) *core.Warp {
+	if exclusive {
+		return core.NewStopTheWorldBaseline(cfg)
+	}
+	return core.New(cfg)
 }
 
 // OnlineRepairResult is one measurement of live traffic riding through a

@@ -18,9 +18,9 @@ import (
 // login + posts pages, clients×pages seeded visits) and returns the
 // deployment plus the first client's owner key, for tests that want to
 // aim live traffic at a partition the repair will claim.
-func onlineDeployment(t *testing.T, clients, pages int, appLatency time.Duration, cfg core.Config) (*core.Warp, string) {
+func onlineDeployment(t *testing.T, clients, pages int, appLatency time.Duration, cfg core.Config, exclusive bool) (*core.Warp, string) {
 	t.Helper()
-	w := core.New(cfg)
+	w := newOnlineWarp(cfg, exclusive)
 	if err := w.DB.Annotate("posts", ttdb.TableSpec{RowIDColumn: "id", PartitionColumns: []string{"owner"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -86,15 +86,14 @@ func postsRows(t *testing.T, w *core.Warp) []string {
 // onlineEquivRun runs one repair with a fixed set of live writes fired
 // mid-repair — three into a partition no repair item touches and three
 // into the first repaired client's partition — and returns the final
-// hot-table contents. Under ExclusiveRepair the same requests block at
+// hot-table contents. On the stop-the-world baseline the same requests block at
 // the suspension barrier and execute after the commit; either way the
 // deterministic request set must leave the database in the same state.
 func onlineEquivRun(t *testing.T, exclusive bool) []string {
 	t.Helper()
 	const clients, pages = 6, 2
-	w, owner0 := onlineDeployment(t, clients, pages, 2*time.Millisecond, core.Config{
-		Seed: 99, RepairWorkers: 4, ExclusiveRepair: exclusive,
-	})
+	w, owner0 := onlineDeployment(t, clients, pages, 2*time.Millisecond,
+		core.Config{Seed: 99, RepairWorkers: 4}, exclusive)
 
 	done := make(chan error, 1)
 	go func() {
@@ -251,7 +250,7 @@ func TestLiveExecDuringRepairStress(t *testing.T) {
 	const clients, pages = 8, 2
 	w, owner0 := onlineDeployment(t, clients, pages, time.Millisecond, core.Config{
 		Seed: 99, RepairWorkers: 4, RepairSLO: 20 * time.Millisecond,
-	})
+	}, false)
 
 	done := make(chan error, 1)
 	go func() {

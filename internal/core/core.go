@@ -47,13 +47,6 @@ type Config struct {
 	// paper's time order. 0 means GOMAXPROCS; 1 reproduces the serial
 	// repair engine exactly.
 	RepairWorkers int
-	// TableGranularLocks restores the pre-partition-lock concurrency
-	// model: every database operation takes its whole table's lock and
-	// page-visit replays are globally exclusive. Repair outcomes are
-	// identical either way; the knob exists for comparison benchmarks
-	// (BenchmarkPartitionRepair's baseline) and as an operational escape
-	// hatch. See docs/repair.md.
-	TableGranularLocks bool
 	// RepairSLO is the live-request p99 latency target an online repair
 	// paces itself against: a throttle governor samples the
 	// warp_core_request_seconds histogram while repair runs and sheds
@@ -61,13 +54,6 @@ type Config struct {
 	// (throttle.go). 0 disables the governor; the governor also needs
 	// obs enabled to see the histogram.
 	RepairSLO time.Duration
-	// ExclusiveRepair restores the paper's stop-the-world behavior:
-	// the deployment suspends for the whole repair instead of only the
-	// final generation-switch commit window. The repair outcome is
-	// identical either way (TestOnlineRepairMatchesExclusive); the knob
-	// is the baseline for BenchmarkOnlineRepair and an operational
-	// escape hatch. See docs/repair.md.
-	ExclusiveRepair bool
 	// Trace, when set, receives a line for every repair-controller step —
 	// the debugging view of what rollback-and-reexecute decided and why.
 	Trace func(format string, args ...any)
@@ -86,7 +72,10 @@ type Warp struct {
 	Graph   *history.Graph
 
 	cfg Config
-	rng *rand.Rand
+	// stopTheWorld makes repairs suspend the deployment for their whole
+	// span; set only by NewStopTheWorldBaseline.
+	stopTheWorld bool
+	rng          *rand.Rand
 	// rngDraws counts values drawn from rng (browser seeds); persisted in
 	// core/meta so a recovered deployment resumes the seeded stream
 	// instead of re-issuing recovered client identities. Atomic so the
@@ -168,9 +157,6 @@ func New(cfg Config) *Warp {
 	}
 	clock := &vclock.Clock{}
 	db := ttdb.Open(clock)
-	if cfg.TableGranularLocks {
-		db.SetTableGranularLocks(true)
-	}
 	return &Warp{
 		Clock:         clock,
 		DB:            db,
@@ -184,6 +170,18 @@ func New(cfg Config) *Warp {
 		partsByTable:  make(map[string]map[history.NodeID]bool),
 		cookieInvalid: make(map[string][]string),
 	}
+}
+
+// NewStopTheWorldBaseline is New for the reference side of the online-
+// repair parity test and benchmark (internal/bench): its repairs restore
+// the paper's stop-the-world behavior, suspending the deployment for the
+// whole repair instead of only the final generation-switch commit
+// window. The repair outcome is identical either way
+// (TestOnlineRepairMatchesExclusive); deployments use New or Open.
+func NewStopTheWorldBaseline(cfg Config) *Warp {
+	w := New(cfg)
+	w.stopTheWorld = true
+	return w
 }
 
 // RunPayload is the graph payload for an application-run action.

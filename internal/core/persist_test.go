@@ -160,7 +160,7 @@ func dumpWarp(t *testing.T, w *Warp) string {
 
 	raw := w.DB.Raw()
 	for _, table := range raw.Tables() {
-		res, err := raw.ExecStmt(&sqldb.Select{Items: []sqldb.SelectItem{{Star: true}}, Table: table}, nil)
+		res, err := raw.Exec("SELECT * FROM " + table)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,8 +19,7 @@
 // cancel or re-serve any of them), and the partition edges of the runs
 // behind those exchanges — so visit replays also order correctly
 // against individual query checks and run re-executions touching the
-// same state. Config.TableGranularLocks restores the old globally
-// exclusive behavior.
+// same state.
 //
 // Footprints are derived from the history graph's dependency edges
 // (Graph.PartitionDepsOf), not recomputed from query records, so a work
@@ -111,15 +110,11 @@ type footprint struct {
 	// client is set on visit-replay items: replays of one client's
 	// visits serialize among themselves (they thread the client's cookie
 	// jar and navigation state), independent clients replay in parallel.
-	client    string
-	exclusive bool
+	client string
 }
 
 // conflicts reports whether two footprints must not be in flight together.
 func (a *footprint) conflicts(b *footprint) bool {
-	if a.exclusive || b.exclusive {
-		return true
-	}
 	if a.run != 0 && a.run == b.run {
 		return true
 	}
@@ -463,11 +458,7 @@ func newFootprint() *footprint {
 // this set — a patched page navigating somewhere new, a fresh run
 // writing an unclaimed partition — are caught by dirt propagation's
 // fixpoint, the same under-claim safety the cached footprints rely on.
-// With TableGranularLocks the old globally exclusive behavior is kept.
 func (s *scheduler) visitFootprint(it *workItem) *footprint {
-	if s.rs.w.cfg.TableGranularLocks {
-		return &footprint{exclusive: true}
-	}
 	fp := newFootprint()
 	fp.client = it.client
 	fp.nodeWrites[history.CookieNode(it.client)] = true

@@ -520,8 +520,8 @@ func (w *Warp) repair(intent *RepairIntent, seed func(*session) error, restrictC
 	// through the admission gate, which queues them briefly when their
 	// partition footprint collides with an in-flight repair item — and
 	// the exclusive suspension shrinks to the final commit window below.
-	// Config.ExclusiveRepair restores the paper's stop-the-world span.
-	exclusive := w.cfg.ExclusiveRepair
+	// The stop-the-world baseline suspends for the whole span instead.
+	exclusive := w.stopTheWorld
 	suspended := false
 	suspend := func() {
 		if !suspended {

@@ -18,7 +18,7 @@ type Result struct {
 	Affected int
 
 	// arena, when non-nil, owns the storage behind Rows; set only for
-	// results of the *Owned entry points and reclaimed by PutResult
+	// results of ExecCachedOwned and reclaimed by PutResult
 	// (resultpool.go).
 	arena *resultArena
 }
@@ -80,110 +80,127 @@ func (r *Result) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// Exec parses and executes one SQL statement. Parsed statements and
-// their compiled plans are cached per source text in the database's own
-// statement cache, so repeated forms pay the parser and planner once.
+// Exec parses and executes one SQL statement: text sugar over the
+// statement cache. Parsed statements and their compiled plans are cached
+// per source text in the database's own statement cache, so repeated
+// forms pay the parser and planner once.
 func (db *DB) Exec(src string, params ...Value) (*Result, error) {
 	cs, err := db.stmts.Get(src)
 	if err != nil {
 		return nil, err
 	}
-	return db.ExecCached(cs, params)
+	return db.exec(cs, params, false)
 }
 
-// ExecStmt executes a parsed statement. The statement is not mutated.
-func (db *DB) ExecStmt(stmt Statement, params []Value) (*Result, error) {
-	if !timedExec() {
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		return db.execStmtLocked(stmt, params)
-	}
-	start := time.Now()
-	db.mu.Lock()
-	db.lastShape = ShapeOther
-	res, err := db.execStmtLocked(stmt, params)
-	shape := db.lastShape
-	db.mu.Unlock()
-	observeExec(start, shape, nil, stmt)
-	return res, err
-}
-
-func (db *DB) execStmtLocked(stmt Statement, params []Value) (*Result, error) {
-	switch s := stmt.(type) {
-	case *CreateTable:
-		return db.execCreateTable(s)
-	case *CreateIndex:
-		return db.execCreateIndex(s)
-	case *AlterTableAdd:
-		return db.execAlterAdd(s)
-	case *DropTable:
-		return db.execDropTable(s)
-	case *Insert:
-		return db.execInsert(s, params)
-	case *Select:
-		return db.execSelect(s, params)
-	case *Update:
-		return db.execUpdate(s, params)
-	case *Delete:
-		return db.execDelete(s, params)
-	default:
-		return nil, fmt.Errorf("sql: unsupported statement %T", stmt)
-	}
-}
-
-// ExecCached executes a cached statement, reusing (or building) its
+// ExecCached executes a prepared statement, reusing (or building) its
 // compiled plan: column ordinals, the indexable-equality decision, and
 // the compiled WHERE/SET/projection evaluators survive across
-// executions and are invalidated by the DDL epoch. Results are
-// identical to ExecStmt on the same statement.
+// executions and are invalidated by the DDL epoch.
 func (db *DB) ExecCached(cs *CachedStmt, params []Value) (*Result, error) {
-	if !timedExec() {
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		return db.execCachedLocked(cs, params)
+	return db.exec(cs, params, false)
+}
+
+// ExecCachedOwned is ExecCached returning an owned result: a SELECT's
+// rows are cut from pooled storage (resultpool.go), and the caller must
+// hand the result to PutResult once fully consumed.
+func (db *DB) ExecCachedOwned(cs *CachedStmt, params []Value) (*Result, error) {
+	return db.exec(cs, params, true)
+}
+
+// ParamCountError reports an execution whose parameter vector does not
+// match the statement's placeholders. It is raised before the engine
+// lock is taken, so a malformed call has no effect at all.
+type ParamCountError struct {
+	Want, Got int
+}
+
+// Error implements the error interface.
+func (e *ParamCountError) Error() string {
+	return fmt.Sprintf("sql: statement expects %d parameters, %d supplied", e.Want, e.Got)
+}
+
+// CheckParams returns a *ParamCountError unless params supplies exactly
+// one value per placeholder of the statement.
+func (cs *CachedStmt) CheckParams(params []Value) error {
+	if len(params) != cs.nParams {
+		return &ParamCountError{Want: cs.nParams, Got: len(params)}
 	}
-	start := time.Now()
-	db.mu.Lock()
-	db.lastShape = ShapeOther
-	res, err := db.execCachedLocked(cs, params)
-	shape := db.lastShape
-	db.mu.Unlock()
-	observeExec(start, shape, cs, nil)
+	return nil
+}
+
+// exec is the one road into the engine: every statement runs as a
+// prepared handle through execUnderLock, and the latency histogram and
+// slow-query hook observe it here and nowhere else. The clock is read
+// only when obs or a slow-query threshold arms it.
+func (db *DB) exec(cs *CachedStmt, params []Value, owned bool) (*Result, error) {
+	if err := cs.CheckParams(params); err != nil {
+		return nil, err
+	}
+	var start time.Time
+	timed := timedExec()
+	if timed {
+		start = time.Now()
+	}
+	res, shape, err := db.execUnderLock(cs, params, owned)
+	if timed {
+		observeExec(start, shape, cs)
+	}
 	return res, err
 }
 
-func (db *DB) execCachedLocked(cs *CachedStmt, params []Value) (*Result, error) {
+// execUnderLock holds db.mu while it runs one prepared statement, and
+// reports the plan shape it executed with. owned makes a SELECT cut its
+// result rows from pooled arena storage.
+func (db *DB) execUnderLock(cs *CachedStmt, params []Value, owned bool) (*Result, ExecShape, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	var (
+		res   *Result
+		shape = ShapeOther
+		err   error
+	)
 	switch s := cs.Stmt.(type) {
 	case *Select:
 		if s.Table == "" {
-			return db.execSelectNoTable(s, params)
+			res, err = db.execSelectNoTable(s, params)
+		} else if p := db.planFor(cs); p.sel == nil {
+			err = fmt.Errorf("sql: no such table %s", s.Table)
+		} else {
+			return db.runSelect(p.sel.table, s, p.sel, params, owned)
 		}
-		p := db.planFor(cs)
-		if p.sel == nil {
-			return nil, fmt.Errorf("sql: no such table %s", s.Table)
-		}
-		return db.runSelect(p.sel.table, s, p.sel, params)
 	case *Update:
-		p := db.planFor(cs)
-		if p.upd == nil {
-			return nil, fmt.Errorf("sql: no such table %s", s.Table)
+		if p := db.planFor(cs); p.upd == nil {
+			err = fmt.Errorf("sql: no such table %s", s.Table)
+		} else {
+			shape = ShapeUpdate
+			res, err = db.runUpdate(p.upd.table, s, p.upd, params)
 		}
-		return db.runUpdate(p.upd.table, s, p.upd, params)
 	case *Delete:
-		p := db.planFor(cs)
-		if p.del == nil {
-			return nil, fmt.Errorf("sql: no such table %s", s.Table)
+		if p := db.planFor(cs); p.del == nil {
+			err = fmt.Errorf("sql: no such table %s", s.Table)
+		} else {
+			shape = ShapeDelete
+			res, err = db.runDelete(p.del.table, s, p.del, params)
 		}
-		return db.runDelete(p.del.table, s, p.del, params)
 	case *Insert:
-		p := db.planFor(cs)
-		if p.ins == nil {
-			return nil, fmt.Errorf("sql: no such table %s", s.Table)
+		if p := db.planFor(cs); p.ins == nil {
+			err = fmt.Errorf("sql: no such table %s", s.Table)
+		} else {
+			shape = ShapeInsert
+			res, err = db.runInsert(p.ins.table, s, p.ins, params)
 		}
-		return db.runInsert(p.ins.table, s, p.ins, params)
+	case *CreateTable:
+		res, err = db.execCreateTable(s)
+	case *CreateIndex:
+		res, err = db.execCreateIndex(s)
+	case *AlterTableAdd:
+		res, err = db.execAlterAdd(s)
+	case *DropTable:
+		res, err = db.execDropTable(s)
 	default:
-		return db.execStmtLocked(cs.Stmt, params)
+		err = fmt.Errorf("sql: unsupported statement %T", cs.Stmt)
 	}
+	return res, shape, err
 }
 
 func (db *DB) execCreateTable(s *CreateTable) (*Result, error) {
@@ -281,19 +298,10 @@ func (db *DB) execDropTable(s *DropTable) (*Result, error) {
 	return &Result{}, nil
 }
 
-func (db *DB) execInsert(s *Insert, params []Value) (*Result, error) {
-	t, ok := db.tables[s.Table]
-	if !ok {
-		return nil, fmt.Errorf("sql: no such table %s", s.Table)
-	}
-	return db.runInsert(t, s, db.planInsert(t, s), params)
-}
-
 func (db *DB) runInsert(t *Table, s *Insert, p *insertPlan, params []Value) (*Result, error) {
 	if p.posErr != nil {
 		return nil, p.posErr
 	}
-	db.lastShape = ShapeInsert
 	colPos := p.colPos
 	res := &Result{Affected: 0}
 	if len(s.Returning) > 0 {
@@ -689,31 +697,29 @@ func coerceToColumn(v Value, kind Kind) (Value, bool) {
 	return v, true
 }
 
-func (db *DB) execSelect(s *Select, params []Value) (*Result, error) {
-	if s.Table == "" {
-		return db.execSelectNoTable(s, params)
-	}
-	t, ok := db.tables[s.Table]
-	if !ok {
-		return nil, fmt.Errorf("sql: no such table %s", s.Table)
-	}
-	return db.runSelect(t, s, db.planSelect(t, s), params)
-}
-
-func (db *DB) runSelect(t *Table, s *Select, p *selectPlan, params []Value) (*Result, error) {
+// runSelect executes a planned SELECT. The returned shape is the access
+// path the scan actually took (ShapeOther when it failed before one was
+// chosen).
+func (db *DB) runSelect(t *Table, s *Select, p *selectPlan, params []Value, owned bool) (*Result, ExecShape, error) {
 	matched, usedIndex, inOrder, err := t.matchSlots(p.scan, p.orderIdx, p.where, params)
 	if err != nil {
-		return nil, err
+		return nil, ShapeOther, err
 	}
 	db.noteScan(usedIndex)
-	db.lastShape = selectShape(p.scan, usedIndex)
+	shape := selectShape(p.scan, usedIndex)
+	res, err := t.projectSelect(s, p, matched, inOrder, params, owned)
+	return res, shape, err
+}
 
+// projectSelect turns the matched slots into the result: aggregates, or
+// the ORDER BY / projection / DISTINCT / LIMIT pipeline.
+func (t *Table) projectSelect(s *Select, p *selectPlan, matched []int, inOrder bool, params []Value, owned bool) (*Result, error) {
 	if p.aggregates {
 		return t.execAggregates(s, matched, params)
 	}
 
 	var res *Result
-	if db.ownedExec {
+	if owned {
 		res = newPooledResult()
 	} else {
 		res = &Result{}
@@ -1024,14 +1030,6 @@ func (t *Table) rowCtx(slot int, params []Value) *evalCtx {
 	}
 }
 
-func (db *DB) execUpdate(s *Update, params []Value) (*Result, error) {
-	t, ok := db.tables[s.Table]
-	if !ok {
-		return nil, fmt.Errorf("sql: no such table %s", s.Table)
-	}
-	return db.runUpdate(t, s, db.planUpdate(t, s), params)
-}
-
 func (db *DB) runUpdate(t *Table, s *Update, p *updatePlan, params []Value) (*Result, error) {
 	if p.setErr != nil {
 		return nil, p.setErr
@@ -1044,7 +1042,6 @@ func (db *DB) runUpdate(t *Table, s *Update, p *updatePlan, params []Value) (*Re
 		return nil, err
 	}
 	db.noteScan(usedIndex)
-	db.lastShape = ShapeUpdate
 
 	res := &Result{}
 	if len(s.Returning) > 0 {
@@ -1104,21 +1101,12 @@ func (db *DB) runUpdate(t *Table, s *Update, p *updatePlan, params []Value) (*Re
 	return res, nil
 }
 
-func (db *DB) execDelete(s *Delete, params []Value) (*Result, error) {
-	t, ok := db.tables[s.Table]
-	if !ok {
-		return nil, fmt.Errorf("sql: no such table %s", s.Table)
-	}
-	return db.runDelete(t, s, db.planDelete(t, s), params)
-}
-
 func (db *DB) runDelete(t *Table, s *Delete, p *deletePlan, params []Value) (*Result, error) {
 	matched, usedIndex, _, err := t.matchSlots(p.scan, nil, p.where, params)
 	if err != nil {
 		return nil, err
 	}
 	db.noteScan(usedIndex)
-	db.lastShape = ShapeDelete
 	res := &Result{}
 	if len(s.Returning) > 0 {
 		res.Columns = append(res.Columns, s.Returning...)

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -318,6 +319,57 @@ func TestErrorsAreDiagnostic(t *testing.T) {
 	_, err = db.Exec("SELECT 1 / 0")
 	if err == nil {
 		t.Fatal("division by zero should error")
+	}
+}
+
+// TestParamCountContract: the engine's one entry refuses a parameter
+// vector that does not match the statement's placeholders — too few or
+// too many, on every verb, through the text and the prepared entry alike
+// — with *ParamCountError, before planning or touching a row.
+func TestParamCountContract(t *testing.T) {
+	db := newTestDB(t)
+	cases := []struct {
+		name, src string
+		params    []Value
+	}{
+		{"select too few", "SELECT title FROM pages WHERE page_id = ?", nil},
+		{"select too many", "SELECT title FROM pages WHERE page_id = ?", []Value{Int(1), Int(2)}},
+		{"insert too few", "INSERT INTO pages (page_id, title) VALUES (?, ?)", []Value{Int(7)}},
+		{"insert too many", "INSERT INTO pages (page_id, title) VALUES (?, 'T')", []Value{Int(7), Int(8)}},
+		{"update too few", "UPDATE pages SET content = ? WHERE page_id = ?", []Value{Text("x")}},
+		{"update too many", "UPDATE pages SET content = ? WHERE page_id = ?", []Value{Text("x"), Int(1), Int(2)}},
+		{"delete too few", "DELETE FROM pages WHERE page_id = ?", nil},
+		{"delete too many", "DELETE FROM pages", []Value{Int(1)}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cs, err := db.stmts.Get(c.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := db.ExecStats()
+			for entry, run := range map[string]func() (*Result, error){
+				"Exec":            func() (*Result, error) { return db.Exec(c.src, c.params...) },
+				"ExecCached":      func() (*Result, error) { return db.ExecCached(cs, c.params) },
+				"ExecCachedOwned": func() (*Result, error) { return db.ExecCachedOwned(cs, c.params) },
+			} {
+				_, err := run()
+				var pe *ParamCountError
+				if !errors.As(err, &pe) {
+					t.Fatalf("%s: err = %v, want *ParamCountError", entry, err)
+				}
+				if pe.Want != cs.NumParams() || pe.Got != len(c.params) {
+					t.Fatalf("%s: error reports want %d got %d", entry, pe.Want, pe.Got)
+				}
+			}
+			after := db.ExecStats()
+			if after.PlanHits != before.PlanHits || after.PlanMisses != before.PlanMisses {
+				t.Fatalf("mismatch reached the planner: %+v -> %+v", before, after)
+			}
+		})
+	}
+	if n := db.RowCount("pages"); n != 3 {
+		t.Fatalf("refused statements changed the table: %d rows", n)
 	}
 }
 

@@ -10,11 +10,11 @@ import (
 // Exec latency instrumentation. The engine classifies every execution
 // by plan shape — statement type plus, for SELECTs, the access path the
 // scan actually took — and records its latency into one fixed-bucket
-// histogram per shape. The shape is recorded as a plain field store in
-// the run* executors (always on, sub-nanosecond); the clock reads and
-// histogram writes happen only at the four exported entry points and
-// only when obs.Enabled() or a slow-query threshold arms them, so the
-// uninstrumented fast path pays a single atomic load per exec.
+// histogram per shape. The shape is a return value of the one locked
+// executor (always on, free); the clock reads and histogram writes
+// happen in its one caller (DB.exec) and only when obs.Enabled() or a
+// slow-query threshold arms them, so the uninstrumented path pays a
+// single atomic load per exec.
 
 // ExecShape classifies one statement execution for latency accounting.
 type ExecShape uint8
@@ -111,15 +111,14 @@ func SetSlowQueryLog(threshold time.Duration, fn SlowQueryFunc) {
 	slowQueryNs.Store(int64(threshold))
 }
 
-// timedExec reports whether the entry points should read the clock.
+// timedExec reports whether DB.exec should read the clock.
 func timedExec() bool {
 	return obs.Enabled() || slowQueryNs.Load() > 0
 }
 
 // observeExec records one timed execution: histogram by shape, plus the
-// slow-query hook. The statement text is only materialized on the slow
-// path (stmt.String() allocates; cs.canonical does not).
-func observeExec(start time.Time, shape ExecShape, cs *CachedStmt, stmt Statement) {
+// slow-query hook, which reports the handle's precomputed canonical SQL.
+func observeExec(start time.Time, shape ExecShape, cs *CachedStmt) {
 	d := time.Since(start)
 	execHists[shape].Observe(d)
 	ns := slowQueryNs.Load()
@@ -130,12 +129,5 @@ func observeExec(start time.Time, shape ExecShape, cs *CachedStmt, stmt Statemen
 	if fp == nil {
 		return
 	}
-	text := ""
-	switch {
-	case cs != nil:
-		text = cs.canonical
-	case stmt != nil:
-		text = stmt.String()
-	}
-	(*fp)(text, shape, d)
+	(*fp)(cs.canonical, shape, d)
 }

@@ -14,12 +14,11 @@ import "fmt"
 // This file compiles an expression once per plan into a tree of
 // closures with column ordinals resolved up front: the per-row path
 // performs no allocation, no map lookups, and no AST dispatch. Plans are
-// built either per statement execution (for the rewritten statements the
-// time-travel layer constructs fresh each call) or once per cached
-// statement (stmtcache.go), in which case they are invalidated by the
-// database's DDL epoch: any CREATE/ALTER/DROP/CREATE INDEX or constraint
-// change bumps the epoch and forces recompilation, so a stale plan can
-// never read renumbered ordinals or a dropped index.
+// built once per prepared statement (stmtcache.go) — the only form the
+// engine executes — and invalidated by the database's DDL epoch: any
+// CREATE/ALTER/DROP/CREATE INDEX or constraint change bumps the epoch
+// and forces recompilation, so a stale plan can never read renumbered
+// ordinals or a dropped index.
 //
 // Compilation is deliberately lazy about errors: an unknown column or an
 // out-of-range parameter compiles into a closure that fails when (and
@@ -725,11 +724,9 @@ func (db *DB) planInsert(t *Table, s *Insert) *insertPlan {
 	return p
 }
 
-// CountParams returns the number of positional parameters a statement
+// countParams returns the number of positional parameters a statement
 // expects: one past the highest ?-index it references, or 0 for none.
-// Rewriting layers use it to append their own parameters after the
-// application's without colliding.
-func CountParams(stmt Statement) int {
+func countParams(stmt Statement) int {
 	max := -1
 	note := func(e Expr) {
 		if n := exprMaxParam(e); n > max {

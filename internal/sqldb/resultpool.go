@@ -1,9 +1,6 @@
 package sqldb
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // Result row storage pooling for the exec path. A SELECT allocates one
 // []Value per row plus the Rows header; on the rewriting layer's hot
@@ -11,7 +8,7 @@ import (
 // read of an UPDATE is consumed and dropped within the same call — so
 // their storage can be recycled instead of re-allocated per execution.
 //
-// Results built through the *Owned entry points cut every row from one
+// Results built through ExecCachedOwned cut every row from one
 // arena; the caller hands the storage back with PutResult when the
 // result (and every row slice obtained from it) is no longer
 // referenced. Results from the ordinary entry points escape to the
@@ -111,49 +108,4 @@ func PutResult(res *Result) {
 	a.rows = res.Rows[:0]
 	res.Rows = nil
 	resultArenaPool.Put(a)
-}
-
-// ExecCachedOwned is ExecCached returning an owned result: a SELECT's
-// rows are cut from pooled storage, and the caller must hand the result
-// to PutResult once fully consumed.
-func (db *DB) ExecCachedOwned(cs *CachedStmt, params []Value) (*Result, error) {
-	if !timedExec() {
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		db.ownedExec = true
-		defer func() { db.ownedExec = false }()
-		return db.execCachedLocked(cs, params)
-	}
-	start := time.Now()
-	db.mu.Lock()
-	db.ownedExec = true
-	db.lastShape = ShapeOther
-	res, err := db.execCachedLocked(cs, params)
-	shape := db.lastShape
-	db.ownedExec = false
-	db.mu.Unlock()
-	observeExec(start, shape, cs, nil)
-	return res, err
-}
-
-// ExecStmtOwned is ExecStmt returning an owned result; see
-// ExecCachedOwned.
-func (db *DB) ExecStmtOwned(stmt Statement, params []Value) (*Result, error) {
-	if !timedExec() {
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		db.ownedExec = true
-		defer func() { db.ownedExec = false }()
-		return db.execStmtLocked(stmt, params)
-	}
-	start := time.Now()
-	db.mu.Lock()
-	db.ownedExec = true
-	db.lastShape = ShapeOther
-	res, err := db.execStmtLocked(stmt, params)
-	shape := db.lastShape
-	db.ownedExec = false
-	db.mu.Unlock()
-	observeExec(start, shape, nil, stmt)
-	return res, err
 }

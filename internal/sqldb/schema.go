@@ -25,14 +25,6 @@ type DB struct {
 	// counters accumulates plan-cache and scan-path introspection
 	// (stats.go). Guarded by mu: every exec path increments under it.
 	counters execCounters
-	// ownedExec, while true, makes runSelect cut result rows from pooled
-	// arena storage (resultpool.go). Set only by the *Owned entry points,
-	// under mu for the span of one execution.
-	ownedExec bool
-	// lastShape records the plan shape of the execution in flight so the
-	// timed entry points can bucket its latency (obsmetrics.go). Guarded
-	// by mu; meaningful only between an entry point's reset and its read.
-	lastShape ExecShape
 }
 
 // Open returns a new, empty database.

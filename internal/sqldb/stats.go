@@ -1,11 +1,12 @@
 package sqldb
 
 // Execution introspection: how often compiled plans are reused and how
-// often scans are narrowed by an index. WARP surfaces these per
-// deployment (core.Warp.ExecStats) so an operator can see whether the
-// normal-operation fast path is actually engaged — a plan hit-rate near
-// zero means statements are being rebuilt per call, and a high full-scan
-// share means the workload's predicates are not riding the indexes.
+// often scans are narrowed by an index. Every execution goes through a
+// prepared handle (DB.exec), so the plan counters see all of them. WARP
+// surfaces these per deployment (core.Warp.ExecStats): a plan-miss share
+// that stays above ~0 on a steady workload means a caller is rebuilding
+// statements per call, and a high full-scan share means the workload's
+// predicates are not riding the indexes.
 
 // execCounters is the DB's internal accumulator (guarded by DB.mu).
 type execCounters struct {
@@ -22,7 +23,7 @@ type ExecStats struct {
 	StmtCacheHits   uint64
 	StmtCacheMisses uint64
 	// PlanHits / PlanMisses count compiled-plan reuses vs (re)compiles
-	// across all cached-statement executions.
+	// across all SELECT/INSERT/UPDATE/DELETE executions.
 	PlanHits   uint64
 	PlanMisses uint64
 	// IndexScans / FullScans count row scans narrowed by an index probe

@@ -13,11 +13,12 @@ const DefaultStmtCacheSize = 1024
 // SQL rendering (computed once — query records reuse it instead of
 // re-stringifying the AST per execution), and the compiled plan of the
 // engine that last executed it. The statement is shared and must not be
-// mutated; every execution path clones before rewriting.
+// mutated; rewriting layers clone before rewriting.
 type CachedStmt struct {
 	src       string
 	Stmt      Statement
 	canonical string
+	nParams   int // placeholders the statement expects (CheckParams)
 	plan      atomic.Pointer[stmtPlan]
 	aux       atomic.Pointer[any]
 
@@ -28,8 +29,12 @@ type CachedStmt struct {
 // handle (not registered in any cache), so rewriting layers can reuse
 // the plan-cache machinery for statements they construct themselves.
 func NewCachedStmt(stmt Statement) *CachedStmt {
-	return &CachedStmt{Stmt: stmt, canonical: stmt.String()}
+	return &CachedStmt{Stmt: stmt, canonical: stmt.String(), nParams: countParams(stmt)}
 }
+
+// NumParams returns the number of positional parameters the statement
+// expects. Rewriting layers append their own parameters after these.
+func (cs *CachedStmt) NumParams() int { return cs.nParams }
 
 // Aux returns the handle's auxiliary attachment, or nil. The slot lets
 // a layer above the engine (the time-travel rewriter) cache derived
@@ -95,7 +100,8 @@ func (c *StmtCache) Get(src string) (*CachedStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	cs := &CachedStmt{src: src, Stmt: stmt, canonical: stmt.String()}
+	cs := NewCachedStmt(stmt)
+	cs.src = src
 
 	c.mu.Lock()
 	defer c.mu.Unlock()

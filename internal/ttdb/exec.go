@@ -12,41 +12,35 @@ import (
 // application repair manager) stores in the action history graph.
 // Parsing goes through the statement cache, so a repeated query form is
 // parsed once and its canonical SQL string (Record.SQL) is built once.
+//
+// Statements on disjoint partition scopes — different tables, or
+// disjoint lock-column keys of one table — run in parallel; statements
+// on overlapping scopes serialize, with the timestamp assigned inside
+// the scope so version intervals of any one partition never interleave.
+// A parameter vector that does not match the statement's placeholders
+// is refused with *sqldb.ParamCountError before anything else happens.
 func (db *DB) Exec(src string, params ...sqldb.Value) (*sqldb.Result, *Record, error) {
 	cs, err := db.stmts.Get(src)
 	if err != nil {
 		return nil, nil, err
 	}
-	return db.execStmt(cs.Stmt, cs, params)
-}
-
-// ExecStmt executes a parsed statement under normal execution. Statements
-// on disjoint partition scopes — different tables, or disjoint lock-column
-// keys of one table — run in parallel; statements on overlapping scopes
-// serialize, with the timestamp assigned inside the scope so version
-// intervals of any one partition never interleave.
-func (db *DB) ExecStmt(stmt sqldb.Statement, params []sqldb.Value) (*sqldb.Result, *Record, error) {
-	return db.execStmt(stmt, nil, params)
-}
-
-// execStmt is the shared normal-execution path. cs is the statement's
-// cached handle (canonical SQL + rewrite cache), or nil for statements
-// that never passed through the cache.
-func (db *DB) execStmt(stmt sqldb.Statement, cs *sqldb.CachedStmt, params []sqldb.Value) (*sqldb.Result, *Record, error) {
+	if err := cs.CheckParams(params); err != nil {
+		return nil, nil, err
+	}
 	if gate := db.writeGate.Load(); gate != nil {
-		if _, isRead := stmt.(*sqldb.Select); !isRead {
+		if _, isRead := cs.Stmt.(*sqldb.Select); !isRead {
 			if err := (*gate)(); err != nil {
 				return nil, nil, err
 			}
 		}
 	}
-	m, sc, unlock, err := db.lockFor(stmt, params)
+	m, unlock, err := db.lockFor(cs.Stmt, params)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer unlock()
 	t := db.clock.Tick()
-	res, rec, err := db.execAt(stmt, cs, params, t, db.currentGen.Load(), nil, m, sc)
+	res, rec, err := db.execAt(cs, params, t, db.currentGen.Load(), nil, m)
 	// Emit the committed mutation while the statement's scope is still
 	// held, so the observer sees per-partition events in execution order.
 	// Reads are not emitted (they change nothing), and neither are failed
@@ -60,34 +54,26 @@ func (db *DB) execStmt(stmt sqldb.Statement, cs *sqldb.CachedStmt, params []sqld
 // lockFor acquires the locks a statement needs: every table's whole
 // scope for DDL, the target table's derived partition scope for DML,
 // nothing for table-less selects. It returns the target table's meta
-// (nil for DDL / table-less statements), the scope held, and the
-// release function.
-func (db *DB) lockFor(stmt sqldb.Statement, params []sqldb.Value) (*tableMeta, lockScope, func(), error) {
-	var table string
-	switch s := stmt.(type) {
-	case *sqldb.CreateTable, *sqldb.CreateIndex, *sqldb.AlterTableAdd, *sqldb.DropTable:
-		metas := db.lockAll()
-		return nil, wholeScope(), func() { db.unlockAll(metas) }, nil
-	case *sqldb.Select:
-		if s.Table == "" {
-			return nil, lockScope{}, func() {}, nil
+// (nil for DDL / table-less statements) and the release function.
+func (db *DB) lockFor(stmt sqldb.Statement, params []sqldb.Value) (*tableMeta, func(), error) {
+	table, isWrite, ok := dmlTable(stmt)
+	if !ok {
+		switch stmt.(type) {
+		case *sqldb.CreateTable, *sqldb.CreateIndex, *sqldb.AlterTableAdd, *sqldb.DropTable:
+			metas := db.lockAll()
+			return nil, func() { db.unlockAll(metas) }, nil
 		}
-		table = s.Table
-	case *sqldb.Insert:
-		table = s.Table
-	case *sqldb.Update:
-		table = s.Table
-	case *sqldb.Delete:
-		table = s.Table
-	default:
-		return nil, lockScope{}, nil, fmt.Errorf("ttdb: unsupported statement %T", stmt)
+		return nil, nil, fmt.Errorf("ttdb: unsupported statement %T", stmt)
+	}
+	if table == "" {
+		return nil, func() {}, nil
 	}
 	m, err := db.meta(table)
 	if err != nil {
-		return nil, lockScope{}, nil, err
+		return nil, nil, err
 	}
 	sc := m.scopeForStmt(stmt, params)
-	if db.obs != nil && isWriteStmt(stmt) {
+	if db.obs != nil && isWrite {
 		// A durable deployment logs every normal-execution write as a WAL
 		// record, and replay rebuilds state by re-executing those records
 		// serially in log order — so per-table record order must equal
@@ -99,18 +85,26 @@ func (db *DB) lockFor(stmt sqldb.Statement, params []sqldb.Value) (*tableMeta, l
 		// partition lock manager exists for.
 		sc = wholeScope()
 	}
-	sc = db.maybeCoalesce(m, m.effectiveScope(db, sc))
+	sc = db.maybeCoalesce(m, m.effectiveScope(sc))
 	m.locks.lock(sc)
-	return m, sc, func() { m.locks.unlock(sc) }, nil
+	return m, func() { m.locks.unlock(sc) }, nil
 }
 
-// isWriteStmt reports whether a statement mutates table contents.
-func isWriteStmt(stmt sqldb.Statement) bool {
-	switch stmt.(type) {
-	case *sqldb.Insert, *sqldb.Update, *sqldb.Delete:
-		return true
+// dmlTable returns the table a SELECT, INSERT, UPDATE, or DELETE targets
+// ("" for a table-less SELECT) and whether the statement mutates table
+// contents; ok is false for anything else (DDL).
+func dmlTable(stmt sqldb.Statement) (table string, isWrite, ok bool) {
+	switch s := stmt.(type) {
+	case *sqldb.Select:
+		return s.Table, false, true
+	case *sqldb.Insert:
+		return s.Table, true, true
+	case *sqldb.Update:
+		return s.Table, true, true
+	case *sqldb.Delete:
+		return s.Table, true, true
 	}
-	return false
+	return "", false, false
 }
 
 // scopeForStmt derives a statement's partition lock scope from static
@@ -215,80 +209,60 @@ func (m *tableMeta) scopeFromWhere(where sqldb.Expr, params []sqldb.Value) lockS
 // partitions' shards, so checkpoints stay proportional to the write
 // set.
 func (db *DB) markDirtyStmt(m *tableMeta, stmt sqldb.Statement, params []sqldb.Value) {
-	db.markDirtyScope(m, m.effectiveScope(db, m.scopeForStmt(stmt, params)))
+	db.markDirtyScope(m, m.effectiveScope(m.scopeForStmt(stmt, params)))
 }
 
-// execAt dispatches a statement at an explicit time and generation. The
-// caller holds the locks lockFor would acquire; m is the target table's
-// meta for DML statements and sc the scope held. cs is the statement's
-// cached handle: its canonical SQL becomes Record.SQL without a
-// re-stringify, and its rewrite cache serves the select fast path; nil
-// falls back to rendering and cloning per execution. reuse carries the
-// original record during repair re-execution, or nil. Every non-read
-// case marks its statement's shards dirty for the incremental
-// checkpointer — before executing, so even a write that fails partway
-// can only over-mark, never leave a mutated shard clean.
-func (db *DB) execAt(stmt sqldb.Statement, cs *sqldb.CachedStmt, params []sqldb.Value, t, gen int64, reuse *Record, m *tableMeta, sc lockScope) (*sqldb.Result, *Record, error) {
-	var canonical string
-	if cs != nil {
-		canonical = cs.Canonical()
-	} else {
-		canonical = stmt.String()
-	}
-	rec := &Record{SQL: canonical, Params: params, Time: t, Gen: gen}
-	switch s := stmt.(type) {
-	case *sqldb.CreateTable:
+// execAt dispatches a prepared statement at an explicit time and
+// generation — the one executor normal execution, WAL replay, and repair
+// re-execution share. The caller holds the locks lockFor would acquire;
+// m is the target table's meta for DML statements. The handle's
+// canonical SQL becomes Record.SQL without a re-stringify. reuse carries
+// the original record during repair re-execution and replay, or nil.
+// Every non-read case marks its statement's shards dirty for the
+// incremental checkpointer — before executing, so even a write that
+// fails partway can only over-mark, never leave a mutated shard clean.
+func (db *DB) execAt(cs *sqldb.CachedStmt, params []sqldb.Value, t, gen int64, reuse *Record, m *tableMeta) (*sqldb.Result, *Record, error) {
+	rec := &Record{SQL: cs.Canonical(), Params: params, Time: t, Gen: gen}
+	raw := func() (*sqldb.Result, error) { return db.raw.ExecCached(cs, params) }
+	ddl := func(table string, run func() (*sqldb.Result, error)) (*sqldb.Result, *Record, error) {
 		rec.Kind = KindDDL
-		rec.Table = s.Table
-		db.markDirtyWhole(s.Table)
-		if err := db.createTable(s); err != nil {
-			return nil, nil, err
-		}
-		rec.Result = &sqldb.Result{}
-		return rec.Result, rec, nil
-	case *sqldb.CreateIndex:
-		rec.Kind = KindDDL
-		rec.Table = s.Table
-		db.markDirtyWhole(s.Table)
-		res, err := db.raw.ExecStmt(s, params)
+		rec.Table = table
+		db.markDirtyWhole(table)
+		res, err := run()
 		if err != nil {
 			return nil, nil, err
 		}
 		rec.Result = res
 		return res, rec, nil
+	}
+	switch s := cs.Stmt.(type) {
+	case *sqldb.CreateTable:
+		return ddl(s.Table, func() (*sqldb.Result, error) { return &sqldb.Result{}, db.createTable(s) })
+	case *sqldb.CreateIndex:
+		return ddl(s.Table, raw)
 	case *sqldb.AlterTableAdd:
-		rec.Kind = KindDDL
-		rec.Table = s.Table
-		db.markDirtyWhole(s.Table)
 		tm, err := db.meta(s.Table)
 		if err != nil {
 			return nil, nil, err
 		}
-		res, err := db.raw.ExecStmt(s, params)
-		if err != nil {
-			return nil, nil, err
+		res, rec, err := ddl(s.Table, raw)
+		if err == nil {
+			tm.userCols = append(tm.userCols, s.Column.Name)
 		}
-		tm.userCols = append(tm.userCols, s.Column.Name)
-		rec.Result = res
-		return res, rec, nil
+		return res, rec, err
 	case *sqldb.DropTable:
-		rec.Kind = KindDDL
-		rec.Table = s.Table
-		db.markDirtyWhole(s.Table)
-		res, err := db.raw.ExecStmt(s, params)
-		if err != nil {
-			return nil, nil, err
+		res, rec, err := ddl(s.Table, raw)
+		if err == nil {
+			db.tablesMu.Lock()
+			delete(db.tables, s.Table)
+			db.tablesMu.Unlock()
 		}
-		db.tablesMu.Lock()
-		delete(db.tables, s.Table)
-		db.tablesMu.Unlock()
-		rec.Result = res
-		return res, rec, nil
+		return res, rec, err
 	case *sqldb.Select:
 		return db.execSelect(s, cs, params, t, gen, rec, m)
 	case *sqldb.Insert:
 		db.markDirtyStmt(m, s, params)
-		return db.execInsert(s, params, t, gen, rec, reuse, m)
+		return db.execInsert(s, cs, params, t, gen, rec, reuse, m)
 	case *sqldb.Update:
 		db.markDirtyStmt(m, s, params)
 		return db.execUpdate(s, cs, params, t, gen, rec, m)
@@ -296,70 +270,29 @@ func (db *DB) execAt(stmt sqldb.Statement, cs *sqldb.CachedStmt, params []sqldb.
 		db.markDirtyStmt(m, s, params)
 		return db.execDelete(s, cs, params, t, gen, rec, m)
 	default:
-		return nil, nil, fmt.Errorf("ttdb: unsupported statement %T", stmt)
+		return nil, nil, fmt.Errorf("ttdb: unsupported statement %T", cs.Stmt)
 	}
 }
 
 // physicalColumns returns user columns plus WARP bookkeeping columns.
-func (db *DB) physicalColumns(m *tableMeta) []string {
+func (m *tableMeta) physicalColumns() []string {
 	return append(append([]string{}, m.userCols...), m.metaColumns()...)
-}
-
-// selectPhysical reads full physical rows matching where, in scan order.
-func (db *DB) selectPhysical(m *tableMeta, where sqldb.Expr, params []sqldb.Value) (*sqldb.Result, error) {
-	return db.raw.ExecStmt(db.physicalSelect(m, where), params)
-}
-
-// physicalSelect builds the statement selectPhysical executes: full
-// physical rows matching where, in scan order.
-func (db *DB) physicalSelect(m *tableMeta, where sqldb.Expr) *sqldb.Select {
-	cols := db.physicalColumns(m)
-	items := make([]sqldb.SelectItem, len(cols))
-	for i, c := range cols {
-		items[i] = sqldb.SelectItem{Expr: sqldb.Col(c)}
-	}
-	return &sqldb.Select{Items: items, Table: m.name, Where: where}
 }
 
 func (db *DB) execSelect(s *sqldb.Select, cs *sqldb.CachedStmt, params []sqldb.Value, t, gen int64, rec *Record, m *tableMeta) (*sqldb.Result, *Record, error) {
 	rec.Kind = KindRead
+	var res *sqldb.Result
+	var err error
 	if s.Table == "" {
-		var res *sqldb.Result
-		var err error
-		if cs != nil {
-			res, err = db.raw.ExecCached(cs, params)
-		} else {
-			res, err = db.raw.ExecStmt(s, params)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		rec.Result = res
-		return res, rec, nil
+		res, err = db.raw.ExecCached(cs, params)
+	} else {
+		rec.Table = s.Table
+		rec.ReadPartitions = m.readPartitions(s.Where, params)
+		res, err = db.raw.ExecCached(db.augFor(m, cs).read, extParams(params, t, gen, 0))
 	}
-	rec.Table = s.Table
-	// Fast path: a cached handle executes its cached parameterized
-	// augmentation — no clone, no re-derived WHERE, and the raw engine
-	// reuses the compiled plan across executions.
-	if cs != nil {
-		if a := db.augSelectFor(m, s, cs); a != nil && len(params) == a.nStatic {
-			res, err := db.raw.ExecCached(a.handle, extParams(params, a.nStatic, t, gen))
-			if err != nil {
-				return nil, nil, err
-			}
-			rec.ReadPartitions = m.readPartitions(s.Where, params)
-			rec.Result = res
-			return res, rec, nil
-		}
-	}
-	aug := s.Clone().(*sqldb.Select)
-	expandStars(m, aug)
-	aug.Where = sqldb.And(aug.Where, liveWhere(t, gen))
-	res, err := db.raw.ExecStmt(aug, params)
 	if err != nil {
 		return nil, nil, err
 	}
-	rec.ReadPartitions = m.readPartitions(s.Where, params)
 	rec.Result = res
 	return res, rec, nil
 }
@@ -367,7 +300,7 @@ func (db *DB) execSelect(s *sqldb.Select, cs *sqldb.CachedStmt, params []sqldb.V
 // checkWritableColumns rejects application writes to reserved or row-ID
 // columns: the paper requires row IDs to be assigned once and never
 // overwritten (§4.1).
-func (db *DB) checkWritableColumns(m *tableMeta, cols []string, isInsert bool) error {
+func (m *tableMeta) checkWritableColumns(cols []string, isInsert bool) error {
 	for _, c := range cols {
 		switch c {
 		case ColRowID, ColStartTime, ColEndTime, ColStartGen, ColEndGen:
@@ -380,62 +313,54 @@ func (db *DB) checkWritableColumns(m *tableMeta, cols []string, isInsert bool) e
 	return nil
 }
 
-func (db *DB) execInsert(s *sqldb.Insert, params []sqldb.Value, t, gen int64, rec *Record, reuse *Record, m *tableMeta) (*sqldb.Result, *Record, error) {
+func (db *DB) execInsert(s *sqldb.Insert, cs *sqldb.CachedStmt, params []sqldb.Value, t, gen int64, rec *Record, reuse *Record, m *tableMeta) (*sqldb.Result, *Record, error) {
 	rec.Kind = KindInsert
 	rec.Table = s.Table
-	cols := s.Columns
-	if len(cols) == 0 {
-		cols = m.userCols
+	a := db.augFor(m, cs)
+	if a.err != nil {
+		return nil, nil, a.err
 	}
-	if err := db.checkWritableColumns(m, cols, true); err != nil {
-		return nil, nil, err
+	nIDs := 0
+	if m.synthetic {
+		nIDs = len(s.Rows)
 	}
-
-	aug := s.Clone().(*sqldb.Insert)
-	aug.Columns = append(append([]string{}, cols...), m.metaColumns()...)
-	var reuseIDs []sqldb.Value
-	if reuse != nil {
-		reuseIDs = reuse.WriteRowIDs
-	}
-	for i := range aug.Rows {
-		if len(aug.Rows[i]) != len(cols) {
-			return nil, nil, fmt.Errorf("ttdb: table %s: %d values for %d columns", s.Table, len(aug.Rows[i]), len(cols))
+	ext := extParams(params, t, gen, nIDs)
+	if m.synthetic {
+		// Synthesized row IDs ride as one trailing parameter per row.
+		// Reuse the originally assigned IDs during repair and replay so
+		// row identity is stable across re-execution. The allocator is
+		// shared by every partition of the table, so it is touched only
+		// under the bookkeeping latch.
+		rids := ext[len(params)+2:]
+		var reuseIDs []sqldb.Value
+		if reuse != nil {
+			reuseIDs = reuse.WriteRowIDs
 		}
-		if m.synthetic {
-			// Reuse the originally assigned row IDs during repair so row
-			// identity is stable across re-execution. The allocator is
-			// shared by every partition of the table, so it is touched
-			// only under the bookkeeping latch.
-			m.mu.Lock()
-			var rid int64
+		m.mu.Lock()
+		for i := range rids {
 			if i < len(reuseIDs) {
-				rid = reuseIDs[i].AsInt()
+				rids[i] = reuseIDs[i]
 				// Keep the allocator ahead of every reused ID, so rows
 				// inserted after a replayed or re-executed insert never
 				// collide with it (recovery replays reuse all IDs).
-				if rid >= m.nextRowID {
+				if rid := reuseIDs[i].AsInt(); rid >= m.nextRowID {
 					m.nextRowID = rid + 1
 				}
 			} else {
-				rid = m.nextRowID
+				rids[i] = sqldb.Int(m.nextRowID)
 				m.nextRowID++
 			}
-			m.mu.Unlock()
-			aug.Rows[i] = append(aug.Rows[i], sqldb.Lit(sqldb.Int(rid)))
 		}
-		aug.Rows[i] = append(aug.Rows[i],
-			sqldb.Lit(sqldb.Int(t)), sqldb.Lit(sqldb.Int(Infinity)),
-			sqldb.Lit(sqldb.Int(gen)), sqldb.Lit(sqldb.Int(Infinity)))
+		m.mu.Unlock()
 	}
 	nApp := len(s.Returning)
-	aug.Returning = returningWithMeta(m, s.Returning)
-	res, err := db.raw.ExecStmt(aug, params)
+	res, err := db.raw.ExecCached(a.write, ext)
 	if err != nil {
 		if sqldb.IsUniqueViolation(err) {
 			// A failed INSERT is still a recorded outcome: repair watches
 			// for success/failure changes (§6).
 			rec.ErrText = err.Error()
-			rec.ReadPartitions = db.insertPartitionsFromRows(m, cols, aug.Rows, params)
+			rec.ReadPartitions = db.insertPartitionsFromRows(m, a.cols, s.Rows, params)
 			return nil, rec, err
 		}
 		return nil, nil, err
@@ -518,22 +443,21 @@ func stripResult(res *sqldb.Result, appReturning []string, nApp int, affected in
 func (db *DB) execUpdate(s *sqldb.Update, cs *sqldb.CachedStmt, params []sqldb.Value, t, gen int64, rec *Record, m *tableMeta) (*sqldb.Result, *Record, error) {
 	rec.Kind = KindUpdate
 	rec.Table = s.Table
-	setCols := make([]string, len(s.Set))
-	for i, a := range s.Set {
-		setCols[i] = a.Column
-	}
-	if err := db.checkWritableColumns(m, setCols, false); err != nil {
-		return nil, nil, err
+	a := db.augFor(m, cs)
+	if a.err != nil {
+		return nil, nil, a.err
 	}
 	rec.ReadPartitions = m.readPartitions(s.Where, params)
-
-	runSel, runUpd := db.updatePhases(s, cs, params, t, gen, m)
+	// One extended parameter slice drives both phases: the capture select
+	// and the in-place update read the same visibility time and
+	// generation, and phase 2's start_time bump reads the same time.
+	ext := extParams(params, t, gen, 0)
 
 	// Phase 1: capture the old versions of every matched row. The result
 	// is consumed within this call (partition recording copies values,
 	// phase 3 re-inserts them), so its pooled row storage is released on
 	// every exit path.
-	oldRows, err := runSel()
+	oldRows, err := db.raw.ExecCachedOwned(a.read, ext)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -547,7 +471,7 @@ func (db *DB) execUpdate(s *sqldb.Update, cs *sqldb.CachedStmt, params []sqldb.V
 
 	// Phase 2: update the live versions in place, bumping start_time.
 	nApp := len(s.Returning)
-	res, err := runUpd()
+	res, err := db.raw.ExecCached(a.write, ext)
 	if err != nil {
 		if sqldb.IsUniqueViolation(err) {
 			rec.ErrText = err.Error()
@@ -558,40 +482,11 @@ func (db *DB) execUpdate(s *sqldb.Update, cs *sqldb.CachedStmt, params []sqldb.V
 	db.fillWriteInfo(m, rec, res, nApp)
 
 	// Phase 3: re-insert the old versions as history, closed at t.
-	if err := db.insertHistorical(m, oldRows, t, -1, -1); err != nil {
+	if err := db.insertHistorical(m, oldRows, t); err != nil {
 		return nil, nil, err
 	}
 	rec.Result = stripResult(res, s.Returning, nApp, res.Affected)
 	return rec.Result, rec, nil
-}
-
-// updatePhases returns the executors of an UPDATE's first two phases:
-// the cached parameterized augmentation when the statement has a cached
-// handle and the caller's parameter count matches, and per-execution
-// literal-baked clones otherwise (the slow path preserves the engine's
-// parameter diagnostics).
-func (db *DB) updatePhases(s *sqldb.Update, cs *sqldb.CachedStmt, params []sqldb.Value, t, gen int64, m *tableMeta) (runSel, runUpd func() (*sqldb.Result, error)) {
-	if cs != nil {
-		if a := db.augUpdateFor(m, s, cs); len(params) == a.nStatic {
-			ext := extParams(params, a.nStatic, t, gen)
-			return func() (*sqldb.Result, error) { return db.raw.ExecCachedOwned(a.sel, ext) },
-				func() (*sqldb.Result, error) { return db.raw.ExecCached(a.upd, ext) }
-		}
-	}
-	var userWhere sqldb.Expr
-	if s.Where != nil {
-		userWhere = s.Where.CloneExpr()
-	}
-	live := sqldb.And(userWhere, liveWhere(t, gen))
-	runSel = func() (*sqldb.Result, error) { return db.raw.ExecStmtOwned(db.physicalSelect(m, live), params) }
-	runUpd = func() (*sqldb.Result, error) {
-		aug := s.Clone().(*sqldb.Update)
-		aug.Set = append(aug.Set, sqldb.Assignment{Column: ColStartTime, Expr: sqldb.Lit(sqldb.Int(t))})
-		aug.Where = live
-		aug.Returning = returningWithMeta(m, s.Returning)
-		return db.raw.ExecStmt(aug, params)
-	}
-	return runSel, runUpd
 }
 
 // capturePreImage records the overwritten value of a mergeable UPDATE:
@@ -641,35 +536,20 @@ func (db *DB) recordOldPartitions(m *tableMeta, rec *Record, oldRows *sqldb.Resu
 	rec.WritePartitions = set.Slice()
 }
 
-// insertHistorical re-inserts captured physical rows with end_time=t.
-// When overrideStartGen/overrideEndGen are >= 0 they replace the captured
-// generation columns (used by repair-side flows).
-func (db *DB) insertHistorical(m *tableMeta, oldRows *sqldb.Result, t int64, overrideStartGen, overrideEndGen int64) error {
-	if len(oldRows.Rows) == 0 {
-		return nil
-	}
-	cols := oldRows.Columns
-	colOf := make(map[string]int, len(cols))
-	for i, c := range cols {
-		colOf[c] = i
-	}
-	ins := &sqldb.Insert{Table: m.name, Columns: cols}
+// insertHistorical re-inserts captured physical rows (in the table's
+// physical column order) with end_time=t. The rows are consumed: their
+// end_time is overwritten in place before each becomes the insert's
+// parameter vector, which the engine copies.
+func (db *DB) insertHistorical(m *tableMeta, oldRows *sqldb.Result, t int64) error {
+	ts := db.stmtsFor(m)
+	end := ts.colOf[ColEndTime]
 	for _, row := range oldRows.Rows {
-		vals := make([]sqldb.Expr, len(cols))
-		for i, v := range row {
-			vals[i] = sqldb.Lit(v)
+		row[end] = sqldb.Int(t)
+		if _, err := db.raw.ExecCached(ts.insert, row); err != nil {
+			return err
 		}
-		vals[colOf[ColEndTime]] = sqldb.Lit(sqldb.Int(t))
-		if overrideStartGen >= 0 {
-			vals[colOf[ColStartGen]] = sqldb.Lit(sqldb.Int(overrideStartGen))
-		}
-		if overrideEndGen >= 0 {
-			vals[colOf[ColEndGen]] = sqldb.Lit(sqldb.Int(overrideEndGen))
-		}
-		ins.Rows = append(ins.Rows, vals)
 	}
-	_, err := db.raw.ExecStmt(ins, nil)
-	return err
+	return nil
 }
 
 func (db *DB) execDelete(s *sqldb.Delete, cs *sqldb.CachedStmt, params []sqldb.Value, t, gen int64, rec *Record, m *tableMeta) (*sqldb.Result, *Record, error) {
@@ -679,28 +559,7 @@ func (db *DB) execDelete(s *sqldb.Delete, cs *sqldb.CachedStmt, params []sqldb.V
 
 	// Deleting is closing the version interval (§4.2): set end_time = t.
 	nApp := len(s.Returning)
-	var res *sqldb.Result
-	var err error
-	ran := false
-	if cs != nil {
-		if a := db.augDeleteFor(m, s, cs); len(params) == a.nStatic {
-			res, err = db.raw.ExecCached(a.upd, extParams(params, a.nStatic, t, gen))
-			ran = true
-		}
-	}
-	if !ran {
-		var userWhere sqldb.Expr
-		if s.Where != nil {
-			userWhere = s.Where.CloneExpr()
-		}
-		aug := &sqldb.Update{
-			Table:     s.Table,
-			Set:       []sqldb.Assignment{{Column: ColEndTime, Expr: sqldb.Lit(sqldb.Int(t))}},
-			Where:     sqldb.And(userWhere, liveWhere(t, gen)),
-			Returning: returningWithMeta(m, s.Returning),
-		}
-		res, err = db.raw.ExecStmt(aug, params)
-	}
+	res, err := db.raw.ExecCached(db.augFor(m, cs).write, extParams(params, t, gen, 0))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -11,47 +11,39 @@ import (
 // the four version-interval conjuncts are attached.
 
 // Explain describes the augmented access plan of one application
-// statement. An UPDATE renders both executed phases (the capture select
-// and the in-place update) separated by "; "; a DELETE renders as the
+// statement — the prepared handles the statement executes as, in every
+// case. An UPDATE renders both executed phases (the capture select and
+// the in-place update) separated by "; "; a DELETE renders as the
 // interval-closing UPDATE it executes as.
 func (db *DB) Explain(src string) (string, error) {
 	cs, err := db.stmts.Get(src)
 	if err != nil {
 		return "", err
 	}
-	switch s := cs.Stmt.(type) {
+	table, _, _ := dmlTable(cs.Stmt)
+	if table == "" {
+		return db.raw.ExplainCached(cs)
+	}
+	m, err := db.meta(table)
+	if err != nil {
+		return "", err
+	}
+	a := db.augFor(m, cs)
+	switch cs.Stmt.(type) {
 	case *sqldb.Select:
-		if s.Table == "" {
-			return db.raw.ExplainCached(cs)
-		}
-		m, err := db.meta(s.Table)
-		if err != nil {
-			return "", err
-		}
-		return db.raw.ExplainCached(db.augSelectFor(m, s, cs).handle)
+		return db.raw.ExplainCached(a.read)
 	case *sqldb.Update:
-		m, err := db.meta(s.Table)
+		sel, err := db.raw.ExplainCached(a.read)
 		if err != nil {
 			return "", err
 		}
-		a := db.augUpdateFor(m, s, cs)
-		sel, err := db.raw.ExplainCached(a.sel)
-		if err != nil {
-			return "", err
-		}
-		upd, err := db.raw.ExplainCached(a.upd)
+		upd, err := db.raw.ExplainCached(a.write)
 		if err != nil {
 			return "", err
 		}
 		return sel + "; " + upd, nil
-	case *sqldb.Delete:
-		m, err := db.meta(s.Table)
-		if err != nil {
-			return "", err
-		}
-		return db.raw.ExplainCached(db.augDeleteFor(m, s, cs).upd)
 	default:
-		return db.raw.ExplainCached(cs)
+		return db.raw.ExplainCached(a.write)
 	}
 }
 

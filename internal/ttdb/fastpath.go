@@ -1,110 +1,136 @@
 package ttdb
 
-// The normal-operation select fast path.
+// The rewrite: how every statement reaches the raw engine.
 //
-// The slow path re-derives the augmented statement on every execution:
-// clone the SELECT, expand stars, conjoin liveWhere(t, gen) with fresh
-// literals. Because the literals change every call, the raw engine can
-// never reuse a compiled plan for it. This file caches a *parameterized*
-// augmentation on the statement's cached handle instead: the version
-// predicate reads the visibility time and generation from two trailing
-// parameters, so the augmented statement — and therefore its compiled
-// plan in the raw engine — is reused verbatim across executions. The
-// recorded Record is unchanged: Record.SQL stays the original
-// statement's canonical text and Record.Params the application's
-// parameters.
+// WARP's time-travel database is a query rewriter (§4): an application
+// statement becomes an augmented statement over the version columns, and
+// repair re-runs the same rewrite at an old time in the next generation.
+// This file is that one mechanism. Nothing in this package executes an
+// AST it built for the occasion; everything runs a prepared handle
+// (*sqldb.CachedStmt) whose visibility time, generation, and row values
+// arrive as parameters, so the raw engine compiles each form once per
+// DDL epoch and every later execution is a plan hit:
 //
-// The cache is invalidated by the raw engine's DDL epoch (star
-// expansion depends on the table's user columns, and the engine
-// re-plans on the same signal), and bypassed when the caller's
-// parameter count disagrees with the statement's placeholder count —
-// the slow path preserves the engine's out-of-range diagnostics.
+//   - application statements execute their stmtAug, cached on the
+//     statement's own handle (its Aux slot): the version predicate reads
+//     the time and generation from two parameters appended after the
+//     application's, and an INSERT reads its synthesized row IDs from
+//     parameters after those;
+//   - repair and recovery internals — demotion, physical copies, history
+//     re-inserts, version probes, purges — execute the tableStmts handles
+//     hung off the table's meta.
+//
+// The recorded Record is untouched by any of this: Record.SQL stays the
+// original statement's canonical text and Record.Params the
+// application's parameters.
+//
+// Both caches are invalidated by the raw engine's DDL epoch (star
+// expansion and the physical column list depend on the table's columns,
+// and the engine re-plans on the same signal). A parameter vector that
+// does not match the statement's placeholders never gets here: the entry
+// points refuse it with *sqldb.ParamCountError before taking a lock,
+// ticking the clock, or creating a record.
 
 import (
+	"fmt"
+
 	"warp/internal/sqldb"
 )
 
-// stmtAug is the cached parameterized augmentation of one SELECT.
+// stmtAug is the parameterized augmentation of one application
+// statement. Which handles are set depends on the verb.
 type stmtAug struct {
-	epoch   uint64
-	nStatic int // parameters the original statement expects
-	handle  *sqldb.CachedStmt
+	epoch uint64
+	// err is a statement the rewriter refuses (a write to a reserved or
+	// row-ID column, an INSERT row of the wrong arity), reported by every
+	// execution.
+	err error
+	// read is what a SELECT executes as. For UPDATE and DELETE it is the
+	// capture select — the full physical rows the application's WHERE
+	// matches among the visible versions — which serves UPDATE's phase 1
+	// and both probes of two-phase re-execution.
+	read *sqldb.CachedStmt
+	// write is what a write executes as: the INSERT with its bookkeeping
+	// columns appended, the in-place UPDATE with start_time bumped, or —
+	// for DELETE — the interval-closing UPDATE (end_time = t, §4.2).
+	write *sqldb.CachedStmt
+	// cols are an INSERT's target application columns.
+	cols []string
 }
 
-// augSelectFor returns the cached augmentation of s, rebuilding it when
-// the engine's DDL epoch moved. Concurrent rebuilds are benign
-// (last-writer wins; both results are equivalent).
-func (db *DB) augSelectFor(m *tableMeta, s *sqldb.Select, cs *sqldb.CachedStmt) *stmtAug {
+// augFor returns the cached augmentation of cs against table m,
+// rebuilding it when the engine's DDL epoch moved. Concurrent rebuilds
+// are benign (last writer wins; both results are equivalent).
+func (db *DB) augFor(m *tableMeta, cs *sqldb.CachedStmt) *stmtAug {
 	epoch := db.raw.Epoch()
 	if a, ok := cs.Aux().(*stmtAug); ok && a.epoch == epoch {
 		return a
 	}
-	nStatic := sqldb.CountParams(s)
-	aug := s.Clone().(*sqldb.Select)
-	expandStars(m, aug)
-	aug.Where = sqldb.And(aug.Where, liveWhereParams(nStatic))
-	a := &stmtAug{epoch: epoch, nStatic: nStatic, handle: sqldb.NewCachedStmt(aug)}
+	n := cs.NumParams()
+	a := &stmtAug{epoch: epoch}
+	switch s := cs.Stmt.(type) {
+	case *sqldb.Select:
+		aug := s.Clone().(*sqldb.Select)
+		expandStars(m, aug)
+		aug.Where = sqldb.And(aug.Where, liveWhereParams(n))
+		a.read = sqldb.NewCachedStmt(aug)
+	case *sqldb.Insert:
+		a.cols = s.Columns
+		if len(a.cols) == 0 {
+			a.cols = m.userCols
+		}
+		a.err = m.checkWritableColumns(a.cols, true)
+		aug := s.Clone().(*sqldb.Insert)
+		aug.Columns = append(append([]string{}, a.cols...), m.metaColumns()...)
+		for i := range aug.Rows {
+			if len(aug.Rows[i]) != len(a.cols) && a.err == nil {
+				a.err = fmt.Errorf("ttdb: table %s: %d values for %d columns", s.Table, len(aug.Rows[i]), len(a.cols))
+			}
+			if m.synthetic {
+				aug.Rows[i] = append(aug.Rows[i], &sqldb.Param{Index: n + 2 + i})
+			}
+			aug.Rows[i] = append(aug.Rows[i],
+				&sqldb.Param{Index: n}, sqldb.Lit(sqldb.Int(Infinity)),
+				&sqldb.Param{Index: n + 1}, sqldb.Lit(sqldb.Int(Infinity)))
+		}
+		aug.Returning = returningWithMeta(m, s.Returning)
+		a.write = sqldb.NewCachedStmt(aug)
+	case *sqldb.Update:
+		setCols := make([]string, len(s.Set))
+		for i, as := range s.Set {
+			setCols[i] = as.Column
+		}
+		a.err = m.checkWritableColumns(setCols, false)
+		a.read = sqldb.NewCachedStmt(m.physicalSelect(liveCloneWhere(s.Where, n)))
+		upd := s.Clone().(*sqldb.Update)
+		upd.Set = append(upd.Set, sqldb.Assignment{Column: ColStartTime, Expr: &sqldb.Param{Index: n}})
+		upd.Where = liveCloneWhere(s.Where, n)
+		upd.Returning = returningWithMeta(m, s.Returning)
+		a.write = sqldb.NewCachedStmt(upd)
+	case *sqldb.Delete:
+		a.read = sqldb.NewCachedStmt(m.physicalSelect(liveCloneWhere(s.Where, n)))
+		a.write = sqldb.NewCachedStmt(&sqldb.Update{
+			Table:     s.Table,
+			Set:       []sqldb.Assignment{{Column: ColEndTime, Expr: &sqldb.Param{Index: n}}},
+			Where:     liveCloneWhere(s.Where, n),
+			Returning: returningWithMeta(m, s.Returning),
+		})
+	}
 	cs.SetAux(a)
 	return a
 }
 
-// updateAug is the cached parameterized augmentation of one UPDATE: the
-// phase-1 capture select and the phase-2 in-place update. Both read the
-// visibility time and generation from the two trailing parameters, and
-// phase 2's start_time bump reads the same time parameter, so one
-// extended parameter slice drives both phases.
-type updateAug struct {
-	epoch   uint64
-	nStatic int
-	sel     *sqldb.CachedStmt // phase 1: capture old physical versions
-	upd     *sqldb.CachedStmt // phase 2: in-place update, start_time bumped
-}
-
-// deleteAug is the cached parameterized augmentation of one DELETE —
-// the interval-closing UPDATE it executes as (end_time = t, §4.2).
-type deleteAug struct {
-	epoch   uint64
-	nStatic int
-	upd     *sqldb.CachedStmt
-}
-
-// augUpdateFor returns the cached augmentation of an UPDATE, rebuilding
-// it when the engine's DDL epoch moved (the phase-1 capture column set
-// depends on the table's columns). Concurrent rebuilds are benign.
-func (db *DB) augUpdateFor(m *tableMeta, s *sqldb.Update, cs *sqldb.CachedStmt) *updateAug {
-	epoch := db.raw.Epoch()
-	if a, ok := cs.Aux().(*updateAug); ok && a.epoch == epoch {
-		return a
-	}
-	n := sqldb.CountParams(s)
-	sel := db.physicalSelect(m, liveCloneWhere(s.Where, n))
-	upd := s.Clone().(*sqldb.Update)
-	upd.Set = append(upd.Set, sqldb.Assignment{Column: ColStartTime, Expr: &sqldb.Param{Index: n}})
-	upd.Where = liveCloneWhere(s.Where, n)
-	upd.Returning = returningWithMeta(m, s.Returning)
-	a := &updateAug{epoch: epoch, nStatic: n,
-		sel: sqldb.NewCachedStmt(sel), upd: sqldb.NewCachedStmt(upd)}
-	cs.SetAux(a)
-	return a
-}
-
-// augDeleteFor returns the cached augmentation of a DELETE, rebuilding
-// it when the engine's DDL epoch moved.
-func (db *DB) augDeleteFor(m *tableMeta, s *sqldb.Delete, cs *sqldb.CachedStmt) *deleteAug {
-	epoch := db.raw.Epoch()
-	if a, ok := cs.Aux().(*deleteAug); ok && a.epoch == epoch {
-		return a
-	}
-	n := sqldb.CountParams(s)
-	upd := &sqldb.Update{
-		Table:     s.Table,
-		Set:       []sqldb.Assignment{{Column: ColEndTime, Expr: &sqldb.Param{Index: n}}},
-		Where:     liveCloneWhere(s.Where, n),
-		Returning: returningWithMeta(m, s.Returning),
-	}
-	a := &deleteAug{epoch: epoch, nStatic: n, upd: sqldb.NewCachedStmt(upd)}
-	cs.SetAux(a)
-	return a
+// extParams appends the visibility time and generation to the
+// application's parameters, matching liveWhereParams(len(params))'s
+// placeholders, and leaves room for extra trailing values (an INSERT's
+// synthesized row IDs).
+func extParams(params []sqldb.Value, t, gen int64, extra int) []sqldb.Value {
+	n := len(params)
+	ext := make([]sqldb.Value, n+2+extra)
+	copy(ext, params)
+	ext[n] = sqldb.Int(t)
+	ext[n+1] = sqldb.Int(gen)
+	return ext
 }
 
 // liveCloneWhere conjoins a fresh clone of an application WHERE with the
@@ -115,16 +141,6 @@ func liveCloneWhere(where sqldb.Expr, n int) sqldb.Expr {
 		w = where.CloneExpr()
 	}
 	return sqldb.And(w, liveWhereParams(n))
-}
-
-// extParams appends the visibility time and generation to the
-// application's parameters, matching liveWhereParams(n)'s placeholders.
-func extParams(params []sqldb.Value, n int, t, gen int64) []sqldb.Value {
-	ext := make([]sqldb.Value, n+2)
-	copy(ext, params)
-	ext[n] = sqldb.Int(t)
-	ext[n+1] = sqldb.Int(gen)
-	return ext
 }
 
 // returningWithMeta is the application's RETURNING list plus the row-ID
@@ -138,9 +154,8 @@ func returningWithMeta(m *tableMeta, app []string) []string {
 }
 
 // expandStars replaces * select items with the application's columns so
-// WARP's bookkeeping columns stay invisible. Shared by the cached fast
-// path and the clone-per-execution slow path (exec.go), which must
-// produce identical column sets. aug must be the caller's own clone.
+// WARP's bookkeeping columns stay invisible. aug must be the caller's
+// own clone.
 func expandStars(m *tableMeta, aug *sqldb.Select) {
 	var items []sqldb.SelectItem
 	for _, it := range aug.Items {
@@ -155,15 +170,155 @@ func expandStars(m *tableMeta, aug *sqldb.Select) {
 	aug.Items = items
 }
 
-// liveWhereParams is liveWhere with the visibility time and generation
-// read from parameters n and n+1 instead of baked-in literals.
+// cmp returns the predicate `col <op> ?idx`.
+func cmp(col string, op sqldb.BinOp, idx int) sqldb.Expr {
+	return &sqldb.BinaryExpr{Op: op, Left: sqldb.Col(col), Right: &sqldb.Param{Index: idx}}
+}
+
+// liveWhereParams selects the versions visible at the time in parameter
+// n, in the generation in parameter n+1:
+// start_time <= t < end_time AND start_gen <= g <= end_gen.
 func liveWhereParams(n int) sqldb.Expr {
-	tp := &sqldb.Param{Index: n}
-	gp := &sqldb.Param{Index: n + 1}
 	return sqldb.And(
-		&sqldb.BinaryExpr{Op: sqldb.OpLe, Left: sqldb.Col(ColStartTime), Right: tp},
-		&sqldb.BinaryExpr{Op: sqldb.OpGt, Left: sqldb.Col(ColEndTime), Right: tp},
-		&sqldb.BinaryExpr{Op: sqldb.OpLe, Left: sqldb.Col(ColStartGen), Right: gp},
-		&sqldb.BinaryExpr{Op: sqldb.OpGe, Left: sqldb.Col(ColEndGen), Right: gp},
-	)
+		cmp(ColStartTime, sqldb.OpLe, n), cmp(ColEndTime, sqldb.OpGt, n),
+		visibleInGen(n+1))
+}
+
+// visibleInGen selects the versions visible anywhere in the generation
+// in parameter idx.
+func visibleInGen(idx int) sqldb.Expr {
+	return sqldb.And(cmp(ColStartGen, sqldb.OpLe, idx), cmp(ColEndGen, sqldb.OpGe, idx))
+}
+
+// tableStmts are one table's prepared internal statements, built once
+// per DDL epoch. Every handle that reads or writes whole physical rows
+// does so in physicalColumns order, so rows flow between them without
+// re-mapping.
+// A "target" handle ends in five parameters naming exactly one physical
+// version: row ID, start_time, end_time, start_gen, end_gen
+// (physicalRow.target).
+type tableStmts struct {
+	epoch uint64
+	colOf map[string]int // column name -> position in a physical row
+
+	insert     *sqldb.CachedStmt // one physical row: a parameter per column
+	versions   *sqldb.CachedStmt // (rowID, gen): every version of the row visible in gen
+	setEndGen  *sqldb.CachedStmt // (endGen, target...)
+	setEndTime *sqldb.CachedStmt // (endTime, target...)
+	deleteAt   *sqldb.CachedStmt // (target...)
+	purge      *sqldb.CachedStmt // (t, gen): versions ended before t or invisible from gen on
+	dropFrom   *sqldb.CachedStmt // (gen): versions created in gen or later
+	reshare    *sqldb.CachedStmt // (gen): versions demoted to gen become shared again
+	lockKeyOf  *sqldb.CachedStmt // (rowID): lock-column values of the row's versions
+	lockRange  *sqldb.CachedStmt // (lo, hi): lock-column values inside the interval
+	// uniques probe, per application uniqueness constraint, for live rows
+	// holding given values of the constraint's columns.
+	uniques []uniqueProbe
+}
+
+// uniqueProbe finds the live versions, visible in a generation, that
+// hold the given values of one uniqueness constraint's application
+// columns. Parameters: one per column, then the generation.
+type uniqueProbe struct {
+	cols []string
+	stmt *sqldb.CachedStmt
+}
+
+// stmtsFor returns m's prepared internal statements, rebuilding them
+// when the engine's DDL epoch moved. Concurrent rebuilds are benign.
+func (db *DB) stmtsFor(m *tableMeta) *tableStmts {
+	epoch := db.raw.Epoch()
+	if ts := m.stmts.Load(); ts != nil && ts.epoch == epoch {
+		return ts
+	}
+	ts := &tableStmts{epoch: epoch, colOf: make(map[string]int)}
+	cols := m.physicalColumns()
+	for i, c := range cols {
+		ts.colOf[c] = i
+	}
+	ts.insert = physicalInsert(m.name, cols)
+	ts.versions = sqldb.NewCachedStmt(m.physicalSelect(
+		sqldb.And(cmp(m.rowIDCol, sqldb.OpEq, 0), visibleInGen(1))))
+
+	target := func(first int) sqldb.Expr {
+		return sqldb.And(cmp(m.rowIDCol, sqldb.OpEq, first),
+			cmp(ColStartTime, sqldb.OpEq, first+1), cmp(ColEndTime, sqldb.OpEq, first+2),
+			cmp(ColStartGen, sqldb.OpEq, first+3), cmp(ColEndGen, sqldb.OpEq, first+4))
+	}
+	set := func(col string, where sqldb.Expr) *sqldb.CachedStmt {
+		return sqldb.NewCachedStmt(&sqldb.Update{Table: m.name,
+			Set: []sqldb.Assignment{{Column: col, Expr: &sqldb.Param{Index: 0}}}, Where: where})
+	}
+	del := func(where sqldb.Expr) *sqldb.CachedStmt {
+		return sqldb.NewCachedStmt(&sqldb.Delete{Table: m.name, Where: where})
+	}
+	ts.setEndGen = set(ColEndGen, target(1))
+	ts.setEndTime = set(ColEndTime, target(1))
+	ts.deleteAt = del(target(0))
+	ts.purge = del(&sqldb.BinaryExpr{Op: sqldb.OpOr,
+		Left: cmp(ColEndTime, sqldb.OpLt, 0), Right: cmp(ColEndGen, sqldb.OpLt, 1)})
+	ts.dropFrom = del(cmp(ColStartGen, sqldb.OpGe, 0))
+	ts.reshare = sqldb.NewCachedStmt(&sqldb.Update{Table: m.name,
+		Set:   []sqldb.Assignment{{Column: ColEndGen, Expr: sqldb.Lit(sqldb.Int(Infinity))}},
+		Where: cmp(ColEndGen, sqldb.OpEq, 0)})
+	if m.lockCol != "" {
+		lockKeys := func(where sqldb.Expr) *sqldb.CachedStmt {
+			return sqldb.NewCachedStmt(&sqldb.Select{
+				Items: []sqldb.SelectItem{{Expr: sqldb.Col(m.lockCol)}}, Table: m.name, Where: where})
+		}
+		ts.lockKeyOf = lockKeys(cmp(m.rowIDCol, sqldb.OpEq, 0))
+		ts.lockRange = lockKeys(sqldb.And(cmp(m.lockCol, sqldb.OpGe, 0), cmp(m.lockCol, sqldb.OpLe, 1)))
+	}
+
+	// A table missing from the engine yields no probes here and a "no
+	// such table" error from whichever handle runs first.
+	_, uniques, _ := db.raw.Schema(m.name)
+	for _, u := range uniques {
+		// The probe runs over the constraint's application columns (the
+		// version end markers were appended by createTable).
+		var p uniqueProbe
+		usable := true
+		for _, col := range u.Columns {
+			switch col {
+			case ColEndTime, ColEndGen:
+			case ColStartTime, ColStartGen:
+				usable = false
+			default:
+				p.cols = append(p.cols, col)
+			}
+		}
+		if !usable || len(p.cols) == 0 {
+			continue
+		}
+		conds := make([]sqldb.Expr, 0, len(p.cols)+2)
+		for i, col := range p.cols {
+			conds = append(conds, cmp(col, sqldb.OpEq, i))
+		}
+		conds = append(conds, sqldb.Eq(ColEndTime, sqldb.Int(Infinity)), visibleInGen(len(p.cols)))
+		p.stmt = sqldb.NewCachedStmt(m.physicalSelect(sqldb.And(conds...)))
+		ts.uniques = append(ts.uniques, p)
+	}
+	m.stmts.Store(ts)
+	return ts
+}
+
+// physicalInsert prepares the one-row INSERT of a full physical row:
+// one parameter per column, in cols order.
+func physicalInsert(table string, cols []string) *sqldb.CachedStmt {
+	row := make([]sqldb.Expr, len(cols))
+	for i := range cols {
+		row[i] = &sqldb.Param{Index: i}
+	}
+	return sqldb.NewCachedStmt(&sqldb.Insert{Table: table, Columns: cols, Rows: [][]sqldb.Expr{row}})
+}
+
+// physicalSelect builds the select of full physical rows (user columns
+// plus bookkeeping columns) matching where, in scan order.
+func (m *tableMeta) physicalSelect(where sqldb.Expr) *sqldb.Select {
+	cols := m.physicalColumns()
+	items := make([]sqldb.SelectItem, len(cols))
+	for i, c := range cols {
+		items[i] = sqldb.SelectItem{Expr: sqldb.Col(c)}
+	}
+	return &sqldb.Select{Items: items, Table: m.name, Where: where}
 }

@@ -1,6 +1,7 @@
 package ttdb
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -164,7 +165,7 @@ func TestCachedExecAcrossGenerationSwitch(t *testing.T) {
 // augmentation per DDL epoch — repeated writes through the statement
 // cache keep hitting the same raw-engine handles, DDL rebuilds them (the
 // phase-1 capture column set depends on the table's columns), and the
-// cached path leaves the same state and history as the slow path would.
+// writes leave full version history behind.
 func TestCachedWriteAugmentation(t *testing.T) {
 	db := newDB(t)
 	seedPages(t, db)
@@ -175,12 +176,12 @@ func TestCachedWriteAugmentation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, ok := cs.Aux().(*updateAug)
+	a1, ok := cs.Aux().(*stmtAug)
 	if !ok {
-		t.Fatalf("update aux = %T, want *updateAug", cs.Aux())
+		t.Fatalf("update aux = %T, want *stmtAug", cs.Aux())
 	}
 	mustExec(t, db, upd, sqldb.Text("b"), sqldb.Int(1))
-	if a2 := cs.Aux().(*updateAug); a2 != a1 {
+	if a2 := cs.Aux().(*stmtAug); a2 != a1 {
 		t.Fatal("update augmentation rebuilt without a DDL epoch change")
 	}
 	res, _ := mustExec(t, db, "SELECT content FROM pages WHERE page_id = 1")
@@ -201,7 +202,7 @@ func TestCachedWriteAugmentation(t *testing.T) {
 	// column participates in the phase-1 capture.
 	mustExec(t, db, "ALTER TABLE pages ADD COLUMN views INTEGER")
 	mustExec(t, db, upd, sqldb.Text("c"), sqldb.Int(1))
-	if a3 := cs.Aux().(*updateAug); a3 == a1 {
+	if a3 := cs.Aux().(*stmtAug); a3 == a1 {
 		t.Fatal("update augmentation survived a DDL epoch change")
 	}
 
@@ -211,12 +212,12 @@ func TestCachedWriteAugmentation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, ok := dcs.Aux().(*deleteAug)
+	d1, ok := dcs.Aux().(*stmtAug)
 	if !ok {
-		t.Fatalf("delete aux = %T, want *deleteAug", dcs.Aux())
+		t.Fatalf("delete aux = %T, want *stmtAug", dcs.Aux())
 	}
 	mustExec(t, db, del, sqldb.Int(3))
-	if d2 := dcs.Aux().(*deleteAug); d2 != d1 {
+	if d2 := dcs.Aux().(*stmtAug); d2 != d1 {
 		t.Fatal("delete augmentation rebuilt without a DDL epoch change")
 	}
 	res, _ = mustExec(t, db, "SELECT page_id FROM pages ORDER BY page_id")
@@ -312,4 +313,195 @@ func TestCachedExecRaceWithDDLAndGC(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// countObserver counts RecordApplied events.
+type countObserver struct{ applied int }
+
+func (c *countObserver) RecordApplied(*Record)            { c.applied++ }
+func (c *countObserver) TableAnnotated(string, TableSpec) {}
+func (c *countObserver) Collected(int64)                  {}
+
+// TestParamCountContract: a parameter vector that does not match the
+// statement's placeholders is refused with the one typed error at the
+// entry — before lock acquisition, clock tick, dirty marking, record
+// creation, or observer emission — for every verb, in both directions,
+// under normal execution and re-execution alike. There is no second
+// executor for such calls to fall into.
+func TestParamCountContract(t *testing.T) {
+	db := newDB(t)
+	seedPages(t, db)
+	obs := &countObserver{}
+	db.SetObserver(obs)
+	one, two, three := []sqldb.Value{sqldb.Int(1)}, []sqldb.Value{sqldb.Int(1), sqldb.Int(2)},
+		[]sqldb.Value{sqldb.Text("x"), sqldb.Int(1), sqldb.Int(2)}
+	cases := []struct {
+		name, src string
+		params    []sqldb.Value
+	}{
+		{"select too few", "SELECT content FROM pages WHERE page_id = ?", nil},
+		{"select too many", "SELECT content FROM pages WHERE page_id = ?", two},
+		{"select no placeholders", "SELECT content FROM pages", one},
+		{"insert too few", "INSERT INTO pages (page_id, title) VALUES (?, ?)", one},
+		{"insert too many", "INSERT INTO pages (page_id, title) VALUES (?, 'T')", two},
+		{"update too few", "UPDATE pages SET content = ? WHERE page_id = ?", one},
+		{"update too many", "UPDATE pages SET content = ? WHERE page_id = ?", three},
+		{"delete too few", "DELETE FROM pages WHERE page_id = ?", nil},
+		{"delete too many", "DELETE FROM pages WHERE page_id = ?", two},
+	}
+	check := func(t *testing.T, run func() (*Record, error)) {
+		t.Helper()
+		db.TakeDirty()
+		now, applied, stats := db.Clock().Now(), obs.applied, db.ExecStats()
+		rec, err := run()
+		var pe *sqldb.ParamCountError
+		if !errors.As(err, &pe) {
+			t.Fatalf("err = %v, want *sqldb.ParamCountError", err)
+		}
+		if rec != nil {
+			t.Fatalf("mismatch produced a record: %+v", rec)
+		}
+		if got := db.Clock().Now(); got != now {
+			t.Fatalf("clock moved %d -> %d", now, got)
+		}
+		if dirty := db.TakeDirty(); len(dirty) != 0 {
+			t.Fatalf("dirty set = %v, want empty", dirty)
+		}
+		if obs.applied != applied {
+			t.Fatal("mismatch emitted RecordApplied")
+		}
+		if got := db.ExecStats(); got.PlanHits != stats.PlanHits || got.PlanMisses != stats.PlanMisses {
+			t.Fatalf("mismatch reached the engine: %+v -> %+v", stats, got)
+		}
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			check(t, func() (*Record, error) {
+				_, rec, err := db.Exec(c.src, c.params...)
+				return rec, err
+			})
+		})
+	}
+	if _, err := db.BeginRepair(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		t.Run("reexec "+c.name, func(t *testing.T) {
+			check(t, func() (*Record, error) {
+				_, rec, err := db.ReExec(c.src, c.params, db.Clock().Now()+100, nil)
+				return rec, err
+			})
+		})
+	}
+	if err := db.AbortRepair(); err != nil {
+		t.Fatal(err)
+	}
+	res, _ := mustExec(t, db, "SELECT page_id FROM pages ORDER BY page_id")
+	if res.NumRows() != 3 {
+		t.Fatalf("refused statements changed the table: %v", res.Rows)
+	}
+
+	// Replay of a well-formed record is unaffected; a malformed one gets
+	// the same typed error.
+	_, rec := mustExec(t, db, "INSERT INTO pages (page_id, title) VALUES (?, ?)", sqldb.Int(9), sqldb.Text("Nine"))
+	replica := newDB(t)
+	seedPages(t, replica)
+	if err := replica.Replay(rec); err != nil {
+		t.Fatal(err)
+	}
+	res, _ = mustExec(t, replica, "SELECT title FROM pages WHERE page_id = 9")
+	if got := res.FirstValue().AsText(); got != "Nine" {
+		t.Fatalf("replayed title = %q, want Nine", got)
+	}
+	bad := *rec
+	bad.Params = bad.Params[:1]
+	var pe *sqldb.ParamCountError
+	if err := replica.Replay(&bad); !errors.As(err, &pe) {
+		t.Fatalf("Replay of a short record: err = %v, want *sqldb.ParamCountError", err)
+	}
+}
+
+// TestPlanCountersSeeEveryExecution: with one road into the engine,
+// PlanHits/PlanMisses account for every statement the rewriting layer
+// runs. Once one INSERT/UPDATE/DELETE form and one rollback are warm,
+// repeating them — or rolling back more rows — compiles nothing new
+// (no plan misses), and each execution registers as plan hits.
+func TestPlanCountersSeeEveryExecution(t *testing.T) {
+	db := Open(&vclock.Clock{})
+	if err := db.Annotate("notes", TableSpec{PartitionColumns: []string{"owner"}}); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, "CREATE TABLE notes (id INTEGER PRIMARY KEY, owner TEXT, body TEXT)")
+	const rows = 48
+	ins := "INSERT INTO notes (id, owner, body) VALUES (?, ?, ?)"
+	upd := "UPDATE notes SET body = ? WHERE id = ?"
+	del := "DELETE FROM notes WHERE id = ?"
+	insert := func(id int) *Record {
+		_, rec := mustExec(t, db, ins, sqldb.Int(int64(id)), sqldb.Text(fmt.Sprintf("u%d", id%4)), sqldb.Text("b"))
+		return rec
+	}
+	// delta runs fn and returns the plan counters it moved.
+	delta := func(fn func()) sqldb.ExecStats {
+		before := db.ExecStats()
+		fn()
+		return db.ExecStats().Sub(before)
+	}
+
+	// Warm one form of each verb.
+	first := insert(0)
+	mustExec(t, db, upd, sqldb.Text("w"), sqldb.Int(0))
+	insert(1)
+	mustExec(t, db, del, sqldb.Int(1))
+
+	var rowIDs []sqldb.Value
+	d := delta(func() {
+		for id := 2; id < rows; id++ {
+			rowIDs = append(rowIDs, insert(id).WriteRowIDs...)
+		}
+	})
+	if d.PlanMisses != 0 || d.PlanHits < rows-2 {
+		t.Fatalf("%d warm inserts: %d plan misses (want 0), %d hits (want >= %d)", rows-2, d.PlanMisses, d.PlanHits, rows-2)
+	}
+	d = delta(func() {
+		for id := 2; id < rows; id++ {
+			mustExec(t, db, upd, sqldb.Text("v"), sqldb.Int(int64(id)))
+		}
+	})
+	// Capture select, in-place update, history re-insert: three per UPDATE.
+	if d.PlanMisses != 0 || d.PlanHits < 3*(rows-2) {
+		t.Fatalf("%d warm updates: %d plan misses (want 0), %d hits (want >= %d)", rows-2, d.PlanMisses, d.PlanHits, 3*(rows-2))
+	}
+	d = delta(func() {
+		for id := rows - 8; id < rows; id++ {
+			mustExec(t, db, del, sqldb.Int(int64(id)))
+		}
+	})
+	if d.PlanMisses != 0 || d.PlanHits < 8 {
+		t.Fatalf("8 warm deletes: %d plan misses (want 0), %d hits (want >= 8)", d.PlanMisses, d.PlanHits)
+	}
+
+	// Rollback: warm on two rows, then roll back many more to the same
+	// time. Every row is demoted, revived by copy, and probed — all
+	// through the table's prepared handles.
+	if _, err := db.BeginRepair(); err != nil {
+		t.Fatal(err)
+	}
+	rollback := func(ids []sqldb.Value) {
+		t.Helper()
+		if _, err := db.RollbackRows("notes", ids, first.Time+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rollback(rowIDs[:2])
+	small := delta(func() { rollback(rowIDs[2:4]) })
+	large := delta(func() { rollback(rowIDs[4:36]) })
+	if small.PlanMisses != 0 || large.PlanMisses != 0 {
+		t.Fatalf("warm rollbacks compiled plans: %d misses over 2 rows, %d over 32", small.PlanMisses, large.PlanMisses)
+	}
+	if large.PlanHits < 16*small.PlanHits || small.PlanHits == 0 {
+		t.Fatalf("rollback executions uncounted: %d hits over 2 rows, %d over 32", small.PlanHits, large.PlanHits)
+	}
+	if err := db.AbortRepair(); err != nil {
+		t.Fatal(err)
+	}
 }

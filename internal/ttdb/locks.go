@@ -265,10 +265,10 @@ func (db *DB) lockScope(table string, sc lockScope) (*tableMeta, func(), error) 
 }
 
 // effectiveScope clamps a derived scope to the table's locking
-// capability: tables without a lock column — and databases forced into
-// table-granular mode — always use the whole-table scope.
-func (m *tableMeta) effectiveScope(db *DB, sc lockScope) lockScope {
-	if db.coarseLocks.Load() || m.lockCol == "" {
+// capability: tables without a lock column always use the whole-table
+// scope.
+func (m *tableMeta) effectiveScope(sc lockScope) lockScope {
+	if m.lockCol == "" {
 		return wholeScope()
 	}
 	return sc
@@ -304,7 +304,7 @@ func (db *DB) maybeCoalesce(m *tableMeta, sc lockScope) lockScope {
 	if sc.whole || len(sc.ranges) > 0 || len(sc.keys) < coalesceThreshold {
 		return sc
 	}
-	if m == nil || m.lockCol == "" || db.coarseLocks.Load() {
+	if m == nil || m.lockCol == "" {
 		return sc
 	}
 	// Only text keys coalesce: a text Key() ("t"+value) sorts exactly as
@@ -318,15 +318,7 @@ func (db *DB) maybeCoalesce(m *tableMeta, sc lockScope) lockScope {
 		}
 	}
 	lo, hi := sc.keys[0], sc.keys[len(sc.keys)-1]
-	sel := &sqldb.Select{
-		Items: []sqldb.SelectItem{{Expr: sqldb.Col(m.lockCol)}},
-		Table: m.name,
-		Where: sqldb.And(
-			&sqldb.BinaryExpr{Op: sqldb.OpGe, Left: sqldb.Col(m.lockCol), Right: sqldb.Lit(sqldb.Text(lo[1:]))},
-			&sqldb.BinaryExpr{Op: sqldb.OpLe, Left: sqldb.Col(m.lockCol), Right: sqldb.Lit(sqldb.Text(hi[1:]))},
-		),
-	}
-	res, err := db.raw.ExecStmt(sel, nil)
+	res, err := db.raw.ExecCached(db.stmtsFor(m).lockRange, []sqldb.Value{sqldb.Text(lo[1:]), sqldb.Text(hi[1:])})
 	if err != nil {
 		return sc
 	}

@@ -25,20 +25,8 @@ func (db *DB) StmtPartitions(src string, params []sqldb.Value) (parts []Partitio
 	if err != nil {
 		return nil, false, err
 	}
-	var table string
-	switch s := cs.Stmt.(type) {
-	case *sqldb.Select:
-		table = s.Table
-	case *sqldb.Insert:
-		table = s.Table
-		isWrite = true
-	case *sqldb.Update:
-		table = s.Table
-		isWrite = true
-	case *sqldb.Delete:
-		table = s.Table
-		isWrite = true
-	default:
+	table, isWrite, ok := dmlTable(cs.Stmt)
+	if !ok {
 		// DDL: footprint is every table; callers treat nil as "wide".
 		return nil, true, nil
 	}
@@ -110,21 +98,18 @@ func (db *DB) RepairValueBefore(info UpdateMergeInfo, rowID sqldb.Value, t int64
 	if err != nil {
 		return "", false
 	}
-	sc := m.effectiveScope(db, db.scopeForRows(m, []sqldb.Value{rowID}))
+	sc := m.effectiveScope(db.scopeForRows(m, []sqldb.Value{rowID}))
 	m.locks.lock(sc)
 	defer m.locks.unlock(sc)
-	sel := &sqldb.Select{
-		Items: []sqldb.SelectItem{{Expr: sqldb.Col(info.Column)}},
-		Table: m.name,
-		Where: sqldb.And(sqldb.Eq(m.rowIDCol, rowID), liveWhere(t-1, st.next)),
-	}
-	res, err := db.raw.ExecStmt(sel, nil)
-	if err != nil || len(res.Rows) != 1 {
+	versions, err := db.selectPhysical(m, db.stmtsFor(m).versions, []sqldb.Value{rowID, sqldb.Int(st.next)})
+	if err != nil {
 		return "", false
 	}
-	v := res.Rows[0][0]
-	if v.Kind != sqldb.KindText {
-		return "", false
+	for _, pr := range versions {
+		if pr.start <= t-1 && t-1 < pr.end {
+			v := pr.colVal(info.Column)
+			return v.Str, v.Kind == sqldb.KindText
+		}
 	}
-	return v.Str, true
+	return "", false
 }

@@ -111,9 +111,9 @@ func (db *DB) PartitionRowsSince(p Partition, since int64) ([]sqldb.Value, error
 // partitionScope derives the lock scope for operating on one partition:
 // the partition's own key when it is on the lock column, the whole table
 // otherwise (other columns cut across the lock column's slices).
-func (m *tableMeta) partitionScope(db *DB, p Partition) lockScope {
+func (m *tableMeta) partitionScope(p Partition) lockScope {
 	if !p.IsWholeTable() && p.Column == m.lockCol {
-		return m.effectiveScope(db, keyScope([]string{p.Key}))
+		return keyScope([]string{p.Key})
 	}
 	return wholeScope()
 }
@@ -132,7 +132,7 @@ func (db *DB) RollbackPartition(p Partition, t int64) ([]Partition, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc := m.partitionScope(db, p)
+	sc := m.partitionScope(p)
 	// Accumulated across an escalation retry, same as RollbackRows: dirt
 	// from rollbacks completed under the narrow scope must survive.
 	set := NewPartitionSet()

@@ -395,7 +395,7 @@ func (db *DB) encodeTableShardsLocked(m *tableMeta, shards []int, sink func(shar
 			return fmt.Errorf("ttdb: table %s has no shard %d", m.name, shard)
 		}
 	}
-	cols := db.physicalColumns(m)
+	cols := m.physicalColumns()
 	lockIdx := -1
 	for i, c := range cols {
 		if c == m.lockCol {
@@ -547,14 +547,12 @@ func (db *DB) RestoreTableHeader(dec *store.Decoder) (string, error) {
 	if err := dec.Err(); err != nil {
 		return "", err
 	}
-	if _, err := db.raw.ExecStmt(ct, nil); err != nil {
+	if err := db.rawDDL(ct); err != nil {
 		return "", err
 	}
 	nIdx := dec.Count()
 	for i := 0; i < nIdx; i++ {
-		col := dec.String()
-		ci := &sqldb.CreateIndex{Name: "warp_idx_" + name + "_" + col, Table: name, Column: col}
-		if _, err := db.raw.ExecStmt(ci, nil); err != nil {
+		if err := db.rawDDL(warpIndex(name, dec.String())); err != nil {
 			return "", err
 		}
 	}
@@ -620,19 +618,10 @@ func (db *DB) RestoreTableShard(dec *store.Decoder) error {
 	}
 	m.restore = nil
 	sort.Slice(buf.rows, func(i, j int) bool { return buf.rows[i].pos < buf.rows[j].pos })
-	const chunk = 256
-	ins := &sqldb.Insert{Table: name, Columns: buf.cols}
-	for i, row := range buf.rows {
-		exprs := make([]sqldb.Expr, len(row.vals))
-		for j, v := range row.vals {
-			exprs[j] = sqldb.Lit(v)
-		}
-		ins.Rows = append(ins.Rows, exprs)
-		if len(ins.Rows) == chunk || i == len(buf.rows)-1 {
-			if _, err := db.raw.ExecStmt(ins, nil); err != nil {
-				return err
-			}
-			ins.Rows = ins.Rows[:0]
+	ins := physicalInsert(name, buf.cols)
+	for _, row := range buf.rows {
+		if _, err := db.raw.ExecCached(ins, row.vals); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -735,17 +724,19 @@ func (db *DB) RestoreState(dec *store.Decoder) error {
 // (already canonical) is reused rather than re-rendered.
 func (db *DB) Replay(rec *Record) error {
 	cs, err := db.stmts.Get(rec.SQL)
+	if err == nil {
+		err = cs.CheckParams(rec.Params)
+	}
 	if err != nil {
 		return fmt.Errorf("ttdb: replaying %q: %w", rec.SQL, err)
 	}
-	stmt := cs.Stmt
-	m, sc, unlock, err := db.lockFor(stmt, rec.Params)
+	m, unlock, err := db.lockFor(cs.Stmt, rec.Params)
 	if err != nil {
 		return fmt.Errorf("ttdb: replaying %q: %w", rec.SQL, err)
 	}
 	defer unlock()
 	db.clock.AdvanceTo(rec.Time)
-	if _, _, err := db.execAt(stmt, cs, rec.Params, rec.Time, rec.Gen, rec, m, sc); err != nil {
+	if _, _, err := db.execAt(cs, rec.Params, rec.Time, rec.Gen, rec, m); err != nil {
 		return fmt.Errorf("ttdb: replaying %q: %w", rec.SQL, err)
 	}
 	return nil

@@ -39,7 +39,7 @@ func dump(t *testing.T, db *DB) string {
 			t.Fatal(err)
 		}
 		m.mu.Lock()
-		res, err := db.selectPhysical(m, nil, nil)
+		res, err := db.raw.ExecCached(sqldb.NewCachedStmt(m.physicalSelect(nil)), nil)
 		nextRowID := m.nextRowID
 		m.mu.Unlock()
 		if err != nil {

@@ -58,13 +58,10 @@ func (db *DB) FinishRepair() error {
 	}
 	cur := db.currentGen.Add(1)
 	db.inRepair = false
-	// Purge rows invisible from the new current generation onward.
+	// Purge rows invisible from the new current generation onward (no
+	// time horizon: every end_time is positive).
 	for _, m := range metas {
-		del := &sqldb.Delete{
-			Table: m.name,
-			Where: &sqldb.BinaryExpr{Op: sqldb.OpLt, Left: sqldb.Col(ColEndGen), Right: sqldb.Lit(sqldb.Int(cur))},
-		}
-		if _, err := db.raw.ExecStmt(del, nil); err != nil {
+		if _, err := db.raw.ExecCached(db.stmtsFor(m).purge, []sqldb.Value{sqldb.Int(0), sqldb.Int(cur)}); err != nil {
 			return err
 		}
 	}
@@ -81,24 +78,16 @@ func (db *DB) AbortRepair() error {
 	if !db.inRepair {
 		return fmt.Errorf("ttdb: no repair in progress")
 	}
-	cur := db.currentGen.Load()
-	next := cur + 1
+	cur := sqldb.Int(db.currentGen.Load())
+	next := sqldb.Int(cur.Int + 1)
 	for _, m := range metas {
+		ts := db.stmtsFor(m)
 		// Rows created by repair vanish...
-		del := &sqldb.Delete{
-			Table: m.name,
-			Where: &sqldb.BinaryExpr{Op: sqldb.OpGe, Left: sqldb.Col(ColStartGen), Right: sqldb.Lit(sqldb.Int(next))},
-		}
-		if _, err := db.raw.ExecStmt(del, nil); err != nil {
+		if _, err := db.raw.ExecCached(ts.dropFrom, []sqldb.Value{next}); err != nil {
 			return err
 		}
 		// ...and rows demoted during repair become shared again.
-		upd := &sqldb.Update{
-			Table: m.name,
-			Set:   []sqldb.Assignment{{Column: ColEndGen, Expr: sqldb.Lit(sqldb.Int(Infinity))}},
-			Where: sqldb.Eq(ColEndGen, sqldb.Int(cur)),
-		}
-		if _, err := db.raw.ExecStmt(upd, nil); err != nil {
+		if _, err := db.raw.ExecCached(ts.reshare, []sqldb.Value{cur}); err != nil {
 			return err
 		}
 	}
@@ -107,8 +96,8 @@ func (db *DB) AbortRepair() error {
 }
 
 // physicalRow captures one stored version with its bookkeeping columns.
-// The column index is shared across every row of one decode batch, so
-// decoding n versions costs one map, not n.
+// The column index is the table's shared one (tableStmts.colOf), so
+// decoding versions allocates no maps.
 type physicalRow struct {
 	cols  map[string]int // column name -> position in row (shared)
 	row   []sqldb.Value
@@ -119,26 +108,29 @@ type physicalRow struct {
 	eGen  int64
 }
 
-// val returns the named column's value and whether the column exists.
-func (pr *physicalRow) val(c string) (sqldb.Value, bool) {
-	i, ok := pr.cols[c]
-	if !ok {
-		return sqldb.Value{}, false
-	}
-	return pr.row[i], true
-}
-
-// colVal is val without the presence flag (missing columns read NULL).
+// colVal returns the named column's value (missing columns read NULL).
 func (pr *physicalRow) colVal(c string) sqldb.Value {
-	v, _ := pr.val(c)
-	return v
+	if i, ok := pr.cols[c]; ok {
+		return pr.row[i]
+	}
+	return sqldb.Null()
 }
 
-func (db *DB) decodePhysical(m *tableMeta, res *sqldb.Result) []physicalRow {
-	colOf := make(map[string]int, len(res.Columns))
-	for i, c := range res.Columns {
-		colOf[c] = i
+// target names exactly this physical version to a target handle
+// (tableStmts): lead, then row ID and the four version columns.
+func (pr *physicalRow) target(lead ...sqldb.Value) []sqldb.Value {
+	return append(lead, pr.rowID, sqldb.Int(pr.start), sqldb.Int(pr.end), sqldb.Int(pr.sGen), sqldb.Int(pr.eGen))
+}
+
+// selectPhysical runs one of the table's physical-row handles (tableStmts
+// or a capture select) and decodes the versions it returns, in scan
+// order.
+func (db *DB) selectPhysical(m *tableMeta, stmt *sqldb.CachedStmt, params []sqldb.Value) ([]physicalRow, error) {
+	res, err := db.raw.ExecCached(stmt, params)
+	if err != nil {
+		return nil, err
 	}
+	colOf := db.stmtsFor(m).colOf
 	out := make([]physicalRow, 0, len(res.Rows))
 	for _, row := range res.Rows {
 		pr := physicalRow{cols: colOf, row: row}
@@ -149,7 +141,7 @@ func (db *DB) decodePhysical(m *tableMeta, res *sqldb.Result) []physicalRow {
 		pr.eGen = pr.colVal(ColEndGen).AsInt()
 		out = append(out, pr)
 	}
-	return out
+	return out, nil
 }
 
 // checkVersionsInScope verifies that every version's lock-column value
@@ -170,69 +162,38 @@ func (db *DB) checkVersionsInScope(m *tableMeta, versions []physicalRow, sc lock
 	return nil
 }
 
-// targetWhere builds a predicate that identifies exactly one physical row
-// version by row ID and version interval.
-func (db *DB) targetWhere(m *tableMeta, pr physicalRow) sqldb.Expr {
-	return sqldb.And(
-		sqldb.Eq(m.rowIDCol, pr.rowID),
-		sqldb.Eq(ColStartTime, sqldb.Int(pr.start)),
-		sqldb.Eq(ColEndTime, sqldb.Int(pr.end)),
-		sqldb.Eq(ColStartGen, sqldb.Int(pr.sGen)),
-		sqldb.Eq(ColEndGen, sqldb.Int(pr.eGen)),
-	)
-}
-
 // demote confines a shared physical row to generations up to current, so
 // the next generation no longer sees it (§4.4 preservation).
 func (db *DB) demote(m *tableMeta, pr physicalRow) error {
-	upd := &sqldb.Update{
-		Table: m.name,
-		Set:   []sqldb.Assignment{{Column: ColEndGen, Expr: sqldb.Lit(sqldb.Int(db.currentGen.Load()))}},
-		Where: db.targetWhere(m, pr),
-	}
-	res, err := db.raw.ExecStmt(upd, nil)
+	return db.writeOne(m, db.stmtsFor(m).setEndGen, pr.target(sqldb.Int(db.currentGen.Load())), "demote")
+}
+
+// deletePhysical removes one physical row version outright.
+func (db *DB) deletePhysical(m *tableMeta, pr physicalRow) error {
+	return db.writeOne(m, db.stmtsFor(m).deleteAt, pr.target(), "delete")
+}
+
+// writeOne runs a target handle, which must hit exactly one version.
+func (db *DB) writeOne(m *tableMeta, stmt *sqldb.CachedStmt, params []sqldb.Value, what string) error {
+	res, err := db.raw.ExecCached(stmt, params)
 	if err != nil {
 		return err
 	}
 	if res.Affected != 1 {
-		return fmt.Errorf("ttdb: demote targeted %d rows in %s, want 1", res.Affected, m.name)
+		return fmt.Errorf("ttdb: %s targeted %d rows in %s, want 1", what, res.Affected, m.name)
 	}
 	return nil
 }
 
 // insertCopy inserts a copy of pr with the given version overrides.
 func (db *DB) insertCopy(m *tableMeta, pr physicalRow, end int64, sGen, eGen int64) error {
-	cols := db.physicalColumns(m)
-	ins := &sqldb.Insert{Table: m.name, Columns: cols}
-	vals := make([]sqldb.Expr, len(cols))
-	for i, c := range cols {
-		v := pr.colVal(c)
-		switch c {
-		case ColEndTime:
-			v = sqldb.Int(end)
-		case ColStartGen:
-			v = sqldb.Int(sGen)
-		case ColEndGen:
-			v = sqldb.Int(eGen)
-		}
-		vals[i] = sqldb.Lit(v)
-	}
-	ins.Rows = [][]sqldb.Expr{vals}
-	_, err := db.raw.ExecStmt(ins, nil)
+	ts := db.stmtsFor(m)
+	vals := append([]sqldb.Value(nil), pr.row...)
+	vals[ts.colOf[ColEndTime]] = sqldb.Int(end)
+	vals[ts.colOf[ColStartGen]] = sqldb.Int(sGen)
+	vals[ts.colOf[ColEndGen]] = sqldb.Int(eGen)
+	_, err := db.raw.ExecCached(ts.insert, vals)
 	return err
-}
-
-// deletePhysical removes one physical row version outright.
-func (db *DB) deletePhysical(m *tableMeta, pr physicalRow) error {
-	del := &sqldb.Delete{Table: m.name, Where: db.targetWhere(m, pr)}
-	res, err := db.raw.ExecStmt(del, nil)
-	if err != nil {
-		return err
-	}
-	if res.Affected != 1 {
-		return fmt.Errorf("ttdb: delete targeted %d rows in %s, want 1", res.Affected, m.name)
-	}
-	return nil
 }
 
 // scopeForRows derives the lock scope for operating on the given rows:
@@ -241,25 +202,19 @@ func (db *DB) deletePhysical(m *tableMeta, pr physicalRow) error {
 // is acquired; the scope checks inside the locked operation catch that
 // and escalate, so staleness costs a retry, never correctness.
 func (db *DB) scopeForRows(m *tableMeta, rowIDs []sqldb.Value) lockScope {
-	if db.coarseLocks.Load() || m.lockCol == "" || len(rowIDs) == 0 {
+	if m.lockCol == "" || len(rowIDs) == 0 {
 		return wholeScope()
 	}
-	list := make([]sqldb.Expr, len(rowIDs))
-	for i, id := range rowIDs {
-		list[i] = sqldb.Lit(id)
-	}
-	sel := &sqldb.Select{
-		Items: []sqldb.SelectItem{{Expr: sqldb.Col(m.lockCol)}},
-		Table: m.name,
-		Where: &sqldb.InExpr{Expr: sqldb.Col(m.rowIDCol), List: list},
-	}
-	res, err := db.raw.ExecStmt(sel, nil)
-	if err != nil {
-		return wholeScope()
-	}
-	keys := make([]string, 0, len(res.Rows))
-	for _, row := range res.Rows {
-		keys = append(keys, row[0].Key())
+	probe := db.stmtsFor(m).lockKeyOf
+	var keys []string
+	for _, id := range rowIDs {
+		res, err := db.raw.ExecCached(probe, []sqldb.Value{id})
+		if err != nil {
+			return wholeScope()
+		}
+		for _, row := range res.Rows {
+			keys = append(keys, row[0].Key())
+		}
 	}
 	return db.maybeCoalesce(m, keyScope(keys))
 }
@@ -286,16 +241,11 @@ func (db *DB) rollbackRowLocked(m *tableMeta, rowID sqldb.Value, t int64, st rep
 	next := st.next
 
 	// All versions of this row visible anywhere in the next generation.
-	where := sqldb.And(
-		sqldb.Eq(m.rowIDCol, rowID),
-		&sqldb.BinaryExpr{Op: sqldb.OpLe, Left: sqldb.Col(ColStartGen), Right: sqldb.Lit(sqldb.Int(next))},
-		&sqldb.BinaryExpr{Op: sqldb.OpGe, Left: sqldb.Col(ColEndGen), Right: sqldb.Lit(sqldb.Int(next))},
-	)
-	res, err := db.selectPhysical(m, where, nil)
+	ts := db.stmtsFor(m)
+	versions, err := db.selectPhysical(m, ts.versions, []sqldb.Value{rowID, sqldb.Int(next)})
 	if err != nil {
 		return nil, err
 	}
-	versions := db.decodePhysical(m, res)
 	if err := db.checkVersionsInScope(m, versions, sc); err != nil {
 		return nil, err
 	}
@@ -361,12 +311,7 @@ func (db *DB) rollbackRowLocked(m *tableMeta, rowID sqldb.Value, t int64, st rep
 			return nil, err
 		}
 		if latest.sGen >= next {
-			upd := &sqldb.Update{
-				Table: m.name,
-				Set:   []sqldb.Assignment{{Column: ColEndTime, Expr: sqldb.Lit(sqldb.Int(Infinity))}},
-				Where: db.targetWhere(m, *latest),
-			}
-			if _, err := db.raw.ExecStmt(upd, nil); err != nil {
+			if _, err := db.raw.ExecCached(ts.setEndTime, latest.target(sqldb.Int(Infinity))); err != nil {
 				return nil, err
 			}
 		} else {
@@ -394,59 +339,34 @@ type collider struct {
 // share a uniqueness key with pr, returning each with all of its
 // next-generation-visible versions.
 func (db *DB) revivalColliders(m *tableMeta, pr physicalRow, st repairState) ([]collider, error) {
-	next := st.next
-	_, uniques, err := db.raw.Schema(m.name)
-	if err != nil {
-		return nil, err
-	}
+	ts := db.stmtsFor(m)
+	next := sqldb.Int(st.next)
 	var out []collider
 	seen := make(map[string]bool)
-	for _, u := range uniques {
-		// Build the live-collision probe over the constraint's application
-		// columns (the version columns were appended by createTable).
-		var conds []sqldb.Expr
-		usable := true
-		for _, col := range u.Columns {
-			switch col {
-			case ColEndTime, ColEndGen:
-				continue
-			case ColStartTime, ColStartGen:
-				usable = false
-			default:
-				v, ok := pr.val(col)
-				if !ok || v.IsNull() {
-					usable = false
-				} else {
-					conds = append(conds, sqldb.Eq(col, v))
-				}
+probes:
+	for _, u := range ts.uniques {
+		params := make([]sqldb.Value, 0, len(u.cols)+1)
+		for _, col := range u.cols {
+			v := pr.colVal(col)
+			if v.IsNull() {
+				continue probes // NULL never collides in a unique constraint
 			}
+			params = append(params, v)
 		}
-		if !usable || len(conds) == 0 {
-			continue
-		}
-		where := sqldb.And(append(conds,
-			sqldb.Eq(ColEndTime, sqldb.Int(Infinity)),
-			&sqldb.BinaryExpr{Op: sqldb.OpLe, Left: sqldb.Col(ColStartGen), Right: sqldb.Lit(sqldb.Int(next))},
-			&sqldb.BinaryExpr{Op: sqldb.OpGe, Left: sqldb.Col(ColEndGen), Right: sqldb.Lit(sqldb.Int(next))})...)
-		res, err := db.selectPhysical(m, where, nil)
+		live, err := db.selectPhysical(m, u.stmt, append(params, next))
 		if err != nil {
 			return nil, err
 		}
-		for _, other := range db.decodePhysical(m, res) {
+		for _, other := range live {
 			if other.rowID.Equal(pr.rowID) || seen[other.rowID.Key()] {
 				continue
 			}
 			seen[other.rowID.Key()] = true
-			vWhere := sqldb.And(
-				sqldb.Eq(m.rowIDCol, other.rowID),
-				&sqldb.BinaryExpr{Op: sqldb.OpLe, Left: sqldb.Col(ColStartGen), Right: sqldb.Lit(sqldb.Int(next))},
-				&sqldb.BinaryExpr{Op: sqldb.OpGe, Left: sqldb.Col(ColEndGen), Right: sqldb.Lit(sqldb.Int(next))},
-			)
-			vRes, err := db.selectPhysical(m, vWhere, nil)
+			versions, err := db.selectPhysical(m, ts.versions, []sqldb.Value{other.rowID, next})
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, collider{rowID: other.rowID, versions: db.decodePhysical(m, vRes)})
+			out = append(out, collider{rowID: other.rowID, versions: versions})
 		}
 	}
 	return out, nil
@@ -522,29 +442,13 @@ func (db *DB) RollbackRows(table string, rowIDs []sqldb.Value, t int64) ([]Parti
 }
 
 // ReExec re-executes a query at its original time t in the repair
-// generation (§4.4). For writes it performs the paper's two-phase
-// re-execution (§4.2): it computes the new matching row set, rolls back
-// both the original and the new rows to just before t, and then executes
-// the write in the next generation. orig is the record from the original
-// execution, or nil for a query with no original counterpart (for example,
-// a patched application run issuing a brand-new query).
-//
-// The returned Record describes the re-executed query; its WritePartitions
-// include everything touched by rollback, which the repair controller uses
-// for dependency propagation.
+// generation (§4.4): text sugar over Prepare and ReExecPrepared.
 func (db *DB) ReExec(src string, params []sqldb.Value, t int64, orig *Record) (*sqldb.Result, *Record, error) {
 	cs, err := db.stmts.Get(src)
 	if err != nil {
 		return nil, nil, err
 	}
-	return db.reExecStmt(cs.Stmt, cs, params, t, orig)
-}
-
-// ReExecPrepared is ReExec for a cached statement handle: repair replay
-// re-executes each recorded query without re-parsing or re-stringifying
-// its SQL (the handle carries both the AST and the canonical text).
-func (db *DB) ReExecPrepared(cs *sqldb.CachedStmt, params []sqldb.Value, t int64, orig *Record) (*sqldb.Result, *Record, error) {
-	return db.reExecStmt(cs.Stmt, cs, params, t, orig)
+	return db.ReExecPrepared(cs, params, t, orig)
 }
 
 // origScope derives the lock-column keys the original record's write set
@@ -570,151 +474,138 @@ func origScope(m *tableMeta, orig *Record) lockScope {
 	return keyScope(keys)
 }
 
-// ReExecStmt is ReExec for a parsed statement. Re-executions on disjoint
-// partition scopes — different tables, or disjoint lock-column keys of one
-// table — run in parallel; the scope is held for the full two-phase span
-// so a re-execution is atomic with respect to overlapping operations.
-func (db *DB) ReExecStmt(stmt sqldb.Statement, params []sqldb.Value, t int64, orig *Record) (*sqldb.Result, *Record, error) {
-	return db.reExecStmt(stmt, nil, params, t, orig)
-}
-
-func (db *DB) reExecStmt(stmt sqldb.Statement, cs *sqldb.CachedStmt, params []sqldb.Value, t int64, orig *Record) (*sqldb.Result, *Record, error) {
+// ReExecPrepared re-executes a prepared query at its original time t in
+// the repair generation (§4.4). For writes it performs the paper's
+// two-phase re-execution (§4.2): it computes the new matching row set,
+// rolls back both the original and the new rows to just before t, and
+// then executes the write in the next generation. orig is the record
+// from the original execution, or nil for a query with no original
+// counterpart (for example, a patched application run issuing a
+// brand-new query).
+//
+// Re-executions on disjoint partition scopes — different tables, or
+// disjoint lock-column keys of one table — run in parallel; the scope is
+// held for the full two-phase span so a re-execution is atomic with
+// respect to overlapping operations.
+//
+// The returned Record describes the re-executed query; its WritePartitions
+// include everything touched by rollback, which the repair controller uses
+// for dependency propagation.
+func (db *DB) ReExecPrepared(cs *sqldb.CachedStmt, params []sqldb.Value, t int64, orig *Record) (*sqldb.Result, *Record, error) {
+	if err := cs.CheckParams(params); err != nil {
+		return nil, nil, err
+	}
 	st, err := db.repairSnapshot()
 	if err != nil {
 		return nil, nil, fmt.Errorf("ttdb: ReExec outside repair")
 	}
 	db.clock.AdvanceTo(t)
 
-	run := func(table string, fn func(m *tableMeta, sc lockScope, dirt *PartitionSet) (*sqldb.Result, *Record, error)) (*sqldb.Result, *Record, error) {
-		m, err := db.meta(table)
-		if err != nil {
-			return nil, nil, err
-		}
-		sc := db.maybeCoalesce(m, m.effectiveScope(db, m.scopeForStmt(stmt, params).merge(origScope(m, orig))))
-		// dirt accumulates across an escalation retry: rollbacks completed
-		// in a narrow-scope attempt stay applied (the retry re-runs them as
-		// no-ops), so their partitions — including uniqueness-collider
-		// rollbacks the no-op re-run will not re-probe — must survive into
-		// the returned record's write set.
-		dirt := NewPartitionSet()
-		for {
-			m.locks.lock(sc)
-			res, rec, err := fn(m, sc, dirt)
-			m.locks.unlock(sc)
-			if err == errScopeConflict && !sc.whole {
-				// The statically derived scope was too narrow (see
-				// locks.go); fall back to the table lock and re-run. No
-				// mutation escaped the narrow scope, and completed row
-				// rollbacks within it are idempotent under the retry.
-				scopeEscalations.Inc()
-				sc = wholeScope()
-				continue
-			}
-			return res, rec, err
-		}
-	}
-
-	switch s := stmt.(type) {
-	case *sqldb.Insert:
-		return run(s.Table, func(m *tableMeta, sc lockScope, dirt *PartitionSet) (*sqldb.Result, *Record, error) {
-			return db.reExecInsert(s, cs, params, t, st, orig, m, sc, dirt)
-		})
-	case *sqldb.Update:
-		return run(s.Table, func(m *tableMeta, sc lockScope, dirt *PartitionSet) (*sqldb.Result, *Record, error) {
-			return db.reExecWrite(stmt, cs, s.Table, s.Where, params, t, st, orig, m, sc, dirt)
-		})
-	case *sqldb.Delete:
-		return run(s.Table, func(m *tableMeta, sc lockScope, dirt *PartitionSet) (*sqldb.Result, *Record, error) {
-			return db.reExecWrite(stmt, cs, s.Table, s.Where, params, t, st, orig, m, sc, dirt)
-		})
-	default:
+	table, isWrite, _ := dmlTable(cs.Stmt)
+	if !isWrite {
 		// Reads re-execute at their original time; DDL during repair
 		// replays as-is in the shared schema space.
-		m, sc, unlock, err := db.lockFor(stmt, params)
+		m, unlock, err := db.lockFor(cs.Stmt, params)
 		if err != nil {
 			return nil, nil, err
 		}
 		defer unlock()
-		return db.execAt(stmt, cs, params, t, st.next, orig, m, sc)
+		return db.execAt(cs, params, t, st.next, orig, m)
 	}
-}
-
-func (db *DB) reExecInsert(s *sqldb.Insert, cs *sqldb.CachedStmt, params []sqldb.Value, t int64, st repairState, orig *Record, m *tableMeta, sc lockScope, dirt *PartitionSet) (*sqldb.Result, *Record, error) {
-	db.markDirtyScope(m, sc)
-	if orig != nil {
-		for _, id := range orig.WriteRowIDs {
-			ps, err := db.rollbackRowLocked(m, id, t, st, sc)
-			if err != nil {
-				return nil, nil, err
-			}
-			dirt.AddAll(ps)
-		}
-	}
-	res, rec, err := db.execAt(s, cs, params, t, st.next, orig, m, sc)
-	if err != nil && rec == nil {
+	m, err := db.meta(table)
+	if err != nil {
 		return nil, nil, err
 	}
-	if rec != nil {
-		set := NewPartitionSet()
-		set.AddAll(rec.WritePartitions)
-		set.AddAll(dirt.Slice())
-		rec.WritePartitions = set.Slice()
+	sc := db.maybeCoalesce(m, m.effectiveScope(m.scopeForStmt(cs.Stmt, params).merge(origScope(m, orig))))
+	// dirt accumulates across an escalation retry: rollbacks completed
+	// in a narrow-scope attempt stay applied (the retry re-runs them as
+	// no-ops), so their partitions — including uniqueness-collider
+	// rollbacks the no-op re-run will not re-probe — must survive into
+	// the returned record's write set.
+	dirt := NewPartitionSet()
+	for {
+		m.locks.lock(sc)
+		res, rec, err := db.reExecWrite(cs, params, t, st, orig, m, sc, dirt)
+		m.locks.unlock(sc)
+		if err == errScopeConflict && !sc.whole {
+			// The statically derived scope was too narrow (see
+			// locks.go); fall back to the table lock and re-run. No
+			// mutation escaped the narrow scope, and completed row
+			// rollbacks within it are idempotent under the retry.
+			scopeEscalations.Inc()
+			sc = wholeScope()
+			continue
+		}
+		return res, rec, err
 	}
-	return res, rec, err
 }
 
-// reExecWrite implements two-phase re-execution for UPDATE and DELETE.
-func (db *DB) reExecWrite(stmt sqldb.Statement, cs *sqldb.CachedStmt, table string, where sqldb.Expr, params []sqldb.Value, t int64, st repairState, orig *Record, m *tableMeta, sc lockScope, dirt *PartitionSet) (*sqldb.Result, *Record, error) {
+// reExecWrite implements two-phase re-execution of one write, under sc.
+// An INSERT has no WHERE to re-match, so its phases A and C are empty:
+// it rolls back the rows it originally created and runs again.
+func (db *DB) reExecWrite(cs *sqldb.CachedStmt, params []sqldb.Value, t int64, st repairState, orig *Record, m *tableMeta, sc lockScope, dirt *PartitionSet) (*sqldb.Result, *Record, error) {
 	db.markDirtyScope(m, sc) // phases B/C mutate even when the final exec fails
 	next := st.next
+	_, isInsert := cs.Stmt.(*sqldb.Insert)
 
 	// Phase A: find the rows the new WHERE clause matches at time t in the
 	// repair generation.
-	var userWhere sqldb.Expr
-	if where != nil {
-		userWhere = where.CloneExpr()
-	}
-	sel := &sqldb.Select{
-		Items: []sqldb.SelectItem{{Expr: sqldb.Col(m.rowIDCol)}},
-		Table: table,
-		Where: sqldb.And(userWhere, liveWhere(t, next)),
-	}
-	newRes, err := db.raw.ExecStmt(sel, params)
-	if err != nil {
-		return nil, nil, err
+	var matchedNow []physicalRow
+	var capture *sqldb.CachedStmt
+	var ext []sqldb.Value
+	if !isInsert {
+		capture, ext = db.augFor(m, cs).read, extParams(params, t, next, 0)
+		var err error
+		if matchedNow, err = db.selectPhysical(m, capture, ext); err != nil {
+			return nil, nil, err
+		}
 	}
 
 	// Phase B: roll back original ∪ new row IDs to just before t.
 	seen := make(map[string]bool)
-	var all []sqldb.Value
+	rollback := func(id sqldb.Value) error {
+		if seen[id.Key()] {
+			return nil
+		}
+		seen[id.Key()] = true
+		ps, err := db.rollbackRowLocked(m, id, t, st, sc)
+		dirt.AddAll(ps)
+		return err
+	}
 	if orig != nil {
 		for _, id := range orig.WriteRowIDs {
-			if !seen[id.Key()] {
-				seen[id.Key()] = true
-				all = append(all, id)
+			if err := rollback(id); err != nil {
+				return nil, nil, err
 			}
 		}
 	}
-	for _, row := range newRes.Rows {
-		if !seen[row[0].Key()] {
-			seen[row[0].Key()] = true
-			all = append(all, row[0])
+	for _, pr := range matchedNow {
+		if err := rollback(pr.rowID); err != nil {
+			return nil, nil, err
 		}
 	}
-	for _, id := range all {
-		ps, err := db.rollbackRowLocked(m, id, t, st, sc)
+
+	// Phase C: execute the write at t in the repair generation. Before it
+	// touches rows still shared with the current generation, each such
+	// row is demoted and a next-generation copy takes its place (§4.4).
+	if !isInsert {
+		shared, err := db.selectPhysical(m, capture, ext)
 		if err != nil {
 			return nil, nil, err
 		}
-		dirt.AddAll(ps)
+		for _, pr := range shared {
+			if pr.sGen >= next {
+				continue
+			}
+			if err := db.demote(m, pr); err != nil {
+				return nil, nil, err
+			}
+			if err := db.insertCopy(m, pr, pr.end, next, Infinity); err != nil {
+				return nil, nil, err
+			}
+		}
 	}
-
-	// Phase C: execute the write at t in the repair generation, preserving
-	// any still-shared matched rows for the current generation first.
-	if err := db.preserveSharedMatches(m, userWhere, params, t, next); err != nil {
-		return nil, nil, err
-	}
-	res, rec, err := db.execAt(stmt, cs, params, t, next, orig, m, sc)
+	res, rec, err := db.execAt(cs, params, t, next, orig, m)
 	if err != nil && rec == nil {
 		return nil, nil, err
 	}
@@ -725,31 +616,6 @@ func (db *DB) reExecWrite(stmt sqldb.Statement, cs *sqldb.CachedStmt, table stri
 		rec.WritePartitions = set.Slice()
 	}
 	return res, rec, err
-}
-
-// preserveSharedMatches implements §4.4: before a repair-generation write
-// touches rows still shared with the current generation, each such row is
-// demoted and a next-generation copy takes its place.
-func (db *DB) preserveSharedMatches(m *tableMeta, userWhere sqldb.Expr, params []sqldb.Value, t, next int64) error {
-	var w sqldb.Expr
-	if userWhere != nil {
-		w = userWhere.CloneExpr()
-	}
-	where := sqldb.And(w, liveWhere(t, next),
-		&sqldb.BinaryExpr{Op: sqldb.OpLt, Left: sqldb.Col(ColStartGen), Right: sqldb.Lit(sqldb.Int(next))})
-	res, err := db.selectPhysical(m, where, params)
-	if err != nil {
-		return err
-	}
-	for _, pr := range db.decodePhysical(m, res) {
-		if err := db.demote(m, pr); err != nil {
-			return err
-		}
-		if err := db.insertCopy(m, pr, pr.end, next, Infinity); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // GC discards row versions that ended before the horizon, in sync with the
@@ -763,20 +629,10 @@ func (db *DB) GC(beforeTime int64) error {
 	if db.inRepair {
 		return fmt.Errorf("ttdb: GC during repair")
 	}
-	cur := db.currentGen.Load()
+	horizon := []sqldb.Value{sqldb.Int(beforeTime), sqldb.Int(db.currentGen.Load())}
 	db.markAllDirty() // GC rewrites every table's physical row set
 	for _, m := range metas {
-		del := &sqldb.Delete{
-			Table: m.name,
-			Where: &sqldb.BinaryExpr{
-				Op:   sqldb.OpOr,
-				Left: &sqldb.BinaryExpr{Op: sqldb.OpLt, Left: sqldb.Col(ColEndTime), Right: sqldb.Lit(sqldb.Int(beforeTime))},
-				Right: &sqldb.BinaryExpr{
-					Op: sqldb.OpLt, Left: sqldb.Col(ColEndGen), Right: sqldb.Lit(sqldb.Int(cur)),
-				},
-			},
-		}
-		if _, err := db.raw.ExecStmt(del, nil); err != nil {
+		if _, err := db.raw.ExecCached(db.stmtsFor(m).purge, horizon); err != nil {
 			return err
 		}
 		m.pruneIndexBefore(beforeTime)

@@ -119,6 +119,10 @@ type tableMeta struct {
 	// re-insert in their original physical scan order regardless of which
 	// shard they live in (persist.go).
 	restore *tableRestore
+
+	// stmts are the table's prepared internal statements for the current
+	// DDL epoch (fastpath.go).
+	stmts atomic.Pointer[tableStmts]
 }
 
 // tableRestore accumulates a table's row shards during snapshot restore.
@@ -213,11 +217,6 @@ type DB struct {
 	currentGen atomic.Int64
 	inRepair   bool
 
-	// coarseLocks forces every lock scope to the whole table — the
-	// pre-partition-lock behavior, kept for comparison benchmarks and as
-	// an operational escape hatch (core.Config.TableGranularLocks).
-	coarseLocks atomic.Bool
-
 	gcBefore int64 // versions strictly older than this have been collected
 
 	// dirtyMu guards dirty, the per-shard set of table slices mutated
@@ -254,13 +253,6 @@ func Open(clock *vclock.Clock) *DB {
 	db.currentGen.Store(1)
 	return db
 }
-
-// SetTableGranularLocks switches the database between partition-granular
-// scopes (default) and the pre-refactor table-granular locking, in which
-// every operation takes its table's whole scope. Flip before concurrent
-// use; partition mode and table mode produce identical states, only
-// concurrency differs.
-func (db *DB) SetTableGranularLocks(coarse bool) { db.coarseLocks.Store(coarse) }
 
 // markDirtyWhole records that a table's physical state changed across
 // shards. Safe under any lock (dirtyMu is a leaf).
@@ -388,13 +380,10 @@ func (db *DB) ShardCount(table string) int {
 // breaks versioning invariants.
 func (db *DB) Raw() *sqldb.DB { return db.raw }
 
-// StmtCache returns the deployment-wide prepared-statement cache, so
-// layers above (the repair controller's run replay) can share parsed
-// handles instead of re-parsing SQL text.
-func (db *DB) StmtCache() *sqldb.StmtCache { return db.stmts }
-
-// Prepare parses src through the statement cache, returning the shared
-// handle. The handle's statement must not be mutated.
+// Prepare parses src through the deployment-wide statement cache,
+// returning the shared handle, so layers above (the repair controller's
+// run replay) reuse parsed handles instead of re-parsing SQL text. The
+// handle's statement must not be mutated.
 func (db *DB) Prepare(src string) (*sqldb.CachedStmt, error) {
 	return db.stmts.Get(src)
 }
@@ -582,7 +571,7 @@ func (db *DB) createTable(ct *sqldb.CreateTable) error {
 		aug.Uniques[i].Columns = append(aug.Uniques[i].Columns, ColEndTime, ColEndGen)
 		aug.Uniques[i].Primary = false
 	}
-	if _, err := db.raw.ExecStmt(aug, nil); err != nil {
+	if err := db.rawDDL(aug); err != nil {
 		return err
 	}
 	// Indexes keep rollback and row-targeted rewrites fast.
@@ -591,8 +580,7 @@ func (db *DB) createTable(ct *sqldb.CreateTable) error {
 		indexCols[pc] = true
 	}
 	for col := range indexCols {
-		ci := &sqldb.CreateIndex{Name: "warp_idx_" + ct.Table + "_" + col, Table: ct.Table, Column: col}
-		if _, err := db.raw.ExecStmt(ci, nil); err != nil {
+		if err := db.rawDDL(warpIndex(ct.Table, col)); err != nil {
 			return err
 		}
 	}
@@ -602,15 +590,16 @@ func (db *DB) createTable(ct *sqldb.CreateTable) error {
 	return nil
 }
 
-// liveWhere returns the predicate selecting versions visible at time t in
-// generation g: start_time <= t < end_time AND start_gen <= g <= end_gen.
-func liveWhere(t, g int64) sqldb.Expr {
-	return sqldb.And(
-		&sqldb.BinaryExpr{Op: sqldb.OpLe, Left: sqldb.Col(ColStartTime), Right: sqldb.Lit(sqldb.Int(t))},
-		&sqldb.BinaryExpr{Op: sqldb.OpGt, Left: sqldb.Col(ColEndTime), Right: sqldb.Lit(sqldb.Int(t))},
-		&sqldb.BinaryExpr{Op: sqldb.OpLe, Left: sqldb.Col(ColStartGen), Right: sqldb.Lit(sqldb.Int(g))},
-		&sqldb.BinaryExpr{Op: sqldb.OpGe, Left: sqldb.Col(ColEndGen), Right: sqldb.Lit(sqldb.Int(g))},
-	)
+// rawDDL runs a schema statement this layer constructed (the augmented
+// CREATE TABLE, WARP's own indexes) on the raw engine.
+func (db *DB) rawDDL(stmt sqldb.Statement) error {
+	_, err := db.raw.ExecCached(sqldb.NewCachedStmt(stmt), nil)
+	return err
+}
+
+// warpIndex is the index WARP keeps on a row-ID or partition column.
+func warpIndex(table, col string) *sqldb.CreateIndex {
+	return &sqldb.CreateIndex{Name: "warp_idx_" + table + "_" + col, Table: table, Column: col}
 }
 
 // metaColumns lists WARP's bookkeeping columns in a stable order.
