@@ -24,10 +24,14 @@ func (db *DB) Explain(src string) (string, error) {
 	if table == "" {
 		return db.raw.ExplainCached(cs)
 	}
-	m, err := db.meta(table)
+	// augFor needs a settled column list, so Explain excludes DDL like any
+	// execution does; it is a diagnostic, so it simply takes the whole
+	// table.
+	m, unlock, err := db.lockScope(table, wholeScope())
 	if err != nil {
 		return "", err
 	}
+	defer unlock()
 	a := db.augFor(m, cs)
 	switch cs.Stmt.(type) {
 	case *sqldb.Select:

@@ -59,8 +59,12 @@ type stmtAug struct {
 }
 
 // augFor returns the cached augmentation of cs against table m,
-// rebuilding it when the engine's DDL epoch moved. Concurrent rebuilds
-// are benign (last writer wins; both results are equivalent).
+// rebuilding it when the engine's DDL epoch moved. The caller holds a
+// scope on m: ALTER TABLE moves the epoch and then grows m.userCols, both
+// under the whole-table scope, and an unlocked build in between would
+// cache the old column list under the new epoch. Concurrent rebuilds by
+// holders of disjoint scopes are benign (last writer wins; both results
+// are equivalent).
 func (db *DB) augFor(m *tableMeta, cs *sqldb.CachedStmt) *stmtAug {
 	epoch := db.raw.Epoch()
 	if a, ok := cs.Aux().(*stmtAug); ok && a.epoch == epoch {
@@ -209,8 +213,6 @@ type tableStmts struct {
 	purge      *sqldb.CachedStmt // (t, gen): versions ended before t or invisible from gen on
 	dropFrom   *sqldb.CachedStmt // (gen): versions created in gen or later
 	reshare    *sqldb.CachedStmt // (gen): versions demoted to gen become shared again
-	lockKeyOf  *sqldb.CachedStmt // (rowID): lock-column values of the row's versions
-	lockRange  *sqldb.CachedStmt // (lo, hi): lock-column values inside the interval
 	// uniques probe, per application uniqueness constraint, for live rows
 	// holding given values of the constraint's columns.
 	uniques []uniqueProbe
@@ -225,7 +227,8 @@ type uniqueProbe struct {
 }
 
 // stmtsFor returns m's prepared internal statements, rebuilding them
-// when the engine's DDL epoch moved. Concurrent rebuilds are benign.
+// when the engine's DDL epoch moved. The caller holds a scope on m (see
+// augFor); concurrent rebuilds by holders of disjoint scopes are benign.
 func (db *DB) stmtsFor(m *tableMeta) *tableStmts {
 	epoch := db.raw.Epoch()
 	if ts := m.stmts.Load(); ts != nil && ts.epoch == epoch {
@@ -261,14 +264,6 @@ func (db *DB) stmtsFor(m *tableMeta) *tableStmts {
 	ts.reshare = sqldb.NewCachedStmt(&sqldb.Update{Table: m.name,
 		Set:   []sqldb.Assignment{{Column: ColEndGen, Expr: sqldb.Lit(sqldb.Int(Infinity))}},
 		Where: cmp(ColEndGen, sqldb.OpEq, 0)})
-	if m.lockCol != "" {
-		lockKeys := func(where sqldb.Expr) *sqldb.CachedStmt {
-			return sqldb.NewCachedStmt(&sqldb.Select{
-				Items: []sqldb.SelectItem{{Expr: sqldb.Col(m.lockCol)}}, Table: m.name, Where: where})
-		}
-		ts.lockKeyOf = lockKeys(cmp(m.rowIDCol, sqldb.OpEq, 0))
-		ts.lockRange = lockKeys(sqldb.And(cmp(m.lockCol, sqldb.OpGe, 0), cmp(m.lockCol, sqldb.OpLe, 1)))
-	}
 
 	// A table missing from the engine yields no probes here and a "no
 	// such table" error from whichever handle runs first.

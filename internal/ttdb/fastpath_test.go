@@ -3,8 +3,10 @@ package ttdb
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"warp/internal/sqldb"
 	"warp/internal/vclock"
@@ -304,7 +306,39 @@ func TestCachedExecRaceWithDDLAndGC(t *testing.T) {
 			}
 		}(g)
 	}
-	for i := 0; i < 10; i++ {
+	// Scope derivation runs before any lock is held: an IN list wide
+	// enough to coalesce (locks.go) probes the lock column unlocked, and
+	// Explain builds augmentations from outside the execution path.
+	// Neither may read the table's column list while ALTER TABLE grows
+	// it, let alone cache handles built from a half-applied ALTER.
+	wide := "SELECT body FROM notes WHERE owner IN (?" + strings.Repeat(", ?", coalesceThreshold+3) + ")"
+	wideParams := make([]sqldb.Value, coalesceThreshold+4)
+	for i := range wideParams {
+		wideParams[i] = sqldb.Text(fmt.Sprintf("u%d", i))
+	}
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, _, err := db.Exec(wide, wideParams...); err != nil {
+					t.Errorf("wide IN select: %v", err)
+					return
+				}
+				if _, err := db.Explain("UPDATE notes SET body = ? WHERE owner = ?"); err != nil {
+					t.Errorf("explain: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	const rounds = 25
+	for i := 0; i < rounds; i++ {
 		mustExec(t, db, "CREATE INDEX IF NOT EXISTS idx_notes_body ON notes (body)")
 		mustExec(t, db, fmt.Sprintf("ALTER TABLE notes ADD COLUMN extra%d INTEGER", i))
 		if err := db.GC(db.Clock().Now() - 100); err != nil {
@@ -313,6 +347,55 @@ func TestCachedExecRaceWithDDLAndGC(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+
+	// After quiesce the per-table handles match the final schema: an
+	// UPDATE keeps its history version and SELECT * sees every column.
+	before := len(physicalRows(t, db, "notes"))
+	mustExec(t, db, "UPDATE notes SET body = ? WHERE id = ?", sqldb.Text("final"), sqldb.Int(0))
+	if got := len(physicalRows(t, db, "notes")); got != before+1 {
+		t.Fatalf("UPDATE after DDL storm left %d physical rows, want %d (history version lost)", got, before+1)
+	}
+	res, _, err := db.Exec("SELECT * FROM notes WHERE id = ?", sqldb.Int(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Columns) != 3+rounds {
+		t.Fatalf("SELECT * sees %d columns, want %d", len(res.Columns), 3+rounds)
+	}
+}
+
+// TestEmptyScopeExcludesWholeTable: a statement whose derived scope is
+// empty (it provably touches no rows) still executes — and builds its
+// column-dependent handles — so the whole-table scope DDL runs under
+// must wait for it like for any other holder.
+func TestEmptyScopeExcludesWholeTable(t *testing.T) {
+	l := newPartLocks()
+	empty := keyScope(nil)
+	l.lock(empty)
+	got := make(chan struct{})
+	go func() {
+		l.lock(wholeScope())
+		close(got)
+	}()
+	select {
+	case <-got:
+		t.Fatal("whole-table scope acquired while an empty keyed scope was held")
+	case <-time.After(20 * time.Millisecond):
+	}
+	l.unlock(empty)
+	<-got
+	l.unlock(wholeScope())
+}
+
+// physicalRows returns every stored version of a table, bookkeeping
+// columns included.
+func physicalRows(t *testing.T, db *DB, table string) [][]sqldb.Value {
+	t.Helper()
+	res, err := db.Raw().Exec("SELECT * FROM " + table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Rows
 }
 
 // countObserver counts RecordApplied events.
@@ -401,8 +484,8 @@ func TestParamCountContract(t *testing.T) {
 		t.Fatalf("refused statements changed the table: %v", res.Rows)
 	}
 
-	// Replay of a well-formed record is unaffected; a malformed one gets
-	// the same typed error.
+	// Replay of a well-formed record is unaffected; one short of
+	// parameters gets the same typed error.
 	_, rec := mustExec(t, db, "INSERT INTO pages (page_id, title) VALUES (?, ?)", sqldb.Int(9), sqldb.Text("Nine"))
 	replica := newDB(t)
 	seedPages(t, replica)
@@ -418,6 +501,21 @@ func TestParamCountContract(t *testing.T) {
 	var pe *sqldb.ParamCountError
 	if err := replica.Replay(&bad); !errors.As(err, &pe) {
 		t.Fatalf("Replay of a short record: err = %v, want *sqldb.ParamCountError", err)
+	}
+
+	// A log from before the count became strict may hold a record with
+	// surplus parameters (that call executed, ignoring them): recovery
+	// must still open, so Replay drops the surplus and reproduces the
+	// original execution.
+	legacy := *rec
+	legacy.Params = append(append([]sqldb.Value{}, rec.Params...), sqldb.Text("ignored"))
+	old := newDB(t)
+	seedPages(t, old)
+	if err := old.Replay(&legacy); err != nil {
+		t.Fatalf("Replay of a surplus-parameter record: %v", err)
+	}
+	if got, want := dump(t, old), dump(t, replica); got != want {
+		t.Fatalf("surplus-parameter replay differs from the well-formed one:\n%s--- want ---\n%s", got, want)
 	}
 }
 

@@ -135,7 +135,11 @@ type partLocks struct {
 	cond      *sync.Cond
 	whole     bool
 	wholeWait int
-	held      map[string]bool
+	// holders counts the keyed and ranged scopes currently held — including
+	// empty ones, which hold no key yet must still keep a whole-table
+	// scope (DDL growing the column list) out while their statement runs.
+	holders int
+	held    map[string]bool
 	// heldRanges are the coalesced intervals currently held. Two held
 	// ranges never overlap (acquisition excludes that), so releases
 	// remove by value unambiguously. The slice stays short — one entry
@@ -157,12 +161,12 @@ func (l *partLocks) lock(s lockScope) {
 	defer l.mu.Unlock()
 	if s.whole {
 		l.wholeWait++
-		if l.whole || len(l.held) > 0 || len(l.heldRanges) > 0 {
+		if l.whole || l.holders > 0 {
 			var start time.Time
 			if obs.Enabled() {
 				start = time.Now()
 			}
-			for l.whole || len(l.held) > 0 || len(l.heldRanges) > 0 {
+			for l.whole || l.holders > 0 {
 				l.cond.Wait()
 			}
 			if !start.IsZero() {
@@ -186,6 +190,7 @@ func (l *partLocks) lock(s lockScope) {
 			lockWaitHist.Observe(time.Since(start))
 		}
 	}
+	l.holders++
 	for _, k := range s.keys {
 		l.held[k] = true
 	}
@@ -235,6 +240,7 @@ func (l *partLocks) unlock(s lockScope) {
 		l.whole = false
 		wholeTableLocks.Add(-1)
 	} else {
+		l.holders--
 		for _, k := range s.keys {
 			delete(l.held, k)
 		}
@@ -318,7 +324,7 @@ func (db *DB) maybeCoalesce(m *tableMeta, sc lockScope) lockScope {
 		}
 	}
 	lo, hi := sc.keys[0], sc.keys[len(sc.keys)-1]
-	res, err := db.raw.ExecCached(db.stmtsFor(m).lockRange, []sqldb.Value{sqldb.Text(lo[1:]), sqldb.Text(hi[1:])})
+	res, err := db.raw.ExecCached(m.lockRange, []sqldb.Value{sqldb.Text(lo[1:]), sqldb.Text(hi[1:])})
 	if err != nil {
 		return sc
 	}

@@ -567,6 +567,7 @@ func (db *DB) RestoreTableHeader(dec *store.Decoder) (string, error) {
 	// surface a silently empty table.
 	m.restore = &tableRestore{}
 
+	m.prepareLockProbes()
 	db.tablesMu.Lock()
 	db.tables[name] = m
 	db.tablesMu.Unlock()
@@ -722,21 +723,30 @@ func (db *DB) RestoreState(dec *store.Decoder) error {
 // Parsing goes through the statement cache — recovery replays thousands
 // of records over a handful of query forms — and the record's own SQL
 // (already canonical) is reused rather than re-rendered.
+//
+// A log written before the parameter count became strict may hold a
+// record with surplus parameters (such a call used to execute, ignoring
+// them); replay drops the surplus, which reproduces that execution
+// exactly. Too few parameters never produced a record.
 func (db *DB) Replay(rec *Record) error {
 	cs, err := db.stmts.Get(rec.SQL)
+	params := rec.Params
 	if err == nil {
-		err = cs.CheckParams(rec.Params)
+		if n := cs.NumParams(); len(params) > n {
+			params = params[:n]
+		}
+		err = cs.CheckParams(params)
 	}
 	if err != nil {
 		return fmt.Errorf("ttdb: replaying %q: %w", rec.SQL, err)
 	}
-	m, unlock, err := db.lockFor(cs.Stmt, rec.Params)
+	m, unlock, err := db.lockFor(cs.Stmt, params)
 	if err != nil {
 		return fmt.Errorf("ttdb: replaying %q: %w", rec.SQL, err)
 	}
 	defer unlock()
 	db.clock.AdvanceTo(rec.Time)
-	if _, _, err := db.execAt(cs, rec.Params, rec.Time, rec.Gen, rec, m); err != nil {
+	if _, _, err := db.execAt(cs, params, rec.Time, rec.Gen, rec, m); err != nil {
 		return fmt.Errorf("ttdb: replaying %q: %w", rec.SQL, err)
 	}
 	return nil

@@ -205,10 +205,9 @@ func (db *DB) scopeForRows(m *tableMeta, rowIDs []sqldb.Value) lockScope {
 	if m.lockCol == "" || len(rowIDs) == 0 {
 		return wholeScope()
 	}
-	probe := db.stmtsFor(m).lockKeyOf
 	var keys []string
 	for _, id := range rowIDs {
-		res, err := db.raw.ExecCached(probe, []sqldb.Value{id})
+		res, err := db.raw.ExecCached(m.lockKeyOf, []sqldb.Value{id})
 		if err != nil {
 			return wholeScope()
 		}

@@ -121,8 +121,32 @@ type tableMeta struct {
 	restore *tableRestore
 
 	// stmts are the table's prepared internal statements for the current
-	// DDL epoch (fastpath.go).
+	// DDL epoch (fastpath.go). They are built from userCols, which ALTER
+	// TABLE grows under the whole-table scope, so stmtsFor — like augFor —
+	// may only be called while holding a scope on this table.
 	stmts atomic.Pointer[tableStmts]
+
+	// lockKeyOf (rowID) and lockRange (lo, hi) select the lock-column
+	// values of a row's versions and of a key interval. Scope derivation
+	// runs them *before* any lock is held (scopeForRows, maybeCoalesce),
+	// so unlike stmts they are built once, when the table is created or
+	// restored, from lockCol and rowIDCol alone — names no DDL changes.
+	// Nil on tables without a lock column.
+	lockKeyOf, lockRange *sqldb.CachedStmt
+}
+
+// prepareLockProbes builds the table's unlocked scope-derivation
+// handles; rowIDCol and lockCol must be final.
+func (m *tableMeta) prepareLockProbes() {
+	if m.lockCol == "" {
+		return
+	}
+	lockKeys := func(where sqldb.Expr) *sqldb.CachedStmt {
+		return sqldb.NewCachedStmt(&sqldb.Select{
+			Items: []sqldb.SelectItem{{Expr: sqldb.Col(m.lockCol)}}, Table: m.name, Where: where})
+	}
+	m.lockKeyOf = lockKeys(cmp(m.rowIDCol, sqldb.OpEq, 0))
+	m.lockRange = lockKeys(sqldb.And(cmp(m.lockCol, sqldb.OpGe, 0), cmp(m.lockCol, sqldb.OpLe, 1)))
 }
 
 // tableRestore accumulates a table's row shards during snapshot restore.
@@ -584,6 +608,7 @@ func (db *DB) createTable(ct *sqldb.CreateTable) error {
 			return err
 		}
 	}
+	m.prepareLockProbes()
 	db.tablesMu.Lock()
 	db.tables[ct.Table] = m
 	db.tablesMu.Unlock()
