@@ -241,6 +241,43 @@ func TestNormalExecAllocBudget(t *testing.T) {
 			t.Fatalf("%s: cached insert costs %.1f allocs/op, budget %d", label, avg, insertBudget)
 		}
 		t.Logf("%s: cached insert: %.1f allocs/op (budget %d)", label, avg, insertBudget)
+
+		// An aggregate partition select runs compiled too: every aggregate
+		// is a slot filled in one pass through a compiled argument, so its
+		// cost must not grow with the partition. A 64-row partition may
+		// cost a few allocations more than a 4-row one (the matched-slot
+		// list doubles as it grows), never one per row.
+		if err := db.Annotate("votes", ttdb.TableSpec{RowIDColumn: "id", PartitionColumns: []string{"node_id"}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := db.Exec("CREATE TABLE votes (id INTEGER PRIMARY KEY, node_id INTEGER, val INTEGER)"); err != nil {
+			t.Fatal(err)
+		}
+		for id := int64(0); id < 68; id++ {
+			node := int64(1) // 4 votes on node 1, 64 on node 2
+			if id >= 4 {
+				node = 2
+			}
+			if _, _, err := db.Exec("INSERT INTO votes (id, node_id, val) VALUES (?, ?, ?)",
+				sqldb.Int(id), sqldb.Int(node), sqldb.Int(id%3-1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tally := func(node, want int64) float64 {
+			return testing.AllocsPerRun(200, func() {
+				res, _, err := db.Exec("SELECT COUNT(*), COALESCE(SUM(val), 0) FROM votes WHERE node_id = ?", sqldb.Int(node))
+				if err != nil || res.Rows[0][0].AsInt() != want {
+					t.Fatalf("tally of node %d: %v, %v", node, res, err)
+				}
+			})
+		}
+		small, large := tally(1, 4), tally(2, 64)
+		const aggBudget, growth = 40, 8
+		if large > aggBudget || large > small+growth {
+			t.Fatalf("%s: aggregate partition select costs %.1f allocs/op over 4 rows and %.1f over 64, budget %d and +%d",
+				label, small, large, aggBudget, growth)
+		}
+		t.Logf("%s: aggregate partition select: %.1f allocs/op over 4 rows, %.1f over 64 (budget %d)", label, small, large, aggBudget)
 	}
 	measure(t, "plain")
 	// The instrumented path (docs/observability.md) must fit the SAME

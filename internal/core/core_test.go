@@ -221,3 +221,66 @@ func TestUndoVisitUnknown(t *testing.T) {
 		t.Fatal("repair state leaked")
 	}
 }
+
+// TestTextKeyedReadOfIntegerPartitionIsRepaired: request parameters
+// arrive as text, so a view that names an INTEGER partition does it with
+// a text value. The engine's mixed comparison matches the rows; the
+// recorded read partition must be the one the rows' writes recorded, or
+// repair never re-executes the view of an attacked partition.
+func TestTextKeyedReadOfIntegerPartitionIsRepaired(t *testing.T) {
+	w := New(Config{Seed: 5})
+	if err := w.DB.Annotate("scores", ttdb.TableSpec{RowIDColumn: "id", PartitionColumns: []string{"team"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := w.DB.Exec("CREATE TABLE scores (id INTEGER PRIMARY KEY, team INTEGER, note TEXT)"); err != nil {
+		t.Fatal(err)
+	}
+	post := func(sanitize bool) app.Script {
+		return func(c *app.Ctx) *httpd.Response {
+			note := c.Req.Param("note")
+			if sanitize {
+				note = strings.ReplaceAll(note, "<", "&lt;")
+			}
+			id := c.MustQuery("SELECT COALESCE(MAX(id), 0) + 1 FROM scores").FirstValue()
+			c.MustQuery("INSERT INTO scores (id, team, note) VALUES (?, ?, ?)",
+				id, sqldb.Int(sqldb.Text(c.Req.Param("team")).AsInt()), sqldb.Text(note))
+			return httpd.HTML("<html><body>ok</body></html>")
+		}
+	}
+	view := func(c *app.Ctx) *httpd.Response {
+		res := c.MustQuery("SELECT note FROM scores WHERE team = ?", sqldb.Text(c.Req.Param("team")))
+		var b strings.Builder
+		for _, row := range res.Rows {
+			b.WriteString("<li>" + row[0].AsText() + "</li>")
+		}
+		return httpd.HTML("<html><body><ul>" + b.String() + "</ul></body></html>")
+	}
+	if err := w.Runtime.Register("post.php", app.Version{Entry: post(false)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Runtime.Register("view.php", app.Version{Entry: view}); err != nil {
+		t.Fatal(err)
+	}
+	w.Runtime.Mount("/post", "post.php")
+	w.Runtime.Mount("/view", "view.php")
+
+	for _, url := range []string{
+		"/post?team=11&note=fine",
+		"/post?team=10&note=<script>bad</script>", // the attack
+		"/view?team=10",
+		"/view?team=11",
+	} {
+		if resp := w.HandleRequest(httpd.NewRequest("GET", url)); resp.Status != 200 {
+			t.Fatalf("%s: status %d", url, resp.Status)
+		}
+	}
+	rep, err := w.RetroPatch("post.php", app.Version{Entry: post(true), Note: "sanitize"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both posts re-run under the patch; only the attacked post's insert
+	// changes, and of the two views only team 10's read that partition.
+	if rep.AppRunsReexecuted != 3 {
+		t.Fatalf("runs re-executed = %d, want 3 (two posts and the view of team 10): %v", rep.AppRunsReexecuted, rep)
+	}
+}

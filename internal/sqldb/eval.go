@@ -5,133 +5,23 @@ import (
 	"strings"
 )
 
-// evalCtx supplies column values and statement parameters to expression
-// evaluation. agg, when set, resolves aggregate calls to pre-computed
-// values (used by SELECT with aggregates).
-type evalCtx struct {
-	lookup func(name string) (Value, bool)
-	params []Value
-	agg    func(fc *FuncCall) (Value, error)
-}
+// Leaf semantics of expression evaluation: what an operator or a scalar
+// function does to already-evaluated operands. The compiler in plan.go is
+// the only production evaluator and calls these per node; the test-only
+// tree-walking oracle (eval_oracle_test.go) calls the same functions, so
+// the two can differ only in how they walk, never in what a leaf means.
+//
+// Three-valued logic is approximated the way most embedded engines do:
+// comparisons with NULL yield NULL (represented as the NULL value), and
+// WHERE treats anything but TRUE as non-matching.
 
 // errEval wraps expression evaluation failures.
 func errEval(format string, args ...any) error {
 	return fmt.Errorf("sql: eval: %s", fmt.Sprintf(format, args...))
 }
 
-// evalExpr evaluates e in ctx. Three-valued logic is approximated the way
-// most embedded engines do: comparisons with NULL yield NULL (represented
-// as the NULL value), and WHERE treats anything but TRUE as non-matching.
-func evalExpr(e Expr, ctx *evalCtx) (Value, error) {
-	switch e := e.(type) {
-	case *Literal:
-		return e.Value, nil
-	case *Param:
-		if e.Index < 0 || e.Index >= len(ctx.params) {
-			return Null(), errEval("parameter %d out of range (%d supplied)", e.Index+1, len(ctx.params))
-		}
-		return ctx.params[e.Index], nil
-	case *ColumnRef:
-		if ctx.lookup == nil {
-			return Null(), errEval("column %s referenced outside row context", e.Name)
-		}
-		v, ok := ctx.lookup(e.Name)
-		if !ok {
-			return Null(), errEval("no such column %s", e.Name)
-		}
-		return v, nil
-	case *UnaryExpr:
-		v, err := evalExpr(e.Operand, ctx)
-		if err != nil {
-			return Null(), err
-		}
-		switch e.Op {
-		case OpNot:
-			if v.IsNull() {
-				return Null(), nil
-			}
-			return Bool(!v.IsTrue()), nil
-		case OpNeg:
-			if v.IsNull() {
-				return Null(), nil
-			}
-			return Int(-v.AsInt()), nil
-		}
-		return Null(), errEval("unknown unary operator")
-	case *BinaryExpr:
-		return evalBinary(e, ctx)
-	case *InExpr:
-		return evalIn(e, ctx)
-	case *IsNullExpr:
-		v, err := evalExpr(e.Expr, ctx)
-		if err != nil {
-			return Null(), err
-		}
-		return Bool(v.IsNull() != e.Not), nil
-	case *FuncCall:
-		return evalFunc(e, ctx)
-	default:
-		return Null(), errEval("unsupported expression %T", e)
-	}
-}
-
-func evalBinary(e *BinaryExpr, ctx *evalCtx) (Value, error) {
-	// AND/OR get short-circuit handling with NULL propagation.
-	switch e.Op {
-	case OpAnd:
-		l, err := evalExpr(e.Left, ctx)
-		if err != nil {
-			return Null(), err
-		}
-		if !l.IsNull() && !l.IsTrue() {
-			return Bool(false), nil
-		}
-		r, err := evalExpr(e.Right, ctx)
-		if err != nil {
-			return Null(), err
-		}
-		if !r.IsNull() && !r.IsTrue() {
-			return Bool(false), nil
-		}
-		if l.IsNull() || r.IsNull() {
-			return Null(), nil
-		}
-		return Bool(true), nil
-	case OpOr:
-		l, err := evalExpr(e.Left, ctx)
-		if err != nil {
-			return Null(), err
-		}
-		if l.IsTrue() {
-			return Bool(true), nil
-		}
-		r, err := evalExpr(e.Right, ctx)
-		if err != nil {
-			return Null(), err
-		}
-		if r.IsTrue() {
-			return Bool(true), nil
-		}
-		if l.IsNull() || r.IsNull() {
-			return Null(), nil
-		}
-		return Bool(false), nil
-	}
-
-	l, err := evalExpr(e.Left, ctx)
-	if err != nil {
-		return Null(), err
-	}
-	r, err := evalExpr(e.Right, ctx)
-	if err != nil {
-		return Null(), err
-	}
-	return applyBinary(e.Op, l, r)
-}
-
 // applyBinary applies a non-short-circuit binary operator to two
-// evaluated operands. Shared by the interpreter (evalBinary) and the
-// compiled evaluator (plan.go), so the two paths cannot drift.
+// evaluated operands (AND/OR short-circuit in the evaluator itself).
 func applyBinary(op BinOp, l, r Value) (Value, error) {
 	switch op {
 	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
@@ -193,54 +83,7 @@ func applyBinary(op BinOp, l, r Value) (Value, error) {
 	return Null(), errEval("unknown binary operator")
 }
 
-func evalIn(e *InExpr, ctx *evalCtx) (Value, error) {
-	v, err := evalExpr(e.Expr, ctx)
-	if err != nil {
-		return Null(), err
-	}
-	if v.IsNull() {
-		return Null(), nil
-	}
-	sawNull := false
-	for _, item := range e.List {
-		iv, err := evalExpr(item, ctx)
-		if err != nil {
-			return Null(), err
-		}
-		if iv.IsNull() {
-			sawNull = true
-			continue
-		}
-		if c, ok := compareValues(v, iv); ok && c == 0 {
-			return Bool(!e.Not), nil
-		}
-	}
-	if sawNull {
-		return Null(), nil
-	}
-	return Bool(e.Not), nil
-}
-
-func evalFunc(e *FuncCall, ctx *evalCtx) (Value, error) {
-	if e.IsAggregate() {
-		if ctx.agg != nil {
-			return ctx.agg(e)
-		}
-		return Null(), errEval("aggregate %s not allowed here", e.Name)
-	}
-	args := make([]Value, len(e.Args))
-	for i, a := range e.Args {
-		v, err := evalExpr(a, ctx)
-		if err != nil {
-			return Null(), err
-		}
-		args[i] = v
-	}
-	return scalarFunc(e.Name, args)
-}
-
 // scalarFunc applies a non-aggregate function to evaluated arguments.
-// Shared by the interpreter and the compiled evaluator (plan.go).
 func scalarFunc(name string, args []Value) (Value, error) {
 	switch name {
 	case "LOWER":

@@ -161,12 +161,10 @@ func (db *DB) execUnderLock(cs *CachedStmt, params []Value, owned bool) (*Result
 	)
 	switch s := cs.Stmt.(type) {
 	case *Select:
-		if s.Table == "" {
-			res, err = db.execSelectNoTable(s, params)
-		} else if p := db.planFor(cs); p.sel == nil {
+		if p := db.planFor(cs); p.sel == nil {
 			err = fmt.Errorf("sql: no such table %s", s.Table)
 		} else {
-			return db.runSelect(p.sel.table, s, p.sel, params, owned)
+			return db.runSelect(s, p.sel, params, owned)
 		}
 	case *Update:
 		if p := db.planFor(cs); p.upd == nil {
@@ -550,7 +548,7 @@ func (t *Table) indexScan(scan *scanPlan, order *orderIdxPlan, pred rowPred, par
 			if v.IsNull() {
 				continue // NULL list element never equals a column value
 			}
-			cv, ok := coerceToColumn(v, scan.colKind)
+			cv, ok := CoerceToColumn(v, scan.colKind)
 			if !ok {
 				if scan.colKind == KindInt {
 					continue // non-numeric text can never equal an integer
@@ -664,10 +662,12 @@ func (t *Table) orderedWalk(order *orderIdxPlan, pred rowPred, params []Value) (
 	return matched, true, err
 }
 
-// coerceToColumn converts a constant to the column's storage type, the
-// same conversion checkRow applies on write. It reports false when the
-// value cannot be represented (so callers fall back to scanning).
-func coerceToColumn(v Value, kind Kind) (Value, bool) {
+// CoerceToColumn converts a constant compared against a column to the
+// column's declared type: a stored value can equal the constant only if
+// its Key() is the converted constant's. It reports false when no single
+// stored value stands for the constant (index probes then fall back to
+// scanning, the time-travel layer's partition analysis to the table).
+func CoerceToColumn(v Value, kind Kind) (Value, bool) {
 	if v.IsNull() {
 		return v, true
 	}
@@ -700,23 +700,59 @@ func coerceToColumn(v Value, kind Kind) (Value, bool) {
 // runSelect executes a planned SELECT. The returned shape is the access
 // path the scan actually took (ShapeOther when it failed before one was
 // chosen).
-func (db *DB) runSelect(t *Table, s *Select, p *selectPlan, params []Value, owned bool) (*Result, ExecShape, error) {
+func (db *DB) runSelect(s *Select, p *selectPlan, params []Value, owned bool) (*Result, ExecShape, error) {
+	t := p.table
+	if t == nil {
+		res, err := p.projectOneRow(nil, params)
+		return res, ShapeOther, err
+	}
 	matched, usedIndex, inOrder, err := t.matchSlots(p.scan, p.orderIdx, p.where, params)
 	if err != nil {
 		return nil, ShapeOther, err
 	}
 	db.noteScan(usedIndex)
-	shape := selectShape(p.scan, usedIndex)
-	res, err := t.projectSelect(s, p, matched, inOrder, params, owned)
-	return res, shape, err
+	res, err := p.projectRows(s, matched, inOrder, params, owned)
+	return res, selectShape(p.scan, usedIndex), err
 }
 
-// projectSelect turns the matched slots into the result: aggregates, or
-// the ORDER BY / projection / DISTINCT / LIMIT pipeline.
-func (t *Table) projectSelect(s *Select, p *selectPlan, matched []int, inOrder bool, params []Value, owned bool) (*Result, error) {
-	if p.aggregates {
-		return t.execAggregates(s, matched, params)
+// projectOneRow evaluates a one-row plan's items once: over the
+// aggregate slots filled from the matched rows, or row-less for a
+// table-less SELECT. An aggregate query has exactly one row and takes no
+// LIMIT/OFFSET.
+func (p *selectPlan) projectOneRow(matched []int, params []Value) (*Result, error) {
+	if p.aggs != nil {
+		p.aggs.fill(matched, params)
 	}
+	res := &Result{Columns: append([]string(nil), p.columns...)}
+	row := make([]Value, 0, len(p.items))
+	for _, it := range p.items {
+		if it.star {
+			if p.aggs != nil {
+				return nil, fmt.Errorf("sql: cannot mix * with aggregates")
+			}
+			return nil, fmt.Errorf("sql: SELECT * requires a FROM clause")
+		}
+		v, err := it.expr(nil, params)
+		if err != nil {
+			return nil, err
+		}
+		row = append(row, v)
+	}
+	res.Rows = append(res.Rows, row)
+	if p.aggs != nil {
+		return res, nil
+	}
+	return p.applyLimit(res, params)
+}
+
+// projectRows turns the matched slots into the result: the one row of an
+// aggregate query, or the ORDER BY / projection / DISTINCT / LIMIT
+// pipeline.
+func (p *selectPlan) projectRows(s *Select, matched []int, inOrder bool, params []Value, owned bool) (*Result, error) {
+	if p.aggs != nil {
+		return p.projectOneRow(matched, params)
+	}
+	t := p.table
 
 	var res *Result
 	if owned {
@@ -806,7 +842,7 @@ func (t *Table) projectSelect(s *Select, p *selectPlan, matched []int, inOrder b
 		}
 	}
 
-	return applyLimit(res, s, params)
+	return p.applyLimit(res, params)
 }
 
 func rowFingerprint(row []Value) uint64 {
@@ -818,11 +854,11 @@ func rowFingerprint(row []Value) uint64 {
 	return h.Sum64()
 }
 
-func applyLimit(res *Result, s *Select, params []Value) (*Result, error) {
-	ctx := &evalCtx{params: params}
+// applyLimit cuts the result to the plan's OFFSET and LIMIT.
+func (p *selectPlan) applyLimit(res *Result, params []Value) (*Result, error) {
 	offset := 0
-	if s.Offset != nil {
-		v, err := evalExpr(s.Offset, ctx)
+	if p.offset != nil {
+		v, err := p.offset(nil, params)
 		if err != nil {
 			return nil, err
 		}
@@ -835,8 +871,8 @@ func applyLimit(res *Result, s *Select, params []Value) (*Result, error) {
 		offset = len(res.Rows)
 	}
 	res.Rows = res.Rows[offset:]
-	if s.Limit != nil {
-		v, err := evalExpr(s.Limit, ctx)
+	if p.limit != nil {
+		v, err := p.limit(nil, params)
 		if err != nil {
 			return nil, err
 		}
@@ -848,25 +884,6 @@ func applyLimit(res *Result, s *Select, params []Value) (*Result, error) {
 	return res, nil
 }
 
-func (db *DB) execSelectNoTable(s *Select, params []Value) (*Result, error) {
-	res := &Result{}
-	ctx := &evalCtx{params: params}
-	row := make([]Value, 0, len(s.Items))
-	for _, it := range s.Items {
-		if it.Star {
-			return nil, fmt.Errorf("sql: SELECT * requires a FROM clause")
-		}
-		res.Columns = append(res.Columns, itemName(it))
-		v, err := evalExpr(it.Expr, ctx)
-		if err != nil {
-			return nil, err
-		}
-		row = append(row, v)
-	}
-	res.Rows = append(res.Rows, row)
-	return applyLimit(res, s, params)
-}
-
 func itemName(it SelectItem) string {
 	if it.Alias != "" {
 		return it.Alias
@@ -875,159 +892,6 @@ func itemName(it SelectItem) string {
 		return cr.Name
 	}
 	return it.Expr.String()
-}
-
-func hasAggregates(items []SelectItem) bool {
-	for _, it := range items {
-		if it.Expr != nil && exprHasAggregate(it.Expr) {
-			return true
-		}
-	}
-	return false
-}
-
-// exprHasAggregate walks an expression looking for aggregate calls.
-func exprHasAggregate(e Expr) bool {
-	switch e := e.(type) {
-	case *FuncCall:
-		if e.IsAggregate() {
-			return true
-		}
-		for _, a := range e.Args {
-			if exprHasAggregate(a) {
-				return true
-			}
-		}
-	case *BinaryExpr:
-		return exprHasAggregate(e.Left) || exprHasAggregate(e.Right)
-	case *UnaryExpr:
-		return exprHasAggregate(e.Operand)
-	case *InExpr:
-		if exprHasAggregate(e.Expr) {
-			return true
-		}
-		for _, item := range e.List {
-			if exprHasAggregate(item) {
-				return true
-			}
-		}
-	case *IsNullExpr:
-		return exprHasAggregate(e.Expr)
-	}
-	return false
-}
-
-// execAggregates evaluates a SELECT whose items contain aggregate calls:
-// each aggregate is computed over the matched rows (memoized by its SQL
-// form) and the item expressions are then evaluated with aggregates
-// substituted, so forms like COALESCE(MAX(id), 0) + 1 work.
-func (t *Table) execAggregates(s *Select, matched []int, params []Value) (*Result, error) {
-	cache := make(map[string]Value)
-	ctx := &evalCtx{
-		params: params,
-		agg: func(fc *FuncCall) (Value, error) {
-			key := fc.String()
-			if v, ok := cache[key]; ok {
-				return v, nil
-			}
-			v, err := t.evalAggregate(fc, matched, params)
-			if err != nil {
-				return Null(), err
-			}
-			cache[key] = v
-			return v, nil
-		},
-		lookup: func(name string) (Value, bool) {
-			// Plain column references outside aggregates would need GROUP
-			// BY semantics; reject via "not found".
-			return Null(), false
-		},
-	}
-	res := &Result{}
-	row := make([]Value, 0, len(s.Items))
-	for _, it := range s.Items {
-		if it.Star {
-			return nil, fmt.Errorf("sql: cannot mix * with aggregates")
-		}
-		res.Columns = append(res.Columns, itemName(it))
-		v, err := evalExpr(it.Expr, ctx)
-		if err != nil {
-			return nil, err
-		}
-		row = append(row, v)
-	}
-	res.Rows = append(res.Rows, row)
-	return res, nil
-}
-
-func (t *Table) evalAggregate(fc *FuncCall, matched []int, params []Value) (Value, error) {
-	if fc.Name == "COUNT" && fc.Star {
-		return Int(int64(len(matched))), nil
-	}
-	if len(fc.Args) != 1 {
-		return Null(), errEval("%s takes one argument", fc.Name)
-	}
-	var (
-		count int64
-		sum   int64
-		min   Value
-		max   Value
-	)
-	for _, slot := range matched {
-		ctx := t.rowCtx(slot, params)
-		v, err := evalExpr(fc.Args[0], ctx)
-		if err != nil {
-			return Null(), err
-		}
-		if v.IsNull() {
-			continue
-		}
-		count++
-		sum += v.AsInt()
-		if min.IsNull() {
-			min, max = v, v
-			continue
-		}
-		if c, ok := compareValues(v, min); ok && c < 0 {
-			min = v
-		}
-		if c, ok := compareValues(v, max); ok && c > 0 {
-			max = v
-		}
-	}
-	switch fc.Name {
-	case "COUNT":
-		return Int(count), nil
-	case "SUM":
-		if count == 0 {
-			return Null(), nil
-		}
-		return Int(sum), nil
-	case "AVG":
-		if count == 0 {
-			return Null(), nil
-		}
-		return Int(sum / count), nil
-	case "MIN":
-		return min, nil
-	case "MAX":
-		return max, nil
-	}
-	return Null(), errEval("unknown aggregate %s", fc.Name)
-}
-
-func (t *Table) rowCtx(slot int, params []Value) *evalCtx {
-	vals := t.store.rowAt(slot).vals
-	return &evalCtx{
-		params: params,
-		lookup: func(name string) (Value, bool) {
-			ci, ok := t.colIdx[name]
-			if !ok {
-				return Null(), false
-			}
-			return vals[ci], true
-		},
-	}
 }
 
 func (db *DB) runUpdate(t *Table, s *Update, p *updatePlan, params []Value) (*Result, error) {

@@ -13,6 +13,7 @@ import (
 //
 //	select(posts) scan=index-range(owner) order=index(owner)
 //	select(posts) scan=full order=sort
+//	select(votes) scan=index-eq(node_id) aggregate(COUNT(*), SUM(val))
 //	update(posts) scan=index-eq(id)
 //
 // The description reflects the same plan execution would use: it is
@@ -43,8 +44,12 @@ func (db *DB) ExplainCached(cs *CachedStmt) (string, error) {
 		}
 		var b strings.Builder
 		fmt.Fprintf(&b, "select(%s) scan=%s", s.Table, describeScan(p.sel.scan))
-		if p.sel.aggregates {
-			b.WriteString(" aggregate")
+		if a := p.sel.aggs; a != nil {
+			forms := make([]string, len(a.slots))
+			for i, s := range a.slots {
+				forms[i] = s.form
+			}
+			fmt.Fprintf(&b, " aggregate(%s)", strings.Join(forms, ", "))
 		} else if len(p.sel.orderBy) > 0 {
 			if p.sel.orderIdx != nil {
 				dir := ""

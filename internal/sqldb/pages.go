@@ -32,9 +32,6 @@ type pageStore struct {
 	n     int // slots allocated; slot n is the next append point
 }
 
-// numSlots returns the number of allocated slots (live + tombstones).
-func (ps *pageStore) numSlots() int { return ps.n }
-
 // rowAt returns the row at an allocated slot.
 func (ps *pageStore) rowAt(slot int) *row {
 	return &ps.pages[slot>>pageShift].rows[slot&pageMask]

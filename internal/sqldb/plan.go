@@ -2,28 +2,27 @@ package sqldb
 
 import "fmt"
 
-// Compiled statement plans (the normal-operation fast path).
+// Compiled statement plans: the engine's one evaluator.
 //
-// The interpreter in eval.go walks the AST once per row, resolving every
-// column reference through the table's name→ordinal map and allocating a
-// fresh evaluation context per row. That is fine for one-off statements
-// but dominates the cost of scans: WARP rewrites every application query
-// into an augmented statement whose WHERE clause carries four extra
-// version conjuncts, all re-interpreted per row.
+// A statement's AST is read here, at plan time, and nowhere else. Every
+// expression — WHERE, SET, the SELECT list, ORDER BY keys, aggregate
+// arguments, LIMIT/OFFSET, INSERT values — compiles once per plan into a
+// tree of closures with column ordinals resolved up front, so the
+// per-row path performs no allocation, no map lookups, and no AST
+// dispatch. This matters most under WARP: every application query is
+// rewritten into an augmented statement whose WHERE clause carries four
+// extra version conjuncts, all evaluated per row.
 //
-// This file compiles an expression once per plan into a tree of
-// closures with column ordinals resolved up front: the per-row path
-// performs no allocation, no map lookups, and no AST dispatch. Plans are
-// built once per prepared statement (stmtcache.go) — the only form the
-// engine executes — and invalidated by the database's DDL epoch: any
-// CREATE/ALTER/DROP/CREATE INDEX or constraint change bumps the epoch
-// and forces recompilation, so a stale plan can never read renumbered
-// ordinals or a dropped index.
+// Plans are built once per prepared statement (stmtcache.go) — the only
+// form the engine executes — and invalidated by the database's DDL
+// epoch: any CREATE/ALTER/DROP/CREATE INDEX or constraint change bumps
+// the epoch and forces recompilation, so a stale plan can never read
+// renumbered ordinals or a dropped index.
 //
-// Compilation is deliberately lazy about errors: an unknown column or an
-// out-of-range parameter compiles into a closure that fails when (and
-// only when) a row is actually evaluated, preserving the interpreter's
-// behavior on empty scans.
+// Compilation is deliberately lazy about errors: an unknown column, an
+// out-of-range parameter, or a misplaced aggregate compiles into a
+// closure that fails when (and only when) it is actually evaluated, so
+// an empty scan never reports an error a row would have raised.
 
 // compiledExpr evaluates a compiled expression against one row of table
 // values (nil for row-less contexts) and the statement parameters.
@@ -38,7 +37,7 @@ func compilePred(t *Table, where Expr) rowPred {
 	if where == nil {
 		return func([]Value, []Value) (bool, error) { return true, nil }
 	}
-	ce := compileExpr(t, where)
+	ce := exprScope{t: t}.compile(where)
 	return func(row, params []Value) (bool, error) {
 		v, err := ce(row, params)
 		if err != nil {
@@ -48,9 +47,20 @@ func compilePred(t *Table, where Expr) rowPred {
 	}
 }
 
-// compileExpr compiles e against t's schema (t may be nil for row-less
-// contexts such as LIMIT expressions).
-func compileExpr(t *Table, e Expr) compiledExpr {
+// exprScope is what a compiled expression may reference.
+type exprScope struct {
+	// t supplies the row; nil in row-less contexts (LIMIT/OFFSET, INSERT
+	// values, a table-less SELECT).
+	t *Table
+	// aggs is set for the SELECT list of an aggregate query: aggregate
+	// calls read their slot, and bare columns — which would need GROUP BY
+	// — are rejected.
+	aggs *aggPlan
+}
+
+// compile compiles e for evaluation within the scope.
+func (sc exprScope) compile(e Expr) compiledExpr {
+	t := sc.t
 	switch e := e.(type) {
 	case *Literal:
 		v := e.Value
@@ -65,16 +75,15 @@ func compileExpr(t *Table, e Expr) compiledExpr {
 		}
 	case *ColumnRef:
 		name := e.Name
+		if sc.aggs != nil {
+			return compileError("no such column %s", name)
+		}
 		if t == nil {
-			return func([]Value, []Value) (Value, error) {
-				return Null(), errEval("column %s referenced outside row context", name)
-			}
+			return compileError("column %s referenced outside row context", name)
 		}
 		ci, ok := t.colIdx[name]
 		if !ok {
-			return func([]Value, []Value) (Value, error) {
-				return Null(), errEval("no such column %s", name)
-			}
+			return compileError("no such column %s", name)
 		}
 		return func(row []Value, _ []Value) (Value, error) {
 			if row == nil {
@@ -83,7 +92,7 @@ func compileExpr(t *Table, e Expr) compiledExpr {
 			return row[ci], nil
 		}
 	case *UnaryExpr:
-		op := compileExpr(t, e.Operand)
+		op := sc.compile(e.Operand)
 		switch e.Op {
 		case OpNot:
 			return func(row, params []Value) (Value, error) {
@@ -104,7 +113,7 @@ func compileExpr(t *Table, e Expr) compiledExpr {
 		}
 		return compileError("unknown unary operator")
 	case *BinaryExpr:
-		l, r := compileExpr(t, e.Left), compileExpr(t, e.Right)
+		l, r := sc.compile(e.Left), sc.compile(e.Right)
 		switch e.Op {
 		case OpAnd:
 			return func(row, params []Value) (Value, error) {
@@ -162,10 +171,10 @@ func compileExpr(t *Table, e Expr) compiledExpr {
 			return applyBinary(op, lv, rv)
 		}
 	case *InExpr:
-		item := compileExpr(t, e.Expr)
+		item := sc.compile(e.Expr)
 		list := make([]compiledExpr, len(e.List))
 		for i, le := range e.List {
-			list[i] = compileExpr(t, le)
+			list[i] = sc.compile(le)
 		}
 		not := e.Not
 		return func(row, params []Value) (Value, error) {
@@ -196,7 +205,7 @@ func compileExpr(t *Table, e Expr) compiledExpr {
 			return Bool(not), nil
 		}
 	case *IsNullExpr:
-		item := compileExpr(t, e.Expr)
+		item := sc.compile(e.Expr)
 		not := e.Not
 		return func(row, params []Value) (Value, error) {
 			v, err := item(row, params)
@@ -207,16 +216,14 @@ func compileExpr(t *Table, e Expr) compiledExpr {
 		}
 	case *FuncCall:
 		if e.IsAggregate() {
-			// Aggregate selects take the interpreter path (execAggregates);
-			// a compiled row expression must never see one.
-			name := e.Name
-			return func([]Value, []Value) (Value, error) {
-				return Null(), errEval("aggregate %s not allowed here", name)
+			if sc.aggs != nil {
+				return sc.aggs.slotFor(e).value
 			}
+			return compileError("aggregate %s not allowed here", e.Name)
 		}
 		args := make([]compiledExpr, len(e.Args))
 		for i, a := range e.Args {
-			args[i] = compileExpr(t, a)
+			args[i] = sc.compile(a)
 		}
 		name := e.Name
 		buf := make([]Value, len(args))
@@ -281,7 +288,7 @@ type scanBound struct {
 // (`col IN (c1, …)`), or an ordered key range (`col > c`, `BETWEEN`, …)
 // when the WHERE clause contains a usable top-level AND-conjunct over an
 // indexed column. Constants are checked against the column's declared
-// type (coerceToColumn / range monotonicity rules) so index probes agree
+// type (CoerceToColumn / range monotonicity rules) so index probes agree
 // with the scan-time comparison semantics; anything uncertain falls back
 // to a full scan at execution, where the compiled predicate — which
 // always re-checks the entire WHERE clause — keeps results identical.
@@ -312,7 +319,7 @@ func (p *scanPlan) lookupKey(params []Value) (string, bool) {
 	if p.eq.hasConst {
 		return v.Key(), true
 	}
-	cv, ok := coerceToColumn(v, p.colKind)
+	cv, ok := CoerceToColumn(v, p.colKind)
 	if !ok {
 		return "", false
 	}
@@ -324,8 +331,7 @@ func (p *scanPlan) lookupKey(params []Value) (string, bool) {
 // range, splitting the decision (compile time) from operand resolution
 // (execution time) so cached plans skip the AST walk on every execution.
 func (t *Table) planScan(where Expr) *scanPlan {
-	var conjuncts []Expr
-	collectConjuncts(where, &conjuncts)
+	conjuncts := Conjuncts(where)
 	if p := t.planEqConjunct(conjuncts); p != nil {
 		return p
 	}
@@ -335,16 +341,18 @@ func (t *Table) planScan(where Expr) *scanPlan {
 	return t.planRangeConjuncts(conjuncts)
 }
 
-// collectConjuncts flattens top-level ANDs in left-to-right order.
-func collectConjuncts(e Expr, out *[]Expr) {
+// Conjuncts flattens the top-level ANDs of e in left-to-right order; a
+// nil clause has none. Both static analyses of a WHERE clause — the scan
+// planner here and the time-travel layer's partition extraction — start
+// from it.
+func Conjuncts(e Expr) []Expr {
 	if be, ok := e.(*BinaryExpr); ok && be.Op == OpAnd {
-		collectConjuncts(be.Left, out)
-		collectConjuncts(be.Right, out)
-		return
+		return append(Conjuncts(be.Left), Conjuncts(be.Right)...)
 	}
-	if e != nil {
-		*out = append(*out, e)
+	if e == nil {
+		return nil
 	}
+	return []Expr{e}
 }
 
 func (t *Table) planEqConjunct(conjuncts []Expr) *scanPlan {
@@ -353,7 +361,7 @@ func (t *Table) planEqConjunct(conjuncts []Expr) *scanPlan {
 		if !ok || be.Op != OpEq {
 			continue
 		}
-		col, ve, ok := constCmpExpr(be)
+		col, ve, ok := ConstCmp(be)
 		if !ok {
 			continue
 		}
@@ -399,7 +407,7 @@ func (t *Table) planIn(in *InExpr) *scanPlan {
 			if v.Value.IsNull() {
 				continue // NULL list element never equals a column value
 			}
-			cv, ok := coerceToColumn(v.Value, kind)
+			cv, ok := CoerceToColumn(v.Value, kind)
 			if !ok {
 				if kind == KindInt {
 					continue // non-numeric text can never equal an integer
@@ -437,7 +445,7 @@ func (t *Table) planRangeConjuncts(conjuncts []Expr) *scanPlan {
 		default:
 			continue
 		}
-		col, ve, ok := constCmpExpr(be)
+		col, ve, ok := ConstCmp(be)
 		if !ok {
 			continue
 		}
@@ -476,7 +484,7 @@ func (t *Table) planRangeConjuncts(conjuncts []Expr) *scanPlan {
 func (c *constOrParam) bind(e Expr, kind Kind) bool {
 	switch v := e.(type) {
 	case *Literal:
-		cv, ok := coerceToColumn(v.Value, kind)
+		cv, ok := CoerceToColumn(v.Value, kind)
 		if !ok {
 			return false
 		}
@@ -545,9 +553,9 @@ func (t *Table) indexedColKind(col string) (Kind, bool) {
 	return t.Columns[ci].Type, true
 }
 
-// constCmpExpr decomposes `col <op> const` (either operand order) where
+// ConstCmp decomposes `col <op> const` (either operand order) where
 // const is a literal or parameter, returning the constant's expression.
-func constCmpExpr(e *BinaryExpr) (string, Expr, bool) {
+func ConstCmp(e *BinaryExpr) (string, Expr, bool) {
 	if col, ok := e.Left.(*ColumnRef); ok {
 		if isConstExpr(e.Right) {
 			return col.Name, e.Right, true
@@ -573,17 +581,22 @@ func isConstExpr(e Expr) bool {
 // Per-statement plans
 //
 
-// selectPlan is the compiled form of a SELECT over one table.
+// selectPlan is the compiled form of a SELECT. It takes one of two
+// shapes: a row pipeline (scan, ORDER BY, projection, DISTINCT, LIMIT), or
+// — for an aggregate query and for a table-less SELECT — a single result
+// row whose items are evaluated once (projectOneRow).
 type selectPlan struct {
-	table      *Table
-	aggregates bool // fall back to the interpreter's aggregate path
-	where      rowPred
-	scan       *scanPlan
-	orderIdx   *orderIdxPlan // ORDER BY served by index walk; no sort step
-	columns    []string      // result header
-	items      []planItem
-	orderBy    []compiledExpr
-	nOut       int // number of result columns
+	table    *Table // nil for a table-less SELECT
+	where    rowPred
+	scan     *scanPlan
+	orderIdx *orderIdxPlan // ORDER BY served by index walk; no sort step
+	columns  []string      // result header
+	items    []planItem
+	orderBy  []compiledExpr
+	nOut     int      // number of result columns
+	aggs     *aggPlan // non-nil: the items read aggregate slots
+	// limit and offset are row-less expressions; nil when absent.
+	limit, offset compiledExpr
 }
 
 // planItem is one compiled SELECT-list entry; star items splice the full
@@ -594,30 +607,156 @@ type planItem struct {
 }
 
 func (db *DB) planSelect(t *Table, s *Select) *selectPlan {
-	p := &selectPlan{table: t, aggregates: hasAggregates(s.Items)}
-	if s.Where != nil {
-		p.scan = t.planScan(s.Where)
+	p := &selectPlan{table: t}
+	if s.Limit != nil {
+		p.limit = exprScope{}.compile(s.Limit)
 	}
-	p.where = compilePred(t, s.Where)
-	if p.aggregates {
-		return p
+	if s.Offset != nil {
+		p.offset = exprScope{}.compile(s.Offset)
 	}
-	p.orderIdx = t.planOrderIdx(s.OrderBy, p.scan)
+	items := exprScope{t: t}
+	if t != nil {
+		if s.Where != nil {
+			p.scan = t.planScan(s.Where)
+		}
+		p.where = compilePred(t, s.Where)
+		// It is an aggregate query if compiling its items as one finds an
+		// aggregate call; the loop below compiles them again, into the same slots.
+		aggs := &aggPlan{table: t}
+		for _, it := range s.Items {
+			if !it.Star {
+				exprScope{aggs: aggs}.compile(it.Expr)
+			}
+		}
+		if len(aggs.slots) > 0 {
+			p.aggs = aggs
+			items = exprScope{aggs: aggs}
+		} else {
+			p.orderIdx = t.planOrderIdx(s.OrderBy, p.scan)
+			for _, ob := range s.OrderBy {
+				p.orderBy = append(p.orderBy, items.compile(ob.Expr))
+			}
+		}
+	}
 	for _, it := range s.Items {
 		if it.Star {
-			p.columns = append(p.columns, t.ColumnNames()...)
 			p.items = append(p.items, planItem{star: true})
-			p.nOut += len(t.Columns)
+			if t != nil && p.aggs == nil { // a one-row plan rejects * when it gets there
+				p.columns = append(p.columns, t.ColumnNames()...)
+				p.nOut += len(t.Columns)
+			}
 			continue
 		}
 		p.columns = append(p.columns, itemName(it))
-		p.items = append(p.items, planItem{expr: compileExpr(t, it.Expr)})
+		p.items = append(p.items, planItem{expr: items.compile(it.Expr)})
 		p.nOut++
 	}
-	for _, ob := range s.OrderBy {
-		p.orderBy = append(p.orderBy, compileExpr(t, ob.Expr))
-	}
 	return p
+}
+
+// aggPlan holds the distinct aggregate calls of a SELECT list, one slot
+// per SQL form (COALESCE(MAX(id), 0) + 1 and a second MAX(id) share one).
+// fill computes every slot in one pass over the matched rows; the item
+// expressions then read the slots as leaves. The accumulators live in the
+// plan itself: a plan runs under db.mu, one execution at a time.
+type aggPlan struct {
+	table *Table
+	slots []*aggSlot
+}
+
+// aggSlot is one aggregate call and its accumulator.
+type aggSlot struct {
+	form string // SQL text; the dedup key and the EXPLAIN rendering
+	name string
+	// arg is the compiled argument: a non-NULL constant for COUNT(*), and
+	// nil for a call of the wrong arity.
+	arg compiledExpr
+
+	count, sum int64
+	min, max   Value
+	// err is arg's first failure over the matched rows, or the arity error;
+	// it surfaces when the slot is read (a short-circuit may never read it).
+	err error
+}
+
+// slotFor returns the slot computing fc, adding it on first sight.
+func (a *aggPlan) slotFor(fc *FuncCall) *aggSlot {
+	form := fc.String()
+	for _, s := range a.slots {
+		if s.form == form {
+			return s
+		}
+	}
+	s := &aggSlot{form: form, name: fc.Name}
+	if fc.Name == "COUNT" && fc.Star {
+		s.arg = exprScope{}.compile(Lit(Int(1)))
+	} else if len(fc.Args) == 1 {
+		s.arg = exprScope{t: a.table}.compile(fc.Args[0])
+	}
+	a.slots = append(a.slots, s)
+	return s
+}
+
+// fill computes every slot over the matched rows.
+func (a *aggPlan) fill(matched []int, params []Value) {
+	for _, s := range a.slots {
+		s.count, s.sum, s.min, s.max, s.err = 0, 0, Value{}, Value{}, nil
+		if s.arg == nil {
+			s.err = errEval("%s takes one argument", s.name)
+		}
+	}
+	for _, slot := range matched {
+		vals := a.table.store.rowAt(slot).vals
+		for _, s := range a.slots {
+			if s.err != nil {
+				continue
+			}
+			v, err := s.arg(vals, params)
+			if err != nil {
+				s.err = err
+				continue
+			}
+			if v.IsNull() {
+				continue
+			}
+			s.count++
+			s.sum += v.AsInt()
+			if s.min.IsNull() {
+				s.min, s.max = v, v
+				continue
+			}
+			if c, ok := compareValues(v, s.min); ok && c < 0 {
+				s.min = v
+			}
+			if c, ok := compareValues(v, s.max); ok && c > 0 {
+				s.max = v
+			}
+		}
+	}
+}
+
+// value reads the slot's aggregate; it is the compiled leaf an item
+// expression holds for the call.
+func (s *aggSlot) value([]Value, []Value) (Value, error) {
+	if s.err != nil {
+		return Null(), s.err
+	}
+	switch s.name {
+	case "COUNT":
+		return Int(s.count), nil
+	case "SUM", "AVG":
+		if s.count == 0 {
+			return Null(), nil
+		}
+		if s.name == "SUM" {
+			return Int(s.sum), nil
+		}
+		return Int(s.sum / s.count), nil
+	case "MIN":
+		return s.min, nil
+	default: // MAX: IsAggregate admits no other name
+		return s.max, nil
+	}
 }
 
 // planOrderIdx decides whether ORDER BY can ride the index walk instead
@@ -663,7 +802,7 @@ func (db *DB) planUpdate(t *Table, s *Update) *updatePlan {
 			return p
 		}
 		p.setPos[i] = ci
-		p.set[i] = compileExpr(t, a.Expr)
+		p.set[i] = exprScope{t: t}.compile(a.Expr)
 	}
 	if s.Where != nil {
 		p.scan = t.planScan(s.Where)
@@ -717,7 +856,7 @@ func (db *DB) planInsert(t *Table, s *Insert) *insertPlan {
 	for i, exprRow := range s.Rows {
 		ce := make([]compiledExpr, len(exprRow))
 		for j, e := range exprRow {
-			ce[j] = compileExpr(nil, e)
+			ce[j] = exprScope{}.compile(e)
 		}
 		p.rows[i] = ce
 	}
@@ -817,10 +956,10 @@ func (db *DB) planFor(cs *CachedStmt) *stmtPlan {
 	p := &stmtPlan{db: db, epoch: db.epoch}
 	switch s := cs.Stmt.(type) {
 	case *Select:
-		if s.Table != "" {
-			if t, ok := db.tables[s.Table]; ok {
-				p.sel = db.planSelect(t, s)
-			}
+		if s.Table == "" {
+			p.sel = db.planSelect(nil, s)
+		} else if t, ok := db.tables[s.Table]; ok {
+			p.sel = db.planSelect(t, s)
 		}
 	case *Update:
 		if t, ok := db.tables[s.Table]; ok {

@@ -149,9 +149,6 @@ func (t *Table) HasColumn(name string) bool {
 	return ok
 }
 
-// NumLiveRows returns the number of non-deleted rows.
-func (t *Table) NumLiveRows() int { return t.liveRows }
-
 func (t *Table) rebuildColIdx() {
 	t.colIdx = make(map[string]int, len(t.Columns))
 	for i, c := range t.Columns {
@@ -246,18 +243,6 @@ func (db *DB) RowCount(table string) int {
 		return t.liveRows
 	}
 	return 0
-}
-
-// TotalRows returns the total number of live rows across all tables. WARP's
-// storage accounting (Table 6) uses this to measure database growth.
-func (db *DB) TotalRows() int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	n := 0
-	for _, t := range db.tables {
-		n += t.liveRows
-	}
-	return n
 }
 
 // ApproxTableBytes estimates the storage footprint of a table in bytes,

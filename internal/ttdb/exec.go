@@ -34,13 +34,13 @@ func (db *DB) Exec(src string, params ...sqldb.Value) (*sqldb.Result, *Record, e
 			}
 		}
 	}
-	m, unlock, err := db.lockFor(cs.Stmt, params)
+	m, acc, unlock, err := db.lockFor(cs, params)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer unlock()
 	t := db.clock.Tick()
-	res, rec, err := db.execAt(cs, params, t, db.currentGen.Load(), nil, m)
+	res, rec, err := db.execAt(cs, params, t, db.currentGen.Load(), nil, m, acc)
 	// Emit the committed mutation while the statement's scope is still
 	// held, so the observer sees per-partition events in execution order.
 	// Reads are not emitted (they change nothing), and neither are failed
@@ -52,42 +52,47 @@ func (db *DB) Exec(src string, params ...sqldb.Value) (*sqldb.Result, *Record, e
 }
 
 // lockFor acquires the locks a statement needs: every table's whole
-// scope for DDL, the target table's derived partition scope for DML,
-// nothing for table-less selects. It returns the target table's meta
-// (nil for DDL / table-less statements) and the release function.
-func (db *DB) lockFor(stmt sqldb.Statement, params []sqldb.Value) (*tableMeta, func(), error) {
-	table, isWrite, ok := dmlTable(stmt)
+// scope for DDL, the target table's partition scope for DML, nothing for
+// table-less selects. It returns the target table's meta (nil for DDL /
+// table-less statements), the statement's resolved footprint — whose
+// lock scope is what was acquired, before lock-manager adjustments — and
+// the release function.
+func (db *DB) lockFor(cs *sqldb.CachedStmt, params []sqldb.Value) (*tableMeta, access, func(), error) {
+	table, isWrite, ok := dmlTable(cs.Stmt)
 	if !ok {
-		switch stmt.(type) {
+		switch cs.Stmt.(type) {
 		case *sqldb.CreateTable, *sqldb.CreateIndex, *sqldb.AlterTableAdd, *sqldb.DropTable:
 			metas := db.lockAll()
-			return nil, func() { db.unlockAll(metas) }, nil
+			return nil, access{}, func() { db.unlockAll(metas) }, nil
 		}
-		return nil, nil, fmt.Errorf("ttdb: unsupported statement %T", stmt)
+		return nil, access{}, nil, fmt.Errorf("ttdb: unsupported statement %T", cs.Stmt)
 	}
 	if table == "" {
-		return nil, func() {}, nil
+		return nil, access{}, func() {}, nil
 	}
 	m, err := db.meta(table)
 	if err != nil {
-		return nil, nil, err
+		return nil, access{}, nil, err
 	}
-	sc := m.scopeForStmt(stmt, params)
+	acc := stateFor(m, cs).fp.resolve(params)
+	sc := acc.lock
 	if db.obs != nil && isWrite {
 		// A durable deployment logs every normal-execution write as a WAL
 		// record, and replay rebuilds state by re-executing those records
 		// serially in log order — so per-table record order must equal
 		// execution order, which only holds if logged writes on one table
 		// do not interleave. Logged writes therefore take the whole-table
-		// scope; reads keep partition scopes, and repair-generation
-		// re-execution (made durable by its commit checkpoint, not by
-		// records) keeps partition scopes too — the concurrency the
-		// partition lock manager exists for.
+		// scope (and still dirty only their own partitions' shards, so
+		// checkpoints stay proportional to the write set); reads keep
+		// partition scopes, and repair-generation re-execution (made
+		// durable by its commit checkpoint, not by records) keeps
+		// partition scopes too — the concurrency the partition lock
+		// manager exists for.
 		sc = wholeScope()
 	}
-	sc = db.maybeCoalesce(m, m.effectiveScope(sc))
+	sc = db.maybeCoalesce(m, sc)
 	m.locks.lock(sc)
-	return m, func() { m.locks.unlock(sc) }, nil
+	return m, acc, func() { m.locks.unlock(sc) }, nil
 }
 
 // dmlTable returns the table a SELECT, INSERT, UPDATE, or DELETE targets
@@ -107,122 +112,19 @@ func dmlTable(stmt sqldb.Statement) (table string, isWrite, ok bool) {
 	return "", false, false
 }
 
-// scopeForStmt derives a statement's partition lock scope from static
-// analysis. The fallback for anything the analysis cannot bound — no
-// usable conjunct over the lock column, a non-constant value, a SET of
-// the lock column itself — is the whole table, the same conservative
-// rule the paper's partition extraction uses (§4.1).
-func (m *tableMeta) scopeForStmt(stmt sqldb.Statement, params []sqldb.Value) lockScope {
-	if m.lockCol == "" {
-		return wholeScope()
-	}
-	switch s := stmt.(type) {
-	case *sqldb.Select:
-		return m.scopeFromWhere(s.Where, params)
-	case *sqldb.Insert:
-		cols := s.Columns
-		if len(cols) == 0 {
-			cols = m.userCols
-		}
-		var keys []string
-		for _, row := range s.Rows {
-			found := false
-			for i, c := range cols {
-				if c != m.lockCol || i >= len(row) {
-					continue
-				}
-				if v, ok := constValueOf(row[i], params); ok {
-					keys = append(keys, v.Key())
-					found = true
-				}
-			}
-			if !found {
-				return wholeScope()
-			}
-		}
-		return keyScope(keys)
-	case *sqldb.Update:
-		for _, a := range s.Set {
-			if a.Column == m.lockCol {
-				// Rewriting the lock column moves rows across partitions;
-				// only the whole-table scope covers both sides.
-				return wholeScope()
-			}
-		}
-		return m.scopeFromWhere(s.Where, params)
-	case *sqldb.Delete:
-		return m.scopeFromWhere(s.Where, params)
-	}
-	return wholeScope()
-}
-
-// scopeFromWhere bounds a WHERE clause to lock-column keys: top-level
-// AND-conjuncts of the form `lockCol = const` or `lockCol IN (consts)`.
-// Anything else is unbounded.
-func (m *tableMeta) scopeFromWhere(where sqldb.Expr, params []sqldb.Value) lockScope {
-	if where == nil {
-		return wholeScope()
-	}
-	var keys []string
-	bounded := false
-	collectConjuncts(where, func(e sqldb.Expr) {
-		switch e := e.(type) {
-		case *sqldb.BinaryExpr:
-			if e.Op != sqldb.OpEq {
-				return
-			}
-			col, v, ok := constEqParts(e, params)
-			if ok && col == m.lockCol {
-				keys = append(keys, v.Key())
-				bounded = true
-			}
-		case *sqldb.InExpr:
-			if e.Not {
-				return
-			}
-			col, ok := e.Expr.(*sqldb.ColumnRef)
-			if !ok || col.Name != m.lockCol {
-				return
-			}
-			var inKeys []string
-			for _, item := range e.List {
-				v, ok := constValueOf(item, params)
-				if !ok {
-					return // non-constant member: cannot bound
-				}
-				inKeys = append(inKeys, v.Key())
-			}
-			keys = append(keys, inKeys...)
-			bounded = true
-		}
-	})
-	if !bounded {
-		return wholeScope()
-	}
-	return keyScope(keys)
-}
-
-// markDirtyStmt marks the shards a statement can touch, derived from
-// the statement's own partition analysis. This is deliberately
-// independent of the lock scope held: a logged write holds the whole
-// table for WAL ordering (lockFor) but still dirties only its own
-// partitions' shards, so checkpoints stay proportional to the write
-// set.
-func (db *DB) markDirtyStmt(m *tableMeta, stmt sqldb.Statement, params []sqldb.Value) {
-	db.markDirtyScope(m, m.effectiveScope(m.scopeForStmt(stmt, params)))
-}
-
 // execAt dispatches a prepared statement at an explicit time and
 // generation — the one executor normal execution, WAL replay, and repair
 // re-execution share. The caller holds the locks lockFor would acquire;
-// m is the target table's meta for DML statements. The handle's
-// canonical SQL becomes Record.SQL without a re-stringify. reuse carries
-// the original record during repair re-execution and replay, or nil.
+// m is the target table's meta and acc the statement's resolved footprint
+// (its reads become Record.ReadPartitions) for DML statements. The
+// handle's canonical SQL becomes Record.SQL without a re-stringify. reuse
+// carries the original record during repair re-execution and replay, or
+// nil.
 // Every non-read case marks its statement's shards dirty for the
 // incremental checkpointer — before executing, so even a write that
 // fails partway can only over-mark, never leave a mutated shard clean.
-func (db *DB) execAt(cs *sqldb.CachedStmt, params []sqldb.Value, t, gen int64, reuse *Record, m *tableMeta) (*sqldb.Result, *Record, error) {
-	rec := &Record{SQL: cs.Canonical(), Params: params, Time: t, Gen: gen}
+func (db *DB) execAt(cs *sqldb.CachedStmt, params []sqldb.Value, t, gen int64, reuse *Record, m *tableMeta, acc access) (*sqldb.Result, *Record, error) {
+	rec := &Record{SQL: cs.Canonical(), Params: params, Time: t, Gen: gen, ReadPartitions: acc.reads}
 	raw := func() (*sqldb.Result, error) { return db.raw.ExecCached(cs, params) }
 	ddl := func(table string, run func() (*sqldb.Result, error)) (*sqldb.Result, *Record, error) {
 		rec.Kind = KindDDL
@@ -261,13 +163,13 @@ func (db *DB) execAt(cs *sqldb.CachedStmt, params []sqldb.Value, t, gen int64, r
 	case *sqldb.Select:
 		return db.execSelect(s, cs, params, t, gen, rec, m)
 	case *sqldb.Insert:
-		db.markDirtyStmt(m, s, params)
+		db.markDirtyScope(m, acc.lock)
 		return db.execInsert(s, cs, params, t, gen, rec, reuse, m)
 	case *sqldb.Update:
-		db.markDirtyStmt(m, s, params)
+		db.markDirtyScope(m, acc.lock)
 		return db.execUpdate(s, cs, params, t, gen, rec, m)
 	case *sqldb.Delete:
-		db.markDirtyStmt(m, s, params)
+		db.markDirtyScope(m, acc.lock)
 		return db.execDelete(s, cs, params, t, gen, rec, m)
 	default:
 		return nil, nil, fmt.Errorf("ttdb: unsupported statement %T", cs.Stmt)
@@ -287,7 +189,6 @@ func (db *DB) execSelect(s *sqldb.Select, cs *sqldb.CachedStmt, params []sqldb.V
 		res, err = db.raw.ExecCached(cs, params)
 	} else {
 		rec.Table = s.Table
-		rec.ReadPartitions = m.readPartitions(s.Where, params)
 		res, err = db.raw.ExecCached(db.augFor(m, cs).read, extParams(params, t, gen, 0))
 	}
 	if err != nil {
@@ -358,14 +259,17 @@ func (db *DB) execInsert(s *sqldb.Insert, cs *sqldb.CachedStmt, params []sqldb.V
 	if err != nil {
 		if sqldb.IsUniqueViolation(err) {
 			// A failed INSERT is still a recorded outcome: repair watches
-			// for success/failure changes (§6).
+			// for success/failure changes (§6), so the insert depends on
+			// the partitions its rows would have landed in, as a set.
 			rec.ErrText = err.Error()
-			rec.ReadPartitions = db.insertPartitionsFromRows(m, a.cols, s.Rows, params)
+			set := NewPartitionSet()
+			set.AddAll(rec.ReadPartitions)
+			rec.ReadPartitions = set.Slice()
 			return nil, rec, err
 		}
 		return nil, nil, err
 	}
-	db.fillWriteInfo(m, rec, res, nApp)
+	db.noteWrittenRows(m, rec, res, true)
 	// An INSERT "reads" the partitions it lands in: uniqueness success
 	// depends on them (§6), so repair must re-check inserts in dirty
 	// partitions.
@@ -374,57 +278,33 @@ func (db *DB) execInsert(s *sqldb.Insert, cs *sqldb.CachedStmt, params []sqldb.V
 	return rec.Result, rec, nil
 }
 
-// insertPartitionsFromRows computes partitions for INSERT rows from the
-// statement itself, used when the insert failed and no RETURNING data
-// exists.
-func (db *DB) insertPartitionsFromRows(m *tableMeta, cols []string, rows [][]sqldb.Expr, params []sqldb.Value) []Partition {
+// noteWrittenRows merges the partitions of a write's rows into the
+// record's write set — an UPDATE notes its captured pre-write rows, then,
+// like every write, its RETURNING rows — and indexes a version event per
+// row. The rows carry the row-ID and partition columns by name (physical
+// rows, or returningWithMeta's additions); ids also records the row IDs.
+func (db *DB) noteWrittenRows(m *tableMeta, rec *Record, res *sqldb.Result, ids bool) {
 	set := NewPartitionSet()
-	for _, row := range rows {
-		byCol := make(map[string]sqldb.Value)
-		for i, c := range cols {
-			if i < len(row) {
-				if v, ok := constValueOf(row[i], params); ok {
-					byCol[c] = v
-				}
+	set.AddAll(rec.WritePartitions)
+	var row []sqldb.Value
+	get := func(col string) sqldb.Value {
+		for i, c := range res.Columns {
+			if c == col {
+				return row[i]
 			}
 		}
-		if len(m.partCols) == 0 {
-			set.Add(WholeTable(m.name))
-			continue
-		}
-		for col := range m.partCols {
-			v, ok := byCol[col]
-			if !ok {
-				set.Add(WholeTable(m.name))
-				continue
-			}
-			set.Add(Partition{Table: m.name, Column: col, Key: v.Key()})
-		}
+		return sqldb.Null()
 	}
-	return set.Slice()
-}
-
-// fillWriteInfo extracts row IDs and partitions from a write's RETURNING
-// data and indexes the version events in the per-partition index. The
-// bookkeeping columns start at index nApp.
-func (db *DB) fillWriteInfo(m *tableMeta, rec *Record, res *sqldb.Result, nApp int) {
-	set := NewPartitionSet()
-	for _, row := range res.Rows {
-		rec.WriteRowIDs = append(rec.WriteRowIDs, row[nApp])
-		if len(m.partCols) == 0 {
-			set.Add(WholeTable(m.name))
-			m.indexVersionEvent([]Partition{WholeTable(m.name)}, row[nApp], rec.Time)
-			continue
+	for _, row = range res.Rows {
+		id := get(m.rowIDCol)
+		if ids {
+			rec.WriteRowIDs = append(rec.WriteRowIDs, id)
 		}
-		var rowParts []Partition
-		for i, col := range res.Columns[nApp+1:] {
-			p := Partition{Table: m.name, Column: col, Key: row[nApp+1+i].Key()}
-			set.Add(p)
-			rowParts = append(rowParts, p)
-		}
-		m.indexVersionEvent(rowParts, row[nApp], rec.Time)
+		parts := m.rowPartitions(get)
+		set.AddAll(parts)
+		m.indexVersionEvent(parts, id, rec.Time)
 	}
-	rec.WritePartitions = append(rec.WritePartitions, set.Slice()...)
+	rec.WritePartitions = set.Slice()
 }
 
 // stripResult hides WARP's RETURNING additions from the application.
@@ -447,7 +327,6 @@ func (db *DB) execUpdate(s *sqldb.Update, cs *sqldb.CachedStmt, params []sqldb.V
 	if a.err != nil {
 		return nil, nil, a.err
 	}
-	rec.ReadPartitions = m.readPartitions(s.Where, params)
 	// One extended parameter slice drives both phases: the capture select
 	// and the in-place update read the same visibility time and
 	// generation, and phase 2's start_time bump reads the same time.
@@ -466,7 +345,7 @@ func (db *DB) execUpdate(s *sqldb.Update, cs *sqldb.CachedStmt, params []sqldb.V
 		rec.Result = &sqldb.Result{Affected: 0, Columns: append([]string{}, s.Returning...)}
 		return rec.Result, rec, nil
 	}
-	db.recordOldPartitions(m, rec, oldRows)
+	db.noteWrittenRows(m, rec, oldRows, false)
 	db.capturePreImage(m, s, rec, oldRows)
 
 	// Phase 2: update the live versions in place, bumping start_time.
@@ -479,7 +358,7 @@ func (db *DB) execUpdate(s *sqldb.Update, cs *sqldb.CachedStmt, params []sqldb.V
 		}
 		return nil, nil, err
 	}
-	db.fillWriteInfo(m, rec, res, nApp)
+	db.noteWrittenRows(m, rec, res, true)
 
 	// Phase 3: re-insert the old versions as history, closed at t.
 	if err := db.insertHistorical(m, oldRows, t); err != nil {
@@ -510,32 +389,6 @@ func (db *DB) capturePreImage(m *tableMeta, s *sqldb.Update, rec *Record, oldRow
 	}
 }
 
-// recordOldPartitions adds the pre-write partition values of the matched
-// rows to the record's write set and indexes the events.
-func (db *DB) recordOldPartitions(m *tableMeta, rec *Record, oldRows *sqldb.Result) {
-	set := NewPartitionSet()
-	set.AddAll(rec.WritePartitions)
-	colOf := make(map[string]int, len(oldRows.Columns))
-	for i, c := range oldRows.Columns {
-		colOf[c] = i
-	}
-	for _, row := range oldRows.Rows {
-		if len(m.partCols) == 0 {
-			set.Add(WholeTable(m.name))
-			m.indexVersionEvent([]Partition{WholeTable(m.name)}, row[colOf[m.rowIDCol]], rec.Time)
-			continue
-		}
-		var rowParts []Partition
-		for col := range m.partCols {
-			p := Partition{Table: m.name, Column: col, Key: row[colOf[col]].Key()}
-			set.Add(p)
-			rowParts = append(rowParts, p)
-		}
-		m.indexVersionEvent(rowParts, row[colOf[m.rowIDCol]], rec.Time)
-	}
-	rec.WritePartitions = set.Slice()
-}
-
 // insertHistorical re-inserts captured physical rows (in the table's
 // physical column order) with end_time=t. The rows are consumed: their
 // end_time is overwritten in place before each becomes the insert's
@@ -555,7 +408,6 @@ func (db *DB) insertHistorical(m *tableMeta, oldRows *sqldb.Result, t int64) err
 func (db *DB) execDelete(s *sqldb.Delete, cs *sqldb.CachedStmt, params []sqldb.Value, t, gen int64, rec *Record, m *tableMeta) (*sqldb.Result, *Record, error) {
 	rec.Kind = KindDelete
 	rec.Table = s.Table
-	rec.ReadPartitions = m.readPartitions(s.Where, params)
 
 	// Deleting is closing the version interval (§4.2): set end_time = t.
 	nApp := len(s.Returning)
@@ -563,7 +415,7 @@ func (db *DB) execDelete(s *sqldb.Delete, cs *sqldb.CachedStmt, params []sqldb.V
 	if err != nil {
 		return nil, nil, err
 	}
-	db.fillWriteInfo(m, rec, res, nApp)
+	db.noteWrittenRows(m, rec, res, true)
 	rec.Result = stripResult(res, s.Returning, nApp, res.Affected)
 	return rec.Result, rec, nil
 }

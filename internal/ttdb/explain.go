@@ -14,7 +14,10 @@ import (
 // statement — the prepared handles the statement executes as, in every
 // case. An UPDATE renders both executed phases (the capture select and
 // the in-place update) separated by "; "; a DELETE renders as the
-// interval-closing UPDATE it executes as.
+// interval-closing UPDATE it executes as. The description of a statement
+// on a table ends with "; footprint: " and the statement's partition
+// template (footprint.String): which operands bound its lock scope and
+// its read partitions, or "whole table".
 func (db *DB) Explain(src string) (string, error) {
 	cs, err := db.stmts.Get(src)
 	if err != nil {
@@ -33,22 +36,22 @@ func (db *DB) Explain(src string) (string, error) {
 	}
 	defer unlock()
 	a := db.augFor(m, cs)
+	handles := []*sqldb.CachedStmt{a.write}
 	switch cs.Stmt.(type) {
 	case *sqldb.Select:
-		return db.raw.ExplainCached(a.read)
+		handles = []*sqldb.CachedStmt{a.read}
 	case *sqldb.Update:
-		sel, err := db.raw.ExplainCached(a.read)
-		if err != nil {
-			return "", err
-		}
-		upd, err := db.raw.ExplainCached(a.write)
-		if err != nil {
-			return "", err
-		}
-		return sel + "; " + upd, nil
-	default:
-		return db.raw.ExplainCached(a.write)
+		handles = []*sqldb.CachedStmt{a.read, a.write}
 	}
+	var out string
+	for _, h := range handles {
+		plan, err := db.raw.ExplainCached(h)
+		if err != nil {
+			return "", err
+		}
+		out += plan + "; "
+	}
+	return out + "footprint: " + stateFor(m, cs).fp.String(), nil
 }
 
 // ExecStats merges the deployment-wide statement cache's counters with

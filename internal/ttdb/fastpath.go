@@ -12,7 +12,8 @@ package ttdb
 // DDL epoch and every later execution is a plan hit:
 //
 //   - application statements execute their stmtAug, cached on the
-//     statement's own handle (its Aux slot): the version predicate reads
+//     statement's own handle (its Aux slot, beside the partition
+//     footprint — footprint.go): the version predicate reads
 //     the time and generation from two parameters appended after the
 //     application's, and an INSERT reads its synthesized row IDs from
 //     parameters after those;
@@ -54,8 +55,6 @@ type stmtAug struct {
 	// columns appended, the in-place UPDATE with start_time bumped, or —
 	// for DELETE — the interval-closing UPDATE (end_time = t, §4.2).
 	write *sqldb.CachedStmt
-	// cols are an INSERT's target application columns.
-	cols []string
 }
 
 // augFor returns the cached augmentation of cs against table m,
@@ -67,7 +66,8 @@ type stmtAug struct {
 // are equivalent).
 func (db *DB) augFor(m *tableMeta, cs *sqldb.CachedStmt) *stmtAug {
 	epoch := db.raw.Epoch()
-	if a, ok := cs.Aux().(*stmtAug); ok && a.epoch == epoch {
+	st := stateFor(m, cs)
+	if a := st.aug.Load(); a != nil && a.epoch == epoch {
 		return a
 	}
 	n := cs.NumParams()
@@ -79,16 +79,16 @@ func (db *DB) augFor(m *tableMeta, cs *sqldb.CachedStmt) *stmtAug {
 		aug.Where = sqldb.And(aug.Where, liveWhereParams(n))
 		a.read = sqldb.NewCachedStmt(aug)
 	case *sqldb.Insert:
-		a.cols = s.Columns
-		if len(a.cols) == 0 {
-			a.cols = m.userCols
+		cols := s.Columns
+		if len(cols) == 0 {
+			cols = m.userCols
 		}
-		a.err = m.checkWritableColumns(a.cols, true)
+		a.err = m.checkWritableColumns(cols, true)
 		aug := s.Clone().(*sqldb.Insert)
-		aug.Columns = append(append([]string{}, a.cols...), m.metaColumns()...)
+		aug.Columns = append(append([]string{}, cols...), m.metaColumns()...)
 		for i := range aug.Rows {
-			if len(aug.Rows[i]) != len(a.cols) && a.err == nil {
-				a.err = fmt.Errorf("ttdb: table %s: %d values for %d columns", s.Table, len(aug.Rows[i]), len(a.cols))
+			if len(aug.Rows[i]) != len(cols) && a.err == nil {
+				a.err = fmt.Errorf("ttdb: table %s: %d values for %d columns", s.Table, len(aug.Rows[i]), len(cols))
 			}
 			if m.synthetic {
 				aug.Rows[i] = append(aug.Rows[i], &sqldb.Param{Index: n + 2 + i})
@@ -120,7 +120,7 @@ func (db *DB) augFor(m *tableMeta, cs *sqldb.CachedStmt) *stmtAug {
 			Returning: returningWithMeta(m, s.Returning),
 		})
 	}
-	cs.SetAux(a)
+	st.aug.Store(a)
 	return a
 }
 
@@ -148,11 +148,11 @@ func liveCloneWhere(where sqldb.Expr, n int) sqldb.Expr {
 }
 
 // returningWithMeta is the application's RETURNING list plus the row-ID
-// and partition columns every write path appends for fillWriteInfo.
+// and partition columns every write path appends for noteWrittenRows.
 func returningWithMeta(m *tableMeta, app []string) []string {
 	ret := append(append([]string{}, app...), m.rowIDCol)
-	for col := range m.partCols {
-		ret = append(ret, col)
+	for _, pc := range m.parts {
+		ret = append(ret, pc.name)
 	}
 	return ret
 }

@@ -178,12 +178,16 @@ func TestCachedWriteAugmentation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, ok := cs.Aux().(*stmtAug)
-	if !ok {
-		t.Fatalf("update aux = %T, want *stmtAug", cs.Aux())
+	augOf := func(cs *sqldb.CachedStmt) *stmtAug {
+		st, ok := cs.Aux().(*stmtState)
+		if !ok || st.aug.Load() == nil {
+			t.Fatalf("handle %q carries no augmentation (aux = %T)", cs.Canonical(), cs.Aux())
+		}
+		return st.aug.Load()
 	}
+	a1 := augOf(cs)
 	mustExec(t, db, upd, sqldb.Text("b"), sqldb.Int(1))
-	if a2 := cs.Aux().(*stmtAug); a2 != a1 {
+	if a2 := augOf(cs); a2 != a1 {
 		t.Fatal("update augmentation rebuilt without a DDL epoch change")
 	}
 	res, _ := mustExec(t, db, "SELECT content FROM pages WHERE page_id = 1")
@@ -204,7 +208,7 @@ func TestCachedWriteAugmentation(t *testing.T) {
 	// column participates in the phase-1 capture.
 	mustExec(t, db, "ALTER TABLE pages ADD COLUMN views INTEGER")
 	mustExec(t, db, upd, sqldb.Text("c"), sqldb.Int(1))
-	if a3 := cs.Aux().(*stmtAug); a3 == a1 {
+	if a3 := augOf(cs); a3 == a1 {
 		t.Fatal("update augmentation survived a DDL epoch change")
 	}
 
@@ -214,12 +218,9 @@ func TestCachedWriteAugmentation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, ok := dcs.Aux().(*stmtAug)
-	if !ok {
-		t.Fatalf("delete aux = %T, want *stmtAug", dcs.Aux())
-	}
+	d1 := augOf(dcs)
 	mustExec(t, db, del, sqldb.Int(3))
-	if d2 := dcs.Aux().(*stmtAug); d2 != d1 {
+	if d2 := augOf(dcs); d2 != d1 {
 		t.Fatal("delete augmentation rebuilt without a DDL epoch change")
 	}
 	res, _ = mustExec(t, db, "SELECT page_id FROM pages ORDER BY page_id")
@@ -245,15 +246,25 @@ func TestExplainThroughAugmentation(t *testing.T) {
 	seedPages(t, db)
 	cases := []struct{ src, want string }{
 		{"SELECT content FROM pages WHERE page_id = ?",
-			"select(pages) scan=index-eq(page_id)"},
+			"select(pages) scan=index-eq(page_id); footprint: whole table"},
 		{"SELECT content FROM pages WHERE page_id >= ? ORDER BY page_id",
-			"select(pages) scan=index-range(page_id lo..+inf) order=index(page_id)"},
+			"select(pages) scan=index-range(page_id lo..+inf) order=index(page_id); footprint: whole table"},
 		{"SELECT content FROM pages ORDER BY title DESC",
-			"select(pages) scan=full order=index-desc(title)"},
+			"select(pages) scan=full order=index-desc(title); footprint: whole table"},
 		{"UPDATE pages SET content = 'x' WHERE page_id = 1",
-			"select(pages) scan=index-eq(page_id); update(pages) scan=index-eq(page_id)"},
+			"select(pages) scan=index-eq(page_id); update(pages) scan=index-eq(page_id); footprint: whole table"},
 		{"DELETE FROM pages WHERE page_id = 1",
-			"update(pages) scan=index-eq(page_id)"},
+			"update(pages) scan=index-eq(page_id); footprint: whole table"},
+		// The footprint line names the operands that bound the lock scope
+		// (the lock column, title) and the read partitions (every
+		// partition column).
+		{"SELECT content FROM pages WHERE title = ?",
+			"select(pages) scan=index-eq(title); footprint: lock title=?1; parts pages/title=?1"},
+		{"UPDATE pages SET content = ? WHERE editor = 10 AND title IN ('Main', ?)",
+			"select(pages) scan=index-eq(editor); update(pages) scan=index-eq(editor); " +
+				"footprint: lock title='Main', title=?2; parts pages/editor=10, pages/title='Main', pages/title=?2"},
+		{"DELETE FROM pages WHERE editor = ?",
+			"update(pages) scan=index-eq(editor); footprint: lock whole table; parts pages/editor=?1"},
 	}
 	for _, c := range cases {
 		got, err := db.Explain(c.src)
@@ -337,6 +348,27 @@ func TestCachedExecRaceWithDDLAndGC(t *testing.T) {
 			}
 		}()
 	}
+	// A column-less INSERT binds its partition columns by table position.
+	// Every distinct text is a new handle, so each iteration derives a
+	// footprint — unlocked — while ALTER TABLE appends columns; once the
+	// table has grown, the three-value row is refused (after the scope was
+	// chosen), which is the only error allowed here.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_, _, err := db.Exec(fmt.Sprintf("INSERT INTO notes VALUES (%d, 'u%d', 'b')", 1000+i, i%4))
+			if err != nil && !strings.Contains(err.Error(), "3 values for") {
+				t.Errorf("column-less insert: %v", err)
+				return
+			}
+		}
+	}()
 	const rounds = 25
 	for i := 0; i < rounds; i++ {
 		mustExec(t, db, "CREATE INDEX IF NOT EXISTS idx_notes_body ON notes (body)")

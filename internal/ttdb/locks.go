@@ -22,8 +22,8 @@ package ttdb
 //     blocks new keyed entrants so DDL/generation switches cannot
 //     starve.
 //
-// Scopes are declared from static analysis (WHERE conjuncts, INSERT
-// values, recorded write sets), so an operation can occasionally
+// Scopes are declared from static analysis (the statement's footprint —
+// footprint.go — and recorded write sets), so an operation can occasionally
 // discover mid-flight that it must touch a row outside its scope — a
 // uniqueness-revival collision landing in a sibling partition, a row
 // whose partition column was rewritten after the original record. Such
@@ -268,16 +268,6 @@ func (db *DB) lockScope(table string, sc lockScope) (*tableMeta, func(), error) 
 	}
 	m.locks.lock(sc)
 	return m, func() { m.locks.unlock(sc) }, nil
-}
-
-// effectiveScope clamps a derived scope to the table's locking
-// capability: tables without a lock column always use the whole-table
-// scope.
-func (m *tableMeta) effectiveScope(sc lockScope) lockScope {
-	if m.lockCol == "" {
-		return wholeScope()
-	}
-	return sc
 }
 
 // checkScope verifies one lock-column key against the scope, returning

@@ -37,8 +37,8 @@ func (db *DB) StmtPartitions(src string, params []sqldb.Value) (parts []Partitio
 	if err != nil {
 		return nil, isWrite, err
 	}
-	sc := m.scopeForStmt(cs.Stmt, params)
-	if sc.whole || m.lockCol == "" {
+	sc := stateFor(m, cs).fp.resolve(params).lock
+	if sc.whole {
 		return []Partition{WholeTable(table)}, isWrite, nil
 	}
 	parts = make([]Partition, 0, len(sc.keys))
@@ -98,7 +98,7 @@ func (db *DB) RepairValueBefore(info UpdateMergeInfo, rowID sqldb.Value, t int64
 	if err != nil {
 		return "", false
 	}
-	sc := m.effectiveScope(db.scopeForRows(m, []sqldb.Value{rowID}))
+	sc := db.scopeForRows(m, []sqldb.Value{rowID})
 	m.locks.lock(sc)
 	defer m.locks.unlock(sc)
 	versions, err := db.selectPhysical(m, db.stmtsFor(m).versions, []sqldb.Value{rowID, sqldb.Int(st.next)})

@@ -192,103 +192,15 @@ func (s *PartitionSet) String() string {
 	return "{" + strings.Join(strs, ", ") + "}"
 }
 
-// readPartitions inspects a WHERE clause and returns the partitions the
-// query may read (§4.1). It finds top-level AND-conjuncts of the form
-// `col = const` or `col IN (consts)` over partition columns. When no such
-// conjunct exists — including when the clause is absent, uses OR at the top
-// level around partition predicates, or compares partition columns
-// non-constantly — the whole table is returned, which is the paper's
-// conservative fallback.
-func (m *tableMeta) readPartitions(where sqldb.Expr, params []sqldb.Value) []Partition {
-	if len(m.partCols) == 0 {
-		return []Partition{WholeTable(m.name)}
-	}
-	var found []Partition
-	collectConjuncts(where, func(e sqldb.Expr) {
-		switch e := e.(type) {
-		case *sqldb.BinaryExpr:
-			if e.Op != sqldb.OpEq {
-				return
-			}
-			col, v, ok := constEqParts(e, params)
-			if ok && m.partCols[col] {
-				found = append(found, Partition{Table: m.name, Column: col, Key: v.Key()})
-			}
-		case *sqldb.InExpr:
-			if e.Not {
-				return
-			}
-			col, ok := e.Expr.(*sqldb.ColumnRef)
-			if !ok || !m.partCols[col.Name] {
-				return
-			}
-			var keys []Partition
-			for _, item := range e.List {
-				v, ok := constValueOf(item, params)
-				if !ok {
-					return // non-constant member: cannot bound
-				}
-				keys = append(keys, Partition{Table: m.name, Column: col.Name, Key: v.Key()})
-			}
-			found = append(found, keys...)
-		}
-	})
-	if len(found) == 0 {
-		return []Partition{WholeTable(m.name)}
-	}
-	return found
-}
-
-// collectConjuncts visits the top-level AND-conjuncts of e.
-func collectConjuncts(e sqldb.Expr, visit func(sqldb.Expr)) {
-	if e == nil {
-		return
-	}
-	if be, ok := e.(*sqldb.BinaryExpr); ok && be.Op == sqldb.OpAnd {
-		collectConjuncts(be.Left, visit)
-		collectConjuncts(be.Right, visit)
-		return
-	}
-	visit(e)
-}
-
-// constEqParts decomposes `col = const` (either operand order).
-func constEqParts(e *sqldb.BinaryExpr, params []sqldb.Value) (string, sqldb.Value, bool) {
-	if col, ok := e.Left.(*sqldb.ColumnRef); ok {
-		if v, ok := constValueOf(e.Right, params); ok {
-			return col.Name, v, true
-		}
-	}
-	if col, ok := e.Right.(*sqldb.ColumnRef); ok {
-		if v, ok := constValueOf(e.Left, params); ok {
-			return col.Name, v, true
-		}
-	}
-	return "", sqldb.Null(), false
-}
-
-func constValueOf(e sqldb.Expr, params []sqldb.Value) (sqldb.Value, bool) {
-	switch e := e.(type) {
-	case *sqldb.Literal:
-		return e.Value, true
-	case *sqldb.Param:
-		if e.Index >= 0 && e.Index < len(params) {
-			return params[e.Index], true
-		}
-	}
-	return sqldb.Null(), false
-}
-
 // rowPartitions returns the partitions a concrete row belongs to: one per
 // partition column, or the whole table when the table has none.
 func (m *tableMeta) rowPartitions(get func(col string) sqldb.Value) []Partition {
-	if len(m.partCols) == 0 {
+	if len(m.parts) == 0 {
 		return []Partition{WholeTable(m.name)}
 	}
-	out := make([]Partition, 0, len(m.partCols))
-	for col := range m.partCols {
-		out = append(out, Partition{Table: m.name, Column: col, Key: get(col).Key()})
+	out := make([]Partition, len(m.parts))
+	for i, pc := range m.parts {
+		out[i] = Partition{Table: m.name, Column: pc.name, Key: get(pc.name).Key()}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Column < out[j].Column })
 	return out
 }

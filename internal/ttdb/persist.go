@@ -500,7 +500,6 @@ func (db *DB) RestoreTableHeader(dec *store.Decoder) (string, error) {
 		name:      name,
 		spec:      spec,
 		rowIDCol:  spec.RowIDColumn,
-		partCols:  make(map[string]bool),
 		partIdx:   make(map[Partition][]partEntry),
 		shards:    int(dec.Uvarint()),
 		nextRowID: dec.Int(),
@@ -511,9 +510,6 @@ func (db *DB) RestoreTableHeader(dec *store.Decoder) (string, error) {
 	if m.rowIDCol == "" {
 		m.rowIDCol = ColRowID
 		m.synthetic = true
-	}
-	for _, pc := range spec.PartitionColumns {
-		m.partCols[pc] = true
 	}
 	if len(spec.PartitionColumns) > 0 {
 		m.lockCol = spec.PartitionColumns[0]
@@ -567,7 +563,7 @@ func (db *DB) RestoreTableHeader(dec *store.Decoder) (string, error) {
 	// surface a silently empty table.
 	m.restore = &tableRestore{}
 
-	m.prepareLockProbes()
+	m.prepareScopeFacts(ct.Columns)
 	db.tablesMu.Lock()
 	db.tables[name] = m
 	db.tablesMu.Unlock()
@@ -740,13 +736,13 @@ func (db *DB) Replay(rec *Record) error {
 	if err != nil {
 		return fmt.Errorf("ttdb: replaying %q: %w", rec.SQL, err)
 	}
-	m, unlock, err := db.lockFor(cs.Stmt, params)
+	m, acc, unlock, err := db.lockFor(cs, params)
 	if err != nil {
 		return fmt.Errorf("ttdb: replaying %q: %w", rec.SQL, err)
 	}
 	defer unlock()
 	db.clock.AdvanceTo(rec.Time)
-	if _, _, err := db.execAt(cs, params, rec.Time, rec.Gen, rec, m); err != nil {
+	if _, _, err := db.execAt(cs, params, rec.Time, rec.Gen, rec, m, acc); err != nil {
 		return fmt.Errorf("ttdb: replaying %q: %w", rec.SQL, err)
 	}
 	return nil

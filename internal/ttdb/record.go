@@ -99,14 +99,6 @@ func (r *Record) Outcome() uint64 {
 	return h.Sum64()
 }
 
-// TouchedPartitions returns the union of read and write partitions.
-func (r *Record) TouchedPartitions() []Partition {
-	out := make([]Partition, 0, len(r.ReadPartitions)+len(r.WritePartitions))
-	out = append(out, r.ReadPartitions...)
-	out = append(out, r.WritePartitions...)
-	return out
-}
-
 // ApproxLogBytes estimates the size of this record on disk, for the
 // paper's Table 6 storage accounting.
 func (r *Record) ApproxLogBytes() int {

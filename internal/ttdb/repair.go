@@ -504,18 +504,19 @@ func (db *DB) ReExecPrepared(cs *sqldb.CachedStmt, params []sqldb.Value, t int64
 	if !isWrite {
 		// Reads re-execute at their original time; DDL during repair
 		// replays as-is in the shared schema space.
-		m, unlock, err := db.lockFor(cs.Stmt, params)
+		m, acc, unlock, err := db.lockFor(cs, params)
 		if err != nil {
 			return nil, nil, err
 		}
 		defer unlock()
-		return db.execAt(cs, params, t, st.next, orig, m)
+		return db.execAt(cs, params, t, st.next, orig, m, acc)
 	}
 	m, err := db.meta(table)
 	if err != nil {
 		return nil, nil, err
 	}
-	sc := db.maybeCoalesce(m, m.effectiveScope(m.scopeForStmt(cs.Stmt, params).merge(origScope(m, orig))))
+	acc := stateFor(m, cs).fp.resolve(params)
+	sc := db.maybeCoalesce(m, acc.lock.merge(origScope(m, orig)))
 	// dirt accumulates across an escalation retry: rollbacks completed
 	// in a narrow-scope attempt stay applied (the retry re-runs them as
 	// no-ops), so their partitions — including uniqueness-collider
@@ -524,7 +525,7 @@ func (db *DB) ReExecPrepared(cs *sqldb.CachedStmt, params []sqldb.Value, t int64
 	dirt := NewPartitionSet()
 	for {
 		m.locks.lock(sc)
-		res, rec, err := db.reExecWrite(cs, params, t, st, orig, m, sc, dirt)
+		res, rec, err := db.reExecWrite(cs, params, t, st, orig, m, acc, sc, dirt)
 		m.locks.unlock(sc)
 		if err == errScopeConflict && !sc.whole {
 			// The statically derived scope was too narrow (see
@@ -542,7 +543,7 @@ func (db *DB) ReExecPrepared(cs *sqldb.CachedStmt, params []sqldb.Value, t int64
 // reExecWrite implements two-phase re-execution of one write, under sc.
 // An INSERT has no WHERE to re-match, so its phases A and C are empty:
 // it rolls back the rows it originally created and runs again.
-func (db *DB) reExecWrite(cs *sqldb.CachedStmt, params []sqldb.Value, t int64, st repairState, orig *Record, m *tableMeta, sc lockScope, dirt *PartitionSet) (*sqldb.Result, *Record, error) {
+func (db *DB) reExecWrite(cs *sqldb.CachedStmt, params []sqldb.Value, t int64, st repairState, orig *Record, m *tableMeta, acc access, sc lockScope, dirt *PartitionSet) (*sqldb.Result, *Record, error) {
 	db.markDirtyScope(m, sc) // phases B/C mutate even when the final exec fails
 	next := st.next
 	_, isInsert := cs.Stmt.(*sqldb.Insert)
@@ -604,7 +605,7 @@ func (db *DB) reExecWrite(cs *sqldb.CachedStmt, params []sqldb.Value, t int64, s
 			}
 		}
 	}
-	res, rec, err := db.execAt(cs, params, t, next, orig, m)
+	res, rec, err := db.execAt(cs, params, t, next, orig, m, acc)
 	if err != nil && rec == nil {
 		return nil, nil, err
 	}

@@ -50,6 +50,7 @@ package ttdb
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -100,7 +101,6 @@ type tableMeta struct {
 	rowIDCol  string // spec.RowIDColumn or ColRowID
 	synthetic bool   // rowIDCol == ColRowID
 	userCols  []string
-	partCols  map[string]bool
 	// lockCol is the designated locking/sharding partition column: the
 	// first declared partition column, or "" when the table has none.
 	// Lock scopes and checkpoint row shards are keyed by this column's
@@ -126,18 +126,48 @@ type tableMeta struct {
 	// may only be called while holding a scope on this table.
 	stmts atomic.Pointer[tableStmts]
 
+	// parts are the declared partition columns in declaration order;
 	// lockKeyOf (rowID) and lockRange (lo, hi) select the lock-column
-	// values of a row's versions and of a key interval. Scope derivation
-	// runs them *before* any lock is held (scopeForRows, maybeCoalesce),
-	// so unlike stmts they are built once, when the table is created or
-	// restored, from lockCol and rowIDCol alone — names no DDL changes.
-	// Nil on tables without a lock column.
+	// values of a row's versions and of a key interval (nil without a
+	// lock column). Scope derivation reads all three *before* any lock is
+	// held (footprint.go, scopeForRows, maybeCoalesce), so unlike stmts
+	// they are built once, at create or restore, from facts no DDL changes.
+	parts                []partCol
 	lockKeyOf, lockRange *sqldb.CachedStmt
 }
 
-// prepareLockProbes builds the table's unlocked scope-derivation
-// handles; rowIDCol and lockCol must be final.
-func (m *tableMeta) prepareLockProbes() {
+// partCol is one declared partition column: its declared kind, its
+// position among the application columns (ALTER TABLE ADD only appends,
+// so it never moves), and whether it is the lock column.
+type partCol struct {
+	name string
+	kind sqldb.Kind
+	pos  int
+	lock bool
+}
+
+// partCol returns the named partition column, or nil.
+func (m *tableMeta) partCol(name string) *partCol {
+	for i := range m.parts {
+		if m.parts[i].name == name {
+			return &m.parts[i]
+		}
+	}
+	return nil
+}
+
+// prepareScopeFacts builds parts and the lock probes from the table's
+// column definitions; userCols, rowIDCol and lockCol must be final.
+func (m *tableMeta) prepareScopeFacts(defs []sqldb.ColumnDef) {
+	for _, name := range m.spec.PartitionColumns {
+		pc := partCol{name: name, pos: slices.Index(m.userCols, name), lock: name == m.lockCol}
+		for _, d := range defs {
+			if d.Name == name {
+				pc.kind = d.Type
+			}
+		}
+		m.parts = append(m.parts, pc)
+	}
 	if m.lockCol == "" {
 		return
 	}
@@ -550,7 +580,6 @@ func (db *DB) createTable(ct *sqldb.CreateTable) error {
 		name:      ct.Table,
 		spec:      spec,
 		rowIDCol:  spec.RowIDColumn,
-		partCols:  make(map[string]bool),
 		partIdx:   make(map[Partition][]partEntry),
 		nextRowID: 1,
 		shards:    1,
@@ -581,8 +610,8 @@ func (db *DB) createTable(ct *sqldb.CreateTable) error {
 		if !cols[pc] {
 			return fmt.Errorf("ttdb: table %s: partition column %s does not exist", ct.Table, pc)
 		}
-		m.partCols[pc] = true
 	}
+	m.prepareScopeFacts(ct.Columns)
 	aug.Columns = append(aug.Columns,
 		sqldb.ColumnDef{Name: ColStartTime, Type: sqldb.KindInt, NotNull: true},
 		sqldb.ColumnDef{Name: ColEndTime, Type: sqldb.KindInt, NotNull: true},
@@ -600,15 +629,14 @@ func (db *DB) createTable(ct *sqldb.CreateTable) error {
 	}
 	// Indexes keep rollback and row-targeted rewrites fast.
 	indexCols := map[string]bool{m.rowIDCol: true}
-	for pc := range m.partCols {
-		indexCols[pc] = true
+	for _, pc := range m.parts {
+		indexCols[pc.name] = true
 	}
 	for col := range indexCols {
 		if err := db.rawDDL(warpIndex(ct.Table, col)); err != nil {
 			return err
 		}
 	}
-	m.prepareLockProbes()
 	db.tablesMu.Lock()
 	db.tables[ct.Table] = m
 	db.tablesMu.Unlock()

@@ -128,6 +128,20 @@ func TestRecordDependencies(t *testing.T) {
 	if !keys["pages/editor=i10"] || !keys["pages/editor=i99"] || !keys["pages/title=tMain"] {
 		t.Fatalf("write partitions missing old/new values: %v", rec.WritePartitions)
 	}
+
+	// The pre-write and post-write values merge into one set: an UPDATE
+	// that leaves its partition columns alone logs each partition once.
+	_, rec = mustExec(t, db, "UPDATE pages SET content = 'same partitions' WHERE editor = 10")
+	keys = map[string]bool{}
+	for _, p := range rec.WritePartitions {
+		if keys[p.String()] {
+			t.Fatalf("write partitions list %v twice: %v", p, rec.WritePartitions)
+		}
+		keys[p.String()] = true
+	}
+	if len(keys) != 2 || !keys["pages/editor=i10"] || !keys["pages/title=tHelp"] {
+		t.Fatalf("write partitions = %v, want editor=i10 and title=tHelp once each", rec.WritePartitions)
+	}
 }
 
 func TestTimeTravelReads(t *testing.T) {
