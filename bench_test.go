@@ -16,11 +16,14 @@ import (
 	"time"
 
 	"warp/internal/bench"
+	"warp/internal/core"
 	"warp/internal/history"
+	"warp/internal/httpd"
 	"warp/internal/obs"
 	"warp/internal/sqldb"
 	"warp/internal/ttdb"
 	"warp/internal/vclock"
+	"warp/internal/webapp/wiki"
 	"warp/internal/workload"
 )
 
@@ -288,6 +291,120 @@ func TestNormalExecAllocBudget(t *testing.T) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(prev)
 	measure(t, "instrumented")
+}
+
+// wikiReadDeployment builds an in-memory GoWiki with nPages pages and one
+// logged-in session, and returns ready-made page-read requests (one per
+// page, session cookie attached) plus the two ways to serve them: the
+// recording path (Warp.HandleRequest) and its record-free twin — the same
+// route, the same run through the time-travel database, nothing left
+// behind in the history graph.
+func wikiReadDeployment(tb testing.TB, nPages int) (w *core.Warp, reqs []*httpd.Request, plain httpd.HandlerFunc) {
+	w = core.New(core.Config{Seed: 1})
+	a, err := wiki.Install(w)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := a.CreateUser("alice", "pw-alice", false); err != nil {
+		tb.Fatal(err)
+	}
+	login := httpd.NewRequest("POST", "/login.php")
+	login.Form.Set("user", "alice")
+	login.Form.Set("password", "pw-alice")
+	sid := w.HandleRequest(login).SetCookies["sid"]
+	if sid == "" {
+		tb.Fatal("login set no session cookie")
+	}
+	for i := 0; i < nPages; i++ {
+		title := fmt.Sprintf("P%d", i)
+		if err := a.CreatePage(title, "body of "+title, false); err != nil {
+			tb.Fatal(err)
+		}
+		req := httpd.NewRequest("GET", "/index.php?title="+title)
+		req.Cookies["sid"] = sid
+		reqs = append(reqs, req)
+	}
+	plain = func(req *httpd.Request) *httpd.Response {
+		file, ok := w.Runtime.RouteOf(req.Path)
+		if !ok {
+			return httpd.NotFound("no route for " + req.Path)
+		}
+		rec, err := w.Runtime.Run(file, req, nil, nil)
+		if err != nil {
+			return httpd.ServerError(err.Error())
+		}
+		return rec.Resp
+	}
+	return w, reqs, plain
+}
+
+// BenchmarkHandleRequest is the record path's micro-benchmark: a warm
+// wiki page read (one point select) through Warp.HandleRequest against
+// its record-free twin. The difference is what recording a request costs;
+// benchgate holds both between warpload runs (docs/performance.md "What
+// one request records").
+func BenchmarkHandleRequest(b *testing.B) {
+	const pages, gcEvery = 256, 10000
+	run := func(b *testing.B, reqs []*httpd.Request, serve httpd.HandlerFunc) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if resp := serve(reqs[i%pages]); resp.Status != 200 {
+				b.Fatalf("status %d", resp.Status)
+			}
+		}
+	}
+	b.Run("wiki-read", func(b *testing.B) {
+		w, reqs, _ := wikiReadDeployment(b, pages)
+		served := 0
+		run(b, reqs, func(req *httpd.Request) *httpd.Response {
+			// History is collected on warpload's cadence, so the steady
+			// state measured includes the collector's share.
+			if served++; served%gcEvery == 0 {
+				if err := w.GC(w.Clock.Now()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			return w.HandleRequest(req)
+		})
+	})
+	b.Run("wiki-read-plain", func(b *testing.B) {
+		_, reqs, plain := wikiReadDeployment(b, pages)
+		run(b, reqs, plain)
+	})
+}
+
+// TestRecordAllocBudget is the allocation gate of the record path, next
+// to TestNormalExecAllocBudget: a warm wiki page read through
+// Warp.HandleRequest, and the share of it that recording adds over the
+// record-free twin. What a request leaves behind is a few flat
+// allocations (one array of actions, one of edges, one of query
+// payloads, the run payload, the query-ID list) plus the amortized growth
+// of the graph's slab and postings.
+func TestRecordAllocBudget(t *testing.T) {
+	const pages = 64
+	w, reqs, plain := wikiReadDeployment(t, pages)
+	measure := func(serve httpd.HandlerFunc) float64 {
+		i := 0
+		one := func() {
+			i++
+			if resp := serve(reqs[i%pages]); resp.Status != 200 {
+				t.Fatalf("status %d", resp.Status)
+			}
+		}
+		for j := 0; j < 2*pages; j++ {
+			one() // warm: statement handles, interned nodes
+		}
+		return testing.AllocsPerRun(500, one)
+	}
+	total, bare := measure(w.HandleRequest), measure(plain)
+	const totalBudget, recordBudget = 70, 12
+	t.Logf("wiki page read: %.1f allocs/op recorded, %.1f record-free, record's share %.1f (budgets %d and %d)",
+		total, bare, total-bare, totalBudget, recordBudget)
+	if total > totalBudget || total-bare > recordBudget {
+		t.Fatalf("wiki page read costs %.1f allocs/op (budget %d), of which recording %.1f (budget %d)",
+			total, totalBudget, total-bare, recordBudget)
+	}
 }
 
 // BenchmarkInstrumentedExec is BenchmarkNormalExec's read and write

@@ -55,6 +55,10 @@ type Runtime struct {
 	files  map[string]*sourceFile
 	routes map[string]string
 	runSeq int64
+	// versions is the immutable file → version snapshot of the current
+	// patch level, shared by every run recorded at it; nil until the next
+	// FileVersions call after a Register or Patch.
+	versions map[string]int
 }
 
 // NewRuntime creates a runtime over a time-travel database. seed drives
@@ -79,6 +83,7 @@ func (rt *Runtime) Register(name string, v Version) error {
 		return fmt.Errorf("app: file %s already registered", name)
 	}
 	rt.files[name] = &sourceFile{name: name, versions: []Version{v}}
+	rt.versions = nil
 	return nil
 }
 
@@ -92,6 +97,7 @@ func (rt *Runtime) Patch(name string, v Version) error {
 		return fmt.Errorf("app: cannot patch unknown file %s", name)
 	}
 	f.versions = append(f.versions, v)
+	rt.versions = nil
 	return nil
 }
 
@@ -106,15 +112,20 @@ func (rt *Runtime) FileVersion(name string) int {
 	return 0
 }
 
-// Files returns the registered source file names.
-func (rt *Runtime) Files() []string {
+// FileVersions returns the current version number of every registered
+// file. The map is shared and immutable: one snapshot per patch level, so
+// recording a run costs no per-run map. A run consults it for the files it
+// loaded (RunRecord.FilesLoaded) only.
+func (rt *Runtime) FileVersions() map[string]int {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	out := make([]string, 0, len(rt.files))
-	for n := range rt.files {
-		out = append(out, n)
+	if rt.versions == nil {
+		rt.versions = make(map[string]int, len(rt.files))
+		for name, f := range rt.files {
+			rt.versions[name] = len(f.versions)
+		}
 	}
-	return out
+	return rt.versions
 }
 
 // SetRunSeqFloor advances the run-ID allocator to at least v. Recovery

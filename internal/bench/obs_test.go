@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"warp/internal/app"
 	"warp/internal/core"
+	"warp/internal/httpd"
 	"warp/internal/obs"
 	"warp/internal/ttdb"
 )
@@ -21,6 +23,11 @@ import (
 // phase breakdown plus populated exec latency histograms. The
 // concurrent Metrics() polling is also the -race stress for histogram,
 // counter, and trace writes during parallel repair.
+//
+// Catching the repair live is a handshake, not a race: once the repair
+// is under way every re-executed page handler blocks until the poller
+// has seen the active gauge up and the replay phase open, so the
+// observation cannot be missed however the two goroutines are scheduled.
 func TestRepairMetricsLive(t *testing.T) {
 	prev := obs.Enabled()
 	obs.SetEnabled(true)
@@ -30,8 +37,22 @@ func TestRepairMetricsLive(t *testing.T) {
 		clients = 8
 		pages   = 3
 		workers = 4
-		latency = 2 * time.Millisecond
 	)
+	// repairing arms the gate; seen is closed by the poller (or, so a
+	// broken metrics surface fails the assertions instead of hanging the
+	// test, by the timeout).
+	var repairing atomic.Bool
+	seen := make(chan struct{})
+	page := postsHandler(0)
+	gated := func(c *app.Ctx) *httpd.Response {
+		if repairing.Load() {
+			select {
+			case <-seen:
+			case <-time.After(10 * time.Second):
+			}
+		}
+		return page(c)
+	}
 	w := core.New(core.Config{Seed: 99, RepairWorkers: workers})
 	if err := w.DB.Annotate("posts", ttdb.TableSpec{RowIDColumn: "id", PartitionColumns: []string{"owner"}}); err != nil {
 		t.Fatal(err)
@@ -42,7 +63,7 @@ func TestRepairMetricsLive(t *testing.T) {
 	if err := w.Runtime.Register("login.php", app.Version{Entry: loginHandler(false)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Runtime.Register("page.php", app.Version{Entry: postsHandler(latency)}); err != nil {
+	if err := w.Runtime.Register("page.php", app.Version{Entry: gated}); err != nil {
 		t.Fatal(err)
 	}
 	w.Runtime.Mount("/login", "login.php")
@@ -63,10 +84,11 @@ func TestRepairMetricsLive(t *testing.T) {
 
 	before := obs.Default.Snapshot()
 
-	// Poll the metrics surface while the repair runs. Each client's
-	// replay chain is pages+1 visits of ≥latency serial work, so the
-	// repair takes several milliseconds even across workers — plenty of
-	// 200µs polling windows to catch it live.
+	// Poll the metrics surface while the repair runs, releasing the gated
+	// handlers once the repair has been seen live: active gauge up, and a
+	// live trace past its frontier phase with a span still open — the
+	// replay drain the blocked handlers are running in. One last poll
+	// after the repair returns reads the final progress gauge.
 	stop := make(chan struct{})
 	var pollers sync.WaitGroup
 	var sawActive, sawReplayPhase bool
@@ -74,11 +96,11 @@ func TestRepairMetricsLive(t *testing.T) {
 	pollers.Add(1)
 	go func() {
 		defer pollers.Done()
-		for {
+		for done := false; !done; {
 			select {
 			case <-stop:
-				return
-			default:
+				done = true
+			case <-time.After(200 * time.Microsecond):
 			}
 			m := w.Metrics()
 			if m.Obs.Gauge("warp_core_repair_active") == 1 {
@@ -87,13 +109,20 @@ func TestRepairMetricsLive(t *testing.T) {
 			if g := m.Obs.Gauge("warp_core_repair_actions_replayed"); g > maxReplayed {
 				maxReplayed = g
 			}
-			if m.Repair != nil && !m.Repair.Done && m.Repair.Phase("replay").Count > 0 {
+			if m.Repair != nil && !m.Repair.Done && m.Repair.Open > 0 && m.Repair.Phase("frontier").Count > 0 {
 				sawReplayPhase = true
 			}
-			time.Sleep(200 * time.Microsecond)
+			if sawActive && sawReplayPhase && !done {
+				select {
+				case <-seen:
+				default:
+					close(seen)
+				}
+			}
 		}
 	}()
 
+	repairing.Store(true)
 	rep, err := w.RetroPatch("login.php", app.Version{Entry: loginHandler(true), Note: "session hardening"})
 	close(stop)
 	pollers.Wait()
@@ -107,7 +136,7 @@ func TestRepairMetricsLive(t *testing.T) {
 		t.Error("never observed warp_core_repair_active = 1 during the repair")
 	}
 	if !sawReplayPhase {
-		t.Error("never observed a live (unfinished) repair trace with replay spans")
+		t.Error("never observed a live (unfinished) repair trace in its replay phase")
 	}
 
 	m := w.Metrics()

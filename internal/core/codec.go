@@ -14,6 +14,7 @@ package core
 import (
 	"fmt"
 	"net/url"
+	"slices"
 	"sort"
 
 	"warp/internal/app"
@@ -33,19 +34,33 @@ const (
 	payloadPatch       byte = 4
 )
 
-func encodeDeps(enc *store.Encoder, deps []history.Dep) {
+// encodeDeps writes an action's edges by node name — the on-disk form;
+// handles are per-process. exchange is the name ExchangeNode edges take.
+func encodeDeps(enc *store.Encoder, g *history.Graph, deps []history.Dep, exchange string) {
 	enc.Uvarint(uint64(len(deps)))
 	for _, d := range deps {
-		enc.String(string(d.Node))
+		if d.Node == history.ExchangeNode {
+			enc.String(exchange)
+		} else {
+			enc.String(g.NodeName(d.Node))
+		}
 		enc.Int(d.Time)
 	}
 }
 
-func decodeDeps(dec *store.Decoder) []history.Dep {
+// decodeDeps interns the edges' node names into g; an "http:" name becomes
+// an ExchangeNode edge and sets a's exchange.
+func decodeDeps(dec *store.Decoder, g *history.Graph, a *history.Action) []history.Dep {
 	n := dec.Count()
 	out := make([]history.Dep, 0, n)
 	for i := 0; i < n; i++ {
-		out = append(out, history.Dep{Node: history.NodeID(dec.String()), Time: dec.Int()})
+		name, t := dec.String(), dec.Int()
+		if e, ok := history.ParseExchange(name); ok {
+			a.Exchange = e
+			out = append(out, history.Dep{Node: history.ExchangeNode, Time: t})
+		} else if dec.Err() == nil {
+			out = append(out, history.Dep{Node: g.Intern(name), Time: t})
+		}
 	}
 	return out
 }
@@ -218,57 +233,57 @@ func decodeRunRecord(dec *store.Decoder) *app.RunRecord {
 	return r
 }
 
-// encodeAction serializes one history action with its payload. g selects
-// the mode: non-nil for snapshot encoding (query-to-run references are
-// resolved through the graph), nil for WAL encoding at append time
-// (query actions reference the owning run's next query slot, which is
-// exactly this query's index — recordRun appends them in order).
-func encodeAction(enc *store.Encoder, a *history.Action, g *history.Graph) {
+// encodeAction serializes one history action with its payload. snapshot
+// selects the mode: snapshot encoding validates query-to-run references
+// against the graph and carries each run's query-action list; WAL
+// encoding at append time runs inside the graph's critical section, where
+// the owning run is the head of the same batch, and leaves the list empty
+// — the query records that follow re-link it on replay (applyWAL), so a
+// batch torn by a crash recovers exactly the queries that reached disk.
+func encodeAction(enc *store.Encoder, a *history.Action, g *history.Graph, snapshot bool) {
 	enc.Int(int64(a.ID))
 	enc.Byte(byte(a.Kind))
 	enc.Int(a.Time)
-	encodeDeps(enc, a.Inputs)
-	encodeDeps(enc, a.Outputs)
+	exchange := ""
+	if a.Exchange != (history.Exchange{}) {
+		exchange = a.Exchange.Name()
+	}
+	encodeDeps(enc, g, a.Inputs, exchange)
+	encodeDeps(enc, g, a.Outputs, exchange)
 
 	switch p := a.Payload.(type) {
 	case *RunPayload:
 		enc.Byte(payloadRun)
 		encodeRunRecord(enc, p.Rec)
-		files := make([]string, 0, len(p.FileVersions))
-		for f := range p.FileVersions {
-			files = append(files, f)
-		}
+		files := append([]string{}, p.Rec.FilesLoaded...)
 		sort.Strings(files)
 		enc.Uvarint(uint64(len(files)))
 		for _, f := range files {
 			enc.String(f)
 			enc.Int(int64(p.FileVersions[f]))
 		}
-		enc.Uvarint(uint64(len(p.QueryActions)))
-		for _, id := range p.QueryActions {
-			enc.Int(int64(id))
+		if snapshot {
+			enc.Uvarint(uint64(len(p.QueryActions)))
+			for _, id := range p.QueryActions {
+				enc.Int(int64(id))
+			}
+		} else {
+			enc.Uvarint(0)
 		}
 		enc.Bool(p.Superseded.Load())
 		enc.Bool(p.Repaired)
 	case *QueryPayload:
-		idx := -1
-		if g != nil {
-			// Snapshot mode: the reference is valid only if the owning
-			// run is still in the graph with this payload attached.
-			if ra := g.Get(p.RunAction); ra != nil {
-				if rp, ok := ra.Payload.(*RunPayload); ok && rp == p.run {
-					for i, qid := range rp.QueryActions {
-						if qid == a.ID {
-							idx = i
-							break
-						}
-					}
-				}
+		// The record aliases the owning run's Rec.Queries[idx]; the
+		// reference is valid only while that run is in the graph with this
+		// payload attached (always, for the head of an append batch).
+		idx, rp := -1, p.run
+		if snapshot && rp != nil {
+			if ra := g.Get(p.RunAction); ra == nil || ra.Payload != any(rp) {
+				rp = nil
 			}
-		} else if p.run != nil {
-			// WAL mode, during Append: the owning run has not yet linked
-			// this action, so our slot is the next one.
-			idx = len(p.run.QueryActions)
+		}
+		if rp != nil {
+			idx = slices.Index(rp.QueryActions, a.ID)
 		}
 		if idx >= 0 {
 			enc.Byte(payloadQueryRef)
@@ -296,12 +311,12 @@ func encodeAction(enc *store.Encoder, a *history.Action, g *history.Graph) {
 // QueryActions when replaying WAL appends.
 func decodeAction(dec *store.Decoder, g *history.Graph) (*history.Action, *QueryPayload, error) {
 	a := &history.Action{
-		ID:      history.ActionID(dec.Int()),
-		Kind:    history.Kind(dec.Byte()),
-		Time:    dec.Int(),
-		Inputs:  decodeDeps(dec),
-		Outputs: decodeDeps(dec),
+		ID:   history.ActionID(dec.Int()),
+		Kind: history.Kind(dec.Byte()),
+		Time: dec.Int(),
 	}
+	a.Inputs = decodeDeps(dec, g, a)
+	a.Outputs = decodeDeps(dec, g, a)
 	var qp *QueryPayload
 	switch tag := dec.Byte(); tag {
 	case payloadRun:

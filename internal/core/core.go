@@ -85,7 +85,9 @@ type Warp struct {
 	// mutation records.
 	rngDraws atomic.Int64
 
-	// mu guards the log stores, indexes, queues, and counters below.
+	// mu guards the log stores and queues below. recordRun does not take
+	// it: a request's record is published in the graph's own critical
+	// section and the counters it advances are atomic.
 	// suspendMu implements the brief repair cut-over suspension (§4.3):
 	// requests hold it shared; Suspend takes it exclusively.
 	// repairMu serializes repairs.
@@ -98,13 +100,18 @@ type Warp struct {
 	visitByID  map[string]map[int64]*browser.VisitLog
 	visitOrder []*browser.VisitLog // all logs in upload order
 
-	// HTTP server manager state: exchange node → app-run action.
-	runByHTTP map[history.NodeID]history.ActionID
-	srvReqSeq int64 // request counter for extensionless clients
+	// srvReqSeq numbers the exchanges of extensionless clients. (The
+	// exchange → run and table → node lookups of repair are the graph's,
+	// Graph.ExchangeActions and Graph.TableNodes, and collected with it.)
+	srvReqSeq atomic.Int64
 
-	// Partition index: table → partition nodes seen, for conservative
-	// whole-table dirt fan-out during repair.
-	partsByTable map[string]map[history.NodeID]bool
+	// The graph handles of every partition, file and client cookie seen,
+	// kept beside the values the record path already holds so it never
+	// rebuilds a node name; bounded, like the graph's node table.
+	nodeMu      sync.RWMutex
+	partNodes   map[ttdb.Partition]history.Node
+	fileNodes   map[string]history.Node
+	cookieNodes map[string]history.Node
 
 	// Cookie invalidation queue (§5.3) and conflict queue (§5.4).
 	cookieInvalid map[string][]string
@@ -112,8 +119,8 @@ type Warp struct {
 
 	// Storage accounting (Table 6).
 	browserLogBytes int
-	appLogBytes     int
-	dbLogBytes      int
+	appLogBytes     atomic.Int64
+	dbLogBytes      atomic.Int64
 
 	// Durable persistence (persist.go). pers is nil for in-memory
 	// deployments (New); pendingIntent is the repair a crashed instance
@@ -166,8 +173,9 @@ func New(cfg Config) *Warp {
 		rng:           rand.New(rand.NewSource(cfg.Seed ^ 0x5741525f)),
 		visitLogs:     make(map[string][]*browser.VisitLog),
 		visitByID:     make(map[string]map[int64]*browser.VisitLog),
-		runByHTTP:     make(map[history.NodeID]history.ActionID),
-		partsByTable:  make(map[string]map[history.NodeID]bool),
+		partNodes:     make(map[ttdb.Partition]history.Node),
+		fileNodes:     make(map[string]history.Node),
+		cookieNodes:   make(map[string]history.Node),
 		cookieInvalid: make(map[string][]string),
 	}
 }
@@ -187,11 +195,13 @@ func NewStopTheWorldBaseline(cfg Config) *Warp {
 // RunPayload is the graph payload for an application-run action.
 type RunPayload struct {
 	Rec *app.RunRecord
-	// FileVersions snapshots the code versions the run used, so repair can
-	// prune runs whose code is unchanged.
+	// FileVersions holds the code versions the run used, so repair can
+	// prune runs whose code is unchanged. It is the runtime's shared
+	// snapshot of every file at the run's patch level (immutable; see
+	// app.Runtime.FileVersions): consult it for Rec.FilesLoaded only.
 	FileVersions map[string]int
-	// QueryActions are the graph actions for the run's queries. Guarded by
-	// Warp.mu once the run action is published to the graph.
+	// QueryActions are the graph actions for the run's queries, fixed
+	// when the run is published to the graph.
 	QueryActions []history.ActionID
 	// Superseded marks runs replaced or cancelled during a repair: their
 	// recorded effects no longer describe the repaired timeline. Atomic
@@ -215,21 +225,20 @@ type QueryPayload struct {
 	run *RunPayload
 }
 
-// httpNodeFor derives the HTTP exchange node for a request, assigning a
-// server-side identifier to requests from extensionless clients (the
-// paper's server-side request IDs, §7). Caller holds w.mu.
-func (w *Warp) httpNodeFor(req *httpd.Request) history.NodeID {
-	if req.ClientID != "" {
-		return history.HTTPNode(req.ClientID, req.VisitID, req.RequestID)
-	}
-	w.srvReqSeq++
-	return history.HTTPNode("srv", 0, w.srvReqSeq)
+// exchangeOf names the HTTP exchange of a request that carries client
+// identifiers (every replay-path request does).
+func exchangeOf(req *httpd.Request) history.Exchange {
+	return history.Exchange{Client: req.ClientID, Visit: req.VisitID, Request: req.RequestID}
 }
 
-// httpNodeForReplay derives the exchange node for a replay-path request,
-// which always carries client identifiers.
-func (w *Warp) httpNodeForReplay(req *httpd.Request) history.NodeID {
-	return history.HTTPNode(req.ClientID, req.VisitID, req.RequestID)
+// exchangeFor derives the HTTP exchange for a recorded request, assigning
+// a server-side identifier to requests from extensionless clients (the
+// paper's server-side request IDs, §7).
+func (w *Warp) exchangeFor(req *httpd.Request) history.Exchange {
+	if req.ClientID != "" {
+		return exchangeOf(req)
+	}
+	return history.Exchange{Client: "srv", Request: w.srvReqSeq.Add(1)}
 }
 
 // HandleRequest serves one request under normal execution: route, run the
@@ -254,16 +263,18 @@ func (w *Warp) handleRequest(req *httpd.Request) *httpd.Response {
 
 	// Cookie invalidation (§5.3): if repair left this client's replayed
 	// cookie diverged, delete the cookie on its next contact.
-	w.mu.Lock()
 	var invalidated []string
-	if names, ok := w.cookieInvalid[req.ClientID]; ok && req.ClientID != "" {
-		for _, n := range names {
-			delete(req.Cookies, n)
+	if req.ClientID != "" {
+		w.mu.Lock()
+		if names, ok := w.cookieInvalid[req.ClientID]; ok {
+			for _, n := range names {
+				delete(req.Cookies, n)
+			}
+			invalidated = names
+			delete(w.cookieInvalid, req.ClientID)
 		}
-		invalidated = names
-		delete(w.cookieInvalid, req.ClientID)
+		w.mu.Unlock()
 	}
-	w.mu.Unlock()
 
 	file, ok := w.Runtime.RouteOf(req.Path)
 	if !ok {
@@ -273,7 +284,7 @@ func (w *Warp) handleRequest(req *httpd.Request) *httpd.Response {
 	if err != nil {
 		return httpd.ServerError(err.Error())
 	}
-	w.recordRun(rec, nil)
+	w.recordRun(rec, false)
 	resp := rec.Resp
 	for _, n := range invalidated {
 		resp.ClearCookie(n)
@@ -281,11 +292,13 @@ func (w *Warp) handleRequest(req *httpd.Request) *httpd.Response {
 	return resp
 }
 
-// recordRun appends a run and its queries to the action history graph.
-// When repaired is non-nil the actions are flagged as produced by repair.
-func (w *Warp) recordRun(rec *app.RunRecord, repaired *bool) history.ActionID {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+// recordRun appends a run and its queries to the action history graph;
+// repaired flags actions produced by repair. The record is a handful of
+// flat allocations — one array of actions, one of dependency edges, one
+// of query payloads — built before the graph's lock is taken and
+// published in one critical section (docs/performance.md "What one
+// request records").
+func (w *Warp) recordRun(rec *app.RunRecord, repaired bool) history.ActionID {
 	if w.pers != nil {
 		// Any fresh Token/RandInt draws this run made advanced the
 		// runtime's nondeterminism cursor; log the new position *before*
@@ -295,63 +308,97 @@ func (w *Warp) recordRun(rec *app.RunRecord, repaired *bool) history.ActionID {
 		// state depends on).
 		w.pers.logCursors(w.Runtime.RNGCursor(), w.rngDraws.Load())
 	}
-	httpNode := w.httpNodeFor(rec.Req)
-	runAct := &history.Action{
-		Kind: history.KindAppRun,
-		Time: rec.Time,
-	}
-	payload := &RunPayload{Rec: rec, FileVersions: make(map[string]int)}
-	if repaired != nil {
-		payload.Repaired = *repaired
-	}
-	runAct.Payload = payload
-	for _, f := range rec.FilesLoaded {
-		payload.FileVersions[f] = w.Runtime.FileVersion(f)
-		runAct.Inputs = append(runAct.Inputs, history.Dep{Node: history.FileNode(f), Time: rec.Time})
-	}
-	runAct.Inputs = append(runAct.Inputs, history.Dep{Node: httpNode, Time: rec.Time})
-	runAct.Outputs = append(runAct.Outputs, history.Dep{Node: httpNode, Time: rec.Time})
-	if rec.Req.ClientID != "" {
-		cookieNode := history.CookieNode(rec.Req.ClientID)
-		if len(rec.Req.Cookies) > 0 {
-			runAct.Inputs = append(runAct.Inputs, history.Dep{Node: cookieNode, Time: rec.Time})
-		}
-		if rec.Resp != nil && (len(rec.Resp.SetCookies) > 0 || len(rec.Resp.ClearCookies) > 0) {
-			runAct.Outputs = append(runAct.Outputs, history.Dep{Node: cookieNode, Time: rec.Time})
-		}
-	}
-	runID := w.Graph.Append(runAct)
-	w.runByHTTP[httpNode] = runID
-
+	req, nq := rec.Req, len(rec.Queries)
+	ndeps := len(rec.FilesLoaded) + 4 // + the exchange and the cookie, read and written
 	for _, q := range rec.Queries {
-		qa := &history.Action{
-			Kind:    history.KindQuery,
-			Time:    q.Time,
-			Payload: &QueryPayload{Rec: q, RunAction: runID, Repaired: payload.Repaired, run: payload},
-		}
-		for _, p := range q.ReadPartitions {
-			qa.Inputs = append(qa.Inputs, history.Dep{Node: w.partNode(p), Time: q.Time})
-		}
-		for _, p := range q.WritePartitions {
-			qa.Outputs = append(qa.Outputs, history.Dep{Node: w.partNode(p), Time: q.Time})
-		}
-		payload.QueryActions = append(payload.QueryActions, w.Graph.Append(qa))
+		ndeps += len(q.ReadPartitions) + len(q.WritePartitions)
 	}
-	w.appLogBytes += rec.ApproxLogBytes()
-	w.dbLogBytes += rec.DBLogBytes()
+	acts := make([]history.Action, 1+nq)
+	deps := make([]history.Dep, 0, ndeps)
+	// since cuts the edges appended after mark off the shared array,
+	// capped so a later AddDeps reallocates instead of overwriting.
+	since := func(mark int) []history.Dep { return deps[mark:len(deps):len(deps)] }
+	payload := &RunPayload{Rec: rec, FileVersions: w.Runtime.FileVersions(), Repaired: repaired}
+
+	run := &acts[0]
+	run.Kind, run.Time, run.Payload = history.KindAppRun, rec.Time, payload
+	run.Exchange = w.exchangeFor(req)
+	w.nodeMu.RLock() // one hold for every handle lookup below
+	for _, f := range rec.FilesLoaded {
+		deps = append(deps, history.Dep{Node: nodeIn(w, w.fileNodes, f, history.FileName, true), Time: rec.Time})
+	}
+	deps = append(deps, history.Dep{Node: history.ExchangeNode, Time: rec.Time})
+	if req.ClientID != "" && len(req.Cookies) > 0 {
+		deps = append(deps, history.Dep{Node: nodeIn(w, w.cookieNodes, req.ClientID, history.CookieName, true), Time: rec.Time})
+	}
+	run.Inputs = since(0)
+	mark := len(deps)
+	deps = append(deps, history.Dep{Node: history.ExchangeNode, Time: rec.Time})
+	if req.ClientID != "" && rec.Resp != nil && (len(rec.Resp.SetCookies) > 0 || len(rec.Resp.ClearCookies) > 0) {
+		deps = append(deps, history.Dep{Node: nodeIn(w, w.cookieNodes, req.ClientID, history.CookieName, true), Time: rec.Time})
+	}
+	run.Outputs = since(mark)
+
+	qps := make([]QueryPayload, nq)
+	payload.QueryActions = make([]history.ActionID, nq)
+	for i, q := range rec.Queries {
+		qp, qa := &qps[i], &acts[1+i]
+		qp.Rec, qp.Repaired, qp.run = q, repaired, payload
+		qa.Kind, qa.Time, qa.Payload = history.KindQuery, q.Time, qp
+		mark = len(deps)
+		for _, p := range q.ReadPartitions {
+			deps = append(deps, history.Dep{Node: nodeIn(w, w.partNodes, p, partitionName, true), Time: q.Time})
+		}
+		qa.Inputs = since(mark)
+		mark = len(deps)
+		for _, p := range q.WritePartitions {
+			deps = append(deps, history.Dep{Node: nodeIn(w, w.partNodes, p, partitionName, true), Time: q.Time})
+		}
+		qa.Outputs = since(mark)
+	}
+	w.nodeMu.RUnlock()
+	appBytes, dbBytes := rec.ApproxLogBytes(), rec.DBLogBytes()
+
+	runID := w.Graph.AppendRun(acts, func() {
+		for i := range qps {
+			qps[i].RunAction = run.ID
+			payload.QueryActions[i] = acts[1+i].ID
+		}
+	})
+	w.appLogBytes.Add(int64(appBytes))
+	w.dbLogBytes.Add(int64(dbBytes))
 	return runID
 }
 
-// partNode interns a partition node and indexes it by table.
-func (w *Warp) partNode(p ttdb.Partition) history.NodeID {
-	node := history.PartitionNode(p.String())
-	byTable, ok := w.partsByTable[p.Table]
-	if !ok {
-		byTable = make(map[history.NodeID]bool)
-		w.partsByTable[p.Table] = byTable
+// nodeIn returns the graph handle cached in m under k, interning name(k)
+// on first sight. held says the caller holds nodeMu for reading (recordRun
+// takes one hold for all of a request's lookups); a miss drops and retakes
+// that hold.
+func nodeIn[K comparable](w *Warp, m map[K]history.Node, k K, name func(K) string, held bool) history.Node {
+	if !held {
+		w.nodeMu.RLock()
 	}
-	byTable[node] = true
-	return node
+	n, ok := m[k]
+	if !held || !ok {
+		w.nodeMu.RUnlock()
+	}
+	if !ok {
+		n = w.Graph.Intern(name(k))
+		w.nodeMu.Lock()
+		m[k] = n
+		w.nodeMu.Unlock()
+		if held {
+			w.nodeMu.RLock()
+		}
+	}
+	return n
+}
+
+func partitionName(p ttdb.Partition) string { return history.PartitionName(p.String()) }
+
+// partNode returns the graph handle of a partition's node.
+func (w *Warp) partNode(p ttdb.Partition) history.Node {
+	return nodeIn(w, w.partNodes, p, partitionName, false)
 }
 
 // UploadVisitLog receives a visit log from a client's browser extension
@@ -510,8 +557,8 @@ func (w *Warp) Storage() StorageStats {
 	defer w.mu.Unlock()
 	return StorageStats{
 		BrowserLogBytes: w.browserLogBytes,
-		AppLogBytes:     w.appLogBytes,
-		DBLogBytes:      w.dbLogBytes,
+		AppLogBytes:     int(w.appLogBytes.Load()),
+		DBLogBytes:      int(w.dbLogBytes.Load()),
 		DBRowBytes:      w.DB.Stats().ApproxBytes,
 		PageVisits:      len(w.visitOrder),
 	}

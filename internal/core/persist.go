@@ -224,29 +224,32 @@ func (p *persister) clearErrIf(err error) {
 	p.mu.Unlock()
 }
 
-// ActionAppended implements history.Observer: normal-execution actions
-// are WAL-logged at append time. Repair-produced actions (patched runs,
-// their queries, patch markers) are not — a repair becomes durable
-// atomically via the commit checkpoint.
-func (p *persister) ActionAppended(a *history.Action) {
-	switch pl := a.Payload.(type) {
-	case *RunPayload:
-		if pl.Repaired {
-			return
+// ActionsAppended implements history.Observer: normal-execution actions
+// are WAL-logged at append time, one record each, in batch order.
+// Repair-produced actions (patched runs, their queries, patch markers)
+// are not — a repair becomes durable atomically via the commit
+// checkpoint.
+func (p *persister) ActionsAppended(batch []*history.Action) {
+	for _, a := range batch {
+		switch pl := a.Payload.(type) {
+		case *RunPayload:
+			if pl.Repaired {
+				continue
+			}
+		case *QueryPayload:
+			if pl.Repaired {
+				continue
+			}
+		default:
+			if a.Kind == history.KindPatch {
+				continue
+			}
 		}
-	case *QueryPayload:
-		if pl.Repaired {
-			return
-		}
-	default:
-		if a.Kind == history.KindPatch {
-			return
-		}
+		enc := store.GetEncoder()
+		encodeAction(enc, a, p.w.Graph, false)
+		p.append(recHistoryAction, enc.Bytes())
+		store.PutEncoder(enc)
 	}
-	enc := store.GetEncoder()
-	encodeAction(enc, a, nil)
-	p.append(recHistoryAction, enc.Bytes())
-	store.PutEncoder(enc)
 }
 
 // GraphCollected implements history.Observer.
@@ -906,7 +909,7 @@ func (w *Warp) encodeCoreMeta(enc *store.Encoder) {
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	enc.Int(w.srvReqSeq)
+	enc.Int(w.srvReqSeq.Load())
 
 	cookieClients := make([]string, 0, len(w.cookieInvalid))
 	for c := range w.cookieInvalid {
@@ -929,8 +932,8 @@ func (w *Warp) encodeCoreMeta(enc *store.Encoder) {
 	}
 
 	enc.Int(int64(w.browserLogBytes))
-	enc.Int(int64(w.appLogBytes))
-	enc.Int(int64(w.dbLogBytes))
+	enc.Int(w.appLogBytes.Load())
+	enc.Int(w.dbLogBytes.Load())
 
 	// A pending repair intent (recovered from a crashed instance but not
 	// yet resumed) must survive the checkpoint that prunes its WAL
@@ -953,12 +956,16 @@ func (w *Warp) encodeCoreMeta(enc *store.Encoder) {
 	// Registered file versions, for stale-code detection after recovery
 	// (the code itself lives outside the database, like the paper's PHP
 	// source tree).
-	files := w.Runtime.Files()
+	versions := w.Runtime.FileVersions()
+	files := make([]string, 0, len(versions))
+	for f := range versions {
+		files = append(files, f)
+	}
 	sort.Strings(files)
 	enc.Uvarint(uint64(len(files)))
 	for _, f := range files {
 		enc.String(f)
-		enc.Int(int64(w.Runtime.FileVersion(f)))
+		enc.Int(int64(versions[f]))
 	}
 }
 
@@ -973,7 +980,7 @@ func (w *Warp) restoreCoreMeta(dec *store.Decoder) error {
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.srvReqSeq = dec.Int()
+	w.srvReqSeq.Store(dec.Int())
 
 	nCookie := dec.Count()
 	for i := 0; i < nCookie; i++ {
@@ -992,8 +999,8 @@ func (w *Warp) restoreCoreMeta(dec *store.Decoder) error {
 	}
 
 	w.browserLogBytes = int(dec.Int())
-	w.appLogBytes = int(dec.Int())
-	w.dbLogBytes = int(dec.Int())
+	w.appLogBytes.Store(dec.Int())
+	w.dbLogBytes.Store(dec.Int())
 	if dec.Bool() {
 		it := decodeIntent(dec)
 		w.pendingIntent = &it
@@ -1021,7 +1028,7 @@ func (w *Warp) encodeHistory(enc *store.Encoder) {
 	actions := w.Graph.All()
 	enc.Uvarint(uint64(len(actions)))
 	for _, a := range actions {
-		encodeAction(enc, a, w.Graph)
+		encodeAction(enc, a, w.Graph, true)
 	}
 }
 
@@ -1110,10 +1117,8 @@ func (w *Warp) applyWAL(r store.Record) error {
 		}
 		switch pl := a.Payload.(type) {
 		case *RunPayload:
-			w.mu.Lock()
-			w.appLogBytes += pl.Rec.ApproxLogBytes()
-			w.dbLogBytes += pl.Rec.DBLogBytes()
-			w.mu.Unlock()
+			w.appLogBytes.Add(int64(pl.Rec.ApproxLogBytes()))
+			w.dbLogBytes.Add(int64(pl.Rec.DBLogBytes()))
 		case *QueryPayload:
 			// Link the query action back into the owning run, restoring
 			// the QueryActions list the crash interrupted.
@@ -1202,46 +1207,24 @@ func (w *Warp) restoreVisitLog(v *browser.VisitLog) {
 	w.insertVisitLogLocked(v)
 }
 
-// rebuildDerived reconstructs the in-memory indexes that are derivable
-// from the recovered graph and logs — the HTTP-exchange-to-run map, the
-// per-table partition node index, the server-side request counter, the
-// run-ID floor — and advances the clock past every recovered timestamp.
+// rebuildDerived reconstructs the in-memory state that is derivable from
+// the recovered graph and logs — the server-side request counter and the
+// run-ID floor; the exchange and per-table node indexes are the graph's
+// own and came back with its actions — and advances the clock past every
+// recovered timestamp.
 func (w *Warp) rebuildDerived() {
 	maxTime := w.Clock.Now()
 	var maxRunID int64
-	w.mu.Lock()
 	for _, a := range w.Graph.All() {
 		if a.Time > maxTime {
 			maxTime = a.Time
-		}
-		for _, deps := range [][]history.Dep{a.Inputs, a.Outputs} {
-			for _, d := range deps {
-				if name, ok := d.Node.PartitionName(); ok {
-					if p, ok := ttdb.ParsePartition(name); ok {
-						byTable := w.partsByTable[p.Table]
-						if byTable == nil {
-							byTable = make(map[history.NodeID]bool)
-							w.partsByTable[p.Table] = byTable
-						}
-						byTable[d.Node] = true
-					}
-				}
-			}
 		}
 		rp, ok := a.Payload.(*RunPayload)
 		if !ok {
 			continue
 		}
-		for _, d := range a.Outputs {
-			node := string(d.Node)
-			if !strings.HasPrefix(node, "http:") {
-				continue
-			}
-			w.runByHTTP[d.Node] = a.ID
-			var n int64
-			if _, err := fmt.Sscanf(node, "http:srv/0/%d", &n); err == nil && n > w.srvReqSeq {
-				w.srvReqSeq = n
-			}
+		if e := a.Exchange; e.Client == "srv" && e.Visit == 0 && e.Request > w.srvReqSeq.Load() {
+			w.srvReqSeq.Store(e.Request)
 		}
 		if rp.Rec != nil {
 			if rp.Rec.RunID > maxRunID {
@@ -1254,6 +1237,7 @@ func (w *Warp) rebuildDerived() {
 			}
 		}
 	}
+	w.mu.Lock()
 	for _, v := range w.visitOrder {
 		if v.Time > maxTime {
 			maxTime = v.Time

@@ -131,12 +131,12 @@ func dumpWarp(t *testing.T, w *Warp) string {
 	fmt.Fprintf(&b, "clock=%d gen=%d\n", w.Clock.Now(), w.DB.CurrentGen())
 
 	for _, a := range w.Graph.All() {
-		fmt.Fprintf(&b, "action %d kind=%s t=%d in=%v out=%v", a.ID, a.Kind, a.Time, a.Inputs, a.Outputs)
+		fmt.Fprintf(&b, "action %d kind=%s t=%d in=%v out=%v", a.ID, a.Kind, a.Time, depNames(w, a, a.Inputs), depNames(w, a, a.Outputs))
 		switch p := a.Payload.(type) {
 		case *RunPayload:
 			fmt.Fprintf(&b, " run id=%d file=%s req=%x resp=%x queries=%d qacts=%v files=%v sup=%v rep=%v",
 				p.Rec.RunID, p.Rec.File, p.Rec.Req.Fingerprint(), p.Rec.Resp.Fingerprint(),
-				len(p.Rec.Queries), p.QueryActions, sortedVersions(p.FileVersions),
+				len(p.Rec.Queries), p.QueryActions, loadedVersions(p),
 				p.Superseded.Load(), p.Repaired)
 			for _, q := range p.Rec.Queries {
 				fmt.Fprintf(&b, "\n  q t=%d out=%x sql=%s wrote=%v", q.Time, q.Outcome(), q.SQL, q.WriteRowIDs)
@@ -190,12 +190,29 @@ func dumpWarp(t *testing.T, w *Warp) string {
 	return b.String()
 }
 
-func sortedVersions(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for k, v := range m {
-		out = append(out, fmt.Sprintf("%s=%d", k, v))
+// loadedVersions renders the code versions a run used: its payload's
+// FileVersions (a snapshot of every file when recorded live, of the loaded
+// files when recovered) consulted for the files the run loaded.
+func loadedVersions(p *RunPayload) []string {
+	out := make([]string, 0, len(p.Rec.FilesLoaded))
+	for _, f := range p.Rec.FilesLoaded {
+		out = append(out, fmt.Sprintf("%s=%d", f, p.FileVersions[f]))
 	}
 	sort.Strings(out)
+	return out
+}
+
+// depNames renders dependency edges by node name: handles are
+// per-process, names are what persists.
+func depNames(w *Warp, a *history.Action, deps []history.Dep) []string {
+	out := make([]string, 0, len(deps))
+	for _, d := range deps {
+		name := a.Exchange.Name()
+		if d.Node != history.ExchangeNode {
+			name = w.Graph.NodeName(d.Node)
+		}
+		out = append(out, fmt.Sprintf("%s@%d", name, d.Time))
+	}
 	return out
 }
 

@@ -56,14 +56,12 @@ func (rs *session) processQuery(it *workItem) error {
 		// touched partitions are indexed onto the same action.
 		*rec = *newRec
 		var ins, outs []history.Dep
-		rs.w.mu.Lock()
 		for _, p := range rec.ReadPartitions {
 			ins = append(ins, history.Dep{Node: rs.w.partNode(p), Time: rec.Time})
 		}
 		for _, p := range rec.WritePartitions {
 			outs = append(outs, history.Dep{Node: rs.w.partNode(p), Time: rec.Time})
 		}
-		rs.w.mu.Unlock()
 		rs.w.Graph.AddDeps(act.ID, ins, outs)
 		rs.addDirt(rec.WritePartitions, rec.Time)
 	}
@@ -168,30 +166,39 @@ func (rs *session) processRun(it *workItem) error {
 	return err
 }
 
+// latestRun returns the most recently recorded run of an HTTP exchange —
+// the run that served it, or after a repair its last re-execution — or
+// nil.
+func (w *Warp) latestRun(e history.Exchange) *history.Action {
+	runs := w.Graph.ExchangeActions(e)
+	if len(runs) == 0 {
+		return nil
+	}
+	return runs[len(runs)-1]
+}
+
 // origRunFor resolves the original-timeline run action for an HTTP
-// exchange node, memoizing the first sighting (before repair overwrites
-// the latest-run map).
-func (rs *session) origRunFor(node history.NodeID) *history.Action {
+// exchange, memoizing the first sighting (before repair appends the
+// exchange's re-execution behind it).
+func (rs *session) origRunFor(e history.Exchange) *history.Action {
 	rs.mu.Lock()
-	id, ok := rs.origRuns[node]
+	id, ok := rs.origRuns[e]
 	rs.mu.Unlock()
 	if ok {
 		return rs.w.Graph.Get(id)
 	}
-	rs.w.mu.Lock()
-	id, ok = rs.w.runByHTTP[node]
-	rs.w.mu.Unlock()
-	if !ok {
+	run := rs.w.latestRun(e)
+	if run == nil {
 		return nil
 	}
 	rs.mu.Lock()
-	if prev, dup := rs.origRuns[node]; dup {
-		id = prev // another worker memoized first; keep its sighting
-	} else {
-		rs.origRuns[node] = id
+	if prev, dup := rs.origRuns[e]; dup {
+		rs.mu.Unlock()
+		return rs.w.Graph.Get(prev) // another worker memoized first; keep its sighting
 	}
+	rs.origRuns[e] = run.ID
 	rs.mu.Unlock()
-	return rs.w.Graph.Get(id)
+	return run
 }
 
 // runClean reports whether a recorded run would re-execute identically:
@@ -201,8 +208,8 @@ func (rs *session) runClean(payload *RunPayload) bool {
 	if payload.Superseded.Load() {
 		return false
 	}
-	for f, ver := range payload.FileVersions {
-		if rs.w.Runtime.FileVersion(f) != ver {
+	for _, f := range payload.Rec.FilesLoaded {
+		if rs.w.Runtime.FileVersion(f) != payload.FileVersions[f] {
 			return false
 		}
 	}
@@ -224,7 +231,7 @@ func (rs *session) runClean(payload *RunPayload) bool {
 func (rs *session) executeRun(origAct *history.Action, req *httpd.Request) (*httpd.Response, error) {
 	origPayload := origAct.Payload.(*RunPayload)
 	orig := origPayload.Rec
-	node := rs.w.httpNodeForReplay(req)
+	node := exchangeOf(req)
 	// Remember the original mapping before it is overwritten.
 	rs.mu.Lock()
 	if _, ok := rs.origRuns[node]; !ok {
@@ -298,8 +305,7 @@ func (rs *session) executeRun(origAct *history.Action, req *httpd.Request) (*htt
 			qa.Payload.(*QueryPayload).Superseded.Store(true)
 		}
 	}
-	repaired := true
-	rs.w.recordRun(newRec, &repaired)
+	rs.w.recordRun(newRec, true)
 
 	// Cascade to the browser if the client-visible response changed (§5).
 	if orig.Resp != nil && newRec.Resp != nil && orig.Resp.Fingerprint() != newRec.Resp.Fingerprint() {
@@ -360,8 +366,7 @@ func (rs *session) rollbackWrite(rec *ttdb.Record) error {
 // cancelExchange undoes the application run behind one HTTP exchange.
 func (rs *session) cancelExchange(clientID string, visitID, requestID int64) {
 	rs.tracef("cancel exchange %s/%d/%d", clientID, visitID, requestID)
-	node := history.HTTPNode(clientID, visitID, requestID)
-	act := rs.origRunFor(node)
+	act := rs.origRunFor(history.Exchange{Client: clientID, Visit: visitID, Request: requestID})
 	if act == nil {
 		return
 	}
@@ -422,7 +427,7 @@ func (rs *session) cancelVisitTree(log *browser.VisitLog) {
 // unchanged requests and re-executes affected runs in the repair
 // generation.
 func (rs *session) repairTransport(req *httpd.Request) *httpd.Response {
-	node := rs.w.httpNodeForReplay(req)
+	node := exchangeOf(req)
 	rs.mu.Lock()
 	e, ok := rs.served[node]
 	rs.mu.Unlock()
@@ -473,11 +478,9 @@ func (rs *session) freshRun(req *httpd.Request) *httpd.Response {
 		return httpd.ServerError(err.Error())
 	}
 	rs.markRun(history.ActionID(-rs.nextSeq())) // fresh runs get synthetic ids
-	repaired := true
-	rs.w.recordRun(rec, &repaired)
-	node := rs.w.httpNodeForReplay(req)
+	rs.w.recordRun(rec, true)
 	rs.mu.Lock()
-	rs.served[node] = &servedEntry{reqFP: req.Fingerprint(), resp: rec.Resp}
+	rs.served[exchangeOf(req)] = &servedEntry{reqFP: req.Fingerprint(), resp: rec.Resp}
 	rs.mu.Unlock()
 	return rec.Resp
 }
@@ -514,7 +517,7 @@ func (rs *session) processVisit(it *workItem) error {
 	// The original main response body, for the UI-conflict hook.
 	origBody := ""
 	if len(vlog.Requests) > 0 {
-		if act := rs.origRunFor(history.HTTPNode(it.client, it.visit, vlog.Requests[0].RequestID)); act != nil {
+		if act := rs.origRunFor(history.Exchange{Client: it.client, Visit: it.visit, Request: vlog.Requests[0].RequestID}); act != nil {
 			if resp := act.Payload.(*RunPayload).Rec.Resp; resp != nil {
 				origBody = resp.Body
 			}
@@ -585,7 +588,7 @@ func (rs *session) processVisit(it *workItem) error {
 		}
 		usedChild[child.VisitID] = true
 		req := rs.buildRequest(nav.Method, nav.URL, nav.Form, it.client, child.VisitID, mainRequestID(child), out.CookiesAfter)
-		origAct := rs.origRunFor(rs.w.httpNodeForReplay(req))
+		origAct := rs.origRunFor(exchangeOf(req))
 		prunable := false
 		if origAct != nil {
 			p := origAct.Payload.(*RunPayload)
@@ -676,7 +679,7 @@ func (rs *session) setJarOverride(client string, jar map[string]string) {
 func (rs *session) origJarAfter(vlog *browser.VisitLog) map[string]string {
 	jar := cloneJar(vlog.Cookies)
 	for _, tr := range vlog.Requests {
-		act := rs.origRunFor(history.HTTPNode(vlog.ClientID, vlog.VisitID, tr.RequestID))
+		act := rs.origRunFor(history.Exchange{Client: vlog.ClientID, Visit: vlog.VisitID, Request: tr.RequestID})
 		if act == nil {
 			continue
 		}

@@ -104,8 +104,8 @@ type footprint struct {
 	// nodeReads/nodeWrites carry the non-partition dependency nodes
 	// (cookies, HTTP exchanges), so e.g. two runs updating one client's
 	// cookies keep their time order.
-	nodeReads  map[history.NodeID]bool
-	nodeWrites map[history.NodeID]bool
+	nodeReads  map[fpNode]bool
+	nodeWrites map[fpNode]bool
 	run        history.ActionID
 	// client is set on visit-replay items: replays of one client's
 	// visits serialize among themselves (they thread the client's cookie
@@ -131,7 +131,14 @@ func (a *footprint) conflicts(b *footprint) bool {
 	return false
 }
 
-func nodesIntersect(a, b map[history.NodeID]bool) bool {
+// fpNode is one non-partition node of a footprint: an interned graph node
+// or an HTTP exchange.
+type fpNode struct {
+	node history.Node
+	exch history.Exchange
+}
+
+func nodesIntersect(a, b map[fpNode]bool) bool {
 	if len(a) > len(b) {
 		a, b = b, a
 	}
@@ -446,36 +453,33 @@ func newFootprint() *footprint {
 	return &footprint{
 		reads:      ttdb.NewPartitionSet(),
 		writes:     ttdb.NewPartitionSet(),
-		nodeReads:  make(map[history.NodeID]bool),
-		nodeWrites: make(map[history.NodeID]bool),
+		nodeReads:  make(map[fpNode]bool),
+		nodeWrites: make(map[fpNode]bool),
 	}
 }
 
 // visitFootprint claims what one page-visit replay can touch: the
 // client's cookie jar, the visit's subtree of exchanges (replays cancel
 // unmatched children recursively and re-serve any exchange), and the
-// dependency edges of the runs behind those exchanges. Effects outside
+// dependency edges of the runs behind those exchanges. The visits
+// themselves need no claim of their own: replays of one client already
+// serialize on fp.client. Effects outside
 // this set — a patched page navigating somewhere new, a fresh run
 // writing an unclaimed partition — are caught by dirt propagation's
 // fixpoint, the same under-claim safety the cached footprints rely on.
 func (s *scheduler) visitFootprint(it *workItem) *footprint {
 	fp := newFootprint()
 	fp.client = it.client
-	fp.nodeWrites[history.CookieNode(it.client)] = true
-
 	w := s.rs.w
-	var runIDs []history.ActionID
+	fp.nodeWrites[fpNode{node: nodeIn(w, w.cookieNodes, it.client, history.CookieName, false)}] = true
+
+	var exchanges []history.Exchange
 	w.mu.Lock()
 	var walk func(visit int64)
 	walk = func(visit int64) {
-		fp.nodeWrites[history.VisitNode(it.client, visit)] = true
 		if vlog := w.visitByID[it.client][visit]; vlog != nil {
 			for _, tr := range vlog.Requests {
-				node := history.HTTPNode(it.client, visit, tr.RequestID)
-				fp.nodeWrites[node] = true
-				if id, ok := w.runByHTTP[node]; ok {
-					runIDs = append(runIDs, id)
-				}
+				exchanges = append(exchanges, history.Exchange{Client: it.client, Visit: visit, Request: tr.RequestID})
 			}
 		}
 		for _, c := range w.childVisits(it.client, visit) {
@@ -485,9 +489,12 @@ func (s *scheduler) visitFootprint(it *workItem) *footprint {
 	walk(it.visit)
 	w.mu.Unlock()
 
-	for _, id := range runIDs {
-		s.addActionDeps(fp, id)
-		s.addRunQueryDeps(fp, id)
+	for _, e := range exchanges {
+		fp.nodeWrites[fpNode{exch: e}] = true
+		if run := w.latestRun(e); run != nil {
+			s.addActionDeps(fp, run.ID)
+			s.addRunQueryDeps(fp, run.ID)
+		}
 	}
 	return fp
 }
@@ -503,10 +510,7 @@ func (s *scheduler) addRunQueryDeps(fp *footprint, run history.ActionID) {
 	if !ok {
 		return
 	}
-	s.rs.w.mu.Lock()
-	qids := append([]history.ActionID{}, payload.QueryActions...)
-	s.rs.w.mu.Unlock()
-	for _, qid := range qids {
+	for _, qid := range payload.QueryActions {
 		s.addActionDeps(fp, qid)
 	}
 }
@@ -526,10 +530,16 @@ func (s *scheduler) addActionDeps(fp *footprint, id history.ActionID) {
 		}
 	}
 	for _, n := range pd.NodeReads {
-		fp.nodeReads[n] = true
+		fp.nodeReads[fpNode{node: n}] = true
 	}
 	for _, n := range pd.NodeWrites {
-		fp.nodeWrites[n] = true
+		fp.nodeWrites[fpNode{node: n}] = true
+	}
+	if pd.ExchRead {
+		fp.nodeReads[fpNode{exch: pd.Exchange}] = true
+	}
+	if pd.ExchWrite {
+		fp.nodeWrites[fpNode{exch: pd.Exchange}] = true
 	}
 }
 

@@ -41,8 +41,8 @@ type session struct {
 	// during this repair.
 	dirt map[ttdb.Partition]int64
 
-	origRuns    map[history.NodeID]history.ActionID // first-seen (original) run per exchange
-	served      map[history.NodeID]*servedEntry
+	origRuns    map[history.Exchange]history.ActionID // first-seen (original) run per exchange
+	served      map[history.Exchange]*servedEntry
 	activeVisit map[string]bool
 
 	jarOverride map[string]map[string]string // diverged replay cookie jars
@@ -125,8 +125,8 @@ func (w *Warp) newSession(gen int64) *session {
 		rep:          rep,
 		cfg:          *w.cfg.Replay,
 		dirt:         make(map[ttdb.Partition]int64),
-		origRuns:     make(map[history.NodeID]history.ActionID),
-		served:       make(map[history.NodeID]*servedEntry),
+		origRuns:     make(map[history.Exchange]history.ActionID),
+		served:       make(map[history.Exchange]*servedEntry),
 		activeVisit:  make(map[string]bool),
 		jarOverride:  make(map[string]map[string]string),
 		navOverrides: make(map[string]*workItem),
@@ -210,29 +210,15 @@ func (rs *session) addDirt(parts []ttdb.Partition, from int64) {
 // partitionNodes expands a partition into the graph nodes its
 // dependencies live on: a keyed partition maps to its own node plus the
 // table's conservative whole-table node; a whole-table partition fans out
-// to every interned node of the table. Shared by dirt propagation and
-// partition undo.
-func (rs *session) partitionNodes(p ttdb.Partition) []history.NodeID {
-	seen := make(map[history.NodeID]bool)
-	var nodes []history.NodeID
-	add := func(n history.NodeID) {
-		if !seen[n] {
-			seen[n] = true
-			nodes = append(nodes, n)
-		}
-	}
-	rs.w.mu.Lock()
+// to every node of the table the graph holds postings for. Ordered by
+// node name. Shared by dirt propagation and partition undo.
+func (rs *session) partitionNodes(p ttdb.Partition) []history.Node {
 	if p.IsWholeTable() {
 		// Whole-table dirt touches every partition of the table.
-		for n := range rs.w.partsByTable[p.Table] {
-			add(n)
-		}
-	} else {
-		add(history.PartitionNode(p.String()))
-		add(history.PartitionNode(ttdb.WholeTable(p.Table).String()))
+		return rs.w.Graph.TableNodes(p.Table)
 	}
-	rs.w.mu.Unlock()
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	nodes := []history.Node{rs.w.partNode(p), rs.w.partNode(ttdb.WholeTable(p.Table))}
+	rs.w.Graph.SortNodes(nodes)
 	return nodes
 }
 
@@ -337,14 +323,15 @@ func (w *Warp) RetroPatchSince(file string, v app.Version, since int64) (*Report
 		if err := w.Runtime.Patch(file, v); err != nil {
 			return err
 		}
+		fileNode := nodeIn(w, w.fileNodes, file, history.FileName, false)
 		w.Graph.Append(&history.Action{
 			Kind:    history.KindPatch,
 			Time:    w.Clock.Tick(),
-			Outputs: []history.Dep{{Node: history.FileNode(file), Time: since}},
+			Outputs: []history.Dep{{Node: fileNode, Time: since}},
 			Payload: v.Note,
 		})
 		tg := time.Now()
-		runs := w.Graph.Readers(history.FileNode(file), since)
+		runs := w.Graph.Readers(fileNode, since)
 		rs.tGraph.Add(int64(time.Since(tg)))
 		for _, a := range runs {
 			if a.Kind == history.KindAppRun {

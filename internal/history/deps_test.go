@@ -13,8 +13,8 @@ import (
 //	a4 reads P and Q at t=40
 func buildDepGraph() (*Graph, []ActionID) {
 	g := New()
-	p := PartitionNode("t/user=a")
-	q := PartitionNode("t/user=b")
+	p := g.Intern(PartitionName("t/user=a"))
+	q := g.Intern(PartitionName("t/user=b"))
 	a1 := g.Append(&Action{Kind: KindQuery, Time: 10, Outputs: []Dep{{Node: p, Time: 10}}})
 	a2 := g.Append(&Action{Kind: KindQuery, Time: 20, Inputs: []Dep{{Node: p, Time: 20}}})
 	a3 := g.Append(&Action{Kind: KindQuery, Time: 30, Outputs: []Dep{{Node: q, Time: 30}}})
@@ -48,7 +48,7 @@ func TestDepsAndDependents(t *testing.T) {
 
 func TestDepsRespectsTimeDirection(t *testing.T) {
 	g := New()
-	p := PartitionNode("t/user=a")
+	p := g.Intern(PartitionName("t/user=a"))
 	// A write strictly after the reader's time is not a dependency.
 	late := g.Append(&Action{Kind: KindQuery, Time: 50, Outputs: []Dep{{Node: p, Time: 50}}})
 	rd := g.Append(&Action{Kind: KindQuery, Time: 20, Inputs: []Dep{{Node: p, Time: 20}}})
@@ -65,38 +65,35 @@ func TestDepsUnknownAction(t *testing.T) {
 	if g.Deps(999) != nil || g.Dependents(999) != nil {
 		t.Fatal("unknown action should have no edges")
 	}
-	in, out := g.DepsOf(999)
-	if in != nil || out != nil {
+	if pd := g.PartitionDepsOf(999); pd.PartReads != nil || pd.PartWrites != nil {
 		t.Fatal("unknown action should have no deps")
 	}
 }
 
-func TestDepsOfReturnsCopies(t *testing.T) {
+func TestPartitionDepsOfReturnsCopies(t *testing.T) {
 	g, ids := buildDepGraph()
-	in, _ := g.DepsOf(ids[3])
-	if len(in) != 2 {
-		t.Fatalf("DepsOf inputs = %v", in)
+	pd := g.PartitionDepsOf(ids[3])
+	if len(pd.PartReads) != 2 {
+		t.Fatalf("PartitionDepsOf reads = %v", pd.PartReads)
 	}
-	in[0].Node = "mutated"
-	in2, _ := g.DepsOf(ids[3])
-	if in2[0].Node == "mutated" {
-		t.Fatal("DepsOf must return copies, not aliases")
+	pd.PartReads[0] = "mutated"
+	if again := g.PartitionDepsOf(ids[3]); again.PartReads[0] == "mutated" {
+		t.Fatal("PartitionDepsOf must return copies, not aliases")
 	}
 }
 
 func TestDepsAfterAddDeps(t *testing.T) {
 	g, ids := buildDepGraph()
-	q := PartitionNode("t/user=b")
+	q := g.Intern(PartitionName("t/user=b"))
 	// Repair discovers that a2 also reads Q.
 	g.AddDeps(ids[1], []Dep{{Node: q, Time: 20}}, nil)
 	// a2 still has only a1 as dep (a3 wrote Q later than a2's time)...
 	if got := g.Deps(ids[1]); !reflect.DeepEqual(got, []ActionID{ids[0]}) {
 		t.Fatalf("Deps(a2) = %v", got)
 	}
-	// ...but a2 now shows up among Q readers via DepsOf.
-	in, _ := g.DepsOf(ids[1])
-	if len(in) != 2 {
-		t.Fatalf("DepsOf(a2) inputs = %v, want 2", in)
+	// ...but a2 now reads Q as well.
+	if reads := g.PartitionDepsOf(ids[1]).PartReads; len(reads) != 2 {
+		t.Fatalf("PartitionDepsOf(a2) reads = %v, want 2", reads)
 	}
 }
 
@@ -105,9 +102,9 @@ func TestDepsAfterAddDeps(t *testing.T) {
 // of that table, in both directions.
 func TestDepsHonorWholeTableOverlap(t *testing.T) {
 	g := New()
-	keyed := PartitionNode("t/user=a")
-	wild := PartitionNode("t/*")
-	otherTable := PartitionNode("u/*")
+	keyed := g.Intern(PartitionName("t/user=a"))
+	wild := g.Intern(PartitionName("t/*"))
+	otherTable := g.Intern(PartitionName("u/*"))
 
 	wWild := g.Append(&Action{Kind: KindQuery, Time: 10, Outputs: []Dep{{Node: wild, Time: 10}}})
 	rKeyed := g.Append(&Action{Kind: KindQuery, Time: 20, Inputs: []Dep{{Node: keyed, Time: 20}}})
@@ -140,10 +137,11 @@ func TestDepsHonorWholeTableOverlap(t *testing.T) {
 // TestPartitionDepsOf splits partition edges from plain node edges.
 func TestPartitionDepsOf(t *testing.T) {
 	g := New()
+	cookie := g.Intern(CookieName("c"))
 	id := g.Append(&Action{
-		Kind: KindQuery, Time: 10,
-		Inputs:  []Dep{{Node: PartitionNode("t/user=a"), Time: 10}, {Node: HTTPNode("c", 1, 1), Time: 10}},
-		Outputs: []Dep{{Node: PartitionNode("t/*"), Time: 10}, {Node: CookieNode("c"), Time: 10}},
+		Kind: KindQuery, Time: 10, Exchange: Exchange{Client: "c", Visit: 1, Request: 1},
+		Inputs:  []Dep{{Node: g.Intern(PartitionName("t/user=a")), Time: 10}, {Node: ExchangeNode, Time: 10}},
+		Outputs: []Dep{{Node: g.Intern(PartitionName("t/*")), Time: 10}, {Node: cookie, Time: 10}},
 	})
 	pd := g.PartitionDepsOf(id)
 	if !reflect.DeepEqual(pd.PartReads, []string{"t/user=a"}) {
@@ -152,10 +150,10 @@ func TestPartitionDepsOf(t *testing.T) {
 	if !reflect.DeepEqual(pd.PartWrites, []string{"t/*"}) {
 		t.Fatalf("PartWrites = %v", pd.PartWrites)
 	}
-	if !reflect.DeepEqual(pd.NodeReads, []NodeID{HTTPNode("c", 1, 1)}) {
-		t.Fatalf("NodeReads = %v", pd.NodeReads)
+	if pd.NodeReads != nil || !pd.ExchRead || pd.ExchWrite || pd.Exchange.Name() != "http:c/1/1" {
+		t.Fatalf("exchange edge = %+v", pd)
 	}
-	if !reflect.DeepEqual(pd.NodeWrites, []NodeID{CookieNode("c")}) {
+	if !reflect.DeepEqual(pd.NodeWrites, []Node{cookie}) {
 		t.Fatalf("NodeWrites = %v", pd.NodeWrites)
 	}
 	if pd := g.PartitionDepsOf(999); pd.PartReads != nil || pd.NodeReads != nil {

@@ -17,65 +17,20 @@ package history
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
+
+	"warp/internal/obs"
 )
 
-// NodeID names a node. IDs are structured strings, built by the helper
-// constructors below.
-type NodeID string
-
-// FileNode returns the node for an application source file.
-func FileNode(name string) NodeID { return NodeID("file:" + name) }
-
-// PartitionNode returns the node for a database partition. Partition is
-// the string form of a ttdb.Partition.
-func PartitionNode(partition string) NodeID { return NodeID("part:" + partition) }
-
-// PartitionName returns the partition string of a partition node, undoing
-// PartitionNode. ok is false for nodes of other kinds.
-func (n NodeID) PartitionName() (string, bool) {
-	const prefix = "part:"
-	s := string(n)
-	if len(s) < len(prefix) || s[:len(prefix)] != prefix {
-		return "", false
-	}
-	return s[len(prefix):], true
-}
-
-// partitionTable splits a partition node into its table and whether it
-// is the whole-table wildcard. Partition strings are "<table>/*" or
-// "<table>/<column>=<key>" (ttdb.Partition.String); table names are SQL
-// identifiers, so the first "/" is unambiguous.
-func (n NodeID) partitionTable() (table string, whole bool, ok bool) {
-	name, ok := n.PartitionName()
-	if !ok {
-		return "", false, false
-	}
-	i := strings.IndexByte(name, '/')
-	if i <= 0 {
-		return "", false, false
-	}
-	return name[:i], name[i+1:] == "*", true
-}
-
-// wholeTableNode returns the wildcard partition node of a table.
-func wholeTableNode(table string) NodeID { return PartitionNode(table + "/*") }
-
-// HTTPNode returns the node for one HTTP exchange, identified by the
-// browser-assigned ⟨client, visit, request⟩ tuple (§5.1).
-func HTTPNode(clientID string, visitID, requestID int64) NodeID {
-	return NodeID(fmt.Sprintf("http:%s/%d/%d", clientID, visitID, requestID))
-}
-
-// VisitNode returns the node for a browser page visit.
-func VisitNode(clientID string, visitID int64) NodeID {
-	return NodeID(fmt.Sprintf("visit:%s/%d", clientID, visitID))
-}
-
-// CookieNode returns the node for a client's cookie state.
-func CookieNode(clientID string) NodeID { return NodeID("cookie:" + clientID) }
+// Size gauges (docs/observability.md), set at every append batch and GC;
+// Graph.Stats returns the same three figures.
+var (
+	actionsGauge  = obs.NewGauge("warp_history_actions")
+	nodesGauge    = obs.NewGauge("warp_history_nodes")
+	postingsGauge = obs.NewGauge("warp_history_postings")
+)
 
 // ActionID identifies an action in the graph.
 type ActionID int64
@@ -107,9 +62,10 @@ func (k Kind) String() string {
 	}
 }
 
-// Dep is a dependency edge endpoint: a node at a time.
+// Dep is a dependency edge endpoint: a node at a time. Node is an
+// interned handle, or ExchangeNode for the owning action's Exchange.
 type Dep struct {
-	Node NodeID
+	Node Node
 	Time int64
 }
 
@@ -120,9 +76,22 @@ type Action struct {
 	Time    int64 // when the action started (logical clock)
 	Inputs  []Dep
 	Outputs []Dep
+	// Exchange is the HTTP exchange ExchangeNode edges refer to; fixed at
+	// append time.
+	Exchange Exchange
 	// Payload carries the kind-specific record (an app-run record, a query
 	// record, a page-visit record). The repair managers interpret it.
 	Payload any
+}
+
+// onExchange reports whether the action has an exchange edge of the given
+// direction.
+func (a *Action) onExchange(output bool) bool {
+	deps := a.Inputs
+	if output {
+		deps = a.Outputs
+	}
+	return a.Exchange != (Exchange{}) && slices.ContainsFunc(deps, func(d Dep) bool { return d.Node == ExchangeNode })
 }
 
 // Observer receives graph change events, in the order they commit. It
@@ -132,11 +101,12 @@ type Action struct {
 //
 // Callbacks run inside the graph's critical section, so the append order
 // an observer sees is exactly the graph's order. Implementations must
-// not call back into the Graph.
+// not call back into the Graph, NodeName excepted.
 type Observer interface {
-	// ActionAppended fires after an action is assigned its ID and
-	// indexed. The action's payload is shared, not copied.
-	ActionAppended(a *Action)
+	// ActionsAppended fires once per append batch, after the actions are
+	// assigned their IDs and indexed. Payloads are shared, not copied; the
+	// slice is the graph's and must not be retained.
+	ActionsAppended(batch []*Action)
 	// GraphCollected fires after GC removed actions older than
 	// beforeTime.
 	GraphCollected(beforeTime int64)
@@ -144,26 +114,36 @@ type Observer interface {
 
 // Graph is the action history graph. It is safe for concurrent use.
 type Graph struct {
-	mu      sync.RWMutex
-	actions map[ActionID]*Action
-	order   []ActionID // in append (≈ time) order
+	mu sync.RWMutex
+	// actions is a dense slab: actions[i] holds action base+i, nil once
+	// collected. GC trims it from the front.
+	actions []*Action
+	base    ActionID
+	live    int
 	nextID  ActionID
 	obs     Observer
+	batch   []*Action // scratch for observer batches
 
-	// Per-node indexes: actions that read from / wrote to a node, in
-	// append order.
-	readers map[NodeID][]ActionID
-	writers map[NodeID][]ActionID
+	// Per-node indexes, by handle: actions that read from / wrote to a
+	// node, in append order. postings counts their entries.
+	readers  [][]ActionID
+	writers  [][]ActionID
+	postings int
+	// exchanges maps an exchange to the live actions with an edge on it,
+	// in append order. Only repair looks exchanges up, so appending posts
+	// nothing here: the lookup that needs the index builds it, or extends
+	// it over the actions from exchNext on, and GC drops it.
+	exchanges map[Exchange][]ActionID
+	exchNext  ActionID
+	// tableNodes lists, by a table's wildcard node, the partition nodes
+	// that currently have postings, so the dependency API can honor
+	// whole-table ↔ keyed-partition overlap (a write to "t/*" depends on
+	// readers of every "t/..." node and vice versa).
+	tableNodes map[Node][]Node
 
 	// loadedNodes counts distinct nodes touched by repair-time lookups,
 	// approximating the paper's incremental graph loading cost metric.
-	loadedNodes map[NodeID]bool
-
-	// tableNodes indexes every partition node seen on a dependency edge
-	// by its table, so the action-level dependency API can honor
-	// whole-table ↔ keyed-partition overlap (a write to "t/*" depends on
-	// readers of every "t/..." node and vice versa).
-	tableNodes map[string]map[NodeID]bool
+	loadedNodes map[Node]bool
 
 	// muts counts structural mutations (appends, restores, dependency
 	// extensions, GC). The persistence layer compares it against the
@@ -172,59 +152,19 @@ type Graph struct {
 	// payload mutations (repair superseding actions) do not pass through
 	// the graph and are force-marked by the repair commit path instead.
 	muts int64
+
+	nmu   sync.RWMutex
+	nodes nodeTable
 }
 
 // New returns an empty graph.
 func New() *Graph {
 	return &Graph{
-		actions:     make(map[ActionID]*Action),
-		readers:     make(map[NodeID][]ActionID),
-		writers:     make(map[NodeID][]ActionID),
-		loadedNodes: make(map[NodeID]bool),
-		tableNodes:  make(map[string]map[NodeID]bool),
+		tableNodes:  make(map[Node][]Node),
+		loadedNodes: make(map[Node]bool),
 		nextID:      1,
+		nodes:       nodeTable{byName: make(map[string]Node), names: []string{""}, wild: []Node{ExchangeNode}},
 	}
-}
-
-// indexPartitionNode records a partition node in the per-table index.
-// Caller holds g.mu.
-func (g *Graph) indexPartitionNode(n NodeID) {
-	table, _, ok := n.partitionTable()
-	if !ok {
-		return
-	}
-	byTable := g.tableNodes[table]
-	if byTable == nil {
-		byTable = make(map[NodeID]bool)
-		g.tableNodes[table] = byTable
-	}
-	byTable[n] = true
-}
-
-// relatedPartitionNodes returns the other nodes whose partitions overlap
-// n: the table's wildcard node for a keyed partition, every indexed node
-// of the table for the wildcard. Caller holds g.mu (read side is fine:
-// the index is only grown under the write lock).
-func (g *Graph) relatedPartitionNodes(n NodeID) []NodeID {
-	table, whole, ok := n.partitionTable()
-	if !ok {
-		return nil
-	}
-	if !whole {
-		w := wholeTableNode(table)
-		if g.tableNodes[table][w] {
-			return []NodeID{w}
-		}
-		return nil
-	}
-	var out []NodeID
-	for other := range g.tableNodes[table] {
-		if other != n {
-			out = append(out, other)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // SetObserver installs the graph's change observer (nil to remove).
@@ -236,27 +176,122 @@ func (g *Graph) SetObserver(o Observer) {
 	g.obs = o
 }
 
+// get returns a live action by ID. Caller holds g.mu.
+func (g *Graph) get(id ActionID) *Action {
+	if i := id - g.base; i >= 0 && int(i) < len(g.actions) {
+		return g.actions[i]
+	}
+	return nil
+}
+
+// store places an action in its slab slot and indexes its edges. Caller
+// holds g.mu and has checked the slot is free.
+func (g *Graph) store(a *Action) {
+	if len(g.actions) == 0 {
+		g.base = a.ID
+	}
+	for int(a.ID-g.base) >= len(g.actions) {
+		g.actions = append(g.actions, nil)
+	}
+	g.actions[a.ID-g.base] = a
+	g.live++
+	g.index(a)
+}
+
+// index posts an action's edges on interned nodes. Caller holds g.mu.
+func (g *Graph) index(a *Action) {
+	for _, d := range a.Inputs {
+		if d.Node != ExchangeNode {
+			g.post(&g.readers, d.Node, a.ID)
+		}
+	}
+	for _, d := range a.Outputs {
+		if d.Node != ExchangeNode {
+			g.post(&g.writers, d.Node, a.ID)
+		}
+	}
+}
+
+// exchangeIndex returns the exchange index, first posting every action
+// appended since it was last consulted. Caller holds g.mu for writing.
+func (g *Graph) exchangeIndex() map[Exchange][]ActionID {
+	if g.exchanges == nil {
+		g.exchanges = make(map[Exchange][]ActionID)
+		g.exchNext = g.base
+	}
+	for id := max(g.exchNext, g.base); id < g.nextID; id++ {
+		if a := g.get(id); a != nil && (a.onExchange(false) || a.onExchange(true)) {
+			g.exchanges[a.Exchange] = append(g.exchanges[a.Exchange], id)
+		}
+	}
+	g.exchNext = g.nextID
+	return g.exchanges
+}
+
+// post appends one posting, noting a partition node's first posting in
+// its table's list. Caller holds g.mu.
+func (g *Graph) post(index *[][]ActionID, n Node, id ActionID) {
+	for int(n) >= len(g.readers) {
+		g.readers = append(g.readers, nil)
+		g.writers = append(g.writers, nil)
+	}
+	if len(g.readers[n]) == 0 && len(g.writers[n]) == 0 {
+		if wild := g.wildOf(n); wild != ExchangeNode {
+			g.tableNodes[wild] = append(g.tableNodes[wild], n)
+		}
+	}
+	(*index)[n] = append((*index)[n], id)
+	g.postings++
+}
+
+// published finishes a mutation that changed the graph's size. Caller
+// holds g.mu.
+func (g *Graph) published() {
+	g.muts++
+	actionsGauge.Set(int64(g.live))
+	postingsGauge.Set(int64(g.postings + len(g.exchanges)))
+}
+
 // Append records a new action and returns its assigned ID.
 func (g *Graph) Append(a *Action) ActionID {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.muts++
-	a.ID = g.nextID
-	g.nextID++
-	g.actions[a.ID] = a
-	g.order = append(g.order, a.ID)
-	for _, d := range a.Inputs {
-		g.readers[d.Node] = append(g.readers[d.Node], a.ID)
-		g.indexPartitionNode(d.Node)
+	g.batch = append(g.batch[:0], a)
+	return g.appendBatch(nil)
+}
+
+// AppendRun records a run and its queries in one critical section: they
+// receive consecutive IDs in slice order, link (if non-nil) then runs so
+// the caller can cross-reference the IDs in the payloads, and the observer
+// sees one batch. The graph keeps pointers into acts.
+func (g *Graph) AppendRun(acts []Action, link func()) ActionID {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.batch = g.batch[:0]
+	for i := range acts {
+		g.batch = append(g.batch, &acts[i])
 	}
-	for _, d := range a.Outputs {
-		g.writers[d.Node] = append(g.writers[d.Node], a.ID)
-		g.indexPartitionNode(d.Node)
+	return g.appendBatch(link)
+}
+
+// appendBatch publishes g.batch. Caller holds g.mu.
+func (g *Graph) appendBatch(link func()) ActionID {
+	first := g.nextID
+	for _, a := range g.batch {
+		a.ID = g.nextID
+		g.nextID++
 	}
+	if link != nil {
+		link()
+	}
+	for _, a := range g.batch {
+		g.store(a)
+	}
+	g.published()
 	if g.obs != nil {
-		g.obs.ActionAppended(a)
+		g.obs.ActionsAppended(g.batch)
 	}
-	return a.ID
+	return first
 }
 
 // RestoreAction re-appends a previously recorded action during recovery,
@@ -269,22 +304,19 @@ func (g *Graph) RestoreAction(a *Action) error {
 	if a.ID <= 0 {
 		return fmt.Errorf("history: restore of action without ID")
 	}
-	if _, exists := g.actions[a.ID]; exists {
+	if len(g.actions) > 0 && a.ID < g.base {
+		return fmt.Errorf("history: restore of action %d below the collected horizon %d", a.ID, g.base)
+	}
+	if g.get(a.ID) != nil {
 		return fmt.Errorf("history: restore of duplicate action %d", a.ID)
 	}
-	g.muts++
-	g.actions[a.ID] = a
-	g.order = append(g.order, a.ID)
-	for _, d := range a.Inputs {
-		g.readers[d.Node] = append(g.readers[d.Node], a.ID)
-		g.indexPartitionNode(d.Node)
-	}
-	for _, d := range a.Outputs {
-		g.writers[d.Node] = append(g.writers[d.Node], a.ID)
-		g.indexPartitionNode(d.Node)
-	}
+	g.store(a)
+	g.published()
 	if a.ID >= g.nextID {
 		g.nextID = a.ID + 1
+	}
+	if a.ID < g.exchNext {
+		g.exchanges = nil // restored behind the index's horizon: rebuild on demand
 	}
 	return nil
 }
@@ -293,169 +325,186 @@ func (g *Graph) RestoreAction(a *Action) error {
 func (g *Graph) Get(id ActionID) *Action {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.actions[id]
+	return g.get(id)
 }
 
-// AddDeps extends an existing action with additional dependencies,
-// indexing them. Repair uses this when a re-executed query's record
-// replaces the original in place but touches new partitions.
+// AddDeps extends an existing action with additional dependencies on
+// interned nodes, indexing them. Repair uses this when a re-executed
+// query's record replaces the original in place but touches new
+// partitions.
 func (g *Graph) AddDeps(id ActionID, inputs, outputs []Dep) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	a := g.actions[id]
+	a := g.get(id)
 	if a == nil {
 		return
 	}
 	g.muts++
-	have := make(map[Dep]bool, len(a.Inputs)+len(a.Outputs))
-	for _, d := range a.Inputs {
-		have[d] = true
-	}
-	for _, d := range inputs {
-		if !have[d] {
-			a.Inputs = append(a.Inputs, d)
-			g.readers[d.Node] = append(g.readers[d.Node], id)
-			g.indexPartitionNode(d.Node)
-		}
-	}
-	have = make(map[Dep]bool, len(a.Outputs))
-	for _, d := range a.Outputs {
-		have[d] = true
-	}
-	for _, d := range outputs {
-		if !have[d] {
-			a.Outputs = append(a.Outputs, d)
-			g.writers[d.Node] = append(g.writers[d.Node], id)
-			g.indexPartitionNode(d.Node)
-		}
-	}
+	a.Inputs = g.extend(a.Inputs, inputs, &g.readers, id)
+	a.Outputs = g.extend(a.Outputs, outputs, &g.writers, id)
 }
 
-// DepsOf returns copies of an action's input and output dependency edges.
-// Unlike reading Action.Inputs/Outputs directly, DepsOf is safe against a
-// concurrent AddDeps extending the action: the repair scheduler uses it to
-// derive work-item footprints without re-deriving partition sets from the
-// underlying query records.
-func (g *Graph) DepsOf(id ActionID) (inputs, outputs []Dep) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	a := g.actions[id]
-	if a == nil {
-		return nil, nil
+// extend appends the deps not already present, posting each.
+func (g *Graph) extend(have, add []Dep, index *[][]ActionID, id ActionID) []Dep {
+next:
+	for _, d := range add {
+		for _, h := range have {
+			if h == d {
+				continue next
+			}
+		}
+		have = append(have, d)
+		g.post(index, d.Node, id)
 	}
-	return append([]Dep{}, a.Inputs...), append([]Dep{}, a.Outputs...)
+	return have
 }
 
 // PartitionDeps is the dependency-edge view of one action with its
 // partition edges pre-split from its plain node edges: the partition
 // names (ttdb.Partition string forms, parseable with ttdb.ParsePartition)
-// an action reads and writes, and the remaining non-partition nodes
-// (HTTP exchanges, cookies, files). The repair scheduler's frontier
-// builds work-item footprints from this view, so two actions on the same
-// table are admitted concurrently exactly when their partition sets do
-// not overlap.
+// an action reads and writes, the remaining interned nodes (cookies,
+// files), and its exchange when it reads or writes one. The repair
+// scheduler's frontier builds work-item footprints from this view, so two
+// actions on the same table are admitted concurrently exactly when their
+// partition sets do not overlap.
 type PartitionDeps struct {
 	PartReads  []string
 	PartWrites []string
-	NodeReads  []NodeID
-	NodeWrites []NodeID
+	NodeReads  []Node
+	NodeWrites []Node
+	Exchange   Exchange
+	ExchRead   bool
+	ExchWrite  bool
 }
 
 // PartitionDepsOf returns an action's dependency edges split into
-// partition edges and plain node edges. Like DepsOf it is safe against a
-// concurrent AddDeps.
+// partition edges and plain node edges. Unlike reading Action.Inputs and
+// Outputs directly it is safe against a concurrent AddDeps.
 func (g *Graph) PartitionDepsOf(id ActionID) PartitionDeps {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	var pd PartitionDeps
-	a := g.actions[id]
+	a := g.get(id)
 	if a == nil {
 		return pd
 	}
-	for _, d := range a.Inputs {
-		if name, ok := d.Node.PartitionName(); ok {
-			pd.PartReads = append(pd.PartReads, name)
-		} else {
-			pd.NodeReads = append(pd.NodeReads, d.Node)
+	g.nmu.RLock()
+	defer g.nmu.RUnlock()
+	split := func(deps []Dep, parts *[]string, nodes *[]Node, exch *bool) {
+		for _, d := range deps {
+			switch {
+			case d.Node == ExchangeNode:
+				pd.Exchange, *exch = a.Exchange, true
+			case g.nodes.wild[d.Node] != ExchangeNode:
+				*parts = append(*parts, g.nodes.names[d.Node][len("part:"):])
+			default:
+				*nodes = append(*nodes, d.Node)
+			}
 		}
 	}
-	for _, d := range a.Outputs {
-		if name, ok := d.Node.PartitionName(); ok {
-			pd.PartWrites = append(pd.PartWrites, name)
-		} else {
-			pd.NodeWrites = append(pd.NodeWrites, d.Node)
-		}
-	}
+	split(a.Inputs, &pd.PartReads, &pd.NodeReads, &pd.ExchRead)
+	split(a.Outputs, &pd.PartWrites, &pd.NodeWrites, &pd.ExchWrite)
 	return pd
 }
 
-// Deps returns the distinct actions the given action depends on: every
-// action with an output edge to one of its input nodes at or before its
-// time. The result is in (time, ID) order and excludes the action itself.
-func (g *Graph) Deps(id ActionID) []ActionID {
+// TableNodes returns the partition nodes of a table that currently have
+// postings, ordered by name: the fan-out of whole-table dirt during
+// repair.
+func (g *Graph) TableNodes(table string) []Node {
+	g.nmu.RLock()
+	wild := g.nodes.byName[PartitionName(table+"/*")]
+	g.nmu.RUnlock()
 	g.mu.RLock()
-	defer g.mu.RUnlock()
-	a := g.actions[id]
-	if a == nil {
-		return nil
-	}
-	seen := make(map[ActionID]bool)
-	var out []*Action
-	for _, d := range a.Inputs {
-		for _, node := range append([]NodeID{d.Node}, g.relatedPartitionNodes(d.Node)...) {
-			for _, wid := range g.writers[node] {
-				w := g.actions[wid]
-				if w == nil || wid == id || seen[wid] || w.Time > a.Time {
-					continue
-				}
-				seen[wid] = true
-				out = append(out, w)
-			}
-		}
-	}
-	return sortedIDs(out)
+	out := append([]Node(nil), g.tableNodes[wild]...)
+	g.mu.RUnlock()
+	g.SortNodes(out)
+	return out
 }
+
+// overlapping returns n and the nodes whose partitions overlap it: the
+// table's wildcard for a keyed partition, every posted node of the table
+// for the wildcard (n itself may repeat). Caller holds g.mu.
+func (g *Graph) overlapping(n Node) []Node {
+	switch wild := g.wildOf(n); wild {
+	case ExchangeNode:
+		return []Node{n}
+	case n:
+		return append([]Node{n}, g.tableNodes[n]...)
+	default:
+		return []Node{n, wild}
+	}
+}
+
+// ExchangeActions returns the live actions with an edge on exchange e —
+// the run that served it and, after repair, its re-executions — in append
+// order.
+func (g *Graph) ExchangeActions(e Exchange) []*Action {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.exchangeActions(e)
+}
+
+func (g *Graph) exchangeActions(e Exchange) []*Action {
+	var out []*Action
+	for _, id := range g.exchangeIndex()[e] {
+		out = append(out, g.get(id))
+	}
+	return out
+}
+
+// Deps returns the distinct actions the given action depends on: every
+// action with an output edge to one of its input nodes (overlapping
+// partitions included) at or before its time, in (time, ID) order,
+// excluding the action itself.
+func (g *Graph) Deps(id ActionID) []ActionID { return g.related(id, false) }
 
 // Dependents returns the distinct actions depending on the given action:
 // every action with an input edge from one of its output nodes at or after
-// its time. The result is in (time, ID) order and excludes the action
-// itself. Deps and Dependents are the action-level dependency-edge view of
-// the graph; the repair scheduler consumes the node-level view (DepsOf)
-// to build work-item footprints.
-func (g *Graph) Dependents(id ActionID) []ActionID {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	a := g.actions[id]
+// its time, in (time, ID) order. Deps and Dependents are the action-level
+// view of the graph's edges; the repair scheduler consumes the node-level
+// view (PartitionDepsOf) to build work-item footprints.
+func (g *Graph) Dependents(id ActionID) []ActionID { return g.related(id, true) }
+
+func (g *Graph) related(id ActionID, forward bool) []ActionID {
+	g.mu.Lock() // an exchange edge may extend the exchange index
+	defer g.mu.Unlock()
+	a := g.get(id)
 	if a == nil {
 		return nil
 	}
-	seen := make(map[ActionID]bool)
+	deps, index := a.Inputs, g.writers
+	if forward {
+		deps, index = a.Outputs, g.readers
+	}
+	seen := map[ActionID]bool{id: true}
 	var out []*Action
-	for _, d := range a.Outputs {
-		for _, node := range append([]NodeID{d.Node}, g.relatedPartitionNodes(d.Node)...) {
-			for _, rid := range g.readers[node] {
-				r := g.actions[rid]
-				if r == nil || rid == id || seen[rid] || r.Time < a.Time {
-					continue
+	add := func(x *Action) {
+		if x != nil && !seen[x.ID] && ((forward && x.Time >= a.Time) || (!forward && x.Time <= a.Time)) {
+			seen[x.ID] = true
+			out = append(out, x)
+		}
+	}
+	for _, d := range deps {
+		if d.Node == ExchangeNode {
+			for _, x := range g.exchangeActions(a.Exchange) {
+				if x.onExchange(!forward) {
+					add(x)
 				}
-				seen[rid] = true
-				out = append(out, r)
+			}
+			continue
+		}
+		for _, n := range g.overlapping(d.Node) {
+			if int(n) < len(index) {
+				for _, xid := range index[n] {
+					add(g.get(xid))
+				}
 			}
 		}
 	}
-	return sortedIDs(out)
-}
-
-func sortedIDs(acts []*Action) []ActionID {
-	sort.Slice(acts, func(i, j int) bool {
-		if acts[i].Time != acts[j].Time {
-			return acts[i].Time < acts[j].Time
-		}
-		return acts[i].ID < acts[j].ID
-	})
-	ids := make([]ActionID, len(acts))
-	for i, a := range acts {
-		ids[i] = a.ID
+	sortByTime(out)
+	ids := make([]ActionID, len(out))
+	for i, x := range out {
+		ids[i] = x.ID
 	}
 	return ids
 }
@@ -464,46 +513,68 @@ func sortedIDs(acts []*Action) []ActionID {
 func (g *Graph) Len() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return len(g.actions)
+	return g.live
 }
 
-// Readers returns the actions with an input dependency on node at or after
-// fromTime, in time order.
-func (g *Graph) Readers(node NodeID, fromTime int64) []*Action {
-	return g.lookup(g.readers, node, fromTime)
+// Stats reports the graph's size: live actions, interned node names, and
+// index postings (reader/writer entries plus exchange keys built so far).
+func (g *Graph) Stats() (actions, nodes, postings int) {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	g.nmu.RLock()
+	defer g.nmu.RUnlock()
+	return g.live, len(g.nodes.names) - 1, g.postings + len(g.exchanges)
 }
 
-// Writers returns the actions with an output dependency on node at or
-// after fromTime, in time order.
-func (g *Graph) Writers(node NodeID, fromTime int64) []*Action {
-	return g.lookup(g.writers, node, fromTime)
+// Readers returns the distinct actions with an input dependency on node at
+// or after fromTime, in (time, ID) order.
+func (g *Graph) Readers(node Node, fromTime int64) []*Action {
+	return g.lookup(&g.readers, node, fromTime)
 }
 
-func (g *Graph) lookup(index map[NodeID][]ActionID, node NodeID, fromTime int64) []*Action {
+// Writers returns the distinct actions with an output dependency on node
+// at or after fromTime, in (time, ID) order.
+func (g *Graph) Writers(node Node, fromTime int64) []*Action {
+	return g.lookup(&g.writers, node, fromTime)
+}
+
+func (g *Graph) lookup(index *[][]ActionID, node Node, fromTime int64) []*Action {
 	g.mu.Lock()
 	g.loadedNodes[node] = true
-	ids := index[node]
-	out := make([]*Action, 0, len(ids))
-	for _, id := range ids {
-		a := g.actions[id]
-		if a != nil && a.Time >= fromTime {
-			out = append(out, a)
+	var out []*Action
+	if int(node) < len(*index) {
+		ids := (*index)[node]
+		out = make([]*Action, 0, len(ids))
+		for _, id := range ids {
+			if a := g.get(id); a != nil && a.Time >= fromTime {
+				out = append(out, a)
+			}
 		}
 	}
 	g.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Time < out[j].Time })
-	return out
+	sortByTime(out)
+	// An action with two edges on the node was posted twice.
+	return slices.Compact(out)
 }
 
-// ByKind returns all live actions of a kind, in time order. Used by
+// sortByTime orders actions by (time, ID).
+func sortByTime(acts []*Action) {
+	sort.Slice(acts, func(i, j int) bool {
+		if acts[i].Time != acts[j].Time {
+			return acts[i].Time < acts[j].Time
+		}
+		return acts[i].ID < acts[j].ID
+	})
+}
+
+// ByKind returns all live actions of a kind, in append order. Used by
 // repair initialization (e.g. find every app run that loaded a file) and by
 // tests.
 func (g *Graph) ByKind(k Kind) []*Action {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	var out []*Action
-	for _, id := range g.order {
-		a := g.actions[id]
+	for _, a := range g.actions {
 		if a != nil && a.Kind == k {
 			out = append(out, a)
 		}
@@ -515,9 +586,9 @@ func (g *Graph) ByKind(k Kind) []*Action {
 func (g *Graph) All() []*Action {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	out := make([]*Action, 0, len(g.order))
-	for _, id := range g.order {
-		if a := g.actions[id]; a != nil {
+	out := make([]*Action, 0, g.live)
+	for _, a := range g.actions {
+		if a != nil {
 			out = append(out, a)
 		}
 	}
@@ -536,49 +607,48 @@ func (g *Graph) LoadedNodes() int {
 func (g *Graph) ResetLoadStats() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.loadedNodes = make(map[NodeID]bool)
+	g.loadedNodes = make(map[Node]bool)
 }
 
 // GC removes actions older than beforeTime, in sync with the time-travel
 // database's version GC (§4.2): repair needs both the old row versions and
-// the graph entries, so both horizons move together.
+// the graph entries, so both horizons move together. The slab is trimmed
+// from the front and every index rebuilt from the survivors.
 func (g *Graph) GC(beforeTime int64) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	removed := 0
-	keep := g.order[:0]
-	for _, id := range g.order {
-		a := g.actions[id]
-		if a == nil {
-			continue
-		}
-		if a.Time < beforeTime {
-			delete(g.actions, id)
+	for i, a := range g.actions {
+		if a != nil && a.Time < beforeTime {
+			g.actions[i] = nil
 			removed++
-			continue
-		}
-		keep = append(keep, id)
-	}
-	g.order = keep
-	if removed > 0 {
-		g.muts++
-		// Rebuild indexes without the dead actions.
-		g.readers = make(map[NodeID][]ActionID)
-		g.writers = make(map[NodeID][]ActionID)
-		g.tableNodes = make(map[string]map[NodeID]bool)
-		for _, id := range g.order {
-			a := g.actions[id]
-			for _, d := range a.Inputs {
-				g.readers[d.Node] = append(g.readers[d.Node], a.ID)
-				g.indexPartitionNode(d.Node)
-			}
-			for _, d := range a.Outputs {
-				g.writers[d.Node] = append(g.writers[d.Node], a.ID)
-				g.indexPartitionNode(d.Node)
-			}
 		}
 	}
-	if removed > 0 && g.obs != nil {
+	if removed == 0 {
+		return 0
+	}
+	g.live -= removed
+	first := 0
+	for first < len(g.actions) && g.actions[first] == nil {
+		first++
+	}
+	// Copy rather than re-slice, so the collected prefix is released.
+	g.actions = append([]*Action(nil), g.actions[first:]...)
+	g.base += ActionID(first)
+
+	for n := range g.readers {
+		g.readers[n], g.writers[n] = g.readers[n][:0], g.writers[n][:0]
+	}
+	clear(g.tableNodes)
+	g.exchanges = nil
+	g.postings = 0
+	for _, a := range g.actions {
+		if a != nil {
+			g.index(a)
+		}
+	}
+	g.published()
+	if g.obs != nil {
 		g.obs.GraphCollected(beforeTime)
 	}
 	return removed
@@ -591,25 +661,4 @@ func (g *Graph) MutationCount() int64 {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return g.muts
-}
-
-// ApproxBytes estimates the log size of the graph, for Table 6 storage
-// accounting. sizer is consulted for each payload; it may be nil.
-func (g *Graph) ApproxBytes(sizer func(payload any) int) int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	n := 0
-	for _, a := range g.actions {
-		n += 16 // id + time
-		for _, d := range a.Inputs {
-			n += len(d.Node) + 8
-		}
-		for _, d := range a.Outputs {
-			n += len(d.Node) + 8
-		}
-		if sizer != nil {
-			n += sizer(a.Payload)
-		}
-	}
-	return n
 }

@@ -8,8 +8,8 @@ import (
 
 func TestAppendAndLookup(t *testing.T) {
 	g := New()
-	file := FileNode("edit.php")
-	part := PartitionNode("pages/title=tMain")
+	file := g.Intern(FileName("edit.php"))
+	part := g.Intern(PartitionName("pages/title=tMain"))
 
 	a1 := &Action{Kind: KindAppRun, Time: 10, Inputs: []Dep{{Node: file, Time: 10}}, Outputs: []Dep{{Node: part, Time: 11}}}
 	a2 := &Action{Kind: KindQuery, Time: 12, Inputs: []Dep{{Node: part, Time: 12}}}
@@ -61,7 +61,7 @@ func TestByKindAndOrder(t *testing.T) {
 
 func TestReadersSortedByTime(t *testing.T) {
 	g := New()
-	n := NodeID("part:x")
+	n := g.Intern("part:x")
 	// Append out of time order; lookups must still return time order.
 	g.Append(&Action{Kind: KindQuery, Time: 30, Inputs: []Dep{{Node: n, Time: 30}}})
 	g.Append(&Action{Kind: KindQuery, Time: 10, Inputs: []Dep{{Node: n, Time: 10}}})
@@ -74,7 +74,7 @@ func TestReadersSortedByTime(t *testing.T) {
 
 func TestGC(t *testing.T) {
 	g := New()
-	n := NodeID("part:x")
+	n := g.Intern("part:x")
 	for i := 0; i < 100; i++ {
 		g.Append(&Action{Kind: KindQuery, Time: int64(i), Inputs: []Dep{{Node: n, Time: int64(i)}}})
 	}
@@ -97,25 +97,14 @@ func TestGC(t *testing.T) {
 
 func TestLoadedNodesAccounting(t *testing.T) {
 	g := New()
-	g.Append(&Action{Kind: KindQuery, Time: 1, Inputs: []Dep{{Node: "part:a", Time: 1}}})
+	a, b := g.Intern("part:a"), g.Intern("part:b")
+	g.Append(&Action{Kind: KindQuery, Time: 1, Inputs: []Dep{{Node: a, Time: 1}}})
 	g.ResetLoadStats()
-	g.Readers("part:a", 0)
-	g.Readers("part:a", 0) // same node: still one
-	g.Readers("part:b", 0) // miss still counts as a load probe
+	g.Readers(a, 0)
+	g.Readers(a, 0) // same node: still one
+	g.Readers(b, 0) // miss still counts as a load probe
 	if got := g.LoadedNodes(); got != 2 {
 		t.Fatalf("loaded nodes = %d, want 2", got)
-	}
-}
-
-func TestApproxBytes(t *testing.T) {
-	g := New()
-	g.Append(&Action{Kind: KindQuery, Time: 1, Inputs: []Dep{{Node: "part:abc", Time: 1}}, Payload: "x"})
-	n := g.ApproxBytes(func(p any) int { return len(p.(string)) })
-	if n <= 0 {
-		t.Fatalf("bytes = %d", n)
-	}
-	if g.ApproxBytes(nil) <= 0 {
-		t.Fatal("nil sizer must still count structure")
 	}
 }
 
@@ -126,7 +115,7 @@ func TestPropertyIndexConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := New()
 	type expect struct {
-		node NodeID
+		node Node
 		time int64
 		id   ActionID
 	}
@@ -140,7 +129,7 @@ func TestPropertyIndexConsistency(t *testing.T) {
 			continue
 		}
 		tick++
-		node := NodeID(fmt.Sprintf("part:n%d", rng.Intn(8)))
+		node := g.Intern(fmt.Sprintf("part:n%d", rng.Intn(8)))
 		a := &Action{Kind: KindQuery, Time: tick}
 		if rng.Intn(2) == 0 {
 			a.Inputs = []Dep{{Node: node, Time: tick}}
@@ -154,8 +143,8 @@ func TestPropertyIndexConsistency(t *testing.T) {
 			writes = append(writes, expect{node, tick, id})
 		}
 	}
-	check := func(lookup func(NodeID, int64) []*Action, exp []expect) {
-		byNode := map[NodeID][]expect{}
+	check := func(lookup func(Node, int64) []*Action, exp []expect) {
+		byNode := map[Node][]expect{}
 		for _, e := range exp {
 			if e.time >= gcHorizon {
 				byNode[e.node] = append(byNode[e.node], e)
@@ -164,11 +153,11 @@ func TestPropertyIndexConsistency(t *testing.T) {
 		for node, want := range byNode {
 			got := lookup(node, 0)
 			if len(got) != len(want) {
-				t.Fatalf("node %s: %d results, want %d", node, len(got), len(want))
+				t.Fatalf("node %s: %d results, want %d", g.NodeName(node), len(got), len(want))
 			}
 			for i := range got {
 				if got[i].ID != want[i].id {
-					t.Fatalf("node %s: result %d = action %d, want %d", node, i, got[i].ID, want[i].id)
+					t.Fatalf("node %s: result %d = action %d, want %d", g.NodeName(node), i, got[i].ID, want[i].id)
 				}
 			}
 		}

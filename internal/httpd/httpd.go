@@ -145,12 +145,43 @@ func (r *Request) Fingerprint() uint64 {
 // ApproxBytes estimates the logged size of the request (Table 6
 // accounting).
 func (r *Request) ApproxBytes() int {
-	n := len(r.Method) + len(r.Path) + len(r.Query.Encode()) + len(r.Form.Encode()) + len(r.ClientID) + 16
+	n := len(r.Method) + len(r.Path) + encodedLen(r.Query) + encodedLen(r.Form) + len(r.ClientID) + 16
 	for k, v := range r.Cookies {
 		n += len(k) + len(v)
 	}
 	for k, v := range r.Headers {
 		n += len(k) + len(v)
+	}
+	return n
+}
+
+// encodedLen is len(v.Encode()) without building the string: every
+// key=value pair query-escaped, pairs joined by "&". The order Encode
+// sorts into does not change the length.
+func encodedLen(v url.Values) int {
+	n, pairs := 0, 0
+	for k, vals := range v {
+		n += len(vals) * (escapedLen(k) + 1)
+		for _, s := range vals {
+			n += escapedLen(s)
+		}
+		pairs += len(vals)
+	}
+	if pairs > 1 {
+		n += pairs - 1
+	}
+	return n
+}
+
+// escapedLen is len(url.QueryEscape(s)): unreserved bytes and the space
+// (which becomes "+") take one byte, everything else a %XX triple.
+func escapedLen(s string) int {
+	n := len(s)
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || strings.IndexByte("-_.~ ", c) >= 0) {
+			n += 2
+		}
 	}
 	return n
 }

@@ -144,3 +144,45 @@ func TestAdapterRoundTrip(t *testing.T) {
 		t.Fatalf("set-cookie not adapted: %v", resp.Cookies())
 	}
 }
+
+// approxBytesByEncode is Request.ApproxBytes as it was when it measured
+// the query and the form by URL-encoding them; the figure feeds the
+// Table 6 log-size accounting and must not move.
+func approxBytesByEncode(r *Request) int {
+	n := len(r.Method) + len(r.Path) + len(r.Query.Encode()) + len(r.Form.Encode()) + len(r.ClientID) + 16
+	for k, v := range r.Cookies {
+		n += len(k) + len(v)
+	}
+	for k, v := range r.Headers {
+		n += len(k) + len(v)
+	}
+	return n
+}
+
+func TestApproxBytesMatchesEncodedFormula(t *testing.T) {
+	every := make([]byte, 256)
+	for i := range every {
+		every[i] = byte(i)
+	}
+	cases := []url.Values{
+		nil,
+		{},
+		{"title": {"Main"}},
+		{"empty": {}},
+		{"blank": {""}},
+		{"multi": {"a", "b", ""}, "other": {"x y"}},
+		{"k&=? /": {"v&=? /+%", "ü→✓"}, "": {"no key"}},
+		{"a-b_c.d~e": {"A-Z_0.9~"}, "sp ace": {" ", "  "}},
+		{string(every): {string(every)}},
+	}
+	for _, q := range cases {
+		for _, f := range cases {
+			r := NewRequest("POST", "/edit.php")
+			r.Query, r.Form, r.ClientID = q, f, "client-1"
+			r.Cookies["sid"], r.Headers["X"] = "abc", "y"
+			if got, want := r.ApproxBytes(), approxBytesByEncode(r); got != want {
+				t.Fatalf("query %q form %q: ApproxBytes = %d, the encoded formula gives %d", q, f, got, want)
+			}
+		}
+	}
+}
