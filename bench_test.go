@@ -179,6 +179,42 @@ func BenchmarkNormalExec(b *testing.B) {
 	})
 }
 
+// BenchmarkVersionChain measures what a live point read and a live point
+// write of one row cost as a function of how many versions the row has
+// accumulated since the last GC (its chain). WARP's indexes order each
+// key's versions latest-ending first and the visibility predicate bounds
+// the probe (docs/storage.md "Index kinds"), so neither figure should
+// grow with the chain; with single-column indexes over all versions both
+// grew linearly. (The update side appends one version per iteration, so
+// its chain is the labelled length plus b.N.)
+func BenchmarkVersionChain(b *testing.B) {
+	for _, op := range []string{"select", "update"} {
+		for _, chain := range []int{1, 64, 1024} {
+			b.Run(fmt.Sprintf("%s/chain=%d", op, chain), func(b *testing.B) {
+				db := normalExecDB(16)
+				update := func() {
+					if _, _, err := db.Exec("UPDATE posts SET body = ? WHERE owner = ?",
+						sqldb.Text("new body"), sqldb.Text("u3")); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for i := 1; i < chain; i++ {
+					update()
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if op == "update" {
+						update()
+					} else if _, _, err := db.Exec("SELECT body FROM posts WHERE owner = ?", sqldb.Text("u3")); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestNormalExecAllocBudget is the in-tree allocation gate for the
 // normal-operation path: a cached indexed read must stay a small-constant
 // allocation operation (no per-execution parse, clone, stringify, or

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/url"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"warp/internal/browser"
@@ -17,6 +18,17 @@ import (
 	"warp/internal/sqldb"
 	"warp/internal/ttdb"
 )
+
+// book adds to one layer's total the time since t0 that calls nested
+// under it have not booked already — they advance *booked past before —
+// and books it in turn. Workers add to the session's totals concurrently,
+// so a caller finds its own share from this call-local tally; a delta of
+// the totals would subtract other workers' time too and go negative.
+func (rs *session) book(layer *atomic.Int64, t0 time.Time, before time.Duration, booked *time.Duration) {
+	d := time.Since(t0) - (*booked - before)
+	layer.Add(int64(d))
+	*booked += d
+}
 
 //
 // Query re-checking and re-execution (§4)
@@ -162,7 +174,7 @@ func (rs *session) processRun(it *workItem) error {
 	if payload.Superseded.Load() {
 		return nil
 	}
-	_, err := rs.executeRun(act, payload.Rec.Req.Clone())
+	_, err := rs.executeRun(act, payload.Rec.Req.Clone(), new(time.Duration))
 	return err
 }
 
@@ -228,7 +240,7 @@ func (rs *session) runClean(payload *RunPayload) bool {
 // re-matching its queries, undoing writes it no longer performs, and
 // cascading to the browser when its response changed. Returns the new
 // response.
-func (rs *session) executeRun(origAct *history.Action, req *httpd.Request) (*httpd.Response, error) {
+func (rs *session) executeRun(origAct *history.Action, req *httpd.Request, booked *time.Duration) (*httpd.Response, error) {
 	origPayload := origAct.Payload.(*RunPayload)
 	orig := origPayload.Rec
 	node := exchangeOf(req)
@@ -270,7 +282,7 @@ func (rs *session) executeRun(origAct *history.Action, req *httpd.Request) (*htt
 		}
 		t0 := time.Now()
 		res, newRec, err := rs.w.DB.ReExecPrepared(cs, params, t, origRec)
-		rs.tDB.Add(int64(time.Since(t0)))
+		rs.book(&rs.tDB, t0, *booked, booked)
 		if newRec != nil {
 			lastTime = newRec.Time
 			if newRec.IsWrite() {
@@ -281,10 +293,9 @@ func (rs *session) executeRun(origAct *history.Action, req *httpd.Request) (*htt
 		return res, newRec, err
 	}
 
-	t0 := time.Now()
-	dbBefore := rs.tDB.Load()
+	t0, before := time.Now(), *booked
 	newRec, err := rs.w.Runtime.Run(file, req, qf, orig)
-	rs.tApp.Add(int64(time.Since(t0)) - (rs.tDB.Load() - dbBefore))
+	rs.book(&rs.tApp, t0, before, booked)
 	if err != nil {
 		return nil, err
 	}
@@ -293,7 +304,7 @@ func (rs *session) executeRun(origAct *history.Action, req *httpd.Request) (*htt
 	// Undo the effects of original queries the new code no longer issues
 	// (e.g. the attack's writes, §2.2).
 	for _, rec := range matcher.unconsumedWrites() {
-		if err := rs.rollbackWrite(rec); err != nil {
+		if err := rs.rollbackWrite(rec, booked); err != nil {
 			return nil, err
 		}
 	}
@@ -345,7 +356,7 @@ func (rs *session) cascadeToBrowser(req *httpd.Request) {
 }
 
 // rollbackWrite undoes one recorded write query.
-func (rs *session) rollbackWrite(rec *ttdb.Record) error {
+func (rs *session) rollbackWrite(rec *ttdb.Record, booked *time.Duration) error {
 	if len(rec.WriteRowIDs) == 0 {
 		rs.addDirt(rec.WritePartitions, rec.Time)
 		return nil
@@ -355,7 +366,7 @@ func (rs *session) rollbackWrite(rec *ttdb.Record) error {
 	sp := rs.obsTrace.Begin("rollback")
 	dirt, err := rs.w.DB.RollbackRows(rec.Table, rec.WriteRowIDs, rec.Time)
 	sp.End()
-	rs.tDB.Add(int64(time.Since(t0)))
+	rs.book(&rs.tDB, t0, *booked, booked)
 	if err != nil {
 		return err
 	}
@@ -383,7 +394,7 @@ func (rs *session) cancelRun(payload *RunPayload, clientID string, visitID int64
 	}
 	for _, q := range payload.Rec.Queries {
 		if q.IsWrite() {
-			if err := rs.rollbackWrite(q); err != nil {
+			if err := rs.rollbackWrite(q, new(time.Duration)); err != nil {
 				// Rollback beyond the GC horizon is the only failure here;
 				// surface it as a conflict rather than wedging repair.
 				rs.addConflict(browser.Conflict{
@@ -426,7 +437,7 @@ func (rs *session) cancelVisitTree(log *browser.VisitLog) {
 // repairTransport serves HTTP requests from replayed browsers: it prunes
 // unchanged requests and re-executes affected runs in the repair
 // generation.
-func (rs *session) repairTransport(req *httpd.Request) *httpd.Response {
+func (rs *session) repairTransport(req *httpd.Request, booked *time.Duration) *httpd.Response {
 	node := exchangeOf(req)
 	rs.mu.Lock()
 	e, ok := rs.served[node]
@@ -437,7 +448,7 @@ func (rs *session) repairTransport(req *httpd.Request) *httpd.Response {
 	origAct := rs.origRunFor(node)
 	if origAct == nil {
 		// A request with no original counterpart: fresh execution.
-		return rs.freshRun(req)
+		return rs.freshRun(req, booked)
 	}
 	payload := origAct.Payload.(*RunPayload)
 	if req.Fingerprint() == payload.Rec.Req.Fingerprint() && rs.runClean(payload) {
@@ -445,7 +456,7 @@ func (rs *session) repairTransport(req *httpd.Request) *httpd.Response {
 		// (§5.3 pruning).
 		return payload.Rec.Resp
 	}
-	resp, err := rs.executeRun(origAct, req)
+	resp, err := rs.executeRun(origAct, req, booked)
 	if err != nil {
 		return httpd.ServerError(err.Error())
 	}
@@ -454,7 +465,7 @@ func (rs *session) repairTransport(req *httpd.Request) *httpd.Response {
 
 // freshRun executes a request that never happened in the original
 // timeline (e.g. a patched page newly navigating somewhere).
-func (rs *session) freshRun(req *httpd.Request) *httpd.Response {
+func (rs *session) freshRun(req *httpd.Request, booked *time.Duration) *httpd.Response {
 	file, ok := rs.w.Runtime.RouteOf(req.Path)
 	if !ok {
 		return httpd.NotFound("no route for " + req.Path)
@@ -464,16 +475,15 @@ func (rs *session) freshRun(req *httpd.Request) *httpd.Response {
 		lastTime++
 		t0 := time.Now()
 		res, rec, err := rs.w.DB.ReExec(sql, params, lastTime, nil)
-		rs.tDB.Add(int64(time.Since(t0)))
+		rs.book(&rs.tDB, t0, *booked, booked)
 		if rec != nil && rec.IsWrite() {
 			rs.addDirt(rec.WritePartitions, rec.Time)
 		}
 		return res, rec, err
 	}
-	t0 := time.Now()
-	dbBefore := rs.tDB.Load()
+	t0, before := time.Now(), *booked
 	rec, err := rs.w.Runtime.Run(file, req, qf, nil)
-	rs.tApp.Add(int64(time.Since(t0)) - (rs.tDB.Load() - dbBefore))
+	rs.book(&rs.tApp, t0, before, booked)
 	if err != nil {
 		return httpd.ServerError(err.Error())
 	}
@@ -538,23 +548,24 @@ func (rs *session) processVisit(it *workItem) error {
 			}
 		}
 	}
+	var booked time.Duration // by the requests this visit's replay serves
+	transport := func(req *httpd.Request) *httpd.Response { return rs.repairTransport(req, &booked) }
 	var mainResp *httpd.Response
 	if it.hasNav {
 		req := rs.buildRequest(it.navMethod, it.navURL, it.navForm, it.client, it.visit, mainRequestID(vlog), jar)
-		mainResp = rs.repairTransport(req)
+		mainResp = transport(req)
 		applyCookies(jar, mainResp)
 		for i := 0; i < 4 && mainResp.Status == 303 && mainResp.Headers["Location"] != ""; i++ {
 			req = rs.buildRequest("GET", mainResp.Headers["Location"], url.Values{}, it.client, it.visit, 0, jar)
-			mainResp = rs.repairTransport(req)
+			mainResp = transport(req)
 			applyCookies(jar, mainResp)
 		}
 	}
 
-	t0 := time.Now()
-	dbBefore, appBefore := rs.tDB.Load(), rs.tApp.Load()
-	out := browser.ReplayVisit(vlog, mainResp, origBody, jar, rs.repairTransport, rs.cfg)
-	// Attribute nested serve time to DB/App, the rest to the browser.
-	rs.tBrowser.Add(int64(time.Since(t0)) - (rs.tDB.Load() - dbBefore) - (rs.tApp.Load() - appBefore))
+	t0, before := time.Now(), booked
+	out := browser.ReplayVisit(vlog, mainResp, origBody, jar, transport, rs.cfg)
+	// Nested serve time is the DB's and the App's, the rest the browser's.
+	rs.book(&rs.tBrowser, t0, before, &booked)
 
 	rs.tracef("replayed visit %s/%d url=%s navs=%d conflicts=%d unmatched=%d", it.client, it.visit, vlog.URL, len(out.Navigations), len(out.Conflicts), len(out.UnmatchedOriginals))
 	for _, c := range out.Conflicts {
@@ -582,7 +593,7 @@ func (rs *session) processVisit(it *workItem) error {
 		if child == nil {
 			// A navigation that never happened originally: execute it fresh.
 			req := rs.buildRequest(nav.Method, nav.URL, nav.Form, it.client, rs.freshVisitID(), 1, out.CookiesAfter)
-			resp := rs.repairTransport(req)
+			resp := transport(req)
 			applyCookies(out.CookiesAfter, resp)
 			continue
 		}

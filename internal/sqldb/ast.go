@@ -115,12 +115,14 @@ func (s *CreateTable) Clone() Statement {
 	return &c
 }
 
-// CreateIndex is a CREATE INDEX statement. Only single-column equality hash
-// indexes are supported.
+// CreateIndex is a CREATE INDEX statement: an index on Column, optionally
+// with a second column (`CREATE INDEX i ON t (c, e)`) that each key's
+// postings are kept in descending order of (colIndex, schema.go).
 type CreateIndex struct {
 	Name        string
 	Table       string
 	Column      string
+	Suffix      string // "" for a plain single-column index
 	IfNotExists bool
 }
 
@@ -132,7 +134,11 @@ func (s *CreateIndex) String() string {
 	if s.IfNotExists {
 		ine = "IF NOT EXISTS "
 	}
-	return fmt.Sprintf("CREATE INDEX %s%s ON %s (%s)", ine, s.Name, s.Table, s.Column)
+	cols := s.Column
+	if s.Suffix != "" {
+		cols += ", " + s.Suffix
+	}
+	return fmt.Sprintf("CREATE INDEX %s%s ON %s (%s)", ine, s.Name, s.Table, cols)
 }
 
 // Clone returns a deep copy.

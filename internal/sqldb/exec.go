@@ -242,16 +242,19 @@ func (db *DB) execCreateIndex(s *CreateIndex) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("sql: table %s: no such column %s", s.Table, s.Column)
 	}
-	if _, exists := t.indexes[s.Column]; exists {
-		if s.IfNotExists {
-			return &Result{}, nil
+	sufPos := -1
+	if s.Suffix != "" {
+		if sufPos, ok = t.columnPos(s.Suffix); !ok || sufPos == ci {
+			return nil, fmt.Errorf("sql: table %s: no usable suffix column %s", s.Table, s.Suffix)
 		}
+	}
+	if _, exists := t.indexes[s.Column]; exists {
 		// An index on the same column is equivalent; treat re-creation as OK.
 		return &Result{}, nil
 	}
-	ix := newColIndex(s.Column)
+	ix := t.newColIndex(ci, sufPos)
 	t.store.forEachLive(func(slot int, r *row) error {
-		ix.add(r.vals[ci], slot)
+		ix.add(r.vals, slot)
 		return nil
 	})
 	t.indexes[s.Column] = ix
@@ -424,9 +427,8 @@ func IsUniqueViolation(err error) bool {
 }
 
 func (t *Table) indexAdd(slot int, vals []Value) {
-	for col, ix := range t.indexes {
-		ci := t.colIdx[col]
-		ix.add(vals[ci], slot)
+	for _, ix := range t.indexes {
+		ix.add(vals, slot)
 	}
 	for _, us := range t.uniques {
 		if key, ok := us.keyFor(vals); ok {
@@ -436,9 +438,8 @@ func (t *Table) indexAdd(slot int, vals []Value) {
 }
 
 func (t *Table) indexRemove(slot int, vals []Value) {
-	for col, ix := range t.indexes {
-		ci := t.colIdx[col]
-		ix.remove(vals[ci], slot)
+	for _, ix := range t.indexes {
+		ix.remove(vals, slot)
 	}
 	for _, us := range t.uniques {
 		if key, ok := us.keyFor(vals); ok {
@@ -472,11 +473,13 @@ func (t *Table) projectColumns(cols []string, vals []Value) ([]Value, error) {
 func (t *Table) matchSlots(scan *scanPlan, order *orderIdxPlan, pred rowPred, params []Value) (matched []int, usedIndex, inOrder bool, err error) {
 	if scan != nil {
 		if matched, handled, err := t.indexScan(scan, order, pred, params); handled {
+			t.notePostings(len(matched))
 			return matched, true, order != nil, err
 		}
 	}
 	if order != nil {
 		if matched, handled, err := t.orderedWalk(order, pred, params); handled {
+			t.notePostings(len(matched))
 			return matched, false, true, err
 		}
 	}
@@ -500,6 +503,7 @@ func (t *Table) matchSlots(scan *scanPlan, order *orderIdxPlan, pred rowPred, pa
 // filterSlots appends the slots from one posting list whose rows satisfy
 // pred.
 func (t *Table) filterSlots(slots []int, pred rowPred, params []Value, dst []int) ([]int, error) {
+	t.visited += len(slots)
 	for _, slot := range slots {
 		r := t.store.rowAt(slot)
 		if r.deleted {
@@ -514,6 +518,47 @@ func (t *Table) filterSlots(slots []int, pred rowPred, params []Value, dst []int
 		}
 	}
 	return dst, nil
+}
+
+// probe appends, in slot order, the slots of one key's postings whose
+// rows satisfy pred. A bucket in suffix order is first cut to the run the
+// plan's suffix bound admits (pred re-checks the whole WHERE, so the bound
+// only narrows) and its matches put back in slot order — where they
+// already are when the admitted rows tie on the suffix.
+func (t *Table) probe(ix *colIndex, scan *scanPlan, key string, pred rowPred, params []Value, dst []int) ([]int, error) {
+	b, n := ix.buckets[key], len(dst)
+	if sb := scan.suffix; sb != nil {
+		v, empty, ok := sb.val.rangeValue(sb.kind, params)
+		if empty {
+			return dst, nil // NULL bound: the conjunct is true of no row
+		}
+		if ok {
+			b = ix.admitted(b, sb.op, v)
+		}
+	}
+	dst, err := t.filterSlots(b, pred, params, dst)
+	if ix.sufPos >= 0 && err == nil && !sort.IntsAreSorted(dst[n:]) {
+		sort.Ints(dst[n:])
+	}
+	return dst, err
+}
+
+// admitted returns the run of b — one key's postings in suffix order —
+// that `suffix op v` can be true of. Only `=` has postings to skip before
+// its run; the run's end is found by walking it, as it is visited anyway.
+func (ix *colIndex) admitted(b []int, op BinOp, v Value) []int {
+	suf := func(i int) Value { return ix.store.rowAt(b[i]).vals[ix.sufPos] }
+	start := 0
+	if op == OpEq {
+		start = sort.Search(len(b), func(i int) bool { return !suffixBefore(suf(i), v) })
+	}
+	end := start
+	for ; end < len(b); end++ {
+		if c, ok := compareValues(suf(end), v); !ok || c < 0 || (c == 0 && op == OpGt) {
+			break
+		}
+	}
+	return b[start:end]
 }
 
 // indexScan serves one eq/IN/range plan. handled=false means the plan is
@@ -531,7 +576,7 @@ func (t *Table) indexScan(scan *scanPlan, order *orderIdxPlan, pred rowPred, par
 		if !ok {
 			return nil, false, nil
 		}
-		matched, err = t.filterSlots(ix.buckets[key], pred, params, nil)
+		matched, err = t.probe(ix, scan, key, pred, params, nil)
 		return matched, true, err
 
 	case scanIn:
@@ -576,7 +621,7 @@ func (t *Table) indexScan(scan *scanPlan, order *orderIdxPlan, pred rowPred, par
 				continue
 			}
 			lastKey = key
-			matched, err = t.filterSlots(ix.buckets[key], pred, params, matched)
+			matched, err = t.probe(ix, scan, key, pred, params, matched)
 			if err != nil {
 				return nil, true, err
 			}

@@ -15,6 +15,10 @@ import (
 //	select(posts) scan=full order=sort
 //	select(votes) scan=index-eq(node_id) aggregate(COUNT(*), SUM(val))
 //	update(posts) scan=index-eq(id)
+//	select(posts) scan=index-eq(owner, bounded closed_at > ?2)
+//
+// (the last: a probe cut short by a conjunct on the index's suffix column,
+// its operand a literal or the N-th parameter).
 //
 // The description reflects the same plan execution would use: it is
 // compiled through planFor against the current DDL epoch.
@@ -87,9 +91,9 @@ func describeScan(p *scanPlan) string {
 	}
 	switch p.kind {
 	case scanEq:
-		return fmt.Sprintf("index-eq(%s)", p.column)
+		return fmt.Sprintf("index-eq(%s%s)", p.column, describeSuffix(p.suffix))
 	case scanIn:
-		return fmt.Sprintf("index-in(%s)", p.column)
+		return fmt.Sprintf("index-in(%s%s)", p.column, describeSuffix(p.suffix))
 	case scanRange:
 		lo, hi := "-inf", "+inf"
 		if p.lo != nil {
@@ -101,4 +105,15 @@ func describeScan(p *scanPlan) string {
 		return fmt.Sprintf("index-range(%s %s..%s)", p.column, lo, hi)
 	}
 	return "full"
+}
+
+func describeSuffix(sb *suffixBound) string {
+	if sb == nil {
+		return ""
+	}
+	operand := fmt.Sprintf("?%d", sb.val.paramIdx+1)
+	if sb.val.hasConst {
+		operand = sb.val.constVal.String()
+	}
+	return fmt.Sprintf(", bounded %s %s %s", sb.column, sb.op, operand)
 }

@@ -72,6 +72,22 @@ var execHists = func() [numExecShapes]*obs.Histogram {
 	return a
 }()
 
+// Index selectivity (docs/observability.md): the postings index scans —
+// probes and ordered walks alike — handed to the statement's predicate,
+// and how many of those matched.
+var (
+	postingsVisited = obs.NewCounter("warp_sqldb_index_postings_visited_total")
+	postingsMatched = obs.NewCounter("warp_sqldb_index_postings_matched_total")
+)
+
+// notePostings publishes one index scan's counts: what filterSlots saw
+// since the last call, and the scan's matches. Caller holds db.mu.
+func (t *Table) notePostings(matched int) {
+	postingsVisited.Add(uint64(t.visited))
+	postingsMatched.Add(uint64(matched))
+	t.visited = 0
+}
+
 // selectShape maps a SELECT's executed access path to its shape.
 func selectShape(sp *scanPlan, usedIndex bool) ExecShape {
 	if !usedIndex || sp == nil {

@@ -1,6 +1,6 @@
 package sqldb
 
-import "sort"
+import "slices"
 
 // Ordered index component (the tentpole of the storage-engine
 // modernization). Every column index is dual-structure: the hash buckets
@@ -173,21 +173,16 @@ func (ix *ordIndex) ascendRange(lo, hi *rangeBoundVal, fn func(slots []int) bool
 // insertSlot inserts slot into a sorted posting list (no-op when
 // present), the same discipline the hash buckets use.
 func insertSlot(b []int, slot int) []int {
-	i := sort.SearchInts(b, slot)
-	if i < len(b) && b[i] == slot {
-		return b
+	if i, found := slices.BinarySearch(b, slot); !found {
+		b = slices.Insert(b, i, slot)
 	}
-	b = append(b, 0)
-	copy(b[i+1:], b[i:])
-	b[i] = slot
 	return b
 }
 
 // deleteSlot removes slot from a sorted posting list if present.
 func deleteSlot(b []int, slot int) []int {
-	i := sort.SearchInts(b, slot)
-	if i < len(b) && b[i] == slot {
-		b = append(b[:i], b[i+1:]...)
+	if i, found := slices.BinarySearch(b, slot); found {
+		b = slices.Delete(b, i, i+1)
 	}
 	return b
 }

@@ -563,10 +563,16 @@ func (p *parser) parseCreateIndex() (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
+	suffix := ""
+	if p.acceptOp(",") {
+		if suffix, err = p.parseIdent(); err != nil {
+			return nil, err
+		}
+	}
 	if err := p.expectOp(")"); err != nil {
 		return nil, err
 	}
-	return &CreateIndex{Name: name, Table: table, Column: col, IfNotExists: ine}, nil
+	return &CreateIndex{Name: name, Table: table, Column: col, Suffix: suffix, IfNotExists: ine}, nil
 }
 
 func (p *parser) parseAlter() (Statement, error) {

@@ -299,6 +299,20 @@ type scanPlan struct {
 	eq      constOrParam
 	in      []constOrParam
 	lo, hi  *scanBound // either may be nil (half-open range)
+	// suffix cuts each probe of an eq/IN scan to the postings a sibling
+	// conjunct on the index's suffix column admits; nil when the index has
+	// no suffix column (colIndex) or no conjunct binds.
+	suffix *suffixBound
+}
+
+// suffixBound is a conjunct `column op val`, op one of > >= =, val bound
+// like a range bound (bindRange): its comparison is monotone over the
+// stored values, so the postings it can be true of are one run.
+type suffixBound struct {
+	column string
+	kind   Kind // the column's declared type
+	op     BinOp
+	val    constOrParam
 }
 
 // orderIdxPlan records that ORDER BY is served by walking the column's
@@ -373,6 +387,7 @@ func (t *Table) planEqConjunct(conjuncts []Expr) *scanPlan {
 		if !p.eq.bind(ve, kind) {
 			continue // uncoercible literal: this conjunct can only scan
 		}
+		p.suffix = t.planSuffixBound(col, conjuncts)
 		return p
 	}
 	return nil
@@ -383,6 +398,7 @@ func (t *Table) planInConjunct(conjuncts []Expr) *scanPlan {
 		in, ok := e.(*InExpr)
 		if ok && !in.Not {
 			if p := t.planIn(in); p != nil {
+				p.suffix = t.planSuffixBound(p.column, conjuncts)
 				return p
 			}
 		}
@@ -423,6 +439,30 @@ func (t *Table) planIn(in *InExpr) *scanPlan {
 		p.in = append(p.in, c)
 	}
 	return p
+}
+
+// planSuffixBound returns the first conjunct `suffix >|>=|= const` on the
+// suffix column of col's index, or nil.
+func (t *Table) planSuffixBound(col string, conjuncts []Expr) *suffixBound {
+	ix := t.indexes[col]
+	if ix.sufPos < 0 {
+		return nil
+	}
+	def := t.Columns[ix.sufPos]
+	for _, e := range conjuncts {
+		be, ok := e.(*BinaryExpr)
+		if !ok || (be.Op != OpGt && be.Op != OpGe && be.Op != OpEq) {
+			continue
+		}
+		if c, ok := be.Left.(*ColumnRef); !ok || c.Name != def.Name {
+			continue
+		}
+		sb := &suffixBound{column: def.Name, kind: def.Type, op: be.Op}
+		if sb.val.bindRange(be.Right, def.Type) {
+			return sb
+		}
+	}
+	return nil
 }
 
 func (t *Table) planRangeConjuncts(conjuncts []Expr) *scanPlan {
@@ -521,24 +561,27 @@ func (c *constOrParam) bindRange(e Expr, kind Kind) bool {
 	return true
 }
 
-// rangeBoundFor resolves one side of a range scan for execution.
-// ok=false aborts to a full scan; empty=true means the bound is NULL and
-// the conjunct cannot be true of any row.
+// rangeValue resolves a range bound on a column of the given kind for one
+// execution. ok=false means the bound cannot be used (the scan falls
+// back); empty=true means it is NULL and its conjunct is true of no row.
+func (c constOrParam) rangeValue(kind Kind, params []Value) (v Value, empty, ok bool) {
+	v, ok = c.resolve(params)
+	if ok && !c.hasConst && kind == KindText && !v.IsNull() && v.Kind != KindText {
+		ok = false // see bindRange: would break monotonicity
+	}
+	return v, ok && v.IsNull(), ok
+}
+
+// rangeBoundFor resolves one side of a range scan (nil: unbounded).
 func (p *scanPlan) rangeBoundFor(b *scanBound, params []Value) (rb *rangeBoundVal, empty, ok bool) {
 	if b == nil {
 		return nil, false, true
 	}
-	v, have := b.val.resolve(params)
-	if !have {
-		return nil, false, false
+	v, empty, ok := b.val.rangeValue(p.colKind, params)
+	if ok && !empty {
+		rb = &rangeBoundVal{v: v, incl: b.incl}
 	}
-	if v.IsNull() {
-		return nil, true, true
-	}
-	if !b.val.hasConst && p.colKind == KindText && v.Kind != KindText {
-		return nil, false, false // see bindRange: would break monotonicity
-	}
-	return &rangeBoundVal{v: v, incl: b.incl}, false, true
+	return rb, empty, ok
 }
 
 // indexedColKind returns the declared type of col if it is indexed.

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -55,6 +56,7 @@ type Table struct {
 	liveRows int
 	indexes  map[string]*colIndex
 	uniques  []*uniqueSet
+	visited  int // postings filtered since the last notePostings (obsmetrics.go)
 }
 
 type row struct {
@@ -67,42 +69,75 @@ type row struct {
 // keeps the same postings in key order for range and ORDER BY scans.
 // Both halves keep row slots sorted ascending so scans through an index
 // preserve insertion order among equal keys.
+//
+// An index declared with a suffix column (CREATE INDEX i ON t (c, e))
+// orders each bucket by that column instead — descending, NULLs last,
+// slot ascending among equals — so the postings a sibling `e > x`,
+// `e >= x` or `e = x` conjunct admits are one run at or near the front
+// (admitted). The order is kept by reading resident postings' suffix
+// values from the row store, so add and remove run while the store holds
+// the values a posting is filed under. The skip list stays slot-ordered.
 type colIndex struct {
-	column  string
+	pos     int        // column's ordinal; ALTER TABLE ADD only appends
+	sufPos  int        // suffix column's ordinal, or -1
+	store   *pageStore // the table's rows, for resident suffix values
 	buckets map[string][]int
 	ord     *ordIndex
 }
 
-func newColIndex(column string) *colIndex {
-	return &colIndex{column: column, buckets: make(map[string][]int), ord: newOrdIndex()}
+func (t *Table) newColIndex(pos, sufPos int) *colIndex {
+	return &colIndex{pos: pos, sufPos: sufPos, store: &t.store,
+		buckets: make(map[string][]int), ord: newOrdIndex()}
 }
 
-func (ix *colIndex) add(v Value, slot int) {
+// suffixBefore reports whether suffix value a files strictly before b:
+// larger first, NULL after every value. Stored values of one column share
+// a kind (checkRow), so compareValues is total over the non-NULL ones.
+func suffixBefore(a, b Value) bool {
+	if a.IsNull() || b.IsNull() {
+		return !a.IsNull() && b.IsNull()
+	}
+	c, _ := compareValues(a, b)
+	return c > 0
+}
+
+// search returns where the posting (vals, slot) sits, or belongs, in b.
+func (ix *colIndex) search(b []int, vals []Value, slot int) int {
+	if ix.sufPos < 0 {
+		return sort.SearchInts(b, slot) // slots are almost always appended in increasing order
+	}
+	suf := vals[ix.sufPos]
+	return sort.Search(len(b), func(i int) bool {
+		o := ix.store.rowAt(b[i]).vals[ix.sufPos]
+		if suffixBefore(o, suf) {
+			return false
+		}
+		return suffixBefore(suf, o) || b[i] >= slot
+	})
+}
+
+func (ix *colIndex) add(vals []Value, slot int) {
+	v := vals[ix.pos]
 	key := v.Key()
 	b := ix.buckets[key]
-	// Slots are almost always appended in increasing order; handle the
-	// general case with a binary insert.
-	i := sort.SearchInts(b, slot)
+	i := ix.search(b, vals, slot)
 	if i < len(b) && b[i] == slot {
 		return
 	}
-	b = append(b, 0)
-	copy(b[i+1:], b[i:])
-	b[i] = slot
-	ix.buckets[key] = b
+	ix.buckets[key] = slices.Insert(b, i, slot)
 	ix.ord.add(v, slot)
 }
 
-func (ix *colIndex) remove(v Value, slot int) {
+func (ix *colIndex) remove(vals []Value, slot int) {
+	v := vals[ix.pos]
 	key := v.Key()
 	b := ix.buckets[key]
-	i := sort.SearchInts(b, slot)
+	i := ix.search(b, vals, slot)
 	if i < len(b) && b[i] == slot {
-		b = append(b[:i], b[i+1:]...)
-		if len(b) == 0 {
+		if len(b) == 1 {
 			delete(ix.buckets, key)
 		} else {
-			ix.buckets[key] = b
+			ix.buckets[key] = slices.Delete(b, i, i+1)
 		}
 		ix.ord.remove(v, slot)
 	}
@@ -208,9 +243,9 @@ func (db *DB) Schema(table string) (cols []ColumnDef, uniques []UniqueConstraint
 	return cols, uniques, nil
 }
 
-// IndexedColumns returns the names of the columns with a hash index on
-// the table, sorted. Snapshot encoding uses it to recreate indexes on
-// recovery.
+// IndexedColumns returns the names of the columns with an index on the
+// table (the probed column of each, not its suffix), sorted. Snapshot
+// encoding uses it to recreate indexes on recovery.
 func (db *DB) IndexedColumns(table string) []string {
 	db.mu.Lock()
 	defer db.mu.Unlock()

@@ -141,7 +141,11 @@ func (db *DB) execAt(cs *sqldb.CachedStmt, params []sqldb.Value, t, gen int64, r
 	case *sqldb.CreateTable:
 		return ddl(s.Table, func() (*sqldb.Result, error) { return &sqldb.Result{}, db.createTable(s) })
 	case *sqldb.CreateIndex:
-		return ddl(s.Table, raw)
+		// An application's index is version-ordered like WARP's own; the
+		// record keeps the application's text.
+		ci := *s
+		ci.Suffix = ColEndTime
+		return ddl(s.Table, func() (*sqldb.Result, error) { return &sqldb.Result{}, db.rawDDL(&ci) })
 	case *sqldb.AlterTableAdd:
 		tm, err := db.meta(s.Table)
 		if err != nil {

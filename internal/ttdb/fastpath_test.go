@@ -240,31 +240,33 @@ func TestCachedWriteAugmentation(t *testing.T) {
 // TestExplainThroughAugmentation: the rewriting layer's Explain shows
 // the plans the augmented statements execute with — application
 // predicates keep riding the row-ID/partition indexes (equality, range,
-// and index-served ORDER BY) after the liveWhere conjuncts attach.
+// and index-served ORDER BY) after the liveWhere conjuncts attach, and
+// every equality probe is bounded by the visibility predicate's end_time
+// conjunct (the first parameter after the application's).
 func TestExplainThroughAugmentation(t *testing.T) {
 	db := newDB(t)
 	seedPages(t, db)
 	cases := []struct{ src, want string }{
 		{"SELECT content FROM pages WHERE page_id = ?",
-			"select(pages) scan=index-eq(page_id); footprint: whole table"},
+			"select(pages) scan=index-eq(page_id, bounded warp_end_time > ?2); footprint: whole table"},
 		{"SELECT content FROM pages WHERE page_id >= ? ORDER BY page_id",
 			"select(pages) scan=index-range(page_id lo..+inf) order=index(page_id); footprint: whole table"},
 		{"SELECT content FROM pages ORDER BY title DESC",
 			"select(pages) scan=full order=index-desc(title); footprint: whole table"},
 		{"UPDATE pages SET content = 'x' WHERE page_id = 1",
-			"select(pages) scan=index-eq(page_id); update(pages) scan=index-eq(page_id); footprint: whole table"},
+			"select(pages) scan=index-eq(page_id, bounded warp_end_time > ?1); update(pages) scan=index-eq(page_id, bounded warp_end_time > ?1); footprint: whole table"},
 		{"DELETE FROM pages WHERE page_id = 1",
-			"update(pages) scan=index-eq(page_id); footprint: whole table"},
+			"update(pages) scan=index-eq(page_id, bounded warp_end_time > ?1); footprint: whole table"},
 		// The footprint line names the operands that bound the lock scope
 		// (the lock column, title) and the read partitions (every
 		// partition column).
 		{"SELECT content FROM pages WHERE title = ?",
-			"select(pages) scan=index-eq(title); footprint: lock title=?1; parts pages/title=?1"},
+			"select(pages) scan=index-eq(title, bounded warp_end_time > ?2); footprint: lock title=?1; parts pages/title=?1"},
 		{"UPDATE pages SET content = ? WHERE editor = 10 AND title IN ('Main', ?)",
-			"select(pages) scan=index-eq(editor); update(pages) scan=index-eq(editor); " +
+			"select(pages) scan=index-eq(editor, bounded warp_end_time > ?3); update(pages) scan=index-eq(editor, bounded warp_end_time > ?3); " +
 				"footprint: lock title='Main', title=?2; parts pages/editor=10, pages/title='Main', pages/title=?2"},
 		{"DELETE FROM pages WHERE editor = ?",
-			"update(pages) scan=index-eq(editor); footprint: lock whole table; parts pages/editor=?1"},
+			"update(pages) scan=index-eq(editor, bounded warp_end_time > ?2); footprint: lock whole table; parts pages/editor=?1"},
 	}
 	for _, c := range cases {
 		got, err := db.Explain(c.src)

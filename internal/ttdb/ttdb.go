@@ -650,9 +650,12 @@ func (db *DB) rawDDL(stmt sqldb.Statement) error {
 	return err
 }
 
-// warpIndex is the index WARP keeps on a row-ID or partition column.
+// warpIndex is the index WARP keeps on a row-ID or partition column, and
+// what snapshot restore rebuilds for every indexed column (persist.go):
+// each key's versions latest-ending first, so a probe bounded by the
+// visibility predicate's `end_time > t` stops at the versions open at t.
 func warpIndex(table, col string) *sqldb.CreateIndex {
-	return &sqldb.CreateIndex{Name: "warp_idx_" + table + "_" + col, Table: table, Column: col}
+	return &sqldb.CreateIndex{Name: "warp_idx_" + table + "_" + col, Table: table, Column: col, Suffix: ColEndTime}
 }
 
 // metaColumns lists WARP's bookkeeping columns in a stable order.

@@ -1,6 +1,7 @@
 package wiki
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -479,5 +480,41 @@ func TestRetroPatchLoginCSRF(t *testing.T) {
 	// Alice's diverged cookie is queued for invalidation (§5.3).
 	if !w.PendingCookieInvalidation(alice.ClientID) {
 		t.Fatal("cookie invalidation not queued")
+	}
+}
+
+// TestHotStatementsProbeOpenVersionsOnly pins the access plans of the
+// statements a page view and an edit execute, after the time-travel
+// rewrite: each is an equality probe of a partition or row-ID index
+// bounded by the visibility predicate's end_time conjunct (the first
+// parameter after the application's), so it visits the versions open at
+// the statement's time and not the row's history. A change to the rewrite
+// or the planner that loses the bound fails here, not in a benchmark.
+func TestHotStatementsProbeOpenVersionsOnly(t *testing.T) {
+	w, _ := setup(t)
+	bounded := func(table, col string, param int) string {
+		return "(" + table + ") scan=index-eq(" + col + ", bounded warp_end_time > ?" + strconv.Itoa(param) + ")"
+	}
+	for _, c := range []struct {
+		src  string
+		want []string
+	}{
+		{"SELECT user_id FROM sessions WHERE sid = ?", []string{"select" + bounded("sessions", "sid", 2)}},
+		{"SELECT name, is_admin FROM users WHERE user_id = ?", []string{"select" + bounded("users", "user_id", 2)}},
+		{"SELECT content, last_editor FROM pages WHERE title = ?", []string{"select" + bounded("pages", "title", 2)}},
+		{"SELECT page_id, content, protected FROM pages WHERE title = ?", []string{"select" + bounded("pages", "title", 2)}},
+		{"UPDATE pages SET content = ?, last_editor = ? WHERE title = ?",
+			[]string{"select" + bounded("pages", "title", 4), "update" + bounded("pages", "title", 4)}},
+		{"UPDATE pages SET protected = TRUE WHERE title = ?",
+			[]string{"select" + bounded("pages", "title", 2), "update" + bounded("pages", "title", 2)}},
+		{"DELETE FROM sessions WHERE sid = ?", []string{"update" + bounded("sessions", "sid", 2)}},
+	} {
+		got, err := w.DB.Explain(c.src)
+		if err != nil {
+			t.Fatalf("Explain(%q): %v", c.src, err)
+		}
+		if want := strings.Join(c.want, "; ") + "; footprint: "; !strings.HasPrefix(got, want) {
+			t.Errorf("Explain(%q) = %q, want prefix %q", c.src, got, want)
+		}
 	}
 }
