@@ -749,10 +749,9 @@ func (w *Warp) checkpointQuiesced() error {
 		for _, table := range w.DB.Tables() {
 			ds, dirty := dirtySet[table]
 			header := secTablePrefix + table
-			// The header carries the row-ID allocator and the version
-			// index's cross-shard entries, any of which may have moved
-			// with the dirty shards; rewrite it whenever the table was
-			// touched at all.
+			// The header carries the row-ID allocator, which may have
+			// moved with the dirty shards; rewrite it whenever the table
+			// was touched at all.
 			if dirty || !cw.Keep(header) {
 				if err := w.DB.EncodeTableHeader(cw.Section(header), table); err != nil {
 					return err

@@ -76,6 +76,17 @@ type workItem struct {
 	// those partitions dirty, and dirt propagation re-enqueues any reader
 	// that ran too early — the same fixpoint the serial engine relies on.
 	fp *footprint
+	// blocker is the item a dispatch scan last found this one in conflict
+	// with; done says a worker has retired the item (both guarded by the
+	// scheduler's mu). Footprints are cached and queued items keep their
+	// order, so until its blocker is done an item stays blocked — the
+	// blocker is in flight, or queued ahead of it and itself blocked — and
+	// a rescan skips its footprint comparisons. Every completion rescans
+	// the frontier, so how often depends on when the workers happen to
+	// finish: the comparisons are kept off that path to keep a repair's
+	// cost from varying with it.
+	blocker *workItem
+	done    bool
 }
 
 type workQueue []*workItem
@@ -141,6 +152,9 @@ type fpNode struct {
 func nodesIntersect(a, b map[fpNode]bool) bool {
 	if len(a) > len(b) {
 		a, b = b, a
+	}
+	if len(a) == 0 {
+		return false
 	}
 	for n := range a {
 		if b[n] {
@@ -385,6 +399,7 @@ func (s *scheduler) setWorkerLimit(n int) {
 func (s *scheduler) complete(it *workItem, err error) {
 	s.mu.Lock()
 	delete(s.inflight, it)
+	it.done = true
 	s.busy--
 	if err != nil && s.err == nil {
 		s.err = err
@@ -403,35 +418,37 @@ func (s *scheduler) nextDispatchable() (*workItem, *footprint) {
 	}
 	s.blocked = s.blocked[:0]
 
-	var ahead []*footprint
 	for len(s.pending) > 0 && len(s.blocked) < lookahead {
 		it := heap.Pop(&s.pending).(*workItem)
 		if it.fp == nil {
 			it.fp = s.footprintFor(it)
 		}
-		fp := it.fp
-		ok := true
-		for _, in := range s.inflight {
-			if fp.conflicts(in) {
-				ok = false
-				break
-			}
+		if it.blocker == nil || it.blocker.done {
+			it.blocker = s.blockerOf(it.fp)
 		}
-		if ok {
-			for _, bf := range ahead {
-				if fp.conflicts(bf) {
-					ok = false
-					break
-				}
-			}
-		}
-		if ok {
-			return it, fp
+		if it.blocker == nil {
+			return it, it.fp
 		}
 		s.blocked = append(s.blocked, it)
-		ahead = append(ahead, fp)
 	}
 	return nil, nil
+}
+
+// blockerOf returns an in-flight item, or one of the items this scan has
+// already found blocked, whose footprint conflicts with fp; nil when
+// there is none.
+func (s *scheduler) blockerOf(fp *footprint) *workItem {
+	for in, held := range s.inflight {
+		if fp.conflicts(held) {
+			return in
+		}
+	}
+	for _, b := range s.blocked {
+		if fp.conflicts(b.fp) {
+			return b
+		}
+	}
+	return nil
 }
 
 // footprintFor derives an item's dependency footprint from the history

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"container/heap"
 	"fmt"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -213,6 +216,33 @@ func TestUndoPartition(t *testing.T) {
 	}
 }
 
+// TestUndoPartitionPastGCHorizon: once GC has collected the versions that
+// were live at t, undoing a partition back to t can restore nothing. The
+// repair fails and aborts; it used to commit having undone no write.
+func TestUndoPartitionPastGCHorizon(t *testing.T) {
+	w := newNotesAppWorkers(t, 1)
+	for _, body := range []string{"clean", "INJECTED"} {
+		if resp := w.HandleRequest(httpd.NewRequest("GET", "/?owner=alice&body="+body)); resp.Status != 200 {
+			t.Fatalf("seed failed: %d", resp.Status)
+		}
+	}
+	if err := w.GC(w.Clock.Now() + 1); err != nil {
+		t.Fatal(err)
+	}
+	gen := w.DB.CurrentGen()
+	alice := ttdb.Partition{Table: "notes", Column: "owner", Key: sqldb.Text("alice").Key()}
+	rep, err := w.UndoPartition(alice, 1)
+	if err == nil || !strings.Contains(err.Error(), "GC horizon") {
+		t.Fatalf("UndoPartition past the horizon: report %+v, err %v; want a GC-horizon error", rep, err)
+	}
+	if w.DB.InRepair() || w.DB.CurrentGen() != gen {
+		t.Fatalf("the failed repair was not aborted: in repair %v, generation %d -> %d", w.DB.InRepair(), gen, w.DB.CurrentGen())
+	}
+	if _, err := w.UndoPartition(alice, w.Clock.Now()+2); err != nil {
+		t.Fatalf("UndoPartition after the horizon: %v", err)
+	}
+}
+
 // TestParallelUndoVisit exercises the exclusive visit path and run
 // cancellation under the parallel scheduler.
 func TestParallelUndoVisit(t *testing.T) {
@@ -234,6 +264,80 @@ func TestParallelUndoVisit(t *testing.T) {
 		for _, r := range res.Rows {
 			if r[0].AsText() == "EVIL" {
 				t.Fatalf("workers=%d: undone note survived", workers)
+			}
+		}
+	}
+}
+
+// TestDispatchScanMatchesPairwiseScan: the dispatch scan remembers what
+// blocked an item and skips the footprint comparisons while that blocker
+// is unfinished. On random queues, dispatches, completions and late pushes
+// it must pick the item a scan that compares every pair afresh picks.
+func TestDispatchScanMatchesPairwiseScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	part := func() ttdb.Partition {
+		if rng.Intn(40) == 0 {
+			return ttdb.WholeTable("pages")
+		}
+		return ttdb.Partition{Table: "pages", Column: "title", Key: fmt.Sprint(rng.Intn(12))}
+	}
+	var seq int64
+	item := func() *workItem {
+		seq++
+		it := &workItem{kind: workQueryCheck, time: int64(rng.Intn(400)), seq: seq, fp: newFootprint()}
+		it.fp.reads.Add(part())
+		if rng.Intn(2) == 0 {
+			it.fp.writes.Add(part())
+		}
+		return it
+	}
+	for round := 0; round < 20; round++ {
+		s := newScheduler(nil, 4, 1<<30)
+		for i := 0; i < 150; i++ {
+			heap.Push(&s.pending, item())
+		}
+		for len(s.pending)+len(s.blocked)+len(s.inflight) > 0 {
+			// The reference: every queued item in time order, compared
+			// against everything in flight and every blocked item before it.
+			queued := append(append(workQueue{}, s.pending...), s.blocked...)
+			sort.Sort(queued)
+			var want *workItem
+			var ahead []*footprint
+			for _, it := range queued {
+				if len(ahead) == lookahead {
+					break
+				}
+				free := true
+				for _, fp := range s.inflight {
+					free = free && !it.fp.conflicts(fp)
+				}
+				for _, fp := range ahead {
+					free = free && !it.fp.conflicts(fp)
+				}
+				if free {
+					want = it
+					break
+				}
+				ahead = append(ahead, it.fp)
+			}
+			got, _ := s.nextDispatchable()
+			if got != want {
+				t.Fatalf("round %d: scan picked %+v, the pairwise scan %+v (%d queued, %d in flight)", round, got, want, len(queued), len(s.inflight))
+			}
+			if got != nil && len(s.inflight) < s.workers {
+				s.inflight[got] = got.fp
+				s.busy++
+			} else if got != nil {
+				heap.Push(&s.pending, got) // no idle worker: leave it queued
+			}
+			if len(s.inflight) > 0 && (got == nil || rng.Intn(3) > 0) {
+				for it := range s.inflight { // whichever the map yields first
+					s.complete(it, nil)
+					break
+				}
+			}
+			if seq < 4000 && rng.Intn(8) == 0 {
+				heap.Push(&s.pending, item())
 			}
 		}
 	}

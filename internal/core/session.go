@@ -379,8 +379,7 @@ func (w *Warp) undoVisit(clientID string, visitID int64, admin, dequeue bool) (*
 // intrusion-recovery primitive (§4.1 applied at partition scope — contain
 // and repair an intrusion by the partition it landed in). The writing
 // runs are found through the history graph's partition edges, their
-// effects rolled back through the database's per-partition version index,
-// and dirt propagation re-executes everything downstream that read the
+// effects rolled back row by row from the partition's own versions, and dirt propagation re-executes everything downstream that read the
 // partition afterwards.
 func (w *Warp) UndoPartition(p ttdb.Partition, t int64) (*Report, error) {
 	intent := &RepairIntent{Kind: IntentUndoPartition, Partition: p.String(), From: t}

@@ -480,3 +480,16 @@ func TestIndexMaintainedUnderDeleteReinsert(t *testing.T) {
 	mustExec(t, db, "INSERT INTO pages (page_id, title, editor) VALUES (4, 'New2', 10)")
 	indexLookup(t, db, "pages", "editor", Int(10), 3, 4)
 }
+
+func TestValueOfKeyInvertsKey(t *testing.T) {
+	for _, v := range []Value{Null(), Bool(true), Bool(false), Int(0), Int(-7), Int(1 << 62), Text(""), Text("t"), Text("i5"), Text("a b")} {
+		if got, ok := ValueOfKey(v.Key()); !ok || got != v {
+			t.Errorf("ValueOfKey(%q) = %v, %v; want %v", v.Key(), got, ok, v)
+		}
+	}
+	for _, key := range []string{"", "?", "b", "i", "i07", "i+7", "ix", "nn", "x1"} {
+		if v, ok := ValueOfKey(key); ok {
+			t.Errorf("ValueOfKey(%q) = %v, which no value's Key returns", key, v)
+		}
+	}
+}

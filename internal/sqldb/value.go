@@ -180,6 +180,22 @@ func (v Value) Key() string {
 	}
 }
 
+// ValueOfKey inverts Key: the value whose key is the given string, or
+// false for a string no value's Key returns.
+func ValueOfKey(key string) (Value, bool) {
+	v := Null()
+	switch {
+	case key == "bt" || key == "bf":
+		v = Bool(key == "bt")
+	case strings.HasPrefix(key, "t"):
+		v = Text(key[1:])
+	case strings.HasPrefix(key, "i"):
+		n, _ := strconv.ParseInt(key[1:], 10, 64)
+		v = Int(n)
+	}
+	return v, v.Key() == key
+}
+
 // compareValues compares a and b, returning -1, 0, or 1 and whether the
 // comparison is defined. Comparisons involving NULL are undefined. Integer
 // and boolean values are compared numerically; text compares

@@ -90,7 +90,6 @@ func (db *DB) lockFor(cs *sqldb.CachedStmt, params []sqldb.Value) (*tableMeta, a
 		// manager exists for.
 		sc = wholeScope()
 	}
-	sc = db.maybeCoalesce(m, sc)
 	m.locks.lock(sc)
 	return m, acc, func() { m.locks.unlock(sc) }, nil
 }
@@ -284,9 +283,9 @@ func (db *DB) execInsert(s *sqldb.Insert, cs *sqldb.CachedStmt, params []sqldb.V
 
 // noteWrittenRows merges the partitions of a write's rows into the
 // record's write set — an UPDATE notes its captured pre-write rows, then,
-// like every write, its RETURNING rows — and indexes a version event per
-// row. The rows carry the row-ID and partition columns by name (physical
-// rows, or returningWithMeta's additions); ids also records the row IDs.
+// like every write, its RETURNING rows. The rows carry the row-ID and
+// partition columns by name (physical rows, or returningWithMeta's
+// additions); ids also records the row IDs.
 func (db *DB) noteWrittenRows(m *tableMeta, rec *Record, res *sqldb.Result, ids bool) {
 	set := NewPartitionSet()
 	set.AddAll(rec.WritePartitions)
@@ -304,9 +303,7 @@ func (db *DB) noteWrittenRows(m *tableMeta, rec *Record, res *sqldb.Result, ids 
 		if ids {
 			rec.WriteRowIDs = append(rec.WriteRowIDs, id)
 		}
-		parts := m.rowPartitions(get)
-		set.AddAll(parts)
-		m.indexVersionEvent(parts, id, rec.Time)
+		set.AddAll(m.rowPartitions(get))
 	}
 	rec.WritePartitions = set.Slice()
 }

@@ -319,13 +319,13 @@ func TestCachedExecRaceWithDDLAndGC(t *testing.T) {
 			}
 		}(g)
 	}
-	// Scope derivation runs before any lock is held: an IN list wide
-	// enough to coalesce (locks.go) probes the lock column unlocked, and
+	// Scope derivation runs before any lock is held: a wide IN list
+	// resolves a many-keyed scope from the statement's footprint, and
 	// Explain builds augmentations from outside the execution path.
 	// Neither may read the table's column list while ALTER TABLE grows
 	// it, let alone cache handles built from a half-applied ALTER.
-	wide := "SELECT body FROM notes WHERE owner IN (?" + strings.Repeat(", ?", coalesceThreshold+3) + ")"
-	wideParams := make([]sqldb.Value, coalesceThreshold+4)
+	wide := "SELECT body FROM notes WHERE owner IN (?" + strings.Repeat(", ?", 19) + ")"
+	wideParams := make([]sqldb.Value, 20)
 	for i := range wideParams {
 		wideParams[i] = sqldb.Text(fmt.Sprintf("u%d", i))
 	}

@@ -67,7 +67,7 @@ type fpOperand struct {
 type access struct {
 	// lock is the scope the statement must hold and whose row shards it
 	// dirties, before the adjustments that concern only the lock manager
-	// (logged writes take the table, wide key sets coalesce).
+	// (logged writes take the table).
 	lock lockScope
 	// reads are the partitions the statement may read, in template order;
 	// for an INSERT, the partitions its rows land in.

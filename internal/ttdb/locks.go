@@ -34,9 +34,9 @@ package ttdb
 //
 // Lock ordering is unchanged from PR 1: db.mu → table locks (lockAll in
 // name order), and code holding a table scope never acquires db.mu.
-// tableMeta.mu survives as a leaf *latch* for the table's in-memory
-// bookkeeping (row-ID allocator, per-partition version index); it is
-// held only for map/counter touches, never across a statement.
+// tableMeta.mu survives as a leaf *latch* for the table's row-ID
+// allocator; it is held only for counter touches, never across a
+// statement.
 
 import (
 	"errors"
@@ -45,7 +45,6 @@ import (
 	"time"
 
 	"warp/internal/obs"
-	"warp/internal/sqldb"
 )
 
 // errScopeConflict reports that an operation holding a keyed partition
@@ -54,31 +53,11 @@ import (
 var errScopeConflict = errors.New("ttdb: operation escaped its partition lock scope")
 
 // lockScope names the slice of one table an operation locks: a sorted,
-// distinct set of lock-column keys, a set of coalesced key ranges, or
-// the whole table. Ranges are the compact form of IN-heavy scopes
-// (docs/repair.md): a wide key set collapses to one covering interval in
-// Key()-string order, so acquisition and conflict checks stay O(ranges)
-// instead of O(keys). A range over-claims keys that fall between the
-// listed ones; over-claiming a lock scope is always safe — it only
-// serializes more.
+// distinct set of lock-column keys, or the whole table.
 type lockScope struct {
-	whole  bool
-	keys   []string
-	ranges []keyRange
+	whole bool
+	keys  []string
 }
-
-// keyRange is one inclusive interval of lock-column keys, bounded in
-// Key()-string order (the same order keyScope sorts by, so covers and
-// conflict checks agree with the keyed form).
-type keyRange struct {
-	lo, hi string
-}
-
-// contains reports whether a key falls inside the range.
-func (r keyRange) contains(key string) bool { return r.lo <= key && key <= r.hi }
-
-// overlaps reports whether two ranges share any key.
-func (r keyRange) overlaps(o keyRange) bool { return r.lo <= o.hi && o.lo <= r.hi }
 
 // wholeScope returns the scope covering the entire table.
 func wholeScope() lockScope { return lockScope{whole: true} }
@@ -98,20 +77,10 @@ func keyScope(keys []string) lockScope {
 	return lockScope{keys: out}
 }
 
-// rangeScope returns a scope covering one inclusive key interval.
-func rangeScope(lo, hi string) lockScope {
-	return lockScope{ranges: []keyRange{{lo: lo, hi: hi}}}
-}
-
 // covers reports whether a lock-column key falls inside the scope.
 func (s lockScope) covers(key string) bool {
 	if s.whole {
 		return true
-	}
-	for _, r := range s.ranges {
-		if r.contains(key) {
-			return true
-		}
 	}
 	i := sort.SearchStrings(s.keys, key)
 	return i < len(s.keys) && s.keys[i] == key
@@ -122,29 +91,21 @@ func (s lockScope) merge(o lockScope) lockScope {
 	if s.whole || o.whole {
 		return wholeScope()
 	}
-	out := keyScope(append(append([]string{}, s.keys...), o.keys...))
-	out.ranges = append(append([]keyRange{}, s.ranges...), o.ranges...)
-	return out
+	return keyScope(append(append([]string{}, s.keys...), o.keys...))
 }
 
 // partLocks is one table's lock manager. Keyed scopes hold their keys
-// exclusively, range scopes hold their intervals exclusively, and the
-// whole-table scope excludes every keyed and ranged holder.
+// exclusively, and the whole-table scope excludes every keyed holder.
 type partLocks struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
 	whole     bool
 	wholeWait int
-	// holders counts the keyed and ranged scopes currently held — including
+	// holders counts the keyed scopes currently held — including
 	// empty ones, which hold no key yet must still keep a whole-table
 	// scope (DDL growing the column list) out while their statement runs.
 	holders int
 	held    map[string]bool
-	// heldRanges are the coalesced intervals currently held. Two held
-	// ranges never overlap (acquisition excludes that), so releases
-	// remove by value unambiguously. The slice stays short — one entry
-	// per concurrently running coalesced operation.
-	heldRanges []keyRange
 }
 
 func newPartLocks() *partLocks {
@@ -153,8 +114,8 @@ func newPartLocks() *partLocks {
 	return l
 }
 
-// lock blocks until the scope can be held. Keyed and ranged scopes are
-// acquired all-or-nothing; a waiting whole-table scope bars new keyed
+// lock blocks until the scope can be held. Keyed scopes are acquired
+// all-or-nothing; a waiting whole-table scope bars new keyed
 // entrants so it cannot starve.
 func (l *partLocks) lock(s lockScope) {
 	l.mu.Lock()
@@ -194,13 +155,11 @@ func (l *partLocks) lock(s lockScope) {
 	for _, k := range s.keys {
 		l.held[k] = true
 	}
-	l.heldRanges = append(l.heldRanges, s.ranges...)
 	partitionsLocked.Add(int64(len(s.keys)))
-	rangeLocksHeld.Add(int64(len(s.ranges)))
 }
 
-// available reports whether a keyed or ranged scope could be taken right
-// now. Called with l.mu held.
+// available reports whether a keyed scope could be taken right now.
+// Called with l.mu held.
 func (l *partLocks) available(s lockScope) bool {
 	if l.whole || l.wholeWait > 0 {
 		return false
@@ -208,26 +167,6 @@ func (l *partLocks) available(s lockScope) bool {
 	for _, k := range s.keys {
 		if l.held[k] {
 			return false
-		}
-		for _, hr := range l.heldRanges {
-			if hr.contains(k) {
-				return false
-			}
-		}
-	}
-	for _, r := range s.ranges {
-		for _, hr := range l.heldRanges {
-			if r.overlaps(hr) {
-				return false
-			}
-		}
-		// A requested range conflicts with every held key inside it. The
-		// held map is bounded by the keys of concurrently running keyed
-		// operations, so this scan is small even when the range is wide.
-		for k := range l.held {
-			if r.contains(k) {
-				return false
-			}
 		}
 	}
 	return true
@@ -244,16 +183,7 @@ func (l *partLocks) unlock(s lockScope) {
 		for _, k := range s.keys {
 			delete(l.held, k)
 		}
-		for _, r := range s.ranges {
-			for i, hr := range l.heldRanges {
-				if hr == r {
-					l.heldRanges = append(l.heldRanges[:i], l.heldRanges[i+1:]...)
-					break
-				}
-			}
-		}
 		partitionsLocked.Add(-int64(len(s.keys)))
-		rangeLocksHeld.Add(-int64(len(s.ranges)))
 	}
 	l.mu.Unlock()
 	l.cond.Broadcast()
@@ -277,54 +207,4 @@ func (s lockScope) check(key string) error {
 		return errScopeConflict
 	}
 	return nil
-}
-
-// coalesceThreshold is the keyed-scope size above which maybeCoalesce
-// considers collapsing the key set into one covering range. Below it,
-// per-key acquisition is already O(small); above it, wide IN scopes —
-// typically repair items re-executing a recorded multi-row write — pay
-// a per-key cost on every acquisition and conflict check.
-const coalesceThreshold = 16
-
-// maybeCoalesce collapses a wide all-text keyed scope into one covering
-// key-range when the table is dense over that interval, so IN-heavy
-// repair scopes stop paying per-key acquisition without degenerating to
-// the whole-table scope. The density probe is an unlocked range scan of
-// the raw engine riding the ordered index (docs/performance.md); like
-// scopeForRows' pre-scan it may go stale before the scope is acquired,
-// which is safe — a range only ever over-claims, and over-claiming a
-// lock scope serializes more, never less. Coalescing is refused when
-// the interval holds more than twice the requested keys: locking a
-// sparse range would block unrelated live writers for no win.
-func (db *DB) maybeCoalesce(m *tableMeta, sc lockScope) lockScope {
-	if sc.whole || len(sc.ranges) > 0 || len(sc.keys) < coalesceThreshold {
-		return sc
-	}
-	if m == nil || m.lockCol == "" {
-		return sc
-	}
-	// Only text keys coalesce: a text Key() ("t"+value) sorts exactly as
-	// the value does, so the covering interval in Key() space is the same
-	// interval the ordered index enumerates. Integer Key() forms sort
-	// lexicographically, not numerically, and mixed-type sets have no
-	// meaningful single interval.
-	for _, k := range sc.keys {
-		if len(k) == 0 || k[0] != 't' {
-			return sc
-		}
-	}
-	lo, hi := sc.keys[0], sc.keys[len(sc.keys)-1]
-	res, err := db.raw.ExecCached(m.lockRange, []sqldb.Value{sqldb.Text(lo[1:]), sqldb.Text(hi[1:])})
-	if err != nil {
-		return sc
-	}
-	distinct := make(map[string]struct{}, len(sc.keys))
-	for _, row := range res.Rows {
-		distinct[row[0].Key()] = struct{}{}
-	}
-	if len(distinct) > 2*len(sc.keys) {
-		return sc
-	}
-	scopeCoalesced.Inc()
-	return rangeScope(lo, hi)
 }

@@ -22,10 +22,4 @@ var (
 	// scopeEscalations counts keyed scopes that hit errScopeConflict
 	// and retried under the whole-table scope.
 	scopeEscalations = obs.NewCounter("warp_ttdb_scope_escalations_total")
-	// rangeLocksHeld is the number of coalesced key-range scopes
-	// currently held across all tables.
-	rangeLocksHeld = obs.NewGauge("warp_ttdb_range_locks_held")
-	// scopeCoalesced counts wide IN key sets collapsed into a covering
-	// key-range scope by maybeCoalesce.
-	scopeCoalesced = obs.NewCounter("warp_ttdb_scope_coalesce_total")
 )

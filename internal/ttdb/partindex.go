@@ -1,111 +1,74 @@
 package ttdb
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 
 	"warp/internal/sqldb"
 )
 
-// This file implements the per-partition version index (§4.1 applied to
-// repair performance): for every partition, the database remembers which
-// rows had a version event (insert, update, delete, rollback) in that
-// partition and when. Repair's partition-level rollback — "undo everything
-// that touched partition P at or after time T" — becomes an index lookup
-// plus per-row rollbacks instead of a scan over every physical row version
-// of the table.
+// Partition-level rollback (§4.1 applied to repair performance) asks the
+// row versions themselves which rows changed: a row has a version event
+// in partition (col, key) at or after time t exactly when one of its
+// versions with col = key was created at or after t (start_time >= t) or
+// closed at or after t (t <= end_time < ∞). Every partition column's index
+// is ordered by end_time (warpIndex), so the probe visits the key's
+// versions ending at or after t and nothing older.
 
-// partEntry is one version event in the per-partition index.
-type partEntry struct {
-	rowID sqldb.Value
-	t     int64
-}
-
-// indexVersionEvent records that a row had a version event in the given
-// partitions at time t. The index is shared by every partition of the
-// table, so it is touched under the bookkeeping latch.
-func (m *tableMeta) indexVersionEvent(ps []Partition, rowID sqldb.Value, t int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.partIdx == nil {
-		m.partIdx = make(map[Partition][]partEntry)
+// changedSince selects the row ID and partition columns of the versions
+// created or closed at or after the time in parameter n, among those
+// matching lead (nil: the whole table).
+func (m *tableMeta) changedSince(lead sqldb.Expr, n int) *sqldb.CachedStmt {
+	items := []sqldb.SelectItem{{Expr: sqldb.Col(m.rowIDCol)}}
+	for _, pc := range m.parts {
+		items = append(items, sqldb.SelectItem{Expr: sqldb.Col(pc.name)})
 	}
-	for _, p := range ps {
-		m.partIdx[p] = append(m.partIdx[p], partEntry{rowID: rowID, t: t})
-	}
-}
-
-// rowsSince returns the distinct row IDs with a version event in p at or
-// after since, in a stable order.
-func (m *tableMeta) rowsSince(p Partition, since int64) []sqldb.Value {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	seen := make(map[string]bool)
-	var out []sqldb.Value
-	collect := func(entries []partEntry) {
-		for _, e := range entries {
-			if e.t < since || seen[e.rowID.Key()] {
-				continue
-			}
-			seen[e.rowID.Key()] = true
-			out = append(out, e.rowID)
-		}
-	}
-	if p.IsWholeTable() {
-		// Whole-table queries union every partition's events.
-		keys := make([]Partition, 0, len(m.partIdx))
-		for k := range m.partIdx {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			a, b := keys[i], keys[j]
-			if a.Column != b.Column {
-				return a.Column < b.Column
-			}
-			return a.Key < b.Key
-		})
-		for _, k := range keys {
-			collect(m.partIdx[k])
-		}
-	} else {
-		collect(m.partIdx[p])
-		// Tables without partition columns index events whole-table.
-		collect(m.partIdx[WholeTable(m.name)])
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
-	return out
-}
-
-// pruneIndexBefore drops index entries older than the GC horizon. Entries
-// below the horizon can never satisfy a valid rollback (rollback refuses
-// times at or before the horizon).
-func (m *tableMeta) pruneIndexBefore(beforeTime int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for p, entries := range m.partIdx {
-		keep := entries[:0]
-		for _, e := range entries {
-			if e.t >= beforeTime {
-				keep = append(keep, e)
-			}
-		}
-		if len(keep) == 0 {
-			delete(m.partIdx, p)
-			continue
-		}
-		m.partIdx[p] = keep
-	}
+	return sqldb.NewCachedStmt(&sqldb.Select{Items: items, Table: m.name, Where: sqldb.And(lead,
+		cmp(ColEndTime, sqldb.OpGe, n),
+		&sqldb.BinaryExpr{Op: sqldb.OpOr, Left: cmp(ColStartTime, sqldb.OpGe, n),
+			Right: &sqldb.BinaryExpr{Op: sqldb.OpLt, Left: sqldb.Col(ColEndTime), Right: sqldb.Lit(sqldb.Int(Infinity))}})})
 }
 
 // PartitionRowsSince returns the distinct row IDs of rows with a version
-// event in partition p at or after time since, via the per-partition
-// version index. Events older than the GC horizon may have been pruned.
+// event in partition p at or after time since, in a stable order. Events
+// older than the GC horizon may have been collected. A keyed partition
+// probes its column's version-ordered index; the whole table, and a key no
+// index probe can name (NULL, or no value's key at all), scan with the
+// time bound alone. The probe
+// reads the engine without a scope, like scopeForRows' pre-scan.
 func (db *DB) PartitionRowsSince(p Partition, since int64) ([]sqldb.Value, error) {
 	m, err := db.meta(p.Table)
 	if err != nil {
 		return nil, err
 	}
-	// The index latch is sufficient for a read-only probe.
-	return m.rowsSince(p, since), nil
+	stmt, params := m.changedAll, []sqldb.Value{sqldb.Int(since)}
+	if !p.IsWholeTable() {
+		pc := m.partCol(p.Column)
+		if pc == nil {
+			return nil, fmt.Errorf("ttdb: %s is not a partition column of table %s", p.Column, p.Table)
+		}
+		if v, ok := sqldb.ValueOfKey(p.Key); ok && !v.IsNull() {
+			stmt, params = pc.changed, []sqldb.Value{v, sqldb.Int(since)}
+		}
+	}
+	res, err := db.raw.ExecCached(stmt, params)
+	if err != nil {
+		return nil, err
+	}
+	// Partition identity is the key string: stricter than the engine's
+	// `=`, and the only test the scan forms apply.
+	at := slices.Index(res.Columns, p.Column) // -1 for the whole table
+	seen := make(map[string]bool)
+	var out []sqldb.Value
+	for _, row := range res.Rows {
+		if id := row[0].Key(); !seen[id] && (at < 0 || row[at].Key() == p.Key) {
+			seen[id] = true
+			out = append(out, row[0])
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	return out, nil
 }
 
 // partitionScope derives the lock scope for operating on one partition:
@@ -121,11 +84,15 @@ func (m *tableMeta) partitionScope(p Partition) lockScope {
 // RollbackPartition rolls back every row with a version event in partition
 // p at or after time t to time t, in the repair generation. It is the
 // partition-granularity analog of RollbackRows and returns the partitions
-// whose contents changed. Rolling back a row the repair already restored
-// is a no-op, so the index's over-approximation is safe.
+// whose contents changed. A row this repair already restored may still be
+// listed (its demoted versions stay until the generation switch); rolling
+// it back again is a no-op.
 func (db *DB) RollbackPartition(p Partition, t int64) ([]Partition, error) {
 	st, err := db.repairSnapshot()
 	if err != nil {
+		return nil, err
+	}
+	if err := st.checkHorizon(t); err != nil {
 		return nil, err
 	}
 	m, err := db.meta(p.Table)
@@ -139,7 +106,11 @@ func (db *DB) RollbackPartition(p Partition, t int64) ([]Partition, error) {
 	for {
 		m.locks.lock(sc)
 		err := func() error {
-			for _, id := range m.rowsSince(p, t) {
+			ids, err := db.PartitionRowsSince(p, t)
+			if err != nil {
+				return err
+			}
+			for _, id := range ids {
 				ps, err := db.rollbackRowLocked(m, id, t, st, sc)
 				if err != nil {
 					return err

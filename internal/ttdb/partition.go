@@ -124,9 +124,11 @@ func (s *PartitionSet) OverlapsAny(ps []Partition) bool {
 }
 
 // Overlaps reports whether any partition in this set overlaps any
-// partition in o, honoring whole-table entries on either side.
+// partition in o, honoring whole-table entries on either side. The repair
+// scheduler asks it of every pair of footprints on its frontier, most of
+// them with an empty side (a read-only item writes nothing).
 func (s *PartitionSet) Overlaps(o *PartitionSet) bool {
-	if o == nil {
+	if o == nil || s.Len() == 0 || o.Len() == 0 {
 		return false
 	}
 	for t := range s.whole {
@@ -139,8 +141,12 @@ func (s *PartitionSet) Overlaps(o *PartitionSet) bool {
 			return true
 		}
 	}
-	for p := range s.keys {
-		if o.keys[p] {
+	small, large := s.keys, o.keys
+	if len(small) > len(large) {
+		small, large = large, small
+	}
+	for p := range small {
+		if large[p] {
 			return true
 		}
 	}

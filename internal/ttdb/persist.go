@@ -17,20 +17,22 @@ import (
 // events through the Observer interface; store only moves opaque bytes.
 //
 // Snapshot layout: each table is one *header* section (annotation,
-// schema, allocator, version-index entries not keyed by the lock
-// column) plus ShardCount *row-shard* sections, each holding the
-// physical row versions — and the lock-column version-index entries —
-// of one hash slice of the table's lock-column keys. Dirty tracking
-// (ttdb.go) is kept at the same granularity, so a repaired hot row
-// rewrites its shard, not the whole table. Tables without partition
-// columns have a single shard.
+// schema, allocator) plus ShardCount *row-shard* sections, each holding
+// the physical row versions of one hash slice of the table's lock-column
+// keys. Dirty tracking (ttdb.go) is kept at the same granularity, so a
+// repaired hot row rewrites its shard, not the whole table. Tables
+// without partition columns have a single shard. Every section ends with
+// a list of version-index entries that is always written empty:
+// stateVersion 2 kept a per-partition event index there, what it answered
+// is now read off the row versions (partindex.go), and a version-2
+// section's entries are skipped.
 //
 // Replay strategy: every normal-execution mutation is logged as its
 // query Record (SQL, parameters, time, generation, write set). Replaying
 // the records in logged order through the same execution engine, at
 // their original times and generations and reusing their original row
-// IDs, rebuilds bit-identical physical state — the versioned tables, the
-// per-partition version index, and the row ID allocator.
+// IDs, rebuilds bit-identical physical state — the versioned tables and
+// the row ID allocator.
 
 // EncodeValue appends one SQL value to the encoder.
 func EncodeValue(enc *store.Encoder, v sqldb.Value) {
@@ -198,7 +200,10 @@ func EncodeSpec(enc *store.Encoder, spec TableSpec) { encodeSpec(enc, spec) }
 
 // stateVersion 2 introduced sharded table sections (header + row
 // shards); version-1 (PR 3) snapshots are refused rather than misread.
-const stateVersion = 2
+// Version 3 has the same layout with every version-index entry list
+// empty: a version-2 binary, which would roll a partition back from those
+// lists, refuses a version-3 directory instead of undoing nothing.
+const stateVersion = 3
 
 // EncodeMeta serializes the database's global metadata — the current
 // generation, the GC horizon, and pending table annotations — as one
@@ -226,7 +231,7 @@ func (db *DB) EncodeMeta(enc *store.Encoder) {
 
 // RestoreMeta rebuilds the global metadata from an EncodeMeta section.
 func (db *DB) RestoreMeta(dec *store.Decoder) error {
-	if v := dec.Byte(); v != stateVersion {
+	if v := dec.Byte(); v != 2 && v != stateVersion {
 		if err := dec.Err(); err != nil {
 			return err
 		}
@@ -243,64 +248,21 @@ func (db *DB) RestoreMeta(dec *store.Decoder) error {
 	return dec.Err()
 }
 
-// shardOfPartIdx maps a version-index partition to the row shard its
-// entries are stored in, or -1 for the header section (partitions not
-// keyed by the lock column cut across row shards).
-func (m *tableMeta) shardOfPartIdx(p Partition) int {
-	if m.lockCol != "" && p.Column == m.lockCol {
-		return m.shardOfKey(p.Key)
-	}
-	return -1
-}
-
-// sortedPartitions returns partIdx keys in a stable order. Caller holds
-// the bookkeeping latch.
-func (m *tableMeta) sortedPartitions() []Partition {
-	parts := make([]Partition, 0, len(m.partIdx))
-	for p := range m.partIdx {
-		parts = append(parts, p)
-	}
-	sort.Slice(parts, func(i, j int) bool {
-		if parts[i].Column != parts[j].Column {
-			return parts[i].Column < parts[j].Column
+// skipVersionIndex reads past a section's version-index entry list:
+// empty in every section this version writes, the retired per-partition
+// event index in a version-2 one.
+func skipVersionIndex(dec *store.Decoder) {
+	for i, n := 0, dec.Count(); i < n; i++ {
+		_, _ = dec.String(), dec.String() // partition column and key
+		for j, n := 0, dec.Count(); j < n; j++ {
+			DecodeValue(dec) // row ID
+			dec.Int()        // event time
 		}
-		return parts[i].Key < parts[j].Key
-	})
-	return parts
-}
-
-// encodePartIdxEntries writes the version-index entries of the given
-// partitions. Caller holds the bookkeeping latch.
-func (m *tableMeta) encodePartIdxEntries(enc *store.Encoder, parts []Partition) {
-	enc.Uvarint(uint64(len(parts)))
-	for _, p := range parts {
-		enc.String(p.Column)
-		enc.String(p.Key)
-		entries := m.partIdx[p]
-		enc.Uvarint(uint64(len(entries)))
-		for _, e := range entries {
-			EncodeValue(enc, e.rowID)
-			enc.Int(e.t)
-		}
-	}
-}
-
-func (m *tableMeta) decodePartIdxEntries(dec *store.Decoder) {
-	nParts := dec.Count()
-	for i := 0; i < nParts; i++ {
-		p := Partition{Table: m.name, Column: dec.String(), Key: dec.String()}
-		nEnt := dec.Count()
-		entries := make([]partEntry, 0, nEnt)
-		for j := 0; j < nEnt; j++ {
-			entries = append(entries, partEntry{rowID: DecodeValue(dec), t: dec.Int()})
-		}
-		m.partIdx[p] = entries
 	}
 }
 
 // EncodeTableHeader serializes one table's structural state — annotation,
-// augmented schema, row-ID allocator, shard count, and the version-index
-// entries that are not keyed by the lock column — as a self-contained
+// augmented schema, row-ID allocator, shard count — as a self-contained
 // snapshot section. The table's whole scope is held for the duration; the
 // caller is responsible for quiescing direct writers.
 func (db *DB) EncodeTableHeader(enc *store.Encoder, table string) error {
@@ -357,22 +319,13 @@ func (db *DB) encodeTableHeaderLocked(enc *store.Encoder, m *tableMeta) error {
 		enc.String(c)
 	}
 
-	m.mu.Lock()
-	var headerParts []Partition
-	for _, p := range m.sortedPartitions() {
-		if m.shardOfPartIdx(p) == -1 {
-			headerParts = append(headerParts, p)
-		}
-	}
-	m.encodePartIdxEntries(enc, headerParts)
-	m.mu.Unlock()
+	enc.Uvarint(0) // version-index entries: none (skipVersionIndex)
 	return nil
 }
 
 // EncodeTableShards serializes the given row shards of a table — each
 // shard holds the physical row versions whose lock-column key hashes to
-// it, plus the lock-column version-index entries of the same slice —
-// streaming rows straight from the engine's cursor into the shard
+// it — streaming rows straight from the engine's cursor into the shard
 // encoders, so no result set is ever materialized and memory stays
 // bounded by the encoders' chunk buffers regardless of table size. sink
 // returns the destination encoder for each shard, in the given order.
@@ -434,16 +387,6 @@ func (db *DB) encodeTableShardsLocked(m *tableMeta, shards []int, sink func(shar
 		return err
 	}
 
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	partsByShard := make(map[int][]Partition)
-	for _, p := range m.sortedPartitions() {
-		s := m.shardOfPartIdx(p)
-		if s >= 0 {
-			partsByShard[s] = append(partsByShard[s], p)
-		}
-	}
-
 	// Each shard section must be written contiguously (checkpoint files
 	// hold one open section at a time), so rows stream through one
 	// filtered scan per requested shard. Incremental checkpoints
@@ -482,7 +425,7 @@ func (db *DB) encodeTableShardsLocked(m *tableMeta, shards []int, sink func(shar
 		if emitted != counts[shard] {
 			return fmt.Errorf("ttdb: table %s shard %d changed during encode: %d rows emitted, %d counted", m.name, shard, emitted, counts[shard])
 		}
-		m.encodePartIdxEntries(enc, partsByShard[shard])
+		enc.Uvarint(0) // version-index entries: none (skipVersionIndex)
 	}
 	return nil
 }
@@ -500,7 +443,6 @@ func (db *DB) RestoreTableHeader(dec *store.Decoder) (string, error) {
 		name:      name,
 		spec:      spec,
 		rowIDCol:  spec.RowIDColumn,
-		partIdx:   make(map[Partition][]partEntry),
 		shards:    int(dec.Uvarint()),
 		nextRowID: dec.Int(),
 	}
@@ -553,7 +495,7 @@ func (db *DB) RestoreTableHeader(dec *store.Decoder) (string, error) {
 		}
 	}
 
-	m.decodePartIdxEntries(dec)
+	skipVersionIndex(dec)
 	if err := dec.Err(); err != nil {
 		return "", err
 	}
@@ -604,7 +546,7 @@ func (db *DB) RestoreTableShard(dec *store.Decoder) error {
 		}
 		buf.rows = append(buf.rows, posRow{pos: pos, vals: vals})
 	}
-	m.decodePartIdxEntries(dec)
+	skipVersionIndex(dec)
 	if err := dec.Err(); err != nil {
 		return err
 	}
@@ -636,80 +578,6 @@ func (db *DB) VerifyRestored() error {
 		}
 	}
 	return nil
-}
-
-// EncodeState serializes the database's complete state — metadata plus
-// every table's header and shards — as one payload: the full (compaction)
-// form of the sectioned codecs above, also used directly by tests. The
-// caller is responsible for quiescing concurrent direct writers; the call
-// itself takes every table's whole scope, so anything running through the
-// normal execution paths serializes with it.
-func (db *DB) EncodeState(enc *store.Encoder) error {
-	metas := db.lockAll()
-	defer db.unlockAll(metas)
-
-	enc.Byte(stateVersion)
-	enc.Int(db.currentGen.Load())
-	enc.Int(db.gcBefore)
-
-	specNames := make([]string, 0, len(db.specs))
-	for name := range db.specs {
-		specNames = append(specNames, name)
-	}
-	sort.Strings(specNames)
-	enc.Uvarint(uint64(len(specNames)))
-	for _, name := range specNames {
-		enc.String(name)
-		encodeSpec(enc, db.specs[name])
-	}
-
-	enc.Uvarint(uint64(len(metas))) // metas are sorted by name (lockAll)
-	for _, m := range metas {
-		if err := db.encodeTableHeaderLocked(enc, m); err != nil {
-			return err
-		}
-		all := make([]int, m.shards)
-		for s := range all {
-			all[s] = s
-		}
-		if err := db.encodeTableShardsLocked(m, all, func(int) *store.Encoder { return enc }); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RestoreState rebuilds the database from a snapshot written by
-// EncodeState. The receiver must be freshly opened (no tables).
-func (db *DB) RestoreState(dec *store.Decoder) error {
-	if v := dec.Byte(); v != stateVersion {
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		return fmt.Errorf("ttdb: unsupported snapshot state version %d", v)
-	}
-	db.currentGen.Store(dec.Int())
-	db.gcBefore = dec.Int()
-
-	nSpecs := dec.Count()
-	for i := 0; i < nSpecs; i++ {
-		name := dec.String()
-		db.specs[name] = decodeSpec(dec)
-	}
-
-	nTables := dec.Count()
-	for i := 0; i < nTables; i++ {
-		name, err := db.RestoreTableHeader(dec)
-		if err != nil {
-			return err
-		}
-		for s := 0; s < db.ShardCount(name); s++ {
-			if err := db.RestoreTableShard(dec); err != nil {
-				return err
-			}
-		}
-	}
-	return dec.Err()
 }
 
 // Replay re-applies one logged query record during recovery: the

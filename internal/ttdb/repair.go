@@ -26,6 +26,15 @@ func (db *DB) repairSnapshot() (repairState, error) {
 	return repairState{next: db.currentGen.Load() + 1, gcBefore: db.gcBefore}, nil
 }
 
+// checkHorizon refuses a rollback to a time GC has collected: the
+// versions that were live then are gone.
+func (st repairState) checkHorizon(t int64) error {
+	if t <= st.gcBefore {
+		return fmt.Errorf("ttdb: rollback to %d is beyond the GC horizon %d", t, st.gcBefore)
+	}
+	return nil
+}
+
 // BeginRepair opens the next repair generation (§4.3): a logical fork of
 // the current database contents. Repair-time operations (ReExec, Rollback)
 // apply to the next generation while normal execution continues against the
@@ -215,7 +224,7 @@ func (db *DB) scopeForRows(m *tableMeta, rowIDs []sqldb.Value) lockScope {
 			keys = append(keys, row[0].Key())
 		}
 	}
-	return db.maybeCoalesce(m, keyScope(keys))
+	return keyScope(keys)
 }
 
 // RollbackRow rolls back a single row (named by row ID) to time t in the
@@ -234,8 +243,8 @@ func (db *DB) RollbackRow(table string, rowID sqldb.Value, t int64) ([]Partition
 // retry under a wider scope; a completed rollback re-run under the wider
 // scope is a no-op.
 func (db *DB) rollbackRowLocked(m *tableMeta, rowID sqldb.Value, t int64, st repairState, sc lockScope) ([]Partition, error) {
-	if t <= st.gcBefore {
-		return nil, fmt.Errorf("ttdb: rollback to %d is beyond the GC horizon %d", t, st.gcBefore)
+	if err := st.checkHorizon(t); err != nil {
+		return nil, err
 	}
 	next := st.next
 
@@ -322,8 +331,6 @@ func (db *DB) rollbackRowLocked(m *tableMeta, rowID sqldb.Value, t int64, st rep
 			}
 		}
 	}
-	// Index the rollback itself: the partitions' contents changed at t.
-	m.indexVersionEvent(set.Slice(), rowID, t)
 	return set.Slice(), nil
 }
 
@@ -403,6 +410,9 @@ func (db *DB) resolveRevivalCollisions(m *tableMeta, colliders []collider, st re
 func (db *DB) RollbackRows(table string, rowIDs []sqldb.Value, t int64) ([]Partition, error) {
 	st, err := db.repairSnapshot()
 	if err != nil {
+		return nil, err
+	}
+	if err := st.checkHorizon(t); err != nil {
 		return nil, err
 	}
 	m, err := db.meta(table)
@@ -516,7 +526,7 @@ func (db *DB) ReExecPrepared(cs *sqldb.CachedStmt, params []sqldb.Value, t int64
 		return nil, nil, err
 	}
 	acc := stateFor(m, cs).fp.resolve(params)
-	sc := db.maybeCoalesce(m, acc.lock.merge(origScope(m, orig)))
+	sc := acc.lock.merge(origScope(m, orig))
 	// dirt accumulates across an escalation retry: rollbacks completed
 	// in a narrow-scope attempt stay applied (the retry re-runs them as
 	// no-ops), so their partitions — including uniqueness-collider
@@ -620,9 +630,8 @@ func (db *DB) reExecWrite(cs *sqldb.CachedStmt, params []sqldb.Value, t int64, s
 
 // GC discards row versions that ended before the horizon, in sync with the
 // action history graph's garbage collection (§4.2). Rollback to a time at
-// or before the horizon becomes impossible afterwards, and partition-index
-// entries older than the horizon are pruned. GC is refused while a repair
-// is in progress.
+// or before the horizon becomes impossible afterwards. GC is refused while
+// a repair is in progress.
 func (db *DB) GC(beforeTime int64) error {
 	metas := db.lockAll()
 	defer db.unlockAll(metas)
@@ -635,7 +644,6 @@ func (db *DB) GC(beforeTime int64) error {
 		if _, err := db.raw.ExecCached(db.stmtsFor(m).purge, horizon); err != nil {
 			return err
 		}
-		m.pruneIndexBefore(beforeTime)
 	}
 	if beforeTime > db.gcBefore {
 		db.gcBefore = beforeTime

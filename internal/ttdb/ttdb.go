@@ -34,9 +34,8 @@
 //     an operation (an exec, a two-phase re-execution, a rollback), so
 //     operations on disjoint partitions of one table proceed in
 //     parallel while operations on overlapping partitions serialize;
-//   - tableMeta.mu is a leaf latch for the table's in-memory
-//     bookkeeping (row-ID allocator, version index), held only for
-//     momentary touches under a scope.
+//   - tableMeta.mu is a leaf latch for the table's row-ID allocator,
+//     held only for momentary touches under a scope.
 //
 // DDL, generation switches (FinishRepair/AbortRepair), and GC take every
 // table's whole scope. The acquisition order is db.mu → table scopes, and
@@ -92,7 +91,7 @@ type TableSpec struct {
 
 // tableMeta is the runtime bookkeeping for one augmented table. locks
 // serializes overlapping-scope operations (locks.go); mu is a leaf
-// latch guarding the allocator and version index.
+// latch guarding the row-ID allocator.
 type tableMeta struct {
 	mu        sync.Mutex
 	locks     *partLocks
@@ -109,12 +108,6 @@ type tableMeta struct {
 	shards    int
 	nextRowID int64
 
-	// partIdx is the per-partition version index: for every partition, the
-	// row-version events (row ID, time) that touched it. It turns repair's
-	// "find rows touching partition P at or after time T" from a table scan
-	// into an index lookup (see partindex.go). Guarded by mu.
-	partIdx map[Partition][]partEntry
-
 	// restore buffers shard sections until the last one arrives, so rows
 	// re-insert in their original physical scan order regardless of which
 	// shard they live in (persist.go).
@@ -127,23 +120,26 @@ type tableMeta struct {
 	stmts atomic.Pointer[tableStmts]
 
 	// parts are the declared partition columns in declaration order;
-	// lockKeyOf (rowID) and lockRange (lo, hi) select the lock-column
-	// values of a row's versions and of a key interval (nil without a
-	// lock column). Scope derivation reads all three *before* any lock is
-	// held (footprint.go, scopeForRows, maybeCoalesce), so unlike stmts
-	// they are built once, at create or restore, from facts no DDL changes.
-	parts                []partCol
-	lockKeyOf, lockRange *sqldb.CachedStmt
+	// lockKeyOf (rowID) selects the lock-column values of a row's versions
+	// (nil without a lock column) and changedAll (since) the versions
+	// created or closed since a time (partindex.go). All are read *before*
+	// any lock is held (footprint.go, scopeForRows, PartitionRowsSince), so
+	// unlike stmts they are built once, at create or restore, from facts no
+	// DDL changes.
+	parts                 []partCol
+	lockKeyOf, changedAll *sqldb.CachedStmt
 }
 
 // partCol is one declared partition column: its declared kind, its
 // position among the application columns (ALTER TABLE ADD only appends,
-// so it never moves), and whether it is the lock column.
+// so it never moves), whether it is the lock column, and changed (key,
+// since): changedAll within one of its partitions.
 type partCol struct {
-	name string
-	kind sqldb.Kind
-	pos  int
-	lock bool
+	name    string
+	kind    sqldb.Kind
+	pos     int
+	lock    bool
+	changed *sqldb.CachedStmt
 }
 
 // partCol returns the named partition column, or nil.
@@ -156,7 +152,7 @@ func (m *tableMeta) partCol(name string) *partCol {
 	return nil
 }
 
-// prepareScopeFacts builds parts and the lock probes from the table's
+// prepareScopeFacts builds parts and the unlocked probes from the table's
 // column definitions; userCols, rowIDCol and lockCol must be final.
 func (m *tableMeta) prepareScopeFacts(defs []sqldb.ColumnDef) {
 	for _, name := range m.spec.PartitionColumns {
@@ -168,15 +164,14 @@ func (m *tableMeta) prepareScopeFacts(defs []sqldb.ColumnDef) {
 		}
 		m.parts = append(m.parts, pc)
 	}
-	if m.lockCol == "" {
-		return
+	m.changedAll = m.changedSince(nil, 0)
+	for i := range m.parts { // the probes select every partition column
+		m.parts[i].changed = m.changedSince(cmp(m.parts[i].name, sqldb.OpEq, 0), 1)
 	}
-	lockKeys := func(where sqldb.Expr) *sqldb.CachedStmt {
-		return sqldb.NewCachedStmt(&sqldb.Select{
-			Items: []sqldb.SelectItem{{Expr: sqldb.Col(m.lockCol)}}, Table: m.name, Where: where})
+	if m.lockCol != "" {
+		m.lockKeyOf = sqldb.NewCachedStmt(&sqldb.Select{Items: []sqldb.SelectItem{{Expr: sqldb.Col(m.lockCol)}},
+			Table: m.name, Where: cmp(m.rowIDCol, sqldb.OpEq, 0)})
 	}
-	m.lockKeyOf = lockKeys(cmp(m.rowIDCol, sqldb.OpEq, 0))
-	m.lockRange = lockKeys(sqldb.And(cmp(m.lockCol, sqldb.OpGe, 0), cmp(m.lockCol, sqldb.OpLe, 1)))
 }
 
 // tableRestore accumulates a table's row shards during snapshot restore.
@@ -329,9 +324,7 @@ func (db *DB) markDirtyWhole(table string) {
 // Marked before executing, so even a write that fails partway can only
 // over-mark, never leave a mutated shard clean.
 func (db *DB) markDirtyScope(m *tableMeta, sc lockScope) {
-	if sc.whole || len(sc.ranges) > 0 {
-		// A coalesced range cannot enumerate its shards, so it dirties the
-		// whole table — the conservative trade coalescing already accepts.
+	if sc.whole {
 		db.markDirtyWhole(m.name)
 		return
 	}
@@ -580,7 +573,6 @@ func (db *DB) createTable(ct *sqldb.CreateTable) error {
 		name:      ct.Table,
 		spec:      spec,
 		rowIDCol:  spec.RowIDColumn,
-		partIdx:   make(map[Partition][]partEntry),
 		nextRowID: 1,
 		shards:    1,
 	}

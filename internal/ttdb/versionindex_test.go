@@ -55,6 +55,105 @@ type versionHistory struct {
 	inRepair bool
 	nextID   int64
 	did      map[string]int // how often each kind of step or check ran
+	events   []versionEvent // what the retired per-partition index held
+}
+
+// versionEvent is one entry of the per-partition event index ttdb kept
+// before partition rollback read the row versions: the row had a version
+// created, closed or rolled back in partition k at time t.
+type versionEvent struct {
+	k, id string
+	t     int64
+}
+
+// physical returns every stored version of notes, rendered, by row.
+func (h *versionHistory) physical() map[string][]string {
+	h.t.Helper()
+	out := make(map[string][]string)
+	for _, row := range h.scan("SELECT " + h.cols + " FROM notes").Rows {
+		pr := physicalRow{cols: h.db.stmtsFor(h.m).colOf, row: row}
+		id := pr.colVal("id").Key()
+		out[id] = append(out[id], pr.colVal("k").Key()+" "+fmt.Sprint(row))
+	}
+	return out
+}
+
+// logged runs one mutating step and appends to the event log what the
+// retired index recorded for it, at the time the step returns: a normal
+// write logged each row it wrote under the partitions of the versions it
+// created and closed; a repair step logged each row it rolled back —
+// named, even when that changed nothing — under every partition any of
+// the row's versions was in.
+func (h *versionHistory) logged(repair bool, step func() (t int64, named []sqldb.Value)) {
+	h.t.Helper()
+	before := h.physical()
+	t, named := step()
+	after := h.physical()
+	touched := make(map[string]bool) // named rows, and rows whose versions changed
+	for _, id := range named {
+		touched[id.Key()] = true
+	}
+	for _, side := range []map[string][]string{before, after} {
+		for id := range side {
+			if !slices.Equal(before[id], after[id]) {
+				touched[id] = true
+			}
+		}
+	}
+	for id := range touched {
+		for _, v := range append(slices.Clone(before[id]), after[id]...) {
+			if repair || slices.Contains(before[id], v) != slices.Contains(after[id], v) {
+				h.events = append(h.events, versionEvent{k: v[:strings.IndexByte(v, ' ')], id: id, t: t})
+			}
+		}
+	}
+}
+
+// checkRowsSince holds PartitionRowsSince, for every partition of the
+// history and the whole table, to the forced-scan form of its predicate
+// row for row, and to the event log: a row the probe lists, the retired
+// index listed too, so no repair rolls back a row it would not have before.
+// (The converse fails on purpose: the log also listed rows whose events a
+// repair has since deleted, which rolling back again did nothing to.)
+func (h *versionHistory) checkRowsSince() {
+	h.t.Helper()
+	sinces := []int64{h.gcBefore, h.pastTime(), h.pastTime(), h.db.Clock().Now() + 1}
+	for _, k := range append([]string{""}, historyKeys...) {
+		p, where := WholeTable("notes"), "0 = 0"
+		if k != "" {
+			p, where = Partition{Table: "notes", Column: "k", Key: sqldb.Text(k).Key()}, "k || '' = '"+k+"'"
+		}
+		for _, since := range sinces {
+			got, err := h.db.PartitionRowsSince(p, since)
+			if err != nil {
+				h.t.Fatal(err)
+			}
+			tm := sqldb.Int(since)
+			var want [][]sqldb.Value
+			seen := make(map[string]bool)
+			for _, row := range h.scan(fmt.Sprintf("SELECT id FROM notes WHERE %s AND warp_end_time >= ? AND (warp_start_time >= ? OR warp_end_time < %d)",
+				where, Infinity), tm, tm).Rows {
+				if !seen[row[0].Key()] {
+					seen[row[0].Key()] = true
+					want = append(want, row)
+				}
+			}
+			slices.SortFunc(want, func(a, b []sqldb.Value) int { return strings.Compare(a[0].Key(), b[0].Key()) })
+			var rows [][]sqldb.Value
+			for _, id := range got {
+				rows = append(rows, []sqldb.Value{id})
+			}
+			h.same(fmt.Sprintf("rows of %v changed since %d", p, since), rows, &sqldb.Result{Rows: want})
+			for _, id := range got {
+				if !slices.ContainsFunc(h.events, func(e versionEvent) bool {
+					return e.id == id.Key() && e.t >= since && (k == "" || e.k == p.Key)
+				}) {
+					h.t.Fatalf("%v since %d lists row %v, which the event log does not", p, since, id)
+				}
+			}
+			h.did["rows-since"] += len(got)
+		}
+	}
 }
 
 var historyKeys = []string{"a", "b", "c", "d", "e"}
@@ -78,17 +177,22 @@ func (h *versionHistory) pastTime() int64 {
 	return ok[h.rng.Intn(len(ok))] + int64(h.rng.Intn(2))
 }
 
-// scan runs an oracle query on the raw engine, insisting on a full scan.
-func (h *versionHistory) scan(src string, params ...sqldb.Value) *sqldb.Result {
-	h.t.Helper()
-	if plan, err := h.db.Raw().Explain(src); err != nil || !strings.Contains(plan, "scan=full") {
-		h.t.Fatalf("oracle query %q plans %q, %v; want a full scan", src, plan, err)
+// fullScan runs an oracle query on the raw engine, insisting on a full scan.
+func fullScan(t *testing.T, db *DB, src string, params ...sqldb.Value) *sqldb.Result {
+	t.Helper()
+	if plan, err := db.Raw().Explain(src); err != nil || !strings.Contains(plan, "scan=full") {
+		t.Fatalf("oracle query %q plans %q, %v; want a full scan", src, plan, err)
 	}
-	res, err := h.db.Raw().Exec(src, params...)
+	res, err := db.Raw().Exec(src, params...)
 	if err != nil {
-		h.t.Fatalf("oracle %s %v: %v", src, params, err)
+		t.Fatalf("oracle %s %v: %v", src, params, err)
 	}
 	return res
+}
+
+func (h *versionHistory) scan(src string, params ...sqldb.Value) *sqldb.Result {
+	h.t.Helper()
+	return fullScan(h.t, h.db, src, params...)
 }
 
 func (h *versionHistory) same(what string, got [][]sqldb.Value, want *sqldb.Result) {
@@ -98,6 +202,20 @@ func (h *versionHistory) same(what string, got [][]sqldb.Value, want *sqldb.Resu
 	}
 }
 
+// exec runs one write through normal execution, logging its version
+// events; a uniqueness violation is a recorded outcome, not a failure.
+func (h *versionHistory) exec(src string, params ...sqldb.Value) (rec *Record, err error) {
+	h.t.Helper()
+	h.logged(false, func() (int64, []sqldb.Value) {
+		if _, rec, err = h.db.Exec(src, params...); err != nil && !sqldb.IsUniqueViolation(err) {
+			h.t.Fatalf("%s %v: %v", src, params, err)
+		}
+		return rec.Time, nil
+	})
+	h.times = append(h.times, rec.Time)
+	return rec, err
+}
+
 // write runs an UPDATE or DELETE whose WHERE is `col = ?` through normal
 // execution and checks it wrote exactly the rows a full scan finds
 // visible just before it.
@@ -105,11 +223,7 @@ func (h *versionHistory) write(src, col string, params ...sqldb.Value) {
 	h.t.Helper()
 	now, gen := sqldb.Int(h.db.Clock().Now()), sqldb.Int(h.db.CurrentGen())
 	want := h.scan("SELECT id FROM notes WHERE "+forced(col)+visibleAt, params[len(params)-1], now, now, gen, gen)
-	_, rec, err := h.db.Exec(src, params...)
-	if err != nil && !sqldb.IsUniqueViolation(err) {
-		h.t.Fatalf("%s %v: %v", src, params, err)
-	}
-	h.times = append(h.times, rec.Time)
+	rec, err := h.exec(src, params...)
 	if err != nil {
 		return
 	}
@@ -186,7 +300,8 @@ func (h *versionHistory) checkProbes() {
 // inserts, updates by partition column, row ID and an application index,
 // deletes and re-inserts of the same key, GC, and repair generations with
 // rollbacks and re-executed writes at past times, aborted or committed —
-// and after every step holds every probe to its forced-scan form.
+// and after every step holds every probe to its forced-scan form, and
+// partition rollback's probe to the event log it replaced as well.
 func TestVersionOrderedProbesMatchFullScan(t *testing.T) {
 	did := make(map[string]int)
 	for seed := int64(1); seed <= 8; seed++ {
@@ -220,13 +335,9 @@ func TestVersionOrderedProbesMatchFullScan(t *testing.T) {
 			}
 			switch {
 			case op < 4: // insert; a taken key is a recorded uniqueness failure
-				_, rec, err := db.Exec("INSERT INTO notes (id, k, val) VALUES (?, ?, ?)",
+				h.exec("INSERT INTO notes (id, k, val) VALUES (?, ?, ?)",
 					sqldb.Int(h.nextID), h.key(), sqldb.Int(int64(h.rng.Intn(6))))
-				if err != nil && !sqldb.IsUniqueViolation(err) {
-					t.Fatal(err)
-				}
 				h.nextID++
-				h.times = append(h.times, rec.Time)
 			case op < 6:
 				h.write("UPDATE notes SET val = ? WHERE k = ?", "k", sqldb.Int(int64(h.rng.Intn(6))), h.key())
 			case op < 7:
@@ -252,18 +363,25 @@ func TestVersionOrderedProbesMatchFullScan(t *testing.T) {
 				h.inRepair = true
 			case op < 12:
 				if past := h.pastTime(); past > 0 {
-					if _, err := db.RollbackRow("notes", h.id(), past); err != nil {
-						t.Fatal(err)
-					}
+					h.logged(true, func() (int64, []sqldb.Value) {
+						id := h.id()
+						if _, err := db.RollbackRow("notes", id, past); err != nil {
+							t.Fatal(err)
+						}
+						return past, []sqldb.Value{id}
+					})
 					did["rollback"]++
 				}
 			case op < 13:
 				if past := h.pastTime(); past > 0 {
-					_, _, err := db.ReExec("UPDATE notes SET val = ? WHERE k = ?",
-						[]sqldb.Value{sqldb.Int(int64(h.rng.Intn(6))), h.key()}, past, nil)
-					if err != nil && !sqldb.IsUniqueViolation(err) {
-						t.Fatal(err)
-					}
+					h.logged(true, func() (int64, []sqldb.Value) {
+						_, _, err := db.ReExec("UPDATE notes SET val = ? WHERE k = ?",
+							[]sqldb.Value{sqldb.Int(int64(h.rng.Intn(6))), h.key()}, past, nil)
+						if err != nil && !sqldb.IsUniqueViolation(err) {
+							t.Fatal(err)
+						}
+						return past, nil
+					})
 					did["re-executed write"]++
 				}
 			default:
@@ -278,9 +396,10 @@ func TestVersionOrderedProbesMatchFullScan(t *testing.T) {
 				h.inRepair = false
 			}
 			h.checkProbes()
+			h.checkRowsSince()
 		}
 	}
-	for _, what := range []string{"as-of read", "gc", "rollback", "re-executed write", "commit", "abort"} {
+	for _, what := range []string{"as-of read", "gc", "rollback", "re-executed write", "commit", "abort", "rows-since"} {
 		if did[what] < 5 {
 			t.Errorf("the histories ran %q %d times; the generator is broken", what, did[what])
 		}
