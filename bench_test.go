@@ -3,7 +3,7 @@
 // experiment (workload generation + repair) per iteration and reports the
 // table's key quantities as custom metrics, so `go test -bench . -benchmem`
 // regenerates every result. cmd/warp-bench prints the same experiments as
-// paper-style tables; EXPERIMENTS.md records a reference run.
+// paper-style tables; benchmarks/README.md describes the recorded runs.
 //
 // Workload sizes default to laptop-friendly scales; the paper-scale runs
 // (100 and 5,000 users) are reproduced with

@@ -12,7 +12,7 @@
 //
 // Absolute timings depend on this machine; the shapes (who repairs, who
 // conflicts, what fraction re-executes, how repair scales) are the
-// reproduction targets. See EXPERIMENTS.md for a recorded run.
+// reproduction targets. See benchmarks/README.md for the recorded runs.
 package main
 
 import (

@@ -71,8 +71,6 @@ func main() {
 	data := flag.String("data", "", "persistence directory; empty runs in memory")
 	repairWorkers := flag.Int("repair-workers", 0,
 		"parallel repair workers (0 = GOMAXPROCS, 1 = the paper's serial engine)")
-	walShards := flag.Int("wal-shards", 1,
-		"independent WAL shard chains; table groups spread over shards 1..n-1, metadata stays on shard 0")
 	compactEvery := flag.Int("compact-every", 0,
 		"full (compacting) checkpoint after this many incremental ones (0 = store default of 8)")
 	syncEvery := flag.Bool("sync-every-append", false,
@@ -100,7 +98,6 @@ func main() {
 	}
 
 	cfg := warp.Config{Seed: 2026, RepairWorkers: *repairWorkers, RepairSLO: *repairSLO}
-	cfg.Durability.Shards = *walShards
 	cfg.Durability.CompactEvery = *compactEvery
 	cfg.Durability.SyncEveryAppend = *syncEvery
 	cfg.Durability.ScrubInterval = *scrubInterval
@@ -112,8 +109,8 @@ func main() {
 			log.Fatal(err)
 		}
 		st := sys.Recovery()
-		log.Printf("persistent store %s: checkpoint=%v walRecords=%d tailCorrupt=%v shards=%d",
-			*data, st.FromSnapshot, st.WALRecords, st.TailCorrupt, *walShards)
+		log.Printf("persistent store %s: checkpoint=%v walRecords=%d tailCorrupt=%v",
+			*data, st.FromSnapshot, st.WALRecords, st.TailCorrupt)
 	} else {
 		sys = warp.New(cfg)
 	}

@@ -21,7 +21,6 @@ func BenchmarkCheckpoint(b *testing.B) {
 	setup := func(b *testing.B) *core.Warp {
 		b.Helper()
 		w, err := core.Open(b.TempDir(), core.Config{Seed: 3, Durability: store.Options{
-			Shards:       2,
 			CompactEvery: 1 << 30, // measure pure incremental cost
 		}})
 		if err != nil {

@@ -302,7 +302,7 @@ func (w *Warp) recordRun(rec *app.RunRecord, repaired bool) history.ActionID {
 	if w.pers != nil {
 		// Any fresh Token/RandInt draws this run made advanced the
 		// runtime's nondeterminism cursor; log the new position *before*
-		// the action records below, so on the metadata shard a recovered
+		// the action records below, so in the log's recovered prefix an
 		// action always implies the cursor state that produced its draws
 		// (a hard crash cannot rewind the stream past values durable
 		// state depends on).

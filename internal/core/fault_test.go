@@ -31,7 +31,6 @@ import (
 func faultDurability(ffs *faultfs.FS) store.Options {
 	return store.Options{
 		SyncEveryAppend: true,
-		Shards:          2,
 		FS:              ffs,
 		RetryAttempts:   3,
 		RetryBackoff:    time.Microsecond,

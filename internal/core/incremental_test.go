@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -20,7 +21,7 @@ import (
 
 // The incremental-checkpoint suite: dirty-table tracking must make
 // checkpoint cost proportional to the write set, and the layered
-// recovery — manifest + base + deltas + sharded WAL tails — must stay
+// recovery — manifest + base + deltas + WAL tail — must stay
 // bit-identical to a never-crashed oracle.
 
 // openMultiTable builds a durable deployment with n annotated tables of
@@ -88,7 +89,7 @@ func writtenSections(st store.CheckpointStats) map[string]bool {
 // the layered state is bit-identical.
 func TestIncrementalCheckpointWritesOnlyDirtyTables(t *testing.T) {
 	dir := t.TempDir()
-	dur := store.Options{SyncEveryAppend: true, Shards: 3, CompactEvery: 100}
+	dur := store.Options{SyncEveryAppend: true, CompactEvery: 100}
 	w := openMultiTable(t, dir, 6, 20, dur)
 
 	if err := w.Checkpoint(); err != nil {
@@ -156,7 +157,7 @@ func TestIncrementalCheckpointWritesOnlyDirtyTables(t *testing.T) {
 // checkpoint of the same database.
 func TestCheckpointCostTracksDirtySet(t *testing.T) {
 	dir := t.TempDir()
-	dur := store.Options{Shards: 2, CompactEvery: 100}
+	dur := store.Options{CompactEvery: 100}
 	w := openMultiTable(t, dir, 8, 200, dur)
 	defer w.Crash()
 
@@ -183,13 +184,13 @@ func TestCheckpointCostTracksDirtySet(t *testing.T) {
 
 // TestCrashWithIncrementalCheckpointsRecoversExact is TestCrashMidWorkload
 // over the full layering: checkpoints interleave with workload steps, so
-// every crash point recovers through manifest + base + deltas + sharded
-// WAL tails, and must still match the never-crashed oracle bit for bit —
+// every crash point recovers through manifest + base + deltas + WAL
+// tail, and must still match the never-crashed oracle bit for bit —
 // including the subsequent repair.
 func TestCrashWithIncrementalCheckpointsRecoversExact(t *testing.T) {
 	base := t.TempDir()
 	live := filepath.Join(base, "live")
-	dur := store.Options{SyncEveryAppend: true, Shards: 3, CompactEvery: 2}
+	dur := store.Options{SyncEveryAppend: true, CompactEvery: 2}
 	w := buildWarpDur(t, live, 1, dur)
 	browsers := []*browser.Browser{w.NewBrowser(), w.NewBrowser(), w.NewBrowser()}
 	steps := workloadSteps(browsers)
@@ -250,7 +251,7 @@ func TestCorruptTailFencedByCheckpoint(t *testing.T) {
 	}
 	w.Crash()
 
-	// Damage the first segment of shard 0 near its end: most of it
+	// Damage the first segment of the log near its end: most of it
 	// replays, everything after it is unreachable.
 	var segs []string
 	entries, err := os.ReadDir(dir)
@@ -264,7 +265,7 @@ func TestCorruptTailFencedByCheckpoint(t *testing.T) {
 	}
 	sort.Strings(segs)
 	if len(segs) < 3 {
-		t.Fatalf("workload produced %d shard-0 segments; need several", len(segs))
+		t.Fatalf("workload produced %d segments; need several", len(segs))
 	}
 	path := filepath.Join(dir, segs[0])
 	data, err := os.ReadFile(path)
@@ -368,34 +369,92 @@ func TestPendingIntentSurvivesCheckpoint(t *testing.T) {
 	assertSameState(t, "resume after checkpointed intent", recovered, control)
 }
 
-// TestShardCountChangeAcrossRestartAtDeploymentLevel: a deployment
-// written with 3 WAL shards must recover when reopened with 1 (and vice
-// versa) — routing is a performance decision, never a correctness one.
-func TestShardCountChangeAcrossRestartAtDeploymentLevel(t *testing.T) {
+// spreadWALChains rewrites dir's wal-00-* segments the way a version that
+// sharded its log by table group left them: frame i (8-byte header:
+// length, CRC) moves to chain i%chains, one segment per chain, each
+// frame keeping the LSN it carries.
+func spreadWALChains(t *testing.T, dir string, chains int) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-00-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no WAL segments to spread in %s (%v)", dir, err)
+	}
+	sort.Strings(segs)
+	out := make([][]byte, chains)
+	i := 0
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for len(data) > 0 {
+			n := 8 + int(binary.LittleEndian.Uint32(data))
+			out[i%chains] = append(out[i%chains], data[:n]...)
+			data = data[n:]
+			i++
+		}
+		if err := os.Remove(seg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	suffix := strings.TrimPrefix(filepath.Base(segs[0]), "wal-00")
+	for id, data := range out {
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("wal-%02d%s", id, suffix)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestExtraWALChainsOpenAtDeploymentLevel: a directory holding a
+// checkpoint plus WAL tails on three chains — what a version that wrote
+// several chains leaves behind — must open with the writer's exact
+// state, serve, and after its first checkpoint hold only the one chain
+// this version writes.
+func TestExtraWALChainsOpenAtDeploymentLevel(t *testing.T) {
 	dir := t.TempDir()
-	w := buildWarpDur(t, dir, 1, store.Options{SyncEveryAppend: true, Shards: 3})
+	dur := store.Options{SyncEveryAppend: true}
+	w := buildWarpDur(t, dir, 1, dur)
 	browsers := []*browser.Browser{w.NewBrowser(), w.NewBrowser(), w.NewBrowser()}
-	for _, step := range workloadSteps(browsers) {
+	steps := workloadSteps(browsers)
+	for _, step := range steps[:len(steps)/2] {
+		step()
+	}
+	if err := w.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range steps[len(steps)/2:] {
 		step()
 	}
 	if err := w.FlushLogs(); err != nil {
 		t.Fatal(err)
 	}
 	want := dumpWarp(t, w)
-	w.Crash() // WAL-only recovery, merged across 3 shards
+	w.Crash() // Close would checkpoint the tail away
+	spreadWALChains(t, dir, 3)
 
-	w2 := buildWarpDur(t, dir, 1, store.Options{SyncEveryAppend: true, Shards: 1})
-	if got := dumpWarp(t, w2); got != want {
-		t.Fatalf("shard-count change broke recovery\n--- got ---\n%s--- want ---\n%s", got, want)
+	w2 := buildWarpDur(t, dir, 1, dur)
+	if st := w2.Recovery(); !st.FromSnapshot || st.WALRecords == 0 || st.TailCorrupt {
+		t.Fatalf("recovery %+v, want a checkpoint plus a clean WAL tail", st)
 	}
-	if err := w2.Close(); err != nil {
+	if got := dumpWarp(t, w2); got != want {
+		t.Fatalf("three-chain directory recovered differently\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	if resp := w2.HandleRequest(httpd.NewRequest("GET", "/?author=carol&msg=after-merge")); resp.Status != 200 {
+		t.Fatalf("request on the recovered deployment failed: %d", resp.Status)
+	}
+	if err := w2.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	if extra, _ := filepath.Glob(filepath.Join(dir, "wal-0[1-9]-*.log")); len(extra) != 0 {
+		t.Fatalf("extra chains survive the first checkpoint: %v", extra)
+	}
+	want = dumpWarp(t, w2)
+	w2.Crash()
 
-	w3 := buildWarpDur(t, dir, 1, store.Options{SyncEveryAppend: true, Shards: 4})
+	w3 := buildWarpDur(t, dir, 1, dur)
 	defer w3.Crash()
 	if got := dumpWarp(t, w3); got != want {
-		t.Fatalf("re-sharding broke recovery\n--- got ---\n%s--- want ---\n%s", got, want)
+		t.Fatalf("reopen after the covering checkpoint differs\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
 
@@ -406,7 +465,7 @@ func TestShardCountChangeAcrossRestartAtDeploymentLevel(t *testing.T) {
 // must still recover bit-identically.
 func TestPartitionGranularDirtyTracking(t *testing.T) {
 	dir := t.TempDir()
-	dur := store.Options{SyncEveryAppend: true, Shards: 2, CompactEvery: 100}
+	dur := store.Options{SyncEveryAppend: true, CompactEvery: 100}
 	w, err := Open(dir, Config{Seed: 9, RepairWorkers: 1, Durability: dur})
 	if err != nil {
 		t.Fatal(err)

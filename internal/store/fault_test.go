@@ -63,11 +63,11 @@ func TestFsyncFailurePoisonsSegmentAndRotates(t *testing.T) {
 	ffs := faultfs.New(nil)
 	s, _ := mustOpen(t, dir, faultOpts(ffs))
 
-	before := s.shards[0].activeSegment()
+	before := s.log.activeSeq()
 
 	// Fail exactly one WAL fsync. The waiting appender must get an
 	// error (its record's durability is unknown — fsyncgate), the
-	// segment must be sealed, and the shard must rotate to a fresh one.
+	// segment must be sealed, and the log must rotate to a fresh one.
 	var failed bool
 	ffs.AddRule(func(op faultfs.Op) error {
 		if !failed && op.Kind == faultfs.OpSync && strings.Contains(op.Path, "wal-") {
@@ -86,9 +86,9 @@ func TestFsyncFailurePoisonsSegmentAndRotates(t *testing.T) {
 	if s.LastFault() == nil {
 		t.Fatal("fsync poisoning did not report a fault")
 	}
-	after := s.shards[0].activeSegment()
+	after := s.log.activeSeq()
 	if after == before {
-		t.Fatalf("shard did not rotate off the poisoned segment %s", before)
+		t.Fatalf("log did not rotate off the poisoned segment %d", before)
 	}
 
 	// The store is still writable: later appends land on the fresh

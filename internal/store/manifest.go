@@ -13,8 +13,8 @@ import (
 
 // A manifest is the root of one checkpoint: it names every live section
 // and the checkpoint file each currently lives in, and records the WAL
-// cut — per-shard segment boundaries plus the global LSN — the
-// checkpoint was taken at. Incremental checkpoints write only dirty
+// cut — per-chain segment boundaries plus the LSN — the checkpoint was
+// taken at. Incremental checkpoints write only dirty
 // sections into a fresh delta file and carry the rest forward by
 // reference, so the manifest is what stitches base + deltas into one
 // consistent snapshot. Manifests are tiny and installed atomically
@@ -23,7 +23,7 @@ import (
 type manifest struct {
 	seq    int64
 	maxLSN int64
-	// bounds maps shard id -> sequence number of the last WAL segment
+	// bounds maps chain id -> sequence number of the last WAL segment
 	// the checkpoint covers. Recovery replays only segments after the
 	// bound.
 	bounds map[int]int64

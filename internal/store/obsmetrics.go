@@ -12,12 +12,11 @@ import (
 // already syscall-bound; the latency histograms read the clock only
 // when obs is enabled.
 var (
-	// walAppendHist observes AppendGroup latency as the caller sees it —
-	// frame encode, shard append, and (under SyncEveryAppend) the
-	// group-commit wait.
+	// walAppendHist observes Append latency as the caller sees it —
+	// frame encode into the segment buffer and (under SyncEveryAppend)
+	// the group-commit wait.
 	walAppendHist = obs.NewHistogram("warp_store_wal_append_seconds")
-	// walFsyncHist observes each physical WAL fsync (group-commit leader
-	// syncs and prefix-flush syncs alike).
+	// walFsyncHist observes each physical WAL fsync.
 	walFsyncHist = obs.NewHistogram("warp_store_wal_fsync_seconds")
 	// walAppends / walAppendBytes count appended records and their
 	// framed bytes.
@@ -61,9 +60,9 @@ var (
 	faultsReported   = obs.NewCounter("warp_store_faults_total")
 )
 
-// timedSync is the shared physical-fsync wrapper for the WAL shard sync
-// paths. A failed fsync counts as an io error here (it is never
-// retried — the caller poisons the segment instead).
+// timedSync is the physical-fsync wrapper of the WAL sync paths. A
+// failed fsync counts as an io error here (it is never retried — the
+// caller poisons the segment instead).
 func timedSync(f storefs.File) error {
 	var start time.Time
 	if obs.Enabled() {

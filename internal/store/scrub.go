@@ -87,15 +87,11 @@ func (s *Store) ScrubNow() error {
 		return ErrCrashed
 	}
 
-	// Snapshot the moving parts first. Segments with seq >= the shard's
-	// active seq may still be receiving appends (or be mid-rotation) —
-	// only strictly older ones are guaranteed sealed and stable.
-	activeSeq := make(map[int]int64, len(s.shards))
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		activeSeq[sh.id] = sh.seq
-		sh.mu.Unlock()
-	}
+	// Snapshot the moving parts first. Segments of the log with seq >=
+	// its active seq may still be receiving appends (or be mid-rotation)
+	// — only strictly older ones, and chains this version does not
+	// write, are guaranteed sealed and stable.
+	activeSeq := s.log.activeSeq()
 	s.ckptMu.Lock()
 	var ckptRefs map[int64]bool
 	if s.manifest != nil {
@@ -132,7 +128,7 @@ func (s *Store) ScrubNow() error {
 		}
 		switch {
 		case parseSegName(name, &id, &seq):
-			if as, ok := activeSeq[id]; ok && seq >= as {
+			if id == 0 && seq >= activeSeq {
 				continue // active or mid-rotation
 			}
 			n, clean, err := readSegment(s.fs, filepath.Join(s.dir, name), func([]byte) error { return nil })

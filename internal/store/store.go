@@ -19,34 +19,21 @@ import (
 // Options tunes a Store. The zero value selects the defaults below.
 type Options struct {
 	// SyncEveryAppend makes Append wait until its record is fsynced.
-	// Concurrent appenders on one shard share fsyncs (group commit): one
-	// leader syncs while followers' frames accumulate in the buffer for
-	// the next sync. Off by default: records are fsynced by the
-	// group-commit window instead, trading a bounded post-crash
-	// data-loss window (at most GroupWindow) for an fsync-free hot path.
+	// Concurrent appenders share fsyncs (group commit): one leader syncs
+	// while followers' frames accumulate in the buffer for the next
+	// sync. Off by default: records are fsynced by the group-commit
+	// window instead, trading a bounded post-crash data-loss window (at
+	// most GroupWindow) for an fsync-free hot path.
 	SyncEveryAppend bool
 	// GroupWindow is the maximum delay between fsyncs of buffered
 	// records (default 2ms).
 	GroupWindow time.Duration
-	// SegmentBytes rotates a shard's WAL to a new segment file past this
-	// size (default 16 MiB).
+	// SegmentBytes rotates the WAL to a new segment file past this size
+	// (default 16 MiB).
 	SegmentBytes int64
-	// SnapshotBytes signals NeedSnapshot after this many WAL bytes
-	// (summed across shards) since the last checkpoint (default 64 MiB);
-	// negative disables the signal.
+	// SnapshotBytes signals NeedSnapshot after this many WAL bytes since
+	// the last checkpoint (default 64 MiB); negative disables the signal.
 	SnapshotBytes int64
-	// Shards is the number of independent WAL segment chains. Records
-	// are routed by table-group key: the empty group (metadata) always
-	// lands on shard 0, named groups spread over the rest. Each shard
-	// has its own group-commit clock, so groups on different shards
-	// fsync in parallel. 0 or 1 means a single chain; values above 100
-	// are clamped (the segment filename format holds two shard digits).
-	Shards int
-	// ShardOf overrides the default hash router: it maps a non-empty
-	// group key to a shard index. Returning an out-of-range index (e.g.
-	// -1 for "unknown table") falls back to shard 0. It must be a pure
-	// function, stable across restarts.
-	ShardOf func(group string) int
 	// CompactEvery forces a full checkpoint (every live section
 	// rewritten, superseding all deltas) after this many incremental
 	// checkpoints (default 8). A full checkpoint lets the prune step
@@ -63,7 +50,7 @@ type Options struct {
 	FS storefs.FS
 	// RetryAttempts is the total number of tries a transient write or
 	// segment-create error gets before surfacing (default 3). Fsync is
-	// never retried — see the fsync-poisoning rule (shard.go).
+	// never retried — see the fsync-poisoning rule (chain.go).
 	RetryAttempts int
 	// RetryBackoff is the initial backoff between retries, doubling up
 	// to a 50ms cap (default 1ms).
@@ -85,12 +72,6 @@ func (o Options) withDefaults() Options {
 	if o.SnapshotBytes == 0 {
 		o.SnapshotBytes = 64 << 20
 	}
-	if o.Shards < 1 {
-		o.Shards = 1
-	}
-	if o.Shards > 100 {
-		o.Shards = 100 // wal-<shard>- carries two digits: ids 0..99
-	}
 	if o.CompactEvery <= 0 {
 		o.CompactEvery = 8
 	}
@@ -109,8 +90,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Record is one typed WAL record. LSN is its global log sequence number:
-// unique and totally ordered across shards, assigned at append time.
+// Record is one typed WAL record. LSN is its log sequence number:
+// unique and totally ordered, assigned at append time.
 type Record struct {
 	LSN     int64
 	Type    byte
@@ -124,12 +105,12 @@ type Recovery struct {
 	// Manifest is true when a checkpoint was loaded; its sections are
 	// read with ReadSection.
 	Manifest bool
-	// Records is the WAL tail after the checkpoint, all shards merged
-	// into global-LSN order.
+	// Records is the WAL tail after the checkpoint, every segment chain
+	// found on disk merged into LSN order.
 	Records []Record
-	// TailCorrupt is true when at least one shard's replay stopped at a
+	// TailCorrupt is true when at least one chain's replay stopped at a
 	// torn or corrupt frame (or an unreachable segment beyond a gap):
-	// Records holds the consistent per-shard prefixes before that.
+	// Records holds the consistent per-chain prefixes before that.
 	TailCorrupt bool
 	// SnapshotFallback is true when a newer manifest existed but failed
 	// validation and an older checkpoint was used instead.
@@ -174,16 +155,15 @@ func (r *Recovery) ReadSection(name string) (*Decoder, error) {
 // ErrCrashed is returned by operations on a store after Crash.
 var ErrCrashed = errors.New("store: store has crashed")
 
-// Store is an open persistence directory: Options.Shards WAL segment
-// chains plus the manifest-rooted checkpoint history. Safe for
-// concurrent use.
+// Store is an open persistence directory: one WAL segment chain plus
+// the manifest-rooted checkpoint history. Safe for concurrent use.
 type Store struct {
 	dir  string
 	opts Options
 	fs   storefs.FS
 
-	lsn    atomic.Int64 // global record sequence number
-	shards []*shard
+	lsn atomic.Int64 // record sequence number
+	log *chain
 
 	walSince atomic.Int64 // WAL bytes since the last checkpoint
 	snapped  atomic.Bool  // NeedSnapshot already signalled this interval
@@ -195,10 +175,10 @@ type Store struct {
 	ckptSeq   int64
 	sinceFull int
 	lastCkpt  CheckpointStats
-	// orphans maps shard ids outside the active range (a previous run
-	// used more shards) to their highest on-disk segment seq. Their
-	// records were recovered at Open; the next checkpoint covers and
-	// prunes them.
+	// orphans maps the ids of chains other than 0 found at Open (an
+	// earlier version wrote several) to their highest on-disk segment
+	// seq. Their records were recovered at Open; the next checkpoint
+	// covers and prunes them.
 	orphans map[int]int64
 
 	stateMu sync.Mutex
@@ -275,32 +255,37 @@ func (s *Store) isSealedTorn(name string) bool {
 	return s.sealedTorn[name]
 }
 
-func parseSeqName(name, prefix, suffix string, seq *int64) bool {
-	if len(name) != len(prefix)+8+len(suffix) ||
-		name[:len(prefix)] != prefix || name[len(name)-len(suffix):] != suffix {
-		return false
+// parseDigits reads s as decimal ASCII digits and nothing else: file
+// names are outside input, and a sign, space, 0x or _ that a lenient
+// parser accepts would let a stray file pass for a segment or manifest.
+func parseDigits(s string) (n int64, ok bool) {
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return 0, false
+		}
+		n = n*10 + int64(s[i]-'0')
 	}
-	n, err := fmt.Sscanf(name[len(prefix):len(prefix)+8], "%d", seq)
-	return err == nil && n == 1
+	return n, len(s) > 0
 }
 
-// parseSegName parses wal-<shard>-<seq>.log.
+// parseSeqName parses <prefix><8 digits><suffix>.
+func parseSeqName(name, prefix, suffix string, seq *int64) (ok bool) {
+	if len(name) != len(prefix)+8+len(suffix) ||
+		!strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
+		return false
+	}
+	*seq, ok = parseDigits(name[len(prefix) : len(prefix)+8])
+	return ok
+}
+
+// parseSegName parses wal-<2 digits chain id>-<8 digits seq>.log.
 func parseSegName(name string, id *int, seq *int64) bool {
-	if len(name) != len("wal-")+2+1+8+len(".log") || name[:4] != "wal-" || name[6] != '-' ||
-		name[len(name)-4:] != ".log" {
+	if len(name) != len("wal-00-00000000.log") || name[:4] != "wal-" || name[6] != '-' {
 		return false
 	}
-	var shardID int64
-	n, err := fmt.Sscanf(name[4:6], "%d", &shardID)
-	if err != nil || n != 1 {
-		return false
-	}
-	n, err = fmt.Sscanf(name[7:15], "%d", seq)
-	if err != nil || n != 1 {
-		return false
-	}
-	*id = int(shardID)
-	return true
+	chainID, ok := parseDigits(name[4:6])
+	*id = int(chainID)
+	return ok && parseSeqName(name[7:], "", ".log", seq)
 }
 
 // errBadWALRecord marks a store-level record parse failure (missing LSN
@@ -326,15 +311,18 @@ func truncateFile(fs storefs.FS, path string, n int64) error {
 }
 
 // Open opens (creating if needed) a persistence directory, recovers the
-// newest valid checkpoint (manifest + base + deltas) plus the merged
-// sharded-WAL tail after it, and starts fresh segments for new appends.
-// Possibly-torn previous tail segments are never appended to again.
+// newest valid checkpoint (manifest + base + deltas) plus the WAL tail
+// after it, and starts a fresh segment for new appends. A possibly-torn
+// previous tail segment is never appended to again.
 //
 // Recovery layers, in order: the manifest names every live section and
 // the delta file holding it; sections load the checkpointed state; then
-// each shard's WAL tail replays its consistent prefix, all shards merged
-// into global-LSN order. A torn tail on one shard drops only that
-// shard's unsynced suffix (reported via TailCorrupt). A manifest whose
+// the WAL tail replays its consistent prefix. This version writes one
+// segment chain (wal-00-*), but a directory is outside input: every
+// wal-NN-* chain found is replayed and all are merged into LSN order,
+// so a directory an earlier version wrote with several chains opens. A
+// torn tail on one chain drops only that chain's unsynced suffix
+// (reported via TailCorrupt). A manifest whose
 // referenced delta file is missing is a hard error — loading a partial
 // checkpoint and calling it recovered would be silent data loss — while
 // a corrupt newest manifest or delta falls back to the previous
@@ -379,10 +367,10 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 				maxCkptSeq = seq
 			}
 		case parseSeqName(e.Name(), "wal-", ".log", &seq), parseSeqName(e.Name(), "snap-", ".snap", &seq):
-			// The pre-sharding layout (wal-<seq>.log + snap-<seq>.snap).
+			// The first on-disk layout (wal-<seq>.log + snap-<seq>.snap).
 			// Opening it as an empty store would silently discard the
 			// deployment's history; refuse instead.
-			return nil, nil, fmt.Errorf("store: %s holds the legacy unsharded layout (found %s), which this version cannot read; recover it with the previous release or start a fresh directory", dir, e.Name())
+			return nil, nil, fmt.Errorf("store: %s holds the legacy wal-<seq>.log/snap-<seq>.snap layout (found %s), which this version cannot read; recover it with the previous release or start a fresh directory", dir, e.Name())
 		}
 	}
 	sort.Slice(manifestSeqs, func(i, j int) bool { return manifestSeqs[i] > manifestSeqs[j] })
@@ -420,21 +408,21 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 		return nil, nil, mfErr
 	}
 
-	// Replay each shard's consecutive run of segments after the
-	// checkpoint's per-shard boundary, then merge by global LSN. A
-	// missing segment inside a shard's run is a gap — typically segments
-	// pruned by a newer checkpoint whose manifest later failed
-	// validation — and everything past it was appended against state
-	// this recovery does not have; stopping there keeps each shard's
-	// recovered stream a true prefix.
+	// Replay each chain's consecutive run of segments after the
+	// checkpoint's per-chain boundary, then merge by LSN. A missing
+	// segment inside a chain's run is a gap — typically segments pruned
+	// by a newer checkpoint whose manifest later failed validation — and
+	// everything past it was appended against state this recovery does
+	// not have; stopping there keeps each chain's recovered stream a
+	// true prefix.
 	maxLSN := int64(0)
 	if mf != nil {
 		maxLSN = mf.maxLSN
 	}
-	perShard := make(map[int][]Record)
-	shardIDs := make([]int, 0, len(walFiles))
+	perChain := make(map[int][]Record)
+	chainIDs := make([]int, 0, len(walFiles))
 	for id, seqs := range walFiles {
-		shardIDs = append(shardIDs, id)
+		chainIDs = append(chainIDs, id)
 		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 		bound := int64(-1)
 		if mf != nil {
@@ -482,8 +470,8 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 		if corrupt {
 			rec.TailCorrupt = true
 		}
-		// A torn frame in the newest segment of a shard's chain is the
-		// ordinary crash tail. Truncate the file to its valid prefix so
+		// A torn frame in the newest segment of a chain is the ordinary
+		// crash tail. Truncate the file to its valid prefix so
 		// the chain stays appendable: without this, records fsynced into
 		// segments started after this recovery would sit beyond the torn
 		// frame and a second recovery would never reach them. A torn
@@ -492,16 +480,16 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 		// corruption and replay stops without touching the file.
 		if tornSeg >= 0 && tornSeg == seqs[len(seqs)-1] {
 			if err := truncateFile(fs, segName(dir, id, tornSeg), tornLen); err != nil {
-				return nil, nil, fmt.Errorf("store: neutralizing torn tail of shard %d: %w", id, err)
+				return nil, nil, fmt.Errorf("store: neutralizing torn tail of WAL chain %d: %w", id, err)
 			}
 		}
 		if prevLSN > maxLSN {
 			maxLSN = prevLSN
 		}
-		perShard[id] = recs
+		perChain[id] = recs
 	}
-	sort.Ints(shardIDs)
-	rec.Records = mergeByLSN(perShard, shardIDs)
+	sort.Ints(chainIDs)
+	rec.Records = mergeByLSN(perChain, chainIDs)
 
 	s := &Store{
 		dir:         dir,
@@ -518,50 +506,19 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 		flushDone:   make(chan struct{}),
 	}
 	s.lsn.Store(maxLSN)
+	start := int64(1)
 	for id, seqs := range walFiles {
-		if id >= opts.Shards {
-			s.orphans[id] = seqs[len(seqs)-1]
+		if last := seqs[len(seqs)-1]; id != 0 {
+			s.orphans[id] = last
+		} else {
+			start = last + 1
 		}
 	}
-	s.shards = make([]*shard, opts.Shards)
-	for i := 0; i < opts.Shards; i++ {
-		start := int64(1)
-		if seqs := walFiles[i]; len(seqs) > 0 {
-			start = seqs[len(seqs)-1] + 1
-		}
-		if mf != nil {
-			if b, ok := mf.bounds[i]; ok && b+1 > start {
-				start = b + 1
-			}
-		}
-		sh, err := newShard(i, dir, opts, start)
-		if err != nil {
-			for _, prev := range s.shards[:i] {
-				prev.crash()
-			}
-			return nil, nil, err
-		}
-		sh.onFault = s.reportFault
-		sh.onSeal = s.markSealedTorn
-		s.shards[i] = sh
+	if mf != nil && mf.bounds[0] >= start {
+		start = mf.bounds[0] + 1
 	}
-	if opts.Shards > 1 {
-		// Rotating the metadata shard flushes and fsyncs its whole
-		// buffer; sync the data shards first so the rotation cannot make
-		// a metadata record durable ahead of its table records (the same
-		// barrier syncAll enforces on the periodic path).
-		s.shards[0].preRotate = func() error {
-			for i := 1; i < len(s.shards); i++ {
-				sh := s.shards[i]
-				sh.mu.Lock()
-				extent := sh.appended
-				sh.mu.Unlock()
-				if err := sh.syncUpTo(extent, false); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
+	if s.log, err = newChain(s, start); err != nil {
+		return nil, nil, err
 	}
 	go s.flusher()
 	if opts.ScrubInterval > 0 {
@@ -598,11 +555,11 @@ func indexSections(fs storefs.FS, dir string, m *manifest) (map[string]sectionRe
 	return sections, order, nil
 }
 
-// mergeByLSN merges per-shard record streams (each already
+// mergeByLSN merges per-chain record streams (each already
 // LSN-monotonic) into one globally ordered stream.
-func mergeByLSN(perShard map[int][]Record, ids []int) []Record {
+func mergeByLSN(perChain map[int][]Record, ids []int) []Record {
 	total := 0
-	for _, recs := range perShard {
+	for _, recs := range perChain {
 		total += len(recs)
 	}
 	if total == 0 {
@@ -615,14 +572,14 @@ func mergeByLSN(perShard map[int][]Record, ids []int) []Record {
 		var bestLSN int64
 		for _, id := range ids {
 			i := idx[id]
-			if i >= len(perShard[id]) {
+			if i >= len(perChain[id]) {
 				continue
 			}
-			if best < 0 || perShard[id][i].LSN < bestLSN {
-				best, bestLSN = id, perShard[id][i].LSN
+			if best < 0 || perChain[id][i].LSN < bestLSN {
+				best, bestLSN = id, perChain[id][i].LSN
 			}
 		}
-		out = append(out, perShard[best][idx[best]])
+		out = append(out, perChain[best][idx[best]])
 		idx[best]++
 	}
 	return out
@@ -643,46 +600,32 @@ func (s *Store) Dead() bool {
 // recovery time.
 func (s *Store) NeedSnapshot() <-chan struct{} { return s.needSnap }
 
-// WALBytesSinceSnapshot returns the bytes appended across all shards
-// since the last checkpoint (or since Open).
+// WALBytesSinceSnapshot returns the bytes appended since the last
+// checkpoint (or since Open).
 func (s *Store) WALBytesSinceSnapshot() int64 { return s.walSince.Load() }
 
-// Append writes one typed record to shard 0, the metadata shard. With
-// SyncEveryAppend it returns once the record is durable; otherwise the
-// record becomes durable within GroupWindow.
+// Append writes one typed record to the log. With SyncEveryAppend it
+// returns once the record is durable; otherwise the record becomes
+// durable within GroupWindow. Records become durable in append order: a
+// crash keeps a prefix, so a record describing earlier ones (a history
+// action after the table records of its queries) never outlives them.
 func (s *Store) Append(typ byte, payload []byte) error {
-	return s.AppendGroup("", typ, payload)
-}
-
-// AppendGroup writes one typed record to the shard its table-group key
-// routes to. Records within one group always share a shard, so their
-// relative order is preserved by that shard's file order; cross-group
-// order is preserved by the global LSN each record carries.
-func (s *Store) AppendGroup(group string, typ byte, payload []byte) error {
 	var start time.Time
 	if obs.Enabled() {
 		start = time.Now()
 	}
-	sh := s.shards[s.shardOf(group)]
-	sh.mu.Lock()
-	if sh.dead || sh.closed {
-		sh.mu.Unlock()
-		return ErrCrashed
-	}
-	// The LSN is assigned under the shard lock, so each shard's file
-	// order is LSN-monotonic — the invariant recovery's merge relies on.
-	lsn := s.lsn.Add(1)
-	frame := make([]byte, 0, binary.MaxVarintLen64+1+len(payload))
-	frame = binary.AppendUvarint(frame, uint64(lsn))
-	frame = append(frame, typ)
-	frame = append(frame, payload...)
-	target, err := sh.append(frame)
+	c := s.log
+	c.mu.Lock()
+	before := c.appended
+	// The LSN is assigned under the chain lock, so file order is
+	// LSN-monotonic — the invariant recovery relies on.
+	target, err := c.append(s.lsn.Add(1), typ, payload)
 	if err != nil {
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		s.reportFault(err)
 		return err
 	}
-	n := int64(frameHeaderLen + len(frame))
+	n := target - before
 	since := s.walSince.Add(n)
 	if s.opts.SnapshotBytes > 0 && since >= s.opts.SnapshotBytes &&
 		s.snapped.CompareAndSwap(false, true) {
@@ -692,9 +635,9 @@ func (s *Store) AppendGroup(group string, typ byte, payload []byte) error {
 		}
 	}
 	if s.opts.SyncEveryAppend {
-		err = sh.waitSyncedLocked(target)
+		err = c.waitSynced(target)
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	walAppends.Inc()
 	walAppendBytes.Add(uint64(n))
 	if !start.IsZero() {
@@ -703,45 +646,17 @@ func (s *Store) AppendGroup(group string, typ byte, payload []byte) error {
 	return err
 }
 
-// Sync makes every record appended before the call durable, on every
-// shard.
-func (s *Store) Sync() error { return s.syncAll(false) }
-
-// syncAll is the single durability pass every fsync path shares (Sync,
-// the flusher; segment rotation runs the same barrier via preRotate).
-// It captures the metadata shard's extent first, syncs the data shards,
-// then syncs shard 0 up to the captured extent — as a prefix flush, so
-// nothing beyond it reaches the OS. Why this ordering holds: a metadata
-// record (say, a history action) is appended after the table records it
-// describes; if it falls within shard 0's captured extent, its records
-// fall within the data shards' later-captured extents and are durable
-// by the time shard 0 syncs. A crash anywhere in the pass can therefore
-// never keep a metadata record while losing its prerequisites — the
-// residual window is the harmless inverse (table records durable, their
-// metadata not yet: unattributed row versions, the analog of redo past
-// the commit point).
-func (s *Store) syncAll(quiet bool) error {
-	extents := s.captureExtents()
-	for i := 1; i < len(s.shards); i++ {
-		if err := s.shards[i].syncUpTo(extents[i], quiet); err != nil {
-			return err
-		}
-	}
-	return s.shards[0].syncUpTo(extents[0], quiet)
+// Sync makes every record appended before the call durable.
+func (s *Store) Sync() error {
+	c := s.log
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.waitSynced(c.appended)
 }
 
-// captureExtents snapshots every shard's appended byte count, shard 0
-// first (the ordering syncAll's causality argument relies on).
-func (s *Store) captureExtents() []int64 {
-	extents := make([]int64, len(s.shards))
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		extents[i] = sh.appended
-		sh.mu.Unlock()
-	}
-	return extents
-}
-
+// flusher is the group-commit clock: it bounds how long a record
+// appended without SyncEveryAppend stays unsynced. Errors need no
+// handling here — the sync path already latched them as faults.
 func (s *Store) flusher() {
 	defer close(s.flushDone)
 	tick := time.NewTicker(s.opts.GroupWindow)
@@ -751,7 +666,7 @@ func (s *Store) flusher() {
 		case <-s.flushStop:
 			return
 		case <-tick.C:
-			_ = s.syncAll(true)
+			_ = s.Sync()
 		}
 	}
 }
@@ -859,7 +774,7 @@ func (cw *CheckpointWriter) closeSection() {
 	}
 }
 
-// WriteCheckpoint rotates every WAL shard, streams the sections the
+// WriteCheckpoint rotates the WAL, streams the sections the
 // build function emits into a new delta file, and atomically installs a
 // manifest referencing them plus any sections carried forward. It then
 // prunes WAL segments, delta files, and manifests the new checkpoint
@@ -885,26 +800,15 @@ func (s *Store) WriteCheckpoint(build func(*CheckpointWriter) error) error {
 	defer s.ckptMu.Unlock()
 
 	// Rotate first: records appended after this point land in segments
-	// that survive the prune and replay over the new checkpoint. Data
-	// shards rotate (and so fsync) before the metadata shard, keeping
-	// syncAll's causal order; shard 0's preRotate barrier then finds
-	// them already durable.
-	bounds := make(map[int]int64)
-	for i := 1; i < len(s.shards); i++ {
-		fin, err := s.shards[i].rotate()
-		if err != nil {
-			return err
-		}
-		bounds[i] = fin
-	}
-	fin, err := s.shards[0].rotate()
+	// that survive the prune and replay over the new checkpoint.
+	fin, err := s.log.cut()
 	if err != nil {
 		return err
 	}
-	bounds[0] = fin
-	// Orphan shards (a previous run used more shards): their records
-	// were recovered at Open and are part of the state being
-	// checkpointed, so the checkpoint covers them entirely.
+	bounds := map[int]int64{0: fin}
+	// Orphan chains: their records were recovered at Open and are part
+	// of the state being checkpointed, so the checkpoint covers them
+	// entirely.
 	for id, maxSeq := range s.orphans {
 		bounds[id] = maxSeq
 	}
@@ -1029,8 +933,8 @@ func (s *Store) prune() {
 	_ = s.fs.SyncDir(s.dir)
 }
 
-// Close flushes and fsyncs every shard and releases the store. Closing
-// a crashed store is a no-op.
+// Close flushes and fsyncs the log and releases the store. Closing a
+// crashed store is a no-op.
 func (s *Store) Close() error {
 	s.stateMu.Lock()
 	if s.dead || s.closed {
@@ -1039,21 +943,11 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	s.stateMu.Unlock()
-	// Data shards close (flush + fsync) before the metadata shard, the
-	// same causal order Sync enforces.
-	var firstErr error
-	for i := 1; i < len(s.shards); i++ {
-		if err := s.shards[i].close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if err := s.shards[0].close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
+	err := s.log.close()
 	s.stopOnce.Do(func() { close(s.flushStop) })
 	<-s.flushDone
 	s.stopScrubber()
-	return firstErr
+	return err
 }
 
 // stopScrubber stops the background scrub loop, if one was started.
@@ -1080,9 +974,7 @@ func (s *Store) Crash() {
 	}
 	s.dead = true
 	s.stateMu.Unlock()
-	for _, sh := range s.shards {
-		sh.crash()
-	}
+	s.log.crash()
 	s.stopOnce.Do(func() { close(s.flushStop) })
 	<-s.flushDone
 	s.stopScrubber()

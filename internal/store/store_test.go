@@ -6,9 +6,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
 	"warp/internal/store/storefs"
 )
 
@@ -294,43 +296,72 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 	}
 }
 
+// TestCrashDropsOnlyUnsyncedTail: whatever a crash loses is a suffix.
+// The recovered records are a gap-free LSN prefix of what was appended,
+// holding at least everything appended before the last Sync, and
+// nothing appended after the crash. The second input is the one-file
+// form of "a history action never outlives the table records it
+// describes": small table records each followed by the large action
+// describing them, the only fsyncs being the rotations SegmentBytes
+// forces, a crash after every append.
 func TestCrashDropsOnlyUnsyncedTail(t *testing.T) {
-	dir := t.TempDir()
-	opts := Options{GroupWindow: time.Hour} // no background sync interferes
-	s, _ := mustOpen(t, dir, opts)
-	for i := 0; i < 10; i++ {
-		if err := s.Append(1, []byte(fmt.Sprintf("synced-%d", i))); err != nil {
-			t.Fatal(err)
+	// Both inputs set GroupWindow to an hour: no background sync interferes.
+	run := func(t *testing.T, opts Options, recs []string, syncAfter, crashAfter int) []Record {
+		dir := t.TempDir()
+		s, _ := mustOpen(t, dir, opts)
+		for i, r := range recs[:crashAfter] {
+			if err := s.Append(1, []byte(r)); err != nil {
+				t.Fatal(err)
+			}
+			if i+1 == syncAfter {
+				if err := s.Sync(); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := s.Append(1, []byte(fmt.Sprintf("buffered-%d", i))); err != nil {
-			t.Fatal(err)
+		s.Crash()
+		if err := s.Append(1, []byte("after-crash")); err != ErrCrashed {
+			t.Fatalf("Append after crash: %v", err)
 		}
-	}
-	s.Crash()
-	if err := s.Append(1, []byte("after-crash")); err != ErrCrashed {
-		t.Fatalf("Append after crash: %v", err)
+		s2, rec := mustOpen(t, dir, opts)
+		defer s2.Close()
+		if len(rec.Records) < syncAfter || len(rec.Records) > crashAfter {
+			t.Fatalf("recovered %d records: %d were synced, %d appended", len(rec.Records), syncAfter, crashAfter)
+		}
+		for i, r := range rec.Records {
+			if string(r.Payload) != recs[i] || r.LSN != int64(i+1) {
+				t.Fatalf("record %d = LSN %d %q, want LSN %d %q: not a gap-free prefix", i, r.LSN, r.Payload, i+1, recs[i])
+			}
+		}
+		return rec.Records
 	}
 
-	s2, rec := mustOpen(t, dir, opts)
-	defer s2.Close()
-	if len(rec.Records) < 10 {
-		t.Fatalf("lost synced records: recovered %d", len(rec.Records))
-	}
-	for i := 0; i < 10; i++ {
-		if string(rec.Records[i].Payload) != fmt.Sprintf("synced-%d", i) {
-			t.Fatalf("record %d = %q", i, rec.Records[i].Payload)
+	t.Run("synced then buffered", func(t *testing.T) {
+		var recs []string
+		for i := 0; i < 10; i++ {
+			recs = append(recs, fmt.Sprintf("synced-%d", i))
 		}
-	}
-	for _, r := range rec.Records {
-		if string(r.Payload) == "after-crash" {
-			t.Fatal("post-crash append became durable")
+		for i := 0; i < 10; i++ {
+			recs = append(recs, fmt.Sprintf("buffered-%d", i))
 		}
-	}
+		run(t, Options{GroupWindow: time.Hour}, recs, 10, len(recs))
+	})
+
+	t.Run("action after its table records across rotations", func(t *testing.T) {
+		var recs []string
+		pad := strings.Repeat("x", 120)
+		for i := 0; i < 30; i++ {
+			recs = append(recs, fmt.Sprintf("data-%03d", i), fmt.Sprintf("meta-%03d/%s", i, pad))
+		}
+		opts := Options{GroupWindow: time.Hour, SegmentBytes: 512}
+		durable := 0
+		for k := 1; k <= len(recs); k++ {
+			durable = len(run(t, opts, recs, 0, k))
+		}
+		if durable == 0 {
+			t.Fatal("nothing became durable; rotations never fired and the input exercised nothing")
+		}
+	})
 }
 
 // TestCorruptionProperty is the WAL fuzz/property test of the recovery
@@ -497,7 +528,7 @@ func TestSnapshotCorruption(t *testing.T) {
 	}
 }
 
-// TestLegacyLayoutRefused: a data directory from the pre-sharding
+// TestLegacyLayoutRefused: a data directory in the first on-disk
 // format must refuse to open rather than silently start empty.
 func TestLegacyLayoutRefused(t *testing.T) {
 	for _, name := range []string{"wal-00000001.log", "snap-00000001.snap"} {
@@ -507,6 +538,95 @@ func TestLegacyLayoutRefused(t *testing.T) {
 		}
 		if _, _, err := Open(dir, testOpts()); err == nil {
 			t.Fatalf("Open ignored legacy file %s and started empty", name)
+		}
+	}
+}
+
+// TestFileNamesParsedStrictly: a directory is outside input. Only
+// exactly eight (and, for the chain id, two) ASCII digits name a
+// segment, manifest or checkpoint file; a name a lenient number parser
+// would accept (sign, space, 0x, _) is a foreign file, and neither
+// refuses the open nor moves a sequence counter.
+func TestFileNamesParsedStrictly(t *testing.T) {
+	var id int
+	var seq int64
+	for _, c := range []struct {
+		name string
+		ok   bool
+	}{
+		{"wal-00-00000003.log", true},
+		{"wal-07-12345678.log", true},
+		{"wal-00-+0000003.log", false},
+		{"wal-00- 0000003.log", false},
+		{"wal-00--0000003.log", false},
+		{"wal-00-0x000003.log", false},
+		{"wal-00-3_000000.log", false},
+		{"wal-+0-00000003.log", false},
+		{"wal--1-00000003.log", false},
+		{"wal-0x-00000003.log", false},
+		{"wal-00-0000003.log", false},
+		{"wal-00-000000003.log", false},
+		{"wal-00-00000003.log.quarantine", false},
+	} {
+		if got := parseSegName(c.name, &id, &seq); got != c.ok {
+			t.Errorf("parseSegName(%q) = %v, want %v", c.name, got, c.ok)
+		}
+	}
+	if !parseSegName("wal-07-12345678.log", &id, &seq) || id != 7 || seq != 12345678 {
+		t.Errorf("parseSegName(wal-07-12345678.log) = chain %d seq %d", id, seq)
+	}
+	for _, c := range []struct {
+		name string
+		ok   bool
+	}{
+		{"manifest-00000012.mf", true},
+		{"manifest-0x000001.mf", false},
+		{"manifest-+0000001.mf", false},
+		{"manifest- 0000001.mf", false},
+		{"manifest-1_000000.mf", false},
+		{"manifest-0000001.mf", false},
+	} {
+		if got := parseSeqName(c.name, "manifest-", ".mf", &seq); got != c.ok {
+			t.Errorf("parseSeqName(%q) = %v, want %v", c.name, got, c.ok)
+		}
+	}
+
+	// Real segments 1 and 2, then strays beside them.
+	dir := t.TempDir()
+	var want []Record
+	for i := 0; i < 2; i++ {
+		s, _ := mustOpen(t, dir, testOpts())
+		r := Record{Type: 1, Payload: []byte(fmt.Sprintf("kept-%d", i))}
+		want = append(want, r)
+		if err := s.Append(r.Type, r.Payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	strays := []string{"wal-00-+0000003.log", "wal--1-00000001.log", "manifest-0x000001.mf", "ckpt-1_000000.sec"}
+	for _, name := range strays {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("stray"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, rec := mustOpen(t, dir, testOpts())
+	defer s.Close()
+	if rec.Manifest || rec.TailCorrupt {
+		t.Fatalf("strays changed recovery: manifest=%v tailCorrupt=%v", rec.Manifest, rec.TailCorrupt)
+	}
+	assertRecords(t, rec.Records, want, false)
+	if got := s.log.activeSeq(); got != 3 {
+		t.Fatalf("active segment %d, want 3", got)
+	}
+	checkpointOne(t, s, "state", "payload")
+	if got := s.LastCheckpoint().Seq; got != 1 {
+		t.Fatalf("first checkpoint has seq %d: a stray name moved the counter", got)
+	}
+	for _, name := range strays {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatalf("foreign file %s was not left alone: %v", name, err)
 		}
 	}
 }
@@ -561,9 +681,7 @@ func FuzzWALSegment(f *testing.F) {
 			if err != nil {
 				f.Fatal(err)
 			}
-			if err := w.append(r); err != nil {
-				f.Fatal(err)
-			}
+			w.append(1, r[0], r[1:])
 			if err := w.close(); err != nil {
 				f.Fatal(err)
 			}

@@ -112,9 +112,9 @@ type (
 	TableSpec = ttdb.TableSpec
 
 	// DurabilityOptions tunes the persistence layer for deployments
-	// created with Open (Config.Durability): group commit, WAL sharding
-	// (Shards/ShardOf), and the incremental checkpoint cadence
-	// (CompactEvery, ChunkBytes). See docs/persistence.md.
+	// created with Open (Config.Durability): group commit
+	// (SyncEveryAppend, GroupWindow) and the incremental checkpoint
+	// cadence (CompactEvery, ChunkBytes). See docs/persistence.md.
 	DurabilityOptions = store.Options
 	// CheckpointStats reports what the last checkpoint wrote
 	// (System.LastCheckpoint): which sections landed in the new delta
