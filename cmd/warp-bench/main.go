@@ -64,7 +64,6 @@ func main() {
 	users := flag.Int("users", 100, "users for Tables 3 and 7 (paper: 100)")
 	users8 := flag.Int("users8", 1000, "users for Table 8 (paper: 5000)")
 	scale5 := flag.Int("scale5", 100, "workload scale for Table 5")
-	visits6 := flag.Int("visits6", 300, "measured visits per configuration for Table 6 (alias of -table6-visits)")
 	table6Visits := flag.Int("table6-visits", 300, "measured visits per configuration for Table 6")
 	repairWorkers := flag.Int("repair-workers", 0,
 		"parallel repair workers for every repair (0 = GOMAXPROCS, 1 = the paper's serial engine)")
@@ -76,12 +75,6 @@ func main() {
 	// numbers themselves absorb the (few-percent) instrumentation cost,
 	// matching how a real deployment runs (warp-server also enables obs).
 	obs.SetEnabled(true)
-	nVisits6 := *visits6
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "table6-visits" {
-			nVisits6 = *table6Visits
-		}
-	})
 
 	run := func(n int) bool { return *table == 0 || *table == n }
 	pct := func(hit, total uint64) float64 {
@@ -117,7 +110,7 @@ func main() {
 		fmt.Println(bench.FormatTable5(rows))
 	}
 	if run(6) {
-		rows, err := bench.Table6(nVisits6)
+		rows, err := bench.Table6(*table6Visits)
 		if err != nil {
 			fail(err)
 		}

@@ -215,7 +215,7 @@ func main() {
 			DBLogBytes:      st.DBLogBytes,
 			DBRowBytes:      st.DBRowBytes,
 			ConflictsQueued: len(sys.Conflicts()),
-			ExecStats:       sys.ExecStats(),
+			ExecStats:       sys.Metrics().Exec,
 			LastCheckpoint:  sys.LastCheckpoint(),
 			Repair:          rst,
 		}

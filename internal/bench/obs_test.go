@@ -12,6 +12,7 @@ import (
 	"warp/internal/core"
 	"warp/internal/httpd"
 	"warp/internal/obs"
+	"warp/internal/sqldb"
 	"warp/internal/ttdb"
 )
 
@@ -182,6 +183,13 @@ func TestRepairMetricsLive(t *testing.T) {
 	}
 	if execObs == 0 {
 		t.Error("no exec latency observations recorded during the repair window")
+	}
+	// The engine's execution counters are that same snapshot's series.
+	if m.Exec != sqldb.ExecStatsOf(m.Obs) {
+		t.Errorf("Metrics().Exec = %+v, not the snapshot's %+v", m.Exec, sqldb.ExecStatsOf(m.Obs))
+	}
+	if e := m.Exec.Sub(sqldb.ExecStatsOf(before)); e.PlanHits == 0 || e.IndexScans+e.FullScans == 0 {
+		t.Errorf("exec counters over the repair window: %+v", e)
 	}
 	if hs, ok := win.Histogram("warp_core_repair_item_seconds"); !ok || hs.Count == 0 {
 		t.Error("no repair item latency observations recorded")

@@ -144,7 +144,7 @@ func warpThroughput(visits int, editing, duringRepair bool) (float64, core.Stora
 	login(u.Name, b)
 
 	storBefore := w.Storage()
-	execBefore := w.ExecStats()
+	execBefore := w.Metrics().Exec
 	repairDone := make(chan error, 1)
 	if duringRepair {
 		sc, _ := attacks.ByName("Clickjacking")
@@ -178,7 +178,7 @@ func warpThroughput(visits int, editing, duringRepair bool) (float64, core.Stora
 		DBLogBytes:      storAfter.DBLogBytes - storBefore.DBLogBytes,
 		DBRowBytes:      storAfter.DBRowBytes - storBefore.DBRowBytes,
 	}
-	exec := w.ExecStats().Sub(execBefore)
+	exec := w.Metrics().Exec.Sub(execBefore)
 	return vps, stor, storAfter.PageVisits - storBefore.PageVisits, exec, nil
 }
 

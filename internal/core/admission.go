@@ -98,11 +98,11 @@ func (s *scheduler) conflictsWithInflight(parts []ttdb.Partition) bool {
 }
 
 func (s *scheduler) conflictsLocked(parts []ttdb.Partition) bool {
-	for _, fp := range s.inflight {
+	for it := range s.inflight {
 		if parts == nil {
 			return true
 		}
-		if fp.reads.OverlapsAny(parts) || fp.writes.OverlapsAny(parts) {
+		if fp := s.footprintFor(it); fp.reads.OverlapsAny(parts) || fp.writes.OverlapsAny(parts) {
 			return true
 		}
 	}

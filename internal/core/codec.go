@@ -335,7 +335,7 @@ func decodeAction(dec *store.Decoder, g *history.Graph) (*history.Action, *Query
 		a.Payload = p
 	case payloadQueryRef:
 		qp = &QueryPayload{RunAction: history.ActionID(dec.Int())}
-		idx := int(dec.Uvarint())
+		idx := dec.Uvarint()
 		qp.Superseded.Store(dec.Bool())
 		qp.Repaired = dec.Bool()
 		if dec.Err() == nil {
@@ -344,7 +344,7 @@ func decodeAction(dec *store.Decoder, g *history.Graph) (*history.Action, *Query
 				return nil, nil, fmt.Errorf("core: query action %d references missing run %d", a.ID, qp.RunAction)
 			}
 			rp, ok := ra.Payload.(*RunPayload)
-			if !ok || idx >= len(rp.Rec.Queries) {
+			if !ok || idx >= uint64(len(rp.Rec.Queries)) {
 				return nil, nil, fmt.Errorf("core: query action %d references run %d query %d out of range", a.ID, qp.RunAction, idx)
 			}
 			qp.Rec = rp.Rec.Queries[idx] // restore the shared pointer

@@ -44,8 +44,8 @@ type Config struct {
 	// RepairWorkers is the number of parallel repair workers the scheduler
 	// dispatches ready actions to. Actions on disjoint time-travel
 	// partitions repair concurrently; conflicting actions retain the
-	// paper's time order. 0 means GOMAXPROCS; 1 reproduces the serial
-	// repair engine exactly.
+	// paper's time order. 0 means GOMAXPROCS; with 1 the worker pool runs
+	// the paper's serial loop.
 	RepairWorkers int
 	// RepairSLO is the live-request p99 latency target an online repair
 	// paces itself against: a throttle governor samples the
@@ -564,20 +564,12 @@ func (w *Warp) Storage() StorageStats {
 	}
 }
 
-// ExecStats returns the database layer's execution-path counters:
-// statement-cache and compiled-plan hit rates and index-scan vs
-// full-scan counts. A plan hit-rate near zero means statements are
-// being rebuilt per call; a high full-scan share means the workload's
-// predicates are not riding the indexes.
-func (w *Warp) ExecStats() sqldb.ExecStats {
-	return w.DB.ExecStats()
-}
-
-// Metrics is the deployment-wide observability snapshot: the engine's
-// execution counters, every registered obs metric (latency histograms,
-// progress gauges, throughput counters across sqldb/ttdb/store/core),
-// and — when obs is enabled and a repair has run — the phase trace of
-// the current or most recent repair session.
+// Metrics is the observability snapshot: every registered obs metric
+// (latency histograms, progress gauges, throughput counters across
+// sqldb/ttdb/store/core), the engine's execution counters read out of
+// that same snapshot, and — when obs is enabled and a repair has run —
+// the phase trace of the current or most recent repair session. Like the
+// registry, Exec is process-wide.
 type Metrics struct {
 	Exec   sqldb.ExecStats
 	Obs    obs.Snapshot
@@ -588,7 +580,8 @@ type Metrics struct {
 // at any time, including while a repair is running — the repair trace
 // reflects live phase progress.
 func (w *Warp) Metrics() Metrics {
-	m := Metrics{Exec: w.ExecStats(), Obs: obs.Default.Snapshot()}
+	snap := obs.Default.Snapshot()
+	m := Metrics{Exec: sqldb.ExecStatsOf(snap), Obs: snap}
 	if tr := w.lastRepairTrace.Load(); tr != nil {
 		s := tr.Snapshot()
 		m.Repair = &s

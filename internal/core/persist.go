@@ -1054,8 +1054,8 @@ func (w *Warp) restoreVisits(dec *store.Decoder) error {
 		logs := make([]*browser.VisitLog, 0, n)
 		byID := make(map[int64]*browser.VisitLog, n)
 		for j := 0; j < n; j++ {
-			idx := int(dec.Uvarint())
-			if dec.Err() != nil || idx >= len(order) {
+			idx := dec.Uvarint()
+			if dec.Err() != nil || idx >= uint64(len(order)) {
 				return fmt.Errorf("core: snapshot visit index out of range")
 			}
 			logs = append(logs, order[idx])

@@ -25,7 +25,7 @@
 // (Graph.PartitionDepsOf), not recomputed from query records, so a work
 // item's conflict set is exactly the partition overlap the graph already
 // indexed. With one worker the scheduler runs the identical serial heap
-// walk the paper describes.
+// walk the paper describes, and derives no footprint at all.
 package core
 
 import (
@@ -70,11 +70,12 @@ type workItem struct {
 	navForm   url.Values
 	hasNav    bool
 
-	// fp caches the item's footprint across dispatch scans. A cached
-	// footprint can under-claim partitions an in-flight write discovers
-	// later (AddDeps), but that is safe: the discovering write also marks
-	// those partitions dirty, and dirt propagation re-enqueues any reader
-	// that ran too early — the same fixpoint the serial engine relies on.
+	// fp caches the item's footprint (footprintFor) from its first
+	// comparison on. A cached footprint can under-claim partitions an
+	// in-flight write discovers later (AddDeps), but that is safe: the
+	// discovering write also marks those partitions dirty, and dirt
+	// propagation re-enqueues any reader that ran too early — the same
+	// fixpoint the serial loop relies on.
 	fp *footprint
 	// blocker is the item a dispatch scan last found this one in conflict
 	// with; done says a worker has retired the item (both guarded by the
@@ -185,7 +186,7 @@ type scheduler struct {
 	pending     workQueue
 	pendingKeys map[itemKey]bool
 	blocked     []*workItem
-	inflight    map[*workItem]*footprint
+	inflight    map[*workItem]bool
 	busy        int
 	iterations  int
 	err         error
@@ -201,7 +202,7 @@ func newScheduler(rs *session, workers, maxIter int) *scheduler {
 		workers:     workers,
 		maxIter:     maxIter,
 		pendingKeys: make(map[itemKey]bool),
-		inflight:    make(map[*workItem]*footprint),
+		inflight:    make(map[*workItem]bool),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
@@ -262,46 +263,13 @@ func (s *scheduler) pendingLen() int {
 	return len(s.pending) + len(s.blocked)
 }
 
-// drain processes the queue to exhaustion: serially with one worker
-// (reproducing the paper's heap walk exactly), otherwise with the
-// dependency-scheduled worker pool.
+// drain processes the queue to exhaustion with the dependency-scheduled
+// worker pool: the coordinator scans the frontier of the time-ordered
+// queue and hands every non-conflicting item to an idle worker;
+// completions and pushes wake it to rescan. With one worker it pops the
+// heap minimum each time, after the previous item finished — the paper's
+// serial loop.
 func (s *scheduler) drain() error {
-	if s.workers <= 1 {
-		return s.drainSerial()
-	}
-	return s.drainParallel()
-}
-
-// drainSerial is the paper's single-threaded repair loop.
-func (s *scheduler) drainSerial() error {
-	for {
-		s.mu.Lock()
-		if len(s.pending) == 0 {
-			s.mu.Unlock()
-			return nil
-		}
-		s.iterations++
-		if s.iterations > s.maxIter {
-			s.mu.Unlock()
-			return fmt.Errorf("warp: repair did not converge after %d steps", s.iterations)
-		}
-		it := heap.Pop(&s.pending).(*workItem)
-		key := keyOf(it)
-		delete(s.pendingKeys, key)
-		s.mu.Unlock()
-		actionsRemaining.Add(-1)
-		s.rs.tracef("pop t=%d kind=%d key=%+v nav=%v", it.time, it.kind, key, it.hasNav)
-		if err := s.rs.processTimed(it); err != nil {
-			return err
-		}
-	}
-}
-
-// drainParallel runs the dependency-scheduled worker pool: the coordinator
-// scans the frontier of the time-ordered queue and hands every
-// non-conflicting item to an idle worker; completions and pushes wake it
-// to rescan.
-func (s *scheduler) drainParallel() error {
 	work := make(chan *workItem, s.workers)
 	var wg sync.WaitGroup
 	for i := 0; i < s.workers; i++ {
@@ -333,7 +301,7 @@ func (s *scheduler) drainParallel() error {
 			s.cond.Wait()
 			continue
 		}
-		it, fp := s.nextDispatchable()
+		it := s.nextDispatchable()
 		if it == nil {
 			if s.busy == 0 && len(s.pending)+len(s.blocked) > 0 {
 				// Cannot happen: with nothing in flight the earliest item
@@ -351,7 +319,7 @@ func (s *scheduler) drainParallel() error {
 		}
 		key := keyOf(it)
 		delete(s.pendingKeys, key)
-		s.inflight[it] = fp
+		s.inflight[it] = true
 		s.busy++
 		actionsRemaining.Add(-1)
 		s.rs.tracef("pop t=%d kind=%d key=%+v nav=%v", it.time, it.kind, key, it.hasNav)
@@ -412,7 +380,7 @@ func (s *scheduler) complete(it *workItem, err error) {
 // footprint conflicts with neither an in-flight item nor an earlier
 // blocked item. Called with s.mu held; blocked items are re-merged into
 // the heap first so the scan order is globally time-sorted.
-func (s *scheduler) nextDispatchable() (*workItem, *footprint) {
+func (s *scheduler) nextDispatchable() *workItem {
 	for _, it := range s.blocked {
 		heap.Push(&s.pending, it)
 	}
@@ -420,50 +388,54 @@ func (s *scheduler) nextDispatchable() (*workItem, *footprint) {
 
 	for len(s.pending) > 0 && len(s.blocked) < lookahead {
 		it := heap.Pop(&s.pending).(*workItem)
-		if it.fp == nil {
-			it.fp = s.footprintFor(it)
-		}
 		if it.blocker == nil || it.blocker.done {
-			it.blocker = s.blockerOf(it.fp)
+			it.blocker = s.blockerOf(it)
 		}
 		if it.blocker == nil {
-			return it, it.fp
+			return it
 		}
 		s.blocked = append(s.blocked, it)
 	}
-	return nil, nil
+	return nil
 }
 
 // blockerOf returns an in-flight item, or one of the items this scan has
-// already found blocked, whose footprint conflicts with fp; nil when
-// there is none.
-func (s *scheduler) blockerOf(fp *footprint) *workItem {
-	for in, held := range s.inflight {
-		if fp.conflicts(held) {
+// already found blocked, whose footprint conflicts with the item's; nil
+// when there is none.
+func (s *scheduler) blockerOf(it *workItem) *workItem {
+	for in := range s.inflight {
+		if s.footprintFor(it).conflicts(s.footprintFor(in)) {
 			return in
 		}
 	}
 	for _, b := range s.blocked {
-		if fp.conflicts(b.fp) {
+		if s.footprintFor(it).conflicts(s.footprintFor(b)) {
 			return b
 		}
 	}
 	return nil
 }
 
-// footprintFor derives an item's dependency footprint from the history
-// graph's dependency edges.
+// footprintFor returns an item's dependency footprint, deriving it from
+// the history graph's dependency edges on first use. Only a comparison
+// with an item in flight or blocked ahead needs one, so an item that
+// meets an idle, empty frontier — every item, with one worker — is
+// dispatched without it. Called with s.mu held.
 func (s *scheduler) footprintFor(it *workItem) *footprint {
+	if it.fp != nil {
+		return it.fp
+	}
 	if it.kind == workVisitReplay {
-		return s.visitFootprint(it)
+		it.fp = s.visitFootprint(it)
+		return it.fp
 	}
-	fp := newFootprint()
-	fp.run = it.runAction
-	s.addActionDeps(fp, it.action)
+	it.fp = newFootprint()
+	it.fp.run = it.runAction
+	s.addActionDeps(it.fp, it.action)
 	if it.kind == workRunExec {
-		s.addRunQueryDeps(fp, it.action)
+		s.addRunQueryDeps(it.fp, it.action)
 	}
-	return fp
+	return it.fp
 }
 
 func newFootprint() *footprint {

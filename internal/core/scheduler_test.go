@@ -308,8 +308,8 @@ func TestDispatchScanMatchesPairwiseScan(t *testing.T) {
 					break
 				}
 				free := true
-				for _, fp := range s.inflight {
-					free = free && !it.fp.conflicts(fp)
+				for in := range s.inflight {
+					free = free && !it.fp.conflicts(in.fp)
 				}
 				for _, fp := range ahead {
 					free = free && !it.fp.conflicts(fp)
@@ -320,12 +320,12 @@ func TestDispatchScanMatchesPairwiseScan(t *testing.T) {
 				}
 				ahead = append(ahead, it.fp)
 			}
-			got, _ := s.nextDispatchable()
+			got := s.nextDispatchable()
 			if got != want {
 				t.Fatalf("round %d: scan picked %+v, the pairwise scan %+v (%d queued, %d in flight)", round, got, want, len(queued), len(s.inflight))
 			}
 			if got != nil && len(s.inflight) < s.workers {
-				s.inflight[got] = got.fp
+				s.inflight[got] = true
 				s.busy++
 			} else if got != nil {
 				heap.Push(&s.pending, got) // no idle worker: leave it queued

@@ -545,55 +545,47 @@ func (w *Warp) repair(intent *RepairIntent, seed func(*session) error, restrictC
 		sp.End()
 		return err
 	}
-	if err := drainPass(); err != nil {
-		abort()
-		return nil, err
-	}
-
-	// Catch-up (online repair): re-propagate dirt and drain while the
-	// deployment is still serving, so writes logged by live traffic
-	// during the bulk replay are folded into the repair generation
-	// before anything suspends. Each converged pass shrinks the racing
-	// window; the suspended pass below closes it.
-	if !exclusive {
-		for pass := 0; pass < 4; pass++ {
+	// converge re-propagates all dirt and drains, for at most passes
+	// passes. A pass that drains without a single dirt or outcome change
+	// re-executed only deterministic, already-converged work, so it stops
+	// there rather than spending its full pass budget on identical
+	// re-drains.
+	converge := func(passes int) error {
+		for pass := 0; pass < passes; pass++ {
 			for p, t := range rs.dirtSnapshot() {
 				rs.propagate(p, t)
 			}
 			if rs.sched.pendingLen() == 0 {
-				break
+				return nil
 			}
 			if err := drainPass(); err != nil {
-				abort()
-				return nil, err
+				return err
 			}
 			if rs.passChanges.Load() == 0 {
-				break
+				return nil
 			}
 		}
+		return nil
 	}
-
-	// Commit window (§4.3): briefly suspend normal operation,
-	// re-propagate all dirt so requests logged during repair on repaired
-	// partitions are re-applied, and process to fixpoint. A pass that
-	// drains without a single dirt or outcome change re-executed only
-	// deterministic, already-converged work, so the loop stops there
-	// rather than spending its full pass budget on identical re-drains.
-	suspend()
-	for pass := 0; pass < 8; pass++ {
-		for p, t := range rs.dirtSnapshot() {
-			rs.propagate(p, t)
-		}
-		if rs.sched.pendingLen() == 0 {
-			break
-		}
-		if err := drainPass(); err != nil {
-			abort()
-			return nil, err
-		}
-		if rs.passChanges.Load() == 0 {
-			break
-		}
+	err = drainPass()
+	// Catch-up (online repair): converge while the deployment is still
+	// serving, so writes logged by live traffic during the bulk replay
+	// are folded into the repair generation before anything suspends.
+	// Each converged pass shrinks the racing window; the suspended passes
+	// below close it.
+	if err == nil && !exclusive {
+		err = converge(4)
+	}
+	// Commit window (§4.3): briefly suspend normal operation and
+	// converge again, so requests logged during repair on repaired
+	// partitions are re-applied.
+	if err == nil {
+		suspend()
+		err = converge(8)
+	}
+	if err != nil {
+		abort()
+		return nil, err
 	}
 
 	// Non-admin undo must not spill conflicts onto other users (§5.5).

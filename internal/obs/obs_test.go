@@ -179,12 +179,14 @@ func TestRegistryIdempotent(t *testing.T) {
 	}
 }
 
-// TestWritePrometheus checks the text exposition: TYPE lines, baked-in
-// label merging, cumulative le buckets in seconds, and the +Inf bucket
-// equal to _count.
+// TestWritePrometheus checks the text exposition: one TYPE line per
+// family, baked-in label merging, cumulative le buckets in seconds, and
+// the +Inf bucket equal to _count.
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("warp_x_total").Add(9)
+	r.Counter(`warp_y_total{path="a"}`).Add(1)
+	r.Counter(`warp_y_total{path="b"}`).Add(2)
 	r.Gauge(`warp_g{kind="a"}`).Set(4)
 	h := r.Histogram(`warp_h_seconds{shape="eq"}`)
 	h.Observe(time.Second)
@@ -198,6 +200,7 @@ func TestWritePrometheus(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		"# TYPE warp_x_total counter\nwarp_x_total 9\n",
+		"# TYPE warp_y_total counter\nwarp_y_total{path=\"a\"} 1\nwarp_y_total{path=\"b\"} 2\n",
 		"# TYPE warp_g gauge\nwarp_g{kind=\"a\"} 4\n",
 		"# TYPE warp_h_seconds histogram\n",
 		`warp_h_seconds_bucket{shape="eq",le="+Inf"} 3`,

@@ -215,21 +215,37 @@ func splitName(name string) (base, labels string) {
 // seconds plus _sum and _count.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	s := r.Snapshot()
+	// A family's series sort next to each other; it gets one TYPE line.
+	var last string
+	typeLine := func(base, kind string) error {
+		if base == last {
+			return nil
+		}
+		last = base
+		_, err := fmt.Fprintf(w, "# TYPE %s %s\n", base, kind)
+		return err
+	}
 	for _, c := range s.Counters {
 		base, labels := splitName(c.Name)
-		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", base, sample(base, labels, ""), c.Value); err != nil {
+		if err := typeLine(base, "counter"); err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintf(w, "%s %d\n", sample(base, labels, ""), c.Value); err != nil {
 			return err
 		}
 	}
 	for _, g := range s.Gauges {
 		base, labels := splitName(g.Name)
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", base, sample(base, labels, ""), g.Value); err != nil {
+		if err := typeLine(base, "gauge"); err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintf(w, "%s %d\n", sample(base, labels, ""), g.Value); err != nil {
 			return err
 		}
 	}
 	for _, h := range s.Histograms {
 		base, labels := splitName(h.Name)
-		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", base); err != nil {
+		if err := typeLine(base, "histogram"); err != nil {
 			return err
 		}
 		var cum uint64

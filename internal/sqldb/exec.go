@@ -16,11 +16,6 @@ type Result struct {
 	Rows    [][]Value
 	// Affected is the number of rows the statement wrote.
 	Affected int
-
-	// arena, when non-nil, owns the storage behind Rows; set only for
-	// results of ExecCachedOwned and reclaimed by PutResult
-	// (resultpool.go).
-	arena *resultArena
 }
 
 // NumRows returns the number of result rows.
@@ -89,7 +84,7 @@ func (db *DB) Exec(src string, params ...Value) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return db.exec(cs, params, false)
+	return db.exec(cs, params)
 }
 
 // ExecCached executes a prepared statement, reusing (or building) its
@@ -97,14 +92,7 @@ func (db *DB) Exec(src string, params ...Value) (*Result, error) {
 // the compiled WHERE/SET/projection evaluators survive across
 // executions and are invalidated by the DDL epoch.
 func (db *DB) ExecCached(cs *CachedStmt, params []Value) (*Result, error) {
-	return db.exec(cs, params, false)
-}
-
-// ExecCachedOwned is ExecCached returning an owned result: a SELECT's
-// rows are cut from pooled storage (resultpool.go), and the caller must
-// hand the result to PutResult once fully consumed.
-func (db *DB) ExecCachedOwned(cs *CachedStmt, params []Value) (*Result, error) {
-	return db.exec(cs, params, true)
+	return db.exec(cs, params)
 }
 
 // ParamCountError reports an execution whose parameter vector does not
@@ -132,7 +120,7 @@ func (cs *CachedStmt) CheckParams(params []Value) error {
 // prepared handle through execUnderLock, and the latency histogram and
 // slow-query hook observe it here and nowhere else. The clock is read
 // only when obs or a slow-query threshold arms it.
-func (db *DB) exec(cs *CachedStmt, params []Value, owned bool) (*Result, error) {
+func (db *DB) exec(cs *CachedStmt, params []Value) (*Result, error) {
 	if err := cs.CheckParams(params); err != nil {
 		return nil, err
 	}
@@ -141,7 +129,7 @@ func (db *DB) exec(cs *CachedStmt, params []Value, owned bool) (*Result, error) 
 	if timed {
 		start = time.Now()
 	}
-	res, shape, err := db.execUnderLock(cs, params, owned)
+	res, shape, err := db.execUnderLock(cs, params)
 	if timed {
 		observeExec(start, shape, cs)
 	}
@@ -149,9 +137,8 @@ func (db *DB) exec(cs *CachedStmt, params []Value, owned bool) (*Result, error) 
 }
 
 // execUnderLock holds db.mu while it runs one prepared statement, and
-// reports the plan shape it executed with. owned makes a SELECT cut its
-// result rows from pooled arena storage.
-func (db *DB) execUnderLock(cs *CachedStmt, params []Value, owned bool) (*Result, ExecShape, error) {
+// reports the plan shape it executed with.
+func (db *DB) execUnderLock(cs *CachedStmt, params []Value) (*Result, ExecShape, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	var (
@@ -164,7 +151,7 @@ func (db *DB) execUnderLock(cs *CachedStmt, params []Value, owned bool) (*Result
 		if p := db.planFor(cs); p.sel == nil {
 			err = fmt.Errorf("sql: no such table %s", s.Table)
 		} else {
-			return db.runSelect(s, p.sel, params, owned)
+			return db.runSelect(s, p.sel, params)
 		}
 	case *Update:
 		if p := db.planFor(cs); p.upd == nil {
@@ -464,46 +451,52 @@ func (t *Table) projectColumns(cols []string, vals []Value) ([]Value, error) {
 
 // matchSlots returns the slots whose rows satisfy the compiled
 // predicate, visiting the index postings the plan selected (or every
-// live row). usedIndex reports whether an index narrowed the scan (for
-// the DB's scan counters); inOrder reports that the slots come back in
-// the requested ORDER BY order, letting the caller skip its sort step.
-// When order is nil — or the plan falls back at execution time — slots
-// come back sorted ascending: postings are kept sorted, and the fallback
-// scans in slot order, so results are identical to a full scan.
+// live row), and counts the scan by access path. usedIndex reports
+// whether an index narrowed the scan; inOrder reports that the slots
+// come back in the requested ORDER BY order, letting the caller skip its
+// sort step. When order is nil — or the plan falls back at execution
+// time — slots come back sorted ascending: postings are kept sorted, and
+// the fallback scans in slot order, so results are identical to a full
+// scan.
 func (t *Table) matchSlots(scan *scanPlan, order *orderIdxPlan, pred rowPred, params []Value) (matched []int, usedIndex, inOrder bool, err error) {
+	handled := false
 	if scan != nil {
-		if matched, handled, err := t.indexScan(scan, order, pred, params); handled {
-			t.notePostings(len(matched))
-			return matched, true, order != nil, err
-		}
+		matched, handled, err = t.indexScan(scan, order, pred, params)
+		usedIndex, inOrder = handled, handled && order != nil
 	}
-	if order != nil {
-		if matched, handled, err := t.orderedWalk(order, pred, params); handled {
-			t.notePostings(len(matched))
-			return matched, false, true, err
-		}
+	if !handled && order != nil {
+		matched, handled, err = t.orderedWalk(order, pred, params)
+		inOrder = handled
 	}
-	matched = nil
-	err = t.store.forEachLive(func(slot int, r *row) error {
-		ok, err := pred(r.vals, params)
-		if err != nil {
-			return err
-		}
-		if ok {
-			matched = append(matched, slot)
-		}
-		return nil
-	})
+	if handled {
+		postingsMatched.Add(uint64(len(matched)))
+	} else {
+		err = t.store.forEachLive(func(slot int, r *row) error {
+			ok, err := pred(r.vals, params)
+			if err != nil {
+				return err
+			}
+			if ok {
+				matched = append(matched, slot)
+			}
+			return nil
+		})
+	}
 	if err != nil {
 		return nil, false, false, err
 	}
-	return matched, false, false, nil
+	if usedIndex {
+		indexScans.Inc()
+	} else {
+		fullScans.Inc()
+	}
+	return matched, usedIndex, inOrder, nil
 }
 
 // filterSlots appends the slots from one posting list whose rows satisfy
 // pred.
 func (t *Table) filterSlots(slots []int, pred rowPred, params []Value, dst []int) ([]int, error) {
-	t.visited += len(slots)
+	postingsVisited.Add(uint64(len(slots)))
 	for _, slot := range slots {
 		r := t.store.rowAt(slot)
 		if r.deleted {
@@ -745,7 +738,7 @@ func CoerceToColumn(v Value, kind Kind) (Value, bool) {
 // runSelect executes a planned SELECT. The returned shape is the access
 // path the scan actually took (ShapeOther when it failed before one was
 // chosen).
-func (db *DB) runSelect(s *Select, p *selectPlan, params []Value, owned bool) (*Result, ExecShape, error) {
+func (db *DB) runSelect(s *Select, p *selectPlan, params []Value) (*Result, ExecShape, error) {
 	t := p.table
 	if t == nil {
 		res, err := p.projectOneRow(nil, params)
@@ -755,8 +748,7 @@ func (db *DB) runSelect(s *Select, p *selectPlan, params []Value, owned bool) (*
 	if err != nil {
 		return nil, ShapeOther, err
 	}
-	db.noteScan(usedIndex)
-	res, err := p.projectRows(s, matched, inOrder, params, owned)
+	res, err := p.projectRows(s, matched, inOrder, params)
 	return res, selectShape(p.scan, usedIndex), err
 }
 
@@ -793,19 +785,12 @@ func (p *selectPlan) projectOneRow(matched []int, params []Value) (*Result, erro
 // projectRows turns the matched slots into the result: the one row of an
 // aggregate query, or the ORDER BY / projection / DISTINCT / LIMIT
 // pipeline.
-func (p *selectPlan) projectRows(s *Select, matched []int, inOrder bool, params []Value, owned bool) (*Result, error) {
+func (p *selectPlan) projectRows(s *Select, matched []int, inOrder bool, params []Value) (*Result, error) {
 	if p.aggs != nil {
 		return p.projectOneRow(matched, params)
 	}
 	t := p.table
-
-	var res *Result
-	if owned {
-		res = newPooledResult()
-	} else {
-		res = &Result{}
-	}
-	res.Columns = append([]string(nil), p.columns...)
+	res := &Result{Columns: append([]string(nil), p.columns...)}
 
 	// ORDER BY: evaluate sort keys per row, stable sort by scan order —
 	// unless the index walk already delivered the slots in order.
@@ -864,7 +849,7 @@ func (p *selectPlan) projectRows(s *Select, matched []int, inOrder bool, params 
 	}
 	for _, slot := range matched {
 		vals := t.store.rowAt(slot).vals
-		out := res.appendRow(p.nOut)[:0]
+		out := make([]Value, 0, p.nOut)
 		for _, it := range p.items {
 			if it.star {
 				out = append(out, vals...)
@@ -876,15 +861,14 @@ func (p *selectPlan) projectRows(s *Select, matched []int, inOrder bool, params 
 			}
 			out = append(out, v)
 		}
-		res.Rows[len(res.Rows)-1] = out
 		if s.Distinct {
 			fp := rowFingerprint(out)
 			if seen[fp] {
-				res.dropLastRow()
 				continue
 			}
 			seen[fp] = true
 		}
+		res.Rows = append(res.Rows, out)
 	}
 
 	return p.applyLimit(res, params)
@@ -946,11 +930,10 @@ func (db *DB) runUpdate(t *Table, s *Update, p *updatePlan, params []Value) (*Re
 	setPos := p.setPos
 
 	// Two passes: find matches first so that updates do not affect the scan.
-	matched, usedIndex, _, err := t.matchSlots(p.scan, nil, p.where, params)
+	matched, _, _, err := t.matchSlots(p.scan, nil, p.where, params)
 	if err != nil {
 		return nil, err
 	}
-	db.noteScan(usedIndex)
 
 	res := &Result{}
 	if len(s.Returning) > 0 {
@@ -1011,11 +994,10 @@ func (db *DB) runUpdate(t *Table, s *Update, p *updatePlan, params []Value) (*Re
 }
 
 func (db *DB) runDelete(t *Table, s *Delete, p *deletePlan, params []Value) (*Result, error) {
-	matched, usedIndex, _, err := t.matchSlots(p.scan, nil, p.where, params)
+	matched, _, _, err := t.matchSlots(p.scan, nil, p.where, params)
 	if err != nil {
 		return nil, err
 	}
-	db.noteScan(usedIndex)
 	res := &Result{}
 	if len(s.Returning) > 0 {
 		res.Columns = append(res.Columns, s.Returning...)

@@ -72,20 +72,65 @@ var execHists = func() [numExecShapes]*obs.Histogram {
 	return a
 }()
 
-// Index selectivity (docs/observability.md): the postings index scans —
-// probes and ordered walks alike — handed to the statement's predicate,
-// and how many of those matched.
+// Engine event counters (docs/observability.md), process-wide like every
+// registry series: compiled-plan reuse (planFor), the access path of
+// every row scan (matchSlots), statement-cache lookups (StmtCache.Get,
+// every cache), and index selectivity — the postings index scans, probes
+// and ordered walks alike, handed to the statement's predicate
+// (filterSlots), and how many of those matched. A plan-miss share that
+// stays above ~0 on a steady workload means a caller is rebuilding
+// statements per call; a high full-scan share means the workload's
+// predicates are not riding the indexes.
 var (
+	planHits        = obs.NewCounter("warp_sqldb_plan_hits_total")
+	planMisses      = obs.NewCounter("warp_sqldb_plan_misses_total")
+	indexScans      = obs.NewCounter(`warp_sqldb_scans_total{path="index"}`)
+	fullScans       = obs.NewCounter(`warp_sqldb_scans_total{path="full"}`)
+	stmtCacheHits   = obs.NewCounter("warp_sqldb_stmt_cache_hits_total")
+	stmtCacheMisses = obs.NewCounter("warp_sqldb_stmt_cache_misses_total")
 	postingsVisited = obs.NewCounter("warp_sqldb_index_postings_visited_total")
 	postingsMatched = obs.NewCounter("warp_sqldb_index_postings_matched_total")
 )
 
-// notePostings publishes one index scan's counts: what filterSlots saw
-// since the last call, and the scan's matches. Caller holds db.mu.
-func (t *Table) notePostings(matched int) {
-	postingsVisited.Add(uint64(t.visited))
-	postingsMatched.Add(uint64(matched))
-	t.visited = 0
+// ExecStats is the engine's execution counters read out of one registry
+// snapshot (ExecStatsOf).
+type ExecStats struct {
+	// StmtCacheHits / StmtCacheMisses count text→statement cache lookups.
+	StmtCacheHits   uint64
+	StmtCacheMisses uint64
+	// PlanHits / PlanMisses count compiled-plan reuses vs (re)compiles
+	// across all SELECT/INSERT/UPDATE/DELETE executions.
+	PlanHits   uint64
+	PlanMisses uint64
+	// IndexScans / FullScans count row scans narrowed by an index probe
+	// or walk vs scans that visited every live row.
+	IndexScans uint64
+	FullScans  uint64
+}
+
+// ExecStatsOf reads the engine's execution counters from s.
+func ExecStatsOf(s obs.Snapshot) ExecStats {
+	return ExecStats{
+		StmtCacheHits:   s.Counter(stmtCacheHits.Name()),
+		StmtCacheMisses: s.Counter(stmtCacheMisses.Name()),
+		PlanHits:        s.Counter(planHits.Name()),
+		PlanMisses:      s.Counter(planMisses.Name()),
+		IndexScans:      s.Counter(indexScans.Name()),
+		FullScans:       s.Counter(fullScans.Name()),
+	}
+}
+
+// Sub returns the counter deltas s − prev, for measurements over a
+// window bracketed by two snapshots.
+func (s ExecStats) Sub(prev ExecStats) ExecStats {
+	return ExecStats{
+		StmtCacheHits:   s.StmtCacheHits - prev.StmtCacheHits,
+		StmtCacheMisses: s.StmtCacheMisses - prev.StmtCacheMisses,
+		PlanHits:        s.PlanHits - prev.PlanHits,
+		PlanMisses:      s.PlanMisses - prev.PlanMisses,
+		IndexScans:      s.IndexScans - prev.IndexScans,
+		FullScans:       s.FullScans - prev.FullScans,
+	}
 }
 
 // selectShape maps a SELECT's executed access path to its shape.

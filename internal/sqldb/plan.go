@@ -992,10 +992,10 @@ type stmtPlan struct {
 // db.mu), compiling and caching one on miss or staleness.
 func (db *DB) planFor(cs *CachedStmt) *stmtPlan {
 	if p := cs.plan.Load(); p != nil && p.db == db && p.epoch == db.epoch {
-		db.counters.planHits++
+		planHits.Inc()
 		return p
 	}
-	db.counters.planMisses++
+	planMisses.Inc()
 	p := &stmtPlan{db: db, epoch: db.epoch}
 	switch s := cs.Stmt.(type) {
 	case *Select:

@@ -23,9 +23,6 @@ type DB struct {
 	// stmts caches parsed statements and their plans for the text-based
 	// Exec entry point.
 	stmts *StmtCache
-	// counters accumulates plan-cache and scan-path introspection
-	// (stats.go). Guarded by mu: every exec path increments under it.
-	counters execCounters
 }
 
 // Open returns a new, empty database.
@@ -56,7 +53,6 @@ type Table struct {
 	liveRows int
 	indexes  map[string]*colIndex
 	uniques  []*uniqueSet
-	visited  int // postings filtered since the last notePostings (obsmetrics.go)
 }
 
 type row struct {

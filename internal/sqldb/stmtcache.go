@@ -67,8 +67,6 @@ type StmtCache struct {
 	max        int
 	m          map[string]*CachedStmt
 	head, tail *CachedStmt
-	hits       uint64
-	misses     uint64
 }
 
 // NewStmtCache returns an empty cache bounded to max entries
@@ -85,13 +83,13 @@ func NewStmtCache(max int) *StmtCache {
 func (c *StmtCache) Get(src string) (*CachedStmt, error) {
 	c.mu.Lock()
 	if cs, ok := c.m[src]; ok {
-		c.hits++
 		c.moveToFront(cs)
 		c.mu.Unlock()
+		stmtCacheHits.Inc()
 		return cs, nil
 	}
-	c.misses++
 	c.mu.Unlock()
+	stmtCacheMisses.Inc()
 
 	// Parse outside the lock: misses are the slow path and must not
 	// serialize behind each other. A racing duplicate insert is resolved
@@ -122,13 +120,6 @@ func (c *StmtCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.m)
-}
-
-// Stats returns the cache's cumulative hit and miss counts.
-func (c *StmtCache) Stats() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }
 
 // pushFront links cs as the most recently used entry. Caller holds mu.

@@ -8,6 +8,7 @@ import (
 
 func TestStmtCacheHitReturnsSameHandle(t *testing.T) {
 	c := NewStmtCache(8)
+	hits, misses := stmtCacheHits.Value(), stmtCacheMisses.Value()
 	a, err := c.Get("SELECT 1")
 	if err != nil {
 		t.Fatal(err)
@@ -19,8 +20,8 @@ func TestStmtCacheHitReturnsSameHandle(t *testing.T) {
 	if a != b {
 		t.Fatal("cache miss on identical source")
 	}
-	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
-		t.Fatalf("stats = %d hits / %d misses, want 1/1", hits, misses)
+	if h, m := stmtCacheHits.Value()-hits, stmtCacheMisses.Value()-misses; h != 1 || m != 1 {
+		t.Fatalf("counted %d hits / %d misses, want 1/1", h, m)
 	}
 	if a.Canonical() != a.Stmt.String() {
 		t.Fatalf("canonical %q != Stmt.String() %q", a.Canonical(), a.Stmt.String())
@@ -57,20 +58,20 @@ func TestStmtCacheLRUEviction(t *testing.T) {
 	if c.Len() != 3 {
 		t.Fatalf("len = %d, want 3", c.Len())
 	}
-	hitsBefore, _ := c.Stats()
+	hitsBefore := stmtCacheHits.Value()
 	if _, err := c.Get("SELECT 1"); err != nil { // evicted: re-parse
 		t.Fatal(err)
 	}
-	if hits, _ := c.Stats(); hits != hitsBefore {
+	if stmtCacheHits.Value() != hitsBefore {
 		t.Fatal("evicted entry served from cache")
 	}
-	hitsBefore, _ = c.Stats()
+	hitsBefore = stmtCacheHits.Value()
 	for _, keep := range []string{"SELECT 0", "SELECT 3"} {
 		if _, err := c.Get(keep); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if hits, _ := c.Stats(); hits != hitsBefore+2 {
+	if stmtCacheHits.Value() != hitsBefore+2 {
 		t.Fatal("recently used entries were evicted")
 	}
 }

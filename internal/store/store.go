@@ -39,11 +39,6 @@ type Options struct {
 	// checkpoints (default 8). A full checkpoint lets the prune step
 	// reclaim the whole delta chain.
 	CompactEvery int
-	// ChunkBytes is the spill threshold of the streaming checkpoint
-	// encoder: sections are written as chunks of roughly this size, so
-	// checkpoint memory stays bounded regardless of section size
-	// (default 256 KiB).
-	ChunkBytes int
 	// FS is the filesystem the store runs on; nil selects the real OS
 	// filesystem. Tests substitute an error-injecting implementation
 	// (internal/store/faultfs) to exercise the failure model.
@@ -74,9 +69,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CompactEvery <= 0 {
 		o.CompactEvery = 8
-	}
-	if o.ChunkBytes <= 0 {
-		o.ChunkBytes = 256 << 10
 	}
 	if o.FS == nil {
 		o.FS = storefs.OS
@@ -714,9 +706,14 @@ type CheckpointWriter struct {
 	err      error
 }
 
+// checkpointChunkSize is the spill threshold of the streaming
+// checkpoint encoder: sections are written as chunks of roughly this
+// size, so checkpoint memory stays bounded regardless of section size.
+const checkpointChunkSize = 256 << 10
+
 // Section begins a new section and returns its streaming encoder, valid
 // until the next Section call (or the end of the build). The encoder
-// spills chunks of Options.ChunkBytes to disk as it grows, so encoding
+// spills chunks of checkpointChunkSize to disk as it grows, so encoding
 // a section of any size uses bounded memory.
 func (cw *CheckpointWriter) Section(name string) *Encoder {
 	cw.closeSection()
@@ -730,7 +727,7 @@ func (cw *CheckpointWriter) Section(name string) *Encoder {
 	}
 	cw.sections = append(cw.sections, manifestSection{name: name, fileSeq: cw.fileSeq})
 	cw.written = append(cw.written, name)
-	cw.enc = newStreamEncoder(cw.st.opts.ChunkBytes, func(b []byte) error {
+	cw.enc = newStreamEncoder(checkpointChunkSize, func(b []byte) error {
 		if cw.err != nil {
 			return cw.err
 		}

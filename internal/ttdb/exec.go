@@ -334,14 +334,12 @@ func (db *DB) execUpdate(s *sqldb.Update, cs *sqldb.CachedStmt, params []sqldb.V
 	ext := extParams(params, t, gen, 0)
 
 	// Phase 1: capture the old versions of every matched row. The result
-	// is consumed within this call (partition recording copies values,
-	// phase 3 re-inserts them), so its pooled row storage is released on
-	// every exit path.
-	oldRows, err := db.raw.ExecCachedOwned(a.read, ext)
+	// is consumed within this call: partition recording copies values,
+	// and phase 3 re-inserts the rows themselves.
+	oldRows, err := db.raw.ExecCached(a.read, ext)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer sqldb.PutResult(oldRows)
 	if len(oldRows.Rows) == 0 {
 		rec.Result = &sqldb.Result{Affected: 0, Columns: append([]string{}, s.Returning...)}
 		return rec.Result, rec, nil

@@ -53,15 +53,3 @@ func (db *DB) Explain(src string) (string, error) {
 	}
 	return out + "footprint: " + stateFor(m, cs).fp.String(), nil
 }
-
-// ExecStats merges the deployment-wide statement cache's counters with
-// the raw engine's plan and scan counters. The rewriting layer never
-// round-trips SQL text through the engine's own cache, so the statement
-// counters reported here are effectively the deployment cache's.
-func (db *DB) ExecStats() sqldb.ExecStats {
-	st := db.raw.ExecStats()
-	h, m := db.stmts.Stats()
-	st.StmtCacheHits += h
-	st.StmtCacheMisses += m
-	return st
-}

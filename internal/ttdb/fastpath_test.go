@@ -469,7 +469,7 @@ func TestParamCountContract(t *testing.T) {
 	check := func(t *testing.T, run func() (*Record, error)) {
 		t.Helper()
 		db.TakeDirty()
-		now, applied, stats := db.Clock().Now(), obs.applied, db.ExecStats()
+		now, applied, stats := db.Clock().Now(), obs.applied, execStats()
 		rec, err := run()
 		var pe *sqldb.ParamCountError
 		if !errors.As(err, &pe) {
@@ -487,7 +487,7 @@ func TestParamCountContract(t *testing.T) {
 		if obs.applied != applied {
 			t.Fatal("mismatch emitted RecordApplied")
 		}
-		if got := db.ExecStats(); got.PlanHits != stats.PlanHits || got.PlanMisses != stats.PlanMisses {
+		if got := execStats(); got.PlanHits != stats.PlanHits || got.PlanMisses != stats.PlanMisses {
 			t.Fatalf("mismatch reached the engine: %+v -> %+v", stats, got)
 		}
 	}
@@ -574,9 +574,9 @@ func TestPlanCountersSeeEveryExecution(t *testing.T) {
 	}
 	// delta runs fn and returns the plan counters it moved.
 	delta := func(fn func()) sqldb.ExecStats {
-		before := db.ExecStats()
+		before := execStats()
 		fn()
-		return db.ExecStats().Sub(before)
+		return execStats().Sub(before)
 	}
 
 	// Warm one form of each verb.

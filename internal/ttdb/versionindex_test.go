@@ -407,6 +407,9 @@ func TestVersionOrderedProbesMatchFullScan(t *testing.T) {
 	t.Logf("steps and checks: %v", did)
 }
 
+// execStats reads the engine's execution counters from the registry.
+func execStats() sqldb.ExecStats { return sqldb.ExecStatsOf(obs.Default.Snapshot()) }
+
 // postingsVisited runs fn and returns how many index postings the raw
 // engine handed to a predicate meanwhile (docs/observability.md).
 func postingsVisited(fn func()) uint64 {

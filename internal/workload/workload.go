@@ -46,8 +46,6 @@ type Config struct {
 	DataDir string
 	// Durability tunes the persistent store when DataDir is set.
 	Durability store.Options
-	// Trace, when set, receives repair-controller trace lines.
-	Trace func(format string, args ...any)
 }
 
 // Result is a generated workload: the environment plus original-execution
@@ -75,7 +73,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	ccfg := core.Config{Seed: cfg.Seed, Replay: cfg.Replay, RepairWorkers: cfg.RepairWorkers,
-		Trace: cfg.Trace, Durability: cfg.Durability}
+		Durability: cfg.Durability}
 	var w *core.Warp
 	durable := cfg.DataDir != ""
 	if durable {

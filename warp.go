@@ -35,8 +35,9 @@
 // locks row ranges by partition key rather than whole tables, the
 // dependency frontier admits same-table items whose partitions do not
 // overlap, and page-visit replays are exclusive only per client — so
-// repairs of one hot table scale across workers too. RepairWorkers = 1
-// reproduces the paper's serial loop exactly.
+// repairs of one hot table scale across workers too. There is one
+// drain loop: with RepairWorkers = 1 it hands out the heap minimum each
+// time, after the previous item finished — the paper's serial loop.
 //
 // A System wires together the substrates in internal/: the SQL engine
 // (sqldb), the time-travel layer (ttdb), the action history graph
@@ -78,10 +79,11 @@ type (
 	Timing = core.Timing
 	// StorageStats is the per-layer log storage accounting.
 	StorageStats = core.StorageStats
-	// ExecStats is the database layer's execution-path counters:
-	// statement-cache/plan hit rates and index-vs-full scan counts.
+	// ExecStats is the database layer's execution-path counters
+	// (Metrics.Exec): statement-cache/plan hit rates and index-vs-full
+	// scan counts.
 	ExecStats = sqldb.ExecStats
-	// Metrics is the deployment-wide observability snapshot
+	// Metrics is the process-wide observability snapshot
 	// (System.Metrics): exec counters, every registered latency
 	// histogram / counter / gauge, and the live repair phase trace. See
 	// docs/observability.md.
@@ -114,7 +116,7 @@ type (
 	// DurabilityOptions tunes the persistence layer for deployments
 	// created with Open (Config.Durability): group commit
 	// (SyncEveryAppend, GroupWindow) and the incremental checkpoint
-	// cadence (CompactEvery, ChunkBytes). See docs/persistence.md.
+	// cadence (CompactEvery). See docs/persistence.md.
 	DurabilityOptions = store.Options
 	// CheckpointStats reports what the last checkpoint wrote
 	// (System.LastCheckpoint): which sections landed in the new delta
