@@ -568,9 +568,7 @@ func (rs *session) processVisit(it *workItem) error {
 	rs.book(&rs.tBrowser, t0, before, &booked)
 
 	rs.tracef("replayed visit %s/%d url=%s navs=%d conflicts=%d unmatched=%d", it.client, it.visit, vlog.URL, len(out.Navigations), len(out.Conflicts), len(out.UnmatchedOriginals))
-	for _, c := range out.Conflicts {
-		rs.addConflict(c)
-	}
+	rs.setReplayConflicts(key, out.Conflicts)
 	if !rs.cfg.HasLog {
 		// Without the extension WARP cannot verify or undo browser-side
 		// activity; the conflict above is all it can report (§2.3).

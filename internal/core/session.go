@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -52,7 +54,12 @@ type session struct {
 	// re-replay of the child does not fall back to the stale recorded one.
 	navOverrides map[string]*workItem
 
-	conflicts []browser.Conflict
+	// conflicts holds what the session reports, by source: "" for those
+	// queued directly (a changed response to a client with no log, an
+	// undo that cannot run), a visit key for what that visit's last replay
+	// reported — a visit replays again when its inputs change, and only
+	// its last replay describes the repaired timeline (allConflicts).
+	conflicts map[string][]browser.Conflict
 
 	// Distinct work accounting for the Tables 7/8 "re-executed actions"
 	// columns: repeats of the same item (fixpoint passes) count once.
@@ -130,6 +137,7 @@ func (w *Warp) newSession(gen int64) *session {
 		activeVisit:  make(map[string]bool),
 		jarOverride:  make(map[string]map[string]string),
 		navOverrides: make(map[string]*workItem),
+		conflicts:    make(map[string][]browser.Conflict),
 		doneVisits:   make(map[string]bool),
 		doneRuns:     make(map[history.ActionID]bool),
 		doneQueries:  make(map[history.ActionID]bool),
@@ -174,7 +182,27 @@ func (rs *session) markQuery(id history.ActionID) {
 func (rs *session) addConflict(c browser.Conflict) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	rs.conflicts = append(rs.conflicts, c)
+	rs.conflicts[""] = append(rs.conflicts[""], c)
+}
+
+// setReplayConflicts files what one replay of the visit key reported, in
+// place of its earlier replays' conflicts.
+func (rs *session) setReplayConflicts(key string, cs []browser.Conflict) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	rs.conflicts[key] = cs
+}
+
+// allConflicts returns the session's conflicts: those queued directly,
+// then each replayed visit's last replay's, in visit-key order.
+func (rs *session) allConflicts() []browser.Conflict {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	var out []browser.Conflict
+	for _, k := range slices.Sorted(maps.Keys(rs.conflicts)) {
+		out = append(out, rs.conflicts[k]...)
+	}
+	return out
 }
 
 // tracef logs one controller step when tracing is enabled.
@@ -589,8 +617,9 @@ func (w *Warp) repair(intent *RepairIntent, seed func(*session) error, restrictC
 	}
 
 	// Non-admin undo must not spill conflicts onto other users (§5.5).
+	conflicts := rs.allConflicts()
 	if restrictConflictsTo != "" {
-		for _, c := range rs.conflicts {
+		for _, c := range conflicts {
 			if c.Client != restrictConflictsTo {
 				if err := w.DB.AbortRepair(); err != nil {
 					return nil, err
@@ -599,7 +628,7 @@ func (w *Warp) repair(intent *RepairIntent, seed func(*session) error, restrictC
 					w.pers.logRepairEnd()
 				}
 				rs.rep.Aborted = true
-				rs.rep.Conflicts = rs.conflicts
+				rs.rep.Conflicts = conflicts
 				rs.rep.Timing.Total = time.Since(tStart)
 				return rs.rep, fmt.Errorf("warp: undo would conflict for user %s; aborted", c.Client)
 			}
@@ -614,7 +643,7 @@ func (w *Warp) repair(intent *RepairIntent, seed func(*session) error, restrictC
 
 	// Queue conflicts and cookie invalidations for affected clients.
 	w.mu.Lock()
-	w.conflicts = append(w.conflicts, rs.conflicts...)
+	w.conflicts = append(w.conflicts, conflicts...)
 	for client, jar := range rs.jarOverride {
 		var names []string
 		for name := range jar {
@@ -646,7 +675,7 @@ func (w *Warp) repair(intent *RepairIntent, seed func(*session) error, restrictC
 		}
 	}
 
-	rs.rep.Conflicts = rs.conflicts
+	rs.rep.Conflicts = conflicts
 	rs.rep.GraphNodesLoaded = w.Graph.LoadedNodes()
 	rs.rep.RepairWorkers = rs.sched.workers
 	rs.rep.Timing.Init = time.Duration(rs.tInit.Load())

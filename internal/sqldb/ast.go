@@ -362,15 +362,34 @@ type Assignment struct {
 // String renders the assignment.
 func (a Assignment) String() string { return a.Column + " = " + a.Expr.String() }
 
-// Update is an UPDATE statement.
+// Update is an UPDATE statement. With Keep it is a versioned update
+// (`UPDATE t SET ... WHERE ... KEEP (c = e, ...)`): every matched row's
+// before-image is also kept, as a new row with Keep's assignments
+// applied, in the same statement. SET and Keep expressions both read the
+// before-image. A RETURNING column spelled OLD.c (OldPrefix + c) returns
+// the before-image's c.
 type Update struct {
 	Table     string
 	Set       []Assignment
-	Where     Expr // nil when absent
+	Where     Expr         // nil when absent
+	Keep      []Assignment // empty for a plain update
 	Returning []string
 }
 
+// OldPrefix prefixes a RETURNING column that reads the before-image.
+const OldPrefix = "OLD."
+
 func (*Update) stmt() {}
+
+// writeAssignments renders a comma-separated assignment list.
+func writeAssignments(b *strings.Builder, as []Assignment) {
+	for i, a := range as {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(a.String())
+	}
+}
 
 // String renders the statement back to SQL.
 func (s *Update) String() string {
@@ -378,15 +397,15 @@ func (s *Update) String() string {
 	b.WriteString("UPDATE ")
 	b.WriteString(s.Table)
 	b.WriteString(" SET ")
-	for i, a := range s.Set {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(a.String())
-	}
+	writeAssignments(&b, s.Set)
 	if s.Where != nil {
 		b.WriteString(" WHERE ")
 		b.WriteString(s.Where.String())
+	}
+	if len(s.Keep) > 0 {
+		b.WriteString(" KEEP (")
+		writeAssignments(&b, s.Keep)
+		b.WriteString(")")
 	}
 	if len(s.Returning) > 0 {
 		b.WriteString(" RETURNING ")
@@ -398,15 +417,21 @@ func (s *Update) String() string {
 // Clone returns a deep copy.
 func (s *Update) Clone() Statement {
 	c := *s
-	c.Set = make([]Assignment, len(s.Set))
-	for i, a := range s.Set {
-		c.Set[i] = Assignment{Column: a.Column, Expr: a.Expr.CloneExpr()}
-	}
+	c.Set = cloneAssignments(s.Set)
+	c.Keep = cloneAssignments(s.Keep)
 	if s.Where != nil {
 		c.Where = s.Where.CloneExpr()
 	}
 	c.Returning = append([]string(nil), s.Returning...)
 	return &c
+}
+
+func cloneAssignments(as []Assignment) []Assignment {
+	out := make([]Assignment, len(as))
+	for i, a := range as {
+		out[i] = Assignment{Column: a.Column, Expr: a.Expr.CloneExpr()}
+	}
+	return out
 }
 
 // Delete is a DELETE statement.

@@ -295,10 +295,7 @@ func (db *DB) runInsert(t *Table, s *Insert, p *insertPlan, params []Value) (*Re
 	if len(s.Returning) > 0 {
 		res.Columns = append(res.Columns, s.Returning...)
 	}
-	// Pass 1: evaluate and validate every row, so a failure leaves the
-	// table untouched (statements are atomic).
 	newRows := make([][]Value, 0, len(p.rows))
-	batchKeys := make(map[string]bool)
 	for _, exprRow := range p.rows {
 		if len(exprRow) != len(colPos) {
 			return nil, fmt.Errorf("sql: table %s: %d values for %d columns", s.Table, len(exprRow), len(colPos))
@@ -318,27 +315,12 @@ func (db *DB) runInsert(t *Table, s *Insert, p *insertPlan, params []Value) (*Re
 				vals[ci] = cd.Default.Value
 			}
 		}
-		if err := t.checkRow(vals); err != nil {
-			return nil, err
-		}
-		if err := t.checkUniqueInsert(vals); err != nil {
-			return nil, err
-		}
-		for _, us := range t.uniques {
-			if key, ok := us.keyFor(vals); ok {
-				if batchKeys[key] {
-					return nil, &UniqueViolationError{Table: t.Name, Constraint: us.def}
-				}
-				batchKeys[key] = true
-			}
-		}
 		newRows = append(newRows, vals)
 	}
-	// Pass 2: apply.
+	if err := t.admit(newRows); err != nil {
+		return nil, err
+	}
 	for _, vals := range newRows {
-		slot := t.store.alloc(vals)
-		t.liveRows++
-		t.indexAdd(slot, vals)
 		res.Affected++
 		if len(s.Returning) > 0 {
 			out, err := t.projectColumns(s.Returning, vals)
@@ -349,6 +331,29 @@ func (db *DB) runInsert(t *Table, s *Insert, p *insertPlan, params []Value) (*Re
 		}
 	}
 	return res, nil
+}
+
+// admit stores new rows in fresh slots, in order, once every one is
+// valid — types, NOT NULL, uniqueness against the table and each other —
+// so a statement that fails stores none (statements are atomic).
+func (t *Table) admit(rows [][]Value) error {
+	var batch map[batchKey]bool
+	if len(rows) > 1 {
+		batch = make(map[batchKey]bool)
+	}
+	for _, vals := range rows {
+		if err := t.checkRow(vals); err != nil {
+			return err
+		}
+		if err := t.checkUnique(vals, batch); err != nil {
+			return err
+		}
+	}
+	for _, vals := range rows {
+		t.indexAdd(t.store.alloc(vals), vals)
+		t.liveRows++
+	}
+	return nil
 }
 
 // checkRow validates types and NOT NULL constraints.
@@ -383,12 +388,28 @@ func (t *Table) checkRow(vals []Value) error {
 	return nil
 }
 
-func (t *Table) checkUniqueInsert(vals []Value) error {
-	for _, us := range t.uniques {
-		if key, ok := us.keyFor(vals); ok {
-			if _, dup := us.m[key]; dup {
-				return &UniqueViolationError{Table: t.Name, Constraint: us.def}
-			}
+// batchKey is a unique key an earlier row of the same statement claimed:
+// the constraint's position and the key.
+type batchKey struct {
+	c   int
+	key string
+}
+
+// checkUnique reports the first unique constraint a new row would
+// violate, against the stored rows and — batch non-nil — the keys the
+// statement's earlier rows claimed, which then gain this row's.
+func (t *Table) checkUnique(vals []Value, batch map[batchKey]bool) error {
+	for i, us := range t.uniques {
+		key, ok := us.keyFor(vals)
+		if !ok {
+			continue
+		}
+		bk := batchKey{c: i, key: key}
+		if _, dup := us.m[key]; dup || batch[bk] {
+			return &UniqueViolationError{Table: t.Name, Constraint: us.def}
+		}
+		if batch != nil {
+			batch[bk] = true
 		}
 	}
 	return nil
@@ -923,72 +944,71 @@ func itemName(it SelectItem) string {
 	return it.Expr.String()
 }
 
+// runUpdate applies SET to every matched row in place and, for a
+// versioned update, keeps each row's before-image — KEEP's assignments
+// applied — as a new row, admitted in match order. The statement is
+// atomic: SET applies row by row and is undone on a failure, and admit
+// allocates no slot unless every kept row is valid, so a failed statement
+// leaves rows, indexes and the slot counter as they were.
 func (db *DB) runUpdate(t *Table, s *Update, p *updatePlan, params []Value) (*Result, error) {
-	if p.setErr != nil {
-		return nil, p.setErr
+	if p.err != nil {
+		return nil, p.err
 	}
-	setPos := p.setPos
-
 	// Two passes: find matches first so that updates do not affect the scan.
 	matched, _, _, err := t.matchSlots(p.scan, nil, p.where, params)
 	if err != nil {
 		return nil, err
 	}
-
 	res := &Result{}
 	if len(s.Returning) > 0 {
 		res.Columns = append(res.Columns, s.Returning...)
 	}
-	// Updates apply row by row but the statement is atomic: on failure,
-	// already-updated rows are restored.
-	type applied struct {
-		slot int
-		old  []Value
-	}
-	var done []applied
-	undo := func() {
-		for i := len(done) - 1; i >= 0; i-- {
-			a := done[i]
-			r := t.store.rowAt(a.slot)
-			t.indexRemove(a.slot, r.vals)
-			r.vals = a.old
-			t.indexAdd(a.slot, a.old)
+	// olds[i] is the before-image of matched[i], for the rows updated so far.
+	olds := make([][]Value, 0, len(matched))
+	fail := func(err error) (*Result, error) {
+		for i := len(olds) - 1; i >= 0; i-- {
+			r := t.store.rowAt(matched[i])
+			t.indexRemove(matched[i], r.vals)
+			r.vals = olds[i]
+			t.indexAdd(matched[i], olds[i])
 		}
+		return nil, err
 	}
 	for _, slot := range matched {
 		oldVals := t.store.rowAt(slot).vals
 		newVals := append([]Value(nil), oldVals...)
-		for i, ce := range p.set {
-			v, err := ce(oldVals, params)
-			if err != nil {
-				undo()
-				return nil, err
-			}
-			newVals[setPos[i]] = v
+		if err := p.set.apply(oldVals, newVals, params); err != nil {
+			return fail(err)
 		}
 		if err := t.checkRow(newVals); err != nil {
-			undo()
-			return nil, err
+			return fail(err)
 		}
 		// Uniqueness: remove self, test, and re-add.
 		t.indexRemove(slot, oldVals)
-		if err := t.checkUniqueInsert(newVals); err != nil {
+		if err := t.checkUnique(newVals, nil); err != nil {
 			t.indexAdd(slot, oldVals)
-			undo()
-			return nil, err
+			return fail(err)
 		}
 		t.store.rowAt(slot).vals = newVals
 		t.indexAdd(slot, newVals)
-		done = append(done, applied{slot: slot, old: oldVals})
-		res.Affected++
-		if len(s.Returning) > 0 {
-			out, err := t.projectColumns(s.Returning, newVals)
-			if err != nil {
-				undo()
-				return nil, err
-			}
-			res.Rows = append(res.Rows, out)
+		olds = append(olds, oldVals)
+		if len(p.ret) > 0 {
+			res.Rows = append(res.Rows, p.returning(oldVals, newVals))
 		}
+	}
+	res.Affected = len(olds)
+	if len(p.keep.exprs) == 0 {
+		return res, nil
+	}
+	kept := make([][]Value, len(olds))
+	for i, oldVals := range olds {
+		kept[i] = append([]Value(nil), oldVals...)
+		if err := p.keep.apply(oldVals, kept[i], params); err != nil {
+			return fail(err)
+		}
+	}
+	if err := t.admit(kept); err != nil {
+		return fail(err)
 	}
 	return res, nil
 }

@@ -183,6 +183,15 @@ func TestCompositeUnique(t *testing.T) {
 	}
 	// NULL never collides.
 	mustExec(t, db, "INSERT INTO acl (page, user_id) VALUES (1, NULL), (1, NULL)")
+
+	// A multi-row statement checks each constraint's keys against its
+	// own earlier rows: equal keys under two different constraints do
+	// not collide, equal keys under one do.
+	mustExec(t, db, "CREATE TABLE pair (a INTEGER, b INTEGER, UNIQUE (a), UNIQUE (b))")
+	mustExec(t, db, "INSERT INTO pair (a, b) VALUES (1, 2), (2, 1)")
+	if _, err := db.Exec("INSERT INTO pair (a, b) VALUES (3, 4), (5, 4)"); !IsUniqueViolation(err) {
+		t.Fatalf("want violation within the statement, got %v", err)
+	}
 }
 
 func TestNotNull(t *testing.T) {

@@ -71,7 +71,15 @@ func (db *DB) ExplainCached(cs *CachedStmt) (string, error) {
 		if p.upd == nil {
 			return "", fmt.Errorf("sql: no such table %s", s.Table)
 		}
-		return fmt.Sprintf("update(%s) scan=%s", s.Table, describeScan(p.upd.scan)), nil
+		desc := fmt.Sprintf("update(%s) scan=%s", s.Table, describeScan(p.upd.scan))
+		if len(s.Keep) > 0 {
+			cols := make([]string, len(s.Keep))
+			for i, a := range s.Keep {
+				cols[i] = a.Column
+			}
+			desc += " keep(" + strings.Join(cols, ", ") + ")"
+		}
+		return desc, nil
 	case *Delete:
 		p := db.planFor(cs)
 		if p.del == nil {

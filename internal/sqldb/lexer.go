@@ -39,7 +39,7 @@ var keywords = map[string]bool{
 	"DISTINCT": true, "AS": true, "PRIMARY": true, "KEY": true, "UNIQUE": true,
 	"INTEGER": true, "INT": true, "TEXT": true, "VARCHAR": true, "BOOLEAN": true,
 	"BOOL": true, "TRUE": true, "FALSE": true, "DEFAULT": true, "RETURNING": true,
-	"IF": true, "EXISTS": true, "CONSTRAINT": true, "BETWEEN": true,
+	"IF": true, "EXISTS": true, "CONSTRAINT": true, "BETWEEN": true, "KEEP": true,
 }
 
 // lexer splits SQL text into tokens.

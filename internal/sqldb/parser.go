@@ -279,9 +279,37 @@ func (p *parser) parseReturning() ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
+		if strings.EqualFold(col, "OLD") && p.acceptOp(".") {
+			if col, err = p.parseIdent(); err != nil {
+				return nil, err
+			}
+			col = OldPrefix + col
+		}
 		cols = append(cols, col)
 		if !p.acceptOp(",") {
 			return cols, nil
+		}
+	}
+}
+
+// parseAssignments parses `col = expr, ...`.
+func (p *parser) parseAssignments() ([]Assignment, error) {
+	var out []Assignment
+	for {
+		col, err := p.parseIdent()
+		if err != nil {
+			return nil, err
+		}
+		if err := p.expectOp("="); err != nil {
+			return nil, err
+		}
+		e, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, Assignment{Column: col, Expr: e})
+		if !p.acceptOp(",") {
+			return out, nil
 		}
 	}
 }
@@ -298,22 +326,8 @@ func (p *parser) parseUpdate() (Statement, error) {
 	if err := p.expectKeyword("SET"); err != nil {
 		return nil, err
 	}
-	for {
-		col, err := p.parseIdent()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectOp("="); err != nil {
-			return nil, err
-		}
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		s.Set = append(s.Set, Assignment{Column: col, Expr: e})
-		if !p.acceptOp(",") {
-			break
-		}
+	if s.Set, err = p.parseAssignments(); err != nil {
+		return nil, err
 	}
 	if p.acceptKeyword("WHERE") {
 		e, err := p.parseExpr()
@@ -321,6 +335,17 @@ func (p *parser) parseUpdate() (Statement, error) {
 			return nil, err
 		}
 		s.Where = e
+	}
+	if p.acceptKeyword("KEEP") {
+		if err := p.expectOp("("); err != nil {
+			return nil, err
+		}
+		if s.Keep, err = p.parseAssignments(); err != nil {
+			return nil, err
+		}
+		if err := p.expectOp(")"); err != nil {
+			return nil, err
+		}
 	}
 	ret, err := p.parseReturning()
 	if err != nil {

@@ -1,6 +1,9 @@
 package sqldb
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Compiled statement plans: the engine's one evaluator.
 //
@@ -828,30 +831,82 @@ func (t *Table) planOrderIdx(orderBy []OrderBy, scan *scanPlan) *orderIdxPlan {
 
 // updatePlan is the compiled form of an UPDATE.
 type updatePlan struct {
-	table  *Table
-	where  rowPred
-	scan   *scanPlan
-	setPos []int
-	setErr error // unknown SET column (surfaced before any row work)
-	set    []compiledExpr
+	table *Table
+	where rowPred
+	scan  *scanPlan
+	set   assignPlan
+	keep  assignPlan // a versioned update's overrides of the kept before-image
+	ret   []retCol
+	err   error // unknown SET, KEEP or RETURNING column (surfaced before any row work)
+}
+
+// assignPlan is a compiled assignment list: column ordinals and the
+// compiled expressions that fill them.
+type assignPlan struct {
+	pos   []int
+	exprs []compiledExpr
+}
+
+// apply evaluates the assignments over src into dst.
+func (a assignPlan) apply(src, dst []Value, params []Value) error {
+	for i, e := range a.exprs {
+		v, err := e(src, params)
+		if err != nil {
+			return err
+		}
+		dst[a.pos[i]] = v
+	}
+	return nil
+}
+
+// retCol is one RETURNING column: its ordinal, and whether it reads the
+// before-image (OLD.c).
+type retCol struct {
+	pos int
+	old bool
 }
 
 func (db *DB) planUpdate(t *Table, s *Update) *updatePlan {
-	p := &updatePlan{table: t, setPos: make([]int, len(s.Set)), set: make([]compiledExpr, len(s.Set))}
-	for i, a := range s.Set {
-		ci, ok := t.columnPos(a.Column)
-		if !ok {
-			p.setErr = fmt.Errorf("sql: table %s: no such column %s", s.Table, a.Column)
-			return p
+	p := &updatePlan{table: t}
+	compile := func(as []Assignment) assignPlan {
+		a := assignPlan{pos: make([]int, len(as)), exprs: make([]compiledExpr, len(as))}
+		for i, as := range as {
+			ci, ok := t.columnPos(as.Column)
+			if !ok && p.err == nil {
+				p.err = fmt.Errorf("sql: table %s: no such column %s", s.Table, as.Column)
+			}
+			a.pos[i] = ci
+			a.exprs[i] = exprScope{t: t}.compile(as.Expr)
 		}
-		p.setPos[i] = ci
-		p.set[i] = exprScope{t: t}.compile(a.Expr)
+		return a
+	}
+	p.set, p.keep = compile(s.Set), compile(s.Keep)
+	for _, c := range s.Returning {
+		name, old := strings.CutPrefix(c, OldPrefix)
+		ci, ok := t.columnPos(name)
+		if !ok && p.err == nil {
+			p.err = fmt.Errorf("sql: table %s: no such column %s", s.Table, c)
+		}
+		p.ret = append(p.ret, retCol{pos: ci, old: old})
 	}
 	if s.Where != nil {
 		p.scan = t.planScan(s.Where)
 	}
 	p.where = compilePred(t, s.Where)
 	return p
+}
+
+// returning projects one updated row's RETURNING columns.
+func (p *updatePlan) returning(oldVals, newVals []Value) []Value {
+	out := make([]Value, len(p.ret))
+	for i, rc := range p.ret {
+		if rc.old {
+			out[i] = oldVals[rc.pos]
+		} else {
+			out[i] = newVals[rc.pos]
+		}
+	}
+	return out
 }
 
 // deletePlan is the compiled form of a DELETE.
@@ -933,7 +988,7 @@ func countParams(stmt Statement) int {
 			}
 		}
 	case *Update:
-		for _, a := range s.Set {
+		for _, a := range append(s.Set[:len(s.Set):len(s.Set)], s.Keep...) {
 			note(a.Expr)
 		}
 		note(s.Where)
@@ -991,12 +1046,12 @@ type stmtPlan struct {
 // planFor returns a valid cached plan for cs against db (which must hold
 // db.mu), compiling and caching one on miss or staleness.
 func (db *DB) planFor(cs *CachedStmt) *stmtPlan {
-	if p := cs.plan.Load(); p != nil && p.db == db && p.epoch == db.epoch {
+	if p := cs.plan.Load(); p != nil && p.db == db && p.epoch == db.epoch.Load() {
 		planHits.Inc()
 		return p
 	}
 	planMisses.Inc()
-	p := &stmtPlan{db: db, epoch: db.epoch}
+	p := &stmtPlan{db: db, epoch: db.epoch.Load()}
 	switch s := cs.Stmt.(type) {
 	case *Select:
 		if s.Table == "" {

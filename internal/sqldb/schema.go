@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // DB is an in-memory SQL database. A DB is safe for concurrent use; all
@@ -18,8 +18,8 @@ type DB struct {
 	tables map[string]*Table
 	// epoch counts DDL and constraint changes; compiled statement plans
 	// record the epoch they were built at and recompile when it moves
-	// (plan.go). Guarded by mu.
-	epoch uint64
+	// (plan.go). Moved under mu; read without it by Epoch.
+	epoch atomic.Uint64
 	// stmts caches parsed statements and their plans for the text-based
 	// Exec entry point.
 	stmts *StmtCache
@@ -31,14 +31,11 @@ func Open() *DB {
 }
 
 // bumpEpoch invalidates every compiled plan. Caller holds mu.
-func (db *DB) bumpEpoch() { db.epoch++ }
+func (db *DB) bumpEpoch() { db.epoch.Add(1) }
 
-// Epoch returns the DDL epoch, for tests asserting plan invalidation.
-func (db *DB) Epoch() uint64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.epoch
-}
+// Epoch returns the DDL epoch without taking the engine lock: the layer
+// above keys its own statement caches by it on every execution.
+func (db *DB) Epoch() uint64 { return db.epoch.Load() }
 
 // Table holds the schema and rows of one table. Rows occupy stable slots
 // in paged storage (pages.go): a row's slot never changes, and deleted
@@ -146,18 +143,20 @@ type uniqueSet struct {
 	m    map[string]int
 }
 
+// keyFor returns the constraint's key of a row — its columns' Keys, each
+// terminated by a zero byte — built in one allocation.
 func (u *uniqueSet) keyFor(vals []Value) (string, bool) {
-	var b strings.Builder
+	var buf [64]byte
+	b := buf[:0]
 	for _, ci := range u.cols {
 		v := vals[ci]
 		if v.IsNull() {
 			// SQL semantics: NULL never collides in a unique constraint.
 			return "", false
 		}
-		b.WriteString(v.Key())
-		b.WriteByte(0)
+		b = append(v.appendKey(b), 0)
 	}
-	return b.String(), true
+	return string(b), true
 }
 
 func (t *Table) columnPos(name string) (int, bool) {

@@ -167,7 +167,8 @@ func (v Value) Key() string {
 	case KindNull:
 		return "n"
 	case KindInt:
-		return "i" + strconv.FormatInt(v.Int, 10)
+		var buf [24]byte
+		return string(v.appendKey(buf[:0]))
 	case KindBool:
 		if v.B {
 			return "bt"
@@ -177,6 +178,25 @@ func (v Value) Key() string {
 		return "t" + v.Str
 	default:
 		return "?"
+	}
+}
+
+// appendKey appends Key's bytes to b.
+func (v Value) appendKey(b []byte) []byte {
+	switch v.Kind {
+	case KindNull:
+		return append(b, 'n')
+	case KindInt:
+		return strconv.AppendInt(append(b, 'i'), v.Int, 10)
+	case KindBool:
+		if v.B {
+			return append(b, "bt"...)
+		}
+		return append(b, "bf"...)
+	case KindText:
+		return append(append(b, 't'), v.Str...)
+	default:
+		return append(b, '?')
 	}
 }
 

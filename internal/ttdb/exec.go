@@ -2,6 +2,8 @@ package ttdb
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"warp/internal/sqldb"
 )
@@ -257,7 +259,6 @@ func (db *DB) execInsert(s *sqldb.Insert, cs *sqldb.CachedStmt, params []sqldb.V
 		}
 		m.mu.Unlock()
 	}
-	nApp := len(s.Returning)
 	res, err := db.raw.ExecCached(a.write, ext)
 	if err != nil {
 		if sqldb.IsUniqueViolation(err) {
@@ -277,46 +278,65 @@ func (db *DB) execInsert(s *sqldb.Insert, cs *sqldb.CachedStmt, params []sqldb.V
 	// depends on them (§6), so repair must re-check inserts in dirty
 	// partitions.
 	rec.ReadPartitions = rec.WritePartitions
-	rec.Result = stripResult(res, s.Returning, nApp, res.Affected)
+	rec.Result = stripResult(res, s.Returning)
 	return rec.Result, rec, nil
 }
 
 // noteWrittenRows merges the partitions of a write's rows into the
-// record's write set — an UPDATE notes its captured pre-write rows, then,
-// like every write, its RETURNING rows. The rows carry the row-ID and
-// partition columns by name (physical rows, or returningWithMeta's
-// additions); ids also records the row IDs.
+// record's write set, and with ids their row IDs. The rows carry the
+// row-ID and partition columns by name (physical rows, or
+// returningWithMeta's additions) and, from a versioned UPDATE, the
+// before-image of each partition column its SET wrote (beforeImage), so
+// the set names the partitions rows left as well as those they entered.
 func (db *DB) noteWrittenRows(m *tableMeta, rec *Record, res *sqldb.Result, ids bool) {
 	set := NewPartitionSet()
 	set.AddAll(rec.WritePartitions)
 	var row []sqldb.Value
 	get := func(col string) sqldb.Value {
-		for i, c := range res.Columns {
-			if c == col {
-				return row[i]
-			}
+		if i := column(res, col, false); i >= 0 {
+			return row[i]
 		}
 		return sqldb.Null()
 	}
+	before := func(col string) sqldb.Value {
+		if i := column(res, col, true); i >= 0 {
+			return row[i]
+		}
+		return get(col)
+	}
+	moved := slices.ContainsFunc(res.Columns, func(c string) bool { return strings.HasPrefix(c, sqldb.OldPrefix) })
 	for _, row = range res.Rows {
-		id := get(m.rowIDCol)
 		if ids {
-			rec.WriteRowIDs = append(rec.WriteRowIDs, id)
+			rec.WriteRowIDs = append(rec.WriteRowIDs, get(m.rowIDCol))
 		}
 		set.AddAll(m.rowPartitions(get))
+		if moved {
+			set.AddAll(m.rowPartitions(before))
+		}
 	}
 	rec.WritePartitions = set.Slice()
 }
 
+// column returns the position in res of column col — of its
+// before-image, OLD.col, with old — or -1.
+func column(res *sqldb.Result, col string, old bool) int {
+	for i, c := range res.Columns {
+		if name, isOld := strings.CutPrefix(c, sqldb.OldPrefix); name == col && isOld == old {
+			return i
+		}
+	}
+	return -1
+}
+
 // stripResult hides WARP's RETURNING additions from the application.
-func stripResult(res *sqldb.Result, appReturning []string, nApp int, affected int) *sqldb.Result {
-	out := &sqldb.Result{Affected: affected}
-	if nApp == 0 {
+func stripResult(res *sqldb.Result, appReturning []string) *sqldb.Result {
+	out := &sqldb.Result{Affected: res.Affected}
+	if len(appReturning) == 0 {
 		return out
 	}
 	out.Columns = append(out.Columns, appReturning...)
 	for _, row := range res.Rows {
-		out.Rows = append(out.Rows, row[:nApp])
+		out.Rows = append(out.Rows, row[:len(appReturning)])
 	}
 	return out
 }
@@ -328,80 +348,50 @@ func (db *DB) execUpdate(s *sqldb.Update, cs *sqldb.CachedStmt, params []sqldb.V
 	if a.err != nil {
 		return nil, nil, a.err
 	}
-	// One extended parameter slice drives both phases: the capture select
-	// and the in-place update read the same visibility time and
-	// generation, and phase 2's start_time bump reads the same time.
+	// One engine statement updates the live versions in place, bumping
+	// start_time to t, and keeps each before-image as history closed at t.
 	ext := extParams(params, t, gen, 0)
-
-	// Phase 1: capture the old versions of every matched row. The result
-	// is consumed within this call: partition recording copies values,
-	// and phase 3 re-inserts the rows themselves.
-	oldRows, err := db.raw.ExecCached(a.read, ext)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(oldRows.Rows) == 0 {
-		rec.Result = &sqldb.Result{Affected: 0, Columns: append([]string{}, s.Returning...)}
-		return rec.Result, rec, nil
-	}
-	db.noteWrittenRows(m, rec, oldRows, false)
-	db.capturePreImage(m, s, rec, oldRows)
-
-	// Phase 2: update the live versions in place, bumping start_time.
-	nApp := len(s.Returning)
 	res, err := db.raw.ExecCached(a.write, ext)
 	if err != nil {
-		if sqldb.IsUniqueViolation(err) {
-			rec.ErrText = err.Error()
-			return nil, rec, err
+		if !sqldb.IsUniqueViolation(err) {
+			return nil, nil, err
 		}
-		return nil, nil, err
+		// The failed update changed nothing; its record still names the
+		// rows it would have written, read by the capture select.
+		rec.ErrText = err.Error()
+		if old, cerr := db.raw.ExecCached(a.read, ext); cerr == nil {
+			db.noteWrittenRows(m, rec, old, false)
+			capturePreImage(s, rec, old, false)
+		}
+		return nil, rec, err
+	}
+	if res.Affected == 0 {
+		rec.Result = &sqldb.Result{Columns: append([]string{}, s.Returning...)}
+		return rec.Result, rec, nil
 	}
 	db.noteWrittenRows(m, rec, res, true)
-
-	// Phase 3: re-insert the old versions as history, closed at t.
-	if err := db.insertHistorical(m, oldRows, t); err != nil {
-		return nil, nil, err
-	}
-	rec.Result = stripResult(res, s.Returning, nApp, res.Affected)
+	capturePreImage(s, rec, res, true)
+	rec.Result = stripResult(res, s.Returning)
 	return rec.Result, rec, nil
 }
 
-// capturePreImage records the overwritten value of a mergeable UPDATE:
+// capturePreImage records the overwritten value of a mergeable UPDATE,
+// read from res's SET column — its before-image column with old:
 // exactly one matched row, exactly one SET column, and a text value in
 // that column before the write. The pre-image is the merge base online
 // repair needs to reconcile a live write with a concurrently repaired
 // value; anything wider than one row/column has no well-defined base, so
 // it is simply not captured and such writes queue instead of merging.
-func (db *DB) capturePreImage(m *tableMeta, s *sqldb.Update, rec *Record, oldRows *sqldb.Result) {
-	if len(s.Set) != 1 || len(oldRows.Rows) != 1 {
+func capturePreImage(s *sqldb.Update, rec *Record, res *sqldb.Result, old bool) {
+	if len(s.Set) != 1 || len(res.Rows) != 1 {
 		return
 	}
-	for i, c := range oldRows.Columns {
-		if c == s.Set[0].Column {
-			if v := oldRows.Rows[0][i]; v.Kind == sqldb.KindText {
-				rec.PreImage = v.Str
-				rec.HasPreImage = true
-			}
-			return
+	if i := column(res, s.Set[0].Column, old); i >= 0 {
+		if v := res.Rows[0][i]; v.Kind == sqldb.KindText {
+			rec.PreImage = v.Str
+			rec.HasPreImage = true
 		}
 	}
-}
-
-// insertHistorical re-inserts captured physical rows (in the table's
-// physical column order) with end_time=t. The rows are consumed: their
-// end_time is overwritten in place before each becomes the insert's
-// parameter vector, which the engine copies.
-func (db *DB) insertHistorical(m *tableMeta, oldRows *sqldb.Result, t int64) error {
-	ts := db.stmtsFor(m)
-	end := ts.colOf[ColEndTime]
-	for _, row := range oldRows.Rows {
-		row[end] = sqldb.Int(t)
-		if _, err := db.raw.ExecCached(ts.insert, row); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func (db *DB) execDelete(s *sqldb.Delete, cs *sqldb.CachedStmt, params []sqldb.Value, t, gen int64, rec *Record, m *tableMeta) (*sqldb.Result, *Record, error) {
@@ -409,12 +399,11 @@ func (db *DB) execDelete(s *sqldb.Delete, cs *sqldb.CachedStmt, params []sqldb.V
 	rec.Table = s.Table
 
 	// Deleting is closing the version interval (§4.2): set end_time = t.
-	nApp := len(s.Returning)
 	res, err := db.raw.ExecCached(db.augFor(m, cs).write, extParams(params, t, gen, 0))
 	if err != nil {
 		return nil, nil, err
 	}
 	db.noteWrittenRows(m, rec, res, true)
-	rec.Result = stripResult(res, s.Returning, nApp, res.Affected)
+	rec.Result = stripResult(res, s.Returning)
 	return rec.Result, rec, nil
 }

@@ -11,13 +11,13 @@ import (
 // the four version-interval conjuncts are attached.
 
 // Explain describes the augmented access plan of one application
-// statement — the prepared handles the statement executes as, in every
-// case. An UPDATE renders both executed phases (the capture select and
-// the in-place update) separated by "; "; a DELETE renders as the
-// interval-closing UPDATE it executes as. The description of a statement
-// on a table ends with "; footprint: " and the statement's partition
-// template (footprint.String): which operands bound its lock scope and
-// its read partitions, or "whole table".
+// statement — the one prepared handle it executes as, in every case. An
+// UPDATE renders as its versioned update, the kept before-image shown as
+// keep(warp_end_time); a DELETE as the interval-closing UPDATE it
+// executes as. The description of a statement on a table ends with
+// "; footprint: " and the statement's partition template
+// (footprint.String): which operands bound its lock scope and its read
+// partitions, or "whole table".
 func (db *DB) Explain(src string) (string, error) {
 	cs, err := db.stmts.Get(src)
 	if err != nil {
@@ -36,20 +36,13 @@ func (db *DB) Explain(src string) (string, error) {
 	}
 	defer unlock()
 	a := db.augFor(m, cs)
-	handles := []*sqldb.CachedStmt{a.write}
-	switch cs.Stmt.(type) {
-	case *sqldb.Select:
-		handles = []*sqldb.CachedStmt{a.read}
-	case *sqldb.Update:
-		handles = []*sqldb.CachedStmt{a.read, a.write}
+	h := a.write
+	if _, ok := cs.Stmt.(*sqldb.Select); ok {
+		h = a.read
 	}
-	var out string
-	for _, h := range handles {
-		plan, err := db.raw.ExplainCached(h)
-		if err != nil {
-			return "", err
-		}
-		out += plan + "; "
+	plan, err := db.raw.ExplainCached(h)
+	if err != nil {
+		return "", err
 	}
-	return out + "footprint: " + stateFor(m, cs).fp.String(), nil
+	return plan + "; footprint: " + stateFor(m, cs).fp.String(), nil
 }

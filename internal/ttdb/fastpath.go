@@ -17,9 +17,12 @@ package ttdb
 //     the time and generation from two parameters appended after the
 //     application's, and an INSERT reads its synthesized row IDs from
 //     parameters after those;
-//   - repair and recovery internals — demotion, physical copies, history
-//     re-inserts, version probes, purges — execute the tableStmts handles
-//     hung off the table's meta.
+//   - repair and recovery internals — demotion, revival, version probes,
+//     purges — execute the tableStmts handles hung off the table's meta.
+//
+// A version copy is never an INSERT of its own: the engine's KEEP clause
+// files it in the same statement that closes or confines the version it
+// copies (sqldb.Update).
 //
 // The recorded Record is untouched by any of this: Record.SQL stays the
 // original statement's canonical text and Record.Params the
@@ -34,6 +37,7 @@ package ttdb
 
 import (
 	"fmt"
+	"slices"
 
 	"warp/internal/sqldb"
 )
@@ -48,13 +52,20 @@ type stmtAug struct {
 	err error
 	// read is what a SELECT executes as. For UPDATE and DELETE it is the
 	// capture select — the full physical rows the application's WHERE
-	// matches among the visible versions — which serves UPDATE's phase 1
-	// and both probes of two-phase re-execution.
+	// matches among the visible versions — which finds the rows two-phase
+	// re-execution rolls back.
 	read *sqldb.CachedStmt
 	// write is what a write executes as: the INSERT with its bookkeeping
-	// columns appended, the in-place UPDATE with start_time bumped, or —
+	// columns appended; the versioned UPDATE, which updates the live
+	// versions in place with start_time bumped to t and keeps each
+	// before-image as history closed at t, in one engine statement; or —
 	// for DELETE — the interval-closing UPDATE (end_time = t, §4.2).
 	write *sqldb.CachedStmt
+	// fork, for UPDATE and DELETE, is what two-phase re-execution runs
+	// before the write in the next generation: each matched version still
+	// shared with the current generation is confined to it and a
+	// next-generation copy takes its place (§4.4).
+	fork *sqldb.CachedStmt
 }
 
 // augFor returns the cached augmentation of cs against table m,
@@ -72,6 +83,9 @@ func (db *DB) augFor(m *tableMeta, cs *sqldb.CachedStmt) *stmtAug {
 	}
 	n := cs.NumParams()
 	a := &stmtAug{epoch: epoch}
+	sharedFork := func(where sqldb.Expr) *sqldb.CachedStmt {
+		return fork(m.name, sqldb.And(liveCloneWhere(where, n), cmp(ColStartGen, sqldb.OpLt, n+1)), n+1)
+	}
 	switch s := cs.Stmt.(type) {
 	case *sqldb.Select:
 		aug := s.Clone().(*sqldb.Select)
@@ -109,8 +123,10 @@ func (db *DB) augFor(m *tableMeta, cs *sqldb.CachedStmt) *stmtAug {
 		upd := s.Clone().(*sqldb.Update)
 		upd.Set = append(upd.Set, sqldb.Assignment{Column: ColStartTime, Expr: &sqldb.Param{Index: n}})
 		upd.Where = liveCloneWhere(s.Where, n)
-		upd.Returning = returningWithMeta(m, s.Returning)
+		upd.Keep = []sqldb.Assignment{{Column: ColEndTime, Expr: &sqldb.Param{Index: n}}}
+		upd.Returning = append(returningWithMeta(m, s.Returning), beforeImage(m, setCols)...)
 		a.write = sqldb.NewCachedStmt(upd)
+		a.fork = sharedFork(s.Where)
 	case *sqldb.Delete:
 		a.read = sqldb.NewCachedStmt(m.physicalSelect(liveCloneWhere(s.Where, n)))
 		a.write = sqldb.NewCachedStmt(&sqldb.Update{
@@ -119,9 +135,40 @@ func (db *DB) augFor(m *tableMeta, cs *sqldb.CachedStmt) *stmtAug {
 			Where:     liveCloneWhere(s.Where, n),
 			Returning: returningWithMeta(m, s.Returning),
 		})
+		a.fork = sharedFork(s.Where)
 	}
 	st.aug.Store(a)
 	return a
+}
+
+// beforeImage names the before-image columns (OLD.c) a versioned UPDATE
+// hands back beside returningWithMeta's: every partition column its SET
+// writes, so the write set also names the partitions rows left, and —
+// for a single-column SET — that column, the pre-image online repair
+// merges against (capturePreImage).
+func beforeImage(m *tableMeta, setCols []string) []string {
+	var out []string
+	for _, pc := range m.parts {
+		if slices.Contains(setCols, pc.name) {
+			out = append(out, sqldb.OldPrefix+pc.name)
+		}
+	}
+	if len(setCols) == 1 && m.partCol(setCols[0]) == nil {
+		out = append(out, sqldb.OldPrefix+setCols[0])
+	}
+	return out
+}
+
+// fork prepares the statement that confines every version where matches
+// to the current generation — one before the generation in parameter g —
+// and keeps a copy of it that generation g and later see, with extra
+// overrides (§4.4).
+func fork(table string, where sqldb.Expr, g int, extra ...sqldb.Assignment) *sqldb.CachedStmt {
+	cur := &sqldb.BinaryExpr{Op: sqldb.OpSub, Left: &sqldb.Param{Index: g}, Right: sqldb.Lit(sqldb.Int(1))}
+	return sqldb.NewCachedStmt(&sqldb.Update{Table: table, Where: where,
+		Set: []sqldb.Assignment{{Column: ColEndGen, Expr: cur}},
+		Keep: append([]sqldb.Assignment{{Column: ColStartGen, Expr: &sqldb.Param{Index: g}},
+			{Column: ColEndGen, Expr: sqldb.Lit(sqldb.Int(Infinity))}}, extra...)})
 }
 
 // extParams appends the visibility time and generation to the
@@ -205,14 +252,18 @@ type tableStmts struct {
 	epoch uint64
 	colOf map[string]int // column name -> position in a physical row
 
-	insert     *sqldb.CachedStmt // one physical row: a parameter per column
 	versions   *sqldb.CachedStmt // (rowID, gen): every version of the row visible in gen
 	setEndGen  *sqldb.CachedStmt // (endGen, target...)
 	setEndTime *sqldb.CachedStmt // (endTime, target...)
-	deleteAt   *sqldb.CachedStmt // (target...)
-	purge      *sqldb.CachedStmt // (t, gen): versions ended before t or invisible from gen on
-	dropFrom   *sqldb.CachedStmt // (gen): versions created in gen or later
-	reshare    *sqldb.CachedStmt // (gen): versions demoted to gen become shared again
+	// revive (nextGen, target...) confines a shared version to the current
+	// generation (one before nextGen) and keeps an open copy of it that
+	// starts in nextGen: a closed version made live again in the repair
+	// generation (§4.4).
+	revive   *sqldb.CachedStmt
+	deleteAt *sqldb.CachedStmt // (target...)
+	purge    *sqldb.CachedStmt // (t, gen): versions ended before t or invisible from gen on
+	dropFrom *sqldb.CachedStmt // (gen): versions created in gen or later
+	reshare  *sqldb.CachedStmt // (gen): versions demoted to gen become shared again
 	// uniques probe, per application uniqueness constraint, for live rows
 	// holding given values of the constraint's columns.
 	uniques []uniqueProbe
@@ -239,7 +290,6 @@ func (db *DB) stmtsFor(m *tableMeta) *tableStmts {
 	for i, c := range cols {
 		ts.colOf[c] = i
 	}
-	ts.insert = physicalInsert(m.name, cols)
 	ts.versions = sqldb.NewCachedStmt(m.physicalSelect(
 		sqldb.And(cmp(m.rowIDCol, sqldb.OpEq, 0), visibleInGen(1))))
 
@@ -257,6 +307,7 @@ func (db *DB) stmtsFor(m *tableMeta) *tableStmts {
 	}
 	ts.setEndGen = set(ColEndGen, target(1))
 	ts.setEndTime = set(ColEndTime, target(1))
+	ts.revive = fork(m.name, target(1), 0, sqldb.Assignment{Column: ColEndTime, Expr: sqldb.Lit(sqldb.Int(Infinity))})
 	ts.deleteAt = del(target(0))
 	ts.purge = del(&sqldb.BinaryExpr{Op: sqldb.OpOr,
 		Left: cmp(ColEndTime, sqldb.OpLt, 0), Right: cmp(ColEndGen, sqldb.OpLt, 1)})

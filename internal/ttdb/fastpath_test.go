@@ -75,8 +75,8 @@ func TestIndexAgreesAfterRollbackReinsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Roll page 1 back to just after v1: versions from v2 on vanish from
-	// the next generation and the v1 version revives via demote +
-	// insertCopy (a fresh slot).
+	// the next generation and the v1 version revives as a kept copy (a
+	// fresh slot).
 	if _, err := db.RollbackRow("pages", sqldb.Int(1), recV1.Time+1); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestCachedExecAcrossGenerationSwitch(t *testing.T) {
 // TestCachedWriteAugmentation: UPDATE and DELETE build one parameterized
 // augmentation per DDL epoch — repeated writes through the statement
 // cache keep hitting the same raw-engine handles, DDL rebuilds them (the
-// phase-1 capture column set depends on the table's columns), and the
+// kept before-image's column set depends on the table's columns), and the
 // writes leave full version history behind.
 func TestCachedWriteAugmentation(t *testing.T) {
 	db := newDB(t)
@@ -194,7 +194,7 @@ func TestCachedWriteAugmentation(t *testing.T) {
 	if got := res.FirstValue().AsText(); got != "b" {
 		t.Fatalf("content = %q, want b", got)
 	}
-	// Both cached updates must have gone through the full three phases:
+	// Both cached updates must have kept their before-images: the
 	// original version plus one closed historical version per update.
 	raw, err := db.Raw().Exec("SELECT content FROM pages WHERE page_id = 1")
 	if err != nil {
@@ -205,7 +205,7 @@ func TestCachedWriteAugmentation(t *testing.T) {
 	}
 
 	// DDL moves the epoch: the cached handles must rebuild so the new
-	// column participates in the phase-1 capture.
+	// column participates in the kept before-image.
 	mustExec(t, db, "ALTER TABLE pages ADD COLUMN views INTEGER")
 	mustExec(t, db, upd, sqldb.Text("c"), sqldb.Int(1))
 	if a3 := augOf(cs); a3 == a1 {
@@ -254,7 +254,7 @@ func TestExplainThroughAugmentation(t *testing.T) {
 		{"SELECT content FROM pages ORDER BY title DESC",
 			"select(pages) scan=full order=index-desc(title); footprint: whole table"},
 		{"UPDATE pages SET content = 'x' WHERE page_id = 1",
-			"select(pages) scan=index-eq(page_id, bounded warp_end_time > ?1); update(pages) scan=index-eq(page_id, bounded warp_end_time > ?1); footprint: whole table"},
+			"update(pages) scan=index-eq(page_id, bounded warp_end_time > ?1) keep(warp_end_time); footprint: whole table"},
 		{"DELETE FROM pages WHERE page_id = 1",
 			"update(pages) scan=index-eq(page_id, bounded warp_end_time > ?1); footprint: whole table"},
 		// The footprint line names the operands that bound the lock scope
@@ -263,7 +263,7 @@ func TestExplainThroughAugmentation(t *testing.T) {
 		{"SELECT content FROM pages WHERE title = ?",
 			"select(pages) scan=index-eq(title, bounded warp_end_time > ?2); footprint: lock title=?1; parts pages/title=?1"},
 		{"UPDATE pages SET content = ? WHERE editor = 10 AND title IN ('Main', ?)",
-			"select(pages) scan=index-eq(editor, bounded warp_end_time > ?3); update(pages) scan=index-eq(editor, bounded warp_end_time > ?3); " +
+			"update(pages) scan=index-eq(editor, bounded warp_end_time > ?3) keep(warp_end_time); " +
 				"footprint: lock title='Main', title=?2; parts pages/editor=10, pages/title='Main', pages/title=?2"},
 		{"DELETE FROM pages WHERE editor = ?",
 			"update(pages) scan=index-eq(editor, bounded warp_end_time > ?2); footprint: lock whole table; parts pages/editor=?1"},
@@ -599,9 +599,10 @@ func TestPlanCountersSeeEveryExecution(t *testing.T) {
 			mustExec(t, db, upd, sqldb.Text("v"), sqldb.Int(int64(id)))
 		}
 	})
-	// Capture select, in-place update, history re-insert: three per UPDATE.
-	if d.PlanMisses != 0 || d.PlanHits < 3*(rows-2) {
-		t.Fatalf("%d warm updates: %d plan misses (want 0), %d hits (want >= %d)", rows-2, d.PlanMisses, d.PlanHits, 3*(rows-2))
+	// A versioned UPDATE is one engine statement: the in-place update
+	// keeps its before-image itself.
+	if d.PlanMisses != 0 || d.PlanHits != rows-2 {
+		t.Fatalf("%d warm updates: %d plan misses (want 0), %d hits (want %d)", rows-2, d.PlanMisses, d.PlanHits, rows-2)
 	}
 	d = delta(func() {
 		for id := rows - 8; id < rows; id++ {

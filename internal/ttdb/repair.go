@@ -194,17 +194,6 @@ func (db *DB) writeOne(m *tableMeta, stmt *sqldb.CachedStmt, params []sqldb.Valu
 	return nil
 }
 
-// insertCopy inserts a copy of pr with the given version overrides.
-func (db *DB) insertCopy(m *tableMeta, pr physicalRow, end int64, sGen, eGen int64) error {
-	ts := db.stmtsFor(m)
-	vals := append([]sqldb.Value(nil), pr.row...)
-	vals[ts.colOf[ColEndTime]] = sqldb.Int(end)
-	vals[ts.colOf[ColStartGen]] = sqldb.Int(sGen)
-	vals[ts.colOf[ColEndGen]] = sqldb.Int(eGen)
-	_, err := db.raw.ExecCached(ts.insert, vals)
-	return err
-}
-
 // scopeForRows derives the lock scope for operating on the given rows:
 // the lock-column keys of every version of every row, from an unlocked
 // pre-scan of the raw engine. The pre-scan may go stale before the scope
@@ -323,10 +312,9 @@ func (db *DB) rollbackRowLocked(m *tableMeta, rowID sqldb.Value, t int64, st rep
 				return nil, err
 			}
 		} else {
-			if err := db.demote(m, *latest); err != nil {
-				return nil, err
-			}
-			if err := db.insertCopy(m, *latest, Infinity, next, Infinity); err != nil {
+			// Shared with the current generation: confine it there and keep
+			// an open copy for the next, in one statement.
+			if err := db.writeOne(m, ts.revive, latest.target(sqldb.Int(next)), "revive"); err != nil {
 				return nil, err
 			}
 		}
@@ -561,12 +549,12 @@ func (db *DB) reExecWrite(cs *sqldb.CachedStmt, params []sqldb.Value, t int64, s
 	// Phase A: find the rows the new WHERE clause matches at time t in the
 	// repair generation.
 	var matchedNow []physicalRow
-	var capture *sqldb.CachedStmt
+	var a *stmtAug
 	var ext []sqldb.Value
 	if !isInsert {
-		capture, ext = db.augFor(m, cs).read, extParams(params, t, next, 0)
+		a, ext = db.augFor(m, cs), extParams(params, t, next, 0)
 		var err error
-		if matchedNow, err = db.selectPhysical(m, capture, ext); err != nil {
+		if matchedNow, err = db.selectPhysical(m, a.read, ext); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -596,23 +584,12 @@ func (db *DB) reExecWrite(cs *sqldb.CachedStmt, params []sqldb.Value, t int64, s
 	}
 
 	// Phase C: execute the write at t in the repair generation. Before it
-	// touches rows still shared with the current generation, each such
-	// row is demoted and a next-generation copy takes its place (§4.4).
+	// touches rows still shared with the current generation, one statement
+	// demotes each such row and keeps a next-generation copy in its place
+	// (§4.4).
 	if !isInsert {
-		shared, err := db.selectPhysical(m, capture, ext)
-		if err != nil {
+		if _, err := db.raw.ExecCached(a.fork, ext); err != nil {
 			return nil, nil, err
-		}
-		for _, pr := range shared {
-			if pr.sGen >= next {
-				continue
-			}
-			if err := db.demote(m, pr); err != nil {
-				return nil, nil, err
-			}
-			if err := db.insertCopy(m, pr, pr.end, next, Infinity); err != nil {
-				return nil, nil, err
-			}
 		}
 	}
 	res, rec, err := db.execAt(cs, params, t, next, orig, m, acc)

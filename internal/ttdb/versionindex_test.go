@@ -448,7 +448,7 @@ func TestLiveProbeIgnoresHistory(t *testing.T) {
 			t.Errorf("%s visits %d postings after 1 000 updates of the row, %d after one", name, long, short[name])
 		}
 	}
-	if short["update"] != 2 { // the capture select and the in-place update, one live version each
-		t.Errorf("a point update visits %d postings, want 2", short["update"])
+	if short["update"] != 1 { // one statement, one live version
+		t.Errorf("a point update visits %d postings, want 1", short["update"])
 	}
 }
