@@ -6,13 +6,16 @@
 //	benchgate -parse bench.txt > BENCH_CURRENT.json
 //	benchgate -baseline BENCH_BASELINE.json -current BENCH_CURRENT.json -threshold 0.30
 //
-// The gate fails (exit 1) when any benchmark present in both files got
-// more than threshold slower in ns/op — or, when both files carry
-// allocs_per_op (runs with -benchmem), more than threshold more
-// allocations per op. Benchmarks new in the current run pass by
-// definition; benchmarks that disappeared fail the gate, since silently
-// losing coverage is how regressions hide. The GOMAXPROCS suffix (-8)
-// is stripped so reports compare across runner shapes.
+// Each report records the machine it was measured on: go test's goos,
+// goarch and cpu header lines and the GOMAXPROCS name suffix (-8; none
+// means 1), which is then stripped from the benchmark names. The gate
+// fails (exit 1) when a benchmark present in both files allocates more
+// than threshold more per op (when both carry allocs_per_op, i.e. ran
+// with -benchmem) or — only when both reports come from the same
+// machine — got more than threshold slower in ns/op; across machines it
+// says so and skips ns/op. Benchmarks new in the current run pass by
+// definition; benchmarks that disappeared fail the gate on any machine,
+// since silently losing coverage is how regressions hide.
 package main
 
 import (
@@ -20,6 +23,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -33,8 +37,21 @@ type Metrics struct {
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 }
 
+// Machine is what a report was measured on.
+type Machine struct {
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	CPU        string `json:"cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+}
+
+func (m Machine) String() string {
+	return fmt.Sprintf("%s/%s %q GOMAXPROCS=%d", m.GOOS, m.GOARCH, m.CPU, m.GOMAXPROCS)
+}
+
 // Report is the JSON document benchgate emits and compares.
 type Report struct {
+	Machine    Machine            `json:"machine"`
 	Benchmarks map[string]Metrics `json:"benchmarks"`
 }
 
@@ -83,32 +100,62 @@ func fatal(err error) {
 }
 
 // stripProcs removes the trailing -<GOMAXPROCS> go test appends to
-// benchmark names, so reports from different runner shapes compare.
-func stripProcs(name string) string {
+// benchmark names when GOMAXPROCS is not 1, so reports compare by name,
+// and returns the GOMAXPROCS it named (1 when there is none).
+func stripProcs(name string) (string, int) {
 	i := strings.LastIndex(name, "-")
 	if i < 0 {
-		return name
+		return name, 1
 	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
+	procs, err := strconv.Atoi(name[i+1:])
+	if err != nil {
+		return name, 1
 	}
-	return name[:i]
+	return name[:i], procs
 }
 
-// parseBenchOutput extracts every `BenchmarkX  N  123 ns/op [456 B/op]`
-// line. Repeated runs of one benchmark keep the fastest ns/op, the
-// usual noise-floor convention.
+// parseBenchOutput reads `go test -bench` output from path.
 func parseBenchOutput(path string) (*Report, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	return parseBench(f)
+}
+
+// parseBench extracts every `BenchmarkX  N  123 ns/op [456 B/op]` line
+// and the machine headers each package prints before them. Repeated runs
+// of one benchmark keep the fastest ns/op, the usual noise-floor
+// convention. Packages that disagree on the machine are an error.
+func parseBench(r io.Reader) (*Report, error) {
 	rep := &Report{Benchmarks: make(map[string]Metrics)}
-	sc := bufio.NewScanner(f)
+	set := func(field *string, key, v string) error {
+		if *field != "" && *field != v {
+			return fmt.Errorf("%s headers disagree: %q and %q", key, *field, v)
+		}
+		*field = v
+		return nil
+	}
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
+		line := sc.Text()
+		if key, v, ok := strings.Cut(line, ": "); ok {
+			var err error
+			switch key {
+			case "goos":
+				err = set(&rep.Machine.GOOS, key, v)
+			case "goarch":
+				err = set(&rep.Machine.GOARCH, key, v)
+			case "cpu":
+				err = set(&rep.Machine.CPU, key, v)
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
+		fields := strings.Fields(line)
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
@@ -132,7 +179,11 @@ func parseBenchOutput(path string) (*Report, error) {
 		if !ok {
 			continue
 		}
-		name := stripProcs(fields[0])
+		name, procs := stripProcs(fields[0])
+		if rep.Machine.GOMAXPROCS != 0 && rep.Machine.GOMAXPROCS != procs {
+			return nil, fmt.Errorf("GOMAXPROCS suffixes disagree: %d and %d", rep.Machine.GOMAXPROCS, procs)
+		}
+		rep.Machine.GOMAXPROCS = procs
 		if prev, exists := rep.Benchmarks[name]; !exists || m.NsPerOp < prev.NsPerOp {
 			rep.Benchmarks[name] = m
 		}
@@ -184,6 +235,10 @@ func missingFamilies(base, cur *Report) []string {
 // gate prints a comparison table and reports whether the current run
 // stays within threshold of the baseline.
 func gate(base, cur *Report, threshold float64) bool {
+	sameMachine := base.Machine == cur.Machine
+	if !sameMachine {
+		fmt.Printf("machines differ, ns/op not compared: baseline %v, current %v\n", base.Machine, cur.Machine)
+	}
 	names := make([]string, 0, len(base.Benchmarks))
 	for name := range base.Benchmarks {
 		names = append(names, name)
@@ -198,14 +253,16 @@ func gate(base, cur *Report, threshold float64) bool {
 			pass = false
 			continue
 		}
-		ratio := c.NsPerOp / b.NsPerOp
-		verdict := "ok"
-		if ratio > 1+threshold {
-			verdict = "REGRESSED"
-			pass = false
+		if sameMachine {
+			ratio := c.NsPerOp / b.NsPerOp
+			verdict := "ok"
+			if ratio > 1+threshold {
+				verdict = "REGRESSED"
+				pass = false
+			}
+			fmt.Printf("%-9s%-50s %12.0f -> %12.0f ns/op  (%+.1f%%)\n",
+				verdict, name, b.NsPerOp, c.NsPerOp, (ratio-1)*100)
 		}
-		fmt.Printf("%-9s%-50s %12.0f -> %12.0f ns/op  (%+.1f%%)\n",
-			verdict, name, b.NsPerOp, c.NsPerOp, (ratio-1)*100)
 		// Allocation regressions gate like time regressions: a benchmark
 		// with a baselined allocs/op may not allocate more than threshold
 		// above it. Benchmarks the baseline never measured with -benchmem

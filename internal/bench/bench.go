@@ -1,13 +1,21 @@
-// Package bench regenerates every experimental table of the paper's
-// evaluation (§8, Tables 3–8). Both the testing.B benchmarks at the
-// repository root and cmd/warp-bench drive these functions; the latter
-// prints rows in the paper's layout.
+// Package bench runs the paper's repair experiments and the measurements
+// benchmarks/warpload cannot hold.
 //
-// Absolute numbers differ from the paper — the substrate is this
-// repository's simulator, not Apache/PostgreSQL/Firefox on 2011 hardware —
-// but the shapes under test match: which scenarios repair, who conflicts,
-// what fraction of actions re-executes, how repair scales with workload
-// size, and how WARP compares to the taint-tracking baseline.
+// Tables 3, 4, 5, 7 and 8 of the paper's evaluation (§8) are functions
+// here: cmd/warp-bench prints them in the paper's layout and the tests
+// hold their shapes (TestPaperTableShapes). Absolute numbers differ from
+// the paper — the substrate is this repository's simulator, not
+// Apache/PostgreSQL/Firefox on 2011 hardware — but the shapes match:
+// which scenarios repair, who conflicts, what fraction of actions
+// re-executes, how repair scales with workload size, and how WARP
+// compares to the taint-tracking baseline. Table 6, normal-operation
+// overhead, is measured end to end by benchmarks/warpload.
+//
+// The rest run on one owner-partitioned fixture (fixture.go) and carry
+// the bars warpload does not: repair speedup and equivalence across
+// worker counts (ParallelRepair, PartitionRepair), live latency during
+// an online repair against a stop-the-world one (OnlineRepair), and the
+// fsync-per-append write path (DurableDeployment).
 package bench
 
 import (
@@ -22,12 +30,6 @@ import (
 	"warp/internal/workload"
 )
 
-// DefaultRepairWorkers is the repair worker count every table's repairs
-// run with: 0 means GOMAXPROCS, 1 reproduces the paper's serial engine.
-// cmd/warp-bench sets it from -repair-workers; a repair's outcome is
-// independent of the value, only wall time changes.
-var DefaultRepairWorkers int
-
 // Table3Row is one row of Table 3: scenario, repair method, success, and
 // users with conflicts.
 type Table3Row struct {
@@ -41,7 +43,7 @@ type Table3Row struct {
 func Table3(users int) ([]Table3Row, error) {
 	var rows []Table3Row
 	for _, sc := range attacks.Scenarios() {
-		res, err := workload.Run(workload.Config{Users: users, Victims: 3, Seed: 1000, Scenario: sc, RepairWorkers: DefaultRepairWorkers})
+		res, err := workload.Run(workload.Config{Users: users, Victims: 3, Seed: 1000, Scenario: sc})
 		if err != nil {
 			return nil, fmt.Errorf("%s: workload: %w", sc.Name, err)
 		}
@@ -176,7 +178,7 @@ func table4Run(script string, cfg browser.ReplayConfig) (int, error) {
 		return e.W.RetroPatch(v.File, v.Patch)
 	}
 	res, err := workload.Run(workload.Config{
-		Users: 11, Victims: 8, Seed: 2000, Scenario: sc, Replay: &cfg, RepairWorkers: DefaultRepairWorkers,
+		Users: 11, Victims: 8, Seed: 2000, Scenario: sc, Replay: &cfg,
 	})
 	if err != nil {
 		return 0, err
@@ -276,7 +278,6 @@ func runPerfScenario(label, name string, users int, victimsAtStart bool) (*Table
 	}
 	res, err := workload.Run(workload.Config{
 		Users: users, Victims: 3, Seed: 3000, Scenario: sc, VictimsAtStart: victimsAtStart,
-		RepairWorkers: DefaultRepairWorkers,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%s: workload: %w", label, err)

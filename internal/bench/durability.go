@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"warp/internal/app"
 	"warp/internal/core"
 	"warp/internal/httpd"
 	"warp/internal/store"
-	"warp/internal/ttdb"
 	"warp/internal/workload"
 )
 
@@ -16,29 +14,20 @@ import (
 // same request path with the WAL off (in-memory deployment), with the
 // default windowed group commit, and with an fsync-awaited append.
 
-// DurableDeployment builds the notes application on an in-memory (dir
-// empty) or persistent deployment, ready to serve write requests.
+// DurableDeployment builds the fixture on an in-memory (dir empty) or
+// persistent deployment, ready to serve write requests.
 func DurableDeployment(dir string, opts store.Options) (*core.Warp, error) {
 	cfg := core.Config{Seed: 99, Durability: opts}
 	var w *core.Warp
 	var err error
 	if dir == "" {
 		w = core.New(cfg)
-	} else {
-		if w, err = core.Open(dir, cfg); err != nil {
-			return nil, err
-		}
-	}
-	if err := w.DB.Annotate("notes", ttdb.TableSpec{RowIDColumn: "id", PartitionColumns: []string{"owner"}}); err != nil {
+	} else if w, err = core.Open(dir, cfg); err != nil {
 		return nil, err
 	}
-	if _, _, err := w.DB.Exec("CREATE TABLE IF NOT EXISTS notes (id INTEGER PRIMARY KEY, owner TEXT, body TEXT)"); err != nil {
+	if err := install(w, pageHandler(0, false)); err != nil {
 		return nil, err
 	}
-	if err := w.Runtime.Register("notes.php", app.Version{Entry: notesHandler(0, false)}); err != nil {
-		return nil, err
-	}
-	w.Runtime.Mount("/", "notes.php")
 	return w, nil
 }
 
@@ -50,7 +39,7 @@ func ServeWrites(w *core.Warp, n, idBase int) (time.Duration, error) {
 	for i := 0; i < n; i++ {
 		id := idBase + i
 		resp := w.HandleRequest(httpd.NewRequest("GET",
-			fmt.Sprintf("/?owner=u%d&id=%d&body=note-%d", id%8, id, id)))
+			fmt.Sprintf("/page?owner=u%d&id=%d&body=note-%d", id%8, id, id)))
 		if resp.Status != 200 {
 			return 0, fmt.Errorf("bench: write request %d failed: %d", id, resp.Status)
 		}

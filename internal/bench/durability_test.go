@@ -84,22 +84,22 @@ func TestDurableWorkloadRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	res, _, err := w2.DB.Exec("SELECT COUNT(*) FROM notes")
+	res, _, err := w2.DB.Exec("SELECT COUNT(*) FROM posts")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := res.FirstValue().AsInt(); got != 50 {
-		t.Fatalf("recovered %d notes, want 50", got)
+		t.Fatalf("recovered %d posts, want 50", got)
 	}
 	// And the recovered deployment still accepts writes with fresh IDs.
 	if _, err := ServeWrites(w2, 10, 100); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err = w2.DB.Exec("SELECT COUNT(*) FROM notes")
+	res, _, err = w2.DB.Exec("SELECT COUNT(*) FROM posts")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := res.FirstValue().AsInt(); got != 60 {
-		t.Fatalf("after more writes: %d notes, want 60", got)
+		t.Fatalf("after more writes: %d posts, want 60", got)
 	}
 }

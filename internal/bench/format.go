@@ -27,9 +27,9 @@ func FormatTable3(rows []Table3Row) string {
 func FormatTable4(rows []Table4Row) string {
 	var b strings.Builder
 	b.WriteString("Table 4: Effectiveness of WARP UI repair (users with conflicts, 8 victims).\n")
-	fmt.Fprintf(&b, "%-12s  %-13s  %-13s  %s\n", "Attack action", "No extension", "No text merge", "WARP")
+	fmt.Fprintf(&b, "%-13s  %-13s  %-13s  %s\n", "Attack action", "No extension", "No text merge", "WARP")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-12s  %-13d  %-13d  %d\n", r.AttackAction, r.NoExtension, r.NoTextMerge, r.FullWARP)
+		fmt.Fprintf(&b, "%-13s  %-13d  %-13d  %d\n", r.AttackAction, r.NoExtension, r.NoTextMerge, r.FullWARP)
 	}
 	return b.String()
 }
@@ -58,27 +58,13 @@ func FormatTable5(rows []Table5Row) string {
 		if r.Comparison.WARPNeedsInput {
 			warpInput = "Yes"
 		}
-		fmt.Fprintf(&b, "%-28s  %3d / %-8d  %-10s  %-8d  %s\n",
+		fmt.Fprintf(&b, "%-28s  %3d / %-10d  %-10s  %-8d  %s\n",
 			string(r.Bug), flow.FalsePositives, flowWL.FalsePositives, "Yes",
 			r.Comparison.WARPFalsePositives, warpInput)
 		if direct.FalseNegatives > 0 {
 			fmt.Fprintf(&b, "%-28s  (narrow 'direct' policy would miss %d corrupted rows — false negatives)\n",
 				"", direct.FalseNegatives)
 		}
-	}
-	return b.String()
-}
-
-// FormatTable6 renders Table 6.
-func FormatTable6(rows []Table6Row) string {
-	var b strings.Builder
-	b.WriteString("Table 6: Overheads for users browsing and editing Wiki pages.\n")
-	fmt.Fprintf(&b, "%-9s  %10s %10s %13s   %12s %12s %12s\n",
-		"Workload", "No WARP", "WARP", "During repair", "Browser B/v", "App B/v", "DB B/v")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-9s  %8.1f/s %8.1f/s %11.1f/s   %12.0f %12.0f %12.0f\n",
-			r.Workload, r.NoWARPVisitsPerSec, r.WARPVisitsPerSec, r.DuringRepairPerSec,
-			r.BrowserBytesPerVisit, r.AppBytesPerVisit, r.DBBytesPerVisit)
 	}
 	return b.String()
 }

@@ -8,31 +8,6 @@ import (
 	"warp/internal/core"
 )
 
-// TestFormatTable6FixedInput pins the Table 6 layout on a fixed input, so
-// the paper-style rendering cannot drift silently.
-func TestFormatTable6FixedInput(t *testing.T) {
-	rows := []Table6Row{
-		{
-			Workload:           "Reading",
-			NoWARPVisitsPerSec: 1200.4, WARPVisitsPerSec: 900.26, DuringRepairPerSec: 700.91,
-			BrowserBytesPerVisit: 512.2, AppBytesPerVisit: 1024.7, DBBytesPerVisit: 2048.1,
-		},
-		{
-			Workload:           "Editing",
-			NoWARPVisitsPerSec: 600, WARPVisitsPerSec: 450.5, DuringRepairPerSec: 300.049,
-			BrowserBytesPerVisit: 1024, AppBytesPerVisit: 2048, DBBytesPerVisit: 4096,
-		},
-	}
-	got := FormatTable6(rows)
-	want := "Table 6: Overheads for users browsing and editing Wiki pages.\n" +
-		"Workload      No WARP       WARP During repair    Browser B/v      App B/v       DB B/v\n" +
-		"Reading      1200.4/s    900.3/s       700.9/s            512         1025         2048\n" +
-		"Editing       600.0/s    450.5/s       300.0/s           1024         2048         4096\n"
-	if got != want {
-		t.Fatalf("FormatTable6 drifted:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-}
-
 // TestFormatTable3FixedInput pins the Table 3 layout.
 func TestFormatTable3FixedInput(t *testing.T) {
 	rows := []Table3Row{

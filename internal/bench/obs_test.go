@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,7 +12,6 @@ import (
 	"warp/internal/httpd"
 	"warp/internal/obs"
 	"warp/internal/sqldb"
-	"warp/internal/ttdb"
 )
 
 // TestRepairMetricsLive is the observability acceptance test: during a
@@ -44,7 +42,7 @@ func TestRepairMetricsLive(t *testing.T) {
 	// test, by the timeout).
 	var repairing atomic.Bool
 	seen := make(chan struct{})
-	page := postsHandler(0)
+	page := pageHandler(0, false)
 	gated := func(c *app.Ctx) *httpd.Response {
 		if repairing.Load() {
 			select {
@@ -55,32 +53,11 @@ func TestRepairMetricsLive(t *testing.T) {
 		return page(c)
 	}
 	w := core.New(core.Config{Seed: 99, RepairWorkers: workers})
-	if err := w.DB.Annotate("posts", ttdb.TableSpec{RowIDColumn: "id", PartitionColumns: []string{"owner"}}); err != nil {
+	if err := install(w, gated); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := w.DB.Exec("CREATE TABLE posts (id INTEGER PRIMARY KEY, owner TEXT, body TEXT)"); err != nil {
+	if _, err := seedClients(w, clients, pages); err != nil {
 		t.Fatal(err)
-	}
-	if err := w.Runtime.Register("login.php", app.Version{Entry: loginHandler(false)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Runtime.Register("page.php", app.Version{Entry: gated}); err != nil {
-		t.Fatal(err)
-	}
-	w.Runtime.Mount("/login", "login.php")
-	w.Runtime.Mount("/page", "page.php")
-	id := 0
-	for c := 0; c < clients; c++ {
-		b := w.NewBrowser()
-		if p := b.Open("/login"); p.DOM == nil {
-			t.Fatalf("login failed for client %d", c)
-		}
-		for n := 0; n < pages; n++ {
-			id++
-			if p := b.Open(fmt.Sprintf("/page?owner=%s&id=%d&body=p%d", b.ClientID, id, n)); p.DOM == nil {
-				t.Fatalf("page visit failed for client %d", c)
-			}
-		}
 	}
 
 	before := obs.Default.Snapshot()
@@ -124,7 +101,7 @@ func TestRepairMetricsLive(t *testing.T) {
 	}()
 
 	repairing.Store(true)
-	rep, err := w.RetroPatch("login.php", app.Version{Entry: loginHandler(true), Note: "session hardening"})
+	rep, err := patchLogin(w)
 	close(stop)
 	pollers.Wait()
 	if err != nil {

@@ -6,11 +6,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"warp/internal/app"
 	"warp/internal/core"
 	"warp/internal/httpd"
 	"warp/internal/obs"
-	"warp/internal/ttdb"
 )
 
 // OnlineRepair measures live-request latency *during* a repair — the
@@ -21,9 +19,9 @@ import (
 // window; with exclusive=true the deployment is core's stop-the-world
 // baseline and every mid-repair request stalls for the whole repair.
 //
-// The workload is PartitionRepair's: a hot `posts` table partitioned by
-// owner, a retroactive patch of the login page cascading into a
-// per-client chain of page-visit replays. While the repair runs, one
+// The workload is PartitionRepair's: the fixture's hot `posts` table and
+// patchLogin cascading into a per-client chain of page-visit replays.
+// While the repair runs, one
 // live client keeps issuing steadily paced read+write requests against
 // its own partition (disjoint from every repaired one); the result
 // reports that client's p99 and worst-case latency mid-repair next to
@@ -34,34 +32,11 @@ func OnlineRepair(clients, pages, workers int, appLatency time.Duration, exclusi
 	defer obs.SetEnabled(wasEnabled)
 
 	w := newOnlineWarp(core.Config{Seed: 99, RepairWorkers: workers, RepairSLO: slo}, exclusive)
-	if err := w.DB.Annotate("posts", ttdb.TableSpec{RowIDColumn: "id", PartitionColumns: []string{"owner"}}); err != nil {
+	if err := install(w, pageHandler(appLatency, false)); err != nil {
 		return nil, err
 	}
-	if _, _, err := w.DB.Exec("CREATE TABLE posts (id INTEGER PRIMARY KEY, owner TEXT, body TEXT)"); err != nil {
+	if _, err := seedClients(w, clients, pages); err != nil {
 		return nil, err
-	}
-	if err := w.Runtime.Register("login.php", app.Version{Entry: loginHandler(false)}); err != nil {
-		return nil, err
-	}
-	if err := w.Runtime.Register("page.php", app.Version{Entry: postsHandler(appLatency)}); err != nil {
-		return nil, err
-	}
-	w.Runtime.Mount("/login", "login.php")
-	w.Runtime.Mount("/page", "page.php")
-
-	id := 0
-	for c := 0; c < clients; c++ {
-		b := w.NewBrowser()
-		if p := b.Open("/login"); p.DOM == nil {
-			return nil, fmt.Errorf("bench: login failed for client %d", c)
-		}
-		for n := 0; n < pages; n++ {
-			id++
-			p := b.Open(fmt.Sprintf("/page?owner=%s&id=%d&body=<i>p%d</i>", b.ClientID, id, n))
-			if p.DOM == nil {
-				return nil, fmt.Errorf("bench: page visit failed for client %d", c)
-			}
-		}
 	}
 
 	// The live client: extensionless steady traffic against its own
@@ -113,7 +88,7 @@ func OnlineRepair(clients, pages, workers int, appLatency time.Duration, exclusi
 	}()
 
 	start := time.Now()
-	rep, err := w.RetroPatch("login.php", app.Version{Entry: loginHandler(true), Note: "session hardening"})
+	rep, err := patchLogin(w)
 	repairTime := time.Since(start)
 	close(stop)
 	<-done
@@ -134,14 +109,8 @@ func OnlineRepair(clients, pages, workers int, appLatency time.Duration, exclusi
 		LiveRequests: len(live),
 		Report:       rep,
 	}
-	res, _, err := w.DB.Exec("SELECT owner, body FROM posts ORDER BY id")
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range res.Rows {
-		out.Rows = append(out.Rows, r[0].AsText()+"|"+r[1].AsText())
-	}
-	return out, nil
+	out.Rows, err = postsRows(w)
+	return out, err
 }
 
 // newOnlineWarp builds the deployment under test, or — for exclusive —

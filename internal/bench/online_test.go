@@ -11,49 +11,23 @@ import (
 	"warp/internal/core"
 	"warp/internal/httpd"
 	"warp/internal/sqldb"
-	"warp/internal/ttdb"
 )
 
-// onlineDeployment builds the OnlineRepair workload (hot `posts` table,
-// login + posts pages, clients×pages seeded visits) and returns the
-// deployment plus the first client's owner key, for tests that want to
-// aim live traffic at a partition the repair will claim.
+// onlineDeployment builds the OnlineRepair workload (the fixture with
+// clients×pages seeded visits) and returns the deployment plus the first
+// client's owner key, for tests that want to aim live traffic at a
+// partition the repair will claim.
 func onlineDeployment(t *testing.T, clients, pages int, appLatency time.Duration, cfg core.Config, exclusive bool) (*core.Warp, string) {
 	t.Helper()
 	w := newOnlineWarp(cfg, exclusive)
-	if err := w.DB.Annotate("posts", ttdb.TableSpec{RowIDColumn: "id", PartitionColumns: []string{"owner"}}); err != nil {
+	if err := install(w, pageHandler(appLatency, false)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := w.DB.Exec("CREATE TABLE posts (id INTEGER PRIMARY KEY, owner TEXT, body TEXT)"); err != nil {
+	owners, err := seedClients(w, clients, pages)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Runtime.Register("login.php", app.Version{Entry: loginHandler(false)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Runtime.Register("page.php", app.Version{Entry: postsHandler(appLatency)}); err != nil {
-		t.Fatal(err)
-	}
-	w.Runtime.Mount("/login", "login.php")
-	w.Runtime.Mount("/page", "page.php")
-
-	owner0 := ""
-	id := 0
-	for c := 0; c < clients; c++ {
-		b := w.NewBrowser()
-		if owner0 == "" {
-			owner0 = b.ClientID
-		}
-		if p := b.Open("/login"); p.DOM == nil {
-			t.Fatalf("login failed for client %d", c)
-		}
-		for n := 0; n < pages; n++ {
-			id++
-			if p := b.Open(fmt.Sprintf("/page?owner=%s&id=%d&body=<i>p%d</i>", b.ClientID, id, n)); p.DOM == nil {
-				t.Fatalf("page visit failed for client %d", c)
-			}
-		}
-	}
-	return w, owner0
+	return w, owners[0]
 }
 
 // awaitRepairStart blocks until the deployment is mid-repair (or the
@@ -70,19 +44,6 @@ func awaitRepairStart(w *core.Warp, done chan error) {
 	}
 }
 
-func postsRows(t *testing.T, w *core.Warp) []string {
-	t.Helper()
-	res, _, err := w.DB.Exec("SELECT owner, body FROM posts ORDER BY id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := make([]string, 0, len(res.Rows))
-	for _, r := range res.Rows {
-		rows = append(rows, r[0].AsText()+"|"+r[1].AsText())
-	}
-	return rows
-}
-
 // onlineEquivRun runs one repair with a fixed set of live writes fired
 // mid-repair — three into a partition no repair item touches and three
 // into the first repaired client's partition — and returns the final
@@ -97,7 +58,7 @@ func onlineEquivRun(t *testing.T, exclusive bool) []string {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := w.RetroPatch("login.php", app.Version{Entry: loginHandler(true), Note: "session hardening"})
+		_, err := patchLogin(w)
 		done <- err
 	}()
 	awaitRepairStart(w, done)
@@ -116,7 +77,11 @@ func onlineEquivRun(t *testing.T, exclusive bool) []string {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	return postsRows(t, w)
+	rows, err := postsRows(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
 }
 
 // TestOnlineRepairMatchesExclusive is the online-repair acceptance bar
@@ -189,40 +154,33 @@ func TestOnlineRepairMergesLiveWrite(t *testing.T) {
 func mergeRun(t *testing.T) string {
 	t.Helper()
 	w := core.New(core.Config{Seed: 99, RepairWorkers: 2})
-	if err := w.DB.Annotate("posts", ttdb.TableSpec{RowIDColumn: "id", PartitionColumns: []string{"owner"}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := w.DB.Exec("CREATE TABLE posts (id INTEGER PRIMARY KEY, owner TEXT, body TEXT)"); err != nil {
-		t.Fatal(err)
-	}
 	// The repair must outlast the admission window (the live update
 	// targets a claimed partition, so the gate paces it for the full
 	// admissionWait before it executes): enough filler visits at enough
 	// simulated latency to keep the drain busy well past it.
 	const delay = 8 * time.Millisecond
-	if err := w.Runtime.Register("edit.php", app.Version{Entry: editHandler(false, delay)}); err != nil {
+	if err := install(w, editHandler(false, delay)); err != nil {
 		t.Fatal(err)
 	}
-	w.Runtime.Mount("/edit", "edit.php")
 
 	b := w.NewBrowser()
-	if p := b.Open("/edit?new=1&id=1&owner=u0&body=line1|line2|line3"); p.DOM == nil {
+	if p := b.Open("/page?new=1&id=1&owner=u0&body=line1|line2|line3"); p.DOM == nil {
 		t.Fatal("seed visit failed")
 	}
 	for i := 2; i <= 12; i++ {
-		if p := b.Open(fmt.Sprintf("/edit?new=1&id=%d&owner=u0&body=filler", i)); p.DOM == nil {
+		if p := b.Open(fmt.Sprintf("/page?new=1&id=%d&owner=u0&body=filler", i)); p.DOM == nil {
 			t.Fatal("filler visit failed")
 		}
 	}
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := w.RetroPatch("edit.php", app.Version{Entry: editHandler(true, delay), Note: "harden line1"})
+		_, err := w.RetroPatch("page.php", app.Version{Entry: editHandler(true, delay), Note: "harden line1"})
 		done <- err
 	}()
 	awaitRepairStart(w, done)
 
-	req := httpd.NewRequest("GET", "/edit?id=1&owner=u0&body=line1|line2|line3-user")
+	req := httpd.NewRequest("GET", "/page?id=1&owner=u0&body=line1|line2|line3-user")
 	if resp := w.HandleRequest(req); resp.Status != 200 {
 		t.Fatalf("live update failed with status %d", resp.Status)
 	}
@@ -254,7 +212,7 @@ func TestLiveExecDuringRepairStress(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := w.RetroPatch("login.php", app.Version{Entry: loginHandler(true), Note: "session hardening"})
+		_, err := patchLogin(w)
 		done <- err
 	}()
 	awaitRepairStart(w, done)
@@ -301,7 +259,7 @@ func TestLiveExecDuringRepairStress(t *testing.T) {
 		t.Fatal(lerr)
 	default:
 	}
-	if rows := postsRows(t, w); len(rows) < clients*pages {
-		t.Fatalf("final table has %d rows, want at least %d seeded", len(rows), clients*pages)
+	if rows, err := postsRows(w); err != nil || len(rows) < clients*pages {
+		t.Fatalf("final table has %d rows (%v), want at least %d seeded", len(rows), err, clients*pages)
 	}
 }

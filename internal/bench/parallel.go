@@ -2,14 +2,11 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"warp/internal/app"
 	"warp/internal/core"
 	"warp/internal/httpd"
-	"warp/internal/sqldb"
-	"warp/internal/ttdb"
 )
 
 // ParallelRepairResult is one measurement of the repair scheduler's
@@ -20,36 +17,25 @@ type ParallelRepairResult struct {
 	Report     *core.Report
 }
 
-// ParallelRepair builds a partition-disjoint notes workload — users
-// independent owners, each with notesPerUser recorded runs in their own
-// partition — retro-patches the application, and measures the repair wall
-// time with the given worker count. appLatency is the simulated per-run
-// application cost (the PHP render / app-server round trip of the paper's
-// stack); it is what parallel repair overlaps across workers.
+// ParallelRepair builds a partition-disjoint workload on the fixture —
+// users independent owners, each with postsPerUser recorded runs of the
+// page in their own partition — retro-patches the page to sanitize, and
+// measures the repair wall time with the given worker count.
 //
 // Every run re-executes under the patch, runs touch only their owner's
 // partition, and the final table state is identical at every worker
 // count; only the wall time changes.
-func ParallelRepair(users, notesPerUser, workers int, appLatency time.Duration) (*ParallelRepairResult, error) {
+func ParallelRepair(users, postsPerUser, workers int, appLatency time.Duration) (*ParallelRepairResult, error) {
 	w := core.New(core.Config{Seed: 321, RepairWorkers: workers})
-	if err := w.DB.Annotate("notes", ttdb.TableSpec{RowIDColumn: "id", PartitionColumns: []string{"owner"}}); err != nil {
+	if err := install(w, pageHandler(appLatency, false)); err != nil {
 		return nil, err
 	}
-	if _, _, err := w.DB.Exec("CREATE TABLE notes (id INTEGER PRIMARY KEY, owner TEXT, body TEXT)"); err != nil {
-		return nil, err
-	}
-	handler := notesHandler(appLatency, false)
-	if err := w.Runtime.Register("notes.php", app.Version{Entry: handler}); err != nil {
-		return nil, err
-	}
-	w.Runtime.Mount("/", "notes.php")
-
 	id := 0
 	for u := 0; u < users; u++ {
-		for n := 0; n < notesPerUser; n++ {
+		for n := 0; n < postsPerUser; n++ {
 			id++
 			resp := w.HandleRequest(httpd.NewRequest("GET",
-				fmt.Sprintf("/?owner=u%d&id=%d&body=<i>n%d</i>", u, id, n)))
+				fmt.Sprintf("/page?owner=u%d&id=%d&body=<i>n%d</i>", u, id, n)))
 			if resp.Status != 200 {
 				return nil, fmt.Errorf("bench: seed request failed: %d", resp.Status)
 			}
@@ -57,44 +43,9 @@ func ParallelRepair(users, notesPerUser, workers int, appLatency time.Duration) 
 	}
 
 	start := time.Now()
-	rep, err := w.RetroPatch("notes.php", app.Version{Entry: notesHandler(appLatency, true), Note: "sanitize"})
+	rep, err := w.RetroPatch("page.php", app.Version{Entry: pageHandler(appLatency, true), Note: "sanitize"})
 	if err != nil {
 		return nil, err
 	}
 	return &ParallelRepairResult{Workers: workers, RepairTime: time.Since(start), Report: rep}, nil
-}
-
-// notesHandler builds the bench application: insert one note into the
-// owner's partition, render the owner's notes. sanitize selects the
-// patched version, which HTML-escapes bodies (so every response changes
-// and every recorded run re-executes under RetroPatch).
-func notesHandler(appLatency time.Duration, sanitize bool) app.Script {
-	return func(c *app.Ctx) *httpd.Response {
-		if body := c.Req.Param("body"); body != "" {
-			if sanitize {
-				body = strings.ReplaceAll(strings.ReplaceAll(body, "<", "&lt;"), ">", "&gt;")
-			}
-			c.MustQuery("INSERT INTO notes (id, owner, body) VALUES (?, ?, ?)",
-				sqldb.Int(atoi(c.Req.Param("id"))), sqldb.Text(c.Req.Param("owner")), sqldb.Text(body))
-		}
-		res := c.MustQuery("SELECT body FROM notes WHERE owner = ?", sqldb.Text(c.Req.Param("owner")))
-		// The simulated application work (template rendering, helper I/O):
-		// the part of a run the scheduler overlaps across workers.
-		if appLatency > 0 {
-			time.Sleep(appLatency)
-		}
-		var b strings.Builder
-		b.WriteString("<html><body><ul>")
-		for _, row := range res.Rows {
-			b.WriteString("<li>" + row[0].AsText() + "</li>")
-		}
-		b.WriteString("</ul></body></html>")
-		return httpd.HTML(b.String())
-	}
-}
-
-func atoi(s string) int64 {
-	var n int64
-	fmt.Sscanf(s, "%d", &n)
-	return n
 }

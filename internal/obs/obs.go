@@ -20,8 +20,9 @@
 //
 // Histogram.Observe itself is three atomic adds and never allocates, so
 // enabling observability is cheap enough to leave on in production;
-// cmd/warp-server and cmd/warp-bench enable it at startup, and
-// BenchmarkInstrumentedExec holds the overhead bound in CI.
+// cmd/warp-server enables it at startup, benchmarks/warpload for its
+// traced runs (--trace 1), and BenchmarkInstrumentedExec holds the
+// overhead bound in CI.
 //
 // See docs/observability.md for the metric inventory.
 package obs
