@@ -32,13 +32,14 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 // TestFailuresNameBadRows: an unrepaired Table 3 scenario and a Table 5
 // row with WARP false positives are failures; good rows are not.
 func TestFailuresNameBadRows(t *testing.T) {
-	t3 := []bench.Table3Row{{Scenario: "CSRF", Repaired: true, UsersConflict: 1}, {Scenario: "ACL error"}}
+	t3 := []bench.Table3Row{{Scenario: "CSRF", UsersConflict: 1}, {Scenario: "ACL error", UnderRepair: 2}}
 	t5 := []bench.Table5Row{
 		{Bug: "clean", Comparison: &taint.Comparison{}},
 		{Bug: "noisy", Comparison: &taint.Comparison{WARPFalsePositives: 2}},
 	}
 	got := failures(t3, t5)
-	want := []string{"Table 3: ACL error not repaired", "Table 5: noisy: WARP reports 2 false positives"}
+	want := []string{"Table 3: ACL error not repaired: 2 rows differ from the attack-free twin",
+		"Table 5: noisy: WARP reports 2 false positives"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("failures = %q, want %q", got, want)
 	}

@@ -1,15 +1,16 @@
 // Command warp-demo runs the six §8.2 attack scenarios end to end on a
 // small multi-user workload and narrates what WARP does for each: the
 // attack, the recovery initiation (retroactive patch or visit undo), and
-// the verified outcome. It is the quickest way to see the whole system
-// work.
+// the verified outcome: how many rows differ from the attack-free twin
+// (the same workload with the scenario's fix in place from the start)
+// before and after repair. It exits 1 when a repair leaves any. It is the
+// quickest way to see the whole system work.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"warp/internal/attacks"
 	"warp/internal/webapp/wiki"
@@ -45,12 +46,12 @@ func runScenario(sc *attacks.Scenario, users int) error {
 	fmt.Printf("workload: %d users, %d page visits, %d app runs, %d queries; attack executed\n",
 		users, res.PageVisits, res.AppRuns, res.Queries)
 
-	team, _ := res.Env.App.PageContent(res.Env.TargetPage)
-	fmt.Printf("state before repair: team page %d bytes", len(team))
-	if strings.Contains(team, "PWNED") || strings.Contains(team, "mooo") {
-		fmt.Printf(" (CORRUPTED)")
+	before, err := res.UnderRepair()
+	if err != nil {
+		return err
 	}
-	fmt.Printf("\ninitiating %s…\n", sc.InitialRepair)
+	fmt.Printf("state before repair: %d rows differ from the attack-free twin\n", before)
+	fmt.Printf("initiating %s…\n", sc.InitialRepair)
 
 	rep, err := sc.Repair(res.Env)
 	if err != nil {
@@ -58,21 +59,14 @@ func runScenario(sc *attacks.Scenario, users int) error {
 	}
 	fmt.Println("repair:", rep.String())
 
-	team, _ = res.Env.App.PageContent(res.Env.TargetPage)
-	clean := !strings.Contains(team, "PWNED") && !strings.Contains(team, "mooo")
-	if got, _ := res.Env.App.PageContent("Main"); strings.Contains(got, "SQLI-ATTACK") {
-		clean = false
+	after, err := res.UnderRepair()
+	if err != nil {
+		return err
 	}
-	if got, _ := res.Env.App.PageContent("Restricted"); strings.Contains(got, "should not") {
-		clean = false
+	fmt.Printf("verified: repaired=%v (%d rows differ from the attack-free twin), users needing input=%d\n\n",
+		after == 0, after, rep.UsersWithConflicts())
+	if after != 0 {
+		return fmt.Errorf("not repaired")
 	}
-	preserved := true
-	for _, u := range res.Env.Others {
-		if !strings.Contains(team, "note from "+u.Name) {
-			preserved = false
-		}
-	}
-	fmt.Printf("verified: attack undone=%v, legitimate work preserved=%v, users needing input=%d\n\n",
-		clean, preserved, rep.UsersWithConflicts())
 	return nil
 }

@@ -1,43 +1,15 @@
 package attacks_test
 
 import (
-	"strings"
 	"testing"
 
 	"warp/internal/attacks"
 	"warp/internal/workload"
 )
 
-// verifyRepaired checks that no attack residue survived and the background
-// users' legitimate edits are intact (the Table 3 "Repaired?" criterion).
-func verifyRepaired(t *testing.T, res *workload.Result) {
-	t.Helper()
-	app := res.Env.App
-	team, err := app.PageContent(res.Env.TargetPage)
-	if err != nil {
-		t.Fatalf("target page: %v", err)
-	}
-	for _, residue := range []string{"PWNED", "mooo"} {
-		if strings.Contains(team, residue) {
-			t.Fatalf("attack residue %q survived on %s:\n%s", residue, res.Env.TargetPage, team)
-		}
-	}
-	if got, _ := app.PageContent("Main"); strings.Contains(got, "SQLI-ATTACK") {
-		t.Fatalf("SQL injection residue survived on Main:\n%s", got)
-	}
-	if got, _ := app.PageContent("Restricted"); strings.Contains(got, "should not") {
-		t.Fatalf("ACL-error residue survived on Restricted:\n%s", got)
-	}
-	for _, u := range res.Env.Others {
-		if !strings.Contains(team, "note from "+u.Name) {
-			t.Fatalf("legitimate edit of %s lost from %s:\n%s", u.Name, res.Env.TargetPage, team)
-		}
-	}
-}
-
 // TestScenariosEndToEnd drives each of the six §8.2 attack scenarios
 // through a full workload and repair — with the parallel scheduler — and
-// verifies the attack's effects are gone while users' work survives.
+// verifies the repaired deployment equals its attack-free twin.
 func TestScenariosEndToEnd(t *testing.T) {
 	for _, sc := range attacks.Scenarios() {
 		t.Run(sc.Name, func(t *testing.T) {
@@ -60,7 +32,9 @@ func TestScenariosEndToEnd(t *testing.T) {
 			if rep.AppRunsReexecuted == 0 && rep.RunsCancelled == 0 {
 				t.Fatal("repair did no work")
 			}
-			verifyRepaired(t, res)
+			if n, err := res.UnderRepair(); err != nil || n != 0 {
+				t.Fatalf("under-repair = %d rows (err %v), want 0", n, err)
+			}
 		})
 	}
 }
@@ -98,7 +72,9 @@ func TestScenarioConflictShape(t *testing.T) {
 			if got := rep.UsersWithConflicts() > 0; got != want {
 				t.Fatalf("users with conflicts = %d, want >0 == %v", rep.UsersWithConflicts(), want)
 			}
-			verifyRepaired(t, res)
+			if n, err := res.UnderRepair(); err != nil || n != 0 {
+				t.Fatalf("under-repair = %d rows (err %v), want 0", n, err)
+			}
 		})
 	}
 }

@@ -31,11 +31,13 @@ import (
 )
 
 // Table3Row is one row of Table 3: scenario, repair method, success, and
-// users with conflicts.
+// users with conflicts. UnderRepair counts the rows in which the repaired
+// deployment differs from its attack-free twin (workload.Result's
+// UnderRepair); 0 means repaired.
 type Table3Row struct {
 	Scenario      string
 	InitialRepair string
-	Repaired      bool
+	UnderRepair   int
 	UsersConflict int
 }
 
@@ -51,43 +53,18 @@ func Table3(users int) ([]Table3Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: repair: %w", sc.Name, err)
 		}
-		repaired, err := verifyRepaired(res)
+		under, err := res.UnderRepair()
 		if err != nil {
-			return nil, fmt.Errorf("%s: verify: %w", sc.Name, err)
+			return nil, fmt.Errorf("%s: %w", sc.Name, err)
 		}
 		rows = append(rows, Table3Row{
 			Scenario:      sc.Name,
 			InitialRepair: sc.InitialRepair,
-			Repaired:      repaired,
+			UnderRepair:   under,
 			UsersConflict: rep.UsersWithConflicts(),
 		})
 	}
 	return rows, nil
-}
-
-// verifyRepaired checks that no attack residue survived and background
-// work is intact.
-func verifyRepaired(res *workload.Result) (bool, error) {
-	app := res.Env.App
-	team, err := app.PageContent(res.Env.TargetPage)
-	if err != nil {
-		return false, err
-	}
-	if strings.Contains(team, "PWNED") || strings.Contains(team, "mooo") {
-		return false, nil
-	}
-	if got, _ := app.PageContent("Main"); strings.Contains(got, "SQLI-ATTACK") {
-		return false, nil
-	}
-	if got, _ := app.PageContent("Restricted"); strings.Contains(got, "should not") {
-		return false, nil
-	}
-	for _, u := range res.Env.Others {
-		if !strings.Contains(team, "note from "+u.Name) {
-			return false, nil
-		}
-	}
-	return true, nil
 }
 
 // Table4Row is one row of Table 4: users with conflicts per replay

@@ -11,14 +11,15 @@ import (
 // TestFormatTable3FixedInput pins the Table 3 layout.
 func TestFormatTable3FixedInput(t *testing.T) {
 	rows := []Table3Row{
-		{Scenario: "Reflected XSS", InitialRepair: "Retroactive patching", Repaired: true, UsersConflict: 0},
-		{Scenario: "ACL error", InitialRepair: "Admin-initiated", Repaired: false, UsersConflict: 1},
+		{Scenario: "Reflected XSS", InitialRepair: "Retroactive patching", UnderRepair: 0, UsersConflict: 0},
+		{Scenario: "ACL error", InitialRepair: "Admin-initiated", UnderRepair: 3, UsersConflict: 1},
 	}
 	got := FormatTable3(rows)
 	want := "Table 3: WARP repairs the attack scenarios listed in Table 2.\n" +
+		"Repaired: equal to the attack-free twin; in brackets, the rows that differ.\n" +
 		"Attack scenario   Initial repair          Repaired?  # users with conflicts\n" +
-		"Reflected XSS     Retroactive patching    yes        0\n" +
-		"ACL error         Admin-initiated         NO         1\n"
+		"Reflected XSS     Retroactive patching    yes (0)    0\n" +
+		"ACL error         Admin-initiated         NO (3)     1\n"
 	if got != want {
 		t.Fatalf("FormatTable3 drifted:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}

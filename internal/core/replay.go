@@ -243,13 +243,19 @@ func (rs *session) runClean(payload *RunPayload) bool {
 func (rs *session) executeRun(origAct *history.Action, req *httpd.Request, booked *time.Duration) (*httpd.Response, error) {
 	origPayload := origAct.Payload.(*RunPayload)
 	orig := origPayload.Rec
-	node := exchangeOf(req)
+	node := origAct.Exchange
 	// Remember the original mapping before it is overwritten.
 	rs.mu.Lock()
 	if _, ok := rs.origRuns[node]; !ok {
 		rs.origRuns[node] = origAct.ID
 	}
+	prev := rs.served[node]
 	rs.mu.Unlock()
+	// Every re-execution matches against the original run, so one this
+	// session already made is undone here, or its writes would outlive it.
+	if prev != nil && prev.run != 0 && prev.run != origAct.ID {
+		rs.undoRun(rs.w.Graph.Get(prev.run).Payload.(*RunPayload), req.ClientID, req.VisitID)
+	}
 
 	file, ok := rs.w.Runtime.RouteOf(req.Path)
 	if !ok {
@@ -310,13 +316,8 @@ func (rs *session) executeRun(origAct *history.Action, req *httpd.Request, booke
 	}
 
 	// The original run and its queries no longer describe the timeline.
-	origPayload.Superseded.Store(true)
-	for _, qid := range origPayload.QueryActions {
-		if qa := rs.w.Graph.Get(qid); qa != nil {
-			qa.Payload.(*QueryPayload).Superseded.Store(true)
-		}
-	}
-	rs.w.recordRun(newRec, true)
+	rs.retire(origPayload)
+	run := rs.w.recordRun(newRec, true)
 
 	// Cascade to the browser if the client-visible response changed (§5).
 	if orig.Resp != nil && newRec.Resp != nil && orig.Resp.Fingerprint() != newRec.Resp.Fingerprint() {
@@ -324,7 +325,7 @@ func (rs *session) executeRun(origAct *history.Action, req *httpd.Request, booke
 		rs.cascadeToBrowser(orig.Req)
 	}
 	rs.mu.Lock()
-	rs.served[node] = &servedEntry{reqFP: req.Fingerprint(), resp: newRec.Resp}
+	rs.served[node] = &servedEntry{reqFP: req.Fingerprint(), resp: newRec.Resp, run: run}
 	rs.mu.Unlock()
 	return newRec.Resp, nil
 }
@@ -384,13 +385,22 @@ func (rs *session) cancelExchange(clientID string, visitID, requestID int64) {
 	rs.cancelRun(act.Payload.(*RunPayload), clientID, visitID)
 }
 
-// cancelRun undoes one recorded application run: its writes are rolled
-// back and the run and its queries leave the repaired timeline. Shared by
-// exchange cancellation (UndoVisit, dropped replay requests) and
-// partition cancellation (UndoPartition).
+// cancelRun undoes one recorded application run and counts it cancelled.
+// Shared by exchange cancellation (UndoVisit, dropped replay requests)
+// and partition cancellation (UndoPartition).
 func (rs *session) cancelRun(payload *RunPayload, clientID string, visitID int64) {
+	if rs.undoRun(payload, clientID, visitID) {
+		rs.mu.Lock()
+		rs.rep.RunsCancelled++
+		rs.mu.Unlock()
+	}
+}
+
+// undoRun rolls back a run's writes and takes the run and its queries
+// off the repaired timeline; false when it was off already.
+func (rs *session) undoRun(payload *RunPayload, clientID string, visitID int64) bool {
 	if payload.Superseded.Load() {
-		return
+		return false
 	}
 	for _, q := range payload.Rec.Queries {
 		if q.IsWrite() {
@@ -404,15 +414,18 @@ func (rs *session) cancelRun(payload *RunPayload, clientID string, visitID int64
 			}
 		}
 	}
+	rs.retire(payload)
+	return true
+}
+
+// retire takes a run and its queries off the repaired timeline.
+func (rs *session) retire(payload *RunPayload) {
 	payload.Superseded.Store(true)
 	for _, qid := range payload.QueryActions {
 		if qa := rs.w.Graph.Get(qid); qa != nil {
 			qa.Payload.(*QueryPayload).Superseded.Store(true)
 		}
 	}
-	rs.mu.Lock()
-	rs.rep.RunsCancelled++
-	rs.mu.Unlock()
 }
 
 // cancelVisitTree deep-cancels a visit that no longer happens in the

@@ -105,10 +105,12 @@ type session struct {
 
 // servedEntry caches the outcome of re-serving one HTTP exchange during
 // repair, so a visit replay does not re-execute a run the controller
-// already re-executed (§5.3 pruning).
+// already re-executed (§5.3 pruning). run is the re-executed run's
+// action, 0 for a fresh run.
 type servedEntry struct {
 	reqFP uint64
 	resp  *httpd.Response
+	run   history.ActionID
 }
 
 func (w *Warp) newSession(gen int64) *session {

@@ -7,6 +7,7 @@ import (
 	"warp/internal/browser"
 	"warp/internal/core"
 	"warp/internal/history"
+	"warp/internal/ttdb"
 	"warp/internal/webapp/blog"
 	"warp/internal/webapp/gallery"
 )
@@ -40,33 +41,42 @@ type Comparison struct {
 	Bug       Bug
 	Corrupted int // ground-truth corrupted rows
 
+	// Baseline's policies all need the administrator to identify the
+	// buggy request (and supply white-lists).
 	Baseline []PolicyResult
-	// BaselineNeedsInput is always true: the administrator must identify
-	// the buggy request (and supply white-lists).
-	BaselineNeedsInput bool
 
-	// WARP's results: rows left different from the bug-free oracle after
-	// retroactive patching (want 0), and conflicts requiring user input
-	// (want 0).
+	// WARP's results: rows left different from the bug-free twin after
+	// retroactive patching (ttdb.UnderRepair; want 0), and conflicts
+	// requiring user input (want 0).
 	WARPFalsePositives int
 	WARPConflicts      int
-	WARPNeedsInput     bool
 }
 
 // bugSpec describes one comparison scenario: how to deploy the
 // application, drive the workload, and patch the bug.
 type bugSpec struct {
-	bug       Bug
-	file      string   // buggy source file
-	tables    []string // tables to diff, with their row ID columns
-	rowIDCols []string
+	file      string // buggy source file, served at "/"+file
+	bugURL    string // the request that triggers the bug
 	whitelist map[string]bool
+	// install installs the application, returning the bug's patch and
+	// the step that seeds the base state.
+	install func(w *core.Warp) (patch app.Version, seed func() error, err error)
+	// workload drives the full activity, bugURL among it.
+	workload func(w *core.Warp, scale int, bugURL string) error
+}
 
-	deploy func(seed int64, fixed bool) (*core.Warp, app.Version, error)
-	// workload drives the full activity. It returns the run action of the
-	// bug-triggering request (identified by URL path).
-	workload func(w *core.Warp, scale int) error
-	bugPath  string // request path that triggers the bug
+// deploy installs and seeds one deployment, with the bug fixed from the
+// start when fixed is set.
+func (spec *bugSpec) deploy(fixed bool) (*core.Warp, app.Version, error) {
+	w := core.New(core.Config{Seed: 41})
+	patch, seed, err := spec.install(w)
+	if err == nil && fixed {
+		err = w.Runtime.Patch(spec.file, patch)
+	}
+	if err == nil {
+		err = seed()
+	}
+	return w, patch, err
 }
 
 // RunComparison reproduces one Table 5 row at the given workload scale
@@ -81,37 +91,37 @@ func RunComparison(bug Bug, scale int) (*Comparison, error) {
 	}
 
 	// Twin deployments: buggy and oracle (bug fixed from the start).
-	buggy, patch, err := spec.deploy(41, false)
+	buggy, patch, err := spec.deploy(false)
 	if err != nil {
 		return nil, err
 	}
-	oracle, _, err := spec.deploy(41, true)
+	oracle, _, err := spec.deploy(true)
 	if err != nil {
 		return nil, err
 	}
-	if err := spec.workload(buggy, scale); err != nil {
+	if err := spec.workload(buggy, scale, spec.bugURL); err != nil {
 		return nil, err
 	}
-	if err := spec.workload(oracle, scale); err != nil {
+	if err := spec.workload(oracle, scale, spec.bugURL); err != nil {
 		return nil, err
 	}
 
 	// Ground truth: rows that differ between the buggy and bug-free runs.
 	corrupted := make(map[RowKey]bool)
-	for i, table := range spec.tables {
-		diff, err := DiffRows(buggy.DB, oracle.DB, table, spec.rowIDCols[i])
+	for _, table := range oracle.DB.Tables() {
+		diff, err := ttdb.DiffRows(buggy.DB, oracle.DB, table)
 		if err != nil {
 			return nil, err
 		}
 		for _, k := range diff {
-			corrupted[k] = true
+			corrupted[RowKey{Table: table, Key: k}] = true
 		}
 	}
 
-	cmp := &Comparison{Bug: bug, Corrupted: len(corrupted), BaselineNeedsInput: true}
+	cmp := &Comparison{Bug: bug, Corrupted: len(corrupted)}
 
 	// The baseline's administrator identifies the bug-triggering request.
-	buggyRun, err := findRunByPath(buggy, spec.bugPath)
+	buggyRun, err := findRunByPath(buggy, "/"+spec.file)
 	if err != nil {
 		return nil, err
 	}
@@ -134,14 +144,9 @@ func RunComparison(bug Bug, scale int) (*Comparison, error) {
 		return nil, err
 	}
 	cmp.WARPConflicts = len(rep.Conflicts)
-	for i, table := range spec.tables {
-		diff, err := DiffRows(buggy.DB, oracle.DB, table, spec.rowIDCols[i])
-		if err != nil {
-			return nil, err
-		}
-		cmp.WARPFalsePositives += len(diff)
+	if cmp.WARPFalsePositives, err = ttdb.UnderRepair(buggy.DB, oracle.DB); err != nil {
+		return nil, err
 	}
-	cmp.WARPNeedsInput = cmp.WARPConflicts > 0
 	return cmp, nil
 }
 
@@ -157,126 +162,59 @@ func findRunByPath(w *core.Warp, path string) (history.ActionID, error) {
 }
 
 func specFor(bug Bug) (*bugSpec, error) {
+	posts, photos := map[string]bool{"posts": true}, map[string]bool{"photos": true}
 	switch bug {
 	case BugLostVotes:
-		return &bugSpec{
-			bug:       bug,
-			file:      "editpost.php",
-			bugPath:   "/editpost.php",
-			tables:    []string{"posts", "votes", "comments", "digests"},
-			rowIDCols: []string{"node_id", "", "", "node_id"},
-			whitelist: map[string]bool{"posts": true},
-			deploy: func(seed int64, fixed bool) (*core.Warp, app.Version, error) {
-				w := core.New(core.Config{Seed: seed})
-				a, err := blog.Install(w)
-				if err != nil {
-					return nil, app.Version{}, err
-				}
-				patch := a.EditpostFixed()
-				if fixed {
-					if err := w.Runtime.Patch("editpost.php", patch); err != nil {
-						return nil, app.Version{}, err
-					}
-				}
-				if err := seedBlog(a); err != nil {
-					return nil, app.Version{}, err
-				}
-				return w, patch, nil
-			},
-			workload: func(w *core.Warp, scale int) error {
-				return blogWorkload(w, scale, "/editpost.php?id=1&body=edited+body")
-			},
-		}, nil
+		return &bugSpec{file: "editpost.php", bugURL: "/editpost.php?id=1&body=edited+body", whitelist: posts,
+			install: installBlog((*blog.App).EditpostFixed), workload: blogWorkload}, nil
 	case BugLostComments:
-		return &bugSpec{
-			bug:       bug,
-			file:      "movepost.php",
-			bugPath:   "/movepost.php",
-			tables:    []string{"posts", "votes", "comments", "digests"},
-			rowIDCols: []string{"node_id", "", "", "node_id"},
-			whitelist: map[string]bool{"posts": true},
-			deploy: func(seed int64, fixed bool) (*core.Warp, app.Version, error) {
-				w := core.New(core.Config{Seed: seed})
-				a, err := blog.Install(w)
-				if err != nil {
-					return nil, app.Version{}, err
-				}
-				patch := a.MovepostFixed()
-				if fixed {
-					if err := w.Runtime.Patch("movepost.php", patch); err != nil {
-						return nil, app.Version{}, err
-					}
-				}
-				if err := seedBlog(a); err != nil {
-					return nil, app.Version{}, err
-				}
-				return w, patch, nil
-			},
-			workload: func(w *core.Warp, scale int) error {
-				return blogWorkload(w, scale, "/movepost.php?id=1&category=archive")
-			},
-		}, nil
+		return &bugSpec{file: "movepost.php", bugURL: "/movepost.php?id=1&category=archive", whitelist: posts,
+			install: installBlog((*blog.App).MovepostFixed), workload: blogWorkload}, nil
 	case BugRemovePerms:
-		return &bugSpec{
-			bug:       bug,
-			file:      "movephoto.php",
-			bugPath:   "/movephoto.php",
-			tables:    []string{"photos", "perms"},
-			rowIDCols: []string{"photo_id", ""},
-			whitelist: map[string]bool{"photos": true},
-			deploy:    deployGallery("movephoto.php"),
-			workload: func(w *core.Warp, scale int) error {
-				return galleryWorkload(w, scale, "/movephoto.php?id=1&album=2")
-			},
-		}, nil
+		return &bugSpec{file: "movephoto.php", bugURL: "/movephoto.php?id=1&album=2", whitelist: photos,
+			install: installGallery((*gallery.App).MovephotoFixed), workload: galleryWorkload}, nil
 	case BugResizeImages:
-		return &bugSpec{
-			bug:       bug,
-			file:      "resize.php",
-			bugPath:   "/resize.php",
-			tables:    []string{"photos", "perms"},
-			rowIDCols: []string{"photo_id", ""},
-			whitelist: map[string]bool{"photos": true},
-			deploy:    deployGallery("resize.php"),
-			workload: func(w *core.Warp, scale int) error {
-				return galleryWorkload(w, scale, "/resize.php?id=1")
-			},
-		}, nil
+		return &bugSpec{file: "resize.php", bugURL: "/resize.php?id=1", whitelist: photos,
+			install: installGallery((*gallery.App).ResizeFixed), workload: galleryWorkload}, nil
 	default:
 		return nil, fmt.Errorf("taint: unknown bug %q", bug)
 	}
 }
 
-func deployGallery(file string) func(seed int64, fixed bool) (*core.Warp, app.Version, error) {
-	return func(seed int64, fixed bool) (*core.Warp, app.Version, error) {
-		w := core.New(core.Config{Seed: seed})
+// installBlog installs GoBlog; its seed step creates five posts.
+func installBlog(fixed func(*blog.App) app.Version) func(*core.Warp) (app.Version, func() error, error) {
+	return func(w *core.Warp) (app.Version, func() error, error) {
+		a, err := blog.Install(w)
+		if err != nil {
+			return app.Version{}, nil, err
+		}
+		return fixed(a), func() error { return seedBlog(a) }, nil
+	}
+}
+
+// installGallery installs GoGallery; its seed step creates two albums
+// and five photos in the first.
+func installGallery(fixed func(*gallery.App) app.Version) func(*core.Warp) (app.Version, func() error, error) {
+	return func(w *core.Warp) (app.Version, func() error, error) {
 		a, err := gallery.Install(w)
 		if err != nil {
-			return nil, app.Version{}, err
+			return app.Version{}, nil, err
 		}
-		var patch app.Version
-		if file == "movephoto.php" {
-			patch = a.MovephotoFixed()
-		} else {
-			patch = a.ResizeFixed()
-		}
-		if fixed {
-			if err := w.Runtime.Patch(file, patch); err != nil {
-				return nil, app.Version{}, err
+		seed := func() error {
+			if err := a.CreateAlbum(1, "Holiday"); err != nil {
+				return err
 			}
-		}
-		if err := a.CreateAlbum(1, "Holiday"); err != nil {
-			return nil, app.Version{}, err
-		}
-		if err := a.CreateAlbum(2, "Archive"); err != nil {
-			return nil, app.Version{}, err
-		}
-		for i := int64(1); i <= 5; i++ {
-			if err := a.CreatePhoto(i, 1, fmt.Sprintf("photo%d", i), fmt.Sprintf("IMAGEDATA-%d", i)); err != nil {
-				return nil, app.Version{}, err
+			if err := a.CreateAlbum(2, "Archive"); err != nil {
+				return err
 			}
+			for i := int64(1); i <= 5; i++ {
+				if err := a.CreatePhoto(i, 1, fmt.Sprintf("photo%d", i), fmt.Sprintf("IMAGEDATA-%d", i)); err != nil {
+					return err
+				}
+			}
+			return nil
 		}
-		return w, patch, nil
+		return fixed(a), seed, nil
 	}
 }
 

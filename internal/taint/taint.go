@@ -19,11 +19,9 @@ package taint
 
 import (
 	"fmt"
-	"sort"
 
 	"warp/internal/core"
 	"warp/internal/history"
-	"warp/internal/sqldb"
 	"warp/internal/ttdb"
 )
 
@@ -166,72 +164,4 @@ func dropWhitelisted(parts []ttdb.Partition, whitelist map[string]bool) []ttdb.P
 		}
 	}
 	return out
-}
-
-// LiveRows returns the live application rows of a table keyed by row ID,
-// fingerprinted by content. It reads raw storage filtered to the current
-// generation.
-func LiveRows(db *ttdb.DB, table, rowIDCol string) (map[string]uint64, error) {
-	gen := db.CurrentGen()
-	q := fmt.Sprintf(
-		"SELECT * FROM %s WHERE warp_end_time = %d AND warp_start_gen <= %d AND warp_end_gen >= %d",
-		table, ttdb.Infinity, gen, gen)
-	res, err := db.Raw().Exec(q)
-	if err != nil {
-		return nil, err
-	}
-	idIdx := -1
-	var userCols []int
-	for i, c := range res.Columns {
-		switch c {
-		case rowIDCol:
-			idIdx = i
-			userCols = append(userCols, i)
-		case ttdb.ColRowID:
-			idIdx = i
-		case ttdb.ColStartTime, ttdb.ColEndTime, ttdb.ColStartGen, ttdb.ColEndGen:
-		default:
-			userCols = append(userCols, i)
-		}
-	}
-	if idIdx < 0 {
-		return nil, fmt.Errorf("taint: table %s has no row ID column %s", table, rowIDCol)
-	}
-	out := make(map[string]uint64, len(res.Rows))
-	for _, row := range res.Rows {
-		sub := &sqldb.Result{}
-		for _, ci := range userCols {
-			sub.Rows = append(sub.Rows, []sqldb.Value{row[ci]})
-		}
-		out[row[idIdx].Key()] = sub.Fingerprint()
-	}
-	return out, nil
-}
-
-// DiffRows compares one table between two deployments (same workload) and
-// returns the rows whose content differs or that exist on only one side.
-// It is the ground-truth oracle for corruption: the reference deployment
-// ran the same workload with the bug already fixed.
-func DiffRows(got, want *ttdb.DB, table, rowIDCol string) ([]RowKey, error) {
-	a, err := LiveRows(got, table, rowIDCol)
-	if err != nil {
-		return nil, err
-	}
-	b, err := LiveRows(want, table, rowIDCol)
-	if err != nil {
-		return nil, err
-	}
-	var out []RowKey
-	for k, fp := range a {
-		if bfp, ok := b[k]; !ok || bfp != fp {
-			out = append(out, RowKey{Table: table, Key: k})
-		}
-	}
-	for k := range b {
-		if _, ok := a[k]; !ok {
-			out = append(out, RowKey{Table: table, Key: k})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out, nil
 }

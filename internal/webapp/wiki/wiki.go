@@ -51,6 +51,13 @@ func Annotations() map[string]ttdb.TableSpec {
 	}
 }
 
+// DrawnRowIDs names the tables whose row ID is a token the application
+// draws from the deployment's random stream: session IDs and CSRF
+// challenge tokens. One extra draw (a patched login's token) shifts
+// every later one, so two runs of one workload compare these tables by
+// their other columns (ttdb.UnderRepair).
+func DrawnRowIDs() []string { return []string{"sessions", "tokens"} }
+
 // Schema returns the application's DDL. The benchmark harness also runs
 // it against a plain (non-versioned) engine for the paper's "No WARP"
 // baseline (Table 6).

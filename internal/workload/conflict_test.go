@@ -1,7 +1,7 @@
 package workload
 
 import (
-	"strings"
+	"fmt"
 	"testing"
 
 	"warp/internal/attacks"
@@ -10,40 +10,42 @@ import (
 // TestConflictResolutionByCancel drives the §5.4 workflow end to end: a
 // clickjacking repair queues conflicts for the victims; each victim then
 // resolves their conflict by canceling the page visit, and the framed
-// interaction's effects are undone for good.
+// interaction's effects are undone for good: the deployment equals the
+// attack-free twin, with one repair worker and with two.
 func TestConflictResolutionByCancel(t *testing.T) {
 	sc, _ := attacks.ByName("Clickjacking")
-	res, err := Run(Config{Users: 8, Victims: 2, Seed: 17, Scenario: sc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := res.Env.W
-	if _, err := sc.Repair(res.Env); err != nil {
-		t.Fatal(err)
-	}
-	victims := res.Env.Victims
-	for _, v := range victims {
-		conflicts := w.ConflictsFor(v.B.ClientID)
-		if len(conflicts) == 0 {
-			t.Fatalf("no conflict queued for %s", v.Name)
-		}
-		// The user cancels the conflicted page visit (the only resolution
-		// the paper's prototype UI offers, §6).
-		if _, err := w.ResolveConflictByCancel(v.B.ClientID, conflicts[0].VisitID); err != nil {
-			t.Fatalf("%s: resolve: %v", v.Name, err)
-		}
-		if len(w.ConflictsFor(v.B.ClientID)) >= len(conflicts) {
-			t.Fatalf("%s: conflict not dequeued", v.Name)
-		}
-	}
-	// Resolving an unknown conflict is rejected.
-	if _, err := w.ResolveConflictByCancel("nobody", 1); err == nil {
-		t.Fatal("unknown conflict resolution must fail")
-	}
-	// The clickjacked edit stays undone.
-	team, _ := res.Env.App.PageContent(res.Env.TargetPage)
-	if strings.Contains(team, "mooo") {
-		t.Fatalf("attack residue after resolution: %q", team)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			res, err := Run(Config{Users: 8, Victims: 2, Seed: 17, Scenario: sc, RepairWorkers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := res.Env.W
+			if _, err := sc.Repair(res.Env); err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range res.Env.Victims {
+				conflicts := w.ConflictsFor(v.B.ClientID)
+				if len(conflicts) == 0 {
+					t.Fatalf("no conflict queued for %s", v.Name)
+				}
+				// The user cancels the conflicted page visit (the only
+				// resolution the paper's prototype UI offers, §6).
+				if _, err := w.ResolveConflictByCancel(v.B.ClientID, conflicts[0].VisitID); err != nil {
+					t.Fatalf("%s: resolve: %v", v.Name, err)
+				}
+				if len(w.ConflictsFor(v.B.ClientID)) >= len(conflicts) {
+					t.Fatalf("%s: conflict not dequeued", v.Name)
+				}
+			}
+			// Resolving an unknown conflict is rejected.
+			if _, err := w.ResolveConflictByCancel("nobody", 1); err == nil {
+				t.Fatal("unknown conflict resolution must fail")
+			}
+			if n, err := res.UnderRepair(); err != nil || n != 0 {
+				t.Fatalf("under-repair after resolution = %d rows (err %v), want 0", n, err)
+			}
+		})
 	}
 }
 

@@ -7,6 +7,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 	"warp/internal/core"
 	"warp/internal/history"
 	"warp/internal/store"
+	"warp/internal/ttdb"
 	"warp/internal/webapp/wiki"
 )
 
@@ -57,11 +59,31 @@ type Result struct {
 	PageVisits       int
 	AppRuns          int
 	Queries          int
+
+	cfg Config // what UnderRepair re-runs
 }
 
 // Run builds a deployment, installs GoWiki, seeds users and pages, and
 // executes the workload.
-func Run(cfg Config) (*Result, error) {
+func Run(cfg Config) (*Result, error) { return run(cfg, false) }
+
+// UnderRepair counts the rows in which the deployment, once repaired,
+// differs from its attack-free twin: the same workload, seeds and users
+// re-run in memory with the scenario's fix in place from the start
+// (attacks.Scenario.Fix). 0 means repaired: the state that would have
+// existed had the attack never run.
+func (r *Result) UnderRepair() (int, error) {
+	cfg := r.cfg
+	cfg.DataDir = ""
+	twin, err := run(cfg, true)
+	if err != nil {
+		return 0, fmt.Errorf("workload: attack-free twin: %w", err)
+	}
+	return ttdb.UnderRepair(r.Env.W.DB, twin.Env.W.DB, wiki.DrawnRowIDs()...)
+}
+
+// run executes the workload; fixed runs it as the attack-free twin.
+func run(cfg Config, fixed bool) (*Result, error) {
 	if cfg.Users < 5 {
 		return nil, fmt.Errorf("workload: need at least 5 users, got %d", cfg.Users)
 	}
@@ -99,6 +121,12 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	env := &attacks.Env{W: w, App: app, TargetPage: "TeamPage"}
+	sc := cfg.Scenario
+	if fixed && sc != nil && sc.Fix != nil {
+		if err := sc.Fix(env); err != nil {
+			return nil, err
+		}
+	}
 
 	// Seed accounts and pages (the pre-horizon base state).
 	names := make([]string, cfg.Users)
@@ -157,17 +185,19 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	runAttack := func() error {
-		if cfg.Scenario == nil {
+		if sc == nil || fixed && sc.Fix == nil {
 			return nil
 		}
-		if err := cfg.Scenario.Setup(env); err != nil {
-			return err
+		if sc.Setup != nil {
+			if err := sc.Setup(env); err != nil {
+				return err
+			}
 		}
-		if cfg.Scenario.Name == "ACL error" {
-			return attacks.ExploitACL(env)
+		if sc.Trigger == nil {
+			return nil
 		}
 		for _, v := range env.Victims {
-			if err := cfg.Scenario.Trigger(env, v); err != nil {
+			if err := sc.Trigger(env, v); err != nil && !(fixed && errors.Is(err, attacks.ErrBlocked)) {
 				return err
 			}
 			// The victim keeps working after exposure (their edits are what
@@ -205,6 +235,7 @@ func Run(cfg Config) (*Result, error) {
 		PageVisits:       w.Storage().PageVisits,
 		AppRuns:          len(w.Graph.ByKind(history.KindAppRun)),
 		Queries:          len(w.Graph.ByKind(history.KindQuery)),
+		cfg:              cfg,
 	}
 	ok = true
 	return res, nil

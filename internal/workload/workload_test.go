@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -33,8 +34,9 @@ type coreReport struct {
 }
 
 // TestTable3Scenarios verifies the paper's Table 3: every scenario is
-// repaired, with conflicts only where the paper reports them
-// (clickjacking: the victims; ACL error: the exploiting user).
+// repaired — the repaired deployment equals its attack-free twin — with
+// conflicts only where the paper reports them (clickjacking: the victims;
+// ACL error: the exploiting user).
 func TestTable3Scenarios(t *testing.T) {
 	const users = 12
 	cases := []struct {
@@ -51,35 +53,9 @@ func TestTable3Scenarios(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			res, rep := runScenario(t, tc.name, users, false)
-			app := res.Env.App
-
-			// Repaired: no attack residue anywhere.
-			team, err := app.PageContent(res.Env.TargetPage)
-			if err != nil {
-				t.Fatal(err)
+			if n, err := res.UnderRepair(); err != nil || n != 0 {
+				t.Fatalf("%s: under-repair = %d rows (err %v), want 0", tc.name, n, err)
 			}
-			if strings.Contains(team, "PWNED") || strings.Contains(team, "mooo") {
-				t.Fatalf("%s: attack residue on team page: %q", tc.name, team)
-			}
-			if got, _ := app.PageContent("Main"); strings.Contains(got, "SQLI-ATTACK") {
-				t.Fatalf("%s: SQLi residue: %q", tc.name, got)
-			}
-			if got, _ := app.PageContent("Restricted"); strings.Contains(got, "should not") {
-				t.Fatalf("%s: ACL exploit residue: %q", tc.name, got)
-			}
-
-			// Legitimate background work is preserved: every user's append
-			// to the team page and their own-page edits.
-			for _, u := range res.Env.Others {
-				if !strings.Contains(team, "note from "+u.Name) {
-					t.Fatalf("%s: lost %s's append: %q", tc.name, u.Name, team)
-				}
-				own, _ := app.PageContent("Page-" + u.Name)
-				if !strings.Contains(own, "edited by its owner") {
-					t.Fatalf("%s: lost %s's edit: %q", tc.name, u.Name, own)
-				}
-			}
-
 			if rep.usersWithConflicts != tc.wantConflicts {
 				t.Fatalf("%s: users with conflicts = %d, want %d",
 					tc.name, rep.usersWithConflicts, tc.wantConflicts)
@@ -168,6 +144,35 @@ func TestCleanWorkload(t *testing.T) {
 	for _, u := range res.Env.AllUsers() {
 		if !strings.Contains(team, "note from "+u.Name) {
 			t.Fatalf("missing %s's append: %q", u.Name, team)
+		}
+	}
+}
+
+// TestGroundTruth holds the paper's contract on every §8.2 scenario:
+// repair leaves the state the attack-free twin reaches, with victims at
+// the start and at the end of the workload, on the serial engine and
+// with two repair workers.
+func TestGroundTruth(t *testing.T) {
+	for _, sc := range attacks.Scenarios() {
+		for _, atStart := range []bool{false, true} {
+			for _, workers := range []int{1, 2} {
+				for _, seed := range []int64{1234, 7} {
+					name := fmt.Sprintf("%s/start=%v/workers=%d/seed=%d", sc.Name, atStart, workers, seed)
+					t.Run(name, func(t *testing.T) {
+						res, err := Run(Config{Users: 12, Victims: 3, Seed: seed, Scenario: sc,
+							VictimsAtStart: atStart, RepairWorkers: workers})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if _, err := sc.Repair(res.Env); err != nil {
+							t.Fatal(err)
+						}
+						if n, err := res.UnderRepair(); err != nil || n != 0 {
+							t.Fatalf("under-repair = %d rows (err %v), want 0", n, err)
+						}
+					})
+				}
+			}
 		}
 	}
 }
