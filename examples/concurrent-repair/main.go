@@ -6,9 +6,10 @@
 //   - the parallel repair scheduler: actions on disjoint time-travel
 //     partitions repair on multiple workers (Config.RepairWorkers), while
 //     conflicting actions keep the paper's time order;
-//   - partition-granular concurrency on a single hot table: row-range
-//     (lock-column) scopes in the database plus per-client page-visit
-//     replay, compared against the serial engine (RepairWorkers: 1).
+//   - partition-granular concurrency on a single hot table: per-client
+//     page-visit replay overlaps independent clients' replays across
+//     workers, while the database runs each statement under one lock per
+//     table; compared against the serial engine (RepairWorkers: 1).
 package main
 
 import (

@@ -203,7 +203,7 @@ func mergeRun(t *testing.T) string {
 // touches, two on repaired clients' partitions — and requires every
 // request to succeed. Run under `go test -race ./...` in CI, this is
 // the data-race gate for the admission gate, the throttle governor, and
-// partition-lock coexistence between live execution and repair workers.
+// table-lock coexistence between live execution and repair workers.
 func TestLiveExecDuringRepairStress(t *testing.T) {
 	const clients, pages = 8, 2
 	w, owner0 := onlineDeployment(t, clients, pages, time.Millisecond, core.Config{

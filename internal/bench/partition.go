@@ -13,12 +13,12 @@ import (
 // per-client chain of page-visit replays, each re-executing its run
 // (with appLatency of simulated application work) against the hot table.
 //
-// Visit replays are exclusive only per client and the hot table takes
-// partition (lock-column key) scopes, so independent clients' replays —
-// and their DB re-executions on disjoint partitions of the one table —
-// proceed in parallel across workers. workers=1 is the serial engine:
-// the reference BenchmarkPartitionRepair and the speedup bar compare
-// against.
+// Visit replays are exclusive only per client, so independent clients'
+// replays — each mostly simulated application work — overlap across
+// workers. Their DB re-executions on the one table still serialize on
+// its lock, which the engine's one-statement-at-a-time mutex would
+// impose anyway. workers=1 is the serial engine: the reference
+// BenchmarkPartitionRepair and the speedup bar compare against.
 //
 // The repair outcome — re-execution accounting and final table contents
 // — is identical at every worker count; only the wall time changes.

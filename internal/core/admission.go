@@ -6,9 +6,9 @@
 // frontier has not claimed. The scheduler's cached footprints double as
 // admission claims: before a live write executes, the gate derives its
 // partition footprint by static analysis (ttdb.StmtPartitions — the same
-// analysis the lock scopes use) and compares it against every in-flight
-// repair item and against the session's dirt map (partitions the repair
-// has already claimed for its generation). A disjoint write proceeds
+// analysis that picks a write's dirty shards) and compares it against
+// every in-flight repair item and against the session's dirt map
+// (partitions the repair has already claimed for its generation). A disjoint write proceeds
 // immediately; a conflicting write waits briefly — for the colliding
 // items to retire, or for the flat admission window on a claimed
 // partition — then proceeds regardless: a write racing past the

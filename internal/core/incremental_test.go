@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -502,15 +503,60 @@ func TestPartitionGranularDirtyTracking(t *testing.T) {
 	if !written[secTablePrefix+"posts"] {
 		t.Fatalf("table header not rewritten; written=%v", st.Written)
 	}
-	var shardsWritten int
-	for k := 0; k < shards; k++ {
-		if written[tableShardSection("posts", k)] {
-			shardsWritten++
+	// rowShards lists the posts row shards the last checkpoint rewrote.
+	rowShards := func() []int {
+		var out []int
+		for k, written := 0, writtenSections(w.LastCheckpoint()); k < shards; k++ {
+			if written[tableShardSection("posts", k)] {
+				out = append(out, k)
+			}
+		}
+		return out
+	}
+	hotShards := rowShards()
+	if len(hotShards) != 1 {
+		t.Fatalf("hot-partition update rewrote row shards %v of %d, want exactly 1 (written=%v)",
+			hotShards, shards, st.Written)
+	}
+
+	// A row whose partition column was rewritten has versions in two
+	// partitions. Rolling it back in a repair must rewrite exactly those
+	// two partitions' row shards, not the whole table. Find an owner
+	// whose shard differs from u3's first.
+	var mover string
+	var moverShard int
+	for i := 0; i < 16 && mover == ""; i++ {
+		owner := fmt.Sprintf("u%d", i)
+		if _, _, err := w.DB.Exec("UPDATE posts SET body = 'warm' WHERE owner = ?", sqldb.Text(owner)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if got := rowShards(); len(got) == 1 && got[0] != hotShards[0] {
+			mover, moverShard = owner, got[0]
 		}
 	}
-	if shardsWritten != 1 {
-		t.Fatalf("hot-partition update rewrote %d of %d row shards, want exactly 1 (written=%v)",
-			shardsWritten, shards, st.Written)
+	if mover == "" {
+		t.Fatal("every owner shares u3's row shard")
+	}
+	beforeMove := w.Clock.Now() + 1
+	if _, _, err := w.DB.Exec("UPDATE posts SET owner = ? WHERE id = 4", sqldb.Text(mover)); err != nil { // id 4 is u3's
+		t.Fatal(err)
+	}
+	if err := w.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.UndoPartition(ttdb.Partition{Table: "posts", Column: "owner", Key: sqldb.Text("u3").Key()}, beforeMove); err != nil {
+		t.Fatal(err)
+	}
+	wantShards := []int{min(hotShards[0], moverShard), max(hotShards[0], moverShard)}
+	if got := rowShards(); !slices.Equal(got, wantShards) {
+		t.Fatalf("rolling back a row moved from u3 to %s rewrote row shards %v, want %v", mover, got, wantShards)
+	}
+	res, _, err := w.DB.Exec("SELECT owner FROM posts WHERE id = 4")
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].AsText() != "u3" {
+		t.Fatalf("rolled-back row = %v, %v; want owner u3", res, err)
 	}
 
 	// Bit-identical recovery through header + mixed kept/rewritten shards.

@@ -183,8 +183,9 @@ func (p *persister) latchErr(err error) {
 // the history graph (superseded flags, extended dependencies) and the
 // visit logs (replayed child visits, merged edits). Called before the
 // repair commit checkpoint; the database's shards mark themselves at
-// partition granularity through the repair operations' lock scopes, so
-// the commit rewrites sub-table sections proportional to the damage.
+// partition granularity — each rollback marks the shards of the versions
+// it changes, each re-executed write those of its footprint — so the
+// commit rewrites sub-table sections proportional to the damage.
 func (p *persister) markRepairDirty() {
 	p.mu.Lock()
 	p.histMuts = -1

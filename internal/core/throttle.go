@@ -2,7 +2,7 @@
 // repair workers against a live-request latency target.
 //
 // An online repair competes with normal execution for CPU and for
-// partition locks. Config.RepairSLO names the live p99 the operator is
+// table locks. Config.RepairSLO names the live p99 the operator is
 // willing to trade repair speed for; while a repair drains, the governor
 // samples the warp_core_request_seconds histogram on a short ticker,
 // computes the p99 of each window's delta, and moves the scheduler's

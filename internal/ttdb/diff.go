@@ -11,12 +11,11 @@ import (
 // application columns. It is the one reader of application state that
 // compares deployments: DiffRows and UnderRepair are built on it.
 func (db *DB) LiveRows(table string) (map[string]uint64, error) {
-	m, err := db.meta(table)
+	m, unlock, err := db.lockTable(table, false) // userCols is stable under it
 	if err != nil {
 		return nil, err
 	}
-	m.locks.lock(wholeScope()) // userCols is stable under a scope
-	defer m.locks.unlock(wholeScope())
+	defer unlock()
 	items := []sqldb.SelectItem{{Expr: sqldb.Col(m.rowIDCol)}}
 	var cols []string
 	for _, c := range m.userCols {

@@ -15,10 +15,9 @@ import (
 // Parsing goes through the statement cache, so a repeated query form is
 // parsed once and its canonical SQL string (Record.SQL) is built once.
 //
-// Statements on disjoint partition scopes — different tables, or
-// disjoint lock-column keys of one table — run in parallel; statements
-// on overlapping scopes serialize, with the timestamp assigned inside
-// the scope so version intervals of any one partition never interleave.
+// Reads of one table share its lock; a write holds it exclusive, with
+// the timestamp assigned inside the lock so version intervals of any one
+// table never interleave.
 // A parameter vector that does not match the statement's placeholders
 // is refused with *sqldb.ParamCountError before anything else happens.
 func (db *DB) Exec(src string, params ...sqldb.Value) (*sqldb.Result, *Record, error) {
@@ -43,8 +42,8 @@ func (db *DB) Exec(src string, params ...sqldb.Value) (*sqldb.Result, *Record, e
 	defer unlock()
 	t := db.clock.Tick()
 	res, rec, err := db.execAt(cs, params, t, db.currentGen.Load(), nil, m, acc)
-	// Emit the committed mutation while the statement's scope is still
-	// held, so the observer sees per-partition events in execution order.
+	// Emit the committed mutation while the table's lock is still held,
+	// so the observer sees per-table events in execution order.
 	// Reads are not emitted (they change nothing), and neither are failed
 	// writes (their only trace is the record the caller logs).
 	if err == nil && rec != nil && rec.Kind != KindRead && db.obs != nil {
@@ -53,12 +52,11 @@ func (db *DB) Exec(src string, params ...sqldb.Value) (*sqldb.Result, *Record, e
 	return res, rec, err
 }
 
-// lockFor acquires the locks a statement needs: every table's whole
-// scope for DDL, the target table's partition scope for DML, nothing for
-// table-less selects. It returns the target table's meta (nil for DDL /
-// table-less statements), the statement's resolved footprint — whose
-// lock scope is what was acquired, before lock-manager adjustments — and
-// the release function.
+// lockFor acquires the locks a statement needs: every table's lock for
+// DDL, the target table's lock for DML — exclusive for a write, shared
+// for a read — and nothing for table-less selects. It returns the target
+// table's meta (nil for DDL / table-less statements), the statement's
+// resolved footprint and the release function.
 func (db *DB) lockFor(cs *sqldb.CachedStmt, params []sqldb.Value) (*tableMeta, access, func(), error) {
 	table, isWrite, ok := dmlTable(cs.Stmt)
 	if !ok {
@@ -72,28 +70,11 @@ func (db *DB) lockFor(cs *sqldb.CachedStmt, params []sqldb.Value) (*tableMeta, a
 	if table == "" {
 		return nil, access{}, func() {}, nil
 	}
-	m, err := db.meta(table)
+	m, unlock, err := db.lockTable(table, isWrite)
 	if err != nil {
 		return nil, access{}, nil, err
 	}
-	acc := stateFor(m, cs).fp.resolve(params)
-	sc := acc.lock
-	if db.obs != nil && isWrite {
-		// A durable deployment logs every normal-execution write as a WAL
-		// record, and replay rebuilds state by re-executing those records
-		// serially in log order — so per-table record order must equal
-		// execution order, which only holds if logged writes on one table
-		// do not interleave. Logged writes therefore take the whole-table
-		// scope (and still dirty only their own partitions' shards, so
-		// checkpoints stay proportional to the write set); reads keep
-		// partition scopes, and repair-generation re-execution (made
-		// durable by its commit checkpoint, not by records) keeps
-		// partition scopes too — the concurrency the partition lock
-		// manager exists for.
-		sc = wholeScope()
-	}
-	m.locks.lock(sc)
-	return m, acc, func() { m.locks.unlock(sc) }, nil
+	return m, stateFor(m, cs).fp.resolve(params), unlock, nil
 }
 
 // dmlTable returns the table a SELECT, INSERT, UPDATE, or DELETE targets

@@ -16,8 +16,8 @@ import (
 // keep(warp_end_time); a DELETE as the interval-closing UPDATE it
 // executes as. The description of a statement on a table ends with
 // "; footprint: " and the statement's partition template
-// (footprint.String): which operands bound its lock scope and its read
-// partitions, or "whole table".
+// (footprint.String): which operands bound its lock-column keys and its
+// read partitions, or "whole table".
 func (db *DB) Explain(src string) (string, error) {
 	cs, err := db.stmts.Get(src)
 	if err != nil {
@@ -28,9 +28,8 @@ func (db *DB) Explain(src string) (string, error) {
 		return db.raw.ExplainCached(cs)
 	}
 	// augFor needs a settled column list, so Explain excludes DDL like any
-	// execution does; it is a diagnostic, so it simply takes the whole
-	// table.
-	m, unlock, err := db.lockScope(table, wholeScope())
+	// read does.
+	m, unlock, err := db.lockTable(table, false)
 	if err != nil {
 		return "", err
 	}

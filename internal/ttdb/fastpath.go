@@ -69,12 +69,11 @@ type stmtAug struct {
 }
 
 // augFor returns the cached augmentation of cs against table m,
-// rebuilding it when the engine's DDL epoch moved. The caller holds a
-// scope on m: ALTER TABLE moves the epoch and then grows m.userCols, both
-// under the whole-table scope, and an unlocked build in between would
-// cache the old column list under the new epoch. Concurrent rebuilds by
-// holders of disjoint scopes are benign (last writer wins; both results
-// are equivalent).
+// rebuilding it when the engine's DDL epoch moved. The caller holds m's
+// lock: ALTER TABLE moves the epoch and then grows m.userCols, both
+// under lockAll, and an unlocked build in between would cache the old
+// column list under the new epoch. Concurrent rebuilds by shared holders
+// are benign (last writer wins; both results are equivalent).
 func (db *DB) augFor(m *tableMeta, cs *sqldb.CachedStmt) *stmtAug {
 	epoch := db.raw.Epoch()
 	st := stateFor(m, cs)
@@ -278,8 +277,8 @@ type uniqueProbe struct {
 }
 
 // stmtsFor returns m's prepared internal statements, rebuilding them
-// when the engine's DDL epoch moved. The caller holds a scope on m (see
-// augFor); concurrent rebuilds by holders of disjoint scopes are benign.
+// when the engine's DDL epoch moved. The caller holds m's lock (see
+// augFor); concurrent rebuilds by shared holders are benign.
 func (db *DB) stmtsFor(m *tableMeta) *tableStmts {
 	epoch := db.raw.Epoch()
 	if ts := m.stmts.Load(); ts != nil && ts.epoch == epoch {

@@ -257,8 +257,8 @@ func TestExplainThroughAugmentation(t *testing.T) {
 			"update(pages) scan=index-eq(page_id, bounded warp_end_time > ?1) keep(warp_end_time); footprint: whole table"},
 		{"DELETE FROM pages WHERE page_id = 1",
 			"update(pages) scan=index-eq(page_id, bounded warp_end_time > ?1); footprint: whole table"},
-		// The footprint line names the operands that bound the lock scope
-		// (the lock column, title) and the read partitions (every
+		// The footprint line names the operands that bound the lock-column
+		// scope (the lock column, title) and the read partitions (every
 		// partition column).
 		{"SELECT content FROM pages WHERE title = ?",
 			"select(pages) scan=index-eq(title, bounded warp_end_time > ?2); footprint: lock title=?1; parts pages/title=?1"},
@@ -319,9 +319,10 @@ func TestCachedExecRaceWithDDLAndGC(t *testing.T) {
 			}
 		}(g)
 	}
-	// Scope derivation runs before any lock is held: a wide IN list
-	// resolves a many-keyed scope from the statement's footprint, and
-	// Explain builds augmentations from outside the execution path.
+	// Footprint derivation needs no lock (the admission gate resolves it
+	// unlocked): a wide IN list resolves a many-keyed scope from the
+	// statement's footprint, and Explain builds augmentations from
+	// outside the execution path.
 	// Neither may read the table's column list while ALTER TABLE grows
 	// it, let alone cache handles built from a half-applied ALTER.
 	wide := "SELECT body FROM notes WHERE owner IN (?" + strings.Repeat(", ?", 19) + ")"
@@ -352,9 +353,9 @@ func TestCachedExecRaceWithDDLAndGC(t *testing.T) {
 	}
 	// A column-less INSERT binds its partition columns by table position.
 	// Every distinct text is a new handle, so each iteration derives a
-	// footprint — unlocked — while ALTER TABLE appends columns; once the
-	// table has grown, the three-value row is refused (after the scope was
-	// chosen), which is the only error allowed here.
+	// footprint while ALTER TABLE appends columns; once the table has
+	// grown, the three-value row is refused, which is the only error
+	// allowed here.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -398,27 +399,40 @@ func TestCachedExecRaceWithDDLAndGC(t *testing.T) {
 	}
 }
 
-// TestEmptyScopeExcludesWholeTable: a statement whose derived scope is
-// empty (it provably touches no rows) still executes — and builds its
-// column-dependent handles — so the whole-table scope DDL runs under
-// must wait for it like for any other holder.
+// TestEmptyScopeExcludesWholeTable: a read whose footprint names no
+// lock-column key still executes — and builds its column-dependent
+// handles — under the table's shared lock, so DDL's exclusive lock must
+// wait for it like for any other holder.
 func TestEmptyScopeExcludesWholeTable(t *testing.T) {
-	l := newPartLocks()
-	empty := keyScope(nil)
-	l.lock(empty)
-	got := make(chan struct{})
+	db := newDB(t)
+	cs, err := db.Prepare("SELECT * FROM pages WHERE editor = 10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, acc, unlock, err := db.lockFor(cs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(acc.lock.keys) != 0 {
+		t.Fatalf("lock-column scope = %+v, want no key", acc.lock)
+	}
+	got := make(chan error)
 	go func() {
-		l.lock(wholeScope())
-		close(got)
+		_, _, err := db.Exec("ALTER TABLE pages ADD COLUMN views INTEGER")
+		got <- err
 	}()
 	select {
 	case <-got:
-		t.Fatal("whole-table scope acquired while an empty keyed scope was held")
+		t.Fatal("DDL ran while a shared holder held the table")
 	case <-time.After(20 * time.Millisecond):
 	}
-	l.unlock(empty)
-	<-got
-	l.unlock(wholeScope())
+	if n := len(m.userCols); n != 4 {
+		t.Fatalf("the shared holder sees %d columns, want 4", n)
+	}
+	unlock()
+	if err := <-got; err != nil {
+		t.Fatal(err)
+	}
 }
 
 // physicalRows returns every stored version of a table, bookkeeping

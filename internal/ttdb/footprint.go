@@ -5,17 +5,19 @@ package ttdb
 // expressions to bound the partitions it touches, and it reads them once
 // per statement handle: deriveFootprint builds a template — which literal
 // or parameter operands bind which partition column — and resolve binds
-// one execution's parameters to it, yielding the lock scope, the
-// dirty-shard scope and the read partitions together. Lock acquisition,
-// dirty marking, Record.ReadPartitions, two-phase re-execution and the
-// online-repair admission gate all consume that one value.
+// one execution's parameters to it, yielding the lock-column keys — the
+// dirty-shard scope and the admission gate's partitions — and the read
+// partitions together. Dirty marking, Record.ReadPartitions, two-phase
+// re-execution and the online-repair admission gate all consume that one
+// value; none of it locks anything (locks.go takes the whole table).
 //
-// The template chooses the lock scope, so it is derived before any scope
-// is held: it may depend only on the statement and on facts of the table
+// The admission gate derives the template without holding the table's
+// lock, so it may depend only on the statement and on facts of the table
 // no DDL changes (tableMeta.parts, lockCol, name). A dropped and
 // re-created table is a new *tableMeta and gets a new template.
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -27,7 +29,7 @@ import (
 // slot) for the table the statement targets.
 type stmtState struct {
 	fp  *footprint              // fixed; the state is valid for table fp.m only
-	aug atomic.Pointer[stmtAug] // rebuilt per DDL epoch under a scope on fp.m (augFor)
+	aug atomic.Pointer[stmtAug] // rebuilt per DDL epoch under fp.m's lock (augFor)
 }
 
 // stateFor returns cs's cached state against table m, deriving the
@@ -48,7 +50,8 @@ type footprint struct {
 	// ops bind partition columns to constants, in WHERE-conjunct order
 	// (row-major for an INSERT).
 	ops []fpOperand
-	// lockWhole: no parameters can bound the lock scope below the table.
+	// lockWhole: no parameters can bound the lock-column scope below the
+	// table.
 	lockWhole bool
 	// readWhole: the reads include the whole table whatever the parameters
 	// (no usable conjunct; an INSERT row leaving a partition column unbound).
@@ -63,11 +66,30 @@ type fpOperand struct {
 	param int
 }
 
+// lockScope names the slice of one table an operation can touch: a
+// sorted, distinct set of lock-column keys, or the whole table. Its keys
+// pick the row shards the operation dirties and the partitions the
+// admission gate compares.
+type lockScope struct {
+	whole bool
+	keys  []string
+}
+
+// wholeScope returns the scope covering the entire table.
+func wholeScope() lockScope { return lockScope{whole: true} }
+
+// keyScope returns a keyed scope over the given lock-column keys, sorted
+// and de-duplicated. An empty key set is legal: the operation provably
+// touches no rows.
+func keyScope(keys []string) lockScope {
+	slices.Sort(keys)
+	return lockScope{keys: slices.Compact(keys)}
+}
+
 // access is one execution's resolved footprint.
 type access struct {
-	// lock is the scope the statement must hold and whose row shards it
-	// dirties, before the adjustments that concern only the lock manager
-	// (logged writes take the table).
+	// lock is the statement's lock-column scope: the row shards it
+	// dirties.
 	lock lockScope
 	// reads are the partitions the statement may read, in template order;
 	// for an INSERT, the partitions its rows land in.
@@ -84,8 +106,9 @@ func deriveFootprint(m *tableMeta, stmt sqldb.Statement) *footprint {
 	case *sqldb.Update:
 		f.bindWhere(s.Where)
 		for _, a := range s.Set {
-			// Rewriting the lock column moves rows across partitions; only
-			// the whole-table scope covers both sides.
+			// Rewriting the lock column moves rows across partitions the
+			// template cannot name; only the whole-table scope covers both
+			// sides.
 			f.lockWhole = f.lockWhole || a.Column == m.lockCol
 		}
 	case *sqldb.Insert:

@@ -17,8 +17,9 @@ func partStrings(ps []Partition) []string {
 }
 
 // TestFootprint: one template per statement, one resolve per execution,
-// and everything that bounds the statement — the lock scope, the dirty
-// row shards, Record.ReadPartitions, StmtPartitions — reads that resolve.
+// and everything that bounds the statement — the lock-column scope, its
+// dirty row shards, Record.ReadPartitions, StmtPartitions — reads that
+// resolve.
 // pages is partitioned by title (TEXT, the lock column) and editor
 // (INTEGER).
 func TestFootprint(t *testing.T) {
@@ -113,7 +114,7 @@ func TestFootprint(t *testing.T) {
 
 			acc := stateFor(m, cs).fp.resolve(c.params)
 			if !reflect.DeepEqual(acc.lock, wantLock) {
-				t.Errorf("lock scope = %+v, want %+v", acc.lock, wantLock)
+				t.Errorf("lock-column scope = %+v, want %+v", acc.lock, wantLock)
 			}
 			reads := partStrings(acc.reads)
 			if isInsert {

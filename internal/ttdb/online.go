@@ -14,12 +14,11 @@ import (
 
 // StmtPartitions derives the partition footprint of one SQL statement
 // without executing it: the partitions an admission gate compares
-// against in-flight repair work. It reports the touched partitions,
-// whether the statement is a write, and a parse error if any. A nil
-// partition slice with ok=true means the statement's footprint could
-// not be bounded (DDL, unpartitionable WHERE) and must be treated as
-// conflicting with everything on its table; DDL returns wide=true with
-// no table.
+// against in-flight repair work. It reports the touched partitions — the
+// footprint's lock-column keys, or the whole table when they cannot be
+// bounded — whether the statement is a write, and a parse error if any.
+// DDL returns nil partitions with isWrite=true: its footprint is every
+// table.
 func (db *DB) StmtPartitions(src string, params []sqldb.Value) (parts []Partition, isWrite bool, err error) {
 	cs, err := db.stmts.Get(src)
 	if err != nil {
@@ -94,13 +93,11 @@ func (db *DB) RepairValueBefore(info UpdateMergeInfo, rowID sqldb.Value, t int64
 	if err != nil {
 		return "", false
 	}
-	m, err := db.meta(info.Table)
+	m, unlock, err := db.lockTable(info.Table, true)
 	if err != nil {
 		return "", false
 	}
-	sc := db.scopeForRows(m, []sqldb.Value{rowID})
-	m.locks.lock(sc)
-	defer m.locks.unlock(sc)
+	defer unlock()
 	versions, err := db.selectPhysical(m, db.stmtsFor(m).versions, []sqldb.Value{rowID, sqldb.Int(st.next)})
 	if err != nil {
 		return "", false

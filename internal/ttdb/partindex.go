@@ -35,8 +35,8 @@ func (m *tableMeta) changedSince(lead sqldb.Expr, n int) *sqldb.CachedStmt {
 // older than the GC horizon may have been collected. A keyed partition
 // probes its column's version-ordered index; the whole table, and a key no
 // index probe can name (NULL, or no value's key at all), scan with the
-// time bound alone. The probe
-// reads the engine without a scope, like scopeForRows' pre-scan.
+// time bound alone. The probe takes no table lock (the engine runs it
+// as one statement); RollbackPartition calls it under its own.
 func (db *DB) PartitionRowsSince(p Partition, since int64) ([]sqldb.Value, error) {
 	m, err := db.meta(p.Table)
 	if err != nil {
@@ -71,16 +71,6 @@ func (db *DB) PartitionRowsSince(p Partition, since int64) ([]sqldb.Value, error
 	return out, nil
 }
 
-// partitionScope derives the lock scope for operating on one partition:
-// the partition's own key when it is on the lock column, the whole table
-// otherwise (other columns cut across the lock column's slices).
-func (m *tableMeta) partitionScope(p Partition) lockScope {
-	if !p.IsWholeTable() && p.Column == m.lockCol {
-		return keyScope([]string{p.Key})
-	}
-	return wholeScope()
-}
-
 // RollbackPartition rolls back every row with a version event in partition
 // p at or after time t to time t, in the repair generation. It is the
 // partition-granularity analog of RollbackRows and returns the partitions
@@ -95,41 +85,14 @@ func (db *DB) RollbackPartition(p Partition, t int64) ([]Partition, error) {
 	if err := st.checkHorizon(t); err != nil {
 		return nil, err
 	}
-	m, err := db.meta(p.Table)
+	m, unlock, err := db.lockTable(p.Table, true)
 	if err != nil {
 		return nil, err
 	}
-	sc := m.partitionScope(p)
-	// Accumulated across an escalation retry, same as RollbackRows: dirt
-	// from rollbacks completed under the narrow scope must survive.
-	set := NewPartitionSet()
-	for {
-		m.locks.lock(sc)
-		err := func() error {
-			ids, err := db.PartitionRowsSince(p, t)
-			if err != nil {
-				return err
-			}
-			for _, id := range ids {
-				ps, err := db.rollbackRowLocked(m, id, t, st, sc)
-				if err != nil {
-					return err
-				}
-				set.AddAll(ps)
-			}
-			return nil
-		}()
-		m.locks.unlock(sc)
-		if err == errScopeConflict && !sc.whole {
-			// A row in p also has versions outside p's lock-column slice
-			// (its partition column was rewritten): retry whole-table.
-			scopeEscalations.Inc()
-			sc = wholeScope()
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		return set.Slice(), nil
+	defer unlock()
+	ids, err := db.PartitionRowsSince(p, t)
+	if err != nil {
+		return nil, err
 	}
+	return db.rollbackRowsLocked(m, ids, t, st)
 }

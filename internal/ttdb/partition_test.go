@@ -10,7 +10,7 @@ import (
 )
 
 // TestPartitionSetOverlapsEdgeCases pins the overlap semantics the
-// scheduler's frontier and the partition lock manager both build on:
+// scheduler's frontier and the admission gate both build on:
 // empty sets, the whole-table wildcard, and adjacent (distinct) keys of
 // one column.
 func TestPartitionSetOverlapsEdgeCases(t *testing.T) {
@@ -88,11 +88,11 @@ func TestPartitionSetOverlapsEdgeCases(t *testing.T) {
 	}
 }
 
-// TestConcurrentSameTableRepair is the -race stress of the partition
-// lock manager: many goroutines re-execute writes and roll back rows of
-// *one* table concurrently, each within its own partition, alongside
-// normal-execution reads. The final state must equal what the same
-// operations produce serially.
+// TestConcurrentSameTableRepair is the -race stress of the table lock:
+// many goroutines re-execute writes and roll back rows of *one* table
+// concurrently, each within its own partition, alongside normal-execution
+// reads. The final state must equal what the same operations produce
+// serially.
 func TestConcurrentSameTableRepair(t *testing.T) {
 	const owners = 16
 	db := Open(&vclock.Clock{})
@@ -195,10 +195,10 @@ func TestConcurrentSameTableRepair(t *testing.T) {
 	_ = insertRecs
 }
 
-// TestScopeEscalationFallsBackToTableLock: an operation whose statically
-// derived partition scope turns out too narrow — here, a rollback of a
-// row whose partition column was rewritten across partitions — must
-// fall back to the table lock and still produce the right state.
+// TestScopeEscalationFallsBackToTableLock: a rollback of a row whose
+// partition column was rewritten across partitions touches versions in
+// two partitions. The table lock covers both, and the rollback must
+// produce the right state.
 func TestScopeEscalationFallsBackToTableLock(t *testing.T) {
 	db := Open(&vclock.Clock{})
 	if err := db.Annotate("notes", TableSpec{RowIDColumn: "id", PartitionColumns: []string{"owner"}}); err != nil {
@@ -212,17 +212,16 @@ func TestScopeEscalationFallsBackToTableLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	mid := db.Clock().Now() + 1
-	// Rewriting the partition column takes the whole-table scope and
-	// leaves the row with versions in two partitions.
+	// Rewriting the partition column leaves the row with versions in two
+	// partitions.
 	if _, _, err := db.Exec("UPDATE notes SET owner = 'bob', body = 'v2' WHERE id = 1"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.BeginRepair(); err != nil {
 		t.Fatal(err)
 	}
-	// The pre-scan sees both owners; even if a stale scope were derived,
-	// the in-scope verification escalates. Either way the rollback must
-	// revive the alice version in the repair generation.
+	// The rollback must revive the alice version in the repair
+	// generation.
 	if _, err := db.RollbackRows("notes", ins.WriteRowIDs, mid); err != nil {
 		t.Fatal(err)
 	}

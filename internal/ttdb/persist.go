@@ -263,12 +263,12 @@ func skipVersionIndex(dec *store.Decoder) {
 
 // EncodeTableHeader serializes one table's structural state — annotation,
 // augmented schema, row-ID allocator, shard count — as a self-contained
-// snapshot section. The table's whole scope is held for the duration; the
+// snapshot section. The table's lock is held shared for the duration; the
 // caller is responsible for quiescing direct writers.
 func (db *DB) EncodeTableHeader(enc *store.Encoder, table string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	m, unlock, err := db.lockScope(table, wholeScope())
+	m, unlock, err := db.lockTable(table, false)
 	if err != nil {
 		return err
 	}
@@ -334,7 +334,7 @@ func (db *DB) encodeTableHeaderLocked(enc *store.Encoder, m *tableMeta) error {
 func (db *DB) EncodeTableShards(table string, shards []int, sink func(shard int) *store.Encoder) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	m, unlock, err := db.lockScope(table, wholeScope())
+	m, unlock, err := db.lockTable(table, false)
 	if err != nil {
 		return err
 	}
@@ -439,7 +439,6 @@ func (db *DB) RestoreTableHeader(dec *store.Decoder) (string, error) {
 	name := dec.String()
 	spec := decodeSpec(dec)
 	m := &tableMeta{
-		locks:     newPartLocks(),
 		name:      name,
 		spec:      spec,
 		rowIDCol:  spec.RowIDColumn,

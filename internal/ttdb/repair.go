@@ -8,7 +8,7 @@ import (
 
 // repairState snapshots the generation state a repair-side operation runs
 // under: the repair ("next") generation and the GC horizon. Snapshotting
-// it once at operation entry lets the scope-locked internals run without
+// it once at operation entry lets the table-locked internals run without
 // re-acquiring db.mu (the lock ordering forbids that).
 type repairState struct {
 	next     int64
@@ -153,24 +153,6 @@ func (db *DB) selectPhysical(m *tableMeta, stmt *sqldb.CachedStmt, params []sqld
 	return out, nil
 }
 
-// checkVersionsInScope verifies that every version's lock-column value
-// falls inside the scope, before anything is mutated. A miss means the
-// operation's statically derived scope was too narrow (a row's partition
-// column was rewritten after the original record, or a uniqueness
-// collision landed in a sibling partition); the entry point retries
-// under the whole-table scope.
-func (db *DB) checkVersionsInScope(m *tableMeta, versions []physicalRow, sc lockScope) error {
-	if sc.whole || m.lockCol == "" {
-		return nil
-	}
-	for _, pr := range versions {
-		if err := sc.check(pr.colVal(m.lockCol).Key()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // demote confines a shared physical row to generations up to current, so
 // the next generation no longer sees it (§4.4 preservation).
 func (db *DB) demote(m *tableMeta, pr physicalRow) error {
@@ -194,26 +176,21 @@ func (db *DB) writeOne(m *tableMeta, stmt *sqldb.CachedStmt, params []sqldb.Valu
 	return nil
 }
 
-// scopeForRows derives the lock scope for operating on the given rows:
-// the lock-column keys of every version of every row, from an unlocked
-// pre-scan of the raw engine. The pre-scan may go stale before the scope
-// is acquired; the scope checks inside the locked operation catch that
-// and escalate, so staleness costs a retry, never correctness.
-func (db *DB) scopeForRows(m *tableMeta, rowIDs []sqldb.Value) lockScope {
-	if m.lockCol == "" || len(rowIDs) == 0 {
-		return wholeScope()
+// markDirtyVersions marks the row shards holding the given versions, for
+// an operation about to change them.
+func (db *DB) markDirtyVersions(m *tableMeta, prs ...physicalRow) {
+	if len(prs) == 0 {
+		return
 	}
-	var keys []string
-	for _, id := range rowIDs {
-		res, err := db.raw.ExecCached(m.lockKeyOf, []sqldb.Value{id})
-		if err != nil {
-			return wholeScope()
-		}
-		for _, row := range res.Rows {
-			keys = append(keys, row[0].Key())
-		}
+	if m.lockCol == "" {
+		db.markDirtyWhole(m.name)
+		return
 	}
-	return keyScope(keys)
+	keys := make([]string, 0, len(prs))
+	for _, pr := range prs {
+		keys = append(keys, pr.colVal(m.lockCol).Key())
+	}
+	db.markDirtyScope(m, keyScope(keys))
 }
 
 // RollbackRow rolls back a single row (named by row ID) to time t in the
@@ -225,13 +202,9 @@ func (db *DB) RollbackRow(table string, rowID sqldb.Value, t int64) ([]Partition
 	return db.RollbackRows(table, []sqldb.Value{rowID}, t)
 }
 
-// rollbackRowLocked is the per-row rollback, run under a scope covering
-// the row's lock-column keys. Every row it would mutate is verified
-// against the scope before any mutation, so an errScopeConflict return
-// leaves the table untouched by this row's rollback and the caller can
-// retry under a wider scope; a completed rollback re-run under the wider
-// scope is a no-op.
-func (db *DB) rollbackRowLocked(m *tableMeta, rowID sqldb.Value, t int64, st repairState, sc lockScope) ([]Partition, error) {
+// rollbackRowLocked is the per-row rollback, run under the table's
+// exclusive lock. Re-running a completed rollback is a no-op.
+func (db *DB) rollbackRowLocked(m *tableMeta, rowID sqldb.Value, t int64, st repairState) ([]Partition, error) {
 	if err := st.checkHorizon(t); err != nil {
 		return nil, err
 	}
@@ -243,23 +216,18 @@ func (db *DB) rollbackRowLocked(m *tableMeta, rowID sqldb.Value, t int64, st rep
 	if err != nil {
 		return nil, err
 	}
-	if err := db.checkVersionsInScope(m, versions, sc); err != nil {
-		return nil, err
-	}
 
 	set := NewPartitionSet()
-	var keep []physicalRow
+	var keep, gone []physicalRow
 	for _, pr := range versions {
-		for _, p := range m.rowPartitions(pr.colVal) {
-			set.Add(p)
-		}
+		set.AddAll(m.rowPartitions(pr.colVal))
 		if pr.start < t {
 			keep = append(keep, pr)
+		} else {
+			gone = append(gone, pr)
 		}
 	}
-	// Revive the version covering t, if it was closed; find it before
-	// mutating so the revival's uniqueness colliders can be scope-checked
-	// up front.
+	// Revive the version covering t, if it was closed.
 	var latest *physicalRow
 	for i := range keep {
 		if latest == nil || keep[i].start > latest.start {
@@ -267,31 +235,12 @@ func (db *DB) rollbackRowLocked(m *tableMeta, rowID sqldb.Value, t int64, st rep
 		}
 	}
 	revive := latest != nil && latest.end != Infinity && latest.end >= t
-	var colliders []collider
-	if revive {
-		// The revival can collide with a row inserted later under the same
-		// uniqueness key: the §6 case where an INSERT's success changes
-		// during repair. Probe once: the set is verified against the scope
-		// before any mutation, and the same set is resolved after the main
-		// row's versions are cleared (clearing them cannot add or remove
-		// colliders — the probe already excludes the main row).
-		var err error
-		colliders, err = db.revivalColliders(m, *latest, st)
-		if err != nil {
-			return nil, err
-		}
-		for _, other := range colliders {
-			if err := db.checkVersionsInScope(m, other.versions, sc); err != nil {
-				return nil, err
-			}
-		}
-	}
 
-	db.markDirtyScope(m, sc)
-	for _, pr := range versions {
-		if pr.start < t {
-			continue
-		}
+	db.markDirtyVersions(m, gone...)
+	if revive {
+		db.markDirtyVersions(m, *latest)
+	}
+	for _, pr := range gone {
 		// This version vanishes from the next generation.
 		if pr.sGen >= next {
 			if err := db.deletePhysical(m, pr); err != nil {
@@ -304,7 +253,15 @@ func (db *DB) rollbackRowLocked(m *tableMeta, rowID sqldb.Value, t int64, st rep
 		}
 	}
 	if revive {
-		if err := db.resolveRevivalCollisions(m, colliders, st, set, sc); err != nil {
+		// The revival can collide with a row inserted later under the same
+		// uniqueness key: the §6 case where an INSERT's success changes
+		// during repair. Clearing the main row's versions above cannot add
+		// or remove colliders: the probe excludes the main row.
+		colliders, err := db.revivalColliders(m, *latest, st)
+		if err != nil {
+			return nil, err
+		}
+		if err := db.resolveRevivalCollisions(m, colliders, st, set); err != nil {
 			return nil, err
 		}
 		if latest.sGen >= next {
@@ -373,7 +330,7 @@ probes:
 // versions, so it never revives or recurses. The colliders' partitions
 // are added to dirt so the inserts that created them re-execute and
 // observe their changed (now failing) outcome.
-func (db *DB) resolveRevivalCollisions(m *tableMeta, colliders []collider, st repairState, dirt *PartitionSet, sc lockScope) error {
+func (db *DB) resolveRevivalCollisions(m *tableMeta, colliders []collider, st repairState, dirt *PartitionSet) error {
 	for _, other := range colliders {
 		first := int64(0)
 		for i, pr := range other.versions {
@@ -381,7 +338,7 @@ func (db *DB) resolveRevivalCollisions(m *tableMeta, colliders []collider, st re
 				first = pr.start
 			}
 		}
-		ps, err := db.rollbackRowLocked(m, other.rowID, first, st, sc)
+		ps, err := db.rollbackRowLocked(m, other.rowID, first, st)
 		if err != nil {
 			return err
 		}
@@ -390,11 +347,7 @@ func (db *DB) resolveRevivalCollisions(m *tableMeta, colliders []collider, st re
 	return nil
 }
 
-// RollbackRows rolls back several rows of one table to time t. The scope
-// is derived from the rows' own lock-column keys, so rollbacks of rows in
-// disjoint partitions proceed concurrently; a rollback that escapes its
-// derived scope retries under the whole-table scope (completed per-row
-// rollbacks are idempotent, so the retry re-converges).
+// RollbackRows rolls back several rows of one table to time t.
 func (db *DB) RollbackRows(table string, rowIDs []sqldb.Value, t int64) ([]Partition, error) {
 	st, err := db.repairSnapshot()
 	if err != nil {
@@ -403,39 +356,26 @@ func (db *DB) RollbackRows(table string, rowIDs []sqldb.Value, t int64) ([]Parti
 	if err := st.checkHorizon(t); err != nil {
 		return nil, err
 	}
-	m, err := db.meta(table)
+	m, unlock, err := db.lockTable(table, true)
 	if err != nil {
 		return nil, err
 	}
-	sc := db.scopeForRows(m, rowIDs)
-	// The set accumulates across an escalation retry: per-row rollbacks
-	// completed in a narrow-scope attempt stay applied (the retry re-runs
-	// them as no-ops), so their dirt — including uniqueness-collider
-	// rollbacks the no-op re-run will not re-probe — must not be lost.
+	defer unlock()
+	return db.rollbackRowsLocked(m, rowIDs, t, st)
+}
+
+// rollbackRowsLocked rolls back each row under the table's exclusive
+// lock and returns the partitions whose contents changed.
+func (db *DB) rollbackRowsLocked(m *tableMeta, rowIDs []sqldb.Value, t int64, st repairState) ([]Partition, error) {
 	set := NewPartitionSet()
-	for {
-		m.locks.lock(sc)
-		err := func() error {
-			for _, id := range rowIDs {
-				ps, err := db.rollbackRowLocked(m, id, t, st, sc)
-				if err != nil {
-					return err
-				}
-				set.AddAll(ps)
-			}
-			return nil
-		}()
-		m.locks.unlock(sc)
-		if err == errScopeConflict && !sc.whole {
-			scopeEscalations.Inc()
-			sc = wholeScope()
-			continue
-		}
+	for _, id := range rowIDs {
+		ps, err := db.rollbackRowLocked(m, id, t, st)
 		if err != nil {
 			return nil, err
 		}
-		return set.Slice(), nil
+		set.AddAll(ps)
 	}
+	return set.Slice(), nil
 }
 
 // ReExec re-executes a query at its original time t in the repair
@@ -448,29 +388,6 @@ func (db *DB) ReExec(src string, params []sqldb.Value, t int64, orig *Record) (*
 	return db.ReExecPrepared(cs, params, t, orig)
 }
 
-// origScope derives the lock-column keys the original record's write set
-// touched — the rows a two-phase re-execution must roll back.
-func origScope(m *tableMeta, orig *Record) lockScope {
-	if orig == nil {
-		return keyScope(nil)
-	}
-	var keys []string
-	for _, p := range orig.WritePartitions {
-		if p.IsWholeTable() {
-			return wholeScope()
-		}
-		if p.Column == m.lockCol {
-			keys = append(keys, p.Key)
-		}
-	}
-	if len(keys) == 0 && len(orig.WriteRowIDs) > 0 {
-		// Rows were written but no lock-column partition recorded:
-		// cannot bound the rollback.
-		return wholeScope()
-	}
-	return keyScope(keys)
-}
-
 // ReExecPrepared re-executes a prepared query at its original time t in
 // the repair generation (§4.4). For writes it performs the paper's
 // two-phase re-execution (§4.2): it computes the new matching row set,
@@ -480,10 +397,9 @@ func origScope(m *tableMeta, orig *Record) lockScope {
 // counterpart (for example, a patched application run issuing a
 // brand-new query).
 //
-// Re-executions on disjoint partition scopes — different tables, or
-// disjoint lock-column keys of one table — run in parallel; the scope is
-// held for the full two-phase span so a re-execution is atomic with
-// respect to overlapping operations.
+// A write holds its table's lock exclusive for the full two-phase span,
+// so a re-execution is atomic with respect to every other operation on
+// the table.
 //
 // The returned Record describes the re-executed query; its WritePartitions
 // include everything touched by rollback, which the repair controller uses
@@ -509,40 +425,20 @@ func (db *DB) ReExecPrepared(cs *sqldb.CachedStmt, params []sqldb.Value, t int64
 		defer unlock()
 		return db.execAt(cs, params, t, st.next, orig, m, acc)
 	}
-	m, err := db.meta(table)
+	m, unlock, err := db.lockTable(table, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	acc := stateFor(m, cs).fp.resolve(params)
-	sc := acc.lock.merge(origScope(m, orig))
-	// dirt accumulates across an escalation retry: rollbacks completed
-	// in a narrow-scope attempt stay applied (the retry re-runs them as
-	// no-ops), so their partitions — including uniqueness-collider
-	// rollbacks the no-op re-run will not re-probe — must survive into
-	// the returned record's write set.
-	dirt := NewPartitionSet()
-	for {
-		m.locks.lock(sc)
-		res, rec, err := db.reExecWrite(cs, params, t, st, orig, m, acc, sc, dirt)
-		m.locks.unlock(sc)
-		if err == errScopeConflict && !sc.whole {
-			// The statically derived scope was too narrow (see
-			// locks.go); fall back to the table lock and re-run. No
-			// mutation escaped the narrow scope, and completed row
-			// rollbacks within it are idempotent under the retry.
-			scopeEscalations.Inc()
-			sc = wholeScope()
-			continue
-		}
-		return res, rec, err
-	}
+	defer unlock()
+	return db.reExecWrite(cs, params, t, st, orig, m, stateFor(m, cs).fp.resolve(params))
 }
 
-// reExecWrite implements two-phase re-execution of one write, under sc.
-// An INSERT has no WHERE to re-match, so its phases A and C are empty:
-// it rolls back the rows it originally created and runs again.
-func (db *DB) reExecWrite(cs *sqldb.CachedStmt, params []sqldb.Value, t int64, st repairState, orig *Record, m *tableMeta, acc access, sc lockScope, dirt *PartitionSet) (*sqldb.Result, *Record, error) {
-	db.markDirtyScope(m, sc) // phases B/C mutate even when the final exec fails
+// reExecWrite implements two-phase re-execution of one write, under the
+// table's exclusive lock. An INSERT has no WHERE to re-match, so its
+// phases A and C are empty: it rolls back the rows it originally created
+// and runs again.
+func (db *DB) reExecWrite(cs *sqldb.CachedStmt, params []sqldb.Value, t int64, st repairState, orig *Record, m *tableMeta, acc access) (*sqldb.Result, *Record, error) {
+	db.markDirtyScope(m, acc.lock) // phase C's fork mutates even when the final exec fails
 	next := st.next
 	_, isInsert := cs.Stmt.(*sqldb.Insert)
 
@@ -559,14 +455,16 @@ func (db *DB) reExecWrite(cs *sqldb.CachedStmt, params []sqldb.Value, t int64, s
 		}
 	}
 
-	// Phase B: roll back original ∪ new row IDs to just before t.
+	// Phase B: roll back original ∪ new row IDs to just before t. Each
+	// rollback marks the shards it changes.
+	dirt := NewPartitionSet()
 	seen := make(map[string]bool)
 	rollback := func(id sqldb.Value) error {
 		if seen[id.Key()] {
 			return nil
 		}
 		seen[id.Key()] = true
-		ps, err := db.rollbackRowLocked(m, id, t, st, sc)
+		ps, err := db.rollbackRowLocked(m, id, t, st)
 		dirt.AddAll(ps)
 		return err
 	}

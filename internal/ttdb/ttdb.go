@@ -28,22 +28,19 @@
 //
 //   - db.mu guards generation/repair/GC state and table annotations;
 //   - db.tablesMu guards the table registry;
-//   - each tableMeta has a partition lock manager (locks.go): an
-//     operation holds a *scope* — a set of keys in the table's lock
-//     column, or the whole table — for the full multi-statement span of
-//     an operation (an exec, a two-phase re-execution, a rollback), so
-//     operations on disjoint partitions of one table proceed in
-//     parallel while operations on overlapping partitions serialize;
+//   - each tableMeta has one reader/writer lock (locks.go), held for the
+//     full multi-statement span of an operation: shared by reads,
+//     exclusive by writes, two-phase re-executions and rollbacks;
 //   - tableMeta.mu is a leaf latch for the table's row-ID allocator,
-//     held only for momentary touches under a scope.
+//     held only for momentary touches under the table lock.
 //
 // DDL, generation switches (FinishRepair/AbortRepair), and GC take every
-// table's whole scope. The acquisition order is db.mu → table scopes, and
-// code holding a table scope never acquires db.mu. tablesMu is a leaf: it
-// is taken only for momentary registry reads/writes and is never held
-// across a scope (or db.mu) acquisition — which is why createTable and
-// DropTable may briefly write-lock it even while lockAll holds every
-// table's whole scope.
+// table's lock exclusive. The acquisition order is db.mu → table locks,
+// and code holding a table lock never acquires db.mu. tablesMu is a
+// leaf: it is taken only for momentary registry reads/writes and is
+// never held across a table-lock (or db.mu) acquisition — which is why
+// createTable and DropTable may briefly write-lock it even while lockAll
+// holds every table.
 package ttdb
 
 import (
@@ -90,20 +87,21 @@ type TableSpec struct {
 }
 
 // tableMeta is the runtime bookkeeping for one augmented table. locks
-// serializes overlapping-scope operations (locks.go); mu is a leaf
-// latch guarding the row-ID allocator.
+// is the table's lock (locks.go); mu is a leaf latch guarding the row-ID
+// allocator.
 type tableMeta struct {
 	mu        sync.Mutex
-	locks     *partLocks
+	locks     tableLock
 	name      string
 	spec      TableSpec
 	rowIDCol  string // spec.RowIDColumn or ColRowID
 	synthetic bool   // rowIDCol == ColRowID
 	userCols  []string
-	// lockCol is the designated locking/sharding partition column: the
-	// first declared partition column, or "" when the table has none.
-	// Lock scopes and checkpoint row shards are keyed by this column's
-	// values; dependency analysis still uses every partition column.
+	// lockCol is the designated sharding partition column: the first
+	// declared partition column, or "" when the table has none. Dirty
+	// tracking and checkpoint row shards are keyed by this column's
+	// values, and so are the admission gate's partitions; dependency
+	// analysis still uses every partition column.
 	lockCol   string
 	shards    int
 	nextRowID int64
@@ -115,19 +113,17 @@ type tableMeta struct {
 
 	// stmts are the table's prepared internal statements for the current
 	// DDL epoch (fastpath.go). They are built from userCols, which ALTER
-	// TABLE grows under the whole-table scope, so stmtsFor — like augFor —
-	// may only be called while holding a scope on this table.
+	// TABLE grows under lockAll, so stmtsFor — like augFor — may only be
+	// called while holding this table's lock.
 	stmts atomic.Pointer[tableStmts]
 
-	// parts are the declared partition columns in declaration order;
-	// lockKeyOf (rowID) selects the lock-column values of a row's versions
-	// (nil without a lock column) and changedAll (since) the versions
-	// created or closed since a time (partindex.go). All are read *before*
-	// any lock is held (footprint.go, scopeForRows, PartitionRowsSince), so
-	// unlike stmts they are built once, at create or restore, from facts no
-	// DDL changes.
-	parts                 []partCol
-	lockKeyOf, changedAll *sqldb.CachedStmt
+	// parts are the declared partition columns in declaration order, and
+	// changedAll (since) selects the versions created or closed since a
+	// time (partindex.go). Both are read without the table lock
+	// (footprint.go, PartitionRowsSince), so unlike stmts they are built
+	// once, at create or restore, from facts no DDL changes.
+	parts      []partCol
+	changedAll *sqldb.CachedStmt
 }
 
 // partCol is one declared partition column: its declared kind, its
@@ -168,10 +164,6 @@ func (m *tableMeta) prepareScopeFacts(defs []sqldb.ColumnDef) {
 	for i := range m.parts { // the probes select every partition column
 		m.parts[i].changed = m.changedSince(cmp(m.parts[i].name, sqldb.OpEq, 0), 1)
 	}
-	if m.lockCol != "" {
-		m.lockKeyOf = sqldb.NewCachedStmt(&sqldb.Select{Items: []sqldb.SelectItem{{Expr: sqldb.Col(m.lockCol)}},
-			Table: m.name, Where: cmp(m.rowIDCol, sqldb.OpEq, 0)})
-	}
 }
 
 // tableRestore accumulates a table's row shards during snapshot restore.
@@ -203,11 +195,9 @@ func (m *tableMeta) shardOfKey(key string) int {
 // these as WAL records) without reaching into the database's internals;
 // the database is fully usable with no observer set.
 //
-// RecordApplied runs while the mutated table's lock scope (and, for DDL,
-// the database lock) is still held, so the event order an observer sees
-// per partition is exactly the execution order; events of disjoint
-// partitions of one table may interleave in either order, matching their
-// true concurrency.
+// RecordApplied runs while the mutated table's exclusive lock (and, for
+// DDL, every table's) is still held, so the event order an observer sees
+// per table is exactly the execution order.
 // Implementations must not call back into the DB.
 type Observer interface {
 	// RecordApplied fires after a normal-execution mutation (INSERT,
@@ -262,7 +252,7 @@ type DB struct {
 	tables   map[string]*tableMeta
 
 	// currentGen is atomic so exec paths can read it while holding only a
-	// table scope; it changes only under lockAll (FinishRepair).
+	// table lock; it changes only under lockAll (FinishRepair).
 	currentGen atomic.Int64
 	inRepair   bool
 
@@ -271,7 +261,7 @@ type DB struct {
 	// dirtyMu guards dirty, the per-shard set of table slices mutated
 	// since the last checkpoint. It is a leaf lock: taken only for
 	// momentary set updates, under any combination of db.mu and table
-	// scopes. The persistence layer snapshots and clears the set at
+	// locks. The persistence layer snapshots and clears the set at
 	// checkpoint time (TakeDirty) so incremental checkpoints rewrite
 	// only changed shards.
 	dirtyMu sync.Mutex
@@ -319,10 +309,10 @@ func (db *DB) markDirtyWhole(table string) {
 	db.dirtyMu.Unlock()
 }
 
-// markDirtyScope records the dirt a scoped operation can produce: the
-// row shards of its keys, or the whole table for a whole-table scope.
-// Marked before executing, so even a write that fails partway can only
-// over-mark, never leave a mutated shard clean.
+// markDirtyScope records the dirt an operation can produce: the row
+// shards of its lock-column keys, or the whole table for a whole-table
+// scope. Marked before executing, so even a write that fails partway can
+// only over-mark, never leave a mutated shard clean.
 func (db *DB) markDirtyScope(m *tableMeta, sc lockScope) {
 	if sc.whole {
 		db.markDirtyWhole(m.name)
@@ -524,7 +514,7 @@ func (db *DB) meta(table string) (*tableMeta, error) {
 	return m, nil
 }
 
-// lockAll acquires db.mu plus every table's whole scope in name order,
+// lockAll acquires db.mu plus every table's lock exclusive in name order,
 // for operations that must exclude all concurrent table activity (DDL,
 // generation switches, GC). Release with unlockAll.
 func (db *DB) lockAll() []*tableMeta {
@@ -539,15 +529,15 @@ func (db *DB) lockAll() []*tableMeta {
 	db.tablesMu.RUnlock()
 	sort.Slice(metas, func(i, j int) bool { return metas[i].name < metas[j].name })
 	for _, m := range metas {
-		m.locks.lock(wholeScope())
+		m.locks.lock(true)
 	}
 	return metas
 }
 
-// unlockAll releases the scopes acquired by lockAll.
+// unlockAll releases the locks acquired by lockAll.
 func (db *DB) unlockAll(metas []*tableMeta) {
 	for i := len(metas) - 1; i >= 0; i-- {
-		metas[i].locks.unlock(wholeScope())
+		metas[i].locks.unlock(true)
 	}
 	db.mu.Unlock()
 }
@@ -569,7 +559,6 @@ func (db *DB) createTable(ct *sqldb.CreateTable) error {
 	}
 	spec := db.specs[ct.Table]
 	m := &tableMeta{
-		locks:     newPartLocks(),
 		name:      ct.Table,
 		spec:      spec,
 		rowIDCol:  spec.RowIDColumn,
