@@ -5,6 +5,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"net/url"
 	"sort"
@@ -53,10 +54,12 @@ func (rs *session) processQuery(it *workItem) error {
 	oldOutcome := rec.Outcome()
 	rec.Params = rs.mergeLiveText(rec, rec.Params)
 	rs.tracef("qcheck t=%d kind=%s sql=%.60s", rec.Time, rec.Kind, rec.SQL)
-	t0 := time.Now()
-	_, newRec, err := rs.w.DB.ReExec(rec.SQL, rec.Params, rec.Time, origForReExec(rec))
-	rs.tDB.Add(int64(time.Since(t0)))
-	rs.markQuery(act.ID)
+	cs, err := rs.w.DB.Prepare(rec.SQL)
+	if err != nil {
+		return fmt.Errorf("warp: re-executing %q: %w", rec.SQL, err)
+	}
+	_, newRec, n, err := rs.reExec(cs, rec.Params, rec.Time, origForReExec(rec), new(time.Duration))
+	rs.markQuery(act.ID, n)
 	if err != nil && newRec == nil {
 		return fmt.Errorf("warp: re-executing %q: %w", rec.SQL, err)
 	}
@@ -75,7 +78,6 @@ func (rs *session) processQuery(it *workItem) error {
 			outs = append(outs, history.Dep{Node: rs.w.partNode(p), Time: rec.Time})
 		}
 		rs.w.Graph.AddDeps(act.ID, ins, outs)
-		rs.addDirt(rec.WritePartitions, rec.Time)
 	}
 	if newRec.Outcome() != oldOutcome {
 		// The query's observable result changed: the application run that
@@ -149,6 +151,24 @@ func (rs *session) mergeLiveText(orig *ttdb.Record, params []sqldb.Value) []sqld
 	out := append([]sqldb.Value{}, params...)
 	out[info.ParamIdx] = sqldb.Text(merged)
 	return out
+}
+
+// reExec re-executes one statement at time t in the repair generation
+// and files the dirt of what it changed. It returns the dirt number
+// current when the execution began, read before it (settledLocked).
+func (rs *session) reExec(cs *sqldb.CachedStmt, params []sqldb.Value, t int64, orig *ttdb.Record, booked *time.Duration) (*sqldb.Result, *ttdb.Record, int64, error) {
+	n := rs.dirtSeq.Load()
+	t0 := time.Now()
+	res, rec, err := rs.w.DB.ReExecPrepared(cs, params, t, orig)
+	rs.book(&rs.tDB, t0, *booked, booked)
+	var ce *ttdb.ChangedError
+	switch {
+	case rec != nil && rec.IsWrite():
+		rs.addDirt(rec.WritePartitions, t)
+	case errors.As(err, &ce):
+		rs.addDirt(ce.Changed, t)
+	}
+	return res, rec, n, err
 }
 
 // origForReExec passes the original record for write re-execution (two-
@@ -264,6 +284,7 @@ func (rs *session) executeRun(origAct *history.Action, req *httpd.Request, booke
 
 	matcher := newQueryMatcher(orig.Queries)
 	lastTime := origAct.Time
+	ns := make([]int64, 0, len(orig.Queries)) // per recorded query, for noteRun
 	qf := func(sql string, params []sqldb.Value) (*sqldb.Result, *ttdb.Record, error) {
 		cs, err := rs.w.DB.Prepare(sql)
 		if err != nil {
@@ -286,14 +307,12 @@ func (rs *session) executeRun(origAct *history.Action, req *httpd.Request, booke
 			lastTime++
 			t = lastTime
 		}
-		t0 := time.Now()
-		res, newRec, err := rs.w.DB.ReExecPrepared(cs, params, t, origRec)
-		rs.book(&rs.tDB, t0, *booked, booked)
+		res, newRec, n, err := rs.reExec(cs, params, t, origRec, booked)
 		if newRec != nil {
 			lastTime = newRec.Time
+			ns = append(ns, n)
 			if newRec.IsWrite() {
 				rs.tracef("  run-query write t=%d sql=%.60s", t, sql)
-				rs.addDirt(newRec.WritePartitions, t)
 			}
 		}
 		return res, newRec, err
@@ -318,6 +337,7 @@ func (rs *session) executeRun(origAct *history.Action, req *httpd.Request, booke
 	// The original run and its queries no longer describe the timeline.
 	rs.retire(origPayload)
 	run := rs.w.recordRun(newRec, true)
+	rs.noteRun(run, ns)
 
 	// Cascade to the browser if the client-visible response changed (§5).
 	if orig.Resp != nil && newRec.Resp != nil && orig.Resp.Fingerprint() != newRec.Resp.Fingerprint() {
@@ -369,6 +389,7 @@ func (rs *session) rollbackWrite(rec *ttdb.Record, booked *time.Duration) error 
 	sp.End()
 	rs.book(&rs.tDB, t0, *booked, booked)
 	if err != nil {
+		rs.addDirt(dirt, rec.Time) // the rows it reverted before failing
 		return err
 	}
 	rs.addDirt(append(dirt, rec.WritePartitions...), rec.Time)
@@ -484,13 +505,16 @@ func (rs *session) freshRun(req *httpd.Request, booked *time.Duration) *httpd.Re
 		return httpd.NotFound("no route for " + req.Path)
 	}
 	lastTime := rs.w.Clock.Now()
+	var ns []int64 // per recorded query, for noteRun
 	qf := func(sql string, params []sqldb.Value) (*sqldb.Result, *ttdb.Record, error) {
 		lastTime++
-		t0 := time.Now()
-		res, rec, err := rs.w.DB.ReExec(sql, params, lastTime, nil)
-		rs.book(&rs.tDB, t0, *booked, booked)
-		if rec != nil && rec.IsWrite() {
-			rs.addDirt(rec.WritePartitions, rec.Time)
+		cs, err := rs.w.DB.Prepare(sql)
+		if err != nil {
+			return nil, nil, err
+		}
+		res, rec, n, err := rs.reExec(cs, params, lastTime, nil, booked)
+		if rec != nil {
+			ns = append(ns, n)
 		}
 		return res, rec, err
 	}
@@ -501,7 +525,7 @@ func (rs *session) freshRun(req *httpd.Request, booked *time.Duration) *httpd.Re
 		return httpd.ServerError(err.Error())
 	}
 	rs.markRun(history.ActionID(-rs.nextSeq())) // fresh runs get synthetic ids
-	rs.w.recordRun(rec, true)
+	rs.noteRun(rs.w.recordRun(rec, true), ns)
 	rs.mu.Lock()
 	rs.served[exchangeOf(req)] = &servedEntry{reqFP: req.Fingerprint(), resp: rec.Resp}
 	rs.mu.Unlock()

@@ -30,23 +30,7 @@ func buildDisjointWorkload(t *testing.T, workers, users, notes int) (*Report, []
 			}
 		}
 	}
-	fixed := func(c *app.Ctx) *httpd.Response {
-		if body := c.Req.Param("body"); body != "" {
-			clean := strings.ReplaceAll(strings.ReplaceAll(body, "<", "&lt;"), ">", "&gt;")
-			id := c.MustQuery("SELECT COALESCE(MAX(id), 0) + 1 FROM notes").FirstValue()
-			c.MustQuery("INSERT INTO notes (id, owner, body) VALUES (?, ?, ?)",
-				id, sqldb.Text(c.Req.Param("owner")), sqldb.Text(clean))
-		}
-		res := c.MustQuery("SELECT body FROM notes WHERE owner = ?", sqldb.Text(c.Req.Param("owner")))
-		var sb strings.Builder
-		sb.WriteString("<html><body><ul>")
-		for _, row := range res.Rows {
-			sb.WriteString("<li>" + row[0].AsText() + "</li>")
-		}
-		sb.WriteString("</ul></body></html>")
-		return httpd.HTML(sb.String())
-	}
-	rep, err := w.RetroPatch("notes.php", app.Version{Entry: fixed, Note: "sanitize"})
+	rep, err := w.RetroPatch("notes.php", app.Version{Entry: sanitizedNotes, Note: "sanitize"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,6 +43,24 @@ func buildDisjointWorkload(t *testing.T, workers, users, notes int) (*Report, []
 		rows = append(rows, r[0].AsText()+"|"+r[1].AsText())
 	}
 	return rep, rows
+}
+
+// sanitizedNotes is the notes handler with note bodies escaped.
+func sanitizedNotes(c *app.Ctx) *httpd.Response {
+	if body := c.Req.Param("body"); body != "" {
+		clean := strings.ReplaceAll(strings.ReplaceAll(body, "<", "&lt;"), ">", "&gt;")
+		id := c.MustQuery("SELECT COALESCE(MAX(id), 0) + 1 FROM notes").FirstValue()
+		c.MustQuery("INSERT INTO notes (id, owner, body) VALUES (?, ?, ?)",
+			id, sqldb.Text(c.Req.Param("owner")), sqldb.Text(clean))
+	}
+	res := c.MustQuery("SELECT body FROM notes WHERE owner = ?", sqldb.Text(c.Req.Param("owner")))
+	var sb strings.Builder
+	sb.WriteString("<html><body><ul>")
+	for _, row := range res.Rows {
+		sb.WriteString("<li>" + row[0].AsText() + "</li>")
+	}
+	sb.WriteString("</ul></body></html>")
+	return httpd.HTML(sb.String())
 }
 
 // newNotesAppWorkers is newNotesApp with an explicit worker count.

@@ -43,6 +43,13 @@ type session struct {
 	// during this repair.
 	dirt map[ttdb.Partition]int64
 
+	// dirtSeq numbers addDirt calls (drawn under mu); dirtLog keeps each
+	// partition's calls in number order; execSeq, per query action run in
+	// this session, the number its latest execution began at.
+	dirtSeq atomic.Int64
+	dirtLog map[ttdb.Partition][]dirtEntry
+	execSeq map[history.ActionID]int64
+
 	origRuns    map[history.Exchange]history.ActionID // first-seen (original) run per exchange
 	served      map[history.Exchange]*servedEntry
 	activeVisit map[string]bool
@@ -103,6 +110,10 @@ type session struct {
 	passChanges atomic.Int64
 }
 
+// dirtEntry is one addDirt call on a partition: its number and the time
+// the partition's contents changed from.
+type dirtEntry struct{ n, from int64 }
+
 // servedEntry caches the outcome of re-serving one HTTP exchange during
 // repair, so a visit replay does not re-execute a run the controller
 // already re-executed (§5.3 pruning). run is the re-executed run's
@@ -115,8 +126,8 @@ type servedEntry struct {
 
 func (w *Warp) newSession(gen int64) *session {
 	rep := &Report{Generation: gen}
-	rep.TotalAppRuns = len(w.Graph.ByKind(history.KindAppRun))
-	rep.TotalQueries = len(w.Graph.ByKind(history.KindQuery))
+	rep.TotalAppRuns = w.Graph.CountKind(history.KindAppRun)
+	rep.TotalQueries = w.Graph.CountKind(history.KindQuery)
 	w.mu.Lock()
 	rep.TotalPageVisits = len(w.visitOrder)
 	w.mu.Unlock()
@@ -134,6 +145,8 @@ func (w *Warp) newSession(gen int64) *session {
 		rep:          rep,
 		cfg:          *w.cfg.Replay,
 		dirt:         make(map[ttdb.Partition]int64),
+		dirtLog:      make(map[ttdb.Partition][]dirtEntry),
+		execSeq:      make(map[history.ActionID]int64),
 		origRuns:     make(map[history.Exchange]history.ActionID),
 		served:       make(map[history.Exchange]*servedEntry),
 		activeVisit:  make(map[string]bool),
@@ -170,13 +183,39 @@ func (rs *session) markRun(id history.ActionID) {
 	}
 }
 
-// markQuery counts a distinct query re-execution.
-func (rs *session) markQuery(id history.ActionID) {
+// markQuery counts a distinct query re-execution that began at dirt
+// number n.
+func (rs *session) markQuery(id history.ActionID, n int64) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	if !rs.doneQueries[id] {
 		rs.doneQueries[id] = true
 		rs.rep.QueriesReexecuted++
+	}
+	rs.noteExecLocked(id, n)
+}
+
+// noteExecLocked files that query action id executed from dirt number n
+// on. Only reads can overlap themselves, and a read that began later saw
+// more, so the largest number wins. Caller holds mu.
+func (rs *session) noteExecLocked(id history.ActionID, n int64) {
+	if old, ok := rs.execSeq[id]; !ok || n > old {
+		rs.execSeq[id] = n
+	}
+}
+
+// noteRun files the dirt numbers a re-executed run's queries began at
+// (ns, one per recorded query, in call order) onto the query actions
+// recordRun published for them as run.
+func (rs *session) noteRun(run history.ActionID, ns []int64) {
+	qs := rs.w.Graph.Get(run).Payload.(*RunPayload).QueryActions
+	if len(qs) != len(ns) {
+		return // unmatched: leave them unsettled
+	}
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	for i, id := range qs {
+		rs.noteExecLocked(id, ns[i])
 	}
 }
 
@@ -222,14 +261,26 @@ func (rs *session) tracef(format string, args ...any) {
 //
 
 // addDirt records that partitions changed from a given time on and
-// enqueues every logged query reading or writing them afterwards.
+// enqueues every logged query reading or writing them afterwards that has
+// not settled.
+//
+// The invariant the fixpoint rests on: every mutation of the repair
+// generation is followed by an addDirt naming every partition it changed,
+// at the mutation's logical time — reExec (a re-executed write's phase-B
+// rollback and phase-C write, or what a failed one changed),
+// rollbackWrite (and through it undoRun, cancelRun and cancelVisitTree),
+// and UndoPartition's RollbackPartition. The call's number is drawn after
+// the mutation, so every query execution that began before it holds a
+// smaller number (settled).
 func (rs *session) addDirt(parts []ttdb.Partition, from int64) {
 	rs.mu.Lock()
+	n := rs.dirtSeq.Add(1)
 	for _, p := range parts {
 		if old, ok := rs.dirt[p]; !ok || from < old {
 			rs.dirt[p] = from
 			rs.passChanges.Add(1)
 		}
+		rs.dirtLog[p] = append(rs.dirtLog[p], dirtEntry{n, from})
 	}
 	rs.mu.Unlock()
 	for _, p := range parts {
@@ -265,11 +316,34 @@ func (rs *session) propagate(p ttdb.Partition, from int64) {
 		acts = append(acts, rs.w.Graph.Writers(n, from+1)...)
 	}
 	rs.tGraph.Add(int64(time.Since(t0)))
+	rs.mu.Lock()
+	log, unsettled := rs.dirtLog[p], acts[:0]
 	for _, a := range acts {
-		if a.Kind == history.KindQuery {
-			rs.enqueueQuery(a)
+		if a.Kind == history.KindQuery && !rs.settledLocked(a, log) {
+			unsettled = append(unsettled, a)
 		}
 	}
+	rs.mu.Unlock()
+	for _, a := range unsettled {
+		rs.enqueueQuery(a)
+	}
+}
+
+// settledLocked reports whether query action a executed in this session
+// and no addDirt call on the partition (log) numbered after that
+// execution began changed it before a's time. Live actions logged during
+// the repair never executed here, so are never settled. Caller holds mu.
+func (rs *session) settledLocked(a *history.Action, log []dirtEntry) bool {
+	n, ok := rs.execSeq[a.ID]
+	if !ok {
+		return false
+	}
+	for i := len(log) - 1; i >= 0 && log[i].n > n; i-- {
+		if log[i].from < a.Time {
+			return false
+		}
+	}
+	return true
 }
 
 // dirtyAt reports whether any of the partitions was dirtied at or before t
@@ -576,10 +650,11 @@ func (w *Warp) repair(intent *RepairIntent, seed func(*session) error, restrictC
 		return err
 	}
 	// converge re-propagates all dirt and drains, for at most passes
-	// passes. A pass that drains without a single dirt or outcome change
-	// re-executed only deterministic, already-converged work, so it stops
-	// there rather than spending its full pass budget on identical
-	// re-drains.
+	// passes. Propagation enqueues only unsettled readers, so a repair
+	// nothing raced enqueues nothing here. A pass that drains without a
+	// single dirt or outcome change re-executed only deterministic,
+	// already-converged work, so it stops there rather than spending its
+	// full pass budget on identical re-drains.
 	converge := func(passes int) error {
 		for pass := 0; pass < passes; pass++ {
 			for p, t := range rs.dirtSnapshot() {

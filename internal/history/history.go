@@ -120,6 +120,7 @@ type Graph struct {
 	actions []*Action
 	base    ActionID
 	live    int
+	perKind [256]int // live actions by Kind; a uint8 indexes it whole
 	nextID  ActionID
 	obs     Observer
 	batch   []*Action // scratch for observer batches
@@ -195,6 +196,7 @@ func (g *Graph) store(a *Action) {
 	}
 	g.actions[a.ID-g.base] = a
 	g.live++
+	g.perKind[a.Kind]++
 	g.index(a)
 }
 
@@ -567,9 +569,14 @@ func sortByTime(acts []*Action) {
 	})
 }
 
-// ByKind returns all live actions of a kind, in append order. Used by
-// repair initialization (e.g. find every app run that loaded a file) and by
-// tests.
+// CountKind returns the number of live actions of a kind.
+func (g *Graph) CountKind(k Kind) int {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return g.perKind[k]
+}
+
+// ByKind returns all live actions of a kind, in append order.
 func (g *Graph) ByKind(k Kind) []*Action {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
@@ -621,6 +628,7 @@ func (g *Graph) GC(beforeTime int64) int {
 	for i, a := range g.actions {
 		if a != nil && a.Time < beforeTime {
 			g.actions[i] = nil
+			g.perKind[a.Kind]--
 			removed++
 		}
 	}

@@ -59,6 +59,44 @@ func TestByKindAndOrder(t *testing.T) {
 	}
 }
 
+// TestCountKindMatchesByKind: the per-kind live counts stay equal to the
+// listing they replace across appends, collection and restores.
+func TestCountKindMatchesByKind(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	g, restored := New(), New()
+	check := func(g *Graph, when string) {
+		for k := KindAppRun; k <= KindPatch; k++ {
+			if got, want := g.CountKind(k), len(g.ByKind(k)); got != want {
+				t.Fatalf("%s: CountKind(%s) = %d, ByKind lists %d", when, k, got, want)
+			}
+		}
+	}
+	tick := int64(0)
+	for step := 0; step < 300; step++ {
+		if rng.Intn(25) == 0 {
+			g.GC(tick - int64(rng.Intn(40)))
+			check(g, fmt.Sprintf("step %d, after GC", step))
+			continue
+		}
+		tick++
+		if rng.Intn(3) == 0 {
+			g.AppendRun([]Action{{Kind: KindAppRun, Time: tick}, {Kind: KindQuery, Time: tick}}, nil)
+		} else {
+			g.Append(&Action{Kind: Kind(rng.Intn(int(KindPatch) + 1)), Time: tick})
+		}
+		check(g, fmt.Sprintf("step %d, after append", step))
+	}
+	for _, a := range g.All() {
+		if err := restored.RestoreAction(&Action{ID: a.ID, Kind: a.Kind, Time: a.Time}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(restored, "after restore")
+	if restored.CountKind(KindQuery) != g.CountKind(KindQuery) || g.CountKind(KindQuery) == 0 {
+		t.Fatalf("restored %d queries of %d", restored.CountKind(KindQuery), g.CountKind(KindQuery))
+	}
+}
+
 func TestReadersSortedByTime(t *testing.T) {
 	g := New()
 	n := g.Intern("part:x")

@@ -244,11 +244,11 @@ func (db *DB) rollbackRowLocked(m *tableMeta, rowID sqldb.Value, t int64, st rep
 		// This version vanishes from the next generation.
 		if pr.sGen >= next {
 			if err := db.deletePhysical(m, pr); err != nil {
-				return nil, err
+				return set.Slice(), err
 			}
 		} else {
 			if err := db.demote(m, pr); err != nil {
-				return nil, err
+				return set.Slice(), err
 			}
 		}
 	}
@@ -259,20 +259,20 @@ func (db *DB) rollbackRowLocked(m *tableMeta, rowID sqldb.Value, t int64, st rep
 		// or remove colliders: the probe excludes the main row.
 		colliders, err := db.revivalColliders(m, *latest, st)
 		if err != nil {
-			return nil, err
+			return set.Slice(), err
 		}
 		if err := db.resolveRevivalCollisions(m, colliders, st, set); err != nil {
-			return nil, err
+			return set.Slice(), err
 		}
 		if latest.sGen >= next {
 			if _, err := db.raw.ExecCached(ts.setEndTime, latest.target(sqldb.Int(Infinity))); err != nil {
-				return nil, err
+				return set.Slice(), err
 			}
 		} else {
 			// Shared with the current generation: confine it there and keep
 			// an open copy for the next, in one statement.
 			if err := db.writeOne(m, ts.revive, latest.target(sqldb.Int(next)), "revive"); err != nil {
-				return nil, err
+				return set.Slice(), err
 			}
 		}
 	}
@@ -339,15 +339,16 @@ func (db *DB) resolveRevivalCollisions(m *tableMeta, colliders []collider, st re
 			}
 		}
 		ps, err := db.rollbackRowLocked(m, other.rowID, first, st)
+		dirt.AddAll(ps)
 		if err != nil {
 			return err
 		}
-		dirt.AddAll(ps)
 	}
 	return nil
 }
 
-// RollbackRows rolls back several rows of one table to time t.
+// RollbackRows rolls back several rows of one table to time t and returns
+// the partitions whose contents changed, also when it fails partway.
 func (db *DB) RollbackRows(table string, rowIDs []sqldb.Value, t int64) ([]Partition, error) {
 	st, err := db.repairSnapshot()
 	if err != nil {
@@ -365,28 +366,29 @@ func (db *DB) RollbackRows(table string, rowIDs []sqldb.Value, t int64) ([]Parti
 }
 
 // rollbackRowsLocked rolls back each row under the table's exclusive
-// lock and returns the partitions whose contents changed.
+// lock and returns the partitions whose contents changed, also when it
+// fails partway.
 func (db *DB) rollbackRowsLocked(m *tableMeta, rowIDs []sqldb.Value, t int64, st repairState) ([]Partition, error) {
 	set := NewPartitionSet()
 	for _, id := range rowIDs {
 		ps, err := db.rollbackRowLocked(m, id, t, st)
-		if err != nil {
-			return nil, err
-		}
 		set.AddAll(ps)
+		if err != nil {
+			return set.Slice(), err
+		}
 	}
 	return set.Slice(), nil
 }
 
-// ReExec re-executes a query at its original time t in the repair
-// generation (§4.4): text sugar over Prepare and ReExecPrepared.
-func (db *DB) ReExec(src string, params []sqldb.Value, t int64, orig *Record) (*sqldb.Result, *Record, error) {
-	cs, err := db.stmts.Get(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	return db.ReExecPrepared(cs, params, t, orig)
+// ChangedError is a repair write that failed after its rollback phase had
+// changed rows: Changed names the partitions whose contents changed.
+type ChangedError struct {
+	Changed []Partition
+	Err     error
 }
+
+func (e *ChangedError) Error() string { return e.Err.Error() }
+func (e *ChangedError) Unwrap() error { return e.Err }
 
 // ReExecPrepared re-executes a prepared query at its original time t in
 // the repair generation (§4.4). For writes it performs the paper's
@@ -403,7 +405,8 @@ func (db *DB) ReExec(src string, params []sqldb.Value, t int64, orig *Record) (*
 //
 // The returned Record describes the re-executed query; its WritePartitions
 // include everything touched by rollback, which the repair controller uses
-// for dependency propagation.
+// for dependency propagation. A write that fails with no Record after its
+// rollback changed rows returns a *ChangedError naming them.
 func (db *DB) ReExecPrepared(cs *sqldb.CachedStmt, params []sqldb.Value, t int64, orig *Record) (*sqldb.Result, *Record, error) {
 	if err := cs.CheckParams(params); err != nil {
 		return nil, nil, err
@@ -468,16 +471,22 @@ func (db *DB) reExecWrite(cs *sqldb.CachedStmt, params []sqldb.Value, t int64, s
 		dirt.AddAll(ps)
 		return err
 	}
+	failed := func(err error) (*sqldb.Result, *Record, error) {
+		if dirt.Len() == 0 {
+			return nil, nil, err
+		}
+		return nil, nil, &ChangedError{Changed: dirt.Slice(), Err: err}
+	}
 	if orig != nil {
 		for _, id := range orig.WriteRowIDs {
 			if err := rollback(id); err != nil {
-				return nil, nil, err
+				return failed(err)
 			}
 		}
 	}
 	for _, pr := range matchedNow {
 		if err := rollback(pr.rowID); err != nil {
-			return nil, nil, err
+			return failed(err)
 		}
 	}
 
@@ -487,12 +496,12 @@ func (db *DB) reExecWrite(cs *sqldb.CachedStmt, params []sqldb.Value, t int64, s
 	// (§4.4).
 	if !isInsert {
 		if _, err := db.raw.ExecCached(a.fork, ext); err != nil {
-			return nil, nil, err
+			return failed(err)
 		}
 	}
 	res, rec, err := db.execAt(cs, params, t, next, orig, m, acc)
 	if err != nil && rec == nil {
-		return nil, nil, err
+		return failed(err)
 	}
 	if rec != nil {
 		set := NewPartitionSet()

@@ -7,6 +7,15 @@ import (
 	"warp/internal/vclock"
 )
 
+// ReExec is ReExecPrepared on SQL text, the form the tests write.
+func (db *DB) ReExec(src string, params []sqldb.Value, t int64, orig *Record) (*sqldb.Result, *Record, error) {
+	cs, err := db.Prepare(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	return db.ReExecPrepared(cs, params, t, orig)
+}
+
 func newDB(t *testing.T) *DB {
 	t.Helper()
 	db := Open(&vclock.Clock{})

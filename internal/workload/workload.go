@@ -233,8 +233,8 @@ func run(cfg Config, fixed bool) (*Result, error) {
 		Env:              env,
 		OriginalExecTime: time.Since(start),
 		PageVisits:       w.Storage().PageVisits,
-		AppRuns:          len(w.Graph.ByKind(history.KindAppRun)),
-		Queries:          len(w.Graph.ByKind(history.KindQuery)),
+		AppRuns:          w.Graph.CountKind(history.KindAppRun),
+		Queries:          w.Graph.CountKind(history.KindQuery),
 		cfg:              cfg,
 	}
 	ok = true
