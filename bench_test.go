@@ -12,6 +12,7 @@ package warp_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -255,7 +256,12 @@ func TestNormalExecAllocBudget(t *testing.T) {
 // route, the same run through the time-travel database, nothing left
 // behind in the history graph.
 func wikiReadDeployment(tb testing.TB, nPages int) (w *core.Warp, reqs []*httpd.Request, plain httpd.HandlerFunc) {
-	w = core.New(core.Config{Seed: 1})
+	return wikiReadDeploymentWith(tb, nPages, core.Config{Seed: 1})
+}
+
+// wikiReadDeploymentWith is wikiReadDeployment under a given config.
+func wikiReadDeploymentWith(tb testing.TB, nPages int, cfg core.Config) (w *core.Warp, reqs []*httpd.Request, plain httpd.HandlerFunc) {
+	w = core.New(cfg)
 	a, err := wiki.Install(w)
 	if err != nil {
 		tb.Fatal(err)
@@ -359,6 +365,47 @@ func TestRecordAllocBudget(t *testing.T) {
 	if total > totalBudget || total-bare > recordBudget {
 		t.Fatalf("wiki page read costs %.1f allocs/op (budget %d), of which recording %.1f (budget %d)",
 			total, totalBudget, total-bare, recordBudget)
+	}
+}
+
+// TestReexecRunAllocBudget is the allocation gate of re-execution, next
+// to TestRecordAllocBudget: allocations per re-executed run in a full
+// retroactive patch with no live traffic — the clickjacking patch of the
+// library every wiki page loads, so every page read re-executes, on one
+// worker. A re-executed run pays for its app code, its queries and its
+// record; the controller compares the new response with the old instead
+// of hashing both, and re-executes the recorded request without copying
+// it.
+func TestReexecRunAllocBudget(t *testing.T) {
+	const pages, reads = 32, 4
+	w, reqs, _ := wikiReadDeploymentWith(t, pages, core.Config{Seed: 1, RepairWorkers: 1})
+	for i := 0; i < reads*pages; i++ {
+		if resp := w.HandleRequest(reqs[i%pages]); resp.Status != 200 {
+			t.Fatalf("status %d", resp.Status)
+		}
+	}
+	v, ok := (&wiki.App{W: w}).VulnerabilityByKind("Clickjacking")
+	if !ok {
+		t.Fatal("no clickjacking patch")
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rep, err := w.RetroPatch(v.File, v.Patch)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.AppRunsReexecuted < reads*pages {
+		t.Fatalf("%d runs re-executed, want at least the %d page reads", rep.AppRunsReexecuted, reads*pages)
+	}
+	perRun := float64(after.Mallocs-before.Mallocs) / float64(rep.AppRunsReexecuted)
+	// Measured 78.2 (go1.24, linux/amd64) plus 10 %; the copy and the two
+	// fingerprints it replaced cost 18.7 more.
+	const budget = 86
+	t.Logf("full retro-patch: %d runs re-executed, %.1f allocs per run (budget %d)", rep.AppRunsReexecuted, perRun, budget)
+	if perRun > budget {
+		t.Fatalf("a re-executed run costs %.1f allocs, budget %d", perRun, budget)
 	}
 }
 

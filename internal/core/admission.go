@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"warp/internal/app"
+	"warp/internal/history"
 	"warp/internal/sqldb"
 	"warp/internal/ttdb"
 )
@@ -98,15 +99,43 @@ func (s *scheduler) conflictsWithInflight(parts []ttdb.Partition) bool {
 }
 
 func (s *scheduler) conflictsLocked(parts []ttdb.Partition) bool {
+	if len(s.inflight) == 0 {
+		return false
+	}
+	if parts == nil {
+		return true
+	}
+	live := liveClaims(s.rs.w.Graph, parts)
 	for it := range s.inflight {
-		if parts == nil {
-			return true
-		}
-		if fp := s.footprintFor(it); fp.reads.OverlapsAny(parts) || fp.writes.OverlapsAny(parts) {
+		if fp := s.footprintFor(it); overlaps(live, &fp.reads) || overlaps(live, &fp.writes) {
 			return true
 		}
 	}
 	return false
+}
+
+// liveClaims is a live write's partitions as sorted footprint claims.
+// Names are looked up, not interned: a partition no action ever named
+// is on no footprint, so it can overlap one only through its table's
+// wildcard.
+func liveClaims(g *history.Graph, parts []ttdb.Partition) *history.Handles {
+	var h history.Handles
+	for _, p := range parts {
+		wild, ok := g.Lookup(partitionName(ttdb.WholeTable(p.Table)))
+		if !ok {
+			continue // no partition of the table was ever named
+		}
+		if p.IsWholeTable() {
+			h.Nodes = append(h.Nodes, wild)
+			continue
+		}
+		if n, ok := g.Lookup(partitionName(p)); ok {
+			h.Nodes = append(h.Nodes, n)
+		}
+		h.Wilds = append(h.Wilds, wild)
+	}
+	sortHandles(&h)
+	return &h
 }
 
 // waitConflictClear waits until the footprint stops conflicting with

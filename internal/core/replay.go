@@ -194,7 +194,9 @@ func (rs *session) processRun(it *workItem) error {
 	if payload.Superseded.Load() {
 		return nil
 	}
-	_, err := rs.executeRun(act, payload.Rec.Req.Clone(), new(time.Duration))
+	// The recorded request is immutable (httpd.Request), so it re-executes
+	// as it is.
+	_, err := rs.executeRun(act, payload.Rec.Req, new(time.Duration))
 	return err
 }
 
@@ -340,12 +342,12 @@ func (rs *session) executeRun(origAct *history.Action, req *httpd.Request, booke
 	rs.noteRun(run, ns)
 
 	// Cascade to the browser if the client-visible response changed (§5).
-	if orig.Resp != nil && newRec.Resp != nil && orig.Resp.Fingerprint() != newRec.Resp.Fingerprint() {
+	if orig.Resp != nil && newRec.Resp != nil && !orig.Resp.Equal(newRec.Resp) {
 		rs.tracef("run %s %s changed response (visit %s/%d)", req.Method, req.Path, orig.Req.ClientID, orig.Req.VisitID)
 		rs.cascadeToBrowser(orig.Req)
 	}
 	rs.mu.Lock()
-	rs.served[node] = &servedEntry{reqFP: req.Fingerprint(), resp: newRec.Resp, run: run}
+	rs.served[node] = &servedEntry{req: req, resp: newRec.Resp, run: run}
 	rs.mu.Unlock()
 	return newRec.Resp, nil
 }
@@ -476,7 +478,7 @@ func (rs *session) repairTransport(req *httpd.Request, booked *time.Duration) *h
 	rs.mu.Lock()
 	e, ok := rs.served[node]
 	rs.mu.Unlock()
-	if ok && e.reqFP == req.Fingerprint() {
+	if ok && e.req.Equal(req) {
 		return e.resp
 	}
 	origAct := rs.origRunFor(node)
@@ -485,7 +487,7 @@ func (rs *session) repairTransport(req *httpd.Request, booked *time.Duration) *h
 		return rs.freshRun(req, booked)
 	}
 	payload := origAct.Payload.(*RunPayload)
-	if req.Fingerprint() == payload.Rec.Req.Fingerprint() && rs.runClean(payload) {
+	if req.Equal(payload.Rec.Req) && rs.runClean(payload) {
 		// Identical request, unaffected run: reuse the original response
 		// (§5.3 pruning).
 		return payload.Rec.Resp
@@ -527,7 +529,7 @@ func (rs *session) freshRun(req *httpd.Request, booked *time.Duration) *httpd.Re
 	rs.markRun(history.ActionID(-rs.nextSeq())) // fresh runs get synthetic ids
 	rs.noteRun(rs.w.recordRun(rec, true), ns)
 	rs.mu.Lock()
-	rs.served[exchangeOf(req)] = &servedEntry{reqFP: req.Fingerprint(), resp: rec.Resp}
+	rs.served[exchangeOf(req)] = &servedEntry{req: req, resp: rec.Resp}
 	rs.mu.Unlock()
 	return rec.Resp
 }
@@ -638,7 +640,7 @@ func (rs *session) processVisit(it *workItem) error {
 		prunable := false
 		if origAct != nil {
 			p := origAct.Payload.(*RunPayload)
-			prunable = req.Fingerprint() == p.Rec.Req.Fingerprint() && rs.runClean(p) &&
+			prunable = req.Equal(p.Rec.Req) && rs.runClean(p) &&
 				jarEqual(child.Cookies, out.CookiesAfter)
 		}
 		if prunable {

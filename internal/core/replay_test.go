@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"warp/internal/app"
@@ -52,5 +53,78 @@ func TestVisitConflictsFromLastReplay(t *testing.T) {
 	}
 	if got := replay(page(link)); len(got) != 0 {
 		t.Fatalf("replay with the link back: conflicts %+v, want none (the earlier replay's are stale)", got)
+	}
+}
+
+// TestHeaderOnlyPatchCascadesToVisit: a retroactive patch that changes
+// only a response header on an unchanged body — the clickjacking fix's
+// X-Frame-Options — still changes the response, so the page visit that
+// received it replays. Patching in an identical version replays nothing.
+func TestHeaderOnlyPatchCascadesToVisit(t *testing.T) {
+	page := func(frameOptions string) app.Version {
+		return app.Version{Entry: func(*app.Ctx) *httpd.Response {
+			resp := httpd.HTML("<html><body>the same body</body></html>")
+			if frameOptions != "" {
+				resp.Headers["X-Frame-Options"] = frameOptions
+			}
+			return resp
+		}}
+	}
+	for _, workers := range []int{1, 2} {
+		for _, patch := range []struct {
+			frameOptions string
+			visits       int
+		}{{"DENY", 1}, {"", 0}} {
+			w := New(Config{Seed: 5, RepairWorkers: workers})
+			if err := w.Runtime.Register("page.php", page("")); err != nil {
+				t.Fatal(err)
+			}
+			w.Runtime.Mount("/", "page.php")
+			w.NewBrowser().Open("/")
+			rep, err := w.RetroPatch("page.php", page(patch.frameOptions))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.AppRunsReexecuted != 1 || rep.PageVisitsReplayed != patch.visits {
+				t.Fatalf("workers=%d, patched header %q: %d runs re-executed and %d visits replayed, want 1 and %d",
+					workers, patch.frameOptions, rep.AppRunsReexecuted, rep.PageVisitsReplayed, patch.visits)
+			}
+		}
+	}
+}
+
+// TestRecordedRequestsStayImmutable: repair re-executes a recorded run's
+// request itself, not a copy, so nothing on the repair path may write
+// one. Every original run's request fingerprints the same after a full
+// retroactive patch — runs re-executed, visits replayed, cookies
+// re-issued — as before it.
+func TestRecordedRequestsStayImmutable(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		w := newNotesAppWorkers(t, workers)
+		for u := 0; u < 3; u++ {
+			b := w.NewBrowser()
+			for n := 0; n < 2; n++ {
+				b.Open(fmt.Sprintf("/?owner=u%d&body=<b>note-%d</b>", u, n))
+			}
+			w.HandleRequest(httpd.NewRequest("GET", fmt.Sprintf("/?owner=u%d&body=<i>plain</i>", u)))
+		}
+		runs := w.Graph.ByKind(history.KindAppRun)
+		before := make([]uint64, len(runs))
+		for i, a := range runs {
+			before[i] = a.Payload.(*RunPayload).Rec.Req.Fingerprint()
+		}
+		rep, err := w.RetroPatch("notes.php", app.Version{Entry: sanitizedNotes, Note: "sanitize"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.AppRunsReexecuted < len(runs) || rep.PageVisitsReplayed == 0 {
+			t.Fatalf("workers=%d: %d of %d runs re-executed, %d visits replayed; the patch must reach every run and some visit",
+				workers, rep.AppRunsReexecuted, len(runs), rep.PageVisitsReplayed)
+		}
+		for i, a := range runs {
+			if req := a.Payload.(*RunPayload).Rec.Req; req.Fingerprint() != before[i] {
+				t.Fatalf("workers=%d: the request of run %d (%s %s) changed during repair", workers, a.ID, req.Method, req.URLString())
+			}
+		}
 	}
 }

@@ -22,21 +22,23 @@
 // same state.
 //
 // Footprints are derived from the history graph's dependency edges
-// (Graph.PartitionDepsOf), not recomputed from query records, so a work
+// (Graph.AppendHandles), not recomputed from query records, so a work
 // item's conflict set is exactly the partition overlap the graph already
-// indexed. With one worker the scheduler runs the identical serial heap
-// walk the paper describes, and derives no footprint at all.
+// indexed. A footprint holds node handles sorted by value, and two
+// footprints are intersected by merging them; the handle order is used
+// for nothing else. With one worker the scheduler runs the identical
+// serial heap walk the paper describes, and derives no footprint at all.
 package core
 
 import (
 	"container/heap"
 	"fmt"
 	"net/url"
+	"slices"
 	"sync"
 
 	"warp/internal/browser"
 	"warp/internal/history"
-	"warp/internal/ttdb"
 )
 
 // workKind classifies repair work items.
@@ -109,16 +111,13 @@ func (q *workQueue) Pop() any {
 	return it
 }
 
-// footprint is the dependency set a work item claims while in flight.
+// footprint is the dependency set a work item claims while in flight:
+// what it reads and what it writes, each sealed (sorted, deduplicated)
+// once it is built.
 type footprint struct {
-	reads  *ttdb.PartitionSet
-	writes *ttdb.PartitionSet
-	// nodeReads/nodeWrites carry the non-partition dependency nodes
-	// (cookies, HTTP exchanges), so e.g. two runs updating one client's
-	// cookies keep their time order.
-	nodeReads  map[fpNode]bool
-	nodeWrites map[fpNode]bool
-	run        history.ActionID
+	reads  history.Handles
+	writes history.Handles
+	run    history.ActionID
 	// client is set on visit-replay items: replays of one client's
 	// visits serialize among themselves (they thread the client's cookie
 	// jar and navigation state), independent clients replay in parallel.
@@ -133,36 +132,51 @@ func (a *footprint) conflicts(b *footprint) bool {
 	if a.client != "" && a.client == b.client {
 		return true
 	}
-	if a.writes.Overlaps(b.reads) || a.writes.Overlaps(b.writes) || b.writes.Overlaps(a.reads) {
-		return true
-	}
-	if nodesIntersect(a.nodeWrites, b.nodeReads) || nodesIntersect(a.nodeWrites, b.nodeWrites) ||
-		nodesIntersect(b.nodeWrites, a.nodeReads) {
-		return true
-	}
-	return false
+	return overlaps(&a.writes, &b.reads) || overlaps(&a.writes, &b.writes) || overlaps(&b.writes, &a.reads)
 }
 
-// fpNode is one non-partition node of a footprint: an interned graph node
-// or an HTTP exchange.
-type fpNode struct {
-	node history.Node
-	exch history.Exchange
-}
-
-func nodesIntersect(a, b map[fpNode]bool) bool {
-	if len(a) > len(b) {
-		a, b = b, a
+// overlaps reports whether two sealed claims share a node — the same
+// node, or a table wildcard on one side and a partition of that table on
+// the other — or an exchange.
+func overlaps(a, b *history.Handles) bool {
+	if meet(a.Nodes, b.Nodes) || meet(a.Nodes, b.Wilds) || meet(a.Wilds, b.Nodes) {
+		return true
 	}
-	if len(a) == 0 {
-		return false
-	}
-	for n := range a {
-		if b[n] {
+	for _, e := range a.Exchanges {
+		if slices.Contains(b.Exchanges, e) {
 			return true
 		}
 	}
 	return false
+}
+
+// meet reports whether two sorted handle lists share an element.
+func meet(a, b []history.Node) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			return true
+		}
+	}
+	return false
+}
+
+// seal sorts and deduplicates a footprint's node lists, for meet.
+func (fp *footprint) seal() *footprint {
+	sortHandles(&fp.reads)
+	sortHandles(&fp.writes)
+	return fp
+}
+
+func sortHandles(h *history.Handles) {
+	slices.Sort(h.Nodes)
+	h.Nodes = slices.Compact(h.Nodes)
+	slices.Sort(h.Wilds)
+	h.Wilds = slices.Compact(h.Wilds)
 }
 
 // lookahead bounds how many blocked items a dispatch scan considers
@@ -427,24 +441,14 @@ func (s *scheduler) footprintFor(it *workItem) *footprint {
 	}
 	if it.kind == workVisitReplay {
 		it.fp = s.visitFootprint(it)
-		return it.fp
+	} else {
+		it.fp = &footprint{run: it.runAction}
+		s.addActionDeps(it.fp, it.action)
+		if it.kind == workRunExec {
+			s.addRunQueryDeps(it.fp, it.action)
+		}
 	}
-	it.fp = newFootprint()
-	it.fp.run = it.runAction
-	s.addActionDeps(it.fp, it.action)
-	if it.kind == workRunExec {
-		s.addRunQueryDeps(it.fp, it.action)
-	}
-	return it.fp
-}
-
-func newFootprint() *footprint {
-	return &footprint{
-		reads:      ttdb.NewPartitionSet(),
-		writes:     ttdb.NewPartitionSet(),
-		nodeReads:  make(map[fpNode]bool),
-		nodeWrites: make(map[fpNode]bool),
-	}
+	return it.fp.seal()
 }
 
 // visitFootprint claims what one page-visit replay can touch: the
@@ -457,10 +461,9 @@ func newFootprint() *footprint {
 // writing an unclaimed partition — are caught by dirt propagation's
 // fixpoint, the same under-claim safety the cached footprints rely on.
 func (s *scheduler) visitFootprint(it *workItem) *footprint {
-	fp := newFootprint()
-	fp.client = it.client
 	w := s.rs.w
-	fp.nodeWrites[fpNode{node: nodeIn(w, w.cookieNodes, it.client, history.CookieName, false)}] = true
+	fp := &footprint{client: it.client}
+	fp.writes.Nodes = append(fp.writes.Nodes, nodeIn(w, w.cookieNodes, it.client, history.CookieName, false))
 
 	var exchanges []history.Exchange
 	w.mu.Lock()
@@ -479,7 +482,7 @@ func (s *scheduler) visitFootprint(it *workItem) *footprint {
 	w.mu.Unlock()
 
 	for _, e := range exchanges {
-		fp.nodeWrites[fpNode{exch: e}] = true
+		fp.writes.Exchanges = append(fp.writes.Exchanges, e)
 		if run := w.latestRun(e); run != nil {
 			s.addActionDeps(fp, run.ID)
 			s.addRunQueryDeps(fp, run.ID)
@@ -505,31 +508,9 @@ func (s *scheduler) addRunQueryDeps(fp *footprint, run history.ActionID) {
 }
 
 // addActionDeps folds one action's graph dependency edges into a
-// footprint, using the graph's pre-split partition-edge view.
+// footprint.
 func (s *scheduler) addActionDeps(fp *footprint, id history.ActionID) {
-	pd := s.rs.w.Graph.PartitionDepsOf(id)
-	for _, name := range pd.PartReads {
-		if p, ok := ttdb.ParsePartition(name); ok {
-			fp.reads.Add(p)
-		}
-	}
-	for _, name := range pd.PartWrites {
-		if p, ok := ttdb.ParsePartition(name); ok {
-			fp.writes.Add(p)
-		}
-	}
-	for _, n := range pd.NodeReads {
-		fp.nodeReads[fpNode{node: n}] = true
-	}
-	for _, n := range pd.NodeWrites {
-		fp.nodeWrites[fpNode{node: n}] = true
-	}
-	if pd.ExchRead {
-		fp.nodeReads[fpNode{exch: pd.Exchange}] = true
-	}
-	if pd.ExchWrite {
-		fp.nodeWrites[fpNode{exch: pd.Exchange}] = true
-	}
+	s.rs.w.Graph.AppendHandles(id, &fp.reads, &fp.writes)
 }
 
 //

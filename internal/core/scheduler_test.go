@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"warp/internal/app"
+	"warp/internal/history"
 	"warp/internal/httpd"
 	"warp/internal/sqldb"
 	"warp/internal/ttdb"
@@ -277,21 +278,22 @@ func TestParallelUndoVisit(t *testing.T) {
 // it must pick the item a scan that compares every pair afresh picks.
 func TestDispatchScanMatchesPairwiseScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	part := func() ttdb.Partition {
-		if rng.Intn(40) == 0 {
-			return ttdb.WholeTable("pages")
+	g := history.New()
+	part := func() history.Dep {
+		p := ttdb.WholeTable("pages")
+		if rng.Intn(40) > 0 {
+			p = ttdb.Partition{Table: "pages", Column: "title", Key: fmt.Sprint(rng.Intn(12))}
 		}
-		return ttdb.Partition{Table: "pages", Column: "title", Key: fmt.Sprint(rng.Intn(12))}
+		return history.Dep{Node: g.Intern(partitionName(p))}
 	}
 	var seq int64
 	item := func() *workItem {
 		seq++
-		it := &workItem{kind: workQueryCheck, time: int64(rng.Intn(400)), seq: seq, fp: newFootprint()}
-		it.fp.reads.Add(part())
+		act := &history.Action{Kind: history.KindQuery, Inputs: []history.Dep{part()}}
 		if rng.Intn(2) == 0 {
-			it.fp.writes.Add(part())
+			act.Outputs = []history.Dep{part()}
 		}
-		return it
+		return &workItem{kind: workQueryCheck, time: int64(rng.Intn(400)), seq: seq, fp: footprintOf(g, g.Append(act))}
 	}
 	for round := 0; round < 20; round++ {
 		s := newScheduler(nil, 4, 1<<30)
@@ -340,6 +342,134 @@ func TestDispatchScanMatchesPairwiseScan(t *testing.T) {
 			}
 			if seq < 4000 && rng.Intn(8) == 0 {
 				heap.Push(&s.pending, item())
+			}
+		}
+	}
+}
+
+// footprintOf is the sealed footprint of some actions' graph edges.
+func footprintOf(g *history.Graph, ids ...history.ActionID) *footprint {
+	fp := &footprint{}
+	for _, id := range ids {
+		g.AppendHandles(id, &fp.reads, &fp.writes)
+	}
+	return fp.seal()
+}
+
+// TestHandleFootprintsMatchPartitionRule: footprints intersect sorted
+// graph handles, with a table's wildcard standing for the table. On
+// seeded footprints over two tables — keyed partitions on two columns,
+// whole tables, cookie nodes, exchanges — every pair's verdict must be
+// the typed-partition rule's: ttdb.PartitionSet overlap of the parsed
+// node names, plus intersection of the other nodes and of the exchanges.
+// A live write's claims (liveClaims), which include partitions no action
+// ever named, must agree with PartitionSet.OverlapsAny the same way.
+func TestHandleFootprintsMatchPartitionRule(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	randPart := func() ttdb.Partition {
+		table := fmt.Sprintf("t%d", rng.Intn(2))
+		switch rng.Intn(6) {
+		case 0:
+			return ttdb.WholeTable(table)
+		case 1:
+			return ttdb.Partition{Table: table, Column: "title", Key: fmt.Sprint(rng.Intn(3))}
+		default:
+			return ttdb.Partition{Table: table, Column: "owner", Key: fmt.Sprint(rng.Intn(4))}
+		}
+	}
+	// oracle is one side of a footprint under the typed rule.
+	type oracle struct {
+		parts *ttdb.PartitionSet
+		nodes map[string]bool
+		exch  map[history.Exchange]bool
+	}
+	newOracle := func() *oracle {
+		return &oracle{ttdb.NewPartitionSet(), map[string]bool{}, map[history.Exchange]bool{}}
+	}
+	meets := func(a, b *oracle) bool {
+		if a.parts.Overlaps(b.parts) {
+			return true
+		}
+		for n := range a.nodes {
+			if b.nodes[n] {
+				return true
+			}
+		}
+		for e := range a.exch {
+			if b.exch[e] {
+				return true
+			}
+		}
+		return false
+	}
+	type sample struct {
+		fp            *footprint
+		reads, writes *oracle
+	}
+	for round := 0; round < 40; round++ {
+		g := history.New()
+		// edges draws a few edges of one direction, noting each in the oracle.
+		edges := func(o *oracle, e history.Exchange) []history.Dep {
+			var deps []history.Dep
+			for i := rng.Intn(4); i > 0; i-- {
+				var name string
+				switch rng.Intn(5) {
+				case 0:
+					name = history.CookieName(fmt.Sprintf("c%d", rng.Intn(3)))
+					o.nodes[name] = true
+				case 1:
+					deps = append(deps, history.Dep{Node: history.ExchangeNode})
+					o.exch[e] = true
+					continue
+				default:
+					p := randPart()
+					name = partitionName(p)
+					back, ok := ttdb.ParsePartition(strings.TrimPrefix(name, "part:"))
+					if !ok {
+						t.Fatalf("%s does not parse", name)
+					}
+					o.parts.Add(back)
+				}
+				deps = append(deps, history.Dep{Node: g.Intern(name)})
+			}
+			return deps
+		}
+		var samples []sample
+		for i := 0; i < 30; i++ {
+			smp := sample{reads: newOracle(), writes: newOracle()}
+			var ids []history.ActionID
+			for j := 1 + rng.Intn(2); j > 0; j-- { // a run's edges and its query's
+				e := history.Exchange{Client: "c", Visit: int64(rng.Intn(4)), Request: 1}
+				ids = append(ids, g.Append(&history.Action{
+					Kind: history.KindQuery, Exchange: e,
+					Inputs: edges(smp.reads, e), Outputs: edges(smp.writes, e),
+				}))
+			}
+			smp.fp = footprintOf(g, ids...)
+			samples = append(samples, smp)
+		}
+		verdicts := map[bool]int{}
+		for i, a := range samples {
+			for j, b := range samples {
+				want := meets(a.writes, b.reads) || meets(a.writes, b.writes) || meets(b.writes, a.reads)
+				if got := a.fp.conflicts(b.fp); got != want {
+					t.Fatalf("round %d, footprints %d and %d: conflicts = %v, the partition rule says %v", round, i, j, got, want)
+				}
+				verdicts[want]++
+			}
+		}
+		if verdicts[true] == 0 || verdicts[false] == 0 {
+			t.Fatalf("round %d: only one verdict: %v", round, verdicts)
+		}
+		for i, a := range samples {
+			live := []ttdb.Partition{randPart(), randPart()}
+			if rng.Intn(4) == 0 { // a partition no action named
+				live = append(live, ttdb.Partition{Table: live[0].Table, Column: "owner", Key: "never"})
+			}
+			want := a.reads.parts.OverlapsAny(live) || a.writes.parts.OverlapsAny(live)
+			claims := liveClaims(g, live)
+			if got := overlaps(claims, &a.fp.reads) || overlaps(claims, &a.fp.writes); got != want {
+				t.Fatalf("round %d, footprint %d, live write %v: overlap = %v, OverlapsAny says %v", round, i, live, got, want)
 			}
 		}
 	}

@@ -119,9 +119,9 @@ type dirtEntry struct{ n, from int64 }
 // already re-executed (§5.3 pruning). run is the re-executed run's
 // action, 0 for a fresh run.
 type servedEntry struct {
-	reqFP uint64
-	resp  *httpd.Response
-	run   history.ActionID
+	req  *httpd.Request
+	resp *httpd.Response
+	run  history.ActionID
 }
 
 func (w *Warp) newSession(gen int64) *session {

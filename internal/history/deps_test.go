@@ -65,20 +65,29 @@ func TestDepsUnknownAction(t *testing.T) {
 	if g.Deps(999) != nil || g.Dependents(999) != nil {
 		t.Fatal("unknown action should have no edges")
 	}
-	if pd := g.PartitionDepsOf(999); pd.PartReads != nil || pd.PartWrites != nil {
+	var in, out Handles
+	if g.AppendHandles(999, &in, &out); in.Nodes != nil || out.Nodes != nil {
 		t.Fatal("unknown action should have no deps")
 	}
 }
 
-func TestPartitionDepsOfReturnsCopies(t *testing.T) {
+// TestAppendHandlesReturnsCopies: AppendHandles appends to the caller's
+// lists; writing them does not reach the graph's edges.
+func TestAppendHandlesReturnsCopies(t *testing.T) {
 	g, ids := buildDepGraph()
-	pd := g.PartitionDepsOf(ids[3])
-	if len(pd.PartReads) != 2 {
-		t.Fatalf("PartitionDepsOf reads = %v", pd.PartReads)
+	var in, out Handles
+	g.AppendHandles(ids[3], &in, &out)
+	if len(in.Nodes) != 2 {
+		t.Fatalf("AppendHandles reads = %v", in.Nodes)
 	}
-	pd.PartReads[0] = "mutated"
-	if again := g.PartitionDepsOf(ids[3]); again.PartReads[0] == "mutated" {
-		t.Fatal("PartitionDepsOf must return copies, not aliases")
+	want := in.Nodes[0]
+	in.Nodes[0] = 999
+	var again Handles
+	if g.AppendHandles(ids[3], &again, &out); again.Nodes[0] != want {
+		t.Fatal("AppendHandles must return copies, not aliases")
+	}
+	if g.AppendHandles(ids[3], &again, &out); len(again.Nodes) != 4 {
+		t.Fatalf("a second call appends: reads = %v, want 4 handles", again.Nodes)
 	}
 }
 
@@ -92,8 +101,9 @@ func TestDepsAfterAddDeps(t *testing.T) {
 		t.Fatalf("Deps(a2) = %v", got)
 	}
 	// ...but a2 now reads Q as well.
-	if reads := g.PartitionDepsOf(ids[1]).PartReads; len(reads) != 2 {
-		t.Fatalf("PartitionDepsOf(a2) reads = %v, want 2", reads)
+	var reads, writes Handles
+	if g.AppendHandles(ids[1], &reads, &writes); len(reads.Nodes) != 2 {
+		t.Fatalf("AppendHandles(a2) reads = %v, want 2", reads.Nodes)
 	}
 }
 
@@ -134,29 +144,41 @@ func TestDepsHonorWholeTableOverlap(t *testing.T) {
 	}
 }
 
-// TestPartitionDepsOf splits partition edges from plain node edges.
-func TestPartitionDepsOf(t *testing.T) {
+// TestAppendHandles lists an action's handles by direction, with the
+// table wildcard of each keyed partition and its exchange.
+func TestAppendHandles(t *testing.T) {
 	g := New()
 	cookie := g.Intern(CookieName("c"))
+	keyed, wild := g.Intern(PartitionName("t/user=a")), g.Intern(PartitionName("t/*"))
+	exch := Exchange{Client: "c", Visit: 1, Request: 1}
 	id := g.Append(&Action{
-		Kind: KindQuery, Time: 10, Exchange: Exchange{Client: "c", Visit: 1, Request: 1},
-		Inputs:  []Dep{{Node: g.Intern(PartitionName("t/user=a")), Time: 10}, {Node: ExchangeNode, Time: 10}},
-		Outputs: []Dep{{Node: g.Intern(PartitionName("t/*")), Time: 10}, {Node: cookie, Time: 10}},
+		Kind: KindQuery, Time: 10, Exchange: exch,
+		Inputs:  []Dep{{Node: keyed, Time: 10}, {Node: ExchangeNode, Time: 10}},
+		Outputs: []Dep{{Node: wild, Time: 10}, {Node: cookie, Time: 10}},
 	})
-	pd := g.PartitionDepsOf(id)
-	if !reflect.DeepEqual(pd.PartReads, []string{"t/user=a"}) {
-		t.Fatalf("PartReads = %v", pd.PartReads)
+	var in, out Handles
+	g.AppendHandles(id, &in, &out)
+	if want := (Handles{Nodes: []Node{keyed}, Wilds: []Node{wild}, Exchanges: []Exchange{exch}}); !reflect.DeepEqual(in, want) {
+		t.Fatalf("reads = %+v, want %+v", in, want)
 	}
-	if !reflect.DeepEqual(pd.PartWrites, []string{"t/*"}) {
-		t.Fatalf("PartWrites = %v", pd.PartWrites)
+	// The wildcard is its own table's: it lists no second wildcard.
+	if want := (Handles{Nodes: []Node{wild, cookie}}); !reflect.DeepEqual(out, want) {
+		t.Fatalf("writes = %+v, want %+v", out, want)
 	}
-	if pd.NodeReads != nil || !pd.ExchRead || pd.ExchWrite || pd.Exchange.Name() != "http:c/1/1" {
-		t.Fatalf("exchange edge = %+v", pd)
+}
+
+// TestLookupDoesNotIntern: Lookup finds interned names only and adds none.
+func TestLookupDoesNotIntern(t *testing.T) {
+	g := New()
+	n := g.Intern(PartitionName("t/user=a"))
+	if got, ok := g.Lookup(PartitionName("t/user=a")); !ok || got != n {
+		t.Fatalf("Lookup(interned) = %d, %v; want %d, true", got, ok, n)
 	}
-	if !reflect.DeepEqual(pd.NodeWrites, []Node{cookie}) {
-		t.Fatalf("NodeWrites = %v", pd.NodeWrites)
+	_, before, _ := g.Stats()
+	if _, ok := g.Lookup(PartitionName("t/user=b")); ok {
+		t.Fatal("Lookup found a name never interned")
 	}
-	if pd := g.PartitionDepsOf(999); pd.PartReads != nil || pd.NodeReads != nil {
-		t.Fatalf("PartitionDepsOf(unknown) = %+v, want zero", pd)
+	if _, after, _ := g.Stats(); after != before {
+		t.Fatalf("Lookup interned: %d nodes, then %d", before, after)
 	}
 }

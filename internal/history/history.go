@@ -361,52 +361,44 @@ next:
 	return have
 }
 
-// PartitionDeps is the dependency-edge view of one action with its
-// partition edges pre-split from its plain node edges: the partition
-// names (ttdb.Partition string forms, parseable with ttdb.ParsePartition)
-// an action reads and writes, the remaining interned nodes (cookies,
-// files), and its exchange when it reads or writes one. The repair
-// scheduler's frontier builds work-item footprints from this view, so two
-// actions on the same table are admitted concurrently exactly when their
-// partition sets do not overlap.
-type PartitionDeps struct {
-	PartReads  []string
-	PartWrites []string
-	NodeReads  []Node
-	NodeWrites []Node
-	Exchange   Exchange
-	ExchRead   bool
-	ExchWrite  bool
+// Handles is the handle view of one direction of an action's
+// dependency edges: the interned nodes, the table wildcard of each keyed
+// partition node among them (a wildcard overlaps every partition of its
+// table), and the HTTP exchanges. The repair scheduler builds its
+// work-item footprints from it, so two actions on the same table are
+// admitted concurrently exactly when their partitions do not overlap.
+type Handles struct {
+	Nodes     []Node
+	Wilds     []Node
+	Exchanges []Exchange
 }
 
-// PartitionDepsOf returns an action's dependency edges split into
-// partition edges and plain node edges. Unlike reading Action.Inputs and
-// Outputs directly it is safe against a concurrent AddDeps.
-func (g *Graph) PartitionDepsOf(id ActionID) PartitionDeps {
+// AppendHandles appends an action's input edges to in and its output
+// edges to out, in edge order. Unlike reading Action.Inputs and Outputs
+// directly it is safe against a concurrent AddDeps.
+func (g *Graph) AppendHandles(id ActionID, in, out *Handles) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	var pd PartitionDeps
 	a := g.get(id)
 	if a == nil {
-		return pd
+		return
 	}
 	g.nmu.RLock()
 	defer g.nmu.RUnlock()
-	split := func(deps []Dep, parts *[]string, nodes *[]Node, exch *bool) {
+	add := func(deps []Dep, h *Handles) {
 		for _, d := range deps {
-			switch {
-			case d.Node == ExchangeNode:
-				pd.Exchange, *exch = a.Exchange, true
-			case g.nodes.wild[d.Node] != ExchangeNode:
-				*parts = append(*parts, g.nodes.names[d.Node][len("part:"):])
-			default:
-				*nodes = append(*nodes, d.Node)
+			if d.Node == ExchangeNode {
+				h.Exchanges = append(h.Exchanges, a.Exchange)
+				continue
+			}
+			h.Nodes = append(h.Nodes, d.Node)
+			if wild := g.nodes.wild[d.Node]; wild != ExchangeNode && wild != d.Node {
+				h.Wilds = append(h.Wilds, wild)
 			}
 		}
 	}
-	split(a.Inputs, &pd.PartReads, &pd.NodeReads, &pd.ExchRead)
-	split(a.Outputs, &pd.PartWrites, &pd.NodeWrites, &pd.ExchWrite)
-	return pd
+	add(a.Inputs, in)
+	add(a.Outputs, out)
 }
 
 // TableNodes returns the partition nodes of a table that currently have
@@ -463,8 +455,8 @@ func (g *Graph) Deps(id ActionID) []ActionID { return g.related(id, false) }
 // Dependents returns the distinct actions depending on the given action:
 // every action with an input edge from one of its output nodes at or after
 // its time, in (time, ID) order. Deps and Dependents are the action-level
-// view of the graph's edges; the repair scheduler consumes the node-level
-// view (PartitionDepsOf) to build work-item footprints.
+// view of the graph's edges; the repair scheduler consumes the handle
+// view (AppendHandles) to build work-item footprints.
 func (g *Graph) Dependents(id ActionID) []ActionID { return g.related(id, true) }
 
 func (g *Graph) related(id ActionID, forward bool) []ActionID {

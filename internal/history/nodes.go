@@ -111,15 +111,21 @@ func (t *nodeTable) intern(name string) Node {
 
 // Intern returns the handle of a node name, assigning one on first sight.
 func (g *Graph) Intern(name string) Node {
-	g.nmu.RLock()
-	n, ok := g.nodes.byName[name]
-	g.nmu.RUnlock()
-	if ok {
+	if n, ok := g.Lookup(name); ok {
 		return n
 	}
 	g.nmu.Lock()
 	defer g.nmu.Unlock()
 	return g.nodes.intern(name)
+}
+
+// Lookup returns the handle of a node name without interning it; ok is
+// false for a name never interned.
+func (g *Graph) Lookup(name string) (n Node, ok bool) {
+	g.nmu.RLock()
+	defer g.nmu.RUnlock()
+	n, ok = g.nodes.byName[name]
+	return n, ok
 }
 
 // NodeName returns the name a handle was interned under. Unlike the rest

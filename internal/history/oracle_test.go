@@ -328,24 +328,25 @@ func checkAgainstModel(t *testing.T, step int, g *Graph, ref *refGraph, pool []s
 		eq(fmt.Sprintf("Deps(%d)", id), g.Deps(id), ref.related(id, false))
 		eq(fmt.Sprintf("Dependents(%d)", id), g.Dependents(id), ref.related(id, true))
 
-		pd := g.PartitionDepsOf(id)
-		var want PartitionDeps
-		split := func(deps []refDep, parts *[]string, nodes *[]Node, exch *bool) {
+		var in, out, wantIn, wantOut Handles
+		g.AppendHandles(id, &in, &out)
+		handles := func(deps []refDep, h *Handles) {
 			for _, d := range deps {
-				switch {
-				case strings.HasPrefix(d.name, "http:"):
-					want.Exchange, _ = ParseExchange(d.name)
-					*exch = true
-				case strings.HasPrefix(d.name, "part:"):
-					*parts = append(*parts, strings.TrimPrefix(d.name, "part:"))
-				default:
-					*nodes = append(*nodes, g.Intern(d.name))
+				if strings.HasPrefix(d.name, "http:") {
+					e, _ := ParseExchange(d.name)
+					h.Exchanges = append(h.Exchanges, e)
+					continue
+				}
+				h.Nodes = append(h.Nodes, g.Intern(d.name))
+				if table, whole, ok := partitionTable(d.name); ok && !whole {
+					h.Wilds = append(h.Wilds, g.Intern(PartitionName(table+"/*")))
 				}
 			}
 		}
-		split(r.in, &want.PartReads, &want.NodeReads, &want.ExchRead)
-		split(r.out, &want.PartWrites, &want.NodeWrites, &want.ExchWrite)
-		eq(fmt.Sprintf("PartitionDepsOf(%d)", id), pd, want)
+		handles(r.in, &wantIn)
+		handles(r.out, &wantOut)
+		eq(fmt.Sprintf("AppendHandles(%d) reads", id), in, wantIn)
+		eq(fmt.Sprintf("AppendHandles(%d) writes", id), out, wantOut)
 	}
 }
 

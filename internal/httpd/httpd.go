@@ -14,7 +14,9 @@ package httpd
 import (
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -27,6 +29,13 @@ const (
 )
 
 // Request is one HTTP request as seen by the server.
+//
+// A request is immutable once built. Only its builders write one:
+// NewRequest, the browser as it sends, the net/http Adapter and the
+// repair controller's buildRequest (and normal execution, which drops a
+// repair-invalidated cookie before the run). Nothing writes it once a
+// handler has it. A recorded run keeps the request it served, and repair
+// re-executes that very request, shared, not a copy.
 type Request struct {
 	Method  string // GET or POST
 	Path    string // e.g. "/index.php"
@@ -88,38 +97,38 @@ func (r *Request) Param(name string) string {
 // Cookie returns a cookie value, or "".
 func (r *Request) Cookie(name string) string { return r.Cookies[name] }
 
-// Clone returns a deep copy of the request.
-func (r *Request) Clone() *Request {
-	c := &Request{
-		Method:    r.Method,
-		Path:      r.Path,
-		Query:     url.Values{},
-		Form:      url.Values{},
-		Cookies:   map[string]string{},
-		Headers:   map[string]string{},
-		ClientID:  r.ClientID,
-		VisitID:   r.VisitID,
-		RequestID: r.RequestID,
-	}
-	for k, vs := range r.Query {
-		c.Query[k] = append([]string{}, vs...)
-	}
-	for k, vs := range r.Form {
-		c.Form[k] = append([]string{}, vs...)
-	}
-	for k, v := range r.Cookies {
-		c.Cookies[k] = v
-	}
-	for k, v := range r.Headers {
-		c.Headers[k] = v
-	}
-	return c
+// Equal reports whether two requests agree on every part the server's
+// behavior depends on — exactly the parts Fingerprint hashes. The repair
+// controller asks it whether a replayed browser issued the same request
+// as the original execution (§5.3).
+func (r *Request) Equal(o *Request) bool {
+	return r.Method == o.Method && r.Path == o.Path &&
+		valuesEqual(r.Query, o.Query) && valuesEqual(r.Form, o.Form) && maps.Equal(r.Cookies, o.Cookies)
 }
 
-// Fingerprint hashes the parts of the request the server's behavior
-// depends on. The repair controller compares fingerprints to decide
-// whether a replayed browser issued the same request as the original
-// execution (§5.3).
+// valuesEqual is a.Encode() == b.Encode() without encoding either: keys
+// with no values drop out, and a key's values compare in order.
+func valuesEqual(a, b url.Values) bool {
+	n := 0
+	for k, vs := range a {
+		if len(vs) == 0 {
+			continue
+		}
+		n++
+		if !slices.Equal(vs, b[k]) {
+			return false
+		}
+	}
+	for _, vs := range b {
+		if len(vs) > 0 {
+			n--
+		}
+	}
+	return n == 0
+}
+
+// Fingerprint hashes what Equal compares. The browser's visit log
+// records it for each request, and the on-disk format persists it.
 func (r *Request) Fingerprint() uint64 {
 	h := fnv.New64a()
 	write := func(s string) {
@@ -245,9 +254,26 @@ func (r *Response) ClearCookie(name string) {
 	r.ClearCookies = append(r.ClearCookies, name)
 }
 
-// Fingerprint hashes the response's observable content: status, body,
-// headers, and cookie changes. Used for the "did the HTTP response change"
-// test that drives browser re-execution (§5).
+// Equal reports whether two responses agree on their observable content
+// — exactly what Fingerprint hashes: status, body, headers, cookies set,
+// and cookies cleared as a multiset. It is the "did the HTTP response
+// change" test that drives browser re-execution (§5).
+func (r *Response) Equal(o *Response) bool {
+	if r.Status != o.Status || r.Body != o.Body || !maps.Equal(r.Headers, o.Headers) ||
+		!maps.Equal(r.SetCookies, o.SetCookies) || len(r.ClearCookies) != len(o.ClearCookies) {
+		return false
+	}
+	if slices.Equal(r.ClearCookies, o.ClearCookies) {
+		return true
+	}
+	a, b := slices.Clone(r.ClearCookies), slices.Clone(o.ClearCookies)
+	slices.Sort(a)
+	slices.Sort(b)
+	return slices.Equal(a, b)
+}
+
+// Fingerprint hashes what Equal compares. The browser's visit log
+// records it for each response, and the on-disk format persists it.
 func (r *Response) Fingerprint() uint64 {
 	h := fnv.New64a()
 	write := func(s string) {
@@ -295,17 +321,4 @@ func (r *Response) ApproxBytes() int {
 		n += len(k)
 	}
 	return n
-}
-
-// Clone returns a deep copy of the response.
-func (r *Response) Clone() *Response {
-	c := &Response{Status: r.Status, Body: r.Body, Headers: map[string]string{}, SetCookies: map[string]string{}}
-	for k, v := range r.Headers {
-		c.Headers[k] = v
-	}
-	for k, v := range r.SetCookies {
-		c.SetCookies[k] = v
-	}
-	c.ClearCookies = append(c.ClearCookies, r.ClearCookies...)
-	return c
 }

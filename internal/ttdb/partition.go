@@ -35,9 +35,8 @@ func (p Partition) String() string {
 // ParsePartition parses the String form of a partition back into a
 // Partition. Table and column names are SQL identifiers (no "/" or "="),
 // so splitting at the first separator is unambiguous even when the key
-// contains arbitrary user data. The repair scheduler uses this to turn the
-// history graph's partition node names back into typed partitions without
-// re-deriving them from query records.
+// contains arbitrary user data. A pending partition undo persists its
+// partition in this form.
 func ParsePartition(s string) (Partition, bool) {
 	i := strings.IndexByte(s, '/')
 	if i <= 0 {
@@ -124,9 +123,9 @@ func (s *PartitionSet) OverlapsAny(ps []Partition) bool {
 }
 
 // Overlaps reports whether any partition in this set overlaps any
-// partition in o, honoring whole-table entries on either side. The repair
-// scheduler asks it of every pair of footprints on its frontier, most of
-// them with an empty side (a read-only item writes nothing).
+// partition in o, honoring whole-table entries on either side. It is the
+// typed rule the repair scheduler's handle footprints must agree with
+// (core's TestHandleFootprintsMatchPartitionRule).
 func (s *PartitionSet) Overlaps(o *PartitionSet) bool {
 	if o == nil || s.Len() == 0 || o.Len() == 0 {
 		return false
