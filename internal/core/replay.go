@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"net/url"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -52,13 +53,16 @@ func (rs *session) processQuery(it *workItem) error {
 	rec := payload.Rec
 
 	oldOutcome := rec.Outcome()
-	rec.Params = rs.mergeLiveText(rec, rec.Params)
+	// A read's record is not written here: a visit replay may be serving
+	// it to the run that issued it (recordedRead). A merged write's
+	// parameters reach its record with the re-executed record below.
+	params := rs.mergeLiveText(rec, rec.Params)
 	rs.tracef("qcheck t=%d kind=%s sql=%.60s", rec.Time, rec.Kind, rec.SQL)
 	cs, err := rs.w.DB.Prepare(rec.SQL)
 	if err != nil {
 		return fmt.Errorf("warp: re-executing %q: %w", rec.SQL, err)
 	}
-	_, newRec, n, err := rs.reExec(cs, rec.Params, rec.Time, origForReExec(rec), new(time.Duration))
+	_, newRec, n, err := rs.reExec(cs, params, rec.Time, origForReExec(rec), new(time.Duration))
 	rs.markQuery(act.ID, n)
 	if err != nil && newRec == nil {
 		return fmt.Errorf("warp: re-executing %q: %w", rec.SQL, err)
@@ -169,6 +173,31 @@ func (rs *session) reExec(cs *sqldb.CachedStmt, params []sqldb.Value, t int64, o
 		rs.addDirt(ce.Changed, t)
 	}
 	return res, rec, n, err
+}
+
+// recordedRead serves a read a re-executed run re-issues from its record
+// orig, without entering the database, when the read would return what
+// it recorded: it read a table and succeeded, params equal the recorded
+// ones kind for kind and value for value, it was logged before this
+// session began (a live read saw the current generation, not this one),
+// and no partition it read was dirtied at or before its time. The copy
+// runs in this session's generation and shares orig's Result, which is
+// never written (ttdb.Record). The dirt number is read before the check,
+// so a change filed after it leaves the read unsettled (settledLocked)
+// exactly as if it had executed then. It returns nil when the read must
+// execute.
+func (rs *session) recordedRead(orig *ttdb.Record, params []sqldb.Value) (*ttdb.Record, int64) {
+	if orig == nil || orig.Kind != ttdb.KindRead || orig.Table == "" || orig.ErrText != "" || orig.Result == nil ||
+		orig.Time >= rs.liveSince || !slices.Equal(orig.Params, params) {
+		return nil, 0
+	}
+	n := rs.dirtSeq.Load()
+	if rs.dirtyAt(orig.ReadPartitions, orig.Time) {
+		return nil, 0
+	}
+	rec := *orig
+	rec.Gen = rs.gen
+	return &rec, n
 }
 
 // origForReExec passes the original record for write re-execution (two-
@@ -308,6 +337,11 @@ func (rs *session) executeRun(origAct *history.Action, req *httpd.Request, booke
 			// previous query of this run (the clock strides leave room).
 			lastTime++
 			t = lastTime
+		}
+		if rec, n := rs.recordedRead(origRec, params); rec != nil {
+			lastTime = t
+			ns = append(ns, n)
+			return rec.Result, rec, nil
 		}
 		res, newRec, n, err := rs.reExec(cs, params, t, origRec, booked)
 		if newRec != nil {

@@ -40,8 +40,10 @@ type session struct {
 	seq int64
 
 	// dirt maps partitions to the earliest time their contents changed
-	// during this repair.
-	dirt map[ttdb.Partition]int64
+	// during this repair; tableDirt, each table to the earliest over its
+	// partitions, so a whole-table check is one lookup.
+	dirt      map[ttdb.Partition]int64
+	tableDirt map[string]int64
 
 	// dirtSeq numbers addDirt calls (drawn under mu); dirtLog keeps each
 	// partition's calls in number order; execSeq, per query action run in
@@ -145,6 +147,7 @@ func (w *Warp) newSession(gen int64) *session {
 		rep:          rep,
 		cfg:          *w.cfg.Replay,
 		dirt:         make(map[ttdb.Partition]int64),
+		tableDirt:    make(map[string]int64),
 		dirtLog:      make(map[ttdb.Partition][]dirtEntry),
 		execSeq:      make(map[history.ActionID]int64),
 		origRuns:     make(map[history.Exchange]history.ActionID),
@@ -280,6 +283,9 @@ func (rs *session) addDirt(parts []ttdb.Partition, from int64) {
 			rs.dirt[p] = from
 			rs.passChanges.Add(1)
 		}
+		if old, ok := rs.tableDirt[p.Table]; !ok || from < old {
+			rs.tableDirt[p.Table] = from
+		}
 		rs.dirtLog[p] = append(rs.dirtLog[p], dirtEntry{n, from})
 	}
 	rs.mu.Unlock()
@@ -352,13 +358,11 @@ func (rs *session) dirtyAt(parts []ttdb.Partition, t int64) bool {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	for _, p := range parts {
+		if dt, ok := rs.tableDirt[p.Table]; !ok || dt > t {
+			continue // nothing in the table changed at or before t
+		}
 		if p.IsWholeTable() {
-			for dp, dt := range rs.dirt {
-				if dp.Table == p.Table && dt <= t {
-					return true
-				}
-			}
-			continue
+			return true
 		}
 		if dt, ok := rs.dirt[p]; ok && dt <= t {
 			return true
@@ -378,13 +382,11 @@ func (rs *session) claimed(parts []ttdb.Partition) bool {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	for _, p := range parts {
-		if p.IsWholeTable() {
-			for dp := range rs.dirt {
-				if dp.Table == p.Table {
-					return true
-				}
-			}
+		if _, ok := rs.tableDirt[p.Table]; !ok {
 			continue
+		}
+		if p.IsWholeTable() {
+			return true
 		}
 		if _, ok := rs.dirt[p]; ok {
 			return true

@@ -251,7 +251,10 @@ type tableStmts struct {
 	epoch uint64
 	colOf map[string]int // column name -> position in a physical row
 
-	versions   *sqldb.CachedStmt // (rowID, gen): every version of the row visible in gen
+	// versions (rowID, gen, since) selects the row's versions visible in
+	// gen that end at or after since; the row-ID warpIndex serves the
+	// bound, so a version that ended earlier is never visited.
+	versions   *sqldb.CachedStmt
 	setEndGen  *sqldb.CachedStmt // (endGen, target...)
 	setEndTime *sqldb.CachedStmt // (endTime, target...)
 	// revive (nextGen, target...) confines a shared version to the current
@@ -290,7 +293,7 @@ func (db *DB) stmtsFor(m *tableMeta) *tableStmts {
 		ts.colOf[c] = i
 	}
 	ts.versions = sqldb.NewCachedStmt(m.physicalSelect(
-		sqldb.And(cmp(m.rowIDCol, sqldb.OpEq, 0), visibleInGen(1))))
+		sqldb.And(cmp(m.rowIDCol, sqldb.OpEq, 0), visibleInGen(1), cmp(ColEndTime, sqldb.OpGe, 2))))
 
 	target := func(first int) sqldb.Expr {
 		return sqldb.And(cmp(m.rowIDCol, sqldb.OpEq, first),

@@ -98,7 +98,8 @@ func (db *DB) RepairValueBefore(info UpdateMergeInfo, rowID sqldb.Value, t int64
 		return "", false
 	}
 	defer unlock()
-	versions, err := db.selectPhysical(m, db.stmtsFor(m).versions, []sqldb.Value{rowID, sqldb.Int(st.next)})
+	// The version live at t-1 ends after t-1, that is at or after t.
+	versions, err := db.selectPhysical(m, db.stmtsFor(m).versions, []sqldb.Value{rowID, sqldb.Int(st.next), sqldb.Int(t)})
 	if err != nil {
 		return "", false
 	}

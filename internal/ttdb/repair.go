@@ -204,40 +204,48 @@ func (db *DB) RollbackRow(table string, rowID sqldb.Value, t int64) ([]Partition
 
 // rollbackRowLocked is the per-row rollback, run under the table's
 // exclusive lock. Re-running a completed rollback is a no-op.
+//
+// It visits only the versions visible in the next generation that end at
+// or after t: those starting at or after t, which it deletes or demotes,
+// and the one covering t, which it may revive. A version that ended
+// before t is neither changed nor visible from t on, so the work and the
+// partitions returned (those of the changed versions) follow what the
+// rollback changes, not how long the row's history is.
 func (db *DB) rollbackRowLocked(m *tableMeta, rowID sqldb.Value, t int64, st repairState) ([]Partition, error) {
 	if err := st.checkHorizon(t); err != nil {
 		return nil, err
 	}
 	next := st.next
 
-	// All versions of this row visible anywhere in the next generation.
 	ts := db.stmtsFor(m)
-	versions, err := db.selectPhysical(m, ts.versions, []sqldb.Value{rowID, sqldb.Int(next)})
+	versions, err := db.selectPhysical(m, ts.versions, []sqldb.Value{rowID, sqldb.Int(next), sqldb.Int(t)})
 	if err != nil {
 		return nil, err
 	}
 
-	set := NewPartitionSet()
-	var keep, gone []physicalRow
-	for _, pr := range versions {
-		set.AddAll(m.rowPartitions(pr.colVal))
-		if pr.start < t {
-			keep = append(keep, pr)
-		} else {
+	// A row's versions in one generation do not overlap in time, so at
+	// most one of those ending at or after t starts before it: the
+	// version covering t.
+	var gone []physicalRow
+	var latest *physicalRow
+	for i, pr := range versions {
+		switch {
+		case pr.start >= t:
 			gone = append(gone, pr)
+		case latest == nil || pr.start > latest.start:
+			latest = &versions[i]
 		}
 	}
 	// Revive the version covering t, if it was closed.
-	var latest *physicalRow
-	for i := range keep {
-		if latest == nil || keep[i].start > latest.start {
-			latest = &keep[i]
-		}
-	}
-	revive := latest != nil && latest.end != Infinity && latest.end >= t
+	revive := latest != nil && latest.end != Infinity
 
+	set := NewPartitionSet()
+	for _, pr := range gone {
+		set.AddAll(m.rowPartitions(pr.colVal))
+	}
 	db.markDirtyVersions(m, gone...)
 	if revive {
+		set.AddAll(m.rowPartitions(latest.colVal))
 		db.markDirtyVersions(m, *latest)
 	}
 	for _, pr := range gone {
@@ -313,7 +321,7 @@ probes:
 				continue
 			}
 			seen[other.rowID.Key()] = true
-			versions, err := db.selectPhysical(m, ts.versions, []sqldb.Value{other.rowID, next})
+			versions, err := db.selectPhysical(m, ts.versions, []sqldb.Value{other.rowID, next, sqldb.Int(0)})
 			if err != nil {
 				return nil, err
 			}

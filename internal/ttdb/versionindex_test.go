@@ -55,12 +55,11 @@ type versionHistory struct {
 	inRepair bool
 	nextID   int64
 	did      map[string]int // how often each kind of step or check ran
-	events   []versionEvent // what the retired per-partition index held
+	events   []versionEvent // the version-event log (logged)
 }
 
-// versionEvent is one entry of the per-partition event index ttdb kept
-// before partition rollback read the row versions: the row had a version
-// created, closed or rolled back in partition k at time t.
+// versionEvent is one entry of the version-event log: the row had a
+// version created, closed or rolled back in partition k at time t.
 type versionEvent struct {
 	k, id string
 	t     int64
@@ -78,43 +77,97 @@ func (h *versionHistory) physical() map[string][]string {
 	return out
 }
 
-// logged runs one mutating step and appends to the event log what the
-// retired index recorded for it, at the time the step returns: a normal
-// write logged each row it wrote under the partitions of the versions it
-// created and closed; a repair step logged each row it rolled back —
-// named, even when that changed nothing — under every partition any of
-// the row's versions was in.
-func (h *versionHistory) logged(repair bool, step func() (t int64, named []sqldb.Value)) {
+// logged runs one mutating step and appends to the event log, at the
+// time the step returns, each row whose stored versions it changed,
+// under the partitions of the versions it created, changed or removed.
+// That is the rollback contract too (rollbackRowLocked): a rollback
+// changes only the versions from its time on and the one it revives, and
+// a row it names but leaves as it was logs nothing.
+func (h *versionHistory) logged(step func() int64) {
 	h.t.Helper()
 	before := h.physical()
-	t, named := step()
+	t := step()
 	after := h.physical()
-	touched := make(map[string]bool) // named rows, and rows whose versions changed
-	for _, id := range named {
-		touched[id.Key()] = true
-	}
 	for _, side := range []map[string][]string{before, after} {
-		for id := range side {
-			if !slices.Equal(before[id], after[id]) {
-				touched[id] = true
-			}
-		}
-	}
-	for id := range touched {
-		for _, v := range append(slices.Clone(before[id]), after[id]...) {
-			if repair || slices.Contains(before[id], v) != slices.Contains(after[id], v) {
-				h.events = append(h.events, versionEvent{k: v[:strings.IndexByte(v, ' ')], id: id, t: t})
+		for id, vs := range side {
+			for _, v := range vs {
+				if slices.Contains(before[id], v) != slices.Contains(after[id], v) {
+					h.events = append(h.events, versionEvent{k: v[:strings.IndexByte(v, ' ')], id: id, t: t})
+				}
 			}
 		}
 	}
 }
 
+// versionRows captures every stored version of notes as (id, k, val,
+// start_time, end_time, start_gen, end_gen), for asOfChanges.
+func (h *versionHistory) versionRows() [][]sqldb.Value {
+	h.t.Helper()
+	return h.scan("SELECT id, k, val, warp_start_time, warp_end_time, warp_start_gen, warp_end_gen FROM notes").Rows
+}
+
+// asOfChanges returns the partition keys of k whose contents, as of some
+// time at or after t in generation gen, differ between two versionRows
+// captures. The contents change only at a version boundary, so t and
+// every boundary after it are the times to compare.
+func asOfChanges(before, after [][]sqldb.Value, t, gen int64) map[string]bool {
+	times := map[int64]bool{t: true}
+	for _, rows := range [][][]sqldb.Value{before, after} {
+		for _, r := range rows {
+			for _, tm := range []int64{r[3].Int, r[4].Int} {
+				if tm >= t && tm != Infinity {
+					times[tm] = true
+				}
+			}
+		}
+	}
+	contents := func(rows [][]sqldb.Value, tm int64) map[string][]string {
+		out := make(map[string][]string)
+		for _, r := range rows {
+			if r[3].Int <= tm && tm < r[4].Int && r[5].Int <= gen && gen <= r[6].Int {
+				out[r[1].Key()] = append(out[r[1].Key()], r[0].Key()+"|"+r[2].Key())
+			}
+		}
+		for _, vs := range out {
+			slices.Sort(vs)
+		}
+		return out
+	}
+	changed := make(map[string]bool)
+	for tm := range times {
+		b, a := contents(before, tm), contents(after, tm)
+		for _, side := range []map[string][]string{b, a} {
+			for k := range side {
+				if !slices.Equal(b[k], a[k]) {
+					changed[k] = true
+				}
+			}
+		}
+	}
+	return changed
+}
+
+// checkChanged holds a repair step's returned partitions to asOfChanges:
+// every partition whose as-of contents from t on differ in the repair
+// generation must be named, or the repair would not re-check its readers.
+func (h *versionHistory) checkChanged(what string, before [][]sqldb.Value, t int64, parts []Partition) {
+	h.t.Helper()
+	set := NewPartitionSet()
+	set.AddAll(parts)
+	for k := range asOfChanges(before, h.versionRows(), t, h.db.CurrentGen()+1) {
+		if !set.OverlapsAny([]Partition{{Table: "notes", Column: "k", Key: k}}) {
+			h.t.Fatalf("%s changed partition k=%s from %d on but returned %v", what, k, t, parts)
+		}
+		h.did["changed partition"]++
+	}
+}
+
 // checkRowsSince holds PartitionRowsSince, for every partition of the
 // history and the whole table, to the forced-scan form of its predicate
-// row for row, and to the event log: a row the probe lists, the retired
-// index listed too, so no repair rolls back a row it would not have before.
-// (The converse fails on purpose: the log also listed rows whose events a
-// repair has since deleted, which rolling back again did nothing to.)
+// row for row, and to the event log: a row the probe lists had a logged
+// change in the partition since, so no repair rolls back a row nothing
+// changed there. (The converse fails on purpose: the log also lists rows
+// whose versions a repair has since deleted.)
 func (h *versionHistory) checkRowsSince() {
 	h.t.Helper()
 	sinces := []int64{h.gcBefore, h.pastTime(), h.pastTime(), h.db.Clock().Now() + 1}
@@ -206,11 +259,11 @@ func (h *versionHistory) same(what string, got [][]sqldb.Value, want *sqldb.Resu
 // events; a uniqueness violation is a recorded outcome, not a failure.
 func (h *versionHistory) exec(src string, params ...sqldb.Value) (rec *Record, err error) {
 	h.t.Helper()
-	h.logged(false, func() (int64, []sqldb.Value) {
+	h.logged(func() int64 {
 		if _, rec, err = h.db.Exec(src, params...); err != nil && !sqldb.IsUniqueViolation(err) {
 			h.t.Fatalf("%s %v: %v", src, params, err)
 		}
-		return rec.Time, nil
+		return rec.Time
 	})
 	h.times = append(h.times, rec.Time)
 	return rec, err
@@ -266,16 +319,20 @@ func (h *versionHistory) checkProbes() {
 	}
 	for _, gen := range []int64{db.CurrentGen(), db.CurrentGen() + 1} {
 		id, g := h.id(), sqldb.Int(gen)
-		versions, err := db.selectPhysical(h.m, ts.versions, []sqldb.Value{id, g})
-		if err != nil {
-			h.t.Fatal(err)
-		}
 		var got [][]sqldb.Value
-		for _, pr := range versions {
-			got = append(got, pr.row)
+		for _, since := range []int64{0, h.pastTime()} {
+			versions, err := db.selectPhysical(h.m, ts.versions, []sqldb.Value{id, g, sqldb.Int(since)})
+			if err != nil {
+				h.t.Fatal(err)
+			}
+			got = got[:0]
+			for _, pr := range versions {
+				got = append(got, pr.row)
+			}
+			h.same(fmt.Sprintf("versions of %v in generation %d ending at or after %d", id, gen, since), got,
+				h.scan("SELECT "+h.cols+" FROM notes WHERE id + 0 = ? AND warp_start_gen <= ? AND warp_end_gen >= ? AND warp_end_time >= ?",
+					id, g, g, sqldb.Int(since)))
 		}
-		h.same(fmt.Sprintf("versions of %v in generation %d", id, gen), got,
-			h.scan("SELECT "+h.cols+" FROM notes WHERE id + 0 = ? AND warp_start_gen <= ? AND warp_end_gen >= ?", id, g, g))
 		for _, u := range ts.uniques {
 			v := h.key()
 			if u.cols[0] == "id" {
@@ -300,8 +357,9 @@ func (h *versionHistory) checkProbes() {
 // inserts, updates by partition column, row ID and an application index,
 // deletes and re-inserts of the same key, GC, and repair generations with
 // rollbacks and re-executed writes at past times, aborted or committed —
-// and after every step holds every probe to its forced-scan form, and
-// partition rollback's probe to the event log it replaced as well.
+// and after every step holds every probe to its forced-scan form and
+// partition rollback's probe to the event log; each rollback and
+// re-executed write must name every partition it changed from its time on.
 func TestVersionOrderedProbesMatchFullScan(t *testing.T) {
 	did := make(map[string]int)
 	for seed := int64(1); seed <= 8; seed++ {
@@ -363,25 +421,34 @@ func TestVersionOrderedProbesMatchFullScan(t *testing.T) {
 				h.inRepair = true
 			case op < 12:
 				if past := h.pastTime(); past > 0 {
-					h.logged(true, func() (int64, []sqldb.Value) {
-						id := h.id()
-						if _, err := db.RollbackRow("notes", id, past); err != nil {
+					id, before := h.id(), h.versionRows()
+					var parts []Partition
+					h.logged(func() int64 {
+						var err error
+						if parts, err = db.RollbackRow("notes", id, past); err != nil {
 							t.Fatal(err)
 						}
-						return past, []sqldb.Value{id}
+						return past
 					})
+					h.checkChanged(fmt.Sprintf("rollback of row %v to %d", id, past), before, past, parts)
 					did["rollback"]++
 				}
 			case op < 13:
 				if past := h.pastTime(); past > 0 {
-					h.logged(true, func() (int64, []sqldb.Value) {
-						_, _, err := db.ReExec("UPDATE notes SET val = ? WHERE k = ?",
+					before := h.versionRows()
+					var rec *Record
+					h.logged(func() int64 {
+						var err error
+						_, rec, err = db.ReExec("UPDATE notes SET val = ? WHERE k = ?",
 							[]sqldb.Value{sqldb.Int(int64(h.rng.Intn(6))), h.key()}, past, nil)
 						if err != nil && !sqldb.IsUniqueViolation(err) {
 							t.Fatal(err)
 						}
-						return past, nil
+						return past
 					})
+					if rec != nil {
+						h.checkChanged(fmt.Sprintf("re-executed write at %d", past), before, past, rec.WritePartitions)
+					}
 					did["re-executed write"]++
 				}
 			default:
@@ -399,7 +466,7 @@ func TestVersionOrderedProbesMatchFullScan(t *testing.T) {
 			h.checkRowsSince()
 		}
 	}
-	for _, what := range []string{"as-of read", "gc", "rollback", "re-executed write", "commit", "abort", "rows-since"} {
+	for _, what := range []string{"as-of read", "gc", "rollback", "re-executed write", "commit", "abort", "rows-since", "changed partition"} {
 		if did[what] < 5 {
 			t.Errorf("the histories ran %q %d times; the generator is broken", what, did[what])
 		}
@@ -450,5 +517,39 @@ func TestLiveProbeIgnoresHistory(t *testing.T) {
 	}
 	if short["update"] != 1 { // one statement, one live version
 		t.Errorf("a point update visits %d postings, want 1", short["update"])
+	}
+}
+
+// TestRollbackIgnoresHistory: what rolling a row back to a late time
+// costs does not depend on how many versions the row had before it — as
+// an exact count of postings visited, after 1 and after 1 000 earlier
+// updates. (With the versions handle unbounded the rollback read the
+// whole chain: 1 001 more postings.)
+func TestRollbackIgnoresHistory(t *testing.T) {
+	visited := func(updates int) uint64 {
+		db := newDB(t)
+		seedPages(t, db)
+		var rec *Record
+		for i := 0; i <= updates; i++ {
+			_, rec = mustExec(t, db, "UPDATE pages SET content = content || 'x' WHERE title = ?", sqldb.Text("Main"))
+		}
+		if _, err := db.BeginRepair(); err != nil {
+			t.Fatal(err)
+		}
+		var parts []Partition
+		n := postingsVisited(func() {
+			var err error
+			if parts, err = db.RollbackRow("pages", sqldb.Int(1), rec.Time); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if len(parts) == 0 {
+			t.Fatalf("rolling back the last of %d updates changed nothing", updates+1)
+		}
+		return n
+	}
+	short, long := visited(1), visited(1000)
+	if short != long || short == 0 {
+		t.Errorf("rolling back the latest update visits %d postings after 1 000 earlier updates, %d after one", long, short)
 	}
 }
