@@ -54,7 +54,7 @@ func (rs *session) processQuery(it *workItem) error {
 
 	oldOutcome := rec.Outcome()
 	// A read's record is not written here: a visit replay may be serving
-	// it to the run that issued it (recordedRead). A merged write's
+	// it to the run that issued it (serveRecorded). A merged write's
 	// parameters reach its record with the re-executed record below.
 	params := rs.mergeLiveText(rec, rec.Params)
 	rs.tracef("qcheck t=%d kind=%s sql=%.60s", rec.Time, rec.Kind, rec.SQL)
@@ -175,24 +175,27 @@ func (rs *session) reExec(cs *sqldb.CachedStmt, params []sqldb.Value, t int64, o
 	return res, rec, n, err
 }
 
-// recordedRead serves a read a re-executed run re-issues from its record
-// orig, without entering the database, when the read would return what
-// it recorded: it read a table and succeeded, params equal the recorded
-// ones kind for kind and value for value, it was logged before this
-// session began (a live read saw the current generation, not this one),
-// and no partition it read was dirtied at or before its time. The copy
-// runs in this session's generation and shares orig's Result, which is
-// never written (ttdb.Record). The dirt number is read before the check,
-// so a change filed after it leaves the read unsettled (settledLocked)
-// exactly as if it had executed then. It returns nil when the read must
-// execute.
-func (rs *session) recordedRead(orig *ttdb.Record, params []sqldb.Value) (*ttdb.Record, int64) {
-	if orig == nil || orig.Kind != ttdb.KindRead || orig.Table == "" || orig.ErrText != "" || orig.Result == nil ||
-		orig.Time >= rs.liveSince || !slices.Equal(orig.Params, params) {
+// serveRecorded serves a query a re-executed run re-issues from its
+// record orig, without entering the database, when the query would do and
+// return what it recorded: it is a read or a write (INSERT, UPDATE,
+// DELETE) of a table that recorded a result and no error, params equal
+// the recorded ones kind for kind and value for value, it was logged
+// before this session began (a live query saw the current generation,
+// not this one), and nothing it depends on changed (recordClean). A
+// served write mutates nothing, so it files no dirt: the versions it
+// recorded are the ones it would write again, into the row IDs it
+// recorded. The copy runs in this session's generation and shares orig's
+// Result, which is never written (ttdb.Record). The dirt number is read
+// before the check, so a change filed after it leaves the query
+// unsettled (settledLocked) exactly as if it had executed then. It
+// returns nil when the query must execute.
+func (rs *session) serveRecorded(orig *ttdb.Record, params []sqldb.Value) (*ttdb.Record, int64) {
+	if orig == nil || (orig.Kind != ttdb.KindRead && !orig.IsWrite()) || orig.Table == "" ||
+		orig.ErrText != "" || orig.Result == nil || orig.Time >= rs.liveSince || !slices.Equal(orig.Params, params) {
 		return nil, 0
 	}
 	n := rs.dirtSeq.Load()
-	if rs.dirtyAt(orig.ReadPartitions, orig.Time) {
+	if !rs.recordClean(orig) {
 		return nil, 0
 	}
 	rec := *orig
@@ -265,8 +268,7 @@ func (rs *session) origRunFor(e history.Exchange) *history.Action {
 }
 
 // runClean reports whether a recorded run would re-execute identically:
-// same code versions and no query read from a partition dirtied at or
-// before the query's time.
+// same code versions and every query clean (recordClean).
 func (rs *session) runClean(payload *RunPayload) bool {
 	if payload.Superseded.Load() {
 		return false
@@ -277,10 +279,7 @@ func (rs *session) runClean(payload *RunPayload) bool {
 		}
 	}
 	for _, q := range payload.Rec.Queries {
-		if rs.dirtyAt(q.ReadPartitions, q.Time) {
-			return false
-		}
-		if q.IsWrite() && rs.dirtyAt(q.WritePartitions, q.Time) {
+		if !rs.recordClean(q) {
 			return false
 		}
 	}
@@ -338,7 +337,7 @@ func (rs *session) executeRun(origAct *history.Action, req *httpd.Request, booke
 			lastTime++
 			t = lastTime
 		}
-		if rec, n := rs.recordedRead(origRec, params); rec != nil {
+		if rec, n := rs.serveRecorded(origRec, params); rec != nil {
 			lastTime = t
 			ns = append(ns, n)
 			return rec.Result, rec, nil

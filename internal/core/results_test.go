@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"warp/internal/browser"
@@ -65,36 +67,8 @@ func checkResultsUnchanged(t *testing.T, what string, w *core.Warp, repair func(
 // compare after.
 func TestRecordedResultsStayImmutable(t *testing.T) {
 	t.Run("wiki", func(t *testing.T) {
-		w := core.New(core.Config{Seed: 3, RepairWorkers: 2})
-		a, err := wiki.Install(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		users := []string{"alice", "bob", "carol"}
-		for _, u := range users {
-			if err := a.CreateUser(u, "pw-"+u, false); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, p := range []string{"Main", "Sandbox"} {
-			if err := a.CreatePage(p, "original content of "+p, false); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i, u := range users {
-			b := w.NewBrowser()
-			login(t, b, u)
-			for n := 0; n < 2; n++ {
-				b.Open("/index.php?title=Main")
-				edit(t, b, "Sandbox", fmt.Sprintf("edit %d by %s", n, u))
-				b.Open(fmt.Sprintf("/index.php?title=%s", []string{"Main", "Sandbox"}[(i+n)%2]))
-			}
-		}
-		v, ok := a.VulnerabilityByKind("Clickjacking")
-		if !ok {
-			t.Fatal("no clickjacking patch")
-		}
-		checkResultsUnchanged(t, "wiki", w, func() (*core.Report, error) { return w.RetroPatch(v.File, v.Patch) })
+		w, patch := editedWiki(t)
+		checkResultsUnchanged(t, "wiki", w, patch)
 	})
 	t.Run("blog", func(t *testing.T) {
 		w := core.New(core.Config{Seed: 3, RepairWorkers: 2})
@@ -126,6 +100,87 @@ func TestRecordedResultsStayImmutable(t *testing.T) {
 		fixed := a.EditpostFixed()
 		checkResultsUnchanged(t, "blog", w, func() (*core.Report, error) { return w.RetroPatch("editpost.php", fixed) })
 	})
+}
+
+// editedWiki installs the wiki with three users who each view Main and
+// edit Sandbox twice, and returns it with its full repair: the
+// clickjacking fix of the library every page loads.
+func editedWiki(t *testing.T) (*core.Warp, func() (*core.Report, error)) {
+	t.Helper()
+	w := core.New(core.Config{Seed: 3, RepairWorkers: 2})
+	a, err := wiki.Install(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	users := []string{"alice", "bob", "carol"}
+	for _, u := range users {
+		if err := a.CreateUser(u, "pw-"+u, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range []string{"Main", "Sandbox"} {
+		if err := a.CreatePage(p, "original content of "+p, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, u := range users {
+		b := w.NewBrowser()
+		login(t, b, u)
+		for n := 0; n < 2; n++ {
+			b.Open("/index.php?title=Main")
+			edit(t, b, "Sandbox", fmt.Sprintf("edit %d by %s", n, u))
+			b.Open(fmt.Sprintf("/index.php?title=%s", []string{"Main", "Sandbox"}[(i+n)%2]))
+		}
+	}
+	v, ok := a.VulnerabilityByKind("Clickjacking")
+	if !ok {
+		t.Fatal("no clickjacking patch")
+	}
+	return w, func() (*core.Report, error) { return w.RetroPatch(v.File, v.Patch) }
+}
+
+// TestServedWriteKeepsVersions: the clickjacking fix changes what every
+// page renders but no query, so every re-executed edit re-issues its
+// UPDATE unchanged into a partition nothing dirtied, and is served from
+// its record (replay.go serveRecorded). Executing it instead would demote
+// the version it wrote and copy it into the repair generation, which the
+// commit then keeps in its place. The stored versions of pages, read by a
+// full scan of the raw table with their times and generations, must be
+// the same after the repair as before, and as many.
+func TestServedWriteKeepsVersions(t *testing.T) {
+	w, patch := editedWiki(t)
+	const all = "SELECT * FROM pages"
+	versions := func() []string {
+		t.Helper()
+		if plan, err := w.DB.Raw().Explain(all); err != nil || !strings.Contains(plan, "scan=full") {
+			t.Fatalf("%q plans %q, %v; want a full scan", all, plan, err)
+		}
+		res, err := w.DB.Raw().Exec(all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, 0, len(res.Rows))
+		for _, r := range res.Rows {
+			out = append(out, fmt.Sprint(r))
+		}
+		slices.Sort(out)
+		return out
+	}
+	before := versions()
+	rep, err := patch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.AppRunsReexecuted == 0 {
+		t.Fatal("no run re-executed")
+	}
+	after := versions()
+	if len(after) != len(before) {
+		t.Fatalf("pages holds %d versions after the repair, %d before", len(after), len(before))
+	}
+	if !slices.Equal(after, before) {
+		t.Fatalf("pages versions changed:\nbefore %q\nafter  %q", before, after)
+	}
 }
 
 // login signs a wiki user in through the login form.

@@ -352,11 +352,21 @@ func (rs *session) settledLocked(a *history.Action, log []dirtEntry) bool {
 	return true
 }
 
-// dirtyAt reports whether any of the partitions was dirtied at or before t
-// (meaning a query reading them at time t could see changed data).
-func (rs *session) dirtyAt(parts []ttdb.Partition, t int64) bool {
+// recordClean reports whether nothing a recorded query depends on was
+// dirtied at or before its time: no partition it read, and for a write no
+// partition it wrote. This is the one test of "clean": runClean prunes a
+// run by it and serveRecorded serves a query by it.
+func (rs *session) recordClean(rec *ttdb.Record) bool {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
+	return !rs.dirtyAtLocked(rec.ReadPartitions, rec.Time) &&
+		!(rec.IsWrite() && rs.dirtyAtLocked(rec.WritePartitions, rec.Time))
+}
+
+// dirtyAtLocked reports whether any of the partitions was dirtied at or
+// before t (meaning a query reading them at time t could see changed
+// data). Caller holds mu.
+func (rs *session) dirtyAtLocked(parts []ttdb.Partition, t int64) bool {
 	for _, p := range parts {
 		if dt, ok := rs.tableDirt[p.Table]; !ok || dt > t {
 			continue // nothing in the table changed at or before t

@@ -406,7 +406,11 @@ func (t *Table) checkUnique(vals []Value, batch map[batchKey]bool) error {
 		}
 		bk := batchKey{c: i, key: key}
 		if _, dup := us.m[key]; dup || batch[bk] {
-			return &UniqueViolationError{Table: t.Name, Constraint: us.def}
+			kv := make([]Value, len(us.cols))
+			for j, ci := range us.cols {
+				kv[j] = vals[ci]
+			}
+			return &UniqueViolationError{Table: t.Name, Constraint: us.def, Key: kv}
 		}
 		if batch != nil {
 			batch[bk] = true
@@ -421,6 +425,9 @@ func (t *Table) checkUnique(vals []Value, batch map[batchKey]bool) error {
 type UniqueViolationError struct {
 	Table      string
 	Constraint UniqueConstraint
+	// Key is the new row's values of the constraint's columns, in
+	// Constraint.Columns order.
+	Key []Value
 }
 
 // Error implements the error interface.

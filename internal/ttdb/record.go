@@ -61,7 +61,7 @@ type Record struct {
 	// Result is the application-visible result; ErrText records a failed
 	// outcome (for example a uniqueness violation, §6). A recorded Result
 	// is never written after it is recorded: repair serves a clean
-	// re-issued read the recorded Result itself, shared with the
+	// re-issued query the recorded Result itself, shared with the
 	// application code that reads it.
 	Result  *sqldb.Result
 	ErrText string

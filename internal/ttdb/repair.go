@@ -1,7 +1,9 @@
 package ttdb
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"warp/internal/sqldb"
 )
@@ -269,6 +271,14 @@ func (db *DB) rollbackRowLocked(m *tableMeta, rowID sqldb.Value, t int64, st rep
 		if err != nil {
 			return set.Slice(), err
 		}
+		if slices.ContainsFunc(colliders, func(c collider) bool { return c.since < latest.start }) {
+			// A row held the key before this version began, so the
+			// version is stale: a write the repair has yet to re-check
+			// made it. Roll back past it instead of reviving it.
+			ps, err := db.rollbackRowLocked(m, rowID, latest.start, st)
+			set.AddAll(ps)
+			return set.Slice(), err
+		}
 		if err := db.resolveRevivalCollisions(m, colliders, st, set); err != nil {
 			return set.Slice(), err
 		}
@@ -291,6 +301,7 @@ func (db *DB) rollbackRowLocked(m *tableMeta, rowID sqldb.Value, t int64, st rep
 // uniqueness key with a row about to be revived.
 type collider struct {
 	rowID    sqldb.Value
+	since    int64 // start of its live version, the one holding the key
 	versions []physicalRow
 }
 
@@ -325,7 +336,7 @@ probes:
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, collider{rowID: other.rowID, versions: versions})
+			out = append(out, collider{rowID: other.rowID, since: other.start, versions: versions})
 		}
 	}
 	return out, nil
@@ -353,6 +364,50 @@ func (db *DB) resolveRevivalCollisions(m *tableMeta, colliders []collider, st re
 		}
 	}
 	return nil
+}
+
+// rollBackLaterColliders handles a re-executed write at t that failed on
+// a uniqueness constraint (§6). When every live repair-generation row
+// holding the violated key took it after t, the key is free at t in the
+// repaired timeline: each such row is rolled back to t, its partitions
+// join dirt so the writes that gave it the key re-execute and meet the
+// write's outcome, and it reports true so the write runs again. A row
+// that held the key at t, or a clash between the statement's own rows,
+// lets the failure stand.
+func (db *DB) rollBackLaterColliders(m *tableMeta, err error, t int64, st repairState, dirt *PartitionSet) (bool, error) {
+	var uv *sqldb.UniqueViolationError
+	if !errors.As(err, &uv) {
+		return false, nil
+	}
+	// The probe runs over the constraint's application columns.
+	var cols []string
+	var params []sqldb.Value
+	for i, col := range uv.Constraint.Columns {
+		if col != ColEndTime && col != ColEndGen && i < len(uv.Key) {
+			cols = append(cols, col)
+			params = append(params, uv.Key[i])
+		}
+	}
+	uniques := db.stmtsFor(m).uniques
+	u := slices.IndexFunc(uniques, func(p uniqueProbe) bool { return slices.Equal(p.cols, cols) })
+	if u < 0 {
+		return false, nil
+	}
+	live, err := db.selectPhysical(m, uniques[u].stmt, append(params, sqldb.Int(st.next)))
+	if err != nil {
+		return false, err
+	}
+	if len(live) == 0 || slices.ContainsFunc(live, func(pr physicalRow) bool { return pr.start <= t }) {
+		return false, nil
+	}
+	for _, pr := range live {
+		ps, err := db.rollbackRowLocked(m, pr.rowID, t, st)
+		dirt.AddAll(ps)
+		if err != nil {
+			return false, err
+		}
+	}
+	return true, nil
 }
 
 // RollbackRows rolls back several rows of one table to time t and returns
@@ -508,6 +563,16 @@ func (db *DB) reExecWrite(cs *sqldb.CachedStmt, params []sqldb.Value, t int64, s
 		}
 	}
 	res, rec, err := db.execAt(cs, params, t, next, orig, m, acc)
+	for err != nil {
+		rolled, cerr := db.rollBackLaterColliders(m, err, t, st, dirt)
+		if cerr != nil {
+			return failed(cerr)
+		}
+		if !rolled {
+			break
+		}
+		res, rec, err = db.execAt(cs, params, t, next, orig, m, acc)
+	}
 	if err != nil && rec == nil {
 		return failed(err)
 	}
