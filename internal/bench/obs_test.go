@@ -100,8 +100,16 @@ func TestRepairMetricsLive(t *testing.T) {
 		}
 	}()
 
+	// The patched login also counts the posts, a query no run recorded.
+	// Every recorded query of this repair is served from its record
+	// (docs/repair.md), so the new one is what the engine executes in the
+	// repair window.
+	hardened := loginHandler(true)
 	repairing.Store(true)
-	rep, err := patchLogin(w)
+	rep, err := w.RetroPatch("login.php", app.Version{Note: "session hardening", Entry: func(c *app.Ctx) *httpd.Response {
+		c.MustQuery("SELECT COUNT(*) FROM posts")
+		return hardened(c)
+	}})
 	close(stop)
 	pollers.Wait()
 	if err != nil {

@@ -6,7 +6,7 @@
 // frontier has not claimed. The scheduler's cached footprints double as
 // admission claims: before a live write executes, the gate derives its
 // partition footprint by static analysis (ttdb.StmtPartitions — the same
-// analysis that picks a write's dirty shards) and compares it against
+// analysis that names a write's read partitions) and compares it against
 // every in-flight repair item and against the session's dirt map
 // (partitions the repair has already claimed for its generation). A disjoint write proceeds
 // immediately; a conflicting write waits briefly — for the colliding

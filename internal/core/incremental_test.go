@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"slices"
@@ -62,7 +61,7 @@ func writtenTables(st store.CheckpointStats) []string {
 			continue
 		}
 		table := strings.TrimPrefix(name, secTablePrefix)
-		if i := strings.Index(table, secShardInfix); i >= 0 {
+		if i := strings.Index(table, secRowsInfix); i >= 0 {
 			table = table[:i]
 		}
 		if !seen[table] {
@@ -71,15 +70,6 @@ func writtenTables(st store.CheckpointStats) []string {
 		}
 	}
 	sort.Strings(out)
-	return out
-}
-
-// writtenSections returns the checkpoint's rewritten section names.
-func writtenSections(st store.CheckpointStats) map[string]bool {
-	out := make(map[string]bool, len(st.Written))
-	for _, name := range st.Written {
-		out[name] = true
-	}
 	return out
 }
 
@@ -459,278 +449,72 @@ func TestExtraWALChainsOpenAtDeploymentLevel(t *testing.T) {
 	}
 }
 
-// TestPartitionGranularDirtyTracking is the dirty-tracking half of the
-// partition-concurrency tentpole: on a partitioned table, touching one
-// partition's row must rewrite that partition's row-shard section (plus
-// the small table header), not the whole table, and the layered state
-// must still recover bit-identically.
-func TestPartitionGranularDirtyTracking(t *testing.T) {
-	dir := t.TempDir()
-	dur := store.Options{SyncEveryAppend: true, CompactEvery: 100}
-	w, err := Open(dir, Config{Seed: 9, RepairWorkers: 1, Durability: dur})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.DB.Annotate("posts", ttdb.TableSpec{RowIDColumn: "id", PartitionColumns: []string{"owner"}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := w.DB.Exec("CREATE TABLE IF NOT EXISTS posts (id INTEGER PRIMARY KEY, owner TEXT, body TEXT)"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		if _, _, err := w.DB.Exec("INSERT INTO posts (id, owner, body) VALUES (?, ?, ?)",
-			sqldb.Int(int64(i+1)), sqldb.Text(fmt.Sprintf("u%d", i%16)), sqldb.Text("hello")); err != nil {
-			t.Fatal(err)
+// tableSections returns the ttdb table sections a checkpoint's
+// manifest names, written and kept alike, sorted.
+func tableSections(st store.CheckpointStats) []string {
+	var out []string
+	for _, name := range append(slices.Clone(st.Written), st.Kept...) {
+		if strings.HasPrefix(name, secTablePrefix) {
+			out = append(out, name)
 		}
 	}
-	if err := w.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	shards := w.DB.ShardCount("posts")
-	if shards < 2 {
-		t.Fatalf("partitioned table has %d shards, want several", shards)
-	}
-
-	// Touch exactly one partition.
-	if _, _, err := w.DB.Exec("UPDATE posts SET body = 'hot' WHERE owner = 'u3'"); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	st := w.LastCheckpoint()
-	written := writtenSections(st)
-	if !written[secTablePrefix+"posts"] {
-		t.Fatalf("table header not rewritten; written=%v", st.Written)
-	}
-	// rowShards lists the posts row shards the last checkpoint rewrote.
-	rowShards := func() []int {
-		var out []int
-		for k, written := 0, writtenSections(w.LastCheckpoint()); k < shards; k++ {
-			if written[tableShardSection("posts", k)] {
-				out = append(out, k)
-			}
-		}
-		return out
-	}
-	hotShards := rowShards()
-	if len(hotShards) != 1 {
-		t.Fatalf("hot-partition update rewrote row shards %v of %d, want exactly 1 (written=%v)",
-			hotShards, shards, st.Written)
-	}
-
-	// A row whose partition column was rewritten has versions in two
-	// partitions. Rolling it back in a repair must rewrite exactly those
-	// two partitions' row shards, not the whole table. Find an owner
-	// whose shard differs from u3's first.
-	var mover string
-	var moverShard int
-	for i := 0; i < 16 && mover == ""; i++ {
-		owner := fmt.Sprintf("u%d", i)
-		if _, _, err := w.DB.Exec("UPDATE posts SET body = 'warm' WHERE owner = ?", sqldb.Text(owner)); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		if got := rowShards(); len(got) == 1 && got[0] != hotShards[0] {
-			mover, moverShard = owner, got[0]
-		}
-	}
-	if mover == "" {
-		t.Fatal("every owner shares u3's row shard")
-	}
-	beforeMove := w.Clock.Now() + 1
-	if _, _, err := w.DB.Exec("UPDATE posts SET owner = ? WHERE id = 4", sqldb.Text(mover)); err != nil { // id 4 is u3's
-		t.Fatal(err)
-	}
-	if err := w.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.UndoPartition(ttdb.Partition{Table: "posts", Column: "owner", Key: sqldb.Text("u3").Key()}, beforeMove); err != nil {
-		t.Fatal(err)
-	}
-	wantShards := []int{min(hotShards[0], moverShard), max(hotShards[0], moverShard)}
-	if got := rowShards(); !slices.Equal(got, wantShards) {
-		t.Fatalf("rolling back a row moved from u3 to %s rewrote row shards %v, want %v", mover, got, wantShards)
-	}
-	res, _, err := w.DB.Exec("SELECT owner FROM posts WHERE id = 4")
-	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].AsText() != "u3" {
-		t.Fatalf("rolled-back row = %v, %v; want owner u3", res, err)
-	}
-
-	// Bit-identical recovery through header + mixed kept/rewritten shards.
-	want := dumpWarp(t, w)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	w2, err := Open(dir, Config{Seed: 9, RepairWorkers: 1, Durability: dur})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Crash()
-	if got := dumpWarp(t, w2); got != want {
-		t.Fatalf("sharded recovery differs\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
+	sort.Strings(out)
+	return out
 }
 
-// TestRepairCommitMarksSubTableSections: a repair that touches one hot
-// partition must commit through a checkpoint that rewrites a strict
-// subset of the hot table's row shards — the "repair cost scales with
-// the damage" property applied to checkpoint bytes.
-func TestRepairCommitMarksSubTableSections(t *testing.T) {
-	dir := t.TempDir()
-	dur := store.Options{SyncEveryAppend: true, CompactEvery: 100}
-	w, err := Open(dir, Config{Seed: 11, RepairWorkers: 1, Durability: dur})
+// TestParentWrittenDirectoryOpens holds the on-disk rule across the
+// change to one rows section per table. testdata/eight-shard-dir was
+// written when a partitioned table's rows were split into eight row
+// shards: its last repair commit purged rows mid-table and rewrote one
+// shard, carrying the seven others forward. It must open to the state it
+// was written from (dump.txt), and its first checkpoint must leave one
+// header and one rows section per table, which reopen to the same state.
+func TestParentWrittenDirectoryOpens(t *testing.T) {
+	src := filepath.Join("testdata", "eight-shard-dir")
+	want, err := os.ReadFile(filepath.Join(src, "dump.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Crash()
-	if err := w.DB.Annotate("notes", ttdb.TableSpec{RowIDColumn: "id", PartitionColumns: []string{"owner"}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := w.DB.Exec("CREATE TABLE IF NOT EXISTS notes (id INTEGER PRIMARY KEY, owner TEXT, body TEXT)"); err != nil {
-		t.Fatal(err)
-	}
-	handler := func(c *app.Ctx) *httpd.Response {
-		id := c.MustQuery("SELECT COALESCE(MAX(id), 0) + 1 FROM notes").FirstValue()
-		c.MustQuery("INSERT INTO notes (id, owner, body) VALUES (?, ?, ?)",
-			id, sqldb.Text(c.Req.Param("owner")), sqldb.Text(c.Req.Param("body")))
-		return httpd.HTML("ok")
-	}
-	if err := w.Runtime.Register("notes.php", app.Version{Entry: handler}); err != nil {
-		t.Fatal(err)
-	}
-	w.Runtime.Mount("/", "notes.php")
-	for i := 0; i < 24; i++ {
-		resp := w.HandleRequest(httpd.NewRequest("GET",
-			fmt.Sprintf("/?owner=u%d&body=b%d", i%8, i)))
-		if resp.Status != 200 {
-			t.Fatalf("seed failed: %d", resp.Status)
+	copyDir := func() string {
+		dir := t.TempDir()
+		if err := os.CopyFS(dir, os.DirFS(filepath.Join(src, "dir"))); err != nil {
+			t.Fatal(err)
 		}
+		return dir
 	}
-	preAttack := w.Clock.Now()
-	if resp := w.HandleRequest(httpd.NewRequest("GET", "/?owner=u3&body=INJECTED")); resp.Status != 200 {
-		t.Fatalf("attack seed failed: %d", resp.Status)
-	}
-	// Clear dirt so the repair's commit checkpoint reflects only repair.
-	if err := w.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-
-	hot := ttdb.Partition{Table: "notes", Column: "owner", Key: sqldb.Text("u3").Key()}
-	if _, err := w.UndoPartition(hot, preAttack+1); err != nil {
-		t.Fatal(err)
-	}
-	st := w.LastCheckpoint()
-	written := writtenSections(st)
-	shards := w.DB.ShardCount("notes")
-	var shardsWritten int
-	for k := 0; k < shards; k++ {
-		if written[tableShardSection("notes", k)] {
-			shardsWritten++
-		}
-	}
-	if shardsWritten == 0 || shardsWritten >= shards {
-		t.Fatalf("partition repair rewrote %d of %d row shards, want a strict non-empty subset (written=%v)",
-			shardsWritten, shards, st.Written)
-	}
-}
-
-// TestRepairPurgeKeepsShardOrderAcrossRestart is the regression test for
-// slot-based shard positions: a repair commit physically purges rows
-// mid-table while rewriting only the repaired partition's shard, so the
-// kept shards' row positions must remain valid. With scan-rank positions
-// they go stale and the restored table's row order permutes.
-func TestRepairPurgeKeepsShardOrderAcrossRestart(t *testing.T) {
-	dir := t.TempDir()
 	dur := store.Options{SyncEveryAppend: true, CompactEvery: 100}
+
+	// The fixture is what it claims to be: eight rows sections, one of
+	// them newer than the rest.
+	st, rec, err := store.Open(copyDir(), dur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	for _, name := range rec.SectionNames() {
+		if strings.HasPrefix(name, secTablePrefix+"notes"+secRowsInfix) {
+			rows = append(rows, name)
+		}
+	}
+	_ = st.Close()
+	if len(rows) != 8 {
+		t.Fatalf("fixture holds rows sections %v, want 8", rows)
+	}
+
+	dir := copyDir()
 	w, err := Open(dir, Config{Seed: 13, RepairWorkers: 1, Durability: dur})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.DB.Annotate("notes", ttdb.TableSpec{RowIDColumn: "id", PartitionColumns: []string{"owner"}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := w.DB.Exec("CREATE TABLE IF NOT EXISTS notes (id INTEGER PRIMARY KEY, owner TEXT, body TEXT)"); err != nil {
-		t.Fatal(err)
-	}
-	// Ids come from the request (no whole-table MAX read), so each run
-	// touches only its owner's partition and the undo stays contained.
-	handler := func(c *app.Ctx) *httpd.Response {
-		c.MustQuery("INSERT INTO notes (id, owner, body) VALUES (?, ?, ?)",
-			sqldb.Int(atoiTest(c.Req.Param("id"))), sqldb.Text(c.Req.Param("owner")), sqldb.Text(c.Req.Param("body")))
-		return httpd.HTML("ok")
-	}
-	if err := w.Runtime.Register("notes.php", app.Version{Entry: handler}); err != nil {
-		t.Fatal(err)
-	}
-	w.Runtime.Mount("/", "notes.php")
-	nextID := 0
-	seed := func(owner, body string) {
-		t.Helper()
-		nextID++
-		if resp := w.HandleRequest(httpd.NewRequest("GET",
-			fmt.Sprintf("/?owner=%s&body=%s&id=%d", owner, body, nextID))); resp.Status != 200 {
-			t.Fatalf("seed failed: %d", resp.Status)
-		}
-	}
-	for i := 0; i < 24; i++ {
-		seed(fmt.Sprintf("u%d", i%8), fmt.Sprintf("pre-%d", i))
-	}
-	preAttack := w.Clock.Now()
-	seed("u3", "INJECTED")
-	// Post-attack traffic lands rows *after* the attack row both in the
-	// shard the repair will rewrite (owners hash-colliding with u3) and
-	// in shards the checkpoint will keep, so stale positions in kept
-	// sections would permute the merge.
-	shards := w.DB.ShardCount("notes")
-	shardOf := func(owner string) int {
-		h := fnv.New32a()
-		h.Write([]byte(sqldb.Text(owner).Key()))
-		return int(h.Sum32() % uint32(shards))
-	}
-	hotShard := shardOf("u3")
-	colliding, others := 0, 0
-	for i := 0; colliding < 4 || others < 8; i++ {
-		owner := fmt.Sprintf("w%d", i)
-		if shardOf(owner) == hotShard {
-			if colliding >= 4 {
-				continue
-			}
-			colliding++
-		} else {
-			if others >= 8 {
-				continue
-			}
-			others++
-		}
-		seed(owner, fmt.Sprintf("post-%d", i))
+	if got := dumpWarp(t, w); got != string(want) {
+		t.Fatalf("eight-shard directory opened differently\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 	if err := w.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-
-	hot := ttdb.Partition{Table: "notes", Column: "owner", Key: sqldb.Text("u3").Key()}
-	if _, err := w.UndoPartition(hot, preAttack+1); err != nil {
-		t.Fatal(err)
+	if got, want := fmt.Sprint(tableSections(w.LastCheckpoint())), "[ttdb/table/notes ttdb/table/notes/rows/0]"; got != want {
+		t.Fatalf("first checkpoint's table sections = %s, want %s", got, want)
 	}
-	// The commit checkpoint must still be sub-table...
-	st := w.LastCheckpoint()
-	written := writtenSections(st)
-	var shardsWritten int
-	for k := 0; k < shards; k++ {
-		if written[tableShardSection("notes", k)] {
-			shardsWritten++
-		}
-	}
-	if shardsWritten == 0 || shardsWritten >= shards {
-		t.Fatalf("partition repair rewrote %d of %d shards, want a strict non-empty subset", shardsWritten, shards)
-	}
-
-	// ...and the restored state — mixed kept and rewritten shards across
-	// the purge — must match the live instance bit for bit.
-	want := dumpWarp(t, w)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -739,8 +523,57 @@ func TestRepairPurgeKeepsShardOrderAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Crash()
-	if got := dumpWarp(t, w2); got != want {
-		t.Fatalf("post-repair restart permuted table state\n--- got ---\n%s--- want ---\n%s", got, want)
+	if got := dumpWarp(t, w2); got != string(want) {
+		t.Fatalf("rewritten directory reopened differently\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+// TestFailedSyntheticInsertReachesCheckpoint: a synthetic-ID INSERT that
+// fails on uniqueness advances the row-ID allocator without changing the
+// engine or reaching the WAL. The next checkpoint must still rewrite the
+// table's header, so after a restart the next insert gets the ID a
+// never-restarted twin gives it.
+func TestFailedSyntheticInsertReachesCheckpoint(t *testing.T) {
+	nextID := func(restart bool) sqldb.Value {
+		t.Helper()
+		dir := t.TempDir()
+		cfg := Config{Seed: 5, RepairWorkers: 1, Durability: store.Options{SyncEveryAppend: true, CompactEvery: 100}}
+		w, err := Open(dir, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustExec := func(src string) {
+			t.Helper()
+			if _, _, err := w.DB.Exec(src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustExec("CREATE TABLE tags (name TEXT NOT NULL, UNIQUE (name))")
+		mustExec("INSERT INTO tags (name) VALUES ('a')")
+		if err := w.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := w.DB.Exec("INSERT INTO tags (name) VALUES ('a')"); !sqldb.IsUniqueViolation(err) {
+			t.Fatalf("duplicate insert: %v, want a uniqueness violation", err)
+		}
+		if err := w.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if restart {
+			w.Crash()
+			if w, err = Open(dir, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		defer w.Crash()
+		_, rec, err := w.DB.Exec("INSERT INTO tags (name) VALUES ('b')")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec.WriteRowIDs[0]
+	}
+	if got, want := nextID(true), nextID(false); !got.Equal(want) {
+		t.Fatalf("after a restart the next insert got row ID %v, the never-restarted twin %v", got, want)
 	}
 }
 

@@ -113,23 +113,23 @@ type RecoveryStats struct {
 
 // Checkpoint section names (docs/persistence.md). core/meta and
 // ttdb/meta are small and rewritten every checkpoint; history, visits,
-// each ttdb table header, and each table row shard are rewritten only
-// when dirty and carried forward by manifest reference otherwise. A
-// table is one header section (schema, allocator) plus
-// ttdb.ShardCount(table) row-shard sections, so a repaired hot row
-// rewrites a sub-table section rather than the whole table.
+// and each ttdb table's header and rows sections are rewritten only when
+// they changed and carried forward by manifest reference otherwise. A
+// directory written before tables had one rows section may hold
+// rows/1..7 as well; restore reads them, and the first checkpoint drops
+// them.
 const (
 	secCoreMeta    = "core/meta"
 	secHistory     = "history"
 	secTTDBMeta    = "ttdb/meta"
 	secVisits      = "core/visits"
 	secTablePrefix = "ttdb/table/"
-	secShardInfix  = "/rows/"
+	secRowsInfix   = "/rows/"
 )
 
-// tableShardSection names one row shard's checkpoint section.
-func tableShardSection(table string, shard int) string {
-	return secTablePrefix + table + secShardInfix + strconv.Itoa(shard)
+// tableRowsSection names a table's rows section.
+func tableRowsSection(table string) string {
+	return secTablePrefix + table + secRowsInfix + "0"
 }
 
 // persister connects a deployment to its store: it implements both
@@ -150,10 +150,15 @@ type persister struct {
 	failErr error
 	// histMuts is the graph's mutation count at the last checkpoint
 	// (-1 forces a rewrite); visitsDirty marks visit-log changes since
-	// the last checkpoint. Together with ttdb's dirty-table set these
-	// decide which sections an incremental checkpoint rewrites.
+	// the last checkpoint. Together with stamps these decide which
+	// sections an incremental checkpoint rewrites.
 	histMuts    int64
 	visitsDirty bool
+	// stamps holds each table's stamp as of the last successful
+	// checkpoint; a table whose stamp moved is rewritten. Empty after
+	// Open, so the first checkpoint rewrites every table. Touched only by
+	// checkpointQuiesced, which repairMu serializes.
+	stamps map[string]ttdb.Stamp
 	// lastCursor is the nondeterminism cursor position already logged,
 	// so logCursors appends only on advance.
 	lastCursor cursorMark
@@ -182,10 +187,8 @@ func (p *persister) latchErr(err error) {
 // markRepairDirty force-marks the sections a repair rewrites in place —
 // the history graph (superseded flags, extended dependencies) and the
 // visit logs (replayed child visits, merged edits). Called before the
-// repair commit checkpoint; the database's shards mark themselves at
-// partition granularity — each rollback marks the shards of the versions
-// it changes, each re-executed write those of its footprint — so the
-// commit rewrites sub-table sections proportional to the damage.
+// repair commit checkpoint; the database's tables need no marking, since
+// every row a repair changes moves its table's stamp.
 func (p *persister) markRepairDirty() {
 	p.mu.Lock()
 	p.histMuts = -1
@@ -449,12 +452,6 @@ func Open(dir string, cfg Config) (*Warp, error) {
 		if err := w.restoreSections(rec); err != nil {
 			return fail(fmt.Errorf("warp: restoring checkpoint: %w", err))
 		}
-		// Restoring compacts tombstones, so the engine's row slots — the
-		// positions row-shard sections are tagged with — are renumbered.
-		// Mark every restored table dirty: the first checkpoint of this
-		// instance rewrites all of its shards with the new numbering, so
-		// carried-forward sections never mix position spaces.
-		w.DB.MarkTableDirty(w.DB.Tables()...)
 	}
 	walHist, walVisits := false, false
 	for i, r := range rec.Records {
@@ -553,10 +550,10 @@ func (w *Warp) restoreSections(rec *store.Recovery) error {
 		return fmt.Errorf("section %s: %w", secTTDBMeta, err)
 	}
 	// Tables restore in two passes: every header (schema + allocator)
-	// first, then every row shard, since a shard can only load into a
+	// first, then every rows section, since rows can only load into a
 	// table whose header has been restored.
 	for _, name := range rec.SectionNames() {
-		if !strings.HasPrefix(name, secTablePrefix) || strings.Contains(name, secShardInfix) {
+		if !strings.HasPrefix(name, secTablePrefix) || strings.Contains(name, secRowsInfix) {
 			continue
 		}
 		dec, err = read(name)
@@ -568,7 +565,7 @@ func (w *Warp) restoreSections(rec *store.Recovery) error {
 		}
 	}
 	for _, name := range rec.SectionNames() {
-		if !strings.HasPrefix(name, secTablePrefix) || !strings.Contains(name, secShardInfix) {
+		if !strings.HasPrefix(name, secTablePrefix) || !strings.Contains(name, secRowsInfix) {
 			continue
 		}
 		dec, err = read(name)
@@ -660,7 +657,7 @@ func (w *Warp) ResumeRepair(patch *app.Version) (*Report, error) {
 // sections are carried forward by manifest reference, and every
 // Durability.CompactEvery-th checkpoint rewrites everything so the
 // delta chain stays short. Checkpoint cost is therefore proportional to
-// the write set since the last checkpoint, not to database size.
+// the tables written since the last checkpoint, not to database size.
 // Request processing is suspended for the duration (the same brief §4.3
 // suspension repair uses) and repair is excluded; uploads may
 // interleave (their records are idempotent upserts). No-op for
@@ -700,7 +697,7 @@ func (w *Warp) checkpointQuiesced() error {
 	visitsDirty := p.visitsDirty
 	p.visitsDirty = false
 	p.mu.Unlock()
-	dirtySet := w.DB.TakeDirty()
+	stamps := make(map[string]ttdb.Stamp, len(p.stamps))
 
 	err := p.st.WriteCheckpoint(func(cw *store.CheckpointWriter) error {
 		// The small always-fresh sections: clock, request counters,
@@ -713,47 +710,23 @@ func (w *Warp) checkpointQuiesced() error {
 			w.encodeHistory(cw.Section(secHistory))
 		}
 		for _, table := range w.DB.Tables() {
-			ds, dirty := dirtySet[table]
-			header := secTablePrefix + table
-			// The header carries the row-ID allocator, which may have
-			// moved with the dirty shards; rewrite it whenever the table
-			// was touched at all.
-			if dirty || !cw.Keep(header) {
-				if err := w.DB.EncodeTableHeader(cw.Section(header), table); err != nil {
-					return err
+			// A table keeps both sections while its stamp stands where
+			// the last checkpoint wrote them. Rows stream from the engine
+			// cursor straight into the section encoder (ttdb.EncodeTable).
+			stamp, err := w.DB.EncodeTable(table, func(now ttdb.Stamp, rows bool) *store.Encoder {
+				name := secTablePrefix + table
+				if rows {
+					name = tableRowsSection(table)
 				}
+				if now == p.stamps[table] && cw.Keep(name) {
+					return nil
+				}
+				return cw.Section(name)
+			})
+			if err != nil {
+				return err
 			}
-			shards := w.DB.ShardCount(table)
-			dirtyShard := make(map[int]bool, shards)
-			if ds.Whole {
-				for k := 0; k < shards; k++ {
-					dirtyShard[k] = true
-				}
-			} else {
-				for _, k := range ds.Shards {
-					dirtyShard[k] = true
-				}
-			}
-			var need []int
-			for k := 0; k < shards; k++ {
-				name := tableShardSection(table, k)
-				if !dirtyShard[k] && cw.Keep(name) {
-					continue
-				}
-				need = append(need, k)
-			}
-			if len(need) > 0 {
-				// Rows stream from the engine cursor straight into the
-				// section encoders: one cheap counting pass plus one
-				// filtered scan per rewritten shard, never a materialized
-				// result set (internal/ttdb EncodeTableShards).
-				err := w.DB.EncodeTableShards(table, need, func(k int) *store.Encoder {
-					return cw.Section(tableShardSection(table, k))
-				})
-				if err != nil {
-					return err
-				}
-			}
+			stamps[table] = stamp
 		}
 		if visitsDirty || !cw.Keep(secVisits) {
 			w.encodeVisits(cw.Section(secVisits))
@@ -761,12 +734,12 @@ func (w *Warp) checkpointQuiesced() error {
 		return nil
 	})
 	if err != nil {
-		w.DB.MarkDirty(dirtySet)
 		p.mu.Lock()
 		p.visitsDirty = p.visitsDirty || visitsDirty
 		p.mu.Unlock()
 		return err
 	}
+	p.stamps = stamps
 	p.mu.Lock()
 	p.histMuts = histMuts
 	p.mu.Unlock()

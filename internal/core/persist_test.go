@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sort"
@@ -138,7 +140,7 @@ func dumpWarp(t *testing.T, w *Warp) string {
 				len(p.Rec.Queries), p.QueryActions, loadedVersions(p),
 				p.Superseded.Load(), p.Repaired)
 			for _, q := range p.Rec.Queries {
-				fmt.Fprintf(&b, "\n  q t=%d out=%x sql=%s wrote=%v", q.Time, q.Outcome(), q.SQL, q.WriteRowIDs)
+				fmt.Fprintf(&b, "\n  q t=%d out=%x sql=%s wrote=%v", q.Time, outcomeHash(q), q.SQL, q.WriteRowIDs)
 			}
 		case *QueryPayload:
 			aliased := false
@@ -150,7 +152,7 @@ func dumpWarp(t *testing.T, w *Warp) string {
 				}
 			}
 			fmt.Fprintf(&b, " query run=%d t=%d out=%x sql=%s sup=%v rep=%v aliased=%v",
-				p.RunAction, p.Rec.Time, p.Rec.Outcome(), p.Rec.SQL, p.Superseded.Load(), p.Repaired, aliased)
+				p.RunAction, p.Rec.Time, outcomeHash(p.Rec), p.Rec.SQL, p.Superseded.Load(), p.Repaired, aliased)
 		case string:
 			fmt.Fprintf(&b, " patch %q", p)
 		}
@@ -187,6 +189,21 @@ func dumpWarp(t *testing.T, w *Warp) string {
 		fmt.Fprintf(&b, "conflict %s/%d kind=%v %s\n", c.Client, c.VisitID, c.Kind, c.Detail)
 	}
 	return b.String()
+}
+
+// outcomeHash renders a query's outcome for dumpWarp: an FNV hash of the
+// error text, or else of the result's fingerprint. Directories committed
+// under testdata were dumped with it, so it must not change.
+func outcomeHash(r *ttdb.Record) uint64 {
+	h := fnv.New64a()
+	if r.ErrText != "" {
+		h.Write([]byte("err:" + r.ErrText))
+		return h.Sum64()
+	}
+	if r.Result != nil {
+		h.Write(binary.LittleEndian.AppendUint64(nil, r.Result.Fingerprint()))
+	}
+	return h.Sum64()
 }
 
 // loadedVersions renders the code versions a run used: its payload's

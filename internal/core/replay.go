@@ -52,7 +52,9 @@ func (rs *session) processQuery(it *workItem) error {
 	}
 	rec := payload.Rec
 
-	oldOutcome := rec.Outcome()
+	// The write branch below overwrites *rec; the copy keeps the old
+	// outcome (a recorded Result is never written, so sharing it is safe).
+	old := *rec
 	// A read's record is not written here: a visit replay may be serving
 	// it to the run that issued it (serveRecorded). A merged write's
 	// parameters reach its record with the re-executed record below.
@@ -83,7 +85,7 @@ func (rs *session) processQuery(it *workItem) error {
 		}
 		rs.w.Graph.AddDeps(act.ID, ins, outs)
 	}
-	if newRec.Outcome() != oldOutcome {
+	if !newRec.SameOutcome(&old) {
 		// The query's observable result changed: the application run that
 		// issued it may behave differently (§4, §7).
 		rs.passChanges.Add(1)
@@ -179,19 +181,19 @@ func (rs *session) reExec(cs *sqldb.CachedStmt, params []sqldb.Value, t int64, o
 // record orig, without entering the database, when the query would do and
 // return what it recorded: it is a read or a write (INSERT, UPDATE,
 // DELETE) of a table that recorded a result and no error, params equal
-// the recorded ones kind for kind and value for value, it was logged
-// before this session began (a live query saw the current generation,
-// not this one), and nothing it depends on changed (recordClean). A
-// served write mutates nothing, so it files no dirt: the versions it
-// recorded are the ones it would write again, into the row IDs it
-// recorded. The copy runs in this session's generation and shares orig's
+// the recorded ones kind for kind and value for value, it was logged no
+// later than this session began (liveSince, as mergeLiveText counts it:
+// a live query saw the current generation, not this one), and nothing it
+// depends on changed (recordClean). A served write mutates nothing, so
+// it files no dirt: the versions it recorded are the ones it would write
+// again, into the row IDs it recorded. The copy runs in this session's generation and shares orig's
 // Result, which is never written (ttdb.Record). The dirt number is read
 // before the check, so a change filed after it leaves the query
 // unsettled (settledLocked) exactly as if it had executed then. It
 // returns nil when the query must execute.
 func (rs *session) serveRecorded(orig *ttdb.Record, params []sqldb.Value) (*ttdb.Record, int64) {
 	if orig == nil || (orig.Kind != ttdb.KindRead && !orig.IsWrite()) || orig.Table == "" ||
-		orig.ErrText != "" || orig.Result == nil || orig.Time >= rs.liveSince || !slices.Equal(orig.Params, params) {
+		orig.ErrText != "" || orig.Result == nil || orig.Time > rs.liveSince || !slices.Equal(orig.Params, params) {
 		return nil, 0
 	}
 	n := rs.dirtSeq.Load()

@@ -10,8 +10,8 @@ import "fmt"
 // in declaration order. fn receives the row's stable engine slot —
 // inserts append fresh slots and deletes leave tombstones, so a slot is
 // a durable total order over a table's rows that later deletes
-// elsewhere cannot shift; WARP's checkpoint sharding tags rows with it
-// so sections carried forward across purges still merge in order — and
+// elsewhere cannot shift; WARP's checkpoint tags rows with it so restore
+// re-inserts them, from one section or several, in order — and
 // the projected values in a buffer that is reused across calls; callers
 // must copy anything they retain. A non-nil error from fn aborts the
 // scan and is returned.

@@ -159,6 +159,7 @@ func (db *DB) execUnderLock(cs *CachedStmt, params []Value) (*Result, ExecShape,
 		} else {
 			shape = ShapeUpdate
 			res, err = db.runUpdate(p.upd.table, s, p.upd, params)
+			db.noteWrite(p.upd.table, res, err)
 		}
 	case *Delete:
 		if p := db.planFor(cs); p.del == nil {
@@ -166,6 +167,7 @@ func (db *DB) execUnderLock(cs *CachedStmt, params []Value) (*Result, ExecShape,
 		} else {
 			shape = ShapeDelete
 			res, err = db.runDelete(p.del.table, s, p.del, params)
+			db.noteWrite(p.del.table, res, err)
 		}
 	case *Insert:
 		if p := db.planFor(cs); p.ins == nil {
@@ -173,6 +175,7 @@ func (db *DB) execUnderLock(cs *CachedStmt, params []Value) (*Result, ExecShape,
 		} else {
 			shape = ShapeInsert
 			res, err = db.runInsert(p.ins.table, s, p.ins, params)
+			db.noteWrite(p.ins.table, res, err)
 		}
 	case *CreateTable:
 		res, err = db.execCreateTable(s)
@@ -186,6 +189,14 @@ func (db *DB) execUnderLock(cs *CachedStmt, params []Value) (*Result, ExecShape,
 		err = fmt.Errorf("sql: unsupported statement %T", cs.Stmt)
 	}
 	return res, shape, err
+}
+
+// noteWrite records a successful INSERT, UPDATE or DELETE that wrote a
+// row as a change of t. Caller holds mu.
+func (db *DB) noteWrite(t *Table, res *Result, err error) {
+	if err == nil && res.Affected > 0 {
+		db.noteChange(t)
+	}
 }
 
 func (db *DB) execCreateTable(s *CreateTable) (*Result, error) {
@@ -216,6 +227,7 @@ func (db *DB) execCreateTable(s *CreateTable) (*Result, error) {
 		return nil, err
 	}
 	db.tables[s.Table] = t
+	db.noteChange(t)
 	db.bumpEpoch()
 	return &Result{}, nil
 }
@@ -245,6 +257,7 @@ func (db *DB) execCreateIndex(s *CreateIndex) (*Result, error) {
 		return nil
 	})
 	t.indexes[s.Column] = ix
+	db.noteChange(t)
 	db.bumpEpoch()
 	return &Result{}, nil
 }
@@ -270,6 +283,7 @@ func (db *DB) execAlterAdd(s *AlterTableAdd) (*Result, error) {
 		r.vals = append(r.vals, def)
 		return nil
 	})
+	db.noteChange(t)
 	db.bumpEpoch()
 	return &Result{}, nil
 }

@@ -279,21 +279,50 @@ func TestNullSemantics(t *testing.T) {
 	}
 }
 
-func TestSetUniques(t *testing.T) {
+// TestChangeSeq: a table's change sequence moves with every statement
+// that changed it — a write that affected a row, KEEP's versioned update
+// among them, or DDL on the table — and with nothing else: reads, writes
+// that matched nothing, failed statements and no-op DDL leave it, and
+// other tables' statements never move it.
+func TestChangeSeq(t *testing.T) {
 	db := newTestDB(t)
-	// Relax pk to (page_id, title): now a duplicate page_id with different
-	// title is allowed.
-	if err := db.SetUniques("pages", []UniqueConstraint{{Columns: []string{"page_id", "title"}, Primary: true}}); err != nil {
-		t.Fatal(err)
+	mustExec(t, db, "CREATE TABLE other (id INTEGER PRIMARY KEY)")
+	for _, c := range []struct {
+		src   string
+		moves bool
+	}{
+		{"INSERT INTO pages (page_id, title) VALUES (4, 'New')", true},
+		{"UPDATE pages SET content = 'x' WHERE page_id = 1", true},
+		{"UPDATE pages SET content = 'y' WHERE page_id = 1 KEEP (page_id = 100)", true},
+		{"DELETE FROM pages WHERE page_id = 2", true},
+		{"ALTER TABLE pages ADD COLUMN views INTEGER DEFAULT 0", true},
+		{"CREATE INDEX idx_editor ON pages (editor)", true},
+		{"SELECT * FROM pages", false},
+		{"SELECT COUNT(*) FROM pages WHERE editor = 10", false},
+		{"UPDATE pages SET content = 'z' WHERE page_id = 99", false},
+		{"DELETE FROM pages WHERE page_id = 99", false},
+		{"INSERT INTO pages (page_id, title) VALUES (1, 'Dup')", false},
+		{"UPDATE pages SET page_id = 3 WHERE page_id = 1", false},
+		{"CREATE INDEX idx_editor2 ON pages (editor)", false},
+		{"CREATE TABLE IF NOT EXISTS pages (page_id INTEGER)", false},
+		{"INSERT INTO other (id) VALUES (1)", false},
+	} {
+		before := db.ChangeSeq("pages")
+		_, _ = db.Exec(c.src)
+		if moved := db.ChangeSeq("pages") != before; moved != c.moves {
+			t.Errorf("%s: change sequence moved = %v, want %v", c.src, moved, c.moves)
+		}
 	}
-	mustExec(t, db, "INSERT INTO pages (page_id, title) VALUES (1, 'Other')")
-	// Tightening back must fail now (duplicates exist) and keep old rules.
-	if err := db.SetUniques("pages", []UniqueConstraint{{Columns: []string{"page_id"}, Primary: true}}); err == nil {
-		t.Fatal("tightening over duplicates should fail")
+	if got := db.ChangeSeq("nope"); got != 0 {
+		t.Errorf("ChangeSeq of a missing table = %d, want 0", got)
 	}
-	// The relaxed constraint is still in effect after the failed tightening.
-	if _, err := db.Exec("INSERT INTO pages (page_id, title) VALUES (1, 'Third')"); err != nil {
-		t.Fatalf("relaxed constraint should allow insert: %v", err)
+	// A re-created table never repeats the sequence of the one it
+	// replaced.
+	last := db.ChangeSeq("pages")
+	mustExec(t, db, "DROP TABLE pages")
+	mustExec(t, db, "CREATE TABLE pages (page_id INTEGER PRIMARY KEY)")
+	if got := db.ChangeSeq("pages"); got <= last {
+		t.Errorf("re-created table's change sequence %d, want above %d", got, last)
 	}
 }
 

@@ -10,7 +10,7 @@ package sqldb
 // tombstone entire regions of history.
 //
 // The slot contract is unchanged from the slice layout and is what
-// checkpoint streaming (EncodeTableShards), repair rollback, and the
+// checkpoint streaming (ttdb's EncodeTable), repair rollback, and the
 // indexes all rely on: slots are allocated in ascending order, a row's
 // slot never changes, and deletes leave tombstones rather than reusing
 // the slot, so a slot remains a durable total order over a table's rows.

@@ -20,6 +20,10 @@ type DB struct {
 	// record the epoch they were built at and recompile when it moves
 	// (plan.go). Moved under mu; read without it by Epoch.
 	epoch atomic.Uint64
+	// changes numbers the successful mutating statements, so a table's
+	// Table.changed orders its last change among every table's (ChangeSeq).
+	// Moved under mu.
+	changes uint64
 	// stmts caches parsed statements and their plans for the text-based
 	// Exec entry point.
 	stmts *StmtCache
@@ -32,6 +36,28 @@ func Open() *DB {
 
 // bumpEpoch invalidates every compiled plan. Caller holds mu.
 func (db *DB) bumpEpoch() { db.epoch.Add(1) }
+
+// noteChange records that a statement changed t. Caller holds mu.
+func (db *DB) noteChange(t *Table) {
+	db.changes++
+	t.changed = db.changes
+}
+
+// ChangeSeq returns the table's change sequence: the database-wide
+// number of the last successful statement that changed it — an INSERT,
+// UPDATE or DELETE that affected a row, or DDL on the table — or 0 when
+// there is no such table. Reads, statements that matched nothing and
+// failed statements leave it where it was. The numbering is shared by all
+// tables, so a dropped and re-created table never repeats an earlier
+// value.
+func (db *DB) ChangeSeq(table string) uint64 {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if t, ok := db.tables[table]; ok {
+		return t.changed
+	}
+	return 0
+}
 
 // Epoch returns the DDL epoch without taking the engine lock: the layer
 // above keys its own statement caches by it on every execution.
@@ -50,6 +76,7 @@ type Table struct {
 	liveRows int
 	indexes  map[string]*colIndex
 	uniques  []*uniqueSet
+	changed  uint64 // DB.changes at the table's last change (ChangeSeq)
 }
 
 type row struct {
@@ -302,27 +329,4 @@ func (db *DB) ApproxBytes() int {
 		n += db.ApproxTableBytes(t)
 	}
 	return n
-}
-
-// SetUniques replaces the unique constraints of a table and revalidates
-// existing rows. The time-travel layer uses this to extend application
-// uniqueness constraints with version columns (paper §6).
-func (db *DB) SetUniques(table string, uniques []UniqueConstraint) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	t, ok := db.tables[table]
-	if !ok {
-		return fmt.Errorf("sql: no such table %s", table)
-	}
-	db.bumpEpoch()
-	old := t.Uniques
-	t.Uniques = uniques
-	if err := t.buildUniqueSets(); err != nil {
-		t.Uniques = old
-		if rerr := t.buildUniqueSets(); rerr != nil {
-			return fmt.Errorf("sql: constraint rollback failed: %v (after %v)", rerr, err)
-		}
-		return err
-	}
-	return nil
 }

@@ -102,16 +102,12 @@ func dmlTable(stmt sqldb.Statement) (table string, isWrite, ok bool) {
 // handle's canonical SQL becomes Record.SQL without a re-stringify. reuse
 // carries the original record during repair re-execution and replay, or
 // nil.
-// Every non-read case marks its statement's shards dirty for the
-// incremental checkpointer — before executing, so even a write that
-// fails partway can only over-mark, never leave a mutated shard clean.
 func (db *DB) execAt(cs *sqldb.CachedStmt, params []sqldb.Value, t, gen int64, reuse *Record, m *tableMeta, acc access) (*sqldb.Result, *Record, error) {
 	rec := &Record{SQL: cs.Canonical(), Params: params, Time: t, Gen: gen, ReadPartitions: acc.reads}
 	raw := func() (*sqldb.Result, error) { return db.raw.ExecCached(cs, params) }
 	ddl := func(table string, run func() (*sqldb.Result, error)) (*sqldb.Result, *Record, error) {
 		rec.Kind = KindDDL
 		rec.Table = table
-		db.markDirtyWhole(table)
 		res, err := run()
 		if err != nil {
 			return nil, nil, err
@@ -149,13 +145,10 @@ func (db *DB) execAt(cs *sqldb.CachedStmt, params []sqldb.Value, t, gen int64, r
 	case *sqldb.Select:
 		return db.execSelect(s, cs, params, t, gen, rec, m)
 	case *sqldb.Insert:
-		db.markDirtyScope(m, acc.lock)
 		return db.execInsert(s, cs, params, t, gen, rec, reuse, m)
 	case *sqldb.Update:
-		db.markDirtyScope(m, acc.lock)
 		return db.execUpdate(s, cs, params, t, gen, rec, m)
 	case *sqldb.Delete:
-		db.markDirtyScope(m, acc.lock)
 		return db.execDelete(s, cs, params, t, gen, rec, m)
 	default:
 		return nil, nil, fmt.Errorf("ttdb: unsupported statement %T", cs.Stmt)

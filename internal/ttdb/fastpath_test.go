@@ -455,8 +455,8 @@ func (c *countObserver) Collected(int64)                  {}
 
 // TestParamCountContract: a parameter vector that does not match the
 // statement's placeholders is refused with the one typed error at the
-// entry — before lock acquisition, clock tick, dirty marking, record
-// creation, or observer emission — for every verb, in both directions,
+// entry — before lock acquisition, clock tick, any change to the table's
+// stamp, record creation, or observer emission — for every verb, in both directions,
 // under normal execution and re-execution alike. There is no second
 // executor for such calls to fall into.
 func TestParamCountContract(t *testing.T) {
@@ -482,7 +482,11 @@ func TestParamCountContract(t *testing.T) {
 	}
 	check := func(t *testing.T, run func() (*Record, error)) {
 		t.Helper()
-		db.TakeDirty()
+		m, err := db.meta("pages")
+		if err != nil {
+			t.Fatal(err)
+		}
+		stamp := db.stamp(m)
 		now, applied, stats := db.Clock().Now(), obs.applied, execStats()
 		rec, err := run()
 		var pe *sqldb.ParamCountError
@@ -495,8 +499,8 @@ func TestParamCountContract(t *testing.T) {
 		if got := db.Clock().Now(); got != now {
 			t.Fatalf("clock moved %d -> %d", now, got)
 		}
-		if dirty := db.TakeDirty(); len(dirty) != 0 {
-			t.Fatalf("dirty set = %v, want empty", dirty)
+		if got := db.stamp(m); got != stamp {
+			t.Fatalf("stamp moved %+v -> %+v", stamp, got)
 		}
 		if obs.applied != applied {
 			t.Fatal("mismatch emitted RecordApplied")

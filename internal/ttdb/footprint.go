@@ -6,10 +6,10 @@ package ttdb
 // per statement handle: deriveFootprint builds a template — which literal
 // or parameter operands bind which partition column — and resolve binds
 // one execution's parameters to it, yielding the lock-column keys — the
-// dirty-shard scope and the admission gate's partitions — and the read
-// partitions together. Dirty marking, Record.ReadPartitions, two-phase
-// re-execution and the online-repair admission gate all consume that one
-// value; none of it locks anything (locks.go takes the whole table).
+// admission gate's partitions — and the read partitions together.
+// Record.ReadPartitions, two-phase re-execution and the online-repair
+// admission gate all consume that one value; none of it locks anything
+// (locks.go takes the whole table).
 //
 // The admission gate derives the template without holding the table's
 // lock, so it may depend only on the statement and on facts of the table
@@ -68,8 +68,7 @@ type fpOperand struct {
 
 // lockScope names the slice of one table an operation can touch: a
 // sorted, distinct set of lock-column keys, or the whole table. Its keys
-// pick the row shards the operation dirties and the partitions the
-// admission gate compares.
+// are the partitions the admission gate compares (StmtPartitions).
 type lockScope struct {
 	whole bool
 	keys  []string
@@ -88,8 +87,8 @@ func keyScope(keys []string) lockScope {
 
 // access is one execution's resolved footprint.
 type access struct {
-	// lock is the statement's lock-column scope: the row shards it
-	// dirties.
+	// lock is the statement's lock-column scope: the partitions the
+	// admission gate compares.
 	lock lockScope
 	// reads are the partitions the statement may read, in template order;
 	// for an INSERT, the partitions its rows land in.

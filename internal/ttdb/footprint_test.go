@@ -2,7 +2,6 @@ package ttdb
 
 import (
 	"reflect"
-	"sort"
 	"testing"
 
 	"warp/internal/sqldb"
@@ -17,9 +16,8 @@ func partStrings(ps []Partition) []string {
 }
 
 // TestFootprint: one template per statement, one resolve per execution,
-// and everything that bounds the statement — the lock-column scope, its
-// dirty row shards, Record.ReadPartitions, StmtPartitions — reads that
-// resolve.
+// and everything that bounds the statement — the lock-column scope,
+// Record.ReadPartitions, StmtPartitions — reads that resolve.
 // pages is partitioned by title (TEXT, the lock column) and editor
 // (INTEGER).
 func TestFootprint(t *testing.T) {
@@ -133,7 +131,7 @@ func TestFootprint(t *testing.T) {
 				return
 			}
 
-			db.TakeDirty()
+			change := db.raw.ChangeSeq("pages")
 			_, rec, err := db.Exec(c.src, c.params...)
 			if (err != nil) != c.fails || rec == nil {
 				t.Fatalf("Exec: rec %v, err %v (failure expected: %v)", rec, err, c.fails)
@@ -149,22 +147,11 @@ func TestFootprint(t *testing.T) {
 			} else if got := partStrings(rec.ReadPartitions); !reflect.DeepEqual(got, c.reads) {
 				t.Errorf("ReadPartitions = %v, want %v", got, c.reads)
 			}
-			dirty, marked := db.TakeDirty()["pages"]
-			wantDirty := DirtyShards{Whole: c.lock == nil}
-			seen := map[int]bool{}
-			for _, k := range c.lock {
-				if s := m.shardOfKey(k); !seen[s] {
-					seen[s] = true
-					wantDirty.Shards = append(wantDirty.Shards, s)
-				}
-			}
-			sort.Ints(wantDirty.Shards)
-			if rec.Kind == KindRead {
-				if marked {
-					t.Errorf("a read marked %+v dirty", dirty)
-				}
-			} else if !reflect.DeepEqual(dirty, wantDirty) {
-				t.Errorf("dirty shards = %+v, want %+v", dirty, wantDirty)
+			// The table's engine change moves with the rows written, and
+			// only with them.
+			wrote := !c.fails && rec.Result != nil && rec.Result.Affected > 0
+			if moved := db.raw.ChangeSeq("pages") != change; moved != wrote {
+				t.Errorf("engine change moved: %v, want %v (%s)", moved, wrote, rec.Kind)
 			}
 		})
 	}

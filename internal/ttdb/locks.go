@@ -8,8 +8,8 @@ package ttdb
 // generation switches and GC take every table's lock exclusive, in name
 // order (lockAll). The engine runs one statement at a time (sqldb.DB.mu),
 // so finer locks would buy no concurrency; partitions bound only a
-// repair's damage — its dirt, its dirty checkpoint shards and the
-// admission gate's claims (footprint.go).
+// repair's damage — its dirt and the admission gate's claims
+// (footprint.go).
 //
 // Exclusive writes make each table's Observer record order its execution
 // order, which WAL replay relies on: it re-executes the records serially

@@ -10,22 +10,24 @@ import (
 
 // This file implements the time-travel database's side of durability
 // (docs/persistence.md): binary codecs for values and query records, a
-// sharded snapshot encoder/decoder, and WAL-record replay.
+// per-table snapshot encoder/decoder, and WAL-record replay.
 //
 // The division of labor with internal/store: ttdb encodes and decodes
 // its own state with store's generic codec primitives and emits change
 // events through the Observer interface; store only moves opaque bytes.
 //
 // Snapshot layout: each table is one *header* section (annotation,
-// schema, allocator) plus ShardCount *row-shard* sections, each holding
-// the physical row versions of one hash slice of the table's lock-column
-// keys. Dirty tracking (ttdb.go) is kept at the same granularity, so a
-// repaired hot row rewrites its shard, not the whole table. Tables
-// without partition columns have a single shard. Every section ends with
-// a list of version-index entries that is always written empty:
-// stateVersion 2 kept a per-partition event index there, what it answered
-// is now read off the row versions (partindex.go), and a version-2
-// section's entries are skipped.
+// schema, allocator) plus one *rows* section holding every physical row
+// version. A table's stamp (Stamp) moves whenever either would change,
+// so an incremental checkpoint rewrites only the tables whose stamps
+// moved. Every section ends with a list of version-index entries that is
+// always written empty: stateVersion 2 kept a per-partition event index
+// there, what it answered is now read off the row versions
+// (partindex.go), and a version-2 section's entries are skipped.
+//
+// A directory written before tables had one rows section holds up to
+// eight per partitioned table, hash slices of the lock column's keys;
+// the header counts them and restore merges them (RestoreTableShard).
 //
 // Replay strategy: every normal-execution mutation is logged as its
 // query Record (SQL, parameters, time, generation, write set). Replaying
@@ -202,14 +204,15 @@ func EncodeSpec(enc *store.Encoder, spec TableSpec) { encodeSpec(enc, spec) }
 // shards); version-1 (PR 3) snapshots are refused rather than misread.
 // Version 3 has the same layout with every version-index entry list
 // empty: a version-2 binary, which would roll a partition back from those
-// lists, refuses a version-3 directory instead of undoing nothing.
+// lists, refuses a version-3 directory instead of undoing nothing. A
+// version-3 header counts its table's rows sections, so writing one per
+// table instead of up to eight needed no new version.
 const stateVersion = 3
 
 // EncodeMeta serializes the database's global metadata — the current
 // generation, the GC horizon, and pending table annotations — as one
-// snapshot section. Table contents are encoded separately (EncodeTableHeader
-// and EncodeTableShards), so an incremental checkpoint rewrites only the
-// shards that changed.
+// snapshot section. Table contents are encoded separately (EncodeTable),
+// so an incremental checkpoint rewrites only the tables that changed.
 func (db *DB) EncodeMeta(enc *store.Encoder) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -261,25 +264,61 @@ func skipVersionIndex(dec *store.Decoder) {
 	}
 }
 
-// EncodeTableHeader serializes one table's structural state — annotation,
-// augmented schema, row-ID allocator, shard count — as a self-contained
-// snapshot section. The table's lock is held shared for the duration; the
-// caller is responsible for quiescing direct writers.
-func (db *DB) EncodeTableHeader(enc *store.Encoder, table string) error {
+// Stamp identifies one table's checkpointed state: the engine's change
+// sequence for the table (sqldb.DB.ChangeSeq) and its row-ID allocator.
+// Every change to the table's header or rows moves one of the two — the
+// allocator covers a synthetic-ID INSERT that failed on uniqueness, which
+// advances it without changing the engine — so a table whose stamp
+// equals the one its sections were written at can keep those sections.
+// The zero Stamp is no table's.
+type Stamp struct {
+	change    uint64
+	nextRowID int64
+}
+
+// stamp reads a table's stamp; the caller holds its lock.
+func (db *DB) stamp(m *tableMeta) Stamp {
+	st := Stamp{change: db.raw.ChangeSeq(m.name)}
+	m.mu.Lock()
+	st.nextRowID = m.nextRowID
+	m.mu.Unlock()
+	return st
+}
+
+// EncodeTable serializes one table as two self-contained snapshot
+// sections, under the table's shared lock: the header (annotation,
+// augmented schema, row-ID allocator) and then the rows. section is
+// asked for each one's encoder, header first, with the stamp read under
+// that lock; it returns nil to leave the section out. EncodeTable
+// returns the stamp. The caller is responsible for quiescing direct
+// writers.
+func (db *DB) EncodeTable(table string, section func(stamp Stamp, rows bool) *store.Encoder) (Stamp, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	m, unlock, err := db.lockTable(table, false)
 	if err != nil {
-		return err
+		return Stamp{}, err
 	}
 	defer unlock()
-	return db.encodeTableHeaderLocked(enc, m)
+	st := db.stamp(m)
+	if enc := section(st, false); enc != nil {
+		if err := db.encodeTableHeaderLocked(enc, m); err != nil {
+			return st, err
+		}
+	}
+	if enc := section(st, true); enc != nil {
+		if err := db.encodeTableRowsLocked(enc, m); err != nil {
+			return st, err
+		}
+	}
+	return st, nil
 }
 
+// encodeTableHeaderLocked writes the table's header section.
 func (db *DB) encodeTableHeaderLocked(enc *store.Encoder, m *tableMeta) error {
 	enc.String(m.name)
 	encodeSpec(enc, m.spec)
-	enc.Uvarint(uint64(m.shards))
+	enc.Uvarint(1) // rows sections
 	m.mu.Lock()
 	enc.Int(m.nextRowID)
 	m.mu.Unlock()
@@ -323,130 +362,56 @@ func (db *DB) encodeTableHeaderLocked(enc *store.Encoder, m *tableMeta) error {
 	return nil
 }
 
-// EncodeTableShards serializes the given row shards of a table — each
-// shard holds the physical row versions whose lock-column key hashes to
-// it — streaming rows straight from the engine's cursor into the shard
-// encoders, so no result set is ever materialized and memory stays
-// bounded by the encoders' chunk buffers regardless of table size. sink
-// returns the destination encoder for each shard, in the given order.
-// For tables without partition columns there is a single shard holding
-// every row.
-func (db *DB) EncodeTableShards(table string, shards []int, sink func(shard int) *store.Encoder) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	m, unlock, err := db.lockTable(table, false)
-	if err != nil {
-		return err
-	}
-	defer unlock()
-	return db.encodeTableShardsLocked(m, shards, sink)
-}
-
-func (db *DB) encodeTableShardsLocked(m *tableMeta, shards []int, sink func(shard int) *store.Encoder) error {
-	for _, shard := range shards {
-		if shard < 0 || shard >= m.shards {
-			return fmt.Errorf("ttdb: table %s has no shard %d", m.name, shard)
-		}
-	}
+// encodeTableRowsLocked writes the table's rows section: every physical
+// row version, streamed from the engine's cursor into the encoder, so no
+// result set is materialized and memory stays bounded by the encoder's
+// chunk buffer regardless of table size. Each row carries its engine
+// slot, the order restore re-inserts rows in (RestoreTableShard).
+func (db *DB) encodeTableRowsLocked(enc *store.Encoder, m *tableMeta) error {
 	cols := m.physicalColumns()
-	lockIdx := -1
-	for i, c := range cols {
-		if c == m.lockCol {
-			lockIdx = i
-		}
+	enc.String(m.name)
+	enc.Uvarint(0) // section index among the table's rows sections
+	enc.Uvarint(uint64(len(cols)))
+	for _, c := range cols {
+		enc.String(c)
 	}
-	// Rows stream straight from the engine's cursor into the shard
-	// encoders — no materialized result set, so encoding cost is one
-	// scan and memory stays bounded by the encoders' chunk buffers
-	// regardless of table size. A cheap counting pre-pass supplies each
-	// shard's row-count prefix. Each row carries its *engine slot* so
-	// restore can merge the shards back into the original row order —
-	// recovery must be bit-identical to the never-crashed state,
-	// including scan order. Slots, unlike scan ranks, stay valid in
-	// sections carried forward across later physical deletes (a repair
-	// commit's purge) of rows in other shards. A restore compacts
-	// tombstones and renumbers slots, so Open re-marks every restored
-	// table dirty and the next checkpoint re-tags all shards
-	// consistently (core/persist.go).
-	counts := make([]int, m.shards)
-	var countCols []string
-	if lockIdx >= 0 {
-		countCols = []string{m.lockCol}
-	} else {
-		countCols = []string{} // project nothing: only the row count matters
-	}
-	err := db.raw.ScanTable(m.name, countCols, func(_ int, vals []sqldb.Value) error {
-		s := 0
-		if lockIdx >= 0 {
-			s = m.shardOfKey(vals[0].Key())
-		}
-		counts[s]++
+	count := db.raw.RowCount(m.name)
+	enc.Uvarint(uint64(count))
+	emitted := 0
+	err := db.raw.ScanTable(m.name, cols, func(slot int, vals []sqldb.Value) error {
+		emitted++
+		enc.Uvarint(uint64(slot))
+		encodeValues(enc, vals)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-
-	// Each shard section must be written contiguously (checkpoint files
-	// hold one open section at a time), so rows stream through one
-	// filtered scan per requested shard. Incremental checkpoints
-	// typically rewrite a single shard; full rewrites trade extra scans
-	// for never materializing the table.
-	for _, shard := range shards {
-		enc := sink(shard)
-		enc.String(m.name)
-		enc.Uvarint(uint64(shard))
-		enc.Uvarint(uint64(len(cols)))
-		for _, c := range cols {
-			enc.String(c)
-		}
-		enc.Uvarint(uint64(counts[shard]))
-		emitted := 0
-		err = db.raw.ScanTable(m.name, cols, func(slot int, vals []sqldb.Value) error {
-			s := 0
-			if lockIdx >= 0 {
-				s = m.shardOfKey(vals[lockIdx].Key())
-			}
-			if s != shard {
-				return nil
-			}
-			emitted++
-			enc.Uvarint(uint64(slot))
-			encodeValues(enc, vals)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		// The count prefix came from a separate pre-pass; a mutation
-		// slipping between the scans (a caller that failed to quiesce
-		// direct writers) must be a hard error here, not a silently
-		// misframed section discovered at recovery.
-		if emitted != counts[shard] {
-			return fmt.Errorf("ttdb: table %s shard %d changed during encode: %d rows emitted, %d counted", m.name, shard, emitted, counts[shard])
-		}
-		enc.Uvarint(0) // version-index entries: none (skipVersionIndex)
+	// The count prefix was read before the scan; a mutation slipping
+	// between the two (a caller that failed to quiesce direct writers)
+	// must be a hard error here, not a silently misframed section
+	// discovered at recovery.
+	if emitted != count {
+		return fmt.Errorf("ttdb: table %s changed during encode: %d rows emitted, %d counted", m.name, emitted, count)
 	}
+	enc.Uvarint(0) // version-index entries: none (skipVersionIndex)
 	return nil
 }
 
-// RestoreTableHeader rebuilds one table's structure from an
-// EncodeTableHeader section: schema, indexes, allocator, annotation.
+// RestoreTableHeader rebuilds one table's structure from a header
+// section (EncodeTable): schema, indexes, allocator, annotation.
 // The database must not already hold the table; RestoreMeta must run
-// first so annotations are in place, and the table's row shards must be
-// restored afterwards (RestoreTableShard). It returns the table name.
+// first so annotations are in place, and the table's rows sections must
+// be restored afterwards (RestoreTableShard). It returns the table name.
 func (db *DB) RestoreTableHeader(dec *store.Decoder) (string, error) {
 	name := dec.String()
 	spec := decodeSpec(dec)
+	shards := max(int(dec.Uvarint()), 1)
 	m := &tableMeta{
 		name:      name,
 		spec:      spec,
 		rowIDCol:  spec.RowIDColumn,
-		shards:    int(dec.Uvarint()),
 		nextRowID: dec.Int(),
-	}
-	if m.shards < 1 {
-		m.shards = 1
 	}
 	if m.rowIDCol == "" {
 		m.rowIDCol = ColRowID
@@ -499,10 +464,10 @@ func (db *DB) RestoreTableHeader(dec *store.Decoder) (string, error) {
 		return "", err
 	}
 
-	// Arm the shard-restore accounting now: if none of the table's row
-	// shards ever arrive, VerifyRestored must fail the open rather than
+	// Arm the rows-restore accounting now: if none of the table's rows
+	// sections ever arrive, VerifyRestored must fail the open rather than
 	// surface a silently empty table.
-	m.restore = &tableRestore{}
+	m.restore = &tableRestore{shards: shards}
 
 	m.prepareScopeFacts(ct.Columns)
 	db.tablesMu.Lock()
@@ -511,22 +476,23 @@ func (db *DB) RestoreTableHeader(dec *store.Decoder) (string, error) {
 	return name, nil
 }
 
-// RestoreTableShard loads one row shard written by EncodeTableShards into
-// a table previously restored by RestoreTableHeader. Rows are buffered
-// until every shard of the table has arrived and then inserted in their
-// original physical scan order, so the restored engine state is
-// bit-identical to the encoded one.
+// RestoreTableShard loads one rows section into a table previously
+// restored by RestoreTableHeader. A table has one rows section, or up to
+// eight in an older directory; rows are buffered until every section the
+// header counts has arrived and then inserted in their original slot
+// order, so the restored engine state is bit-identical to the encoded
+// one.
 func (db *DB) RestoreTableShard(dec *store.Decoder) error {
 	name := dec.String()
-	dec.Uvarint() // shard index, informational
+	dec.Uvarint() // section index, informational
 	m, err := db.meta(name)
 	if err != nil {
-		return fmt.Errorf("ttdb: shard section for unknown table %s (header missing?)", name)
-	}
-	if m.restore == nil {
-		m.restore = &tableRestore{}
+		return fmt.Errorf("ttdb: rows section for unknown table %s (header missing?)", name)
 	}
 	buf := m.restore
+	if buf == nil {
+		return fmt.Errorf("ttdb: table %s has more rows sections than its header counts", name)
+	}
 
 	nRowCols := dec.Count()
 	rowCols := make([]string, 0, nRowCols)
@@ -551,7 +517,7 @@ func (db *DB) RestoreTableShard(dec *store.Decoder) error {
 	}
 
 	buf.restored++
-	if buf.restored < m.shards {
+	if buf.restored < buf.shards {
 		return nil
 	}
 	m.restore = nil
@@ -565,15 +531,15 @@ func (db *DB) RestoreTableShard(dec *store.Decoder) error {
 	return nil
 }
 
-// VerifyRestored checks that every table's row shards all arrived: a
-// table still buffering is a checkpoint with missing shard sections,
-// which must fail recovery rather than surface as an empty table.
+// VerifyRestored checks that every table's rows sections all arrived: a
+// table still buffering is a checkpoint with missing sections, which
+// must fail recovery rather than surface as an empty table.
 func (db *DB) VerifyRestored() error {
 	db.tablesMu.RLock()
 	defer db.tablesMu.RUnlock()
 	for name, m := range db.tables {
 		if m.restore != nil {
-			return fmt.Errorf("ttdb: table %s restored %d of %d row shards", name, m.restore.restored, m.shards)
+			return fmt.Errorf("ttdb: table %s restored %d of %d rows sections", name, m.restore.restored, m.restore.shards)
 		}
 	}
 	return nil

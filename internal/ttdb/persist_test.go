@@ -92,11 +92,11 @@ func seedDB(t *testing.T, obs Observer) *DB {
 
 // snapshot is a database's checkpoint sections, in the order core's
 // checkpointer writes and its recovery reads them: the metadata, every
-// table's header, then every table's row shards.
+// table's header, then every table's rows.
 type snapshot struct {
 	meta    []byte
 	headers [][]byte
-	shards  [][]byte
+	rows    [][]byte
 }
 
 func takeSnapshot(t *testing.T, db *DB) snapshot {
@@ -105,22 +105,17 @@ func takeSnapshot(t *testing.T, db *DB) snapshot {
 	db.EncodeMeta(enc)
 	snap := snapshot{meta: enc.Bytes()}
 	for _, table := range db.Tables() {
-		enc := store.NewEncoder()
-		if err := db.EncodeTableHeader(enc, table); err != nil {
+		header, rows := store.NewEncoder(), store.NewEncoder()
+		if _, err := db.EncodeTable(table, func(_ Stamp, isRows bool) *store.Encoder {
+			if isRows {
+				return rows
+			}
+			return header
+		}); err != nil {
 			t.Fatal(err)
 		}
-		snap.headers = append(snap.headers, enc.Bytes())
-		all := make([]int, db.ShardCount(table))
-		encs := make([]*store.Encoder, len(all))
-		for s := range all {
-			all[s], encs[s] = s, store.NewEncoder()
-		}
-		if err := db.EncodeTableShards(table, all, func(s int) *store.Encoder { return encs[s] }); err != nil {
-			t.Fatal(err)
-		}
-		for _, enc := range encs {
-			snap.shards = append(snap.shards, enc.Bytes())
-		}
+		snap.headers = append(snap.headers, header.Bytes())
+		snap.rows = append(snap.rows, rows.Bytes())
 	}
 	return snap
 }
@@ -140,13 +135,13 @@ func (snap snapshot) restore(t *testing.T, now int64) *DB {
 			t.Fatal(err)
 		}
 	}
-	for _, sec := range snap.shards {
+	for _, sec := range snap.rows {
 		dec := store.NewDecoder(sec)
 		if err := db.RestoreTableShard(dec); err != nil {
 			t.Fatal(err)
 		}
 		if dec.Remaining() != 0 {
-			t.Fatalf("restore left %d bytes of a shard section unread", dec.Remaining())
+			t.Fatalf("restore left %d bytes of a rows section unread", dec.Remaining())
 		}
 	}
 	if err := db.VerifyRestored(); err != nil {
@@ -212,10 +207,11 @@ func TestRestoreSkipsVersion2IndexEntries(t *testing.T) {
 	for i := range snap.headers { // cross-shard partitions lived in the header
 		snap.headers[i] = withEntries(snap.headers[i], "", "")
 	}
-	// Every other shard stays as this version wrote it: a checkpoint
-	// carries clean sections forward, so one manifest can hold both kinds.
-	for i := 0; i < len(snap.shards); i += 2 {
-		snap.shards[i] = withEntries(snap.shards[i], "owner", sqldb.Text("u0").Key())
+	// Every other rows section stays as this version wrote it: a
+	// checkpoint carries clean sections forward, so one manifest can hold
+	// both kinds.
+	for i := 0; i < len(snap.rows); i += 2 {
+		snap.rows[i] = withEntries(snap.rows[i], "owner", sqldb.Text("u0").Key())
 	}
 	snap.meta[0] = 2
 	db2 := snap.restore(t, db.Clock().Now())
@@ -301,8 +297,8 @@ func TestRecordCodecRoundtrip(t *testing.T) {
 		if render(got) != render(rec) {
 			t.Fatalf("record roundtrip mismatch:\n got %s\nwant %s", render(got), render(rec))
 		}
-		if got.Outcome() != rec.Outcome() {
-			t.Fatal("outcome fingerprint changed across codec")
+		if !got.SameOutcome(rec) {
+			t.Fatal("outcome changed across codec")
 		}
 	}
 }
@@ -401,4 +397,88 @@ func TestConcurrentWritesReplayInLogOrder(t *testing.T) {
 	if got, want := dump(t, fresh), dump(t, db); got != want {
 		t.Fatalf("replayed log differs from the execution it recorded\n--- replayed ---\n%s--- executed ---\n%s", got, want)
 	}
+}
+
+// TestStampMovesWithEveryChange: a table's stamp — what decides whether
+// a checkpoint rewrites its sections — moves with every path that
+// changes the table's header or rows: the application's writes and DDL,
+// a repair's rollback, revive and generation-switch purge, GC, and a
+// synthetic-ID INSERT that failed yet advanced the allocator. Reads,
+// writes that matched nothing and a failed statement leave it.
+func TestStampMovesWithEveryChange(t *testing.T) {
+	db := newDB(t)
+	seedPages(t, db)
+	if _, _, err := db.Exec("CREATE TABLE tags (name TEXT NOT NULL, UNIQUE (name))"); err != nil {
+		t.Fatal(err)
+	}
+	stampOf := func(table string) Stamp {
+		m, err := db.meta(table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db.stamp(m)
+	}
+	check := func(what, table string, moves bool, op func() error) {
+		t.Helper()
+		before := stampOf(table)
+		if err := op(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if moved := stampOf(table) != before; moved != moves {
+			t.Errorf("%s: stamp moved = %v, want %v", what, moved, moves)
+		}
+	}
+	exec := func(src string) func() error {
+		return func() error { _, _, err := db.Exec(src); return err }
+	}
+	fail := func(src string) func() error {
+		return func() error {
+			if _, _, err := db.Exec(src); !sqldb.IsUniqueViolation(err) {
+				return fmt.Errorf("want a uniqueness violation, got %v", err)
+			}
+			return nil
+		}
+	}
+
+	check("INSERT", "pages", true, exec("INSERT INTO pages (page_id, title, editor) VALUES (4, 'New', 12)"))
+	check("UPDATE (a versioned UPDATE ... KEEP)", "pages", true, exec("UPDATE pages SET content = 'v2' WHERE page_id = 1"))
+	check("DELETE", "pages", true, exec("DELETE FROM pages WHERE page_id = 2"))
+	check("ALTER TABLE ADD", "pages", true, exec("ALTER TABLE pages ADD COLUMN views INTEGER DEFAULT 0"))
+	check("CREATE INDEX", "pages", true, exec("CREATE INDEX pages_content ON pages (content)"))
+	check("SELECT", "pages", false, exec("SELECT * FROM pages WHERE title = 'Main'"))
+	check("zero-row UPDATE", "pages", false, exec("UPDATE pages SET content = 'x' WHERE page_id = 99"))
+	check("zero-row DELETE", "pages", false, exec("DELETE FROM pages WHERE page_id = 99"))
+	check("failed INSERT", "pages", false, fail("INSERT INTO pages (page_id, title) VALUES (1, 'Dup')"))
+
+	check("synthetic-ID INSERT", "tags", true, exec("INSERT INTO tags (name) VALUES ('a')"))
+	m, err := db.meta("tags")
+	if err != nil {
+		t.Fatal(err)
+	}
+	change := db.raw.ChangeSeq("tags")
+	check("failed synthetic-ID INSERT", "tags", true, fail("INSERT INTO tags (name) VALUES ('a')"))
+	if db.raw.ChangeSeq("tags") != change {
+		t.Error("a failed INSERT moved the engine's change sequence")
+	}
+	if st := db.stamp(m); st.nextRowID != 3 {
+		t.Errorf("allocator after a failed synthetic-ID INSERT = %d, want 3", st.nextRowID)
+	}
+
+	// Repair: page 1 was updated after t0 and page 2 deleted after it.
+	_, rec := mustExec(t, db, "SELECT * FROM pages WHERE page_id = 3")
+	t0 := rec.Time
+	mustExec(t, db, "UPDATE pages SET content = 'v3' WHERE page_id = 1")
+	mustExec(t, db, "DELETE FROM pages WHERE page_id = 3")
+	if _, err := db.BeginRepair(); err != nil {
+		t.Fatal(err)
+	}
+	check("rollback", "pages", true, func() error { _, err := db.RollbackRow("pages", sqldb.Int(1), t0); return err })
+	check("rollback already done", "pages", false, func() error { _, err := db.RollbackRow("pages", sqldb.Int(1), t0); return err })
+	check("revive", "pages", true, func() error { _, err := db.RollbackRow("pages", sqldb.Int(3), t0); return err })
+	tags := stampOf("tags")
+	check("generation-switch purge", "pages", true, db.FinishRepair)
+	if stampOf("tags") != tags {
+		t.Error("the generation switch moved the stamp of a table the repair left alone")
+	}
+	check("GC", "pages", true, func() error { return db.GC(db.Clock().Now()) })
 }

@@ -2,7 +2,7 @@ package ttdb
 
 import (
 	"fmt"
-	"hash/fnv"
+	"slices"
 
 	"warp/internal/sqldb"
 )
@@ -80,26 +80,22 @@ func (r *Record) IsWrite() bool {
 	return r.Kind == KindInsert || r.Kind == KindUpdate || r.Kind == KindDelete
 }
 
-// Outcome fingerprints the query's observable outcome — result rows,
-// affected count, and error state — so the repair controller can test
+// SameOutcome reports whether two records of a query observed the same
+// outcome — the same error, or else the same affected count, columns and
+// rows, values compared by Key — so the repair controller can test
 // result equivalence (§2.1).
-func (r *Record) Outcome() uint64 {
-	h := fnv.New64a()
-	if r.ErrText != "" {
-		h.Write([]byte("err:"))
-		h.Write([]byte(r.ErrText))
-		return h.Sum64()
+func (r *Record) SameOutcome(o *Record) bool {
+	if r.ErrText != "" || o.ErrText != "" {
+		return r.ErrText == o.ErrText
 	}
-	if r.Result == nil {
-		return h.Sum64()
+	a, b := r.Result, o.Result
+	if a == nil || b == nil {
+		return a == b
 	}
-	fp := r.Result.Fingerprint()
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(fp >> (8 * i))
-	}
-	h.Write(buf[:])
-	return h.Sum64()
+	return a.Affected == b.Affected && slices.Equal(a.Columns, b.Columns) &&
+		slices.EqualFunc(a.Rows, b.Rows, func(x, y []sqldb.Value) bool {
+			return slices.EqualFunc(x, y, func(v, w sqldb.Value) bool { return v.Key() == w.Key() })
+		})
 }
 
 // ApproxLogBytes estimates the size of this record on disk, for the

@@ -55,12 +55,8 @@ func (db *DB) BeginRepair() (int64, error) {
 // (WARP's core) is responsible for briefly suspending the web server and
 // draining final requests first (§4.3), and for ensuring all repair workers
 // have completed. Rows visible only to older generations are purged.
-//
-// The purge mutates only rows this repair demoted or created — every one
-// of which was dirty-marked (at partition-shard granularity) by the
-// repair operation that touched it — so the generation switch adds no
-// dirt of its own and a repaired hot row marks a sub-table section, not
-// the whole table (docs/persistence.md).
+// The purge changes only tables this repair already changed, so it
+// moves no checkpoint stamp a repair operation did not (persist.go).
 func (db *DB) FinishRepair() error {
 	metas := db.lockAll()
 	defer db.unlockAll(metas)
@@ -81,8 +77,7 @@ func (db *DB) FinishRepair() error {
 
 // AbortRepair discards the next generation, restoring the database to the
 // state normal execution sees. WARP uses this when a user-initiated undo
-// would cause conflicts for other users (§5.5). Like FinishRepair, it
-// mutates only rows repair operations already dirty-marked.
+// would cause conflicts for other users (§5.5).
 func (db *DB) AbortRepair() error {
 	metas := db.lockAll()
 	defer db.unlockAll(metas)
@@ -178,23 +173,6 @@ func (db *DB) writeOne(m *tableMeta, stmt *sqldb.CachedStmt, params []sqldb.Valu
 	return nil
 }
 
-// markDirtyVersions marks the row shards holding the given versions, for
-// an operation about to change them.
-func (db *DB) markDirtyVersions(m *tableMeta, prs ...physicalRow) {
-	if len(prs) == 0 {
-		return
-	}
-	if m.lockCol == "" {
-		db.markDirtyWhole(m.name)
-		return
-	}
-	keys := make([]string, 0, len(prs))
-	for _, pr := range prs {
-		keys = append(keys, pr.colVal(m.lockCol).Key())
-	}
-	db.markDirtyScope(m, keyScope(keys))
-}
-
 // RollbackRow rolls back a single row (named by row ID) to time t in the
 // repair generation (§4.1): versions from t onward disappear from the next
 // generation, and the version covering t becomes live again. Versions
@@ -245,10 +223,8 @@ func (db *DB) rollbackRowLocked(m *tableMeta, rowID sqldb.Value, t int64, st rep
 	for _, pr := range gone {
 		set.AddAll(m.rowPartitions(pr.colVal))
 	}
-	db.markDirtyVersions(m, gone...)
 	if revive {
 		set.AddAll(m.rowPartitions(latest.colVal))
-		db.markDirtyVersions(m, *latest)
 	}
 	for _, pr := range gone {
 		// This version vanishes from the next generation.
@@ -504,7 +480,6 @@ func (db *DB) ReExecPrepared(cs *sqldb.CachedStmt, params []sqldb.Value, t int64
 // phases A and C are empty: it rolls back the rows it originally created
 // and runs again.
 func (db *DB) reExecWrite(cs *sqldb.CachedStmt, params []sqldb.Value, t int64, st repairState, orig *Record, m *tableMeta, acc access) (*sqldb.Result, *Record, error) {
-	db.markDirtyScope(m, acc.lock) // phase C's fork mutates even when the final exec fails
 	next := st.next
 	_, isInsert := cs.Stmt.(*sqldb.Insert)
 
@@ -521,8 +496,7 @@ func (db *DB) reExecWrite(cs *sqldb.CachedStmt, params []sqldb.Value, t int64, s
 		}
 	}
 
-	// Phase B: roll back original ∪ new row IDs to just before t. Each
-	// rollback marks the shards it changes.
+	// Phase B: roll back original ∪ new row IDs to just before t.
 	dirt := NewPartitionSet()
 	seen := make(map[string]bool)
 	rollback := func(id sqldb.Value) error {
@@ -596,7 +570,6 @@ func (db *DB) GC(beforeTime int64) error {
 		return fmt.Errorf("ttdb: GC during repair")
 	}
 	horizon := []sqldb.Value{sqldb.Int(beforeTime), sqldb.Int(db.currentGen.Load())}
-	db.markAllDirty() // GC rewrites every table's physical row set
 	for _, m := range metas {
 		if _, err := db.raw.ExecCached(db.stmtsFor(m).purge, horizon); err != nil {
 			return err

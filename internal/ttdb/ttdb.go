@@ -45,7 +45,6 @@ package ttdb
 
 import (
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"sort"
 	"sync"
@@ -68,14 +67,6 @@ const (
 // Infinity is the "still valid" timestamp/generation marker.
 const Infinity = vclock.Infinity
 
-// defaultRowShards is the number of row shards a partitioned table's
-// checkpoint sections are split into (persist.go): dirty tracking and
-// checkpoint rewrites happen per shard, so a repaired hot row rewrites
-// 1/defaultRowShards of the table instead of all of it. Tables without
-// partition columns use a single shard (their dirt is whole-table
-// anyway).
-const defaultRowShards = 8
-
 // TableSpec carries the per-table annotations the paper requires from the
 // programmer or administrator (§4.1, §8.1): which application column is a
 // stable row ID (empty to let WARP synthesize one) and which columns
@@ -97,18 +88,14 @@ type tableMeta struct {
 	rowIDCol  string // spec.RowIDColumn or ColRowID
 	synthetic bool   // rowIDCol == ColRowID
 	userCols  []string
-	// lockCol is the designated sharding partition column: the first
-	// declared partition column, or "" when the table has none. Dirty
-	// tracking and checkpoint row shards are keyed by this column's
-	// values, and so are the admission gate's partitions; dependency
-	// analysis still uses every partition column.
+	// lockCol is the first declared partition column, or "" when the
+	// table has none. The admission gate's partitions are keyed by this
+	// column's values; dependency analysis uses every partition column.
 	lockCol   string
-	shards    int
 	nextRowID int64
 
-	// restore buffers shard sections until the last one arrives, so rows
-	// re-insert in their original physical scan order regardless of which
-	// shard they live in (persist.go).
+	// restore buffers rows sections until the last one arrives, so rows
+	// re-insert in their original physical scan order (persist.go).
 	restore *tableRestore
 
 	// stmts are the table's prepared internal statements for the current
@@ -166,10 +153,13 @@ func (m *tableMeta) prepareScopeFacts(defs []sqldb.ColumnDef) {
 	}
 }
 
-// tableRestore accumulates a table's row shards during snapshot restore.
+// tableRestore accumulates a table's rows sections during snapshot
+// restore: shards is how many the header counts, restored how many have
+// arrived.
 type tableRestore struct {
 	cols     []string
 	rows     []posRow
+	shards   int
 	restored int
 }
 
@@ -177,17 +167,6 @@ type tableRestore struct {
 type posRow struct {
 	pos  uint64
 	vals []sqldb.Value
-}
-
-// shardOfKey maps a lock-column key to the table's row shard that holds
-// it in checkpoints.
-func (m *tableMeta) shardOfKey(key string) int {
-	if m.shards <= 1 {
-		return 0
-	}
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(m.shards))
 }
 
 // Observer receives database change events, in per-table commit order.
@@ -211,22 +190,6 @@ type Observer interface {
 	// Collected fires after GC discarded row versions older than
 	// beforeTime.
 	Collected(beforeTime int64)
-}
-
-// DirtyShards names the parts of one table mutated since the last
-// checkpoint: the whole table, or a set of row-shard indices.
-type DirtyShards struct {
-	Whole  bool
-	Shards []int
-}
-
-// DirtySet maps table names to their dirty parts.
-type DirtySet map[string]DirtyShards
-
-// dirtyTable is the internal accumulator behind DirtyShards.
-type dirtyTable struct {
-	whole  bool
-	shards map[int]bool
 }
 
 // DB is a time-travel database.
@@ -258,15 +221,6 @@ type DB struct {
 
 	gcBefore int64 // versions strictly older than this have been collected
 
-	// dirtyMu guards dirty, the per-shard set of table slices mutated
-	// since the last checkpoint. It is a leaf lock: taken only for
-	// momentary set updates, under any combination of db.mu and table
-	// locks. The persistence layer snapshots and clears the set at
-	// checkpoint time (TakeDirty) so incremental checkpoints rewrite
-	// only changed shards.
-	dirtyMu sync.Mutex
-	dirty   map[string]*dirtyTable
-
 	// obs, when set, receives change events. Installed once before use
 	// (SetObserver); read under the locks its callbacks fire under.
 	obs Observer
@@ -287,129 +241,9 @@ func Open(clock *vclock.Clock) *DB {
 		stmts:  sqldb.NewStmtCache(0),
 		specs:  make(map[string]TableSpec),
 		tables: make(map[string]*tableMeta),
-		dirty:  make(map[string]*dirtyTable),
 	}
 	db.currentGen.Store(1)
 	return db
-}
-
-// markDirtyWhole records that a table's physical state changed across
-// shards. Safe under any lock (dirtyMu is a leaf).
-func (db *DB) markDirtyWhole(table string) {
-	if table == "" {
-		return
-	}
-	db.dirtyMu.Lock()
-	e := db.dirty[table]
-	if e == nil {
-		e = &dirtyTable{}
-		db.dirty[table] = e
-	}
-	e.whole = true
-	db.dirtyMu.Unlock()
-}
-
-// markDirtyScope records the dirt an operation can produce: the row
-// shards of its lock-column keys, or the whole table for a whole-table
-// scope. Marked before executing, so even a write that fails partway can
-// only over-mark, never leave a mutated shard clean.
-func (db *DB) markDirtyScope(m *tableMeta, sc lockScope) {
-	if sc.whole {
-		db.markDirtyWhole(m.name)
-		return
-	}
-	db.dirtyMu.Lock()
-	e := db.dirty[m.name]
-	if e == nil {
-		e = &dirtyTable{}
-		db.dirty[m.name] = e
-	}
-	if !e.whole {
-		if e.shards == nil {
-			e.shards = make(map[int]bool)
-		}
-		for _, k := range sc.keys {
-			e.shards[m.shardOfKey(k)] = true
-		}
-	}
-	db.dirtyMu.Unlock()
-}
-
-// markAllDirty flags every registered table, for operations that rewrite
-// physical state across the board (GC).
-func (db *DB) markAllDirty() {
-	db.tablesMu.RLock()
-	names := make([]string, 0, len(db.tables))
-	for name := range db.tables {
-		names = append(names, name)
-	}
-	db.tablesMu.RUnlock()
-	for _, name := range names {
-		db.markDirtyWhole(name)
-	}
-}
-
-// TakeDirty atomically returns and clears the set of table shards
-// mutated since the last call. The caller (the persistence layer) must
-// quiesce mutators across the take-encode span — the same rule a
-// checkpoint already imposes — or re-mark the set with MarkDirty if the
-// checkpoint fails.
-func (db *DB) TakeDirty() DirtySet {
-	db.dirtyMu.Lock()
-	out := make(DirtySet, len(db.dirty))
-	for name, e := range db.dirty {
-		ds := DirtyShards{Whole: e.whole}
-		if !e.whole {
-			for s := range e.shards {
-				ds.Shards = append(ds.Shards, s)
-			}
-			sort.Ints(ds.Shards)
-		}
-		out[name] = ds
-	}
-	db.dirty = make(map[string]*dirtyTable)
-	db.dirtyMu.Unlock()
-	return out
-}
-
-// MarkDirty re-flags table shards, undoing a TakeDirty whose checkpoint
-// failed (also usable by tests to force a section rewrite).
-func (db *DB) MarkDirty(set DirtySet) {
-	db.dirtyMu.Lock()
-	for name, ds := range set {
-		e := db.dirty[name]
-		if e == nil {
-			e = &dirtyTable{}
-			db.dirty[name] = e
-		}
-		if ds.Whole {
-			e.whole = true
-			continue
-		}
-		if e.shards == nil {
-			e.shards = make(map[int]bool)
-		}
-		for _, s := range ds.Shards {
-			e.shards[s] = true
-		}
-	}
-	db.dirtyMu.Unlock()
-}
-
-// MarkTableDirty flags whole tables (test and recovery convenience).
-func (db *DB) MarkTableDirty(tables ...string) {
-	for _, t := range tables {
-		db.markDirtyWhole(t)
-	}
-}
-
-// ShardCount returns the number of checkpoint row shards of a table.
-func (db *DB) ShardCount(table string) int {
-	m, err := db.meta(table)
-	if err != nil {
-		return 1
-	}
-	return m.shards
 }
 
 // Raw returns the underlying storage engine. It is exposed for tests and
@@ -563,11 +397,9 @@ func (db *DB) createTable(ct *sqldb.CreateTable) error {
 		spec:      spec,
 		rowIDCol:  spec.RowIDColumn,
 		nextRowID: 1,
-		shards:    1,
 	}
 	if len(spec.PartitionColumns) > 0 {
 		m.lockCol = spec.PartitionColumns[0]
-		m.shards = defaultRowShards
 	}
 	aug := ct.Clone().(*sqldb.CreateTable)
 	cols := make(map[string]bool)

@@ -1,6 +1,8 @@
 package ttdb
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"warp/internal/sqldb"
@@ -413,8 +415,67 @@ func TestFailedInsertIsRecorded(t *testing.T) {
 	if rec == nil || rec.ErrText == "" {
 		t.Fatal("failed insert must still produce a record with the error outcome")
 	}
-	if rec.Outcome() == (&Record{}).Outcome() {
+	if rec.SameOutcome(&Record{}) {
 		t.Fatal("error outcome must differ from empty outcome")
+	}
+}
+
+// outcomeFingerprint is the hash the repair controller once compared
+// outcomes by: the error text, or else the result's fingerprint.
+func outcomeFingerprint(r *Record) uint64 {
+	h := fnv.New64a()
+	if r.ErrText != "" {
+		h.Write([]byte("err:" + r.ErrText))
+		return h.Sum64()
+	}
+	if r.Result != nil {
+		h.Write(binary.LittleEndian.AppendUint64(nil, r.Result.Fingerprint()))
+	}
+	return h.Sum64()
+}
+
+// TestSameOutcomeAgreesWithFingerprint: comparing outcomes decides
+// exactly what comparing their fingerprints decided, on a corpus of
+// outcomes that differ in one part each — error text, a missing result,
+// affected count, columns, row count, row shape, and values whose
+// printed forms agree across kinds.
+func TestSameOutcomeAgreesWithFingerprint(t *testing.T) {
+	res := func(affected int, cols []string, rows ...[]sqldb.Value) *Record {
+		return &Record{Result: &sqldb.Result{Affected: affected, Columns: cols, Rows: rows}}
+	}
+	row := func(vs ...sqldb.Value) []sqldb.Value { return vs }
+	ab := []string{"a", "b"}
+	corpus := []*Record{
+		{},
+		{ErrText: "dup"},
+		{ErrText: "dup", Result: &sqldb.Result{Affected: 1}},
+		{ErrText: "other"},
+		res(0, nil),
+		res(1, nil),
+		res(2, nil),
+		res(0, []string{"a"}),
+		res(0, ab),
+		res(0, []string{"b", "a"}),
+		res(0, []string{"ab"}),
+		res(0, ab, row(sqldb.Int(1), sqldb.Text("x"))),
+		res(0, ab, row(sqldb.Int(1), sqldb.Text("x"))),
+		res(0, ab, row(sqldb.Text("1"), sqldb.Text("x"))),
+		res(0, ab, row(sqldb.Int(1), sqldb.Text("y"))),
+		res(0, ab, row(sqldb.Int(1), sqldb.Null())),
+		res(0, ab, row(sqldb.Int(1), sqldb.Text(""))),
+		res(0, ab, row(sqldb.Bool(true), sqldb.Text("x"))),
+		res(0, ab, row(sqldb.Bool(false), sqldb.Text("x"))),
+		res(0, ab, row(sqldb.Int(1)), row(sqldb.Text("x"))),
+		res(0, ab, row(sqldb.Int(1), sqldb.Text("x")), row(sqldb.Int(2), sqldb.Text("z"))),
+		res(0, ab, row(sqldb.Int(2), sqldb.Text("z")), row(sqldb.Int(1), sqldb.Text("x"))),
+		res(1, ab, row(sqldb.Int(1), sqldb.Text("x"))),
+	}
+	for i, a := range corpus {
+		for j, b := range corpus {
+			if got, want := a.SameOutcome(b), outcomeFingerprint(a) == outcomeFingerprint(b); got != want {
+				t.Errorf("records %d and %d: SameOutcome = %v, fingerprints equal = %v", i, j, got, want)
+			}
+		}
 	}
 }
 

@@ -31,11 +31,12 @@
 // engine (docs/repair.md): work items whose time-travel partitions are
 // disjoint re-execute concurrently on Config.RepairWorkers workers
 // (default GOMAXPROCS), while conflicting items keep the paper's time
-// order. Concurrency is partition-granular end to end — the database
-// locks row ranges by partition key rather than whole tables, the
-// dependency frontier admits same-table items whose partitions do not
-// overlap, and page-visit replays are exclusive only per client — so
-// repairs of one hot table scale across workers too. There is one
+// order. The dependency frontier admits same-table items whose
+// partitions do not overlap, and page-visit replays are exclusive only
+// per client, so repairs of one hot table overlap across workers too;
+// the database holds one lock per table for each statement or rollback
+// (internal/ttdb), which its single-statement engine would serialize
+// anyway. There is one
 // drain loop: with RepairWorkers = 1 it hands out the heap minimum each
 // time, after the previous item finished — the paper's serial loop.
 //
