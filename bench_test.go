@@ -580,7 +580,7 @@ func BenchmarkPartitionRepair(b *testing.B) {
 // requests against its own partition while a repair drains, and the
 // benchmark reports that client's p99 and worst stall mid-repair next
 // to its idle p99. The "online" run coexists with the repair
-// (admission gate + SLO throttle, suspension only for the final commit
+// (admission gate, suspension only for the final commit
 // window); the "stop-the-world" run is core's baseline deployment,
 // so its max-stall-ms approaches repair-ms — the suspension online
 // repair removes. TestOnlineRepairMatchesExclusive holds the two
@@ -591,12 +591,11 @@ func BenchmarkOnlineRepair(b *testing.B) {
 		pages   = 3
 		workers = 4
 		latency = 1500 * time.Microsecond
-		slo     = 10 * time.Millisecond
 	)
 	run := func(b *testing.B, exclusive bool) {
 		var liveP99, idleP99, stall, repair, reqs float64
 		for i := 0; i < b.N; i++ {
-			res, err := bench.OnlineRepair(clients, pages, workers, latency, exclusive, slo)
+			res, err := bench.OnlineRepair(clients, pages, workers, latency, exclusive)
 			if err != nil {
 				b.Fatal(err)
 			}

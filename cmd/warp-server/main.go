@@ -24,7 +24,8 @@
 //
 // Repairs run online by default (docs/repair.md "Online repair"): live
 // requests keep executing on partitions the repair has not claimed, and
-// -repair-slo paces repair workers against a live p99 target.
+// a live write to a claimed partition waits at most a short admission
+// window before it executes.
 //
 // With -debug-addr a second listener serves expvar (/debug/vars) and
 // pprof (/debug/pprof/); with -slow-query every statement and repair
@@ -81,8 +82,6 @@ func main() {
 		"second listen address serving expvar (/debug/vars) and pprof (/debug/pprof/); empty disables")
 	slowQuery := flag.Duration("slow-query", 0,
 		"log statements and repair actions slower than this threshold (0 disables)")
-	repairSLO := flag.Duration("repair-slo", 0,
-		"live-request p99 target an online repair throttles its workers against (0 disables the governor)")
 	flag.Parse()
 
 	// A server deployment always runs instrumented: the histograms are
@@ -97,7 +96,7 @@ func main() {
 		})
 	}
 
-	cfg := warp.Config{Seed: 2026, RepairWorkers: *repairWorkers, RepairSLO: *repairSLO}
+	cfg := warp.Config{Seed: 2026, RepairWorkers: *repairWorkers}
 	cfg.Durability.CompactEvery = *compactEvery
 	cfg.Durability.SyncEveryAppend = *syncEvery
 	cfg.Durability.ScrubInterval = *scrubInterval

@@ -14,10 +14,10 @@ import (
 // OnlineRepair measures live-request latency *during* a repair — the
 // headline number of online repair (docs/repair.md): with
 // exclusive=false the deployment keeps serving while the repair drains
-// (partition-scoped coexistence, admission gate, SLO throttle when
-// slo > 0), suspending only for the final generation-switch commit
-// window; with exclusive=true the deployment is core's stop-the-world
-// baseline and every mid-repair request stalls for the whole repair.
+// (partition-scoped coexistence, admission gate), suspending only for
+// the final generation-switch commit window; with exclusive=true the
+// deployment is core's stop-the-world baseline and every mid-repair
+// request stalls for the whole repair.
 //
 // The workload is PartitionRepair's: the fixture's hot `posts` table and
 // patchLogin cascading into a per-client chain of page-visit replays.
@@ -26,12 +26,12 @@ import (
 // its own partition (disjoint from every repaired one); the result
 // reports that client's p99 and worst-case latency mid-repair next to
 // the same deployment's idle p99.
-func OnlineRepair(clients, pages, workers int, appLatency time.Duration, exclusive bool, slo time.Duration) (*OnlineRepairResult, error) {
+func OnlineRepair(clients, pages, workers int, appLatency time.Duration, exclusive bool) (*OnlineRepairResult, error) {
 	wasEnabled := obs.Enabled()
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(wasEnabled)
 
-	w := newOnlineWarp(core.Config{Seed: 99, RepairWorkers: workers, RepairSLO: slo}, exclusive)
+	w := newOnlineWarp(core.Config{Seed: 99, RepairWorkers: workers}, exclusive)
 	if err := install(w, pageHandler(appLatency, false)); err != nil {
 		return nil, err
 	}

@@ -202,12 +202,12 @@ func mergeRun(t *testing.T) string {
 // concurrent live traffic — two goroutines on partitions no repair item
 // touches, two on repaired clients' partitions — and requires every
 // request to succeed. Run under `go test -race ./...` in CI, this is
-// the data-race gate for the admission gate, the throttle governor, and
-// table-lock coexistence between live execution and repair workers.
+// the data-race gate for the admission gate and table-lock coexistence
+// between live execution and repair workers.
 func TestLiveExecDuringRepairStress(t *testing.T) {
 	const clients, pages = 8, 2
 	w, owner0 := onlineDeployment(t, clients, pages, time.Millisecond, core.Config{
-		Seed: 99, RepairWorkers: 4, RepairSLO: 20 * time.Millisecond,
+		Seed: 99, RepairWorkers: 4,
 	}, false)
 
 	done := make(chan error, 1)
@@ -230,7 +230,7 @@ func TestLiveExecDuringRepairStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			// Cap the volume: the admission gate paces writes into claimed
-			// partitions, but the disjoint goroutines run unthrottled and
+			// partitions, but the disjoint goroutines run unpaced and
 			// have no reason to generate unbounded rows.
 			for i := 0; i < 500; i++ {
 				select {

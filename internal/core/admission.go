@@ -5,19 +5,22 @@
 // suspends — live requests keep executing on every partition the repair
 // frontier has not claimed. The scheduler's cached footprints double as
 // admission claims: before a live write executes, the gate derives its
-// partition footprint by static analysis (ttdb.StmtPartitions — the same
-// analysis that names a write's read partitions) and compares it against
-// every in-flight repair item and against the session's dirt map
-// (partitions the repair has already claimed for its generation). A disjoint write proceeds
-// immediately; a conflicting write waits briefly — for the colliding
-// items to retire, or for the flat admission window on a claimed
-// partition — then proceeds regardless: a write racing past the
-// frontier is logged in the action history graph, so dirt propagation
-// re-enqueues it and the repair fixpoint folds it into the repair
-// generation (session.go). The wait is never needed for correctness; it
-// narrows the race window and paces sustained writers on claimed
-// partitions so they cannot feed the drain new work faster than it
-// retires.
+// partition footprint by static analysis (ttdb.StmtPartitions: the read
+// partitions the executed statement's record will hold, the one kind of
+// partition dirt and footprints use) and compares it against every
+// in-flight repair item and against the session's dirt map (partitions
+// the repair has already claimed for its generation). A disjoint write
+// proceeds immediately; a conflicting write waits briefly — for the
+// colliding items to retire, or for the flat admission window on a
+// claimed partition — then proceeds regardless: a write racing past the
+// frontier, or moving rows into a partition its footprint does not name,
+// is logged in the action history graph, so dirt propagation re-enqueues
+// it and the repair fixpoint folds it into the repair generation
+// (session.go). The wait is never needed for correctness; it narrows the
+// race window and paces sustained writers on claimed partitions so they
+// cannot feed the drain new work faster than it retires. admissionWait
+// is online repair's one pacing bound: the scheduler always dispatches
+// to RepairWorkers.
 //
 // Live reads are never gated: they read the current generation, which
 // repair does not mutate until the final generation-switch commit

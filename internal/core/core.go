@@ -47,13 +47,6 @@ type Config struct {
 	// paper's time order. 0 means GOMAXPROCS; with 1 the worker pool runs
 	// the paper's serial loop.
 	RepairWorkers int
-	// RepairSLO is the live-request p99 latency target an online repair
-	// paces itself against: a throttle governor samples the
-	// warp_core_request_seconds histogram while repair runs and sheds
-	// repair-worker concurrency whenever live p99 exceeds the target
-	// (throttle.go). 0 disables the governor; the governor also needs
-	// obs enabled to see the histogram.
-	RepairSLO time.Duration
 	// Trace, when set, receives a line for every repair-controller step —
 	// the debugging view of what rollback-and-reexecute decided and why.
 	Trace func(format string, args ...any)

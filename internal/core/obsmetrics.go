@@ -34,7 +34,7 @@ var (
 	// check, run re-execution, or visit replay).
 	repairItemHist = obs.NewHistogram("warp_core_repair_item_seconds")
 
-	// Online-repair seam metrics (admission.go, replay.go, throttle.go).
+	// Online-repair seam metrics (admission.go, replay.go).
 	// liveWritesQueued counts live writes that hit the admission gate
 	// with a footprint conflicting an in-flight repair item;
 	// liveWritesWaiting is how many are waiting right now.
@@ -45,10 +45,6 @@ var (
 	// merges that fell back to last-writer-wins.
 	liveWritesMerged = obs.NewCounter("warp_core_live_writes_merged_total")
 	mergeConflicts   = obs.NewCounter("warp_core_live_merge_conflicts_total")
-	// throttleLevel is the repair-worker concurrency cap the SLO governor
-	// currently imposes; equal to RepairWorkers when unthrottled, 0 when
-	// no governor runs.
-	throttleLevel = obs.NewGauge("warp_core_repair_throttle_workers")
 )
 
 // SlowRepairFunc receives one over-threshold repair work item: a short

@@ -204,10 +204,6 @@ type scheduler struct {
 	busy        int
 	iterations  int
 	err         error
-	// limit is the SLO governor's concurrency cap (throttle.go):
-	// 0 means unthrottled. Already-dispatched items finish; the
-	// coordinator just stops dispatching above the cap.
-	limit int
 }
 
 func newScheduler(rs *session, workers, maxIter int) *scheduler {
@@ -311,7 +307,7 @@ func (s *scheduler) drain() error {
 		if len(s.pending) == 0 && len(s.blocked) == 0 && s.busy == 0 {
 			break
 		}
-		if s.busy >= s.effectiveWorkers() {
+		if s.busy >= s.workers {
 			s.cond.Wait()
 			continue
 		}
@@ -357,24 +353,6 @@ func (s *scheduler) drain() error {
 	s.blocked = s.blocked[:0]
 	s.mu.Unlock()
 	return err
-}
-
-// effectiveWorkers is the dispatch ceiling under the current throttle.
-// Called with s.mu held.
-func (s *scheduler) effectiveWorkers() int {
-	if s.limit > 0 && s.limit < s.workers {
-		return s.limit
-	}
-	return s.workers
-}
-
-// setWorkerLimit installs the governor's concurrency cap (0 lifts it)
-// and wakes the coordinator so a raised cap dispatches immediately.
-func (s *scheduler) setWorkerLimit(n int) {
-	s.mu.Lock()
-	s.limit = n
-	s.mu.Unlock()
-	s.cond.Broadcast()
 }
 
 // complete retires an in-flight item and wakes the coordinator.

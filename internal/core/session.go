@@ -641,10 +641,6 @@ func (w *Warp) repair(intent *RepairIntent, seed func(*session) error, restrictC
 	} else {
 		w.admission.Store(&admissionGate{w: w, rs: rs, sched: rs.sched})
 		defer w.admission.Store(nil)
-		if w.cfg.RepairSLO > 0 && obs.Enabled() {
-			gov := startThrottle(rs.sched, w.cfg.RepairSLO)
-			defer gov.halt()
-		}
 	}
 
 	sp := tr.Begin("frontier")

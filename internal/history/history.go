@@ -415,92 +415,17 @@ func (g *Graph) TableNodes(table string) []Node {
 	return out
 }
 
-// overlapping returns n and the nodes whose partitions overlap it: the
-// table's wildcard for a keyed partition, every posted node of the table
-// for the wildcard (n itself may repeat). Caller holds g.mu.
-func (g *Graph) overlapping(n Node) []Node {
-	switch wild := g.wildOf(n); wild {
-	case ExchangeNode:
-		return []Node{n}
-	case n:
-		return append([]Node{n}, g.tableNodes[n]...)
-	default:
-		return []Node{n, wild}
-	}
-}
-
 // ExchangeActions returns the live actions with an edge on exchange e —
 // the run that served it and, after repair, its re-executions — in append
 // order.
 func (g *Graph) ExchangeActions(e Exchange) []*Action {
-	g.mu.Lock()
+	g.mu.Lock() // the lookup may extend the exchange index
 	defer g.mu.Unlock()
-	return g.exchangeActions(e)
-}
-
-func (g *Graph) exchangeActions(e Exchange) []*Action {
 	var out []*Action
 	for _, id := range g.exchangeIndex()[e] {
 		out = append(out, g.get(id))
 	}
 	return out
-}
-
-// Deps returns the distinct actions the given action depends on: every
-// action with an output edge to one of its input nodes (overlapping
-// partitions included) at or before its time, in (time, ID) order,
-// excluding the action itself.
-func (g *Graph) Deps(id ActionID) []ActionID { return g.related(id, false) }
-
-// Dependents returns the distinct actions depending on the given action:
-// every action with an input edge from one of its output nodes at or after
-// its time, in (time, ID) order. Deps and Dependents are the action-level
-// view of the graph's edges; the repair scheduler consumes the handle
-// view (AppendHandles) to build work-item footprints.
-func (g *Graph) Dependents(id ActionID) []ActionID { return g.related(id, true) }
-
-func (g *Graph) related(id ActionID, forward bool) []ActionID {
-	g.mu.Lock() // an exchange edge may extend the exchange index
-	defer g.mu.Unlock()
-	a := g.get(id)
-	if a == nil {
-		return nil
-	}
-	deps, index := a.Inputs, g.writers
-	if forward {
-		deps, index = a.Outputs, g.readers
-	}
-	seen := map[ActionID]bool{id: true}
-	var out []*Action
-	add := func(x *Action) {
-		if x != nil && !seen[x.ID] && ((forward && x.Time >= a.Time) || (!forward && x.Time <= a.Time)) {
-			seen[x.ID] = true
-			out = append(out, x)
-		}
-	}
-	for _, d := range deps {
-		if d.Node == ExchangeNode {
-			for _, x := range g.exchangeActions(a.Exchange) {
-				if x.onExchange(!forward) {
-					add(x)
-				}
-			}
-			continue
-		}
-		for _, n := range g.overlapping(d.Node) {
-			if int(n) < len(index) {
-				for _, xid := range index[n] {
-					add(g.get(xid))
-				}
-			}
-		}
-	}
-	sortByTime(out)
-	ids := make([]ActionID, len(out))
-	for i, x := range out {
-		ids[i] = x.ID
-	}
-	return ids
 }
 
 // Len returns the number of live actions.

@@ -66,37 +66,6 @@ func hasDep(deps []refDep, match func(name string) bool) bool {
 	return false
 }
 
-// overlaps is the node-overlap rule of the dependency API: equal names,
-// or two partitions of one table of which at least one is the wildcard.
-func overlaps(a, b string) bool {
-	if a == b {
-		return true
-	}
-	ta, wa, oka := partitionTable(a)
-	tb, wb, okb := partitionTable(b)
-	return oka && okb && ta == tb && (wa || wb)
-}
-
-// related is the reference's Deps (forward=false) / Dependents.
-func (r *refGraph) related(id ActionID, forward bool) []ActionID {
-	a := r.actions[id]
-	return r.sorted(false, func(x *refAction) bool {
-		if x.id == id {
-			return false
-		}
-		mine, theirs := a.in, x.out
-		if forward {
-			mine, theirs = a.out, x.in
-		}
-		if (forward && x.time < a.time) || (!forward && x.time > a.time) {
-			return false
-		}
-		return hasDep(mine, func(n string) bool {
-			return hasDep(theirs, func(m string) bool { return overlaps(n, m) })
-		})
-	})
-}
-
 func ids(acts []*Action) []ActionID {
 	out := make([]ActionID, len(acts))
 	for i, a := range acts {
@@ -325,9 +294,6 @@ func checkAgainstModel(t *testing.T, step int, g *Graph, ref *refGraph, pool []s
 		eq("TableNodes "+table, got, want)
 	}
 	for id, r := range ref.actions {
-		eq(fmt.Sprintf("Deps(%d)", id), g.Deps(id), ref.related(id, false))
-		eq(fmt.Sprintf("Dependents(%d)", id), g.Dependents(id), ref.related(id, true))
-
 		var in, out, wantIn, wantOut Handles
 		g.AppendHandles(id, &in, &out)
 		handles := func(deps []refDep, h *Handles) {

@@ -35,13 +35,13 @@ func (db *DB) Exec(src string, params ...sqldb.Value) (*sqldb.Result, *Record, e
 			}
 		}
 	}
-	m, acc, unlock, err := db.lockFor(cs, params)
+	m, reads, unlock, err := db.lockFor(cs, params)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer unlock()
 	t := db.clock.Tick()
-	res, rec, err := db.execAt(cs, params, t, db.currentGen.Load(), nil, m, acc)
+	res, rec, err := db.execAt(cs, params, t, db.currentGen.Load(), nil, m, reads)
 	// Emit the committed mutation while the table's lock is still held,
 	// so the observer sees per-table events in execution order.
 	// Reads are not emitted (they change nothing), and neither are failed
@@ -56,23 +56,23 @@ func (db *DB) Exec(src string, params ...sqldb.Value) (*sqldb.Result, *Record, e
 // DDL, the target table's lock for DML — exclusive for a write, shared
 // for a read — and nothing for table-less selects. It returns the target
 // table's meta (nil for DDL / table-less statements), the statement's
-// resolved footprint and the release function.
-func (db *DB) lockFor(cs *sqldb.CachedStmt, params []sqldb.Value) (*tableMeta, access, func(), error) {
+// resolved read partitions and the release function.
+func (db *DB) lockFor(cs *sqldb.CachedStmt, params []sqldb.Value) (*tableMeta, []Partition, func(), error) {
 	table, isWrite, ok := dmlTable(cs.Stmt)
 	if !ok {
 		switch cs.Stmt.(type) {
 		case *sqldb.CreateTable, *sqldb.CreateIndex, *sqldb.AlterTableAdd, *sqldb.DropTable:
 			metas := db.lockAll()
-			return nil, access{}, func() { db.unlockAll(metas) }, nil
+			return nil, nil, func() { db.unlockAll(metas) }, nil
 		}
-		return nil, access{}, nil, fmt.Errorf("ttdb: unsupported statement %T", cs.Stmt)
+		return nil, nil, nil, fmt.Errorf("ttdb: unsupported statement %T", cs.Stmt)
 	}
 	if table == "" {
-		return nil, access{}, func() {}, nil
+		return nil, nil, func() {}, nil
 	}
 	m, unlock, err := db.lockTable(table, isWrite)
 	if err != nil {
-		return nil, access{}, nil, err
+		return nil, nil, nil, err
 	}
 	return m, stateFor(m, cs).fp.resolve(params), unlock, nil
 }
@@ -97,13 +97,13 @@ func dmlTable(stmt sqldb.Statement) (table string, isWrite, ok bool) {
 // execAt dispatches a prepared statement at an explicit time and
 // generation — the one executor normal execution, WAL replay, and repair
 // re-execution share. The caller holds the locks lockFor would acquire;
-// m is the target table's meta and acc the statement's resolved footprint
-// (its reads become Record.ReadPartitions) for DML statements. The
+// m is the target table's meta and reads the statement's resolved read
+// partitions (they become Record.ReadPartitions) for DML statements. The
 // handle's canonical SQL becomes Record.SQL without a re-stringify. reuse
 // carries the original record during repair re-execution and replay, or
 // nil.
-func (db *DB) execAt(cs *sqldb.CachedStmt, params []sqldb.Value, t, gen int64, reuse *Record, m *tableMeta, acc access) (*sqldb.Result, *Record, error) {
-	rec := &Record{SQL: cs.Canonical(), Params: params, Time: t, Gen: gen, ReadPartitions: acc.reads}
+func (db *DB) execAt(cs *sqldb.CachedStmt, params []sqldb.Value, t, gen int64, reuse *Record, m *tableMeta, reads []Partition) (*sqldb.Result, *Record, error) {
+	rec := &Record{SQL: cs.Canonical(), Params: params, Time: t, Gen: gen, ReadPartitions: reads}
 	raw := func() (*sqldb.Result, error) { return db.raw.ExecCached(cs, params) }
 	ddl := func(table string, run func() (*sqldb.Result, error)) (*sqldb.Result, *Record, error) {
 		rec.Kind = KindDDL

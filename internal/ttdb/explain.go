@@ -16,8 +16,8 @@ import (
 // keep(warp_end_time); a DELETE as the interval-closing UPDATE it
 // executes as. The description of a statement on a table ends with
 // "; footprint: " and the statement's partition template
-// (footprint.String): which operands bound its lock-column keys and its
-// read partitions, or "whole table".
+// (footprint.String): which operands bound its read partitions, or
+// "whole table".
 func (db *DB) Explain(src string) (string, error) {
 	cs, err := db.stmts.Get(src)
 	if err != nil {

@@ -3,6 +3,7 @@ package ttdb
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -257,16 +258,15 @@ func TestExplainThroughAugmentation(t *testing.T) {
 			"update(pages) scan=index-eq(page_id, bounded warp_end_time > ?1) keep(warp_end_time); footprint: whole table"},
 		{"DELETE FROM pages WHERE page_id = 1",
 			"update(pages) scan=index-eq(page_id, bounded warp_end_time > ?1); footprint: whole table"},
-		// The footprint line names the operands that bound the lock-column
-		// scope (the lock column, title) and the read partitions (every
-		// partition column).
+		// The footprint line names the operands that bound the read
+		// partitions, over every partition column.
 		{"SELECT content FROM pages WHERE title = ?",
-			"select(pages) scan=index-eq(title, bounded warp_end_time > ?2); footprint: lock title=?1; parts pages/title=?1"},
+			"select(pages) scan=index-eq(title, bounded warp_end_time > ?2); footprint: pages/title=?1"},
 		{"UPDATE pages SET content = ? WHERE editor = 10 AND title IN ('Main', ?)",
 			"update(pages) scan=index-eq(editor, bounded warp_end_time > ?3) keep(warp_end_time); " +
-				"footprint: lock title='Main', title=?2; parts pages/editor=10, pages/title='Main', pages/title=?2"},
+				"footprint: pages/editor=10, pages/title='Main', pages/title=?2"},
 		{"DELETE FROM pages WHERE editor = ?",
-			"update(pages) scan=index-eq(editor, bounded warp_end_time > ?2); footprint: lock whole table; parts pages/editor=?1"},
+			"update(pages) scan=index-eq(editor, bounded warp_end_time > ?2); footprint: pages/editor=?1"},
 	}
 	for _, c := range cases {
 		got, err := db.Explain(c.src)
@@ -399,22 +399,22 @@ func TestCachedExecRaceWithDDLAndGC(t *testing.T) {
 	}
 }
 
-// TestEmptyScopeExcludesWholeTable: a read whose footprint names no
-// lock-column key still executes — and builds its column-dependent
-// handles — under the table's shared lock, so DDL's exclusive lock must
-// wait for it like for any other holder.
+// TestEmptyScopeExcludesWholeTable: a read whose footprint names one
+// partition, not the table, still executes — and builds its
+// column-dependent handles — under the table's shared lock, so DDL's
+// exclusive lock must wait for it like for any other holder.
 func TestEmptyScopeExcludesWholeTable(t *testing.T) {
 	db := newDB(t)
 	cs, err := db.Prepare("SELECT * FROM pages WHERE editor = 10")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, acc, unlock, err := db.lockFor(cs, nil)
+	m, reads, unlock, err := db.lockFor(cs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(acc.lock.keys) != 0 {
-		t.Fatalf("lock-column scope = %+v, want no key", acc.lock)
+	if got := partStrings(reads); !reflect.DeepEqual(got, []string{"pages/editor=i10"}) {
+		t.Fatalf("footprint = %v, want [pages/editor=i10]", got)
 	}
 	got := make(chan error)
 	go func() {

@@ -5,19 +5,18 @@ package ttdb
 // expressions to bound the partitions it touches, and it reads them once
 // per statement handle: deriveFootprint builds a template — which literal
 // or parameter operands bind which partition column — and resolve binds
-// one execution's parameters to it, yielding the lock-column keys — the
-// admission gate's partitions — and the read partitions together.
-// Record.ReadPartitions, two-phase re-execution and the online-repair
-// admission gate all consume that one value; none of it locks anything
-// (locks.go takes the whole table).
+// one execution's parameters to it, yielding the partitions the
+// statement reads. Record.ReadPartitions, two-phase re-execution and the
+// online-repair admission gate (StmtPartitions) all consume that one
+// value, so dirt, records and admission name one kind of partition; none
+// of it locks anything (locks.go takes the whole table).
 //
 // The admission gate derives the template without holding the table's
 // lock, so it may depend only on the statement and on facts of the table
-// no DDL changes (tableMeta.parts, lockCol, name). A dropped and
-// re-created table is a new *tableMeta and gets a new template.
+// no DDL changes (tableMeta.parts, name). A dropped and re-created table
+// is a new *tableMeta and gets a new template.
 
 import (
-	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -50,9 +49,6 @@ type footprint struct {
 	// ops bind partition columns to constants, in WHERE-conjunct order
 	// (row-major for an INSERT).
 	ops []fpOperand
-	// lockWhole: no parameters can bound the lock-column scope below the
-	// table.
-	lockWhole bool
 	// readWhole: the reads include the whole table whatever the parameters
 	// (no usable conjunct; an INSERT row leaving a partition column unbound).
 	readWhole bool
@@ -66,35 +62,6 @@ type fpOperand struct {
 	param int
 }
 
-// lockScope names the slice of one table an operation can touch: a
-// sorted, distinct set of lock-column keys, or the whole table. Its keys
-// are the partitions the admission gate compares (StmtPartitions).
-type lockScope struct {
-	whole bool
-	keys  []string
-}
-
-// wholeScope returns the scope covering the entire table.
-func wholeScope() lockScope { return lockScope{whole: true} }
-
-// keyScope returns a keyed scope over the given lock-column keys, sorted
-// and de-duplicated. An empty key set is legal: the operation provably
-// touches no rows.
-func keyScope(keys []string) lockScope {
-	slices.Sort(keys)
-	return lockScope{keys: slices.Compact(keys)}
-}
-
-// access is one execution's resolved footprint.
-type access struct {
-	// lock is the statement's lock-column scope: the partitions the
-	// admission gate compares.
-	lock lockScope
-	// reads are the partitions the statement may read, in template order;
-	// for an INSERT, the partitions its rows land in.
-	reads []Partition
-}
-
 func deriveFootprint(m *tableMeta, stmt sqldb.Statement) *footprint {
 	f := &footprint{m: m}
 	switch s := stmt.(type) {
@@ -103,13 +70,10 @@ func deriveFootprint(m *tableMeta, stmt sqldb.Statement) *footprint {
 	case *sqldb.Delete:
 		f.bindWhere(s.Where)
 	case *sqldb.Update:
+		// Rows a SET of a partition column moves into another partition
+		// go unnamed: the executed write records where they landed, and
+		// the repair fixpoint folds them in.
 		f.bindWhere(s.Where)
-		for _, a := range s.Set {
-			// Rewriting the lock column moves rows across partitions the
-			// template cannot name; only the whole-table scope covers both
-			// sides.
-			f.lockWhole = f.lockWhole || a.Column == m.lockCol
-		}
 	case *sqldb.Insert:
 		f.bindInsert(s)
 	}
@@ -131,17 +95,12 @@ func (f *footprint) bindWhere(where sqldb.Expr) {
 			}
 		}
 	}
-	f.lockWhole = true
-	for _, op := range f.ops {
-		f.lockWhole = f.lockWhole && !op.col.lock
-	}
 	f.readWhole = len(f.ops) == 0
 }
 
 // bindInsert binds each row's partition columns by position: in the
 // statement's column list, or — column-less — in the table's own order.
 func (f *footprint) bindInsert(s *sqldb.Insert) {
-	f.lockWhole = f.m.lockCol == ""
 	f.readWhole = len(f.m.parts) == 0
 	for _, row := range s.Rows {
 		for _, pc := range f.m.parts {
@@ -156,7 +115,6 @@ func (f *footprint) bindInsert(s *sqldb.Insert) {
 			}
 			if pos < 0 || pos >= len(row) || !f.bind(pc.name, row[pos]) {
 				f.readWhole = true
-				f.lockWhole = f.lockWhole || pc.lock
 			}
 		}
 	}
@@ -184,22 +142,21 @@ func (f *footprint) bind(col string, consts ...sqldb.Expr) bool {
 	return true
 }
 
-// resolve binds one execution's parameters to the template. A partition
-// is named by the key of the stored value an operand can equal, so each
-// operand is first converted to the column's declared kind by the
-// engine's probe rule: `editor = '10'` on an INTEGER column names
-// editor=i10, as the writes to those rows do. An operand with no single
-// stored counterpart sends the whole access to the whole table.
-func (f *footprint) resolve(params []sqldb.Value) access {
+// resolve binds one execution's parameters to the template: the
+// partitions the statement may read, in template order; for an INSERT,
+// the partitions its rows land in. A partition is named by the key of
+// the stored value an operand can equal, so each operand is first
+// converted to the column's declared kind by the engine's probe rule:
+// `editor = '10'` on an INTEGER column names editor=i10, as the writes
+// to those rows do. An operand with no single stored counterpart sends
+// the whole access to the whole table.
+func (f *footprint) resolve(params []sqldb.Value) []Partition {
 	m := f.m
-	whole := func() access {
-		return access{lock: wholeScope(), reads: []Partition{WholeTable(m.name)}}
-	}
+	whole := func() []Partition { return []Partition{WholeTable(m.name)} }
 	if len(f.ops) == 0 {
 		return whole()
 	}
-	acc := access{lock: wholeScope(), reads: make([]Partition, 0, len(f.ops)+1)}
-	var keys []string
+	reads := make([]Partition, 0, len(f.ops)+1)
 	for _, op := range f.ops {
 		v := op.lit
 		if op.param >= len(params) {
@@ -211,44 +168,30 @@ func (f *footprint) resolve(params []sqldb.Value) access {
 		if !ok {
 			return whole()
 		}
-		key := v.Key()
-		acc.reads = append(acc.reads, Partition{Table: m.name, Column: op.col.name, Key: key})
-		if op.col.lock && !f.lockWhole {
-			keys = append(keys, key)
-		}
+		reads = append(reads, Partition{Table: m.name, Column: op.col.name, Key: v.Key()})
 	}
 	if f.readWhole {
-		acc.reads = append(acc.reads, WholeTable(m.name))
+		reads = append(reads, WholeTable(m.name))
 	}
-	if !f.lockWhole {
-		acc.lock = keyScope(keys)
-	}
-	return acc
+	return reads
 }
 
 // String renders the template for Explain, parameters as ?N (1-based):
-// "lock node_id=?1; parts votes/node_id=?1", "lock whole table; parts
-// pages/editor=10", or just "whole table".
+// "votes/node_id=?1", "pages/editor=12, pages/*", or just "whole table".
 func (f *footprint) String() string {
 	if len(f.ops) == 0 {
 		return "whole table"
 	}
-	var lock, parts []string
+	parts := make([]string, 0, len(f.ops)+1)
 	for _, op := range f.ops {
 		o := op.col.name + "=" + op.lit.String()
 		if op.param >= 0 {
 			o = op.col.name + "=?" + strconv.Itoa(op.param+1)
 		}
 		parts = append(parts, f.m.name+"/"+o)
-		if op.col.lock {
-			lock = append(lock, o)
-		}
 	}
 	if f.readWhole {
 		parts = append(parts, WholeTable(f.m.name).String())
 	}
-	if f.lockWhole {
-		lock = []string{"whole table"}
-	}
-	return "lock " + strings.Join(lock, ", ") + "; parts " + strings.Join(parts, ", ")
+	return strings.Join(parts, ", ")
 }

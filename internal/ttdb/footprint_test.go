@@ -2,6 +2,7 @@ package ttdb
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"warp/internal/sqldb"
@@ -16,76 +17,84 @@ func partStrings(ps []Partition) []string {
 }
 
 // TestFootprint: one template per statement, one resolve per execution,
-// and everything that bounds the statement — the lock-column scope,
-// Record.ReadPartitions, StmtPartitions — reads that resolve.
-// pages is partitioned by title (TEXT, the lock column) and editor
-// (INTEGER).
+// and everything that names the statement's partitions — StmtPartitions
+// (the admission gate's), Record.ReadPartitions — reads that resolve.
+// pages is partitioned by title (TEXT) and editor (INTEGER); "the lock
+// column" in case names is title, the first declared one.
 func TestFootprint(t *testing.T) {
 	whole := []string{"pages/*"}
 	cases := []struct {
 		name   string
 		src    string
 		params []sqldb.Value
-		lock   []string // lock-column keys; nil means the whole table
-		reads  []string // ReadPartitions, in order
+		reads  []string // resolved reads, in order (a set for an INSERT)
 		noExec bool     // the engine refuses the statement; resolve only
 		fails  bool     // a recorded failure (uniqueness)
 	}{
 		{name: "eq", src: "SELECT * FROM pages WHERE title = 'Main'",
-			lock: []string{"tMain"}, reads: []string{"pages/title=tMain"}},
+			reads: []string{"pages/title=tMain"}},
 		{name: "eq reversed operands", src: "SELECT * FROM pages WHERE 'Main' = title",
-			lock: []string{"tMain"}, reads: []string{"pages/title=tMain"}},
+			reads: []string{"pages/title=tMain"}},
 		{name: "eq parameter", src: "SELECT * FROM pages WHERE title = ?", params: []sqldb.Value{sqldb.Text("Help")},
-			lock: []string{"tHelp"}, reads: []string{"pages/title=tHelp"}},
+			reads: []string{"pages/title=tHelp"}},
 		{name: "IN", src: "SELECT * FROM pages WHERE title IN ('Main', ?, 'Main')", params: []sqldb.Value{sqldb.Text("Help")},
-			lock: []string{"tHelp", "tMain"}, reads: []string{"pages/title=tMain", "pages/title=tHelp", "pages/title=tMain"}},
+			reads: []string{"pages/title=tMain", "pages/title=tHelp", "pages/title=tMain"}},
 		{name: "both partition columns", src: "SELECT * FROM pages WHERE editor = 10 AND content != '' AND title = 'Main'",
-			lock: []string{"tMain"}, reads: []string{"pages/editor=i10", "pages/title=tMain"}},
+			reads: []string{"pages/editor=i10", "pages/title=tMain"}},
 		{name: "only the non-lock column", src: "DELETE FROM pages WHERE editor = ?", params: []sqldb.Value{sqldb.Int(11)},
-			lock: nil, reads: []string{"pages/editor=i11"}},
+			reads: []string{"pages/editor=i11"}},
 		{name: "non-constant IN member", src: "SELECT * FROM pages WHERE title IN ('Main', content)",
-			lock: nil, reads: whole},
+			reads: whole},
 		{name: "non-constant operand", src: "SELECT * FROM pages WHERE title = content || 'x'",
-			lock: nil, reads: whole},
+			reads: whole},
 		{name: "top-level OR", src: "SELECT * FROM pages WHERE title = 'Main' OR title = 'Help'",
-			lock: nil, reads: whole},
+			reads: whole},
 		{name: "NOT IN", src: "SELECT * FROM pages WHERE title NOT IN ('Main')",
-			lock: nil, reads: whole},
+			reads: whole},
 		{name: "no WHERE", src: "UPDATE pages SET content = 'x'",
-			lock: nil, reads: whole},
+			reads: whole},
 		{name: "row-ID predicate only", src: "UPDATE pages SET content = 'x' WHERE page_id = 1",
-			lock: nil, reads: whole},
+			reads: whole},
 		{name: "UPDATE within a partition", src: "UPDATE pages SET content = ? WHERE title = 'Main'", params: []sqldb.Value{sqldb.Text("x")},
-			lock: []string{"tMain"}, reads: []string{"pages/title=tMain"}},
+			reads: []string{"pages/title=tMain"}},
+		// Rows an UPDATE moves into another partition go unnamed: the
+		// footprint is what the WHERE binds, and only the executed write
+		// records where the rows landed.
 		{name: "SET of the lock column", src: "UPDATE pages SET title = 'Moved' WHERE title = 'Main'",
-			lock: nil, reads: []string{"pages/title=tMain"}},
+			reads: []string{"pages/title=tMain"}},
+		{name: "SET of the first partition column", src: "UPDATE pages SET title = ? WHERE editor = ? AND title = 'Help'",
+			params: []sqldb.Value{sqldb.Text("Moved"), sqldb.Int(10)},
+			reads:  []string{"pages/editor=i10", "pages/title=tHelp"}},
 		{name: "DELETE", src: "DELETE FROM pages WHERE title = ?", params: []sqldb.Value{sqldb.Text("Sandbox")},
-			lock: []string{"tSandbox"}, reads: []string{"pages/title=tSandbox"}},
+			reads: []string{"pages/title=tSandbox"}},
 
 		// INSERTs: Record.ReadPartitions is a set (sorted), the partitions
 		// the rows land in.
 		{name: "INSERT with a column list", src: "INSERT INTO pages (editor, page_id, title) VALUES (?, 9, 'New')", params: []sqldb.Value{sqldb.Int(12)},
-			lock: []string{"tNew"}, reads: []string{"pages/editor=i12", "pages/title=tNew"}},
+			reads: []string{"pages/editor=i12", "pages/title=tNew"}},
 		{name: "INSERT without a column list", src: "INSERT INTO pages VALUES (9, ?, 12, 'x')", params: []sqldb.Value{sqldb.Text("New")},
-			lock: []string{"tNew"}, reads: []string{"pages/editor=i12", "pages/title=tNew"}},
+			reads: []string{"pages/editor=i12", "pages/title=tNew"}},
+		{name: "INSERT binding both partition columns by parameter", src: "INSERT INTO pages (page_id, title, editor, content) VALUES (9, ?, ?, 'x')",
+			params: []sqldb.Value{sqldb.Text("New"), sqldb.Int(13)},
+			reads:  []string{"pages/editor=i13", "pages/title=tNew"}},
 		{name: "multi-row INSERT", src: "INSERT INTO pages (page_id, title, editor) VALUES (8, 'B', 12), (9, 'A', 12)",
-			lock: []string{"tA", "tB"}, reads: []string{"pages/editor=i12", "pages/title=tA", "pages/title=tB"}},
+			reads: []string{"pages/editor=i12", "pages/title=tA", "pages/title=tB"}},
 		{name: "INSERT missing the lock column", src: "INSERT INTO pages (page_id, editor) VALUES (9, 12)", noExec: true,
-			lock: nil, reads: []string{"pages/*", "pages/editor=i12"}},
+			reads: []string{"pages/*", "pages/editor=i12"}},
 		{name: "INSERT of a non-constant lock value", src: "INSERT INTO pages (page_id, title, editor) VALUES (9, 'a' || 'b', 12)",
-			lock: nil, reads: []string{"pages/*", "pages/editor=i12"}},
+			reads: []string{"pages/*", "pages/editor=i12"}},
 		{name: "failed INSERT", src: "INSERT INTO pages (page_id, title, editor) VALUES (1, 'Dup', 12)", fails: true,
-			lock: []string{"tDup"}, reads: []string{"pages/editor=i12", "pages/title=tDup"}},
+			reads: []string{"pages/editor=i12", "pages/title=tDup"}},
 
 		// Operands take the column's declared kind, not their own.
 		{name: "text operand on an INTEGER column", src: "SELECT * FROM pages WHERE editor = '10'",
-			lock: nil, reads: []string{"pages/editor=i10"}},
+			reads: []string{"pages/editor=i10"}},
 		{name: "text parameter on an INTEGER column", src: "SELECT * FROM pages WHERE editor IN (?, 11)", params: []sqldb.Value{sqldb.Text(" 10")},
-			lock: nil, reads: []string{"pages/editor=i10", "pages/editor=i11"}},
+			reads: []string{"pages/editor=i10", "pages/editor=i11"}},
 		{name: "non-numeric text on an INTEGER column", src: "SELECT * FROM pages WHERE editor = 'ten' AND title = 'Main'",
-			lock: nil, reads: whole},
+			reads: whole},
 		{name: "number on a TEXT column", src: "SELECT * FROM pages WHERE title = 5",
-			lock: nil, reads: whole},
+			reads: whole},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -100,32 +109,23 @@ func TestFootprint(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, isInsert := cs.Stmt.(*sqldb.Insert)
-			wantLock := wholeScope()
-			wantParts := whole
-			if c.lock != nil {
-				wantLock = lockScope{keys: c.lock}
-				wantParts = nil
-				for _, k := range c.lock {
-					wantParts = append(wantParts, "pages/title="+k)
+			// norm gives an INSERT's partitions as the set its record holds.
+			norm := func(ps []Partition) []string {
+				if isInsert {
+					set := NewPartitionSet()
+					set.AddAll(ps)
+					ps = set.Slice()
 				}
+				return partStrings(ps)
 			}
 
-			acc := stateFor(m, cs).fp.resolve(c.params)
-			if !reflect.DeepEqual(acc.lock, wantLock) {
-				t.Errorf("lock-column scope = %+v, want %+v", acc.lock, wantLock)
-			}
-			reads := partStrings(acc.reads)
-			if isInsert {
-				set := NewPartitionSet()
-				set.AddAll(acc.reads)
-				reads = partStrings(set.Slice())
-			}
-			if !reflect.DeepEqual(reads, c.reads) {
-				t.Errorf("resolved reads = %v, want %v", reads, c.reads)
+			resolved := stateFor(m, cs).fp.resolve(c.params)
+			if got := norm(resolved); !reflect.DeepEqual(got, c.reads) {
+				t.Errorf("resolved reads = %v, want %v", got, c.reads)
 			}
 			parts, _, err := db.StmtPartitions(c.src, c.params)
-			if err != nil || !reflect.DeepEqual(partStrings(parts), wantParts) {
-				t.Errorf("StmtPartitions = %v, %v; want %v", parts, err, wantParts)
+			if err != nil || !reflect.DeepEqual(partStrings(parts), partStrings(resolved)) {
+				t.Errorf("StmtPartitions = %v, %v; want the resolved reads %v", parts, err, resolved)
 			}
 			if c.noExec {
 				return
@@ -136,16 +136,18 @@ func TestFootprint(t *testing.T) {
 			if (err != nil) != c.fails || rec == nil {
 				t.Fatalf("Exec: rec %v, err %v (failure expected: %v)", rec, err, c.fails)
 			}
-			if isInsert && !c.fails {
-				// A successful INSERT read the partitions it wrote — the
-				// ones the template predicted, when the template bound every
-				// partition column.
-				if !reflect.DeepEqual(rec.ReadPartitions, rec.WritePartitions) ||
-					(c.reads[0] != "pages/*" && !reflect.DeepEqual(partStrings(rec.WritePartitions), c.reads)) {
-					t.Errorf("WritePartitions = %v, ReadPartitions = %v, template %v", rec.WritePartitions, rec.ReadPartitions, c.reads)
+			if isInsert && !c.fails && !reflect.DeepEqual(rec.ReadPartitions, rec.WritePartitions) {
+				// A successful INSERT read the partitions it wrote.
+				t.Errorf("WritePartitions = %v, ReadPartitions = %v", rec.WritePartitions, rec.ReadPartitions)
+			}
+			if got := partStrings(rec.ReadPartitions); c.reads[0] == "pages/*" && isInsert {
+				// An INSERT row the template could not bind lands in a
+				// partition the admission gate names only as the table.
+				if !slices.Contains(parts, WholeTable("pages")) {
+					t.Errorf("StmtPartitions = %v do not cover ReadPartitions %v", parts, got)
 				}
-			} else if got := partStrings(rec.ReadPartitions); !reflect.DeepEqual(got, c.reads) {
-				t.Errorf("ReadPartitions = %v, want %v", got, c.reads)
+			} else if want := norm(parts); !reflect.DeepEqual(got, want) {
+				t.Errorf("ReadPartitions = %v, want StmtPartitions %v", got, want)
 			}
 			// The table's engine change moves with the rows written, and
 			// only with them.
@@ -187,34 +189,35 @@ func TestFootprintDerivedOncePerHandle(t *testing.T) {
 		t.Fatal("footprint re-derived for a warm handle")
 	}
 
-	// Same handle, same table name, different annotation: editor becomes
-	// the lock column.
+	// Same handle, same table name, different annotation: editor stops
+	// being a partition column.
 	parts, _, _ := db.StmtPartitions(sel, []sqldb.Value{sqldb.Int(10)})
-	if got := partStrings(parts); !reflect.DeepEqual(got, []string{"pages/*"}) {
+	if got := partStrings(parts); !reflect.DeepEqual(got, []string{"pages/editor=i10"}) {
 		t.Fatalf("StmtPartitions under the old annotation = %v", got)
 	}
 	mustExec(t, db, "DROP TABLE pages")
-	if err := db.Annotate("pages", TableSpec{RowIDColumn: "page_id", PartitionColumns: []string{"editor"}}); err != nil {
+	if err := db.Annotate("pages", TableSpec{RowIDColumn: "page_id", PartitionColumns: []string{"title"}}); err != nil {
 		t.Fatal(err)
 	}
 	mustExec(t, db, "CREATE TABLE pages (page_id INTEGER PRIMARY KEY, title TEXT NOT NULL, editor INTEGER, content TEXT DEFAULT '')")
 	seedPages(t, db)
 	parts, _, _ = db.StmtPartitions(sel, []sqldb.Value{sqldb.Int(10)})
-	if got := partStrings(parts); !reflect.DeepEqual(got, []string{"pages/editor=i10"}) {
+	if got := partStrings(parts); !reflect.DeepEqual(got, []string{"pages/*"}) {
 		t.Fatalf("StmtPartitions under the new annotation = %v (template reused across tables?)", got)
 	}
 	if selCS.Aux() == any(selState) {
 		t.Fatal("handle kept the dropped table's state")
 	}
 	_, rec := mustExec(t, db, upd, sqldb.Text("v"), sqldb.Text("Main"), sqldb.Int(10))
-	if got := partStrings(rec.ReadPartitions); !reflect.DeepEqual(got, []string{"pages/editor=i10"}) {
+	if got := partStrings(rec.ReadPartitions); !reflect.DeepEqual(got, []string{"pages/title=tMain"}) {
 		t.Fatalf("ReadPartitions under the new annotation = %v", got)
 	}
 }
 
 // TestPartitionKeysTakeColumnKind: a read that names an INTEGER partition
 // by text — as request parameters arrive — records the partition every
-// write to those rows records, and locks the same key.
+// write to those rows records, and the admission gate names the same
+// partition.
 func TestPartitionKeysTakeColumnKind(t *testing.T) {
 	db := Open(newDB(t).Clock())
 	if err := db.Annotate("pages", TableSpec{RowIDColumn: "page_id", PartitionColumns: []string{"editor", "title"}}); err != nil {
@@ -247,7 +250,7 @@ func TestPartitionKeysTakeColumnKind(t *testing.T) {
 		}
 		parts, _, err := db.StmtPartitions(c.src, c.params)
 		if got := partStrings(parts); err != nil || !reflect.DeepEqual(got, []string{"pages/editor=i10"}) {
-			t.Errorf("%s %v: lock footprint = %v, %v; want [pages/editor=i10]", c.src, c.params, got, err)
+			t.Errorf("%s %v: StmtPartitions = %v, %v; want [pages/editor=i10]", c.src, c.params, got, err)
 		}
 	}
 }

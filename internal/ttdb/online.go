@@ -14,11 +14,11 @@ import (
 
 // StmtPartitions derives the partition footprint of one SQL statement
 // without executing it: the partitions an admission gate compares
-// against in-flight repair work. It reports the touched partitions — the
-// footprint's lock-column keys, or the whole table when they cannot be
-// bounded — whether the statement is a write, and a parse error if any.
-// DDL returns nil partitions with isWrite=true: its footprint is every
-// table.
+// against in-flight repair work. It reports the partitions the statement
+// reads — those its executed Record.ReadPartitions will hold, or the
+// whole table when they cannot be bounded — whether the statement is a
+// write, and a parse error if any. DDL returns nil partitions with
+// isWrite=true: its footprint is every table.
 func (db *DB) StmtPartitions(src string, params []sqldb.Value) (parts []Partition, isWrite bool, err error) {
 	cs, err := db.stmts.Get(src)
 	if err != nil {
@@ -36,15 +36,7 @@ func (db *DB) StmtPartitions(src string, params []sqldb.Value) (parts []Partitio
 	if err != nil {
 		return nil, isWrite, err
 	}
-	sc := stateFor(m, cs).fp.resolve(params).lock
-	if sc.whole {
-		return []Partition{WholeTable(table)}, isWrite, nil
-	}
-	parts = make([]Partition, 0, len(sc.keys))
-	for _, k := range sc.keys {
-		parts = append(parts, Partition{Table: table, Column: m.lockCol, Key: k})
-	}
-	return parts, isWrite, nil
+	return stateFor(m, cs).fp.resolve(params), isWrite, nil
 }
 
 // UpdateMergeInfo locates the mergeable text of a single-row UPDATE: the

@@ -195,11 +195,10 @@ func TestConcurrentSameTableRepair(t *testing.T) {
 	_ = insertRecs
 }
 
-// TestScopeEscalationFallsBackToTableLock: a rollback of a row whose
+// TestRollbackRevivesAcrossPartitionMove: a rollback of a row whose
 // partition column was rewritten across partitions touches versions in
-// two partitions. The table lock covers both, and the rollback must
-// produce the right state.
-func TestScopeEscalationFallsBackToTableLock(t *testing.T) {
+// two partitions, and must revive the version from before the move.
+func TestRollbackRevivesAcrossPartitionMove(t *testing.T) {
 	db := Open(&vclock.Clock{})
 	if err := db.Annotate("notes", TableSpec{RowIDColumn: "id", PartitionColumns: []string{"owner"}}); err != nil {
 		t.Fatal(err)

@@ -26,7 +26,7 @@ import (
 // (partindex.go), and a version-2 section's entries are skipped.
 //
 // A directory written before tables had one rows section holds up to
-// eight per partitioned table, hash slices of the lock column's keys;
+// eight per partitioned table, hash slices of the first partition column's keys;
 // the header counts them and restore merges them (RestoreTableShard).
 //
 // Replay strategy: every normal-execution mutation is logged as its
@@ -417,9 +417,6 @@ func (db *DB) RestoreTableHeader(dec *store.Decoder) (string, error) {
 		m.rowIDCol = ColRowID
 		m.synthetic = true
 	}
-	if len(spec.PartitionColumns) > 0 {
-		m.lockCol = spec.PartitionColumns[0]
-	}
 	nUser := dec.Count()
 	for i := 0; i < nUser; i++ {
 		m.userCols = append(m.userCols, dec.String())
@@ -569,13 +566,13 @@ func (db *DB) Replay(rec *Record) error {
 	if err != nil {
 		return fmt.Errorf("ttdb: replaying %q: %w", rec.SQL, err)
 	}
-	m, acc, unlock, err := db.lockFor(cs, params)
+	m, reads, unlock, err := db.lockFor(cs, params)
 	if err != nil {
 		return fmt.Errorf("ttdb: replaying %q: %w", rec.SQL, err)
 	}
 	defer unlock()
 	db.clock.AdvanceTo(rec.Time)
-	if _, _, err := db.execAt(cs, params, rec.Time, rec.Gen, rec, m, acc); err != nil {
+	if _, _, err := db.execAt(cs, params, rec.Time, rec.Gen, rec, m, reads); err != nil {
 		return fmt.Errorf("ttdb: replaying %q: %w", rec.SQL, err)
 	}
 	return nil

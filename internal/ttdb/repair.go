@@ -460,12 +460,12 @@ func (db *DB) ReExecPrepared(cs *sqldb.CachedStmt, params []sqldb.Value, t int64
 	if !isWrite {
 		// Reads re-execute at their original time; DDL during repair
 		// replays as-is in the shared schema space.
-		m, acc, unlock, err := db.lockFor(cs, params)
+		m, reads, unlock, err := db.lockFor(cs, params)
 		if err != nil {
 			return nil, nil, err
 		}
 		defer unlock()
-		return db.execAt(cs, params, t, st.next, orig, m, acc)
+		return db.execAt(cs, params, t, st.next, orig, m, reads)
 	}
 	m, unlock, err := db.lockTable(table, true)
 	if err != nil {
@@ -479,7 +479,7 @@ func (db *DB) ReExecPrepared(cs *sqldb.CachedStmt, params []sqldb.Value, t int64
 // table's exclusive lock. An INSERT has no WHERE to re-match, so its
 // phases A and C are empty: it rolls back the rows it originally created
 // and runs again.
-func (db *DB) reExecWrite(cs *sqldb.CachedStmt, params []sqldb.Value, t int64, st repairState, orig *Record, m *tableMeta, acc access) (*sqldb.Result, *Record, error) {
+func (db *DB) reExecWrite(cs *sqldb.CachedStmt, params []sqldb.Value, t int64, st repairState, orig *Record, m *tableMeta, reads []Partition) (*sqldb.Result, *Record, error) {
 	next := st.next
 	_, isInsert := cs.Stmt.(*sqldb.Insert)
 
@@ -536,7 +536,7 @@ func (db *DB) reExecWrite(cs *sqldb.CachedStmt, params []sqldb.Value, t int64, s
 			return failed(err)
 		}
 	}
-	res, rec, err := db.execAt(cs, params, t, next, orig, m, acc)
+	res, rec, err := db.execAt(cs, params, t, next, orig, m, reads)
 	for err != nil {
 		rolled, cerr := db.rollBackLaterColliders(m, err, t, st, dirt)
 		if cerr != nil {
@@ -545,7 +545,7 @@ func (db *DB) reExecWrite(cs *sqldb.CachedStmt, params []sqldb.Value, t int64, s
 		if !rolled {
 			break
 		}
-		res, rec, err = db.execAt(cs, params, t, next, orig, m, acc)
+		res, rec, err = db.execAt(cs, params, t, next, orig, m, reads)
 	}
 	if err != nil && rec == nil {
 		return failed(err)

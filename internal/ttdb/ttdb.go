@@ -88,10 +88,6 @@ type tableMeta struct {
 	rowIDCol  string // spec.RowIDColumn or ColRowID
 	synthetic bool   // rowIDCol == ColRowID
 	userCols  []string
-	// lockCol is the first declared partition column, or "" when the
-	// table has none. The admission gate's partitions are keyed by this
-	// column's values; dependency analysis uses every partition column.
-	lockCol   string
 	nextRowID int64
 
 	// restore buffers rows sections until the last one arrives, so rows
@@ -115,13 +111,12 @@ type tableMeta struct {
 
 // partCol is one declared partition column: its declared kind, its
 // position among the application columns (ALTER TABLE ADD only appends,
-// so it never moves), whether it is the lock column, and changed (key,
-// since): changedAll within one of its partitions.
+// so it never moves), and changed (key, since): changedAll within one of
+// its partitions.
 type partCol struct {
 	name    string
 	kind    sqldb.Kind
 	pos     int
-	lock    bool
 	changed *sqldb.CachedStmt
 }
 
@@ -136,10 +131,10 @@ func (m *tableMeta) partCol(name string) *partCol {
 }
 
 // prepareScopeFacts builds parts and the unlocked probes from the table's
-// column definitions; userCols, rowIDCol and lockCol must be final.
+// column definitions; userCols and rowIDCol must be final.
 func (m *tableMeta) prepareScopeFacts(defs []sqldb.ColumnDef) {
 	for _, name := range m.spec.PartitionColumns {
-		pc := partCol{name: name, pos: slices.Index(m.userCols, name), lock: name == m.lockCol}
+		pc := partCol{name: name, pos: slices.Index(m.userCols, name)}
 		for _, d := range defs {
 			if d.Name == name {
 				pc.kind = d.Type
@@ -397,9 +392,6 @@ func (db *DB) createTable(ct *sqldb.CreateTable) error {
 		spec:      spec,
 		rowIDCol:  spec.RowIDColumn,
 		nextRowID: 1,
-	}
-	if len(spec.PartitionColumns) > 0 {
-		m.lockCol = spec.PartitionColumns[0]
 	}
 	aug := ct.Clone().(*sqldb.CreateTable)
 	cols := make(map[string]bool)
