@@ -3,9 +3,8 @@
 // allocs/op on the statement and record paths (BenchmarkNormalExec,
 // BenchmarkInstrumentedExec, BenchmarkVersionChain,
 // BenchmarkHandleRequest), the storage engine's scans (BenchmarkRangeScan,
-// BenchmarkOrderByIndexed), and repair wall time across worker counts
-// and against a stop-the-world repair (BenchmarkParallelRepair,
-// BenchmarkPartitionRepair, BenchmarkOnlineRepair). The paper's Table 6
+// BenchmarkOrderByIndexed), and live latency during an online repair
+// against a stop-the-world one (BenchmarkOnlineRepair). The paper's Table 6
 // is warpload's; its repair tables are printed by cmd/warp-bench and
 // their shapes held by tests.
 package warp_test
@@ -371,15 +370,15 @@ func TestRecordAllocBudget(t *testing.T) {
 // TestReexecRunAllocBudget is the allocation gate of re-execution, next
 // to TestRecordAllocBudget: allocations per re-executed run in a full
 // retroactive patch with no live traffic — the clickjacking patch of the
-// library every wiki page loads, so every page read re-executes, on one
-// worker. A re-executed run pays for its app code, its queries and its
+// library every wiki page loads, so every page read re-executes. A
+// re-executed run pays for its app code, its queries and its
 // record; the controller compares the new response with the old instead
 // of hashing both, re-executes the recorded request without copying it,
 // and serves a read nothing dirtied from its record without entering the
 // database.
 func TestReexecRunAllocBudget(t *testing.T) {
 	const pages, reads = 32, 4
-	w, reqs, _ := wikiReadDeploymentWith(t, pages, core.Config{Seed: 1, RepairWorkers: 1})
+	w, reqs, _ := wikiReadDeploymentWith(t, pages, core.Config{Seed: 1})
 	for i := 0; i < reads*pages; i++ {
 		if resp := w.HandleRequest(reqs[i%pages]); resp.Status != 200 {
 			t.Fatalf("status %d", resp.Status)
@@ -519,62 +518,6 @@ func BenchmarkOrderByIndexed(b *testing.B) {
 	})
 }
 
-// BenchmarkParallelRepair measures repair wall time on a partition-
-// disjoint workload at 1, 2, and 4 scheduler workers. Runs on disjoint
-// partitions repair concurrently, so repair-ms should drop as workers
-// increase (the acceptance bar is ≥1.5× at 4 workers); the re-execution
-// counts are identical at every worker count.
-func BenchmarkParallelRepair(b *testing.B) {
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var total time.Duration
-			for i := 0; i < b.N; i++ {
-				res, err := bench.ParallelRepair(8, 2, workers, 300*time.Microsecond)
-				if err != nil {
-					b.Fatal(err)
-				}
-				total += res.RepairTime
-				if res.Report.AppRunsReexecuted != 16 {
-					b.Fatalf("runs re-executed = %d, want 16", res.Report.AppRunsReexecuted)
-				}
-			}
-			b.ReportMetric(float64(total.Milliseconds())/float64(b.N), "repair-ms")
-		})
-	}
-}
-
-// BenchmarkPartitionRepair measures the partition-granular repair
-// pipeline on a single-hot-table workload (16 clients, one shared
-// `posts` table, per-client visit-replay chains) at 1, 2, 4, and 8
-// workers. The acceptance bar — enforced by TestPartitionRepairSpeedup —
-// is ≥2x at 4 workers over the serial engine (workers=1); the
-// re-execution accounting and final table contents are identical at
-// every worker count.
-func BenchmarkPartitionRepair(b *testing.B) {
-	const (
-		clients = 16
-		pages   = 2
-		latency = 1500 * time.Microsecond
-	)
-	run := func(b *testing.B, workers int) {
-		var total time.Duration
-		for i := 0; i < b.N; i++ {
-			res, err := bench.PartitionRepair(clients, pages, workers, latency)
-			if err != nil {
-				b.Fatal(err)
-			}
-			total += res.RepairTime
-			if want := clients * (pages + 1); res.Report.PageVisitsReplayed != want {
-				b.Fatalf("visits replayed = %d, want %d", res.Report.PageVisitsReplayed, want)
-			}
-		}
-		b.ReportMetric(float64(total.Milliseconds())/float64(b.N), "repair-ms")
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) { run(b, workers) })
-	}
-}
-
 // BenchmarkOnlineRepair is the headline number for online repair
 // (docs/repair.md "Online repair"): one client keeps issuing paced
 // requests against its own partition while a repair drains, and the
@@ -589,13 +532,12 @@ func BenchmarkOnlineRepair(b *testing.B) {
 	const (
 		clients = 16
 		pages   = 3
-		workers = 4
 		latency = 1500 * time.Microsecond
 	)
 	run := func(b *testing.B, exclusive bool) {
 		var liveP99, idleP99, stall, repair, reqs float64
 		for i := 0; i < b.N; i++ {
-			res, err := bench.OnlineRepair(clients, pages, workers, latency, exclusive)
+			res, err := bench.OnlineRepair(clients, pages, latency, exclusive)
 			if err != nil {
 				b.Fatal(err)
 			}

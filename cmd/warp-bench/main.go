@@ -10,12 +10,16 @@
 //	warp-bench -users 100       # Table 3/7 workload size (paper: 100)
 //	warp-bench -users8 5000     # Table 8 workload size (paper: 5000)
 //	warp-bench -scale5 100      # Table 5 workload scale (paper-comparable)
-//	GOMAXPROCS=1 warp-bench     # every repair on the paper's serial engine
+//
+// Every repair runs the paper's loop, one work item at a time, so a
+// table's counts are a function of its seed and size, not of the
+// machine's core count.
 //
 // It exits 1 when a table fails to run, a Table 3 scenario is not
 // repaired (its repaired deployment differs from the attack-free twin),
-// or WARP reports a false positive in Table 5, and 2 on a usage error. Absolute timings depend on the machine; the shapes (who repairs,
-// who conflicts, what fraction re-executes, how repair scales) are the
+// or WARP reports a false positive in Table 5, and 2 on a usage error.
+// Absolute timings depend on the machine; the shapes (who repairs, who
+// conflicts, what fraction re-executes, how repair scales) are the
 // reproduction targets. docs/paper-tables.md records one run.
 package main
 

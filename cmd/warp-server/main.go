@@ -25,7 +25,9 @@
 // Repairs run online by default (docs/repair.md "Online repair"): live
 // requests keep executing on partitions the repair has not claimed, and
 // a live write to a claimed partition waits at most a short admission
-// window before it executes.
+// window before it executes. A repair itself is the paper's loop — one
+// work item at a time, in time order — so the same history and patch
+// repair the same way on any machine.
 //
 // With -debug-addr a second listener serves expvar (/debug/vars) and
 // pprof (/debug/pprof/); with -slow-query every statement and repair
@@ -70,8 +72,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8480", "listen address")
 	data := flag.String("data", "", "persistence directory; empty runs in memory")
-	repairWorkers := flag.Int("repair-workers", 0,
-		"parallel repair workers (0 = GOMAXPROCS, 1 = the paper's serial engine)")
 	compactEvery := flag.Int("compact-every", 0,
 		"full (compacting) checkpoint after this many incremental ones (0 = store default of 8)")
 	syncEvery := flag.Bool("sync-every-append", false,
@@ -96,7 +96,7 @@ func main() {
 		})
 	}
 
-	cfg := warp.Config{Seed: 2026, RepairWorkers: *repairWorkers}
+	cfg := warp.Config{Seed: 2026}
 	cfg.Durability.CompactEvery = *compactEvery
 	cfg.Durability.SyncEveryAppend = *syncEvery
 	cfg.Durability.ScrubInterval = *scrubInterval

@@ -8,13 +8,13 @@ import (
 )
 
 // TestScenariosEndToEnd drives each of the six §8.2 attack scenarios
-// through a full workload and repair — with the parallel scheduler — and
-// verifies the repaired deployment equals its attack-free twin.
+// through a full workload and repair, and verifies the repaired
+// deployment equals its attack-free twin.
 func TestScenariosEndToEnd(t *testing.T) {
 	for _, sc := range attacks.Scenarios() {
 		t.Run(sc.Name, func(t *testing.T) {
 			res, err := workload.Run(workload.Config{
-				Users: 8, Victims: 2, Seed: 42, Scenario: sc, RepairWorkers: 4,
+				Users: 8, Victims: 2, Seed: 42, Scenario: sc,
 			})
 			if err != nil {
 				t.Fatalf("workload: %v", err)
@@ -26,9 +26,6 @@ func TestScenariosEndToEnd(t *testing.T) {
 			if rep.Aborted {
 				t.Fatal("repair aborted")
 			}
-			if rep.RepairWorkers != 4 {
-				t.Fatalf("repair ran with %d workers, want 4", rep.RepairWorkers)
-			}
 			if rep.AppRunsReexecuted == 0 && rep.RunsCancelled == 0 {
 				t.Fatal("repair did no work")
 			}
@@ -39,8 +36,8 @@ func TestScenariosEndToEnd(t *testing.T) {
 	}
 }
 
-// TestScenarioConflictShape pins the Table 3 conflict pattern on the
-// serial engine: only the clickjacking attack (whose replay diverges the
+// TestScenarioConflictShape pins the Table 3 conflict pattern: only the
+// clickjacking attack (whose replay diverges the
 // victims' UI state) and the ACL error (whose undo invalidates another
 // user's legitimate edit) leave users with conflicts — the paper's
 // 0,0,0,3,0,1 column shape.
@@ -56,7 +53,7 @@ func TestScenarioConflictShape(t *testing.T) {
 	for _, sc := range attacks.Scenarios() {
 		t.Run(sc.Name, func(t *testing.T) {
 			res, err := workload.Run(workload.Config{
-				Users: 8, Victims: 2, Seed: 42, Scenario: sc, RepairWorkers: 1,
+				Users: 8, Victims: 2, Seed: 42, Scenario: sc,
 			})
 			if err != nil {
 				t.Fatalf("workload: %v", err)

@@ -12,10 +12,9 @@
 // overhead, is measured end to end by benchmarks/warpload.
 //
 // The rest run on one owner-partitioned fixture (fixture.go) and carry
-// the bars warpload does not: repair speedup and equivalence across
-// worker counts (ParallelRepair, PartitionRepair), live latency during
-// an online repair against a stop-the-world one (OnlineRepair), and the
-// fsync-per-append write path (DurableDeployment).
+// the bars warpload does not: live latency during an online repair
+// against a stop-the-world one (OnlineRepair), and the fsync-per-append
+// write path (DurableDeployment).
 package bench
 
 import (

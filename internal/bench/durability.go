@@ -25,7 +25,7 @@ func DurableDeployment(dir string, opts store.Options) (*core.Warp, error) {
 	} else if w, err = core.Open(dir, cfg); err != nil {
 		return nil, err
 	}
-	if err := install(w, pageHandler(0, false)); err != nil {
+	if err := install(w, pageHandler(0)); err != nil {
 		return nil, err
 	}
 	return w, nil

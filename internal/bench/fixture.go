@@ -101,16 +101,11 @@ func loginHandler(patched bool) app.Script {
 
 // pageHandler writes the body parameter, if any, as one post into the
 // owner's partition and renders the owner's posts. appLatency stands in
-// for the paper's out-of-process PHP render: the part of a run that
-// parallel repair overlaps across workers. sanitize selects the patched
-// version, which HTML-escapes bodies, so every response with markup
-// changes and its run re-executes under RetroPatch.
-func pageHandler(appLatency time.Duration, sanitize bool) app.Script {
+// for the paper's out-of-process PHP render, so a repair takes long
+// enough for live traffic to meet it.
+func pageHandler(appLatency time.Duration) app.Script {
 	return func(c *app.Ctx) *httpd.Response {
 		if body := c.Req.Param("body"); body != "" {
-			if sanitize {
-				body = strings.ReplaceAll(strings.ReplaceAll(body, "<", "&lt;"), ">", "&gt;")
-			}
 			c.MustQuery("INSERT INTO posts (id, owner, body) VALUES (?, ?, ?)",
 				sqldb.Int(atoi(c.Req.Param("id"))), sqldb.Text(c.Req.Param("owner")), sqldb.Text(body))
 		}

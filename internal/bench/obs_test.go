@@ -15,13 +15,13 @@ import (
 )
 
 // TestRepairMetricsLive is the observability acceptance test: during a
-// BenchmarkPartitionRepair-style run (hot partitioned table, per-client
-// visit-replay chains, parallel workers), Warp.Metrics() must report
+// repair of the fixture (hot partitioned table, per-client visit-replay
+// chains), Warp.Metrics() must report
 // the repair in flight — active gauge up, scheduler progress gauges
 // moving, phase trace accumulating — and after it finishes, a complete
 // phase breakdown plus populated exec latency histograms. The
 // concurrent Metrics() polling is also the -race stress for histogram,
-// counter, and trace writes during parallel repair.
+// counter, and trace writes during a repair.
 //
 // Catching the repair live is a handshake, not a race: once the repair
 // is under way every re-executed page handler blocks until the poller
@@ -35,14 +35,13 @@ func TestRepairMetricsLive(t *testing.T) {
 	const (
 		clients = 8
 		pages   = 3
-		workers = 4
 	)
 	// repairing arms the gate; seen is closed by the poller (or, so a
 	// broken metrics surface fails the assertions instead of hanging the
 	// test, by the timeout).
 	var repairing atomic.Bool
 	seen := make(chan struct{})
-	page := pageHandler(0, false)
+	page := pageHandler(0)
 	gated := func(c *app.Ctx) *httpd.Response {
 		if repairing.Load() {
 			select {
@@ -52,7 +51,7 @@ func TestRepairMetricsLive(t *testing.T) {
 		}
 		return page(c)
 	}
-	w := core.New(core.Config{Seed: 99, RepairWorkers: workers})
+	w := core.New(core.Config{Seed: 99})
 	if err := install(w, gated); err != nil {
 		t.Fatal(err)
 	}

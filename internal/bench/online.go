@@ -19,20 +19,20 @@ import (
 // deployment is core's stop-the-world baseline and every mid-repair
 // request stalls for the whole repair.
 //
-// The workload is PartitionRepair's: the fixture's hot `posts` table and
-// patchLogin cascading into a per-client chain of page-visit replays.
-// While the repair runs, one
+// The workload is the fixture's hot `posts` table and patchLogin
+// cascading into a per-client chain of page-visit replays. While the
+// repair runs, one
 // live client keeps issuing steadily paced read+write requests against
 // its own partition (disjoint from every repaired one); the result
 // reports that client's p99 and worst-case latency mid-repair next to
 // the same deployment's idle p99.
-func OnlineRepair(clients, pages, workers int, appLatency time.Duration, exclusive bool) (*OnlineRepairResult, error) {
+func OnlineRepair(clients, pages int, appLatency time.Duration, exclusive bool) (*OnlineRepairResult, error) {
 	wasEnabled := obs.Enabled()
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(wasEnabled)
 
-	w := newOnlineWarp(core.Config{Seed: 99, RepairWorkers: workers}, exclusive)
-	if err := install(w, pageHandler(appLatency, false)); err != nil {
+	w := newOnlineWarp(core.Config{Seed: 99}, exclusive)
+	if err := install(w, pageHandler(appLatency)); err != nil {
 		return nil, err
 	}
 	if _, err := seedClients(w, clients, pages); err != nil {
@@ -100,7 +100,6 @@ func OnlineRepair(clients, pages, workers int, appLatency time.Duration, exclusi
 	}
 
 	out := &OnlineRepairResult{
-		Workers:      workers,
 		Exclusive:    exclusive,
 		RepairTime:   repairTime,
 		IdleP99:      quantileDuration(idle, 0.99),
@@ -125,7 +124,6 @@ func newOnlineWarp(cfg core.Config, exclusive bool) *core.Warp {
 // OnlineRepairResult is one measurement of live traffic riding through a
 // repair, with the hot table's final contents for equivalence checks.
 type OnlineRepairResult struct {
-	Workers    int
 	Exclusive  bool
 	RepairTime time.Duration
 	// IdleP99 / LiveP99 are the live client's request p99 before and

@@ -20,7 +20,7 @@ import (
 func onlineDeployment(t *testing.T, clients, pages int, appLatency time.Duration, cfg core.Config, exclusive bool) (*core.Warp, string) {
 	t.Helper()
 	w := newOnlineWarp(cfg, exclusive)
-	if err := install(w, pageHandler(appLatency, false)); err != nil {
+	if err := install(w, pageHandler(appLatency)); err != nil {
 		t.Fatal(err)
 	}
 	owners, err := seedClients(w, clients, pages)
@@ -54,7 +54,7 @@ func onlineEquivRun(t *testing.T, exclusive bool) []string {
 	t.Helper()
 	const clients, pages = 6, 2
 	w, owner0 := onlineDeployment(t, clients, pages, 2*time.Millisecond,
-		core.Config{Seed: 99, RepairWorkers: 4}, exclusive)
+		core.Config{Seed: 99}, exclusive)
 
 	done := make(chan error, 1)
 	go func() {
@@ -153,7 +153,7 @@ func TestOnlineRepairMergesLiveWrite(t *testing.T) {
 
 func mergeRun(t *testing.T) string {
 	t.Helper()
-	w := core.New(core.Config{Seed: 99, RepairWorkers: 2})
+	w := core.New(core.Config{Seed: 99})
 	// The repair must outlast the admission window (the live update
 	// targets a claimed partition, so the gate paces it for the full
 	// admissionWait before it executes): enough filler visits at enough
@@ -203,12 +203,10 @@ func mergeRun(t *testing.T) string {
 // touches, two on repaired clients' partitions — and requires every
 // request to succeed. Run under `go test -race ./...` in CI, this is
 // the data-race gate for the admission gate and table-lock coexistence
-// between live execution and repair workers.
+// between live execution and the repair.
 func TestLiveExecDuringRepairStress(t *testing.T) {
 	const clients, pages = 8, 2
-	w, owner0 := onlineDeployment(t, clients, pages, time.Millisecond, core.Config{
-		Seed: 99, RepairWorkers: 4,
-	}, false)
+	w, owner0 := onlineDeployment(t, clients, pages, time.Millisecond, core.Config{Seed: 99}, false)
 
 	done := make(chan error, 1)
 	go func() {

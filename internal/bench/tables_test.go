@@ -2,22 +2,13 @@ package bench
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 )
 
 // TestPaperTableShapes holds the shapes of the paper's Tables 4 and 8 as
 // assertions (Table 3 is TestTable3Scenarios in internal/workload, Table 5
 // is TestTable5Rows in internal/taint).
-//
-// The tables' repairs run with GOMAXPROCS workers, so the test pins
-// GOMAXPROCS to 1: the paper's serial engine. With two workers the
-// counts are not yet a function of the seed (ROADMAP item 1(b)): in 100
-// runs on two vCPUs, 13 saw a Table 8 scenario re-execute one or two
-// visits, runs or queries more at one workload size than at the other,
-// and Table 4's append-only row reported a WARP conflict in one of 40.
 func TestPaperTableShapes(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	// Table 4 (§8.3): without the extension every victim conflicts;
 	// with the visit log but no text merge only read-only attack actions
 	// replay cleanly; full WARP also merges appended text, and only an

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 
@@ -141,6 +142,20 @@ func (v *VisitLog) ReplaceWith(src *VisitLog) {
 	v.Events = src.Events
 	v.Requests = src.Requests
 	v.Blocked = src.Blocked
+}
+
+// Snapshot returns a copy of the log as recorded so far. A repair reads
+// the snapshot: the live browser may go on growing v while a visit of
+// the same client replays.
+func (v *VisitLog) Snapshot() *VisitLog {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return &VisitLog{
+		ClientID: v.ClientID, VisitID: v.VisitID, ParentVisit: v.ParentVisit,
+		IsFrame: v.IsFrame, URL: v.URL, Method: v.Method, FormEncoded: v.FormEncoded,
+		Cookies: v.Cookies, Time: v.Time, AttackerHTML: v.AttackerHTML,
+		Events: slices.Clip(v.Events), Requests: slices.Clip(v.Requests), Blocked: v.Blocked,
+	}
 }
 
 // ApproxLogBytes estimates the uploaded log size (Table 6 accounting).
@@ -337,7 +352,9 @@ func (p *Page) loadResponse(resp *httpd.Response, isFrame bool) {
 		// The clickjacking defense (Table 2): the browser refuses to render
 		// the document inside a frame.
 		p.Blocked = true
+		p.Log.Lock()
 		p.Log.Blocked = true
+		p.Log.Unlock()
 		p.DOM = dom.NewDocument()
 		return
 	}

@@ -7,11 +7,11 @@
 // admission claims: before a live write executes, the gate derives its
 // partition footprint by static analysis (ttdb.StmtPartitions: the read
 // partitions the executed statement's record will hold, the one kind of
-// partition dirt and footprints use) and compares it against every
-// in-flight repair item and against the session's dirt map (partitions
-// the repair has already claimed for its generation). A disjoint write
+// partition dirt and footprints use) and compares it against the repair
+// item in flight and against the session's dirt map (partitions the
+// repair has already claimed for its generation). A disjoint write
 // proceeds immediately; a conflicting write waits briefly — for the
-// colliding items to retire, or for the flat admission window on a
+// item in flight to retire, or for the flat admission window on a
 // claimed partition — then proceeds regardless: a write racing past the
 // frontier, or moving rows into a partition its footprint does not name,
 // is logged in the action history graph, so dirt propagation re-enqueues
@@ -19,8 +19,7 @@
 // (session.go). The wait is never needed for correctness; it narrows the
 // race window and paces sustained writers on claimed partitions so they
 // cannot feed the drain new work faster than it retires. admissionWait
-// is online repair's one pacing bound: the scheduler always dispatches
-// to RepairWorkers.
+// is online repair's one pacing bound.
 //
 // Live reads are never gated: they read the current generation, which
 // repair does not mutate until the final generation-switch commit
@@ -63,8 +62,8 @@ func (g *admissionGate) queryFunc(sql string, params []sqldb.Value) (*sqldb.Resu
 	return g.w.DB.Exec(sql, params...)
 }
 
-// admit blocks a conflicting live write until the colliding repair items
-// retire or the admission timeout passes. Reads and unparseable
+// admit blocks a conflicting live write until the colliding repair item
+// retires or the admission timeout passes. Reads and unparseable
 // statements pass through untouched (the Exec path will surface the
 // parse error itself).
 func (g *admissionGate) admit(sql string, params []sqldb.Value) {
@@ -93,8 +92,8 @@ func (g *admissionGate) admit(sql string, params []sqldb.Value) {
 }
 
 // conflictsWithInflight reports whether a live write's partition
-// footprint overlaps any in-flight repair item's claims. A nil footprint
-// (DDL) conflicts with everything in flight.
+// footprint overlaps the in-flight repair item's claims. A nil footprint
+// (DDL) conflicts with any item in flight.
 func (s *scheduler) conflictsWithInflight(parts []ttdb.Partition) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -102,19 +101,15 @@ func (s *scheduler) conflictsWithInflight(parts []ttdb.Partition) bool {
 }
 
 func (s *scheduler) conflictsLocked(parts []ttdb.Partition) bool {
-	if len(s.inflight) == 0 {
+	if s.inflight == nil {
 		return false
 	}
 	if parts == nil {
 		return true
 	}
 	live := liveClaims(s.rs.w.Graph, parts)
-	for it := range s.inflight {
-		if fp := s.footprintFor(it); overlaps(live, &fp.reads) || overlaps(live, &fp.writes) {
-			return true
-		}
-	}
-	return false
+	fp := s.footprintFor(s.inflight)
+	return overlaps(live, &fp.reads) || overlaps(live, &fp.writes)
 }
 
 // liveClaims is a live write's partitions as sorted footprint claims.
@@ -142,7 +137,7 @@ func liveClaims(g *history.Graph, parts []ttdb.Partition) *history.Handles {
 }
 
 // waitConflictClear waits until the footprint stops conflicting with
-// in-flight repair items, or the timeout passes. Completions broadcast
+// the in-flight repair item, or the timeout passes. Completions broadcast
 // the scheduler's cond, so the wait wakes as the frontier moves; the
 // timer covers the uninstall race (a gate loaded just before the session
 // finished would otherwise wait on a cond nobody signals again).

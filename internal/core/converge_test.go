@@ -18,37 +18,48 @@ import (
 // The repair fixpoint (session.go "converge") re-checks only unsettled
 // readers: live actions, and queries whose execution began before some
 // change to a partition they read at an earlier time. These tests hold
-// both halves: a repair nothing races drains once, and each kind of race
-// the main drain cannot see is still folded in.
+// both halves: a repair nothing races drains once, and a live request the
+// main drain cannot see is still folded in.
 
 // TestQuietRepairDrainsOnce: a retroactive patch with no live traffic
-// and no run racing another item converges in its main drain. The
-// catch-up and commit-window passes find every reader settled and drain
-// nothing, so the trace holds a single replay span.
+// converges in its main drain. The catch-up and commit-window passes find
+// every reader settled and drain nothing, so the trace holds a single
+// replay span.
 func TestQuietRepairDrainsOnce(t *testing.T) {
-	prev := obs.Enabled()
-	obs.SetEnabled(true)
-	defer obs.SetEnabled(prev)
-	for _, workers := range []int{1, 2} {
-		w := newNotesAppWorkers(t, workers)
-		for u := 0; u < 3; u++ {
-			for n := 0; n < 2; n++ {
-				if resp := w.HandleRequest(httpd.NewRequest("GET",
-					fmt.Sprintf("/?owner=u%d&body=<b>%d</b>", u, n))); resp.Status != 200 {
-					t.Fatalf("seed request failed: %d", resp.Status)
-				}
+	defer tracing()()
+	w := newNotesApp(t)
+	for u := 0; u < 3; u++ {
+		for n := 0; n < 2; n++ {
+			if resp := w.HandleRequest(httpd.NewRequest("GET",
+				fmt.Sprintf("/?owner=u%d&body=<b>%d</b>", u, n))); resp.Status != 200 {
+				t.Fatalf("seed request failed: %d", resp.Status)
 			}
 		}
-		rep, err := w.RetroPatch("notes.php", app.Version{Entry: sanitizedNotes, Note: "sanitize"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.AppRunsReexecuted != 6 {
-			t.Fatalf("workers=%d: re-executed %d runs, want 6", workers, rep.AppRunsReexecuted)
-		}
-		if got := w.Metrics().Repair.Phase("replay").Count; got != 1 {
-			t.Errorf("workers=%d: %d replay drains, want 1", workers, got)
-		}
+	}
+	rep, err := w.RetroPatch("notes.php", app.Version{Entry: sanitizedNotes, Note: "sanitize"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.AppRunsReexecuted != 6 {
+		t.Fatalf("re-executed %d runs, want 6", rep.AppRunsReexecuted)
+	}
+	requireOneDrain(t, w)
+}
+
+// tracing turns observability on, so a repair records its phase trace,
+// and returns the function that restores the previous setting.
+func tracing() func() {
+	prev := obs.Enabled()
+	obs.SetEnabled(true)
+	return func() { obs.SetEnabled(prev) }
+}
+
+// requireOneDrain fails the test unless w's last repair converged in its
+// main drain: the fixpoint passes after it found every reader settled.
+func requireOneDrain(t *testing.T, w *Warp) {
+	t.Helper()
+	if got := w.Metrics().Repair.Phase("replay").Count; got != 1 {
+		t.Errorf("%d replay drains, want 1", got)
 	}
 }
 
@@ -159,7 +170,7 @@ func (g *gate) wait(t *testing.T, what string) {
 // stop-the-world baseline it waits for the commit. It returns the
 // copies table.
 func liveReadRun(t *testing.T, exclusive bool) []string {
-	cfg := Config{Seed: 5, RepairWorkers: 2}
+	cfg := Config{Seed: 5}
 	w := New(cfg)
 	if exclusive {
 		w = NewStopTheWorldBaseline(cfg)
@@ -222,36 +233,24 @@ func TestLiveReadOfDirtiedPartitionConverges(t *testing.T) {
 	}
 }
 
-// racingRun repairs a deployment where the patch makes the run copying
-// owner y's notes also read owner x's, a partition outside that run's
-// recorded footprint, while an earlier run's note into x is re-applied.
-// With race set (two workers), gates order the two: the copying run reads
-// x, then the note is rewritten, then the copying run finishes. It
-// returns the copies and notes tables.
-func racingRun(t *testing.T, workers int, race bool) []string {
-	w := New(Config{Seed: 5, RepairWorkers: workers})
-	var read, wrote *gate
-	if race {
-		read, wrote = newGate(), newGate()
-	}
+// TestRunRacingDirtConverges: the patch makes the run copying owner y's
+// notes also read owner x's, a partition outside that run's recorded
+// footprint, while an earlier run's note into x is re-applied. The repair
+// loop finishes the earlier note before the copying run starts, so the
+// run's new read of x must see the rewritten note in the main drain,
+// leaving the fixpoint nothing to fold in.
+func TestRunRacingDirtConverges(t *testing.T) {
+	defer tracing()()
+	w := New(Config{Seed: 5})
 	script := func(patched bool) app.Script {
-		note := noteHandler(patched, func(owner string) {
-			if patched && owner == "x" {
-				wrote.open()
-			}
-		})
+		note := noteHandler(patched, nil)
 		return func(c *app.Ctx) *httpd.Response {
 			if c.Req.Param("op") == "note" {
-				if patched && c.Req.Param("owner") == "x" {
-					read.wait(t, "the copying run's read of x")
-				}
 				return note(c)
 			}
 			body := notesOf(c, "y")
 			if patched {
 				body += "+" + notesOf(c, "x")
-				read.open()
-				wrote.wait(t, "the rewrite of x's note")
 			}
 			c.MustQuery("INSERT INTO copies (id, owner, body) VALUES (?, ?, ?)",
 				sqldb.Int(atoiTest(c.Req.Param("id"))), sqldb.Text("y"), sqldb.Text(body))
@@ -265,23 +264,8 @@ func racingRun(t *testing.T, workers int, race bool) []string {
 	if _, err := w.RetroPatch("app.php", app.Version{Entry: script(true), Note: "escape"}); err != nil {
 		t.Fatal(err)
 	}
-	return append(tableRows(t, w, "copies"), tableRows(t, w, "notes")...)
-}
-
-// TestRunRacingDirtConverges: two repair workers re-execute a run whose
-// patched code reads a partition its recorded footprint does not claim,
-// so the scheduler runs it beside an earlier item that re-applies a write
-// to that partition. The run reads first; the write lands after. The
-// write's propagation cannot see the run's fresh query (not yet recorded),
-// and the run recorded its queries only after the write — so the fixpoint
-// must judge the read by the dirt number taken when it began. The result
-// must equal the one-worker repair's.
-func TestRunRacingDirtConverges(t *testing.T) {
-	serial := racingRun(t, 1, false)
-	if !strings.Contains(strings.Join(serial, "\n"), "1|y|y1+&lt;b&gt;x&lt;/b&gt;") {
-		t.Fatalf("one-worker repair: %q", serial)
+	if rows := tableRows(t, w, "copies"); !strings.Contains(strings.Join(rows, "\n"), "1|y|y1+&lt;b&gt;x&lt;/b&gt;") {
+		t.Fatalf("copies = %q, want the rewritten note of x", rows)
 	}
-	if raced := racingRun(t, 2, true); strings.Join(raced, "\n") != strings.Join(serial, "\n") {
-		t.Fatalf("two workers, raced:\n%q\none worker:\n%q", raced, serial)
-	}
+	requireOneDrain(t, w)
 }

@@ -41,12 +41,6 @@ type Config struct {
 	// so one client cannot monopolize (or starve) server log space (§5.2).
 	// 0 means the default of 100000.
 	ClientLogQuota int
-	// RepairWorkers is the number of parallel repair workers the scheduler
-	// dispatches ready actions to. Actions on disjoint time-travel
-	// partitions repair concurrently; conflicting actions retain the
-	// paper's time order. 0 means GOMAXPROCS; with 1 the worker pool runs
-	// the paper's serial loop.
-	RepairWorkers int
 	// Trace, when set, receives a line for every repair-controller step —
 	// the debugging view of what rollback-and-reexecute decided and why.
 	Trace func(format string, args ...any)
@@ -198,7 +192,7 @@ type RunPayload struct {
 	QueryActions []history.ActionID
 	// Superseded marks runs replaced or cancelled during a repair: their
 	// recorded effects no longer describe the repaired timeline. Atomic
-	// because parallel repair workers flag and test it concurrently.
+	// because live requests test it while a repair flags it.
 	Superseded atomic.Bool
 	// Repaired marks actions appended by repair itself.
 	Repaired bool

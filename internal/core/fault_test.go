@@ -84,7 +84,7 @@ func sweepOracle(t *testing.T) (dump string, rows []string) {
 func countWorkloadOps(t *testing.T) int64 {
 	t.Helper()
 	probe := faultfs.New(nil)
-	cfg := Config{Seed: 1, RepairWorkers: 1, Durability: faultDurability(probe)}
+	cfg := Config{Seed: 1, Durability: faultDurability(probe)}
 	w, err := Open(t.TempDir(), cfg)
 	if err != nil {
 		t.Fatalf("probe Open: %v", err)
@@ -147,7 +147,7 @@ func TestFaultSweepTransient(t *testing.T) {
 			dir := t.TempDir()
 			ffs := faultfs.New(nil)
 			ffs.FailOp(k, fmt.Errorf("%w: transient EIO", faultfs.ErrInjected))
-			cfg := Config{Seed: 1, RepairWorkers: 1, Durability: faultDurability(ffs)}
+			cfg := Config{Seed: 1, Durability: faultDurability(ffs)}
 			w, err := Open(dir, cfg)
 			if err != nil {
 				// The fault hit recovery reads: Open refuses cleanly
@@ -202,7 +202,7 @@ func TestFaultSweepPersistent(t *testing.T) {
 			dir := t.TempDir()
 			ffs := faultfs.New(nil)
 			ffs.FailFrom(k, fmt.Errorf("%w: dying disk", faultfs.ErrInjected))
-			cfg := Config{Seed: 1, RepairWorkers: 1, Durability: faultDurability(ffs)}
+			cfg := Config{Seed: 1, Durability: faultDurability(ffs)}
 			w, err := Open(dir, cfg)
 			if err != nil {
 				return // refused at Open: nothing acked, nothing to lose
@@ -279,7 +279,7 @@ func TestFaultSweepPersistent(t *testing.T) {
 func TestDegradedModeServesReads(t *testing.T) {
 	dir := t.TempDir()
 	ffs := faultfs.New(nil)
-	cfg := Config{Seed: 1, RepairWorkers: 1, Durability: faultDurability(ffs)}
+	cfg := Config{Seed: 1, Durability: faultDurability(ffs)}
 	w, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatalf("Open: %v", err)

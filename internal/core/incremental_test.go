@@ -28,7 +28,7 @@ import (
 // rowsEach rows, checkpointed once as the base.
 func openMultiTable(t *testing.T, dir string, n, rowsEach int, dur store.Options) *Warp {
 	t.Helper()
-	w, err := Open(dir, Config{Seed: 7, RepairWorkers: 1, Durability: dur})
+	w, err := Open(dir, Config{Seed: 7, Durability: dur})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestIncrementalCheckpointWritesOnlyDirtyTables(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	w2, err := Open(dir, Config{Seed: 7, RepairWorkers: 1, Durability: dur})
+	w2, err := Open(dir, Config{Seed: 7, Durability: dur})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestPendingIntentSurvivesCheckpoint(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	cfg := Config{Seed: 1, RepairWorkers: 1, Durability: testDurability()}
+	cfg := Config{Seed: 1, Durability: testDurability()}
 	var traced atomic.Int64
 	var w *Warp
 	cfg.Trace = func(string, ...any) {
@@ -502,7 +502,7 @@ func TestParentWrittenDirectoryOpens(t *testing.T) {
 	}
 
 	dir := copyDir()
-	w, err := Open(dir, Config{Seed: 13, RepairWorkers: 1, Durability: dur})
+	w, err := Open(dir, Config{Seed: 13, Durability: dur})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +518,7 @@ func TestParentWrittenDirectoryOpens(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	w2, err := Open(dir, Config{Seed: 13, RepairWorkers: 1, Durability: dur})
+	w2, err := Open(dir, Config{Seed: 13, Durability: dur})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +537,7 @@ func TestFailedSyntheticInsertReachesCheckpoint(t *testing.T) {
 	nextID := func(restart bool) sqldb.Value {
 		t.Helper()
 		dir := t.TempDir()
-		cfg := Config{Seed: 5, RepairWorkers: 1, Durability: store.Options{SyncEveryAppend: true, CompactEvery: 100}}
+		cfg := Config{Seed: 5, Durability: store.Options{SyncEveryAppend: true, CompactEvery: 100}}
 		w, err := Open(dir, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -84,7 +84,7 @@ func (it *workItem) describe() string {
 }
 
 // processTimed wraps session.process with the per-item progress and
-// latency instrumentation shared by the serial and parallel drains.
+// latency instrumentation.
 func (rs *session) processTimed(it *workItem) error {
 	if !obs.Enabled() && slowRepairNs.Load() <= 0 {
 		err := rs.process(it)

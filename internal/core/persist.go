@@ -656,8 +656,10 @@ func (w *Warp) ResumeRepair(patch *app.Version) (*Report, error) {
 // visit-log store) are rewritten into a new delta file, unchanged
 // sections are carried forward by manifest reference, and every
 // Durability.CompactEvery-th checkpoint rewrites everything so the
-// delta chain stays short. Checkpoint cost is therefore proportional to
-// the tables written since the last checkpoint, not to database size.
+// delta chain stays short. A table costs only if it was written since
+// the last checkpoint, but the history and core/visits sections are
+// rewritten whole whenever any request was recorded or any visit log
+// changed, so a checkpoint's cost grows with all retained history.
 // Request processing is suspended for the duration (the same brief §4.3
 // suspension repair uses) and repair is excluded; uploads may
 // interleave (their records are idempotent upserts). No-op for

@@ -108,7 +108,7 @@ func buildWarp(t *testing.T, dir string, seed int64) *Warp {
 
 func buildWarpDur(t *testing.T, dir string, seed int64, dur store.Options) *Warp {
 	t.Helper()
-	cfg := Config{Seed: seed, RepairWorkers: 1, Durability: dur}
+	cfg := Config{Seed: seed, Durability: dur}
 	var w *Warp
 	var err error
 	if dir == "" {
@@ -374,7 +374,7 @@ func TestCrashMidRepair(t *testing.T) {
 	for _, crashAt := range []int64{1, 2, 4, 7, 11, 16} {
 		t.Run(fmt.Sprintf("trace-step-%d", crashAt), func(t *testing.T) {
 			dir := t.TempDir()
-			cfg := Config{Seed: 1, RepairWorkers: 1, Durability: testDurability()}
+			cfg := Config{Seed: 1, Durability: testDurability()}
 			var traced atomic.Int64
 			var w *Warp
 			cfg.Trace = func(string, ...any) {
@@ -433,7 +433,7 @@ func TestCrashMidRepair(t *testing.T) {
 // is self-contained (no code to re-supply).
 func TestCrashMidUndoVisit(t *testing.T) {
 	runWorkload := func(dir string, trace func(string, ...any)) (*Warp, []*browser.Browser) {
-		cfg := Config{Seed: 1, RepairWorkers: 1, Durability: testDurability()}
+		cfg := Config{Seed: 1, Durability: testDurability()}
 		cfg.Trace = trace
 		var w *Warp
 		var err error
@@ -572,7 +572,7 @@ func TestWALCorruptionAtDeploymentLevel(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		cfg := Config{Seed: 1, RepairWorkers: 1}
+		cfg := Config{Seed: 1}
 		rec, err := Open(dir, cfg)
 		if err != nil {
 			continue // refusing corrupt state is an allowed outcome

@@ -69,7 +69,7 @@ func TestRecordIndexesShrinkWithGC(t *testing.T) {
 				return
 			}
 			w.Crash()
-			w2, err := Open(dir, Config{Seed: 7, RepairWorkers: 1, Durability: testDurability()})
+			w2, err := Open(dir, Config{Seed: 7, Durability: testDurability()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +89,7 @@ func TestRecordIndexesShrinkWithGC(t *testing.T) {
 // indexes and a repair reads them (readers, writers, the exchange index,
 // per-table node lists).
 func TestRecordRaceWithGCAndRepair(t *testing.T) {
-	w := New(Config{Seed: 11, RepairWorkers: 4})
+	w := New(Config{Seed: 11})
 	installGuestbook(t, w, false)
 	attacker := w.NewBrowser()
 	attacker.Open("/?author=mallory&msg=%3Cscript%3Ewarpjs%3A%20get%20%2Fsteal%3C%2Fscript%3E")

@@ -1,7 +1,8 @@
 // Run, query, and page-visit re-execution: the repair controller's
-// replay layer. These handlers run on scheduler workers; shared session
-// state is guarded by session.mu, database access by ttdb's per-table
-// locks, and graph access by the graph's own lock.
+// replay layer. These handlers run on the repair goroutine, beside live
+// requests; shared session state is guarded by session.mu, database
+// access by ttdb's per-table locks, and graph access by the graph's own
+// lock.
 package core
 
 import (
@@ -23,9 +24,8 @@ import (
 
 // book adds to one layer's total the time since t0 that calls nested
 // under it have not booked already — they advance *booked past before —
-// and books it in turn. Workers add to the session's totals concurrently,
-// so a caller finds its own share from this call-local tally; a delta of
-// the totals would subtract other workers' time too and go negative.
+// and books it in turn. A caller finds its own share from this call-local
+// tally, so the layers' shares partition the repair's wall time.
 func (rs *session) book(layer *atomic.Int64, t0 time.Time, before time.Duration, booked *time.Duration) {
 	d := time.Since(t0) - (*booked - before)
 	layer.Add(int64(d))
@@ -145,11 +145,7 @@ func (rs *session) mergeLiveText(orig *ttdb.Record, params []sqldb.Value) []sqld
 			return params
 		}
 		rs.mu.Lock()
-		if prev, dup := rs.mergedLive[key]; dup {
-			merged = prev // another worker merged first; keep its result
-		} else {
-			rs.mergedLive[key] = merged
-		}
+		rs.mergedLive[key] = merged
 		rs.mu.Unlock()
 		liveWritesMerged.Inc()
 		rs.tracef("merged live write t=%d table=%s", orig.Time, orig.Table)
@@ -260,10 +256,6 @@ func (rs *session) origRunFor(e history.Exchange) *history.Action {
 		return nil
 	}
 	rs.mu.Lock()
-	if prev, dup := rs.origRuns[e]; dup {
-		rs.mu.Unlock()
-		return rs.w.Graph.Get(prev) // another worker memoized first; keep its sighting
-	}
 	rs.origRuns[e] = run.ID
 	rs.mu.Unlock()
 	return run
@@ -490,7 +482,7 @@ func (rs *session) retire(payload *RunPayload) {
 // repaired timeline, including the visits it spawned.
 func (rs *session) cancelVisitTree(log *browser.VisitLog) {
 	rs.tracef("cancel visit tree %s/%d url=%s", log.ClientID, log.VisitID, log.URL)
-	for _, tr := range log.Requests {
+	for _, tr := range log.Snapshot().Requests {
 		rs.cancelExchange(log.ClientID, log.VisitID, tr.RequestID)
 	}
 	rs.w.mu.Lock()
@@ -576,6 +568,7 @@ func (rs *session) processVisit(it *workItem) error {
 	if vlog == nil {
 		return nil
 	}
+	vlog = vlog.Snapshot()
 	key := fmt.Sprintf("v:%s/%d", it.client, it.visit)
 	rs.mu.Lock()
 	rs.activeVisit[key] = true
@@ -761,7 +754,7 @@ func (rs *session) setJarOverride(client string, jar map[string]string) {
 // responses' cookie changes.
 func (rs *session) origJarAfter(vlog *browser.VisitLog) map[string]string {
 	jar := cloneJar(vlog.Cookies)
-	for _, tr := range vlog.Requests {
+	for _, tr := range vlog.Snapshot().Requests {
 		act := rs.origRunFor(history.Exchange{Client: vlog.ClientID, Visit: vlog.VisitID, Request: tr.RequestID})
 		if act == nil {
 			continue
@@ -796,8 +789,8 @@ func (rs *session) freshVisitID() int64 {
 
 // mainRequestID returns the request ID of a visit's main request.
 func mainRequestID(v *browser.VisitLog) int64 {
-	if len(v.Requests) > 0 {
-		return v.Requests[0].RequestID
+	if reqs := v.Snapshot().Requests; len(reqs) > 0 {
+		return reqs[0].RequestID
 	}
 	return 1
 }

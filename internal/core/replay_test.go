@@ -17,7 +17,7 @@ import (
 // target-gone; the second runs against a version that has it again and
 // reports nothing, so the session is left with no conflict.
 func TestVisitConflictsFromLastReplay(t *testing.T) {
-	w := New(Config{Seed: 5, RepairWorkers: 1})
+	w := New(Config{Seed: 5})
 	page := func(body string) app.Version {
 		return app.Version{Entry: func(*app.Ctx) *httpd.Response { return httpd.HTML("<html><body>" + body + "</body></html>") }}
 	}
@@ -70,25 +70,23 @@ func TestHeaderOnlyPatchCascadesToVisit(t *testing.T) {
 			return resp
 		}}
 	}
-	for _, workers := range []int{1, 2} {
-		for _, patch := range []struct {
-			frameOptions string
-			visits       int
-		}{{"DENY", 1}, {"", 0}} {
-			w := New(Config{Seed: 5, RepairWorkers: workers})
-			if err := w.Runtime.Register("page.php", page("")); err != nil {
-				t.Fatal(err)
-			}
-			w.Runtime.Mount("/", "page.php")
-			w.NewBrowser().Open("/")
-			rep, err := w.RetroPatch("page.php", page(patch.frameOptions))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.AppRunsReexecuted != 1 || rep.PageVisitsReplayed != patch.visits {
-				t.Fatalf("workers=%d, patched header %q: %d runs re-executed and %d visits replayed, want 1 and %d",
-					workers, patch.frameOptions, rep.AppRunsReexecuted, rep.PageVisitsReplayed, patch.visits)
-			}
+	for _, patch := range []struct {
+		frameOptions string
+		visits       int
+	}{{"DENY", 1}, {"", 0}} {
+		w := New(Config{Seed: 5})
+		if err := w.Runtime.Register("page.php", page("")); err != nil {
+			t.Fatal(err)
+		}
+		w.Runtime.Mount("/", "page.php")
+		w.NewBrowser().Open("/")
+		rep, err := w.RetroPatch("page.php", page(patch.frameOptions))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.AppRunsReexecuted != 1 || rep.PageVisitsReplayed != patch.visits {
+			t.Fatalf("patched header %q: %d runs re-executed and %d visits replayed, want 1 and %d",
+				patch.frameOptions, rep.AppRunsReexecuted, rep.PageVisitsReplayed, patch.visits)
 		}
 	}
 }
@@ -99,32 +97,30 @@ func TestHeaderOnlyPatchCascadesToVisit(t *testing.T) {
 // retroactive patch — runs re-executed, visits replayed, cookies
 // re-issued — as before it.
 func TestRecordedRequestsStayImmutable(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		w := newNotesAppWorkers(t, workers)
-		for u := 0; u < 3; u++ {
-			b := w.NewBrowser()
-			for n := 0; n < 2; n++ {
-				b.Open(fmt.Sprintf("/?owner=u%d&body=<b>note-%d</b>", u, n))
-			}
-			w.HandleRequest(httpd.NewRequest("GET", fmt.Sprintf("/?owner=u%d&body=<i>plain</i>", u)))
+	w := newNotesApp(t)
+	for u := 0; u < 3; u++ {
+		b := w.NewBrowser()
+		for n := 0; n < 2; n++ {
+			b.Open(fmt.Sprintf("/?owner=u%d&body=<b>note-%d</b>", u, n))
 		}
-		runs := w.Graph.ByKind(history.KindAppRun)
-		before := make([]uint64, len(runs))
-		for i, a := range runs {
-			before[i] = a.Payload.(*RunPayload).Rec.Req.Fingerprint()
-		}
-		rep, err := w.RetroPatch("notes.php", app.Version{Entry: sanitizedNotes, Note: "sanitize"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.AppRunsReexecuted < len(runs) || rep.PageVisitsReplayed == 0 {
-			t.Fatalf("workers=%d: %d of %d runs re-executed, %d visits replayed; the patch must reach every run and some visit",
-				workers, rep.AppRunsReexecuted, len(runs), rep.PageVisitsReplayed)
-		}
-		for i, a := range runs {
-			if req := a.Payload.(*RunPayload).Rec.Req; req.Fingerprint() != before[i] {
-				t.Fatalf("workers=%d: the request of run %d (%s %s) changed during repair", workers, a.ID, req.Method, req.URLString())
-			}
+		w.HandleRequest(httpd.NewRequest("GET", fmt.Sprintf("/?owner=u%d&body=<i>plain</i>", u)))
+	}
+	runs := w.Graph.ByKind(history.KindAppRun)
+	before := make([]uint64, len(runs))
+	for i, a := range runs {
+		before[i] = a.Payload.(*RunPayload).Rec.Req.Fingerprint()
+	}
+	rep, err := w.RetroPatch("notes.php", app.Version{Entry: sanitizedNotes, Note: "sanitize"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.AppRunsReexecuted < len(runs) || rep.PageVisitsReplayed == 0 {
+		t.Fatalf("%d of %d runs re-executed, %d visits replayed; the patch must reach every run and some visit",
+			rep.AppRunsReexecuted, len(runs), rep.PageVisitsReplayed)
+	}
+	for i, a := range runs {
+		if req := a.Payload.(*RunPayload).Rec.Req; req.Fingerprint() != before[i] {
+			t.Fatalf("the request of run %d (%s %s) changed during repair", a.ID, req.Method, req.URLString())
 		}
 	}
 }

@@ -39,11 +39,6 @@ type Report struct {
 	GraphNodesLoaded int
 	Aborted          bool
 
-	// RepairWorkers is the number of parallel workers the scheduler used.
-	// It does not appear in String(): a repair's outcome is independent of
-	// how many workers computed it.
-	RepairWorkers int
-
 	Timing Timing
 }
 

@@ -50,7 +50,7 @@ func loginApp(t *testing.T, w *Warp) {
 // check.
 func TestLoginSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Seed: 42, RepairWorkers: 1, Durability: store.Options{SyncEveryAppend: true}}
+	cfg := Config{Seed: 42, Durability: store.Options{SyncEveryAppend: true}}
 	w, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestLoginSurvivesRestart(t *testing.T) {
 // checkpoint ever written — must also resume both streams exactly.
 func TestRNGCursorsSurviveCrash(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Seed: 42, RepairWorkers: 1, Durability: store.Options{SyncEveryAppend: true}}
+	cfg := Config{Seed: 42, Durability: store.Options{SyncEveryAppend: true}}
 	w, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)

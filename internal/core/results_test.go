@@ -71,7 +71,7 @@ func TestRecordedResultsStayImmutable(t *testing.T) {
 		checkResultsUnchanged(t, "wiki", w, patch)
 	})
 	t.Run("blog", func(t *testing.T) {
-		w := core.New(core.Config{Seed: 3, RepairWorkers: 2})
+		w := core.New(core.Config{Seed: 3})
 		a, err := blog.Install(w)
 		if err != nil {
 			t.Fatal(err)
@@ -107,7 +107,7 @@ func TestRecordedResultsStayImmutable(t *testing.T) {
 // clickjacking fix of the library every page loads.
 func editedWiki(t *testing.T) (*core.Warp, func() (*core.Report, error)) {
 	t.Helper()
-	w := core.New(core.Config{Seed: 3, RepairWorkers: 2})
+	w := core.New(core.Config{Seed: 3})
 	a, err := wiki.Install(w)
 	if err != nil {
 		t.Fatal(err)

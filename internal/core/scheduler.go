@@ -1,33 +1,20 @@
-// The repair scheduler: a dependency-scheduled, worker-pool executor for
-// repair work items.
+// The repair scheduler: the paper's repair loop over a time-ordered work
+// queue. The controller takes the earliest queued item, re-executes it,
+// and repeats until the queue is empty; re-execution enqueues whatever
+// the item's changed outputs dirtied. One loop on the repair goroutine
+// does all of it, so a repair's outcome is a function of its inputs and
+// the seed, never of goroutine timing.
 //
-// The paper's repair loop pops one item at a time from a time-ordered
-// heap. But the action history graph already encodes which actions are
-// independent: two actions whose partition dependency sets are disjoint
-// cannot observe each other's effects, because re-execution happens at the
-// actions' original logical times against the time-travel database. The
-// scheduler exploits this: it maintains the same time-ordered heap, but
-// dispatches every item whose dependency footprint does not conflict with
-// an earlier unfinished item to a pool of N workers. Conflicting items
-// retain the paper's strict time order.
-//
-// Page-visit replays are exclusive *per client*: a replay threads one
-// client's cookie jar and navigation state through its runs, so two
-// visits of the same client serialize, while independent clients'
-// visits replay in parallel. A visit's footprint claims the client's
-// cookie node, the visit's subtree of exchange nodes (a replay may
-// cancel or re-serve any of them), and the partition edges of the runs
-// behind those exchanges — so visit replays also order correctly
-// against individual query checks and run re-executions touching the
-// same state.
-//
-// Footprints are derived from the history graph's dependency edges
-// (Graph.AppendHandles), not recomputed from query records, so a work
-// item's conflict set is exactly the partition overlap the graph already
-// indexed. A footprint holds node handles sorted by value, and two
-// footprints are intersected by merging them; the handle order is used
-// for nothing else. With one worker the scheduler runs the identical
-// serial heap walk the paper describes, and derives no footprint at all.
+// Online repair (admission.go) compares a live write against the one
+// item in flight. That item's footprint — the dependency set it claims —
+// is derived from the history graph's dependency edges
+// (Graph.AppendHandles) on the first comparison, not recomputed from
+// query records. A footprint holds node handles sorted by value, and a
+// live write's claims are intersected with it by merging; the handle
+// order is used for nothing else. A page-visit replay's footprint claims
+// the client's cookie node, the visit's subtree of exchange nodes (a
+// replay may cancel or re-serve any of them), and the partition edges of
+// the runs behind those exchanges.
 package core
 
 import (
@@ -57,10 +44,6 @@ type workItem struct {
 	seq  int64
 
 	action history.ActionID // query / run items
-	// runAction is the run the item belongs to: the owning run for query
-	// items, the action itself for run items. A query check never runs
-	// concurrently with its owning run's re-execution.
-	runAction history.ActionID
 
 	client string // visit items
 	visit  int64
@@ -73,23 +56,11 @@ type workItem struct {
 	hasNav    bool
 
 	// fp caches the item's footprint (footprintFor) from its first
-	// comparison on. A cached footprint can under-claim partitions an
-	// in-flight write discovers later (AddDeps), but that is safe: the
-	// discovering write also marks those partitions dirty, and dirt
-	// propagation re-enqueues any reader that ran too early — the same
-	// fixpoint the serial loop relies on.
+	// comparison with a live write on. A cached footprint can under-claim
+	// partitions the item's own writes discover later (AddDeps), but that
+	// is safe: the discovering write also marks those partitions dirty,
+	// and dirt propagation re-enqueues any reader that ran too early.
 	fp *footprint
-	// blocker is the item a dispatch scan last found this one in conflict
-	// with; done says a worker has retired the item (both guarded by the
-	// scheduler's mu). Footprints are cached and queued items keep their
-	// order, so until its blocker is done an item stays blocked — the
-	// blocker is in flight, or queued ahead of it and itself blocked — and
-	// a rescan skips its footprint comparisons. Every completion rescans
-	// the frontier, so how often depends on when the workers happen to
-	// finish: the comparisons are kept off that path to keep a repair's
-	// cost from varying with it.
-	blocker *workItem
-	done    bool
 }
 
 type workQueue []*workItem
@@ -117,22 +88,6 @@ func (q *workQueue) Pop() any {
 type footprint struct {
 	reads  history.Handles
 	writes history.Handles
-	run    history.ActionID
-	// client is set on visit-replay items: replays of one client's
-	// visits serialize among themselves (they thread the client's cookie
-	// jar and navigation state), independent clients replay in parallel.
-	client string
-}
-
-// conflicts reports whether two footprints must not be in flight together.
-func (a *footprint) conflicts(b *footprint) bool {
-	if a.run != 0 && a.run == b.run {
-		return true
-	}
-	if a.client != "" && a.client == b.client {
-		return true
-	}
-	return overlaps(&a.writes, &b.reads) || overlaps(&a.writes, &b.writes) || overlaps(&b.writes, &a.reads)
 }
 
 // overlaps reports whether two sealed claims share a node — the same
@@ -179,40 +134,26 @@ func sortHandles(h *history.Handles) {
 	h.Wilds = slices.Compact(h.Wilds)
 }
 
-// lookahead bounds how many blocked items a dispatch scan considers
-// before waiting for a completion. This is a deliberate trade: on a
-// heavily skewed workload (one hot partition blocking >lookahead earlier
-// items) a dispatchable item beyond the window waits for the next
-// completion-triggered rescan even though workers are idle, in exchange
-// for bounding each scan's cost under the scheduler lock. The busy==0
-// first-pop case always dispatches, so the cap can never stall the
-// scheduler outright.
-const lookahead = 64
-
-// scheduler owns the repair work queue and the worker pool.
+// scheduler owns the repair work queue and runs the repair loop.
 type scheduler struct {
 	rs      *session
-	workers int
 	maxIter int
 
+	// mu guards the queue and inflight; cond is broadcast whenever an
+	// item retires, for live writes waiting on the one in flight.
 	mu          sync.Mutex
 	cond        *sync.Cond
 	pending     workQueue
 	pendingKeys map[itemKey]bool
-	blocked     []*workItem
-	inflight    map[*workItem]bool
-	busy        int
+	inflight    *workItem
 	iterations  int
-	err         error
 }
 
-func newScheduler(rs *session, workers, maxIter int) *scheduler {
+func newScheduler(rs *session, maxIter int) *scheduler {
 	s := &scheduler{
 		rs:          rs,
-		workers:     workers,
 		maxIter:     maxIter,
 		pendingKeys: make(map[itemKey]bool),
-		inflight:    make(map[*workItem]bool),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
@@ -255,11 +196,9 @@ func (s *scheduler) push(it *workItem) {
 	heap.Push(&s.pending, it)
 	s.mu.Unlock()
 	actionsRemaining.Add(1)
-	s.cond.Broadcast()
 }
 
-// isPending reports whether an item with the given key is queued (or
-// blocked awaiting dispatch).
+// isPending reports whether an item with the given key is queued.
 func (s *scheduler) isPending(key itemKey) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -270,149 +209,52 @@ func (s *scheduler) isPending(key itemKey) bool {
 func (s *scheduler) pendingLen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.pending) + len(s.blocked)
+	return len(s.pending)
 }
 
-// drain processes the queue to exhaustion with the dependency-scheduled
-// worker pool: the coordinator scans the frontier of the time-ordered
-// queue and hands every non-conflicting item to an idle worker;
-// completions and pushes wake it to rescan. With one worker it pops the
-// heap minimum each time, after the previous item finished — the paper's
-// serial loop.
+// drain is the paper's repair loop: it pops the earliest queued item,
+// re-executes it, retires it, and repeats until the queue is empty. It
+// stops at the first error, or after maxIter items over the session.
 func (s *scheduler) drain() error {
-	work := make(chan *workItem, s.workers)
-	var wg sync.WaitGroup
-	for i := 0; i < s.workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for it := range work {
-				s.mu.Lock()
-				stopped := s.err != nil
-				s.mu.Unlock()
-				var err error
-				if !stopped {
-					err = s.rs.processTimed(it)
-				}
-				s.complete(it, err)
-			}
-		}()
-	}
-
-	s.mu.Lock()
 	for {
-		if s.err != nil {
-			break
-		}
-		if len(s.pending) == 0 && len(s.blocked) == 0 && s.busy == 0 {
-			break
-		}
-		if s.busy >= s.workers {
-			s.cond.Wait()
-			continue
-		}
-		it := s.nextDispatchable()
-		if it == nil {
-			if s.busy == 0 && len(s.pending)+len(s.blocked) > 0 {
-				// Cannot happen: with nothing in flight the earliest item
-				// never conflicts. Guard against a livelock regardless.
-				s.err = fmt.Errorf("warp: repair scheduler stalled with %d queued items", len(s.pending)+len(s.blocked))
-				break
-			}
-			s.cond.Wait()
-			continue
+		s.mu.Lock()
+		if len(s.pending) == 0 {
+			s.mu.Unlock()
+			return nil
 		}
 		s.iterations++
 		if s.iterations > s.maxIter {
-			s.err = fmt.Errorf("warp: repair did not converge after %d steps", s.iterations)
-			break
+			s.mu.Unlock()
+			return fmt.Errorf("warp: repair did not converge after %d steps", s.iterations)
 		}
+		it := heap.Pop(&s.pending).(*workItem)
 		key := keyOf(it)
 		delete(s.pendingKeys, key)
-		s.inflight[it] = true
-		s.busy++
+		s.inflight = it
+		s.mu.Unlock()
 		actionsRemaining.Add(-1)
 		s.rs.tracef("pop t=%d kind=%d key=%+v nav=%v", it.time, it.kind, key, it.hasNav)
-		work <- it // buffered to s.workers; busy < workers, so never blocks
+		err := s.rs.processTimed(it)
+		s.complete()
+		if err != nil {
+			return err
+		}
 	}
-	err := s.err
-	s.mu.Unlock()
-
-	close(work)
-	wg.Wait()
-
-	s.mu.Lock()
-	if err == nil {
-		err = s.err
-	}
-	// A failed drain leaves blocked items around; fold them back so the
-	// queue is consistent for inspection.
-	for _, it := range s.blocked {
-		heap.Push(&s.pending, it)
-	}
-	s.blocked = s.blocked[:0]
-	s.mu.Unlock()
-	return err
 }
 
-// complete retires an in-flight item and wakes the coordinator.
-func (s *scheduler) complete(it *workItem, err error) {
+// complete retires the in-flight item and wakes the live writes waiting
+// on it.
+func (s *scheduler) complete() {
 	s.mu.Lock()
-	delete(s.inflight, it)
-	it.done = true
-	s.busy--
-	if err != nil && s.err == nil {
-		s.err = err
-	}
+	s.inflight = nil
 	s.mu.Unlock()
 	s.cond.Broadcast()
 }
 
-// nextDispatchable scans the queue in time order for the first item whose
-// footprint conflicts with neither an in-flight item nor an earlier
-// blocked item. Called with s.mu held; blocked items are re-merged into
-// the heap first so the scan order is globally time-sorted.
-func (s *scheduler) nextDispatchable() *workItem {
-	for _, it := range s.blocked {
-		heap.Push(&s.pending, it)
-	}
-	s.blocked = s.blocked[:0]
-
-	for len(s.pending) > 0 && len(s.blocked) < lookahead {
-		it := heap.Pop(&s.pending).(*workItem)
-		if it.blocker == nil || it.blocker.done {
-			it.blocker = s.blockerOf(it)
-		}
-		if it.blocker == nil {
-			return it
-		}
-		s.blocked = append(s.blocked, it)
-	}
-	return nil
-}
-
-// blockerOf returns an in-flight item, or one of the items this scan has
-// already found blocked, whose footprint conflicts with the item's; nil
-// when there is none.
-func (s *scheduler) blockerOf(it *workItem) *workItem {
-	for in := range s.inflight {
-		if s.footprintFor(it).conflicts(s.footprintFor(in)) {
-			return in
-		}
-	}
-	for _, b := range s.blocked {
-		if s.footprintFor(it).conflicts(s.footprintFor(b)) {
-			return b
-		}
-	}
-	return nil
-}
-
 // footprintFor returns an item's dependency footprint, deriving it from
-// the history graph's dependency edges on first use. Only a comparison
-// with an item in flight or blocked ahead needs one, so an item that
-// meets an idle, empty frontier — every item, with one worker — is
-// dispatched without it. Called with s.mu held.
+// the history graph's dependency edges on first use. Only a live write's
+// admission check needs one, so a repair no live write meets derives
+// none. Called with s.mu held.
 func (s *scheduler) footprintFor(it *workItem) *footprint {
 	if it.fp != nil {
 		return it.fp
@@ -420,7 +262,7 @@ func (s *scheduler) footprintFor(it *workItem) *footprint {
 	if it.kind == workVisitReplay {
 		it.fp = s.visitFootprint(it)
 	} else {
-		it.fp = &footprint{run: it.runAction}
+		it.fp = &footprint{}
 		s.addActionDeps(it.fp, it.action)
 		if it.kind == workRunExec {
 			s.addRunQueryDeps(it.fp, it.action)
@@ -432,15 +274,13 @@ func (s *scheduler) footprintFor(it *workItem) *footprint {
 // visitFootprint claims what one page-visit replay can touch: the
 // client's cookie jar, the visit's subtree of exchanges (replays cancel
 // unmatched children recursively and re-serve any exchange), and the
-// dependency edges of the runs behind those exchanges. The visits
-// themselves need no claim of their own: replays of one client already
-// serialize on fp.client. Effects outside
+// dependency edges of the runs behind those exchanges. Effects outside
 // this set — a patched page navigating somewhere new, a fresh run
 // writing an unclaimed partition — are caught by dirt propagation's
 // fixpoint, the same under-claim safety the cached footprints rely on.
 func (s *scheduler) visitFootprint(it *workItem) *footprint {
 	w := s.rs.w
-	fp := &footprint{client: it.client}
+	fp := &footprint{}
 	fp.writes.Nodes = append(fp.writes.Nodes, nodeIn(w, w.cookieNodes, it.client, history.CookieName, false))
 
 	var exchanges []history.Exchange
@@ -448,7 +288,7 @@ func (s *scheduler) visitFootprint(it *workItem) *footprint {
 	var walk func(visit int64)
 	walk = func(visit int64) {
 		if vlog := w.visitByID[it.client][visit]; vlog != nil {
-			for _, tr := range vlog.Requests {
+			for _, tr := range vlog.Snapshot().Requests {
 				exchanges = append(exchanges, history.Exchange{Client: it.client, Visit: visit, Request: tr.RequestID})
 			}
 		}
@@ -505,7 +345,7 @@ func (rs *session) enqueueQuery(a *history.Action) {
 		if rs.sched.isPending(itemKey{kind: workQueryCheck, action: a.ID}) {
 			return
 		}
-		rs.sched.push(&workItem{kind: workQueryCheck, time: a.Time, action: a.ID, runAction: p.RunAction})
+		rs.sched.push(&workItem{kind: workQueryCheck, time: a.Time, action: a.ID})
 	}
 }
 
@@ -514,7 +354,7 @@ func (rs *session) enqueueRun(a *history.Action) {
 		if rs.sched.isPending(itemKey{kind: workRunExec, action: a.ID}) {
 			return
 		}
-		rs.sched.push(&workItem{kind: workRunExec, time: a.Time, action: a.ID, runAction: a.ID})
+		rs.sched.push(&workItem{kind: workRunExec, time: a.Time, action: a.ID})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -22,7 +21,8 @@ import (
 )
 
 // session is the state of one repair (the paper's repair controller).
-// A session is shared by the scheduler's repair workers: the maps below
+// The repair goroutine drives a session while live requests, during an
+// online repair, consult it through the admission gate: the maps below
 // are guarded by mu, the timing counters are atomic, and the work queue
 // itself lives in the scheduler.
 type session struct {
@@ -84,7 +84,8 @@ type session struct {
 	// method is nil-safe.
 	obsTrace *obs.Trace
 
-	// timing, in nanoseconds; atomic because workers account concurrently.
+	// timing, in nanoseconds; atomic so they can be read while a repair
+	// accounts.
 	tInit    atomic.Int64
 	tGraph   atomic.Int64
 	tBrowser atomic.Int64
@@ -134,13 +135,6 @@ func (w *Warp) newSession(gen int64) *session {
 	rep.TotalPageVisits = len(w.visitOrder)
 	w.mu.Unlock()
 	w.Graph.ResetLoadStats()
-	workers := w.cfg.RepairWorkers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	rs := &session{
 		w:            w,
 		gen:          gen,
@@ -162,7 +156,7 @@ func (w *Warp) newSession(gen int64) *session {
 		mergedLive:   make(map[string]string),
 		trace:        w.cfg.Trace,
 	}
-	rs.sched = newScheduler(rs, workers,
+	rs.sched = newScheduler(rs,
 		50*(rep.TotalAppRuns+rep.TotalQueries+rep.TotalPageVisits)+10000)
 	return rs
 }
@@ -482,7 +476,7 @@ func (w *Warp) undoVisit(clientID string, visitID int64, admin, dequeue bool) (*
 		if vlog == nil {
 			return fmt.Errorf("warp: no visit log for %s/%d", clientID, visitID)
 		}
-		for _, tr := range vlog.Requests {
+		for _, tr := range vlog.Snapshot().Requests {
 			rs.cancelExchange(clientID, visitID, tr.RequestID)
 		}
 		rs.tInit.Add(int64(time.Since(t0)))
@@ -762,7 +756,6 @@ func (w *Warp) repair(intent *RepairIntent, seed func(*session) error, restrictC
 
 	rs.rep.Conflicts = conflicts
 	rs.rep.GraphNodesLoaded = w.Graph.LoadedNodes()
-	rs.rep.RepairWorkers = rs.sched.workers
 	rs.rep.Timing.Init = time.Duration(rs.tInit.Load())
 	rs.rep.Timing.Graph = time.Duration(rs.tGraph.Load())
 	rs.rep.Timing.Browser = time.Duration(rs.tBrowser.Load())
@@ -771,9 +764,5 @@ func (w *Warp) repair(intent *RepairIntent, seed func(*session) error, restrictC
 	rs.rep.Timing.Total = time.Since(tStart)
 	rs.rep.Timing.Ctrl = rs.rep.Timing.Total - rs.rep.Timing.Init - rs.rep.Timing.Graph -
 		rs.rep.Timing.Browser - rs.rep.Timing.DB - rs.rep.Timing.App
-	if rs.rep.Timing.Ctrl < 0 {
-		// With parallel workers the per-layer sums can exceed wall time.
-		rs.rep.Timing.Ctrl = 0
-	}
 	return rs.rep, nil
 }

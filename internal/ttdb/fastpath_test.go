@@ -399,11 +399,11 @@ func TestCachedExecRaceWithDDLAndGC(t *testing.T) {
 	}
 }
 
-// TestEmptyScopeExcludesWholeTable: a read whose footprint names one
+// TestSharedReadHolderBlocksDDL: a read whose footprint names one
 // partition, not the table, still executes — and builds its
 // column-dependent handles — under the table's shared lock, so DDL's
 // exclusive lock must wait for it like for any other holder.
-func TestEmptyScopeExcludesWholeTable(t *testing.T) {
+func TestSharedReadHolderBlocksDDL(t *testing.T) {
 	db := newDB(t)
 	cs, err := db.Prepare("SELECT * FROM pages WHERE editor = 10")
 	if err != nil {

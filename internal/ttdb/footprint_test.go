@@ -19,8 +19,8 @@ func partStrings(ps []Partition) []string {
 // TestFootprint: one template per statement, one resolve per execution,
 // and everything that names the statement's partitions — StmtPartitions
 // (the admission gate's), Record.ReadPartitions — reads that resolve.
-// pages is partitioned by title (TEXT) and editor (INTEGER); "the lock
-// column" in case names is title, the first declared one.
+// pages is partitioned by title (TEXT) and editor (INTEGER); "the first
+// partition column" in case names is title, the first declared one.
 func TestFootprint(t *testing.T) {
 	whole := []string{"pages/*"}
 	cases := []struct {
@@ -41,7 +41,7 @@ func TestFootprint(t *testing.T) {
 			reads: []string{"pages/title=tMain", "pages/title=tHelp", "pages/title=tMain"}},
 		{name: "both partition columns", src: "SELECT * FROM pages WHERE editor = 10 AND content != '' AND title = 'Main'",
 			reads: []string{"pages/editor=i10", "pages/title=tMain"}},
-		{name: "only the non-lock column", src: "DELETE FROM pages WHERE editor = ?", params: []sqldb.Value{sqldb.Int(11)},
+		{name: "WHERE without the first partition column", src: "DELETE FROM pages WHERE editor = ?", params: []sqldb.Value{sqldb.Int(11)},
 			reads: []string{"pages/editor=i11"}},
 		{name: "non-constant IN member", src: "SELECT * FROM pages WHERE title IN ('Main', content)",
 			reads: whole},
@@ -60,7 +60,7 @@ func TestFootprint(t *testing.T) {
 		// Rows an UPDATE moves into another partition go unnamed: the
 		// footprint is what the WHERE binds, and only the executed write
 		// records where the rows landed.
-		{name: "SET of the lock column", src: "UPDATE pages SET title = 'Moved' WHERE title = 'Main'",
+		{name: "SET of the first partition column bound alone", src: "UPDATE pages SET title = 'Moved' WHERE title = 'Main'",
 			reads: []string{"pages/title=tMain"}},
 		{name: "SET of the first partition column", src: "UPDATE pages SET title = ? WHERE editor = ? AND title = 'Help'",
 			params: []sqldb.Value{sqldb.Text("Moved"), sqldb.Int(10)},
@@ -79,9 +79,9 @@ func TestFootprint(t *testing.T) {
 			reads:  []string{"pages/editor=i13", "pages/title=tNew"}},
 		{name: "multi-row INSERT", src: "INSERT INTO pages (page_id, title, editor) VALUES (8, 'B', 12), (9, 'A', 12)",
 			reads: []string{"pages/editor=i12", "pages/title=tA", "pages/title=tB"}},
-		{name: "INSERT missing the lock column", src: "INSERT INTO pages (page_id, editor) VALUES (9, 12)", noExec: true,
+		{name: "INSERT missing the first partition column", src: "INSERT INTO pages (page_id, editor) VALUES (9, 12)", noExec: true,
 			reads: []string{"pages/*", "pages/editor=i12"}},
-		{name: "INSERT of a non-constant lock value", src: "INSERT INTO pages (page_id, title, editor) VALUES (9, 'a' || 'b', 12)",
+		{name: "INSERT of a non-constant first partition column value", src: "INSERT INTO pages (page_id, title, editor) VALUES (9, 'a' || 'b', 12)",
 			reads: []string{"pages/*", "pages/editor=i12"}},
 		{name: "failed INSERT", src: "INSERT INTO pages (page_id, title, editor) VALUES (1, 'Dup', 12)", fails: true,
 			reads: []string{"pages/editor=i12", "pages/title=tDup"}},

@@ -53,8 +53,8 @@ func (db *DB) BeginRepair() (int64, error) {
 
 // FinishRepair atomically makes the repaired generation current. The caller
 // (WARP's core) is responsible for briefly suspending the web server and
-// draining final requests first (§4.3), and for ensuring all repair workers
-// have completed. Rows visible only to older generations are purged.
+// draining final requests first (§4.3), and for ensuring the repair's
+// re-executions have completed. Rows visible only to older generations are purged.
 // The purge changes only tables this repair already changed, so it
 // moves no checkpoint stamp a repair operation did not (persist.go).
 func (db *DB) FinishRepair() error {

@@ -23,8 +23,8 @@
 //
 // # Concurrency
 //
-// The database is safe for concurrent use by normal execution and by
-// parallel repair workers. Locking is layered:
+// The database is safe for concurrent use by normal execution and by a
+// repair running beside it. Locking is layered:
 //
 //   - db.mu guards generation/repair/GC state and table annotations;
 //   - db.tablesMu guards the table registry;

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"warp/internal/attacks"
@@ -11,12 +12,14 @@ import (
 // clickjacking repair queues conflicts for the victims; each victim then
 // resolves their conflict by canceling the page visit, and the framed
 // interaction's effects are undone for good: the deployment equals the
-// attack-free twin, with one repair worker and with two.
+// attack-free twin. The subtests' workers is GOMAXPROCS: the repair loop
+// runs one item at a time, so the outcome must not depend on it.
 func TestConflictResolutionByCancel(t *testing.T) {
 	sc, _ := attacks.ByName("Clickjacking")
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			res, err := Run(Config{Users: 8, Victims: 2, Seed: 17, Scenario: sc, RepairWorkers: workers})
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+			res, err := Run(Config{Users: 8, Victims: 2, Seed: 17, Scenario: sc})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -38,9 +38,6 @@ type Config struct {
 	// Replay overrides the browser re-execution configuration (Table 4's
 	// degraded modes); nil means full WARP replay.
 	Replay *browser.ReplayConfig
-	// RepairWorkers sets the parallel repair worker count (0 means
-	// GOMAXPROCS, 1 the serial engine).
-	RepairWorkers int
 	// DataDir, when non-empty, runs the workload against a durable
 	// deployment (core.Open) persisting under this directory; the
 	// durability benchmarks use it to measure WAL overhead on the
@@ -94,8 +91,7 @@ func run(cfg Config, fixed bool) (*Result, error) {
 		return nil, fmt.Errorf("workload: %d victims do not fit in %d users", cfg.Victims, cfg.Users)
 	}
 
-	ccfg := core.Config{Seed: cfg.Seed, Replay: cfg.Replay, RepairWorkers: cfg.RepairWorkers,
-		Durability: cfg.Durability}
+	ccfg := core.Config{Seed: cfg.Seed, Replay: cfg.Replay, Durability: cfg.Durability}
 	var w *core.Warp
 	durable := cfg.DataDir != ""
 	if durable {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -150,8 +151,9 @@ func TestCleanWorkload(t *testing.T) {
 
 // TestGroundTruth holds the paper's contract on every §8.2 scenario:
 // repair leaves the state the attack-free twin reaches, with victims at
-// the start and at the end of the workload, on the serial engine and
-// with two repair workers.
+// the start and at the end of the workload. The subtests' workers is
+// GOMAXPROCS: the repair loop runs one item at a time, so the repaired
+// state must not depend on how many threads run Go code.
 func TestGroundTruth(t *testing.T) {
 	for _, sc := range attacks.Scenarios() {
 		for _, atStart := range []bool{false, true} {
@@ -159,8 +161,9 @@ func TestGroundTruth(t *testing.T) {
 				for _, seed := range []int64{1234, 7} {
 					name := fmt.Sprintf("%s/start=%v/workers=%d/seed=%d", sc.Name, atStart, workers, seed)
 					t.Run(name, func(t *testing.T) {
+						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 						res, err := Run(Config{Users: 12, Victims: 3, Seed: seed, Scenario: sc,
-							VictimsAtStart: atStart, RepairWorkers: workers})
+							VictimsAtStart: atStart})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -171,6 +174,42 @@ func TestGroundTruth(t *testing.T) {
 							t.Fatalf("under-repair = %d rows (err %v), want 0", n, err)
 						}
 					})
+				}
+			}
+		}
+	}
+}
+
+// TestRepairCountsIgnoreGOMAXPROCS holds that a repair's outcome is a
+// function of its seed: Table 7's CSRF row (every visit replays through
+// a browser) and its ACL-error row (an administrator's undo), at the
+// table's size and seed, repaired three times at each of GOMAXPROCS 1, 2
+// and 4, must report the same visits, runs, cancelled runs, queries and
+// conflicts every time.
+func TestRepairCountsIgnoreGOMAXPROCS(t *testing.T) {
+	type counts struct{ visits, runs, cancelled, queries, conflicts int }
+	for _, name := range []string{"CSRF", "ACL error"} {
+		sc, _ := attacks.ByName(name)
+		var first *counts
+		for _, procs := range []int{1, 2, 4} {
+			for rep := 0; rep < 3; rep++ {
+				got := func() counts {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					res, err := Run(Config{Users: 100, Victims: 3, Seed: 3000, Scenario: sc})
+					if err != nil {
+						t.Fatal(err)
+					}
+					r, err := sc.Repair(res.Env)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return counts{r.PageVisitsReplayed, r.AppRunsReexecuted, r.RunsCancelled, r.QueriesReexecuted, len(r.Conflicts)}
+				}()
+				if first == nil {
+					first = &got
+					t.Logf("%s: %+v", name, got)
+				} else if got != *first {
+					t.Fatalf("%s at GOMAXPROCS %d, repetition %d: %+v, first run %+v", name, procs, rep, got, *first)
 				}
 			}
 		}

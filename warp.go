@@ -27,18 +27,12 @@
 //     edits three-way, so attacks that ran through users' browsers (XSS,
 //     CSRF, clickjacking) are undone without losing the users' work.
 //
-// Beyond the paper, repair is executed by a dependency-scheduled parallel
-// engine (docs/repair.md): work items whose time-travel partitions are
-// disjoint re-execute concurrently on Config.RepairWorkers workers
-// (default GOMAXPROCS), while conflicting items keep the paper's time
-// order. The dependency frontier admits same-table items whose
-// partitions do not overlap, and page-visit replays are exclusive only
-// per client, so repairs of one hot table overlap across workers too;
-// the database holds one lock per table for each statement or rollback
-// (internal/ttdb), which its single-statement engine would serialize
-// anyway. There is one
-// drain loop: with RepairWorkers = 1 it hands out the heap minimum each
-// time, after the previous item finished — the paper's serial loop.
+// Repair runs the paper's loop (docs/repair.md): it takes the earliest
+// queued work item, re-executes it, and repeats, so the same history and
+// repair give the same outcome on any machine. Beyond the paper, repair
+// runs online: live requests keep executing beside it, and a live write
+// waits only while it collides with the item in flight or with a
+// partition the repair has claimed.
 //
 // A System wires together the substrates in internal/: the SQL engine
 // (sqldb), the time-travel layer (ttdb), the action history graph
