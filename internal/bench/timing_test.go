@@ -28,14 +28,12 @@ func fullRepairTiming(t *testing.T) core.Timing {
 	return rep.Timing
 }
 
-// TestRepairTimingSerialSplit: the repair loop runs one item at a time,
-// so the layers do not overlap and the split is a partition of the wall
-// time — every layer gets a share, none is negative, and the shares
-// (Ctrl being the remainder) sum to Total. A run or visit finds the
-// application's and the browser's share by subtracting the time booked
-// by calls nested under its own; twenty repetitions hold that no share
-// goes negative.
-func TestRepairTimingSerialSplit(t *testing.T) {
+// TestRepairTimingNonNegative: a run or visit finds the application's
+// and the browser's share by subtracting the database (and application)
+// time booked by calls nested under its own, not a delta of the
+// session-wide totals; twenty repetitions hold that no share goes
+// negative.
+func TestRepairTimingNonNegative(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		tm := fullRepairTiming(t)
 		for name, d := range map[string]int64{
@@ -46,11 +44,19 @@ func TestRepairTimingSerialSplit(t *testing.T) {
 				t.Fatalf("repetition %d: Timing.%s = %d ns, want >= 0 (%+v)", i, name, d, tm)
 			}
 		}
-		if tm.Browser <= 0 || tm.DB <= 0 || tm.App <= 0 || tm.Ctrl <= 0 {
-			t.Fatalf("repetition %d: split leaves a layer empty: %+v", i, tm)
-		}
-		if sum := tm.Init + tm.Graph + tm.Browser + tm.DB + tm.App + tm.Ctrl; sum != tm.Total {
-			t.Fatalf("repetition %d: split sums to %v, Total is %v (%+v)", i, sum, tm.Total, tm)
-		}
+	}
+}
+
+// TestRepairTimingSerialSplit: the repair loop runs one item at a time,
+// so the layers do not overlap and the split is a partition of the wall
+// time — every layer gets a share, and the shares (Ctrl being the
+// remainder) sum to Total.
+func TestRepairTimingSerialSplit(t *testing.T) {
+	tm := fullRepairTiming(t)
+	if tm.Browser <= 0 || tm.DB <= 0 || tm.App <= 0 || tm.Ctrl <= 0 {
+		t.Fatalf("split leaves a layer empty: %+v", tm)
+	}
+	if sum := tm.Init + tm.Graph + tm.Browser + tm.DB + tm.App + tm.Ctrl; sum != tm.Total {
+		t.Fatalf("split sums to %v, Total is %v (%+v)", sum, tm.Total, tm)
 	}
 }
