@@ -197,6 +197,7 @@ type Table7Row struct {
 
 	VisitsReplayed, VisitsTotal   int
 	RunsReexecuted, RunsTotal     int
+	FreshRuns                     int // runs of requests never recorded
 	QueriesReexecuted, QueryTotal int
 
 	OriginalExec time.Duration
@@ -268,6 +269,7 @@ func runPerfScenario(label, name string, users int, victimsAtStart bool) (*Table
 		VisitsTotal:       rep.TotalPageVisits,
 		RunsReexecuted:    rep.AppRunsReexecuted,
 		RunsTotal:         rep.TotalAppRuns,
+		FreshRuns:         rep.FreshRuns,
 		QueriesReexecuted: rep.QueriesReexecuted,
 		QueryTotal:        rep.TotalQueries,
 		OriginalExec:      res.OriginalExecTime,

@@ -75,13 +75,13 @@ func FormatTable5(rows []Table5Row) string {
 func FormatTable7(title string, rows []Table7Row) string {
 	var b strings.Builder
 	b.WriteString(title + "\n")
-	fmt.Fprintf(&b, "%-33s %15s %15s %17s %10s %10s  %s\n",
-		"Attack scenario", "Page visits", "App runs", "SQL queries", "Orig exec", "Repair", "breakdown (graph/browser/db/app/ctrl)")
+	fmt.Fprintf(&b, "%-33s %15s %15s %10s %17s %10s %10s  %s\n",
+		"Attack scenario", "Page visits", "App runs", "Fresh runs", "SQL queries", "Orig exec", "Repair", "breakdown (graph/browser/db/app/ctrl)")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-33s %7d/%-7d %7d/%-7d %8d/%-8d %10s %10s  %s/%s/%s/%s/%s\n",
+		fmt.Fprintf(&b, "%-33s %7d/%-7d %7d/%-7d %10d %8d/%-8d %10s %10s  %s/%s/%s/%s/%s\n",
 			r.Scenario,
 			r.VisitsReplayed, r.VisitsTotal,
-			r.RunsReexecuted, r.RunsTotal,
+			r.RunsReexecuted, r.RunsTotal, r.FreshRuns,
 			r.QueriesReexecuted, r.QueryTotal,
 			round(r.OriginalExec), round(r.Repair.Total),
 			round(r.Repair.Graph), round(r.Repair.Browser), round(r.Repair.DB),

@@ -33,6 +33,7 @@ func TestFormatTable7FixedInput(t *testing.T) {
 			Scenario:       "Stored XSS",
 			VisitsReplayed: 4, VisitsTotal: 400,
 			RunsReexecuted: 6, RunsTotal: 600,
+			FreshRuns:         3,
 			QueriesReexecuted: 40, QueryTotal: 4000,
 			OriginalExec: 1500 * time.Millisecond,
 			Repair: core.Timing{
@@ -47,7 +48,7 @@ func TestFormatTable7FixedInput(t *testing.T) {
 		"Table 7: WARP repairs attacks.",
 		"Stored XSS",
 		"4/400",
-		"6/600",
+		"6/600              3",
 		"40/4000",
 		"1.5s",
 		"42ms",

@@ -163,13 +163,15 @@ func (g *gate) wait(t *testing.T, what string) {
 	}
 }
 
-// liveReadRun repairs a deployment whose one note from owner a the patch
-// rewrites. The repair pauses inside that note's re-execution, after it
-// has dirtied a's partition, while a live request copies a's notes into
-// owner b's copies. Online, the live request runs there and then; on the
-// stop-the-world baseline it waits for the commit. It returns the
-// copies table.
-func liveReadRun(t *testing.T, exclusive bool) []string {
+// liveRun repairs a deployment whose one note from owner a (id 2) the
+// patch rewrites. The repair pauses inside that note's re-execution —
+// after it has dirtied a's partition, or, with beforeWrite, before it
+// writes it, so the partition is not yet claimed — while a live request
+// for liveURL is served. Online, the live request runs there and then;
+// on the stop-the-world baseline it waits for the commit. It returns the
+// notes and copies tables and how many live writes the admission gate
+// held while the repair paused.
+func liveRun(t *testing.T, exclusive, beforeWrite bool, liveURL string) (notes, copies []string, queued uint64) {
 	cfg := Config{Seed: 5}
 	w := New(cfg)
 	if exclusive {
@@ -186,35 +188,44 @@ func liveReadRun(t *testing.T, exclusive bool) []string {
 	serve(t, w, "/note?id=2&owner=a&body=<b>a</b>")
 	serve(t, w, "/note?id=3&owner=c&body=<i>c2</i>")
 
-	dirtied, resume := newGate(), newGate()
-	patched := noteHandler(true, func(owner string) {
-		if owner == "a" {
-			dirtied.open()
-			resume.wait(t, "the live request")
+	paused, resume := newGate(), newGate()
+	patched := func(c *app.Ctx) *httpd.Response {
+		pause := func(string) {
+			if c.Req.Param("id") == "2" {
+				paused.open()
+				resume.wait(t, "the live request")
+			}
 		}
-	})
+		if !beforeWrite {
+			return noteHandler(true, pause)(c)
+		}
+		pause("")
+		return noteHandler(true, nil)(c)
+	}
 	done := make(chan error, 1)
 	go func() {
 		_, err := w.RetroPatch("note.php", app.Version{Entry: patched, Note: "escape"})
 		done <- err
 	}()
-	dirtied.wait(t, "the re-execution of a's note")
+	paused.wait(t, "the re-execution of a's note")
+	queued = liveWritesQueued.Value()
 	live := make(chan struct{})
 	go func() {
 		defer close(live)
-		if resp := w.HandleRequest(httpd.NewRequest("GET", "/copy?id=1&from=a&to=b")); resp.Status != 200 {
+		if resp := w.HandleRequest(httpd.NewRequest("GET", liveURL)); resp.Status != 200 {
 			t.Errorf("live request: status %d", resp.Status)
 		}
 	}()
 	if !exclusive {
-		<-live // lands mid-drain, after a's partition was dirtied
+		<-live // lands mid-drain
 	}
+	queued = liveWritesQueued.Value() - queued
 	resume.open()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 	<-live
-	return tableRows(t, w, "copies")
+	return tableRows(t, w, "notes"), tableRows(t, w, "copies"), queued
 }
 
 // TestLiveReadOfDirtiedPartitionConverges: a live request lands mid-drain,
@@ -224,12 +235,65 @@ func liveReadRun(t *testing.T, exclusive bool) []string {
 // settled) and re-executes it, and the result must equal the
 // stop-the-world baseline's, where the request runs after the commit.
 func TestLiveReadOfDirtiedPartitionConverges(t *testing.T) {
-	exclusive := liveReadRun(t, true)
+	const copyAB = "/copy?id=1&from=a&to=b"
+	_, exclusive, _ := liveRun(t, true, false, copyAB)
 	if want := []string{"1|b|&lt;b&gt;a&lt;/b&gt;"}; strings.Join(exclusive, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("baseline copies = %q, want %q", exclusive, want)
 	}
-	if online := liveReadRun(t, false); strings.Join(online, "\n") != strings.Join(exclusive, "\n") {
+	if _, online, _ := liveRun(t, false, false, copyAB); strings.Join(online, "\n") != strings.Join(exclusive, "\n") {
 		t.Fatalf("online copies = %q, baseline %q", online, exclusive)
+	}
+}
+
+// TestLiveWriteOnUnclaimedPartitionRunsAtOnce: a live write into a
+// partition the repair has not claimed executes without waiting, even
+// while the item in flight is about to write that partition. What it
+// changed is folded in by the fixpoint, so the result must equal the
+// stop-the-world baseline's, where the write runs after the commit.
+func TestLiveWriteOnUnclaimedPartitionRunsAtOnce(t *testing.T) {
+	const noteA = "/note?id=9&owner=a&body=live"
+	exclusive, _, _ := liveRun(t, true, true, noteA)
+	want := []string{"1|c|&lt;i&gt;c1&lt;/i&gt;", "2|a|&lt;b&gt;a&lt;/b&gt;", "3|c|&lt;i&gt;c2&lt;/i&gt;", "9|a|live"}
+	if strings.Join(exclusive, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("baseline notes = %q, want %q", exclusive, want)
+	}
+	online, _, queued := liveRun(t, false, true, noteA)
+	if queued != 0 {
+		t.Errorf("the admission gate held %d live writes on an unclaimed partition", queued)
+	}
+	if strings.Join(online, "\n") != strings.Join(exclusive, "\n") {
+		t.Fatalf("online notes = %q, baseline %q", online, exclusive)
+	}
+}
+
+// TestDroppedWriteBeforeOwnReadConverges: the patch drops a run's note
+// into x, which came before the run's own read of x, and the run copies
+// what it read into copies. The re-executed run reads x before its
+// dropped write is rolled back, so its copy is stale until the fixpoint
+// re-checks that read; copies must end without the dropped note.
+func TestDroppedWriteBeforeOwnReadConverges(t *testing.T) {
+	w := New(Config{Seed: 5})
+	script := func(patched bool) app.Script {
+		return func(c *app.Ctx) *httpd.Response {
+			if !patched {
+				c.MustQuery("INSERT INTO notes (id, owner, body) VALUES (?, ?, ?)",
+					sqldb.Int(atoiTest(c.Req.Param("id"))), sqldb.Text("x"), sqldb.Text("evil"))
+			}
+			c.MustQuery("INSERT INTO copies (id, owner, body) VALUES (?, ?, ?)",
+				sqldb.Int(atoiTest(c.Req.Param("id"))), sqldb.Text("y"), sqldb.Text(notesOf(c, "x")))
+			return httpd.HTML("<html><body>copied</body></html>")
+		}
+	}
+	newConvergeApp(t, w, map[string]app.Script{"/app": script(false)})
+	serve(t, w, "/app?id=1")
+	if _, err := w.RetroPatch("app.php", app.Version{Entry: script(true), Note: "drop the note"}); err != nil {
+		t.Fatal(err)
+	}
+	if rows := tableRows(t, w, "notes"); len(rows) != 0 {
+		t.Fatalf("notes = %q, want the dropped note gone", rows)
+	}
+	if rows, want := tableRows(t, w, "copies"), []string{"1|y|"}; strings.Join(rows, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("copies = %q, want %q", rows, want)
 	}
 }
 

@@ -35,9 +35,9 @@ var (
 	repairItemHist = obs.NewHistogram("warp_core_repair_item_seconds")
 
 	// Online-repair seam metrics (admission.go, replay.go).
-	// liveWritesQueued counts live writes that hit the admission gate
-	// with a footprint conflicting an in-flight repair item;
-	// liveWritesWaiting is how many are waiting right now.
+	// liveWritesQueued counts live writes the admission gate held: DDL,
+	// and writes into partitions the repair claimed; liveWritesWaiting
+	// is how many are waiting right now.
 	liveWritesQueued  = obs.NewCounter("warp_core_live_writes_queued_total")
 	liveWritesWaiting = obs.NewGauge("warp_core_live_writes_waiting")
 	// liveWritesMerged counts live writes the replay loop reconciled with

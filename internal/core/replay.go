@@ -23,13 +23,14 @@ import (
 )
 
 // book adds to one layer's total the time since t0 that calls nested
-// under it have not booked already — they advance *booked past before —
-// and books it in turn. A caller finds its own share from this call-local
-// tally, so the layers' shares partition the repair's wall time.
-func (rs *session) book(layer *atomic.Int64, t0 time.Time, before time.Duration, booked *time.Duration) {
-	d := time.Since(t0) - (*booked - before)
+// under it have not booked already — they advance rs.booked past before,
+// the tally the caller read at t0 — and books it in turn. Every share of
+// the repair's wall time goes through this one tally, so the layers'
+// shares partition it and Timing.Ctrl is what none of them claimed.
+func (rs *session) book(layer *atomic.Int64, t0 time.Time, before time.Duration) {
+	d := time.Since(t0) - (rs.booked - before)
 	layer.Add(int64(d))
-	*booked += d
+	rs.booked += d
 }
 
 //
@@ -64,7 +65,7 @@ func (rs *session) processQuery(it *workItem) error {
 	if err != nil {
 		return fmt.Errorf("warp: re-executing %q: %w", rec.SQL, err)
 	}
-	_, newRec, n, err := rs.reExec(cs, params, rec.Time, origForReExec(rec), new(time.Duration))
+	_, newRec, n, err := rs.reExec(cs, params, rec.Time, origForReExec(rec))
 	rs.markQuery(act.ID, n)
 	if err != nil && newRec == nil {
 		return fmt.Errorf("warp: re-executing %q: %w", rec.SQL, err)
@@ -158,11 +159,11 @@ func (rs *session) mergeLiveText(orig *ttdb.Record, params []sqldb.Value) []sqld
 // reExec re-executes one statement at time t in the repair generation
 // and files the dirt of what it changed. It returns the dirt number
 // current when the execution began, read before it (settledLocked).
-func (rs *session) reExec(cs *sqldb.CachedStmt, params []sqldb.Value, t int64, orig *ttdb.Record, booked *time.Duration) (*sqldb.Result, *ttdb.Record, int64, error) {
+func (rs *session) reExec(cs *sqldb.CachedStmt, params []sqldb.Value, t int64, orig *ttdb.Record) (*sqldb.Result, *ttdb.Record, int64, error) {
 	n := rs.dirtSeq.Load()
-	t0 := time.Now()
+	t0, before := time.Now(), rs.booked
 	res, rec, err := rs.w.DB.ReExecPrepared(cs, params, t, orig)
-	rs.book(&rs.tDB, t0, *booked, booked)
+	rs.book(&rs.tDB, t0, before)
 	var ce *ttdb.ChangedError
 	switch {
 	case rec != nil && rec.IsWrite():
@@ -226,7 +227,7 @@ func (rs *session) processRun(it *workItem) error {
 	}
 	// The recorded request is immutable (httpd.Request), so it re-executes
 	// as it is.
-	_, err := rs.executeRun(act, payload.Rec.Req, new(time.Duration))
+	_, err := rs.executeRun(act, payload.Rec.Req)
 	return err
 }
 
@@ -284,7 +285,7 @@ func (rs *session) runClean(payload *RunPayload) bool {
 // re-matching its queries, undoing writes it no longer performs, and
 // cascading to the browser when its response changed. Returns the new
 // response.
-func (rs *session) executeRun(origAct *history.Action, req *httpd.Request, booked *time.Duration) (*httpd.Response, error) {
+func (rs *session) executeRun(origAct *history.Action, req *httpd.Request) (*httpd.Response, error) {
 	origPayload := origAct.Payload.(*RunPayload)
 	orig := origPayload.Rec
 	node := origAct.Exchange
@@ -336,7 +337,7 @@ func (rs *session) executeRun(origAct *history.Action, req *httpd.Request, booke
 			ns = append(ns, n)
 			return rec.Result, rec, nil
 		}
-		res, newRec, n, err := rs.reExec(cs, params, t, origRec, booked)
+		res, newRec, n, err := rs.reExec(cs, params, t, origRec)
 		if newRec != nil {
 			lastTime = newRec.Time
 			ns = append(ns, n)
@@ -347,9 +348,9 @@ func (rs *session) executeRun(origAct *history.Action, req *httpd.Request, booke
 		return res, newRec, err
 	}
 
-	t0, before := time.Now(), *booked
+	t0, before := time.Now(), rs.booked
 	newRec, err := rs.w.Runtime.Run(file, req, qf, orig)
-	rs.book(&rs.tApp, t0, before, booked)
+	rs.book(&rs.tApp, t0, before)
 	if err != nil {
 		return nil, err
 	}
@@ -358,7 +359,7 @@ func (rs *session) executeRun(origAct *history.Action, req *httpd.Request, booke
 	// Undo the effects of original queries the new code no longer issues
 	// (e.g. the attack's writes, §2.2).
 	for _, rec := range matcher.unconsumedWrites() {
-		if err := rs.rollbackWrite(rec, booked); err != nil {
+		if err := rs.rollbackWrite(rec); err != nil {
 			return nil, err
 		}
 	}
@@ -406,17 +407,17 @@ func (rs *session) cascadeToBrowser(req *httpd.Request) {
 }
 
 // rollbackWrite undoes one recorded write query.
-func (rs *session) rollbackWrite(rec *ttdb.Record, booked *time.Duration) error {
+func (rs *session) rollbackWrite(rec *ttdb.Record) error {
 	if len(rec.WriteRowIDs) == 0 {
 		rs.addDirt(rec.WritePartitions, rec.Time)
 		return nil
 	}
 	rs.tracef("rollback write t=%d table=%s rows=%d sql=%.60s", rec.Time, rec.Table, len(rec.WriteRowIDs), rec.SQL)
-	t0 := time.Now()
+	t0, before := time.Now(), rs.booked
 	sp := rs.obsTrace.Begin("rollback")
 	dirt, err := rs.w.DB.RollbackRows(rec.Table, rec.WriteRowIDs, rec.Time)
 	sp.End()
-	rs.book(&rs.tDB, t0, *booked, booked)
+	rs.book(&rs.tDB, t0, before)
 	if err != nil {
 		rs.addDirt(dirt, rec.Time) // the rows it reverted before failing
 		return err
@@ -454,7 +455,7 @@ func (rs *session) undoRun(payload *RunPayload, clientID string, visitID int64) 
 	}
 	for _, q := range payload.Rec.Queries {
 		if q.IsWrite() {
-			if err := rs.rollbackWrite(q, new(time.Duration)); err != nil {
+			if err := rs.rollbackWrite(q); err != nil {
 				// Rollback beyond the GC horizon is the only failure here;
 				// surface it as a conflict rather than wedging repair.
 				rs.addConflict(browser.Conflict{
@@ -500,7 +501,7 @@ func (rs *session) cancelVisitTree(log *browser.VisitLog) {
 // repairTransport serves HTTP requests from replayed browsers: it prunes
 // unchanged requests and re-executes affected runs in the repair
 // generation.
-func (rs *session) repairTransport(req *httpd.Request, booked *time.Duration) *httpd.Response {
+func (rs *session) repairTransport(req *httpd.Request) *httpd.Response {
 	node := exchangeOf(req)
 	rs.mu.Lock()
 	e, ok := rs.served[node]
@@ -511,7 +512,7 @@ func (rs *session) repairTransport(req *httpd.Request, booked *time.Duration) *h
 	origAct := rs.origRunFor(node)
 	if origAct == nil {
 		// A request with no original counterpart: fresh execution.
-		return rs.freshRun(req, booked)
+		return rs.freshRun(req)
 	}
 	payload := origAct.Payload.(*RunPayload)
 	if req.Equal(payload.Rec.Req) && rs.runClean(payload) {
@@ -519,7 +520,7 @@ func (rs *session) repairTransport(req *httpd.Request, booked *time.Duration) *h
 		// (§5.3 pruning).
 		return payload.Rec.Resp
 	}
-	resp, err := rs.executeRun(origAct, req, booked)
+	resp, err := rs.executeRun(origAct, req)
 	if err != nil {
 		return httpd.ServerError(err.Error())
 	}
@@ -528,7 +529,7 @@ func (rs *session) repairTransport(req *httpd.Request, booked *time.Duration) *h
 
 // freshRun executes a request that never happened in the original
 // timeline (e.g. a patched page newly navigating somewhere).
-func (rs *session) freshRun(req *httpd.Request, booked *time.Duration) *httpd.Response {
+func (rs *session) freshRun(req *httpd.Request) *httpd.Response {
 	file, ok := rs.w.Runtime.RouteOf(req.Path)
 	if !ok {
 		return httpd.NotFound("no route for " + req.Path)
@@ -541,21 +542,21 @@ func (rs *session) freshRun(req *httpd.Request, booked *time.Duration) *httpd.Re
 		if err != nil {
 			return nil, nil, err
 		}
-		res, rec, n, err := rs.reExec(cs, params, lastTime, nil, booked)
+		res, rec, n, err := rs.reExec(cs, params, lastTime, nil)
 		if rec != nil {
 			ns = append(ns, n)
 		}
 		return res, rec, err
 	}
-	t0, before := time.Now(), *booked
+	t0, before := time.Now(), rs.booked
 	rec, err := rs.w.Runtime.Run(file, req, qf, nil)
-	rs.book(&rs.tApp, t0, before, booked)
+	rs.book(&rs.tApp, t0, before)
 	if err != nil {
 		return httpd.ServerError(err.Error())
 	}
-	rs.markRun(history.ActionID(-rs.nextSeq())) // fresh runs get synthetic ids
 	rs.noteRun(rs.w.recordRun(rec, true), ns)
 	rs.mu.Lock()
+	rs.rep.FreshRuns++
 	rs.served[exchangeOf(req)] = &servedEntry{req: req, resp: rec.Resp}
 	rs.mu.Unlock()
 	return rec.Resp
@@ -615,8 +616,7 @@ func (rs *session) processVisit(it *workItem) error {
 			}
 		}
 	}
-	var booked time.Duration // by the requests this visit's replay serves
-	transport := func(req *httpd.Request) *httpd.Response { return rs.repairTransport(req, &booked) }
+	transport := rs.repairTransport
 	var mainResp *httpd.Response
 	if it.hasNav {
 		req := rs.buildRequest(it.navMethod, it.navURL, it.navForm, it.client, it.visit, mainRequestID(vlog), jar)
@@ -629,10 +629,10 @@ func (rs *session) processVisit(it *workItem) error {
 		}
 	}
 
-	t0, before := time.Now(), booked
+	t0, before := time.Now(), rs.booked
 	out := browser.ReplayVisit(vlog, mainResp, origBody, jar, transport, rs.cfg)
 	// Nested serve time is the DB's and the App's, the rest the browser's.
-	rs.book(&rs.tBrowser, t0, before, &booked)
+	rs.book(&rs.tBrowser, t0, before)
 
 	rs.tracef("replayed visit %s/%d url=%s navs=%d conflicts=%d unmatched=%d", it.client, it.visit, vlog.URL, len(out.Navigations), len(out.Conflicts), len(out.UnmatchedOriginals))
 	rs.setReplayConflicts(key, out.Conflicts)

@@ -27,9 +27,13 @@ type Report struct {
 	Generation int64
 
 	PageVisitsReplayed int
-	AppRunsReexecuted  int
+	AppRunsReexecuted  int // distinct recorded runs re-executed
 	QueriesReexecuted  int
 	RunsCancelled      int
+	// FreshRuns counts executions of requests the original timeline never
+	// served (a patched page navigating somewhere new); they are not among
+	// the TotalAppRuns recorded runs.
+	FreshRuns int
 
 	TotalPageVisits int
 	TotalAppRuns    int
@@ -55,10 +59,10 @@ func (r *Report) UsersWithConflicts() int {
 // String renders the report in the paper's Table 7 row style.
 func (r *Report) String() string {
 	return fmt.Sprintf(
-		"gen %d: visits %d/%d, runs %d/%d (+%d cancelled), queries %d/%d, conflicts %d (users %d), total %v (init %v graph %v browser %v db %v app %v ctrl %v)",
+		"gen %d: visits %d/%d, runs %d/%d (+%d cancelled, +%d fresh), queries %d/%d, conflicts %d (users %d), total %v (init %v graph %v browser %v db %v app %v ctrl %v)",
 		r.Generation,
 		r.PageVisitsReplayed, r.TotalPageVisits,
-		r.AppRunsReexecuted, r.TotalAppRuns, r.RunsCancelled,
+		r.AppRunsReexecuted, r.TotalAppRuns, r.RunsCancelled, r.FreshRuns,
 		r.QueriesReexecuted, r.TotalQueries,
 		len(r.Conflicts), r.UsersWithConflicts(),
 		r.Timing.Total.Round(time.Microsecond),

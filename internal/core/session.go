@@ -85,7 +85,9 @@ type session struct {
 	obsTrace *obs.Trace
 
 	// timing, in nanoseconds; atomic so they can be read while a repair
-	// accounts.
+	// accounts. booked is their sum, the one tally book advances; only
+	// the repair goroutine books.
+	booked   time.Duration
 	tInit    atomic.Int64
 	tGraph   atomic.Int64
 	tBrowser atomic.Int64
@@ -308,14 +310,14 @@ func (rs *session) partitionNodes(p ttdb.Partition) []history.Node {
 // terminate: re-executing an action at time t can only ever enqueue work
 // later than t.
 func (rs *session) propagate(p ttdb.Partition, from int64) {
-	t0 := time.Now()
+	t0, before := time.Now(), rs.booked
 	nodes := rs.partitionNodes(p)
 	var acts []*history.Action
 	for _, n := range nodes {
 		acts = append(acts, rs.w.Graph.Readers(n, from+1)...)
 		acts = append(acts, rs.w.Graph.Writers(n, from+1)...)
 	}
-	rs.tGraph.Add(int64(time.Since(t0)))
+	rs.book(&rs.tGraph, t0, before)
 	rs.mu.Lock()
 	log, unsettled := rs.dirtLog[p], acts[:0]
 	for _, a := range acts {
@@ -429,7 +431,7 @@ func (w *Warp) RetroPatch(file string, v app.Version) (*Report, error) {
 func (w *Warp) RetroPatchSince(file string, v app.Version, since int64) (*Report, error) {
 	intent := &RepairIntent{Kind: IntentRetroPatch, File: file, Note: v.Note, Since: since}
 	return w.repair(intent, func(rs *session) error {
-		t0 := time.Now()
+		t0, before := time.Now(), rs.booked
 		if err := w.Runtime.Patch(file, v); err != nil {
 			return err
 		}
@@ -440,15 +442,15 @@ func (w *Warp) RetroPatchSince(file string, v app.Version, since int64) (*Report
 			Outputs: []history.Dep{{Node: fileNode, Time: since}},
 			Payload: v.Note,
 		})
-		tg := time.Now()
+		tg, beforeG := time.Now(), rs.booked
 		runs := w.Graph.Readers(fileNode, since)
-		rs.tGraph.Add(int64(time.Since(tg)))
+		rs.book(&rs.tGraph, tg, beforeG)
 		for _, a := range runs {
 			if a.Kind == history.KindAppRun {
 				rs.enqueueRun(a)
 			}
 		}
-		rs.tInit.Add(int64(time.Since(t0)))
+		rs.book(&rs.tInit, t0, before)
 		return nil
 	}, "")
 }
@@ -469,7 +471,7 @@ func (w *Warp) undoVisit(clientID string, visitID int64, admin, dequeue bool) (*
 	}
 	intent := &RepairIntent{Kind: IntentUndoVisit, Client: clientID, Visit: visitID, Admin: admin, Dequeue: dequeue}
 	return w.repair(intent, func(rs *session) error {
-		t0 := time.Now()
+		t0, before := time.Now(), rs.booked
 		w.mu.Lock()
 		vlog := w.visitByID[clientID][visitID]
 		w.mu.Unlock()
@@ -479,7 +481,7 @@ func (w *Warp) undoVisit(clientID string, visitID int64, admin, dequeue bool) (*
 		for _, tr := range vlog.Snapshot().Requests {
 			rs.cancelExchange(clientID, visitID, tr.RequestID)
 		}
-		rs.tInit.Add(int64(time.Since(t0)))
+		rs.book(&rs.tInit, t0, before)
 		return nil
 	}, initiator)
 }
@@ -494,10 +496,10 @@ func (w *Warp) undoVisit(clientID string, visitID int64, admin, dequeue bool) (*
 func (w *Warp) UndoPartition(p ttdb.Partition, t int64) (*Report, error) {
 	intent := &RepairIntent{Kind: IntentUndoPartition, Partition: p.String(), From: t}
 	return w.repair(intent, func(rs *session) error {
-		t0 := time.Now()
+		t0, before := time.Now(), rs.booked
 		// Find the write actions into p at or after t via the graph's
 		// partition edges (same fan-out as dirt propagation).
-		tg := time.Now()
+		tg, beforeG := time.Now(), rs.booked
 		nodes := rs.partitionNodes(p)
 		runs := make(map[history.ActionID]bool)
 		var runOrder []history.ActionID
@@ -513,7 +515,7 @@ func (w *Warp) UndoPartition(p ttdb.Partition, t int64) (*Report, error) {
 				}
 			}
 		}
-		rs.tGraph.Add(int64(time.Since(tg)))
+		rs.book(&rs.tGraph, tg, beforeG)
 		// Cancel each writing run outright, exactly as UndoVisit cancels
 		// the runs behind a visit's exchanges.
 		for _, id := range runOrder {
@@ -534,7 +536,7 @@ func (w *Warp) UndoPartition(p ttdb.Partition, t int64) (*Report, error) {
 			return err
 		}
 		rs.addDirt(append(dirt, p), t)
-		rs.tInit.Add(int64(time.Since(t0)))
+		rs.book(&rs.tInit, t0, before)
 		return nil
 	}, "")
 }
@@ -613,9 +615,9 @@ func (w *Warp) repair(intent *RepairIntent, seed func(*session) error, restrictC
 
 	// Suspension policy (docs/repair.md "Online repair"): by default the
 	// deployment keeps serving while repair runs — live writes pass
-	// through the admission gate, which queues them briefly when their
-	// partition footprint collides with an in-flight repair item — and
-	// the exclusive suspension shrinks to the final commit window below.
+	// through the admission gate, which paces them when their partitions
+	// are claimed — and the exclusive suspension shrinks to the final
+	// commit window below.
 	// The stop-the-world baseline suspends for the whole span instead.
 	exclusive := w.stopTheWorld
 	suspended := false
@@ -633,7 +635,7 @@ func (w *Warp) repair(intent *RepairIntent, seed func(*session) error, restrictC
 	if exclusive {
 		suspend()
 	} else {
-		w.admission.Store(&admissionGate{w: w, rs: rs, sched: rs.sched})
+		w.admission.Store(&admissionGate{w: w, rs: rs})
 		defer w.admission.Store(nil)
 	}
 

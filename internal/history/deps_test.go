@@ -2,6 +2,7 @@ package history
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -24,29 +25,25 @@ func buildDepGraph() (*Graph, []ActionID) {
 
 func TestDepsUnknownAction(t *testing.T) {
 	g, _ := buildDepGraph()
-	var in, out Handles
-	if g.AppendHandles(999, &in, &out); in.Nodes != nil || out.Nodes != nil {
-		t.Fatal("unknown action should have no deps")
+	if a := g.Get(999); a != nil {
+		t.Fatalf("unknown action = %+v, want nil", a)
 	}
 }
 
-// TestAppendHandlesReturnsCopies: AppendHandles appends to the caller's
-// lists; writing them does not reach the graph's edges.
-func TestAppendHandlesReturnsCopies(t *testing.T) {
+// TestAddDepsLeavesEarlierEdgesIntact: AddDeps only appends, so an edge
+// list read before it keeps its length and contents, and the action's
+// list afterwards starts with it.
+func TestAddDepsLeavesEarlierEdgesIntact(t *testing.T) {
 	g, ids := buildDepGraph()
-	var in, out Handles
-	g.AppendHandles(ids[3], &in, &out)
-	if len(in.Nodes) != 2 {
-		t.Fatalf("AppendHandles reads = %v", in.Nodes)
+	before := g.Get(ids[3]).Inputs
+	kept := slices.Clone(before)
+	r := g.Intern(PartitionName("t/user=c"))
+	g.AddDeps(ids[3], []Dep{{Node: r, Time: 40}}, nil)
+	if !slices.Equal(before, kept) {
+		t.Fatalf("edges read before AddDeps = %v, then %v", kept, before)
 	}
-	want := in.Nodes[0]
-	in.Nodes[0] = 999
-	var again Handles
-	if g.AppendHandles(ids[3], &again, &out); again.Nodes[0] != want {
-		t.Fatal("AppendHandles must return copies, not aliases")
-	}
-	if g.AppendHandles(ids[3], &again, &out); len(again.Nodes) != 4 {
-		t.Fatalf("a second call appends: reads = %v, want 4 handles", again.Nodes)
+	if after := g.Get(ids[3]).Inputs; len(after) != 3 || !slices.Equal(after[:2], kept) || after[2].Node != r {
+		t.Fatalf("Inputs after AddDeps = %v, want %v then %d", after, kept, r)
 	}
 }
 
@@ -55,32 +52,39 @@ func TestDepsAfterAddDeps(t *testing.T) {
 	q := g.Intern(PartitionName("t/user=b"))
 	// Repair discovers that a2 also reads Q.
 	g.AddDeps(ids[1], []Dep{{Node: q, Time: 20}}, nil)
-	var reads, writes Handles
-	if g.AppendHandles(ids[1], &reads, &writes); len(reads.Nodes) != 2 {
-		t.Fatalf("AppendHandles(a2) reads = %v, want 2", reads.Nodes)
+	if in := g.Get(ids[1]).Inputs; len(in) != 2 || in[1].Node != q {
+		t.Fatalf("Get(a2).Inputs = %v, want P then Q", in)
+	}
+	if got := g.Readers(q, 0); len(got) != 2 || got[0].ID != ids[1] {
+		t.Fatalf("Readers(Q) = %v, want a2 then a4", got)
 	}
 }
 
-// TestAppendHandles lists an action's handles by direction, with the
-// table wildcard of each keyed partition and its exchange.
-func TestAppendHandles(t *testing.T) {
+// TestActionEdgesByDirection: an action keeps its edges by direction, in
+// edge order. Its partition and cookie edges are posted to the readers or
+// writers of their node, and an exchange edge to the exchange index, not
+// to a node.
+func TestActionEdgesByDirection(t *testing.T) {
 	g := New()
 	cookie := g.Intern(CookieName("c"))
 	keyed, wild := g.Intern(PartitionName("t/user=a")), g.Intern(PartitionName("t/*"))
 	exch := Exchange{Client: "c", Visit: 1, Request: 1}
-	id := g.Append(&Action{
-		Kind: KindQuery, Time: 10, Exchange: exch,
-		Inputs:  []Dep{{Node: keyed, Time: 10}, {Node: ExchangeNode, Time: 10}},
-		Outputs: []Dep{{Node: wild, Time: 10}, {Node: cookie, Time: 10}},
-	})
-	var in, out Handles
-	g.AppendHandles(id, &in, &out)
-	if want := (Handles{Nodes: []Node{keyed}, Wilds: []Node{wild}, Exchanges: []Exchange{exch}}); !reflect.DeepEqual(in, want) {
-		t.Fatalf("reads = %+v, want %+v", in, want)
+	in := []Dep{{Node: keyed, Time: 10}, {Node: ExchangeNode, Time: 10}}
+	out := []Dep{{Node: wild, Time: 10}, {Node: cookie, Time: 10}}
+	id := g.Append(&Action{Kind: KindQuery, Time: 10, Exchange: exch, Inputs: in, Outputs: out})
+	a := g.Get(id)
+	if !reflect.DeepEqual(a.Inputs, in) || !reflect.DeepEqual(a.Outputs, out) {
+		t.Fatalf("edges = %v / %v, want %v / %v", a.Inputs, a.Outputs, in, out)
 	}
-	// The wildcard is its own table's: it lists no second wildcard.
-	if want := (Handles{Nodes: []Node{wild, cookie}}); !reflect.DeepEqual(out, want) {
-		t.Fatalf("writes = %+v, want %+v", out, want)
+	posted := func(acts []*Action) bool { return len(acts) == 1 && acts[0].ID == id }
+	if !posted(g.Readers(keyed, 0)) || !posted(g.Writers(wild, 0)) || !posted(g.Writers(cookie, 0)) {
+		t.Fatal("an edge is missing from its node's postings")
+	}
+	if len(g.Writers(keyed, 0)) != 0 || len(g.Readers(wild, 0)) != 0 || len(g.Readers(cookie, 0)) != 0 {
+		t.Fatal("an edge is posted in the wrong direction")
+	}
+	if !posted(g.ExchangeActions(exch)) {
+		t.Fatalf("ExchangeActions = %v, want action %d", g.ExchangeActions(exch), id)
 	}
 }
 

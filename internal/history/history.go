@@ -361,46 +361,6 @@ next:
 	return have
 }
 
-// Handles is the handle view of one direction of an action's
-// dependency edges: the interned nodes, the table wildcard of each keyed
-// partition node among them (a wildcard overlaps every partition of its
-// table), and the HTTP exchanges. The repair scheduler builds its
-// work-item footprints from it, so two actions on the same table are
-// admitted concurrently exactly when their partitions do not overlap.
-type Handles struct {
-	Nodes     []Node
-	Wilds     []Node
-	Exchanges []Exchange
-}
-
-// AppendHandles appends an action's input edges to in and its output
-// edges to out, in edge order. Unlike reading Action.Inputs and Outputs
-// directly it is safe against a concurrent AddDeps.
-func (g *Graph) AppendHandles(id ActionID, in, out *Handles) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	a := g.get(id)
-	if a == nil {
-		return
-	}
-	g.nmu.RLock()
-	defer g.nmu.RUnlock()
-	add := func(deps []Dep, h *Handles) {
-		for _, d := range deps {
-			if d.Node == ExchangeNode {
-				h.Exchanges = append(h.Exchanges, a.Exchange)
-				continue
-			}
-			h.Nodes = append(h.Nodes, d.Node)
-			if wild := g.nodes.wild[d.Node]; wild != ExchangeNode && wild != d.Node {
-				h.Wilds = append(h.Wilds, wild)
-			}
-		}
-	}
-	add(a.Inputs, in)
-	add(a.Outputs, out)
-}
-
 // TableNodes returns the partition nodes of a table that currently have
 // postings, ordered by name: the fan-out of whole-table dirt during
 // repair.

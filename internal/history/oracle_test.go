@@ -294,25 +294,20 @@ func checkAgainstModel(t *testing.T, step int, g *Graph, ref *refGraph, pool []s
 		eq("TableNodes "+table, got, want)
 	}
 	for id, r := range ref.actions {
-		var in, out, wantIn, wantOut Handles
-		g.AppendHandles(id, &in, &out)
-		handles := func(deps []refDep, h *Handles) {
+		a := g.Get(id)
+		edges := func(deps []Dep) []refDep {
+			var out []refDep
 			for _, d := range deps {
-				if strings.HasPrefix(d.name, "http:") {
-					e, _ := ParseExchange(d.name)
-					h.Exchanges = append(h.Exchanges, e)
-					continue
+				name := a.Exchange.Name()
+				if d.Node != ExchangeNode {
+					name = g.NodeName(d.Node)
 				}
-				h.Nodes = append(h.Nodes, g.Intern(d.name))
-				if table, whole, ok := partitionTable(d.name); ok && !whole {
-					h.Wilds = append(h.Wilds, g.Intern(PartitionName(table+"/*")))
-				}
+				out = append(out, refDep{name, d.Time})
 			}
+			return out
 		}
-		handles(r.in, &wantIn)
-		handles(r.out, &wantOut)
-		eq(fmt.Sprintf("AppendHandles(%d) reads", id), in, wantIn)
-		eq(fmt.Sprintf("AppendHandles(%d) writes", id), out, wantOut)
+		eq(fmt.Sprintf("Get(%d).Inputs", id), edges(a.Inputs), r.in)
+		eq(fmt.Sprintf("Get(%d).Outputs", id), edges(a.Outputs), r.out)
 	}
 }
 

@@ -4,17 +4,18 @@ package ttdb
 // half of the core's partition-scoped coexistence. During repair, live
 // writes keep executing in the current generation; the core's admission
 // gate needs each statement's partition footprint to decide whether a
-// write collides with the repair frontier, and the replay loop needs a
-// way to three-way merge a mergeable live UPDATE with the repaired value
-// of the same row instead of letting last-writer-wins discard one side.
+// write lands in a partition the repair has claimed, and the replay loop
+// needs a way to three-way merge a mergeable live UPDATE with the
+// repaired value of the same row instead of letting last-writer-wins
+// discard one side.
 
 import (
 	"warp/internal/sqldb"
 )
 
 // StmtPartitions derives the partition footprint of one SQL statement
-// without executing it: the partitions an admission gate compares
-// against in-flight repair work. It reports the partitions the statement
+// without executing it: the partitions an admission gate checks against
+// the repair's claims. It reports the partitions the statement
 // reads — those its executed Record.ReadPartitions will hold, or the
 // whole table when they cannot be bounded — whether the statement is a
 // write, and a parse error if any. DDL returns nil partitions with

@@ -123,9 +123,7 @@ func (s *PartitionSet) OverlapsAny(ps []Partition) bool {
 }
 
 // Overlaps reports whether any partition in this set overlaps any
-// partition in o, honoring whole-table entries on either side. It is the
-// typed rule the repair scheduler's handle footprints must agree with
-// (core's TestHandleFootprintsMatchPartitionRule).
+// partition in o, honoring whole-table entries on either side.
 func (s *PartitionSet) Overlaps(o *PartitionSet) bool {
 	if o == nil || s.Len() == 0 || o.Len() == 0 {
 		return false

@@ -31,8 +31,7 @@
 // queued work item, re-executes it, and repeats, so the same history and
 // repair give the same outcome on any machine. Beyond the paper, repair
 // runs online: live requests keep executing beside it, and a live write
-// waits only while it collides with the item in flight or with a
-// partition the repair has claimed.
+// waits only when it writes a partition the repair has claimed.
 //
 // A System wires together the substrates in internal/: the SQL engine
 // (sqldb), the time-travel layer (ttdb), the action history graph
