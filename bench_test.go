@@ -73,6 +73,27 @@ func BenchmarkNormalExec(b *testing.B) {
 			}
 		}
 	})
+	// One partition of 256 versions, half of them closed by an UPDATE:
+	// the visibility predicate's suffix bound cuts each probe to the
+	// live half.
+	b.Run("read-partition-history", func(b *testing.B) {
+		db := normalExecDB(0)
+		for i := 0; i < rows/2; i++ {
+			if _, _, err := db.Exec("INSERT INTO posts (id, owner, body) VALUES (?, 'u0', 'seed body')", sqldb.Int(int64(i))); err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := db.Exec("UPDATE posts SET body = 'new body' WHERE id = ?", sqldb.Int(int64(i))); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := db.Exec("SELECT id FROM posts WHERE owner = ?", sqldb.Text("u0")); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("update", func(b *testing.B) {
 		db := normalExecDB(rows)
 		b.ReportAllocs()
@@ -246,6 +267,32 @@ func TestNormalExecAllocBudget(t *testing.T) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(prev)
 	measure(t, "instrumented")
+}
+
+// TestPartitionReadAllocsPerResult: a partition read allocates per
+// result, not per row — the WHERE is tested in place and the result's
+// rows share one backing array — so a partition of 256 rows may cost a
+// few allocations more than one of 16 (the matched-slot list doubles as
+// it grows), never one per row.
+func TestPartitionReadAllocsPerResult(t *testing.T) {
+	read := func(perPartition int) float64 {
+		db := normalExecDB(16 * perPartition)
+		i := 0
+		return testing.AllocsPerRun(200, func() {
+			i++
+			res, _, err := db.Exec("SELECT id FROM posts WHERE owner = ?", sqldb.Text(fmt.Sprintf("u%d", i%16)))
+			if err != nil || res.NumRows() != perPartition {
+				t.Fatalf("partition read: %v, %v", res, err)
+			}
+		})
+	}
+	small, large := read(16), read(256)
+	const growth = 8
+	if large > small+growth {
+		t.Fatalf("partition read costs %.1f allocs/op over 16 rows and %.1f over 256, want at most +%d",
+			small, large, growth)
+	}
+	t.Logf("partition read: %.1f allocs/op over 16 rows, %.1f over 256", small, large)
 }
 
 // wikiReadDeployment builds an in-memory GoWiki with nPages pages and one

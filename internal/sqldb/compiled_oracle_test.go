@@ -9,9 +9,10 @@ import (
 // Differential test of the compiled evaluator (plan.go) against the
 // tree-walking oracle (eval_oracle_test.go). One byte string drives one
 // case — a small random table, a parameter vector, and a random row
-// expression, aggregate SELECT, LIMIT/OFFSET SELECT or table-less SELECT —
-// so the seeded property test and the fuzz target share a generator and
-// the property test's cases are the fuzz target's seed corpus.
+// expression, aggregate SELECT, LIMIT/OFFSET SELECT, table-less SELECT or
+// SELECT whose WHERE is shaped like the time-travel layer's — so the
+// seeded property test and the fuzz target share a generator and the
+// property test's cases are the fuzz target's seed corpus.
 
 // oracleGen draws structure from a byte string; an exhausted string
 // yields zeros, so every input is a complete case.
@@ -36,6 +37,7 @@ var (
 	oracleAggs    = []string{"COUNT", "SUM", "AVG", "MIN", "MAX"}
 	oracleBinOps  = []BinOp{OpOr, OpAnd, OpEq, OpNe, OpLt, OpLe, OpGt, OpGe, OpLike,
 		OpAdd, OpSub, OpConcat, OpMul, OpDiv, OpMod}
+	oracleCmpOps = []BinOp{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe}
 )
 
 // value draws a constant: NULL, small integers around zero, numeric and
@@ -107,6 +109,49 @@ func (g *oracleGen) expr(depth int, cols, aggs bool) Expr {
 		Left: g.expr(depth-1, cols, aggs), Right: g.expr(depth-1, cols, aggs)}
 }
 
+// conjunction draws a WHERE shaped like the time-travel layer's: an AND
+// of 1–6 conjuncts in a random tree shape.
+func (g *oracleGen) conjunction() Expr {
+	cs := make([]Expr, 1+g.n(6))
+	for i := range cs {
+		cs[i] = g.conjunct()
+	}
+	return g.andTree(cs)
+}
+
+// conjunct draws `col op ?`, `col op literal` or `? op col`; a constant
+// NULL, FALSE or TRUE; one that raises an error (the unknown column, a
+// division by zero); or an ordinary drawn expression.
+func (g *oracleGen) conjunct() Expr {
+	col := &ColumnRef{Name: oracleColumns[g.n(len(oracleColumns))]}
+	op := oracleCmpOps[g.n(len(oracleCmpOps))]
+	switch g.n(8) {
+	case 0, 1:
+		return &BinaryExpr{Op: op, Left: col, Right: &Param{Index: g.n(4)}}
+	case 2:
+		return &BinaryExpr{Op: op, Left: col, Right: &Literal{Value: g.value()}}
+	case 3:
+		return &BinaryExpr{Op: op, Left: &Param{Index: g.n(4)}, Right: col}
+	case 4:
+		return &Literal{Value: []Value{Null(), Bool(false), Bool(true)}[g.n(3)]}
+	case 5:
+		if g.n(2) == 0 {
+			return &BinaryExpr{Op: op, Left: &ColumnRef{Name: "zz"}, Right: &Param{Index: g.n(4)}}
+		}
+		return &BinaryExpr{Op: OpEq, Left: &BinaryExpr{Op: OpDiv, Left: Lit(Int(1)), Right: Lit(Int(0))}, Right: Lit(Int(1))}
+	}
+	return g.expr(2, true, false)
+}
+
+// andTree joins conjuncts, in order, with ANDs split at drawn points.
+func (g *oracleGen) andTree(cs []Expr) Expr {
+	if len(cs) == 1 {
+		return cs[0]
+	}
+	k := 1 + g.n(len(cs)-1)
+	return &BinaryExpr{Op: OpAnd, Left: g.andTree(cs[:k]), Right: g.andTree(cs[k:])}
+}
+
 // aggregate draws an aggregate call: COUNT(*), the one-argument forms,
 // and the malformed ones (SUM(*), no argument, two arguments).
 func (g *oracleGen) aggregate(depth int) Expr {
@@ -169,7 +214,7 @@ func checkCompiledCase(t *testing.T, data []byte) {
 	g := &oracleGen{data: data}
 	db := g.table(t)
 	tbl := db.tables["t"]
-	mode := g.n(4)
+	mode := g.n(5)
 
 	if mode == 0 {
 		// A row expression, against every row and row-less, with three
@@ -187,6 +232,21 @@ func checkCompiledCase(t *testing.T, data []byte) {
 		want, wantErr := evalExpr(e, &evalCtx{params: params})
 		sameOutcome(t, "row-less "+e.String(), got, gotErr, want, wantErr)
 		return
+	}
+	var where Expr
+	if mode == 4 {
+		// The compiled predicate against every row, with three parameters
+		// supplied (index 3 is out of range); the SELECT below runs it
+		// through the engine.
+		where = g.conjunction()
+		params := []Value{g.value(), g.value(), g.value()}
+		pred := compilePred(tbl, where)
+		tbl.store.forEachLive(func(slot int, r *row) error {
+			got, gotErr := pred(r.vals, params)
+			want, wantErr := evalExpr(where, tbl.rowCtx(slot, params))
+			sameOutcome(t, where.String(), got, gotErr, want.IsTrue(), wantErr)
+			return nil
+		})
 	}
 
 	s := &Select{Table: "t"}
@@ -223,6 +283,9 @@ func checkCompiledCase(t *testing.T, data []byte) {
 			}
 		}
 		s.Limit, s.Offset = g.bound(), g.bound()
+	case 4:
+		s.Items = []SelectItem{{Star: true}}
+		s.Where = where
 	}
 	cs := NewCachedStmt(s)
 	params := make([]Value, cs.NumParams())

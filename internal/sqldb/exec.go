@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -580,19 +581,19 @@ func (t *Table) probe(ix *colIndex, scan *scanPlan, key string, pred rowPred, pa
 
 // admitted returns the run of b — one key's postings in suffix order —
 // that `suffix op v` can be true of. Only `=` has postings to skip before
-// its run; the run's end is found by walking it, as it is visited anyway.
+// its run. Past the run's start, "not admitted" holds from some posting
+// on (larger suffixes come first, NULLs last), so both ends are found by
+// binary search and no posting outside the run is read.
 func (ix *colIndex) admitted(b []int, op BinOp, v Value) []int {
 	suf := func(i int) Value { return ix.store.rowAt(b[i]).vals[ix.sufPos] }
 	start := 0
 	if op == OpEq {
 		start = sort.Search(len(b), func(i int) bool { return !suffixBefore(suf(i), v) })
 	}
-	end := start
-	for ; end < len(b); end++ {
-		if c, ok := compareValues(suf(end), v); !ok || c < 0 || (c == 0 && op == OpGt) {
-			break
-		}
-	}
+	end := start + sort.Search(len(b)-start, func(i int) bool {
+		c, ok := compareValues(suf(start+i), v)
+		return !ok || c < 0 || (c == 0 && op == OpGt)
+	})
 	return b[start:end]
 }
 
@@ -884,14 +885,24 @@ func (p *selectPlan) projectRows(s *Select, matched []int, inOrder bool, params 
 		}
 	}
 
-	// Projection.
-	var seen map[uint64]bool
+	// Projection: the rows share one backing array, each capped at its
+	// own width so that an append to one cannot overwrite the next.
+	var (
+		buf  []Value
+		seen map[string]bool
+		key  []byte
+	)
+	if len(matched) > 0 {
+		buf = make([]Value, len(matched)*p.nOut)
+		res.Rows = make([][]Value, 0, len(matched))
+	}
 	if s.Distinct {
-		seen = make(map[uint64]bool)
+		seen = make(map[string]bool)
 	}
 	for _, slot := range matched {
 		vals := t.store.rowAt(slot).vals
-		out := make([]Value, 0, p.nOut)
+		at := len(res.Rows) * p.nOut
+		out := buf[at : at : at+p.nOut]
 		for _, it := range p.items {
 			if it.star {
 				out = append(out, vals...)
@@ -904,11 +915,11 @@ func (p *selectPlan) projectRows(s *Select, matched []int, inOrder bool, params 
 			out = append(out, v)
 		}
 		if s.Distinct {
-			fp := rowFingerprint(out)
-			if seen[fp] {
+			key = appendRowKey(key[:0], out)
+			if seen[string(key)] {
 				continue
 			}
-			seen[fp] = true
+			seen[string(key)] = true
 		}
 		res.Rows = append(res.Rows, out)
 	}
@@ -916,13 +927,15 @@ func (p *selectPlan) projectRows(s *Select, matched []int, inOrder bool, params 
 	return p.applyLimit(res, params)
 }
 
-func rowFingerprint(row []Value) uint64 {
-	h := fnv.New64a()
+// appendRowKey appends row's DISTINCT key to b: each value's Key behind
+// its length, so no two rows share one.
+func appendRowKey(b []byte, row []Value) []byte {
 	for _, v := range row {
-		h.Write([]byte(v.Key()))
-		h.Write([]byte{0})
+		at := len(b)
+		b = v.appendKey(append(b, 0, 0, 0, 0))
+		binary.LittleEndian.PutUint32(b[at:], uint32(len(b)-at-4))
 	}
-	return h.Sum64()
+	return b
 }
 
 // applyLimit cuts the result to the plan's OFFSET and LIMIT.

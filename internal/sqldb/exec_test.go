@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -257,6 +258,22 @@ func TestDistinct(t *testing.T) {
 	res := mustExec(t, db, "SELECT DISTINCT editor FROM pages WHERE editor IS NOT NULL ORDER BY editor")
 	if res.NumRows() != 2 {
 		t.Fatalf("distinct rows = %d, want 2: %v", res.NumRows(), res.Rows)
+	}
+}
+
+// TestDistinctKeepsRowsWhoseKeysConcatenateAlike: two distinct rows whose
+// values' keys, joined with a zero byte, spell the same bytes stay two
+// rows.
+func TestDistinctKeepsRowsWhoseKeysConcatenateAlike(t *testing.T) {
+	db := Open()
+	mustExec(t, db, "CREATE TABLE t (a TEXT, b TEXT)")
+	mustExec(t, db, "INSERT INTO t (a, b) VALUES (?, ?)", Text("x\x00ty"), Text("z"))
+	mustExec(t, db, "INSERT INTO t (a, b) VALUES (?, ?)", Text("x"), Text("y\x00tz"))
+	mustExec(t, db, "INSERT INTO t (a, b) VALUES (?, ?)", Text("x"), Text("y\x00tz"))
+	res := mustExec(t, db, "SELECT DISTINCT a, b FROM t")
+	want := [][]Value{{Text("x\x00ty"), Text("z")}, {Text("x"), Text("y\x00tz")}}
+	if !reflect.DeepEqual(res.Rows, want) {
+		t.Fatalf("distinct rows = %v, want %v", res.Rows, want)
 	}
 }
 

@@ -10,11 +10,15 @@ import (
 // A statement's AST is read here, at plan time, and nowhere else. Every
 // expression — WHERE, SET, the SELECT list, ORDER BY keys, aggregate
 // arguments, LIMIT/OFFSET, INSERT values — compiles once per plan into a
-// tree of closures with column ordinals resolved up front, so the
-// per-row path performs no allocation, no map lookups, and no AST
-// dispatch. This matters most under WARP: every application query is
-// rewritten into an augmented statement whose WHERE clause carries four
-// extra version conjuncts, all evaluated per row.
+// tree of closures with column ordinals resolved up front, so evaluating
+// a row does no map lookup and no AST dispatch. A WHERE clause compiles
+// into a loop over its top-level conjuncts (compilePred), and a
+// conjunct `column op ?` or `column op literal` compares the row's value
+// and the operand in place, integers directly. This matters most under
+// WARP: every application query is rewritten into an augmented statement
+// whose WHERE clause carries four extra version conjuncts of that shape,
+// all evaluated per posting. Testing a row allocates nothing; a result's
+// rows are allocated once per result (projectRows).
 //
 // Plans are built once per prepared statement (stmtcache.go) — the only
 // form the engine executes — and invalidated by the database's DDL
@@ -34,19 +38,101 @@ type compiledExpr func(row []Value, params []Value) (Value, error)
 // rowPred is a compiled WHERE predicate: true means the row matches.
 type rowPred func(row []Value, params []Value) (bool, error)
 
-// compilePred compiles a WHERE clause into a row predicate. A nil clause
-// matches every row.
+// predTerm is one top-level conjunct of a WHERE clause. A comparison
+// `column op operand` of a known column reads the row and the operand in
+// place; any other conjunct is a compiled expression.
+type predTerm struct {
+	col     int // the column's ordinal; unused when expr is set
+	op      BinOp
+	operand constOrParam
+	expr    compiledExpr
+}
+
+// compilePred compiles a WHERE clause into a row predicate: a loop over
+// its top-level conjuncts, left to right. It stops at the first error or
+// the first value that is neither TRUE nor NULL, and matches only if no
+// conjunct was NULL — AND's meaning for any tree shape, so an error a
+// short-circuit skips is never reported. A nil clause matches every row.
 func compilePred(t *Table, where Expr) rowPred {
-	if where == nil {
-		return func([]Value, []Value) (bool, error) { return true, nil }
+	var terms []predTerm
+	for _, e := range Conjuncts(where) {
+		terms = append(terms, t.compileTerm(e))
 	}
-	ce := exprScope{t: t}.compile(where)
 	return func(row, params []Value) (bool, error) {
-		v, err := ce(row, params)
-		if err != nil {
-			return false, err
+		sawNull := false
+		for i := range terms {
+			tm := &terms[i]
+			var v Value
+			var err error
+			if tm.expr != nil {
+				v, err = tm.expr(row, params)
+			} else {
+				r := &tm.operand.constVal
+				if !tm.operand.hasConst {
+					if tm.operand.paramIdx >= len(params) {
+						return false, errEval("parameter %d out of range (%d supplied)", tm.operand.paramIdx+1, len(params))
+					}
+					r = &params[tm.operand.paramIdx]
+				}
+				if l := &row[tm.col]; l.Kind == KindInt && r.Kind == KindInt {
+					if !intHolds(tm.op, l.Int, r.Int) {
+						return false, nil
+					}
+					continue
+				}
+				v, err = applyBinary(tm.op, row[tm.col], *r)
+			}
+			if err != nil {
+				return false, err
+			}
+			if v.IsNull() {
+				sawNull = true
+			} else if !v.IsTrue() {
+				return false, nil
+			}
 		}
-		return v.IsTrue(), nil
+		return !sawNull, nil
+	}
+}
+
+// compileTerm compiles one conjunct, as a flat comparison when it is
+// `column op ?` or `column op literal` on a column of t.
+func (t *Table) compileTerm(e Expr) predTerm {
+	if be, ok := e.(*BinaryExpr); ok && be.Op >= OpEq && be.Op <= OpGe {
+		if c, ok := be.Left.(*ColumnRef); ok {
+			if ci, ok := t.colIdx[c.Name]; ok {
+				tm := predTerm{col: ci, op: be.Op}
+				switch r := be.Right.(type) {
+				case *Literal:
+					tm.operand = constOrParam{hasConst: true, constVal: r.Value}
+					return tm
+				case *Param:
+					if r.Index >= 0 {
+						tm.operand.paramIdx = r.Index
+						return tm
+					}
+				}
+			}
+		}
+	}
+	return predTerm{expr: exprScope{t: t}.compile(e)}
+}
+
+// intHolds reports whether `a op b` holds for a comparison operator.
+func intHolds(op BinOp, a, b int64) bool {
+	switch op {
+	case OpEq:
+		return a == b
+	case OpNe:
+		return a != b
+	case OpLt:
+		return a < b
+	case OpLe:
+		return a <= b
+	case OpGt:
+		return a > b
+	default: // OpGe
+		return a >= b
 	}
 }
 
@@ -359,9 +445,8 @@ func (t *Table) planScan(where Expr) *scanPlan {
 }
 
 // Conjuncts flattens the top-level ANDs of e in left-to-right order; a
-// nil clause has none. Both static analyses of a WHERE clause — the scan
-// planner here and the time-travel layer's partition extraction — start
-// from it.
+// nil clause has none. The predicate compiler, the scan planner and the
+// time-travel layer's partition extraction all start from it.
 func Conjuncts(e Expr) []Expr {
 	if be, ok := e.(*BinaryExpr); ok && be.Op == OpAnd {
 		return append(Conjuncts(be.Left), Conjuncts(be.Right)...)

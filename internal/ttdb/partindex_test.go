@@ -56,36 +56,6 @@ func TestParsePartition(t *testing.T) {
 	}
 }
 
-func TestPartitionSetOverlaps(t *testing.T) {
-	mk := func(ps ...Partition) *PartitionSet {
-		s := NewPartitionSet()
-		s.AddAll(ps)
-		return s
-	}
-	alice := Partition{Table: "notes", Column: "owner", Key: "s:alice"}
-	bob := Partition{Table: "notes", Column: "owner", Key: "s:bob"}
-	other := Partition{Table: "pages", Column: "title", Key: "s:Main"}
-
-	if !mk(alice).Overlaps(mk(alice)) {
-		t.Error("same partition must overlap")
-	}
-	if mk(alice).Overlaps(mk(bob)) {
-		t.Error("disjoint keys must not overlap")
-	}
-	if mk(alice).Overlaps(mk(other)) {
-		t.Error("different tables must not overlap")
-	}
-	if !mk(WholeTable("notes")).Overlaps(mk(bob)) || !mk(bob).Overlaps(mk(WholeTable("notes"))) {
-		t.Error("whole table must overlap keyed partitions of the table")
-	}
-	if mk(WholeTable("notes")).Overlaps(mk(other)) {
-		t.Error("whole table must not overlap other tables")
-	}
-	if mk(alice).Overlaps(nil) || mk(alice).Overlaps(NewPartitionSet()) {
-		t.Error("empty/nil set never overlaps")
-	}
-}
-
 func TestPartitionRowsSince(t *testing.T) {
 	db := openPartDB(t)
 	piExec(t, db, "INSERT INTO notes (id, owner, body) VALUES (1, 'alice', 'a1')")

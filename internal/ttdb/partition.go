@@ -53,22 +53,6 @@ func ParsePartition(s string) (Partition, bool) {
 	return Partition{Table: table, Column: rest[:j], Key: rest[j+1:]}, true
 }
 
-// Overlaps reports whether two partitions can contain a common row. A
-// whole-table partition overlaps everything in its table. Partitions on
-// different columns overlap conservatively only through the whole-table
-// case: writes record the partition keys of every touched row in every
-// partition column, so same-column comparison is sufficient (see the
-// package analysis notes).
-func (p Partition) Overlaps(q Partition) bool {
-	if p.Table != q.Table {
-		return false
-	}
-	if p.IsWholeTable() || q.IsWholeTable() {
-		return true
-	}
-	return p.Column == q.Column && p.Key == q.Key
-}
-
 // PartitionSet is a set of partitions with overlap queries. The zero value
 // is an empty set.
 type PartitionSet struct {
@@ -100,7 +84,10 @@ func (s *PartitionSet) AddAll(ps []Partition) {
 // Len returns the number of distinct entries.
 func (s *PartitionSet) Len() int { return len(s.whole) + len(s.keys) }
 
-// OverlapsAny reports whether any partition in ps overlaps the set.
+// OverlapsAny reports whether any partition in ps overlaps the set. A
+// whole-table partition overlaps everything in its table; keyed
+// partitions overlap only when equal, since a write records the keys of
+// every touched row in every partition column.
 func (s *PartitionSet) OverlapsAny(ps []Partition) bool {
 	for _, p := range ps {
 		if s.whole[p.Table] {
@@ -116,47 +103,6 @@ func (s *PartitionSet) OverlapsAny(ps []Partition) bool {
 			continue
 		}
 		if s.keys[p] {
-			return true
-		}
-	}
-	return false
-}
-
-// Overlaps reports whether any partition in this set overlaps any
-// partition in o, honoring whole-table entries on either side.
-func (s *PartitionSet) Overlaps(o *PartitionSet) bool {
-	if o == nil || s.Len() == 0 || o.Len() == 0 {
-		return false
-	}
-	for t := range s.whole {
-		if o.touchesTable(t) {
-			return true
-		}
-	}
-	for t := range o.whole {
-		if s.touchesTable(t) {
-			return true
-		}
-	}
-	small, large := s.keys, o.keys
-	if len(small) > len(large) {
-		small, large = large, small
-	}
-	for p := range small {
-		if large[p] {
-			return true
-		}
-	}
-	return false
-}
-
-// touchesTable reports whether the set contains any partition of a table.
-func (s *PartitionSet) touchesTable(t string) bool {
-	if s.whole[t] {
-		return true
-	}
-	for p := range s.keys {
-		if p.Table == t {
 			return true
 		}
 	}

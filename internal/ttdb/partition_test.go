@@ -9,27 +9,18 @@ import (
 	"warp/internal/vclock"
 )
 
-// TestPartitionSetOverlapsEdgeCases pins the overlap semantics the
-// scheduler's frontier and the admission gate both build on:
-// empty sets, the whole-table wildcard, and adjacent (distinct) keys of
-// one column.
+// TestPartitionSetOverlapsEdgeCases pins the overlap semantics the taint
+// analysis builds on: the empty set, the whole-table wildcard, and
+// adjacent (distinct) keys of one column.
 func TestPartitionSetOverlapsEdgeCases(t *testing.T) {
 	key := func(tab, col, k string) Partition { return Partition{Table: tab, Column: col, Key: k} }
 
 	empty := NewPartitionSet()
-	other := NewPartitionSet()
-	other.Add(key("t", "user", "a"))
-	if empty.Overlaps(other) || other.Overlaps(empty) {
+	if empty.OverlapsAny([]Partition{WholeTable("t")}) || empty.OverlapsAny([]Partition{key("t", "user", "a")}) {
 		t.Fatal("empty set must overlap nothing")
 	}
-	if empty.Overlaps(empty) {
-		t.Fatal("empty vs empty must not overlap")
-	}
-	if empty.Overlaps(nil) {
-		t.Fatal("nil set must not overlap")
-	}
-	if empty.OverlapsAny([]Partition{WholeTable("t")}) {
-		t.Fatal("empty set must not overlap a whole-table probe")
+	if NewPartitionSet().OverlapsAny(nil) {
+		t.Fatal("no probe must not overlap")
 	}
 
 	// The whole-table wildcard overlaps every partition of its table, in
@@ -38,40 +29,28 @@ func TestPartitionSetOverlapsEdgeCases(t *testing.T) {
 	whole.Add(WholeTable("t"))
 	keyed := NewPartitionSet()
 	keyed.Add(key("t", "user", "a"))
-	if !whole.Overlaps(keyed) || !keyed.Overlaps(whole) {
-		t.Fatal("whole-table must overlap a keyed partition of its table")
-	}
-	if !whole.Overlaps(whole) {
-		t.Fatal("whole-table must overlap itself")
-	}
-	otherTable := NewPartitionSet()
-	otherTable.Add(key("u", "user", "a"))
-	if whole.Overlaps(otherTable) {
-		t.Fatal("whole-table must not overlap another table")
-	}
 	if !whole.OverlapsAny([]Partition{key("t", "user", "z")}) {
 		t.Fatal("OverlapsAny must see the whole-table entry")
 	}
 	if !keyed.OverlapsAny([]Partition{WholeTable("t")}) {
 		t.Fatal("a whole-table probe must hit keyed entries")
 	}
+	if !whole.OverlapsAny([]Partition{WholeTable("t")}) {
+		t.Fatal("whole-table must overlap itself")
+	}
+	if whole.OverlapsAny([]Partition{key("u", "user", "a"), WholeTable("u")}) {
+		t.Fatal("whole-table must not overlap another table")
+	}
 
 	// Adjacent (distinct) keys of one column never overlap; identical
 	// keys do; different columns only meet through the wildcard.
-	a := NewPartitionSet()
-	a.Add(key("t", "user", "a"))
-	b := NewPartitionSet()
-	b.Add(key("t", "user", "b"))
-	if a.Overlaps(b) {
+	if keyed.OverlapsAny([]Partition{key("t", "user", "b")}) {
 		t.Fatal("adjacent keys must not overlap")
 	}
-	b.Add(key("t", "user", "a"))
-	if !a.Overlaps(b) {
+	if !keyed.OverlapsAny([]Partition{key("t", "user", "b"), key("t", "user", "a")}) {
 		t.Fatal("identical keys must overlap")
 	}
-	cols := NewPartitionSet()
-	cols.Add(key("t", "group", "a"))
-	if a.Overlaps(cols) {
+	if keyed.OverlapsAny([]Partition{key("t", "group", "a")}) {
 		t.Fatal("different partition columns must not overlap directly")
 	}
 
