@@ -570,10 +570,9 @@ func BenchmarkOrderByIndexed(b *testing.B) {
 // requests against its own partition while a repair drains, and the
 // benchmark reports that client's p99 and worst stall mid-repair next
 // to its idle p99. The "online" run coexists with the repair
-// (admission gate, suspension only for the final commit
-// window); the "stop-the-world" run is core's baseline deployment,
-// so its max-stall-ms approaches repair-ms — the suspension online
-// repair removes. TestOnlineRepairMatchesExclusive holds the two
+// (suspension only for the final commit window); the "stop-the-world"
+// run is core's baseline deployment, so its max-stall-ms approaches
+// repair-ms — the suspension online repair removes. TestOnlineRepairMatchesExclusive holds the two
 // configurations to identical final database contents.
 func BenchmarkOnlineRepair(b *testing.B) {
 	const (

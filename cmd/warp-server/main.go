@@ -23,11 +23,10 @@
 //	POST /warp/undo?client=C&visit=N   — undo a past page visit
 //
 // Repairs run online by default (docs/repair.md "Online repair"): live
-// requests keep executing on partitions the repair has not claimed, and
-// a live write to a claimed partition waits at most a short admission
-// window before it executes. A repair itself is the paper's loop — one
-// work item at a time, in time order — so the same history and patch
-// repair the same way on any machine.
+// requests keep executing at once while a repair drains, and the repair
+// folds in what they wrote during a brief final suspension. A repair
+// itself is the paper's loop — one work item at a time, in time order —
+// so the same history and patch repair the same way on any machine.
 //
 // With -debug-addr a second listener serves expvar (/debug/vars) and
 // pprof (/debug/pprof/); with -slow-query every statement and repair

@@ -87,3 +87,29 @@ func TestByName(t *testing.T) {
 		t.Fatal("unknown scenario found")
 	}
 }
+
+// TestAbortedUndoThenRepair: the ACL error's undo, asked for by the admin
+// as a plain user, aborts because it would give the attacker conflicts
+// (§5.5). The abort puts the history back with the tables, so the same
+// undo by the admin, in the same process, still repairs the deployment.
+func TestAbortedUndoThenRepair(t *testing.T) {
+	sc, _ := attacks.ByName("ACL error")
+	res, err := workload.Run(workload.Config{Users: 8, Victims: 2, Seed: 42, Scenario: sc})
+	if err != nil {
+		t.Fatalf("workload: %v", err)
+	}
+	e := res.Env
+	rep, err := e.W.UndoVisit(e.UndoClient, e.UndoVisit, false)
+	if err == nil || rep == nil || !rep.Aborted {
+		t.Fatalf("non-admin undo: report %+v, err %v; want it aborted", rep, err)
+	}
+	if n, err := res.UnderRepair(); err != nil || n == 0 {
+		t.Fatalf("under-repair after the abort = %d rows (err %v), want the attack still there", n, err)
+	}
+	if rep, err = sc.Repair(e); err != nil || rep.Aborted {
+		t.Fatalf("admin undo after the abort: report %+v, err %v", rep, err)
+	}
+	if n, err := res.UnderRepair(); err != nil || n != 0 {
+		t.Fatalf("under-repair = %d rows (err %v), want 0", n, err)
+	}
+}

@@ -13,11 +13,10 @@ import (
 
 // OnlineRepair measures live-request latency *during* a repair — the
 // headline number of online repair (docs/repair.md): with
-// exclusive=false the deployment keeps serving while the repair drains
-// (partition-scoped coexistence, admission gate), suspending only for
-// the final generation-switch commit window; with exclusive=true the
-// deployment is core's stop-the-world baseline and every mid-repair
-// request stalls for the whole repair.
+// exclusive=false the deployment keeps serving while the repair drains,
+// suspending only for the final generation-switch commit window; with
+// exclusive=true the deployment is core's stop-the-world baseline and
+// every mid-repair request stalls for the whole repair.
 //
 // The workload is the fixture's hot `posts` table and patchLogin
 // cascading into a per-client chain of page-visit replays. While the

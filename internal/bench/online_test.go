@@ -154,10 +154,10 @@ func TestOnlineRepairMergesLiveWrite(t *testing.T) {
 func mergeRun(t *testing.T) string {
 	t.Helper()
 	w := core.New(core.Config{Seed: 99})
-	// The repair must outlast the admission window (the live update
-	// targets a claimed partition, so the gate paces it for the full
-	// admissionWait before it executes): enough filler visits at enough
-	// simulated latency to keep the drain busy well past it.
+	// The live update must land while the repair still drains, so the
+	// replay loop merges it rather than the update running after the
+	// commit: enough filler visits at enough simulated latency keep the
+	// drain busy well past the moment the repair starts.
 	const delay = 8 * time.Millisecond
 	if err := install(w, editHandler(false, delay)); err != nil {
 		t.Fatal(err)
@@ -202,8 +202,8 @@ func mergeRun(t *testing.T) string {
 // concurrent live traffic — two goroutines on partitions no repair item
 // touches, two on repaired clients' partitions — and requires every
 // request to succeed. Run under `go test -race ./...` in CI, this is
-// the data-race gate for the admission gate and table-lock coexistence
-// between live execution and the repair.
+// the data-race gate for table-lock coexistence between live execution
+// and the repair.
 func TestLiveExecDuringRepairStress(t *testing.T) {
 	const clients, pages = 8, 2
 	w, owner0 := onlineDeployment(t, clients, pages, time.Millisecond, core.Config{Seed: 99}, false)
@@ -227,9 +227,8 @@ func TestLiveExecDuringRepairStress(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Cap the volume: the admission gate paces writes into claimed
-			// partitions, but the disjoint goroutines run unpaced and
-			// have no reason to generate unbounded rows.
+			// Cap the volume: nothing paces live writes, and there is no
+			// reason to generate unbounded rows.
 			for i := 0; i < 500; i++ {
 				select {
 				case <-stop:

@@ -121,11 +121,6 @@ type Warp struct {
 	// can read it live while a repair runs.
 	lastRepairTrace atomic.Pointer[obs.Trace]
 
-	// admission is the live-write admission gate of the currently running
-	// online repair (admission.go), nil outside repair. Atomic because
-	// every request loads it on its query path.
-	admission atomic.Pointer[admissionGate]
-
 	// degraded is the terminal storage-fault record of a deployment in
 	// degraded read-only mode (degraded.go), nil while healthy. Atomic
 	// because write paths test it without taking Warp.mu.
@@ -267,7 +262,7 @@ func (w *Warp) handleRequest(req *httpd.Request) *httpd.Response {
 	if !ok {
 		return httpd.NotFound("no route for " + req.Path)
 	}
-	rec, err := w.Runtime.Run(file, req, w.liveQueryFunc(), nil)
+	rec, err := w.Runtime.Run(file, req, nil, nil)
 	if err != nil {
 		return httpd.ServerError(err.Error())
 	}

@@ -51,9 +51,9 @@ func (w *Warp) enterDegraded(cause error) {
 	degradedGauge.Set(1)
 	// Gate the database's normal-execution write path: live requests keep
 	// reading, but any INSERT/UPDATE/DELETE/DDL — whether from
-	// handleRequest, an admission-gated query during repair, or a direct
-	// DB.Exec — is refused before it mutates state that can no longer be
-	// made durable.
+	// handleRequest, during a repair or not, or a direct DB.Exec — is
+	// refused before it mutates state that can no longer be made
+	// durable.
 	w.DB.SetWriteGate(func() error { return st.err })
 }
 

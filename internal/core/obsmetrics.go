@@ -34,12 +34,7 @@ var (
 	// check, run re-execution, or visit replay).
 	repairItemHist = obs.NewHistogram("warp_core_repair_item_seconds")
 
-	// Online-repair seam metrics (admission.go, replay.go).
-	// liveWritesQueued counts live writes the admission gate held: DDL,
-	// and writes into partitions the repair claimed; liveWritesWaiting
-	// is how many are waiting right now.
-	liveWritesQueued  = obs.NewCounter("warp_core_live_writes_queued_total")
-	liveWritesWaiting = obs.NewGauge("warp_core_live_writes_waiting")
+	// Online-repair merge metrics (replay.go).
 	// liveWritesMerged counts live writes the replay loop reconciled with
 	// a concurrent repair by three-way merge; mergeConflicts counts
 	// merges that fell back to last-writer-wins.

@@ -26,7 +26,7 @@ import (
 // under it have not booked already — they advance rs.booked past before,
 // the tally the caller read at t0 — and books it in turn. Every share of
 // the repair's wall time goes through this one tally, so the layers'
-// shares partition it and Timing.Ctrl is what none of them claimed.
+// shares partition it and Timing.Ctrl is what none of them booked.
 func (rs *session) book(layer *atomic.Int64, t0 time.Time, before time.Duration) {
 	d := time.Since(t0) - (rs.booked - before)
 	layer.Add(int64(d))
@@ -76,7 +76,7 @@ func (rs *session) processQuery(it *workItem) error {
 		// share the pointer) both see the repaired-timeline state, and the
 		// action's identity is stable, which bounds reprocessing. Newly
 		// touched partitions are indexed onto the same action.
-		*rec = *newRec
+		rs.rewrite(act, rec, newRec)
 		var ins, outs []history.Dep
 		for _, p := range rec.ReadPartitions {
 			ins = append(ins, history.Dep{Node: rs.w.partNode(p), Time: rec.Time})
@@ -309,7 +309,7 @@ func (rs *session) executeRun(origAct *history.Action, req *httpd.Request) (*htt
 
 	matcher := newQueryMatcher(orig.Queries)
 	lastTime := origAct.Time
-	ns := make([]int64, 0, len(orig.Queries)) // per recorded query, for noteRun
+	ns := make([]int64, 0, len(orig.Queries)) // per recorded query, for recordRun
 	qf := func(sql string, params []sqldb.Value) (*sqldb.Result, *ttdb.Record, error) {
 		cs, err := rs.w.DB.Prepare(sql)
 		if err != nil {
@@ -366,8 +366,7 @@ func (rs *session) executeRun(origAct *history.Action, req *httpd.Request) (*htt
 
 	// The original run and its queries no longer describe the timeline.
 	rs.retire(origPayload)
-	run := rs.w.recordRun(newRec, true)
-	rs.noteRun(run, ns)
+	run := rs.recordRun(newRec, ns)
 
 	// Cascade to the browser if the client-visible response changed (§5).
 	if orig.Resp != nil && newRec.Resp != nil && !orig.Resp.Equal(newRec.Resp) {
@@ -469,12 +468,20 @@ func (rs *session) undoRun(payload *RunPayload, clientID string, visitID int64) 
 	return true
 }
 
-// retire takes a run and its queries off the repaired timeline.
+// retire takes a run and its queries off the repaired timeline, noting
+// for rollBack the flags it sets.
 func (rs *session) retire(payload *RunPayload) {
-	payload.Superseded.Store(true)
+	flags := []*atomic.Bool{&payload.Superseded}
 	for _, qid := range payload.QueryActions {
 		if qa := rs.w.Graph.Get(qid); qa != nil {
-			qa.Payload.(*QueryPayload).Superseded.Store(true)
+			flags = append(flags, &qa.Payload.(*QueryPayload).Superseded)
+		}
+	}
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	for _, f := range flags {
+		if !f.Swap(true) {
+			rs.retired = append(rs.retired, f)
 		}
 	}
 }
@@ -535,7 +542,7 @@ func (rs *session) freshRun(req *httpd.Request) *httpd.Response {
 		return httpd.NotFound("no route for " + req.Path)
 	}
 	lastTime := rs.w.Clock.Now()
-	var ns []int64 // per recorded query, for noteRun
+	var ns []int64 // per recorded query, for recordRun
 	qf := func(sql string, params []sqldb.Value) (*sqldb.Result, *ttdb.Record, error) {
 		lastTime++
 		cs, err := rs.w.DB.Prepare(sql)
@@ -554,7 +561,7 @@ func (rs *session) freshRun(req *httpd.Request) *httpd.Response {
 	if err != nil {
 		return httpd.ServerError(err.Error())
 	}
-	rs.noteRun(rs.w.recordRun(rec, true), ns)
+	rs.recordRun(rec, ns)
 	rs.mu.Lock()
 	rs.rep.FreshRuns++
 	rs.served[exchangeOf(req)] = &servedEntry{req: req, resp: rec.Resp}

@@ -5,9 +5,9 @@
 // does all of it, so a repair's outcome is a function of its inputs and
 // the seed, never of goroutine timing.
 //
-// Live requests beside an online repair never wait on the item in
-// flight (admission.go): what they change is folded in by dirt
-// propagation and the fixpoint.
+// Live requests beside an online repair wait only for its final
+// suspension: what they change is folded in by dirt propagation and the
+// fixpoint (session.go "converge").
 package core
 
 import (
@@ -141,12 +141,13 @@ func (s *scheduler) pendingLen() int {
 }
 
 // drain is the paper's repair loop: it pops the earliest queued item,
-// re-executes it, retires it, and repeats until the queue is empty. It
-// stops at the first error, or after maxIter items over the session.
-func (s *scheduler) drain() error {
+// re-executes it, retires it, and repeats until the queue is empty or
+// holds only items later than horizon (a logical time). It stops at the
+// first error, or after maxIter items over the session.
+func (s *scheduler) drain(horizon int64) error {
 	for {
 		s.mu.Lock()
-		if len(s.pending) == 0 {
+		if len(s.pending) == 0 || s.pending[0].time > horizon {
 			s.mu.Unlock()
 			return nil
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -21,8 +22,8 @@ import (
 )
 
 // session is the state of one repair (the paper's repair controller).
-// The repair goroutine drives a session while live requests, during an
-// online repair, consult it through the admission gate: the maps below
+// The repair goroutine drives a session; during an online repair live
+// requests run beside it, and metrics read its timing: the maps below
 // are guarded by mu, the timing counters are atomic, and the work queue
 // itself lives in the scheduler.
 type session struct {
@@ -111,8 +112,23 @@ type session struct {
 	// fixpoint pass: dirt-map entries created or lowered, and query
 	// outcomes that changed on re-execution. A pass that drains with
 	// zero changes re-executed deterministic, already-converged work, so
-	// the fixpoint loop stops instead of burning its full pass budget.
+	// the fixpoint loop stops there.
 	passChanges atomic.Int64
+
+	// What rollBack undoes if the repair aborts: the actions the session
+	// added to the graph, the Superseded flags it set, and the query
+	// records it rewrote in place.
+	added     []history.ActionID
+	retired   []*atomic.Bool
+	rewritten map[*ttdb.Record]rewrittenRec
+}
+
+// rewrittenRec is a query record as it was before the session first
+// rewrote it, and its action's input and output edge counts then.
+type rewrittenRec struct {
+	old   ttdb.Record
+	act   history.ActionID
+	edges [2]int
 }
 
 // dirtEntry is one addDirt call on a partition: its number and the time
@@ -156,12 +172,19 @@ func (w *Warp) newSession(gen int64) *session {
 		doneRuns:     make(map[history.ActionID]bool),
 		doneQueries:  make(map[history.ActionID]bool),
 		mergedLive:   make(map[string]string),
+		rewritten:    make(map[*ttdb.Record]rewrittenRec),
 		trace:        w.cfg.Trace,
 	}
 	rs.sched = newScheduler(rs,
-		50*(rep.TotalAppRuns+rep.TotalQueries+rep.TotalPageVisits)+10000)
+		stepsPerAction*(rep.TotalAppRuns+rep.TotalQueries+rep.TotalPageVisits)+stepSlack)
 	return rs
 }
+
+// stepsPerAction and stepSlack scale the drain's step bound over a
+// session: stepsPerAction per run, query and page visit in the history
+// when the repair begins, plus stepSlack. Variables only so a test can
+// force a repair that cannot converge.
+var stepsPerAction, stepSlack = 50, 10000
 
 // nextSeq issues the next session-unique sequence number, used for heap
 // tie-breaking and synthetic IDs.
@@ -203,19 +226,50 @@ func (rs *session) noteExecLocked(id history.ActionID, n int64) {
 	}
 }
 
-// noteRun files the dirt numbers a re-executed run's queries began at
-// (ns, one per recorded query, in call order) onto the query actions
-// recordRun published for them as run.
-func (rs *session) noteRun(run history.ActionID, ns []int64) {
+// recordRun records a run the session re-executed, notes its actions for
+// rollBack, and files the dirt numbers its queries began at (ns, one per
+// recorded query, in call order) onto their query actions.
+func (rs *session) recordRun(rec *app.RunRecord, ns []int64) history.ActionID {
+	run := rs.w.recordRun(rec, true)
 	qs := rs.w.Graph.Get(run).Payload.(*RunPayload).QueryActions
-	if len(qs) != len(ns) {
-		return // unmatched: leave them unsettled
-	}
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	for i, id := range qs {
-		rs.noteExecLocked(id, ns[i])
+	rs.added = append(append(rs.added, run), qs...)
+	if len(qs) == len(ns) { // else unmatched: leave them unsettled
+		for i, id := range qs {
+			rs.noteExecLocked(id, ns[i])
+		}
 	}
+	return run
+}
+
+// rewrite replaces a query record in place with its re-execution, noting
+// the record and its action's edge counts for rollBack the first time.
+func (rs *session) rewrite(act *history.Action, rec, newRec *ttdb.Record) {
+	rs.mu.Lock()
+	if _, ok := rs.rewritten[rec]; !ok {
+		rs.rewritten[rec] = rewrittenRec{old: *rec, act: act.ID, edges: [2]int{len(act.Inputs), len(act.Outputs)}}
+	}
+	rs.mu.Unlock()
+	*rec = *newRec
+}
+
+// rollBack undoes what the session did to the history graph, for an
+// abort: the actions it added go, and the runs and queries it took off
+// the timeline or rewrote in place are as they were before it began.
+func (rs *session) rollBack() {
+	rs.mu.Lock()
+	for _, s := range rs.retired {
+		s.Store(false)
+	}
+	trim := make(map[history.ActionID][2]int, len(rs.rewritten))
+	for rec, r := range rs.rewritten {
+		*rec = r.old
+		trim[r.act] = r.edges
+	}
+	added := rs.added
+	rs.mu.Unlock()
+	rs.w.Graph.Revert(added, trim)
 }
 
 // addConflict queues one repair conflict.
@@ -380,30 +434,6 @@ func (rs *session) dirtyAtLocked(parts []ttdb.Partition, t int64) bool {
 	return false
 }
 
-// claimed reports whether any of the partitions is dirty in the repair
-// generation at all — once dirtied, a partition stays claimed by the
-// repair until the final commit. The admission gate paces live writes
-// into claimed partitions.
-func (rs *session) claimed(parts []ttdb.Partition) bool {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	for _, p := range parts {
-		if _, ok := rs.tableDirt[p.Table]; !ok {
-			continue
-		}
-		if p.IsWholeTable() {
-			return true
-		}
-		if _, ok := rs.dirt[p]; ok {
-			return true
-		}
-		if _, ok := rs.dirt[ttdb.WholeTable(p.Table)]; ok {
-			return true
-		}
-	}
-	return false
-}
-
 // dirtSnapshot copies the current dirt map, for the drain passes.
 func (rs *session) dirtSnapshot() map[ttdb.Partition]int64 {
 	rs.mu.Lock()
@@ -436,12 +466,12 @@ func (w *Warp) RetroPatchSince(file string, v app.Version, since int64) (*Report
 			return err
 		}
 		fileNode := nodeIn(w, w.fileNodes, file, history.FileName, false)
-		w.Graph.Append(&history.Action{
+		rs.added = append(rs.added, w.Graph.Append(&history.Action{
 			Kind:    history.KindPatch,
 			Time:    w.Clock.Tick(),
 			Outputs: []history.Dep{{Node: fileNode, Time: since}},
 			Payload: v.Note,
-		})
+		}))
 		tg, beforeG := time.Now(), rs.booked
 		runs := w.Graph.Readers(fileNode, since)
 		rs.book(&rs.tGraph, tg, beforeG)
@@ -603,22 +633,16 @@ func (w *Warp) repair(intent *RepairIntent, seed func(*session) error, restrictC
 			return nil, fmt.Errorf("warp: persisting repair intent: %w", err)
 		}
 	}
-	abort := func() {
-		_ = w.DB.AbortRepair()
-		if w.pers != nil {
-			w.pers.logRepairEnd()
-		}
-	}
 	rs := w.newSession(gen)
 	rs.obsTrace = tr
 	rs.liveSince = w.Clock.Now()
 
 	// Suspension policy (docs/repair.md "Online repair"): by default the
-	// deployment keeps serving while repair runs — live writes pass
-	// through the admission gate, which paces them when their partitions
-	// are claimed — and the exclusive suspension shrinks to the final
-	// commit window below.
-	// The stop-the-world baseline suspends for the whole span instead.
+	// deployment keeps serving while repair runs — live requests execute
+	// at once in the current generation and are logged like any other —
+	// and the exclusive suspension shrinks to the final commit window
+	// below. The stop-the-world baseline suspends for the whole span
+	// instead.
 	exclusive := w.stopTheWorld
 	suspended := false
 	suspend := func() {
@@ -634,9 +658,17 @@ func (w *Warp) repair(intent *RepairIntent, seed func(*session) error, restrictC
 	}()
 	if exclusive {
 		suspend()
-	} else {
-		w.admission.Store(&admissionGate{w: w, rs: rs})
-		defer w.admission.Store(nil)
+	}
+	// abort puts back the tables and the history graph as they were
+	// before the repair, under the suspension, and retires the intent.
+	abort := func() error {
+		suspend()
+		rs.rollBack()
+		err := w.DB.AbortRepair()
+		if w.pers != nil {
+			w.pers.logRepairEnd()
+		}
+		return err
 	}
 
 	sp := tr.Begin("frontier")
@@ -646,51 +678,59 @@ func (w *Warp) repair(intent *RepairIntent, seed func(*session) error, restrictC
 		abort()
 		return nil, err
 	}
-	drainPass := func() error {
+	// drainPass drains the queue; online, only up to the logical time it
+	// started, so a live writer cannot keep one drain chasing it.
+	drainPass := func(online bool) error {
 		rs.passChanges.Store(0)
+		horizon := int64(math.MaxInt64)
+		if online {
+			horizon = w.Clock.Now()
+		}
 		sp = tr.Begin("replay")
-		err := rs.sched.drain()
+		err := rs.sched.drain(horizon)
 		sp.End()
 		return err
 	}
-	// converge re-propagates all dirt and drains, for at most passes
-	// passes. Propagation enqueues only unsettled readers, so a repair
-	// nothing raced enqueues nothing here. A pass that drains without a
-	// single dirt or outcome change re-executed only deterministic,
-	// already-converged work, so it stops there rather than spending its
-	// full pass budget on identical re-drains.
-	converge := func(passes int) error {
-		for pass := 0; pass < passes; pass++ {
+	// converge re-propagates all dirt and drains, pass after pass, until
+	// a fixpoint: a propagation that enqueues nothing (it enqueues only
+	// unsettled readers, so a quiet repair stops at once), or a pass that
+	// changes no dirt and no outcome. A drain error, the step bound among
+	// them, also ends it. Online, it also stops once a pass starts with no
+	// fewer items queued than the one before: live traffic keeps pace, and
+	// the suspended window folds in the rest.
+	converge := func(online bool) error {
+		prev := math.MaxInt
+		for {
 			for p, t := range rs.dirtSnapshot() {
 				rs.propagate(p, t)
 			}
-			if rs.sched.pendingLen() == 0 {
+			n := rs.sched.pendingLen()
+			if n == 0 || online && n >= prev {
 				return nil
 			}
-			if err := drainPass(); err != nil {
+			prev = n
+			if err := drainPass(online); err != nil {
 				return err
 			}
 			if rs.passChanges.Load() == 0 {
 				return nil
 			}
 		}
-		return nil
 	}
-	err = drainPass()
+	err = drainPass(!exclusive)
 	// Catch-up (online repair): converge while the deployment is still
 	// serving, so writes logged by live traffic during the bulk replay
 	// are folded into the repair generation before anything suspends.
-	// Each converged pass shrinks the racing window; the suspended passes
-	// below close it.
 	if err == nil && !exclusive {
-		err = converge(4)
+		err = converge(true)
 	}
-	// Commit window (§4.3): briefly suspend normal operation and
-	// converge again, so requests logged during repair on repaired
-	// partitions are re-applied.
+	// Commit window (§4.3): briefly suspend normal operation and converge
+	// to a fixpoint, so requests logged during repair on repaired
+	// partitions are re-applied. A window that does not converge within
+	// the step bound aborts the repair instead of committing.
 	if err == nil {
 		suspend()
-		err = converge(8)
+		err = converge(false)
 	}
 	if err != nil {
 		abort()
@@ -702,11 +742,8 @@ func (w *Warp) repair(intent *RepairIntent, seed func(*session) error, restrictC
 	if restrictConflictsTo != "" {
 		for _, c := range conflicts {
 			if c.Client != restrictConflictsTo {
-				if err := w.DB.AbortRepair(); err != nil {
+				if err := abort(); err != nil {
 					return nil, err
-				}
-				if w.pers != nil {
-					w.pers.logRepairEnd()
 				}
 				rs.rep.Aborted = true
 				rs.rep.Conflicts = conflicts

@@ -520,7 +520,38 @@ func (g *Graph) GC(beforeTime int64) int {
 	// Copy rather than re-slice, so the collected prefix is released.
 	g.actions = append([]*Action(nil), g.actions[first:]...)
 	g.base += ActionID(first)
+	g.reindex()
+	if g.obs != nil {
+		g.obs.GraphCollected(beforeTime)
+	}
+	return removed
+}
 
+// Revert takes back what an aborted repair did to the graph: it drops
+// the actions in drop, and cuts each action in trim back to the number
+// of input and output edges it had before (AddDeps only appends). The
+// observer is not notified: repair's actions and edges are never logged.
+func (g *Graph) Revert(drop []ActionID, trim map[ActionID][2]int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for id, n := range trim {
+		if a := g.get(id); a != nil {
+			a.Inputs, a.Outputs = a.Inputs[:n[0]:n[0]], a.Outputs[:n[1]:n[1]]
+		}
+	}
+	for _, id := range drop {
+		if a := g.get(id); a != nil {
+			g.actions[id-g.base] = nil
+			g.perKind[a.Kind]--
+			g.live--
+		}
+	}
+	g.reindex()
+}
+
+// reindex rebuilds every index from the live actions and publishes the
+// change. Caller holds g.mu.
+func (g *Graph) reindex() {
 	for n := range g.readers {
 		g.readers[n], g.writers[n] = g.readers[n][:0], g.writers[n][:0]
 	}
@@ -533,10 +564,6 @@ func (g *Graph) GC(beforeTime int64) int {
 		}
 	}
 	g.published()
-	if g.obs != nil {
-		g.obs.GraphCollected(beforeTime)
-	}
-	return removed
 }
 
 // MutationCount returns the number of structural mutations the graph

@@ -133,6 +133,49 @@ func TestGC(t *testing.T) {
 	}
 }
 
+// TestRevert: Revert drops the actions a repair appended and the edges
+// it added with AddDeps, so lookups, counts and exchanges read as they
+// did before; an action appended after Revert is indexed as usual.
+func TestRevert(t *testing.T) {
+	g := New()
+	x, y := g.Intern(PartitionName("t/k=x")), g.Intern(PartitionName("t/k=y"))
+	e := Exchange{Client: "c", Visit: 1, Request: 1}
+	orig := g.Append(&Action{Kind: KindAppRun, Time: 10, Exchange: e,
+		Inputs: []Dep{{Node: ExchangeNode, Time: 10}, {Node: x, Time: 10}}})
+	q := g.Append(&Action{Kind: KindQuery, Time: 11, Outputs: []Dep{{Node: x, Time: 11}}})
+	state := func() string {
+		ids := func(as []*Action) (out []ActionID) {
+			for _, a := range as {
+				out = append(out, a.ID)
+			}
+			return out
+		}
+		return fmt.Sprint(g.Len(), g.CountKind(KindAppRun), g.CountKind(KindQuery),
+			ids(g.Readers(x, 0)), ids(g.Writers(x, 0)), ids(g.Readers(y, 0)), ids(g.Writers(y, 0)),
+			ids(g.ExchangeActions(e)), g.TableNodes("t"))
+	}
+	before := state()
+
+	redo := g.Append(&Action{Kind: KindAppRun, Time: 10, Exchange: e,
+		Inputs: []Dep{{Node: ExchangeNode, Time: 10}, {Node: y, Time: 10}}})
+	rq := g.Append(&Action{Kind: KindQuery, Time: 12, Outputs: []Dep{{Node: y, Time: 12}}})
+	g.AddDeps(q, []Dep{{Node: y, Time: 11}}, []Dep{{Node: y, Time: 11}})
+	if state() == before {
+		t.Fatal("the repair's appends and edges changed nothing")
+	}
+	g.Revert([]ActionID{redo, rq}, map[ActionID][2]int{q: {0, 1}})
+	if got := state(); got != before {
+		t.Fatalf("after Revert: %s, want %s", got, before)
+	}
+	if g.Get(redo) != nil || g.Get(rq) != nil || g.Get(orig) == nil {
+		t.Fatal("Revert dropped the wrong actions")
+	}
+	next := g.Append(&Action{Kind: KindQuery, Time: 13, Inputs: []Dep{{Node: x, Time: 13}}})
+	if rs := g.Readers(x, 13); len(rs) != 1 || rs[0].ID != next {
+		t.Fatalf("readers of x from 13 after Revert = %v, want action %d", rs, next)
+	}
+}
+
 func TestLoadedNodesAccounting(t *testing.T) {
 	g := New()
 	a, b := g.Intern("part:a"), g.Intern("part:b")

@@ -403,7 +403,7 @@ func (t *Table) checkRow(vals []Value) error {
 	return nil
 }
 
-// batchKey is a unique key an earlier row of the same statement claimed:
+// batchKey is a unique key an earlier row of the same statement took:
 // the constraint's position and the key.
 type batchKey struct {
 	c   int
@@ -412,7 +412,7 @@ type batchKey struct {
 
 // checkUnique reports the first unique constraint a new row would
 // violate, against the stored rows and — batch non-nil — the keys the
-// statement's earlier rows claimed, which then gain this row's.
+// statement's earlier rows took, which then gain this row's.
 func (t *Table) checkUnique(vals []Value, batch map[batchKey]bool) error {
 	for i, us := range t.uniques {
 		key, ok := us.keyFor(vals)

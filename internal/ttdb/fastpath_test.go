@@ -319,10 +319,9 @@ func TestCachedExecRaceWithDDLAndGC(t *testing.T) {
 			}
 		}(g)
 	}
-	// Footprint derivation needs no lock (the admission gate resolves it
-	// unlocked): a wide IN list resolves a many-keyed scope from the
-	// statement's footprint, and Explain builds augmentations from
-	// outside the execution path.
+	// Footprint derivation races under a shared lock: a wide IN list
+	// resolves a many-keyed scope from the statement's footprint, and
+	// Explain builds augmentations from outside the execution path.
 	// Neither may read the table's column list while ALTER TABLE grows
 	// it, let alone cache handles built from a half-applied ALTER.
 	wide := "SELECT body FROM notes WHERE owner IN (?" + strings.Repeat(", ?", 19) + ")"

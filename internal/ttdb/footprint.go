@@ -6,15 +6,14 @@ package ttdb
 // per statement handle: deriveFootprint builds a template — which literal
 // or parameter operands bind which partition column — and resolve binds
 // one execution's parameters to it, yielding the partitions the
-// statement reads. Record.ReadPartitions, two-phase re-execution and the
-// online-repair admission gate (StmtPartitions) all consume that one
-// value, so dirt, records and admission name one kind of partition; none
-// of it locks anything (locks.go takes the whole table).
+// statement reads. Record.ReadPartitions and two-phase re-execution
+// consume that one value, so dirt and records name one kind of
+// partition; none of it locks anything (locks.go takes the whole table).
 //
-// The admission gate derives the template without holding the table's
-// lock, so it may depend only on the statement and on facts of the table
-// no DDL changes (tableMeta.parts, name). A dropped and re-created table
-// is a new *tableMeta and gets a new template.
+// Readers derive the template under the table's shared lock, so first
+// uses may race; it depends only on the statement and on facts of the
+// table no DDL changes (tableMeta.parts, name). A dropped and re-created
+// table is a new *tableMeta and gets a new template.
 
 import (
 	"strconv"

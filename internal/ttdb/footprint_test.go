@@ -17,8 +17,8 @@ func partStrings(ps []Partition) []string {
 }
 
 // TestFootprint: one template per statement, one resolve per execution,
-// and everything that names the statement's partitions — StmtPartitions
-// (the admission gate's), Record.ReadPartitions — reads that resolve.
+// and what names the statement's partitions — Record.ReadPartitions —
+// reads that resolve.
 // pages is partitioned by title (TEXT) and editor (INTEGER); "the first
 // partition column" in case names is title, the first declared one.
 func TestFootprint(t *testing.T) {
@@ -123,10 +123,6 @@ func TestFootprint(t *testing.T) {
 			if got := norm(resolved); !reflect.DeepEqual(got, c.reads) {
 				t.Errorf("resolved reads = %v, want %v", got, c.reads)
 			}
-			parts, _, err := db.StmtPartitions(c.src, c.params)
-			if err != nil || !reflect.DeepEqual(partStrings(parts), partStrings(resolved)) {
-				t.Errorf("StmtPartitions = %v, %v; want the resolved reads %v", parts, err, resolved)
-			}
 			if c.noExec {
 				return
 			}
@@ -142,12 +138,12 @@ func TestFootprint(t *testing.T) {
 			}
 			if got := partStrings(rec.ReadPartitions); c.reads[0] == "pages/*" && isInsert {
 				// An INSERT row the template could not bind lands in a
-				// partition the admission gate names only as the table.
-				if !slices.Contains(parts, WholeTable("pages")) {
-					t.Errorf("StmtPartitions = %v do not cover ReadPartitions %v", parts, got)
+				// partition the footprint names only as the table.
+				if !slices.Contains(resolved, WholeTable("pages")) {
+					t.Errorf("resolved reads %v do not cover ReadPartitions %v", resolved, got)
 				}
-			} else if want := norm(parts); !reflect.DeepEqual(got, want) {
-				t.Errorf("ReadPartitions = %v, want StmtPartitions %v", got, want)
+			} else if want := norm(resolved); !reflect.DeepEqual(got, want) {
+				t.Errorf("ReadPartitions = %v, want the resolved reads %v", got, want)
 			}
 			// The table's engine change moves with the rows written, and
 			// only with them.
@@ -173,6 +169,10 @@ func TestFootprintDerivedOncePerHandle(t *testing.T) {
 	mustExec(t, db, upd, sqldb.Text("v"), sqldb.Text("Main"), sqldb.Int(10))
 	selCS, _ := db.Prepare(sel)
 	updCS, _ := db.Prepare(upd)
+	m, err := db.meta("pages")
+	if err != nil {
+		t.Fatal(err)
+	}
 	selState, updState := selCS.Aux().(*stmtState), updCS.Aux().(*stmtState)
 	selFP, updFP := selState.fp, updState.fp
 	for i := 0; i < 1000; i++ {
@@ -181,9 +181,6 @@ func TestFootprintDerivedOncePerHandle(t *testing.T) {
 			t.Fatalf("read partitions = %v", rec.ReadPartitions)
 		}
 		mustExec(t, db, upd, sqldb.Text("v"), sqldb.Text("Main"), sqldb.Int(10))
-		if _, _, err := db.StmtPartitions(upd, []sqldb.Value{sqldb.Text("v"), sqldb.Text("Main"), sqldb.Int(10)}); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if selCS.Aux() != any(selState) || selState.fp != selFP || updCS.Aux() != any(updState) || updState.fp != updFP {
 		t.Fatal("footprint re-derived for a warm handle")
@@ -191,9 +188,9 @@ func TestFootprintDerivedOncePerHandle(t *testing.T) {
 
 	// Same handle, same table name, different annotation: editor stops
 	// being a partition column.
-	parts, _, _ := db.StmtPartitions(sel, []sqldb.Value{sqldb.Int(10)})
+	parts := stateFor(m, selCS).fp.resolve([]sqldb.Value{sqldb.Int(10)})
 	if got := partStrings(parts); !reflect.DeepEqual(got, []string{"pages/editor=i10"}) {
-		t.Fatalf("StmtPartitions under the old annotation = %v", got)
+		t.Fatalf("resolved reads under the old annotation = %v", got)
 	}
 	mustExec(t, db, "DROP TABLE pages")
 	if err := db.Annotate("pages", TableSpec{RowIDColumn: "page_id", PartitionColumns: []string{"title"}}); err != nil {
@@ -201,9 +198,12 @@ func TestFootprintDerivedOncePerHandle(t *testing.T) {
 	}
 	mustExec(t, db, "CREATE TABLE pages (page_id INTEGER PRIMARY KEY, title TEXT NOT NULL, editor INTEGER, content TEXT DEFAULT '')")
 	seedPages(t, db)
-	parts, _, _ = db.StmtPartitions(sel, []sqldb.Value{sqldb.Int(10)})
+	if m, err = db.meta("pages"); err != nil {
+		t.Fatal(err)
+	}
+	parts = stateFor(m, selCS).fp.resolve([]sqldb.Value{sqldb.Int(10)})
 	if got := partStrings(parts); !reflect.DeepEqual(got, []string{"pages/*"}) {
-		t.Fatalf("StmtPartitions under the new annotation = %v (template reused across tables?)", got)
+		t.Fatalf("resolved reads under the new annotation = %v (template reused across tables?)", got)
 	}
 	if selCS.Aux() == any(selState) {
 		t.Fatal("handle kept the dropped table's state")
@@ -216,8 +216,7 @@ func TestFootprintDerivedOncePerHandle(t *testing.T) {
 
 // TestPartitionKeysTakeColumnKind: a read that names an INTEGER partition
 // by text — as request parameters arrive — records the partition every
-// write to those rows records, and the admission gate names the same
-// partition.
+// write to those rows records.
 func TestPartitionKeysTakeColumnKind(t *testing.T) {
 	db := Open(newDB(t).Clock())
 	if err := db.Annotate("pages", TableSpec{RowIDColumn: "page_id", PartitionColumns: []string{"editor", "title"}}); err != nil {
@@ -247,10 +246,6 @@ func TestPartitionKeysTakeColumnKind(t *testing.T) {
 		set.AddAll(w.WritePartitions)
 		if !set.OverlapsAny(rec.ReadPartitions) {
 			t.Errorf("%s %v: read %v does not depend on the write %v", c.src, c.params, rec.ReadPartitions, w.WritePartitions)
-		}
-		parts, _, err := db.StmtPartitions(c.src, c.params)
-		if got := partStrings(parts); err != nil || !reflect.DeepEqual(got, []string{"pages/editor=i10"}) {
-			t.Errorf("%s %v: StmtPartitions = %v, %v; want [pages/editor=i10]", c.src, c.params, got, err)
 		}
 	}
 }

@@ -1,10 +1,8 @@
 package ttdb
 
 // Online-repair support (docs/repair.md "Online repair"): the database
-// half of the core's partition-scoped coexistence. During repair, live
-// writes keep executing in the current generation; the core's admission
-// gate needs each statement's partition footprint to decide whether a
-// write lands in a partition the repair has claimed, and the replay loop
+// half of live writes running beside a repair. During repair, live
+// writes keep executing in the current generation, and the replay loop
 // needs a way to three-way merge a mergeable live UPDATE with the
 // repaired value of the same row instead of letting last-writer-wins
 // discard one side.
@@ -12,33 +10,6 @@ package ttdb
 import (
 	"warp/internal/sqldb"
 )
-
-// StmtPartitions derives the partition footprint of one SQL statement
-// without executing it: the partitions an admission gate checks against
-// the repair's claims. It reports the partitions the statement
-// reads — those its executed Record.ReadPartitions will hold, or the
-// whole table when they cannot be bounded — whether the statement is a
-// write, and a parse error if any. DDL returns nil partitions with
-// isWrite=true: its footprint is every table.
-func (db *DB) StmtPartitions(src string, params []sqldb.Value) (parts []Partition, isWrite bool, err error) {
-	cs, err := db.stmts.Get(src)
-	if err != nil {
-		return nil, false, err
-	}
-	table, isWrite, ok := dmlTable(cs.Stmt)
-	if !ok {
-		// DDL: footprint is every table; callers treat nil as "wide".
-		return nil, true, nil
-	}
-	if table == "" {
-		return nil, false, nil
-	}
-	m, err := db.meta(table)
-	if err != nil {
-		return nil, isWrite, err
-	}
-	return stateFor(m, cs).fp.resolve(params), isWrite, nil
-}
 
 // UpdateMergeInfo locates the mergeable text of a single-row UPDATE: the
 // one SET column and the parameter index carrying its new value.

@@ -53,8 +53,7 @@ func ParsePartition(s string) (Partition, bool) {
 	return Partition{Table: table, Column: rest[:j], Key: rest[j+1:]}, true
 }
 
-// PartitionSet is a set of partitions with overlap queries. The zero value
-// is an empty set.
+// PartitionSet is a set of partitions with overlap queries.
 type PartitionSet struct {
 	whole map[string]bool // tables fully covered
 	keys  map[Partition]bool

@@ -387,8 +387,8 @@ func TestVersionOrderedProbesMatchFullScan(t *testing.T) {
 		for step := 0; step < 160; step++ {
 			op := h.rng.Intn(14)
 			if h.inRepair && op < 11 {
-				// Live writers keep out of what an open repair touches (core's
-				// admission gate); here they simply pause, reads go on.
+				// Core folds live writes into a repair by its fixpoint, which
+				// this harness does not model: live writers pause, reads go on.
 				op = 11 + h.rng.Intn(3)
 			}
 			switch {

@@ -30,8 +30,8 @@
 // Repair runs the paper's loop (docs/repair.md): it takes the earliest
 // queued work item, re-executes it, and repeats, so the same history and
 // repair give the same outcome on any machine. Beyond the paper, repair
-// runs online: live requests keep executing beside it, and a live write
-// waits only when it writes a partition the repair has claimed.
+// runs online: live requests keep executing beside it, at once, and the
+// repair folds in what they wrote before it commits.
 //
 // A System wires together the substrates in internal/: the SQL engine
 // (sqldb), the time-travel layer (ttdb), the action history graph
